@@ -76,6 +76,10 @@ def load_params(path):
                 values[key] = float(val)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad number {val.strip()!r}") from None
+            if not np.isfinite(values[key]):
+                raise ConfigError(
+                    f"{path}:{lineno}: {key} must be finite, got {val.strip()!r}"
+                )
     missing = {"sigma1", "sigma2", "sigma3"} - set(values)
     if missing:
         raise ConfigError(f"{path}: missing {', '.join(sorted(missing))}")

@@ -292,7 +292,15 @@ def read_trajectory(path):
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ConfigError(f"unexpected CSV header in {path}")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+        try:
+            rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+        except ValueError:
+            raise ConfigError(f"non-numeric sample in {path}") from None
+    width = CSV_HEADER.count(",") + 1
+    if not rows:
+        raise ConfigError(f"no samples in {path}")
+    if any(len(row) != width for row in rows):
+        raise ConfigError(f"rows of {path} do not all have {width} columns")
     data = np.array(rows)
     return data[:, 0], data[:, 1:]
 

@@ -67,16 +67,17 @@ def conjugate(x, c):
 
 
 def closure(gens):
-    elems = {IDENTITY, *gens}
-    frontier = list(elems)
+    """Finite subgroup generated by gens: breadth-first over the generators."""
+    elems = {IDENTITY}
+    frontier = [IDENTITY]
     while frontier:
         nxt = []
         for x in frontier:
-            for y in list(elems):
-                for z in (multiply(x, y), multiply(y, x)):
-                    if z not in elems:
-                        elems.add(z)
-                        nxt.append(z)
+            for g in gens:
+                z = multiply(x, g)
+                if z not in elems:
+                    elems.add(z)
+                    nxt.append(z)
         frontier = nxt
     return frozenset(elems)
 
@@ -133,7 +134,10 @@ def _refl_by_spatial(H):
 
 
 def _alignment_candidates(L, H, refl_h_by_spatial):
-    """Conjugators c that can map L into H, pinned by one reflection of L."""
+    """Conjugators c with c^-1 x0 c in H, for one reflection x0 of L.
+
+    Every c with c^-1 L c contained in H is among them.
+    """
     refl_l = reflections_of(L)
     if not refl_l:
         raise ConsistencyError("alignment needs a reflection-containing subgroup")
@@ -141,31 +145,26 @@ def _alignment_candidates(L, H, refl_h_by_spatial):
     _, k0, g0 = decode(x0)
     out = set()
     for g in range(N):
-        # rotation conjugator (0,kc,g): c^-1 x0 c = (1, k0 - 2 kc, g^-1 g0 g)
+        # c = (e,kc,g) gives c^-1 x0 c = (1, k0 - 2 kc or 2 kc - k0, g^-1 g0 g)
         h = gc.MUL[gc.MUL[gc.INV[g]][g0]][g]
         for kb in refl_h_by_spatial.get(h, ()):
-            d = (k0 - kb) % GRID
-            if d % 2 == 0:
-                out.add(encode(0, d // 2, g))
-                out.add(encode(0, d // 2 + GRID // 2, g))
-        # reflection conjugator (1,kc,g): c x0 c^-1 = (1, 2 kc - k0, g g0 g^-1)
-        h2 = gc.MUL[gc.MUL[g][g0]][gc.INV[g]]
-        for kb in refl_h_by_spatial.get(h2, ()):
-            d = (k0 + kb) % GRID
-            if d % 2 == 0:
-                out.add(encode(1, d // 2, g))
-                out.add(encode(1, d // 2 + GRID // 2, g))
+            for e, d in ((0, k0 - kb), (1, k0 + kb)):
+                d %= GRID
+                if d % 2 == 0:
+                    out.add(encode(e, d // 2, g))
+                    out.add(encode(e, d // 2 + GRID // 2, g))
     return out
 
 
 class ConcreteSubgroup:
     """Finite subgroup of the ambient group, with exact conjugacy tooling."""
 
-    __slots__ = ("elements", "_profile")
+    __slots__ = ("elements", "_profile", "_generators")
 
     def __init__(self, elements):
         self.elements = frozenset(elements)
         self._profile = None
+        self._generators = None
 
     @classmethod
     def generated(cls, gens):
@@ -185,38 +184,45 @@ class ConcreteSubgroup:
             self._profile = profile(self.elements)
         return self._profile
 
+    def generators(self):
+        """A small generating set, picked greedily, longest orders first."""
+        if self._generators is None:
+            gens, got = [], {IDENTITY}
+            for x in sorted(self.elements, key=lambda x: (-_element_order(x), x)):
+                if x not in got:
+                    gens.append(x)
+                    got = closure(gens)
+                    if len(got) == len(self.elements):
+                        break
+            self._generators = tuple(gens)
+        return self._generators
+
     def has_reflection(self):
         return any(decode(x)[0] == 1 for x in self.elements)
 
-    def conjugated(self, c):
-        return ConcreteSubgroup(conjugate(x, c) for x in self.elements)
-
     def conjugators_onto(self, other):
-        """All c with c self c^-1 == other."""
+        """Every c with c self c^-1 == other, generated lazily."""
         A, B = self.elements, other.elements
         if len(A) != len(B):
-            return []
-        by_spat = _refl_by_spatial(A)
-        out = []
-        for c in _alignment_candidates(B, A, by_spat):
-            ci = inverse(c)
-            if all(conjugate(x, ci) in A for x in B):
-                if all(conjugate(x, c) in B for x in A):
-                    out.append(c)
-        return out
+            return
+        gens = self.generators()
+        for c in _alignment_candidates(B, A, _refl_by_spatial(A)):
+            # conjugation is injective and |A| = |B|: containment is equality
+            if all(conjugate(x, c) in B for x in gens):
+                yield c
 
     def is_conjugate(self, other):
         if self.elements == other.elements:
             return True
         if self.profile() != other.profile():
             return False
-        return bool(self.conjugators_onto(other))
+        return next(self.conjugators_onto(other), None) is not None
 
     def weyl_order(self):
         """|N(A)/A| in the full ambient group; None when infinite."""
         if not self.has_reflection():
             return None  # a circle of rotations centralizes the subgroup
-        n = len(self.conjugators_onto(self))
+        n = sum(1 for _ in self.conjugators_onto(self))
         if n % len(self.elements):
             raise ConsistencyError("normalizer size not divisible by group order")
         return n // len(self.elements)
@@ -332,6 +338,7 @@ class TemporalOctahedralRing(BurnsideRing):
         self._profiles = []
         self._by_set = {}
         self._weyl = {}
+        self._cover_base = {}  # cover class id -> mode-1 base class id
         self._sub = {}
         self._fix = {}
         self._graph_classes = {}
@@ -370,7 +377,9 @@ class TemporalOctahedralRing(BurnsideRing):
 
         Covers of non-conjugate classes are non-conjugate and their kernels
         distinguish them from every mode-1 class, so they are interned
-        directly without a conjugacy scan.
+        directly without a conjugacy scan.  z -> z^l maps O(2) onto O(2)
+        with kernel Z_l, so normalizers correspond and a cover has its
+        base's Weyl order.
         """
         key = ("cover", base_ci, l)
         if key in self._by_set:
@@ -384,24 +393,29 @@ class TemporalOctahedralRing(BurnsideRing):
             ci = len(self._reps) - 1
             self._by_set[cov.elements] = ci
         self._by_set[key] = ci
+        self._cover_base[ci] = base_ci
         return ci
 
     def representative(self, ci):
         return self._reps[ci]
 
     # ring hooks ---------------------------------------------------------
-    def weyl(self, ci):
+    def _weyl_order(self, ci):
         if ci not in self._weyl:
-            self._weyl[ci] = self._reps[ci].weyl_order()
-        w = self._weyl[ci]
+            base = self._cover_base.get(ci)
+            self._weyl[ci] = (
+                self._reps[ci].weyl_order() if base is None else self._weyl_order(base)
+            )
+        return self._weyl[ci]
+
+    def weyl(self, ci):
+        w = self._weyl_order(ci)
         if w is None:
             raise ConsistencyError("infinite Weyl group inside Burnside arithmetic")
         return w
 
     def finite_weyl(self, ci):
-        if ci not in self._weyl:
-            self._weyl[ci] = self._reps[ci].weyl_order()
-        return self._weyl[ci] is not None
+        return self._weyl_order(ci) is not None
 
     def order_of(self, ci):
         return len(self._reps[ci])
@@ -439,21 +453,35 @@ class TemporalOctahedralRing(BurnsideRing):
             )
         return self._sub[ci]
 
+    def _profile_fits(self, L, H):
+        """Whether every profile key counts no more elements in L than in H.
+
+        A necessary condition for L to be subconjugate to H, since
+        conjugation keeps the reflection bit, the order and the spatial
+        class of an element.
+        """
+        have = dict(self._profile(H)[1])
+        return all(have.get(k, 0) >= n for k, n in self._profile(L)[1])
+
     def fixed_cosets(self, L, H):
-        """|(G/H)^L| = (number of conjugates of H containing L) * |W(H)|."""
+        """|(G/H)^L| = |{c : c^-1 L c in H}| / |H|, counted over conjugators."""
         key = (L, H)
         if key in self._fix:
             return self._fix[key]
         val = 0
-        a, b = self._reps[L], self._reps[H]
-        if len(b) % len(a) == 0:
-            by_spat = _refl_by_spatial(b.elements)
-            hits = set()
-            for c in _alignment_candidates(a.elements, b.elements, by_spat):
+        a, b = self._reps[L], self._reps[H].elements
+        if len(b) % len(a) == 0 and self._profile_fits(L, H):
+            gens = a.generators()
+            n = 0
+            for c in _alignment_candidates(a.elements, b, _refl_by_spatial(b)):
                 ci = inverse(c)
-                if all(conjugate(x, ci) in b.elements for x in a.elements):
-                    hits.add(b.conjugated(c).elements)
-            val = len(hits) * self.weyl(H)
+                if all(conjugate(x, ci) in b for x in gens):
+                    n += 1
+            val, r = divmod(n, len(b))
+            if r:
+                raise ConsistencyError(
+                    f"conjugator count {n} not divisible by |H| = {len(b)}"
+                )
         self._fix[key] = val
         return val
 
@@ -494,8 +522,8 @@ def ring():
 # ---------------------------------------------------------------------------
 
 
-def _characters_of(mask):
-    """All homomorphisms from the spatial subgroup to the angle grid."""
+def _spatial_generators(mask):
+    """A small generating set of the spatial subgroup, longest orders first."""
     els = gc.mask_elements(mask)
     gens = []
     got = {gc.IDENTITY}
@@ -505,6 +533,13 @@ def _characters_of(mask):
             got = set(gc.mask_elements(gc.closure_mask(gens)))
             if len(got) == len(els):
                 break
+    return gens
+
+
+def _characters_of(mask):
+    """All homomorphisms from the spatial subgroup to the angle grid."""
+    els = gc.mask_elements(mask)
+    gens = _spatial_generators(mask)
     sols = []
 
     def extend(assign):
@@ -555,6 +590,7 @@ def graph_classes(l=1):
     for cls in cat.classes:
         K = cls.mask
         els = gc.mask_elements(K)
+        spatial_gens = _spatial_generators(K)
         for chi in _characters_of(K):
             for t in range(N):
                 if gc.conj_mask(K, t) != K:
@@ -566,7 +602,7 @@ def graph_classes(l=1):
                     for x in els
                 ):
                     continue
-                gens = [encode(0, chi[x], x) for x in els] + [encode(1, 0, t)]
+                gens = [encode(0, chi[x], x) for x in spatial_gens] + [encode(1, 0, t)]
                 out.add(R.find_class(ConcreteSubgroup.generated(gens)))
     R._graph_classes[l] = sorted(out)
     return R._graph_classes[l]

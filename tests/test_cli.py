@@ -32,6 +32,13 @@ class TestEquilibrium:
         assert code == 2
         assert ":2:" in err
 
+    def test_non_finite_config_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("sigma1=0.1\nsigma2=0.1\nsigma3=nan\n")
+        code, _, err = run(capsys, "--config", str(cfg), "equilibrium")
+        assert code == 2
+        assert "nan.cfg:3: sigma3" in err
+
 
 class TestCritical:
     def test_prefix(self, capsys):

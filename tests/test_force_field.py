@@ -197,6 +197,13 @@ class TestParamsFile:
         with pytest.raises(ConfigError, match=":2:"):
             ff.load_params(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text(f"sigma1=0.1\nsigma2={value}\nsigma3=1\n")
+        with pytest.raises(ConfigError, match=r"nonfinite\.cfg:2: sigma2"):
+            ff.load_params(path)
+
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
             ff.PotentialParams(-1, 0, 0)

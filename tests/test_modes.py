@@ -207,6 +207,17 @@ class TestExport:
         assert np.array_equal(times, traj.times)
         assert np.array_equal(samples, traj.samples)
 
+    @pytest.mark.parametrize(
+        "body",
+        ["", "0.0" + ",1.0" * 18 + "\n0.5,1.0\n", "0.0" + ",x" * 18 + "\n"],
+        ids=["empty", "ragged", "non_numeric"],
+    )
+    def test_read_refuses_bad_body(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text(modes.CSV_HEADER + "\n" + body)
+        with pytest.raises(ConfigError, match="bad.csv"):
+            modes.read_trajectory(path)
+
     def test_manifest(self, shop):
         import json
 

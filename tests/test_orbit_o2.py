@@ -9,6 +9,31 @@ from octavib import orbit_o2 as o2
 R = lambda: o2.ring()
 
 
+def reference_fixed_cosets(ring, L, H, weyl_orders):
+    """Distinct conjugates of H containing L, times |W(H)| (oracle).
+
+    ``weyl_orders`` caches ``ConcreteSubgroup.weyl_order()`` per class.
+    """
+    a = ring.representative(L).elements
+    b = ring.representative(H).elements
+    if len(b) % len(a):
+        return 0
+    hits, seen = set(), set()
+    for c in o2._alignment_candidates(a, b, o2._refl_by_spatial(b)):
+        if c in seen:
+            continue
+        ci = o2.inverse(c)
+        if all(o2.conjugate(x, ci) in b for x in a):
+            # every conjugator in the coset cH gives the same conjugate
+            seen.update(o2.multiply(c, h) for h in b)
+            hits.add(frozenset(o2.conjugate(x, c) for x in b))
+    if not hits:
+        return 0
+    if H not in weyl_orders:
+        weyl_orders[H] = ring.representative(H).weyl_order()
+    return len(hits) * weyl_orders[H]
+
+
 def oct_word(word):
     return gc.element_from_vertex_word(word)
 
@@ -245,3 +270,79 @@ class TestInstantiation:
         assert spatial_only not in cut.coeffs
         assert cut.coeffs == finite.coeffs
         assert cut.unit == 2
+
+
+class TestFastPathOracles:
+    """The ring's conjugator counts against the direct constructions."""
+
+    @staticmethod
+    def _check_pairs(ring, pairs, weyl_orders):
+        nonzero = 0
+        for L, H in pairs:
+            want = reference_fixed_cosets(ring, L, H, weyl_orders)
+            assert ring.fixed_cosets(L, H) == want, (L, H)
+            if want:
+                nonzero += 1
+                assert ring._profile_fits(L, H), (L, H)
+        return nonzero
+
+    def test_alignment_candidates_match_brute_force(self):
+        ring = R()
+        step = o2.GRID // 24
+        classes = sorted(o2.graph_classes(1), key=ring.order_of)
+        pairs = []
+        for H in classes[-1], classes[-40], classes[len(classes) // 2]:
+            b = ring.representative(H).elements
+            refl = sorted(o2.reflections_of(b))
+            pairs.append((b, b))
+            pairs += [(o2.closure([x]), b) for x in (refl[0], refl[-1])]
+            pairs.append((ring.representative(classes[7]).elements, b))
+        with_reflection_conjugators = 0
+        for a, b in pairs:
+            x0 = o2.reflections_of(a)[0]
+            brute = {
+                c
+                for e in (0, 1)
+                for k in range(0, o2.GRID, step)
+                for g in range(o2.N)
+                if o2.conjugate(x0, o2.inverse(c := o2.encode(e, k, g))) in b
+            }
+            got = o2._alignment_candidates(a, b, o2._refl_by_spatial(b))
+            assert got == brute
+            with_reflection_conjugators += any(o2.decode(c)[0] == 1 for c in got)
+        assert with_reflection_conjugators >= 9
+
+    def test_fixed_cosets_mode1_all_pairs(self):
+        ring = R()
+        classes = o2.graph_classes(1)
+        weyl_orders = {}
+        pairs = [(L, H) for H in classes for L in classes]
+        assert self._check_pairs(ring, pairs, weyl_orders) > len(classes)
+
+    def test_fixed_cosets_mode2_sample(self):
+        ring = R()
+        mode1, mode2 = o2.graph_classes(1), o2.graph_classes(2)
+        rng = np.random.default_rng(7)
+        weyl_orders = {}
+        pool = mode1 + mode2
+        pairs = [
+            (L, H)
+            for H in rng.choice(mode2, size=6, replace=False).tolist()
+            for L in pool
+        ]
+        pairs += [tuple(rng.choice(pool, size=2).tolist()) for _ in range(300)]
+        assert self._check_pairs(ring, pairs, weyl_orders) > 6
+
+    def test_generators_generate(self):
+        ring = R()
+        for ci in o2.graph_classes(1) + o2.graph_classes(2):
+            rep = ring.representative(ci)
+            assert o2.closure(rep.generators()) == rep.elements, ci
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_covers_inherit_weyl_order(self, l):
+        ring = R()
+        for base in o2.graph_classes(1):
+            ci = ring.register_cover(base, l)
+            assert ring.weyl(ci) == ring.weyl(base)
+            assert ring.weyl(ci) == ring.representative(ci).weyl_order(), (base, l)
