@@ -1,187 +1,64 @@
-"""Kernel dispatch: numba-jitted hot loops with a pure-numpy fallback.
+"""Numpy force-field and census kernels, batched over configurations.
 
-The fallback is selected by setting the environment variable
-``OCTAVIB_NO_NUMBA=1`` before import (or automatically when numba is not
-installed).  Both paths are exercised by the test suite and compared by
-``benchmarks/bench_accel.py``.
+The force-field kernels take ligand positions as a ``(..., 6, 3)`` array and
+work over the 15 ligand pairs j < k; pair forces go back to the ligands
+through the fixed 6x15 incidence matrix.
 """
-
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("OCTAVIB_NO_NUMBA", "").strip() not in ("", "0")
-if not _DISABLED:
-    try:
-        from numba import njit
+# perfbench/worker.py's env line reads these two names
+HAVE_NUMBA = USE_NUMBA = False
 
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _DISABLED
+PAIR_J, PAIR_K = np.triu_indices(6, 1)
+# +1 at (j, pair) and -1 at (k, pair) for the pair (j, k)
+INCIDENCE = np.zeros((6, PAIR_J.size))
+INCIDENCE[PAIR_J, np.arange(PAIR_J.size)] = 1.0
+INCIDENCE[PAIR_K, np.arange(PAIR_K.size)] = -1.0
 
 
-# ---------------------------------------------------------------------------
-# force-field kernels (loop form; jitted when numba is active)
-# ---------------------------------------------------------------------------
-
-def _potential_loop(pos, s1, s2, s3):
-    tot = 0.0
-    for j in range(6):
-        for k in range(j + 1, 6):
-            r = 0.0
-            for c in range(3):
-                d = pos[j, c] - pos[k, c]
-                r += d * d
-            tot += s1 / r ** 6 - s2 / r ** 3 + s3 / np.sqrt(r)
-        r = pos[j, 0] ** 2 + pos[j, 1] ** 2 + pos[j, 2] ** 2
-        tot += (np.sqrt(r) - 1.0) ** 2
-    return tot
+def pairs(pos):
+    """Pair differences p_j - p_k (..., 15, 3) and their squares (..., 15)."""
+    d = pos[..., PAIR_J, :] - pos[..., PAIR_K, :]
+    return d, np.einsum("...pc,...pc->...p", d, d)
 
 
-def _gradient_loop(pos, s1, s2, s3):
-    g = np.zeros((6, 3))
-    for j in range(6):
-        for k in range(6):
-            if k == j:
-                continue
-            r = 0.0
-            for c in range(3):
-                d = pos[j, c] - pos[k, c]
-                r += d * d
-            u1p = -6.0 * s1 / r ** 7 + 3.0 * s2 / r ** 4 - 0.5 * s3 * r ** -1.5
-            for c in range(3):
-                g[j, c] += 2.0 * u1p * (pos[j, c] - pos[k, c])
-        r = pos[j, 0] ** 2 + pos[j, 1] ** 2 + pos[j, 2] ** 2
-        u2p = 1.0 - r ** -0.5
-        for c in range(3):
-            g[j, c] += 2.0 * u2p * pos[j, c]
+def potential(pos, s1, s2, s3):
+    _, r = pairs(pos)
+    rr = np.einsum("...jc,...jc->...j", pos, pos)
+    pair = np.sum(s1 / r ** 6 - s2 / r ** 3 + s3 / np.sqrt(r), axis=-1)
+    return pair + np.sum((np.sqrt(rr) - 1.0) ** 2, axis=-1)
+
+
+def gradient(pos, s1, s2, s3):
+    """Gradient of the potential at each configuration, shaped like ``pos``."""
+    d, r = pairs(pos)
+    u1p = -6.0 * s1 / r ** 7 + 3.0 * s2 / r ** 4 - 0.5 * s3 * r ** -1.5
+    g = INCIDENCE @ (2.0 * u1p[..., None] * d)
+    rr = np.einsum("...jc,...jc->...j", pos, pos)
+    g += 2.0 * (1.0 - rr ** -0.5)[..., None] * pos
     return g
 
 
-def _hessian_loop(pos, s1, s2, s3):
-    H = np.zeros((18, 18))
-    for j in range(6):
-        for k in range(6):
-            if k == j:
-                continue
-            r = 0.0
-            for c in range(3):
-                d = pos[j, c] - pos[k, c]
-                r += d * d
-            u1p = -6.0 * s1 / r ** 7 + 3.0 * s2 / r ** 4 - 0.5 * s3 * r ** -1.5
-            u1pp = 42.0 * s1 / r ** 8 - 12.0 * s2 / r ** 5 + 0.75 * s3 * r ** -2.5
-            for a in range(3):
-                da = pos[j, a] - pos[k, a]
-                for b in range(3):
-                    db = pos[j, b] - pos[k, b]
-                    blk = -4.0 * u1pp * da * db
-                    if a == b:
-                        blk -= 2.0 * u1p
-                    H[3 * j + a, 3 * k + b] += blk
-                    H[3 * j + a, 3 * j + b] -= blk
-        r = pos[j, 0] ** 2 + pos[j, 1] ** 2 + pos[j, 2] ** 2
-        u2p = 1.0 - r ** -0.5
-        u2pp = 0.5 * r ** -1.5
-        for a in range(3):
-            for b in range(3):
-                H[3 * j + a, 3 * j + b] += 4.0 * u2pp * pos[j, a] * pos[j, b]
-                if a == b:
-                    H[3 * j + a, 3 * j + b] += 2.0 * u2p
-    return H
-
-
-# pure-numpy vectorized fallbacks -------------------------------------------
-
-def _pair_r2(pos):
-    d = pos[:, None, :] - pos[None, :, :]
-    r2 = np.einsum("jkc,jkc->jk", d, d)
-    return d, r2
-
-
-def _potential_np(pos, s1, s2, s3):
-    _, r2 = _pair_r2(pos)
-    iu = np.triu_indices(6, 1)
-    r = r2[iu]
-    pair = np.sum(s1 / r ** 6 - s2 / r ** 3 + s3 / np.sqrt(r))
+def hessian(pos, s1, s2, s3):
+    """Cartesian Hessian (18, 18) of one (6, 3) configuration."""
+    d, r = pairs(pos)
+    u1p = -6.0 * s1 / r ** 7 + 3.0 * s2 / r ** 4 - 0.5 * s3 * r ** -1.5
+    u1pp = 42.0 * s1 / r ** 8 - 12.0 * s2 / r ** 5 + 0.75 * s3 * r ** -2.5
+    # the 3x3 block of each pair: off-diagonal at (j, k) and (k, j), and
+    # subtracted from both diagonal blocks, as the incidence Laplacian does
+    blk = -4.0 * u1pp[:, None, None] * np.einsum("pa,pb->pab", d, d)
+    blk -= 2.0 * u1p[:, None, None] * np.eye(3)
+    H = -np.einsum("jp,kp,pab->jakb", INCIDENCE, INCIDENCE, blk)
     rr = np.einsum("jc,jc->j", pos, pos)
-    return pair + np.sum((np.sqrt(rr) - 1.0) ** 2)
-
-
-def _gradient_np(pos, s1, s2, s3):
-    d, r2 = _pair_r2(pos)
-    np.fill_diagonal(r2, 1.0)
-    u1p = -6.0 * s1 / r2 ** 7 + 3.0 * s2 / r2 ** 4 - 0.5 * s3 * r2 ** -1.5
-    np.fill_diagonal(u1p, 0.0)
-    g = 2.0 * np.einsum("jk,jkc->jc", u1p, d)
-    rr = np.einsum("jc,jc->j", pos, pos)
-    g += 2.0 * (1.0 - rr ** -0.5)[:, None] * pos
-    return g
-
-
-def _hessian_np(pos, s1, s2, s3):
-    d, r2 = _pair_r2(pos)
-    np.fill_diagonal(r2, 1.0)
-    u1p = -6.0 * s1 / r2 ** 7 + 3.0 * s2 / r2 ** 4 - 0.5 * s3 * r2 ** -1.5
-    u1pp = 42.0 * s1 / r2 ** 8 - 12.0 * s2 / r2 ** 5 + 0.75 * s3 * r2 ** -2.5
-    np.fill_diagonal(u1p, 0.0)
-    np.fill_diagonal(u1pp, 0.0)
-    off = -4.0 * u1pp[:, :, None, None] * np.einsum("jka,jkb->jkab", d, d)
-    off -= 2.0 * u1p[:, :, None, None] * np.eye(3)
-    H = off.transpose(0, 2, 1, 3).copy()
     for j in range(6):
-        H[j, :, j, :] = -off[j].sum(axis=0)
-        rr = pos[j] @ pos[j]
-        H[j, :, j, :] += 4.0 * (0.5 * rr ** -1.5) * np.outer(pos[j], pos[j])
-        H[j, :, j, :] += 2.0 * (1.0 - rr ** -0.5) * np.eye(3)
+        H[j, :, j, :] += 2.0 * rr[j] ** -1.5 * np.outer(pos[j], pos[j])
+        H[j, :, j, :] += 2.0 * (1.0 - rr[j] ** -0.5) * np.eye(3)
     return H.reshape(18, 18)
 
 
-# ---------------------------------------------------------------------------
-# Burnside census kernel: isotropy class counts over coset pairs
-# ---------------------------------------------------------------------------
-
-def _census_loop(conj_h, conj_k, sorted_masks, class_ids, n_classes):
-    counts = np.zeros(n_classes, dtype=np.int64)
-    for i in range(conj_h.shape[0]):
-        mh = conj_h[i]
-        for j in range(conj_k.shape[0]):
-            iso = mh & conj_k[j]
-            lo = np.searchsorted(sorted_masks, iso)
-            counts[class_ids[lo]] += 1
-    return counts
-
-
-def _census_np(conj_h, conj_k, sorted_masks, class_ids, n_classes):
+def census_counts(conj_h, conj_k, sorted_masks, class_ids, n_classes):
+    """Isotropy class counts over all coset pairs (h, k)."""
     iso = np.bitwise_and.outer(conj_h, conj_k).ravel()
     pos = np.searchsorted(sorted_masks, iso)
     return np.bincount(class_ids[pos], minlength=n_classes).astype(np.int64)
-
-
-if USE_NUMBA:
-    potential = njit(cache=True)(_potential_loop)
-    gradient = njit(cache=True)(_gradient_loop)
-    hessian = njit(cache=True)(_hessian_loop)
-    census_counts = njit(cache=True)(_census_loop)
-else:
-    potential = _potential_np
-    gradient = _gradient_np
-    hessian = _hessian_np
-    census_counts = _census_np
-
-# always-available handles, used by the benchmark and the cross-check tests
-numpy_impls = {
-    "potential": _potential_np,
-    "gradient": _gradient_np,
-    "hessian": _hessian_np,
-    "census_counts": _census_np,
-}
-loop_impls = {
-    "potential": _potential_loop,
-    "gradient": _gradient_loop,
-    "hessian": _hessian_loop,
-    "census_counts": _census_loop,
-}

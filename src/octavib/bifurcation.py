@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import orbit_o2 as o2
-from .errors import CatalogError, ConsistencyError, ResonanceError
+from .errors import CatalogError, ConfigError, ConsistencyError, ResonanceError
 
 ISOTYPIC = ("0", "4", "7", "7*", "8", "9")
 
@@ -36,6 +36,8 @@ def critical_set(alphas, lambda_max):
 
     `alphas` maps isotypic labels to positive frequencies alpha_j.
     """
+    if not math.isfinite(lambda_max):
+        raise ConfigError(f"lambda_max must be finite, got {lambda_max}")
     out = []
     for j, a in alphas.items():
         if a <= 0:

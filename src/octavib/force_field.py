@@ -34,6 +34,14 @@ ADJACENT = tuple(
 )
 
 _COLLISION_TOL = 1e-12
+# the 21 collision tests of one configuration in checking order: (j,) for
+# ligand j at the origin, (j, k) for a pair; _CHECK_COLUMNS places each among
+# the 6 origin distances followed by the 15 pair distances in accel's order
+_CHECKS = tuple(
+    check for j in range(6) for check in [(j,)] + [(j, k) for k in range(j + 1, 6)]
+)
+_PAIRS = list(zip(accel.PAIR_J.tolist(), accel.PAIR_K.tolist()))
+_CHECK_COLUMNS = np.array([c[0] if len(c) == 1 else 6 + _PAIRS.index(c) for c in _CHECKS])
 
 
 @dataclass(frozen=True)
@@ -88,18 +96,35 @@ def load_params(path):
 
 def as_configuration(positions):
     """Validate and return a (6,3) float array of ligand positions."""
+    return check_configurations(_one(positions))[0]
+
+
+def _one(positions):
+    """One configuration, (6,3) or (18,), as a (1,6,3) stack."""
     pos = np.asarray(positions, dtype=float)
-    if pos.shape == (18,):
-        pos = pos.reshape(6, 3)
-    if pos.shape != (6, 3):
+    if pos.shape not in ((6, 3), (18,)):
         raise ShapeError(f"configuration must be (6,3) or (18,), got {pos.shape}")
-    for j in range(6):
-        if pos[j] @ pos[j] < _COLLISION_TOL:
-            raise CollisionError(j)
-        for k in range(j + 1, 6):
-            d = pos[j] - pos[k]
-            if d @ d < _COLLISION_TOL:
-                raise CollisionError(j, k)
+    return pos.reshape(1, 6, 3)
+
+
+def check_configurations(stack):
+    """Validate and return an (n,6,3) float array of configurations.
+
+    Accepts (n,6,3) or (n,18).  Raises the ``CollisionError`` that checking
+    the samples one by one would raise first: samples in order, ligands j
+    ascending, the origin test of j before its pairs (j, k > j).
+    """
+    pos = np.asarray(stack, dtype=float)
+    if pos.ndim == 2 and pos.shape[1] == 18:
+        pos = pos.reshape(len(pos), 6, 3)
+    if pos.ndim != 3 or pos.shape[1:] != (6, 3):
+        raise ShapeError(f"configurations must be (n,6,3) or (n,18), got {pos.shape}")
+    origin = np.einsum("njc,njc->nj", pos, pos)
+    _, pair = accel.pairs(pos)
+    close = np.concatenate([origin, pair], axis=1)[:, _CHECK_COLUMNS] < _COLLISION_TOL
+    if close.any():
+        first = int(np.argmax(close.ravel())) % len(_CHECKS)
+        raise CollisionError(*_CHECKS[first])
     return pos
 
 
@@ -134,10 +159,16 @@ def potential(params, config):
     return float(accel.potential(pos, params.sigma1, params.sigma2, params.sigma3))
 
 
+def gradients(params, samples):
+    """Gradient of the potential at each configuration of a stack, as (n,18)."""
+    pos = check_configurations(samples)
+    g = accel.gradient(pos, params.sigma1, params.sigma2, params.sigma3)
+    return g.reshape(len(pos), 18)
+
+
 def gradient(params, config):
     """Gradient of the potential as an 18-vector."""
-    pos = as_configuration(config)
-    return accel.gradient(pos, params.sigma1, params.sigma2, params.sigma3).reshape(18)
+    return gradients(params, _one(config))[0]
 
 
 def hessian(params, config):

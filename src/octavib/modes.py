@@ -121,8 +121,8 @@ class ModeWorkshop:
 
     def build_mode(self, j, k=1, epsilon=0.05, n_samples=DEFAULT_SAMPLES):
         """Trajectory for the k-th maximal type of block j (1-based)."""
-        if epsilon < 0:
-            raise ConfigError("epsilon must be nonnegative")
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ConfigError(f"epsilon must be finite and nonnegative, got {epsilon}")
         if n_samples < 8:
             raise ConfigError("need at least 8 samples per period")
         types = self.types_for(j)
@@ -155,14 +155,13 @@ class ModeWorkshop:
             + epsilon * np.cos(times)[:, None] * a[None, :]
             + epsilon * np.sin(times)[:, None] * b[None, :]
         )
-        for row in samples:
-            try:
-                force_field.as_configuration(row)
-            except CollisionError as exc:
-                raise AmplitudeError(
-                    f"amplitude {epsilon} produces a colliding sample ({exc}); "
-                    f"stay below {self.safe_amplitude():.3g}"
-                ) from None
+        try:
+            force_field.check_configurations(samples)
+        except CollisionError as exc:
+            raise AmplitudeError(
+                f"amplitude {epsilon} produces a colliding sample ({exc}); "
+                f"stay below {self.safe_amplitude():.3g}"
+            ) from None
         return ModeTrajectory(
             j=j,
             k=k,
@@ -217,12 +216,9 @@ class ModeWorkshop:
 
     def nonlinear_residual(self, traj):
         """Peak norm of udotdot + grad U(u) along the trajectory."""
-        worst = 0.0
-        for row, t in zip(traj.samples, traj.times):
-            acc = -traj.alpha ** 2 * (row - traj.center)
-            g = force_field.gradient(self.params, row)
-            worst = max(worst, float(np.linalg.norm(acc + g)))
-        return worst
+        acc = -traj.alpha ** 2 * (traj.samples - traj.center)
+        g = force_field.gradients(self.params, traj.samples)
+        return float(np.linalg.norm(acc + g, axis=1).max(initial=0.0))
 
     def brake_velocity(self, traj):
         """Central-difference speed at the two turning phases t = 0 and pi."""

@@ -38,3 +38,28 @@ def random_configuration(rng, spread=0.25):
     """Admissible random configuration near the unit octahedron."""
     base = force_field.OCTAHEDRON * (1.0 + 0.3 * rng.random())
     return base + spread * rng.normal(size=(6, 3))
+
+
+def gradient_loop(pos, s1, s2, s3):
+    """Scalar oracle for ``accel.gradient``: a (6,3) gradient, pair by pair.
+
+    Sums over every ordered pair (j, k), j != k, one coordinate at a time;
+    the package kernel works over the 15 unordered pairs of a whole stack.
+    """
+    g = np.zeros((6, 3))
+    for j in range(6):
+        for k in range(6):
+            if k == j:
+                continue
+            r = 0.0
+            for c in range(3):
+                d = pos[j, c] - pos[k, c]
+                r += d * d
+            u1p = -6.0 * s1 / r ** 7 + 3.0 * s2 / r ** 4 - 0.5 * s3 * r ** -1.5
+            for c in range(3):
+                g[j, c] += 2.0 * u1p * (pos[j, c] - pos[k, c])
+        r = pos[j, 0] ** 2 + pos[j, 1] ** 2 + pos[j, 2] ** 2
+        u2p = 1.0 - r ** -0.5
+        for c in range(3):
+            g[j, c] += 2.0 * u2p * pos[j, c]
+    return g

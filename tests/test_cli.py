@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from octavib import cli
+from octavib import bifurcation, cli
 
 
 def run(capsys, *argv):
@@ -51,6 +51,19 @@ class TestCritical:
         ]
 
 
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_non_finite_max_exit_2(self, capsys, monkeypatch, bound):
+        def no_critical_numbers(*args):
+            raise AssertionError("critical_set started listing critical numbers")
+
+        # refused before the loop: an infinite bound would list them forever
+        monkeypatch.setattr(bifurcation, "CriticalNumber", no_critical_numbers)
+        code, out, err = run(capsys, "critical", "--max", bound)
+        assert code == 2
+        assert out == ""
+        assert f"lambda_max must be finite, got {bound}" in err
+
+
 class TestInvariant:
     def test_block0(self, capsys):
         code, out, _ = run(capsys, "invariant", "--j", "0")
@@ -78,6 +91,16 @@ class TestModes:
         assert doc["verified"] is True
         header = csv.read_text().splitlines()[0]
         assert header.startswith("t,x1,y1,z1") and header.endswith("x6,y6,z6")
+
+    def test_nan_amplitude_exit_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "modes", "--j", "0", "--eps", "nan", "--out", str(out_dir)
+        )
+        assert code == 2
+        assert "epsilon must be finite and nonnegative, got nan" in err
+        assert out == ""
+        assert not out_dir.exists()
 
 
 class TestCatalog:

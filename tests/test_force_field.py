@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from octavib import accel
 from octavib import force_field as ff
 from octavib import group_core as gc
 from octavib.errors import CollisionError, ConfigError, SearchFailureError, ShapeError
 
-from conftest import random_configuration
+from conftest import gradient_loop, random_configuration
 
 
 def pairwise_reference(params, pos):
@@ -24,6 +25,23 @@ def pairwise_reference(params, pos):
         r = float(pos[j] @ pos[j])
         total += (math.sqrt(r) - 1.0) ** 2
     return total
+
+
+def as_configuration_rows(stack):
+    """Oracle for ``check_configurations``: the per-row collision loop."""
+    for pos in np.asarray(stack, dtype=float).reshape(-1, 6, 3):
+        for j in range(6):
+            if pos[j] @ pos[j] < ff._COLLISION_TOL:
+                raise CollisionError(j)
+            for k in range(j + 1, 6):
+                d = pos[j] - pos[k]
+                if d @ d < ff._COLLISION_TOL:
+                    raise CollisionError(j, k)
+
+
+def perturbed_stack(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([random_configuration(rng) for _ in range(n)])
 
 
 class TestPotential:
@@ -105,6 +123,66 @@ class TestGradient:
             for w in ("(1234)", "(132)", "(56)"):
                 G = gc.action_matrix_18(gc.element_from_word(w))
                 assert np.allclose(ff.gradient(params, G @ pos), G @ g, atol=1e-10)
+
+
+class TestBatchedKernels:
+    def test_gradient_matches_loop_oracle(self, params):
+        stack = perturbed_stack(240, seed=11)
+        sig = (params.sigma1, params.sigma2, params.sigma3)
+        batched = accel.gradient(stack, *sig)
+        assert batched.shape == stack.shape
+        for pos, g in zip(stack, batched):
+            ref = gradient_loop(pos, *sig)
+            assert np.all(np.abs(g - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    def test_single_call_is_row_of_batched_call(self, params):
+        stack = perturbed_stack(50, seed=12)
+        batched = ff.gradients(params, stack.reshape(50, 18))
+        assert batched.shape == (50, 18)
+        for pos, row in zip(stack, batched):
+            assert np.array_equal(ff.gradient(params, pos), row)
+            assert np.array_equal(ff.gradient(params, pos.reshape(18)), row)
+
+    @pytest.mark.parametrize(
+        "plant, expected",
+        [
+            ({(0, 2): 0.0}, (2, None)),
+            ({(0, 4): 1}, (1, 4)),
+            ({(0, 3): 0.0, (0, 1): 2}, (1, 2)),  # lower ligand's pair first
+            ({(0, 2): 0.0, (0, 4): 0.0}, (2, None)),  # origin before (2, 4)
+            ({(7, 0): 3, (9, 0): 0.0}, (0, 3)),  # later rows, first one wins
+        ],
+        ids=["origin", "pair", "pair_before_origin", "origin_before_pair", "later_row"],
+    )
+    def test_collision_matches_row_loop(self, plant, expected):
+        """Each planted ligand is set to the origin (0.0) or onto another ligand."""
+        stack = perturbed_stack(12, seed=13)
+        for (row, j), target in plant.items():
+            stack[row, j] = 0.0 if isinstance(target, float) else stack[row, target]
+        with pytest.raises(CollisionError) as ref:
+            as_configuration_rows(stack)
+        with pytest.raises(CollisionError) as err:
+            ff.check_configurations(stack)
+        assert err.value.pair == ref.value.pair == expected
+        assert str(err.value) == str(ref.value)
+        with pytest.raises(CollisionError) as err18:
+            ff.check_configurations(stack.reshape(12, 18))
+        assert err18.value.pair == expected
+
+    def test_clean_stack_passes(self):
+        stack = perturbed_stack(12, seed=14)
+        out = ff.check_configurations(stack.reshape(12, 18))
+        assert out.shape == (12, 6, 3)
+        assert np.array_equal(out, stack)
+        assert ff.check_configurations(np.zeros((0, 18))).shape == (0, 6, 3)
+
+    @pytest.mark.parametrize(
+        "shape", [(6, 3), (4, 5, 3), (3, 17), (2, 6, 3, 1)],
+        ids=["6x3", "4x5x3", "3x17", "2x6x3x1"],
+    )
+    def test_stack_shape_error(self, shape):
+        with pytest.raises(ShapeError):
+            ff.check_configurations(np.ones(shape))
 
 
 class TestEquilibrium:

@@ -7,6 +7,8 @@ from octavib import force_field as ff
 from octavib import modes, orbit_o2, spectral
 from octavib.errors import AmplitudeError, ConfigError, SamplingError
 
+from conftest import gradient_loop
+
 # reference eigenvectors of the reported block Hessian, printed to 3-4
 # digits; used as an identification oracle only
 REFERENCE_MODES = {
@@ -69,6 +71,11 @@ class TestBuild:
         with pytest.raises(ConfigError):
             shop.build_mode("0", 1, -0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_rejected(self, shop, eps):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            shop.build_mode("0", 1, eps)
+
     def test_unknown_index(self, shop):
         with pytest.raises(ConfigError):
             shop.build_mode("0", 2)
@@ -78,6 +85,19 @@ class TestBuild:
     def test_excessive_amplitude(self, shop):
         with pytest.raises(AmplitudeError):
             shop.build_mode("0", 1, 5.0)
+
+    def test_colliding_sample_is_amplitude_error(self, shop, monkeypatch):
+        # past the safe bound the breathing mode, scaled so that its deepest
+        # sample reaches the center, puts every ligand on the central atom
+        monkeypatch.setattr(shop, "safe_amplitude", lambda: math.inf)
+        ci = shop.types_for("0")[0]
+        unit = shop.build_mode_for_type(ci, "0", 1, epsilon=1.0, n_samples=8)
+        radial = (unit.samples - unit.center) @ unit.center / (unit.center @ unit.center)
+        with pytest.raises(
+            AmplitudeError,
+            match=r"colliding sample \(ligand 1 coincides with the central atom\)",
+        ):
+            shop.build_mode_for_type(ci, "0", 1, epsilon=-1 / radial.min(), n_samples=8)
 
     def test_linearized_equation_exact(self, shop):
         traj = shop.build_mode("8", 1, 0.01)
@@ -138,6 +158,19 @@ class TestResidual:
         }
         ratio = res[1e-2] / res[1e-3]
         assert 80 <= ratio <= 120
+
+    def test_matches_per_sample_loop(self, shop, params):
+        sig = (params.sigma1, params.sigma2, params.sigma3)
+        for j, k, n in (("0", 1, 120), ("8", 2, 1200), ("7*", 4, 240)):
+            traj = shop.build_mode(j, k, 0.05, n)
+            ref = max(
+                np.linalg.norm(
+                    -traj.alpha ** 2 * (row - traj.center)
+                    + gradient_loop(row.reshape(6, 3), *sig).reshape(18)
+                )
+                for row in traj.samples
+            )
+            assert shop.nonlinear_residual(traj) == pytest.approx(ref, rel=1e-12)
 
     def test_brake_velocities(self, shop):
         traj = shop.build_mode("0", 1, 0.05)
