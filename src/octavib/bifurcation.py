@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import orbit_o2 as o2
-from .errors import CatalogError, ConfigError, ConsistencyError, ResonanceError
+from .errors import ConfigError, ConsistencyError, ResonanceError
 
 ISOTYPIC = ("0", "4", "7", "7*", "8", "9")
 
@@ -123,7 +123,11 @@ class BifurcationReport:
 
 
 class InvariantEngine:
-    """Computes invariants over the orbit-type ring with degree caching."""
+    """Invariants at the critical ordering set by the frequencies.
+
+    Only the frequencies belong to the engine; orbit types, maximal types,
+    basic degrees and upper sets are ring data, computed once per process.
+    """
 
     def __init__(self, alphas):
         self.alphas = dict(alphas)
@@ -131,24 +135,13 @@ class InvariantEngine:
         if missing:
             raise ConsistencyError(f"missing frequencies for {sorted(missing)}")
         self.ring = o2.ring()
-        self._deg = {}
-        self._maximal = {}
 
-    # --- basic degrees -------------------------------------------------
+    # --- ring data -------------------------------------------------------
     def degree(self, j, l=1):
-        key = (_degree_index(j), l)
-        if key not in self._deg:
-            self._deg[key] = o2.basic_degree(*key)
-        return self._deg[key]
+        return o2.basic_degree(_degree_index(j), l)
 
     def maximal_classes(self, j, l=1):
-        key = (_degree_index(j), l)
-        if key not in self._maximal:
-            classes = tuple(o2.maximal_orbit_types(*key))
-            if l == 1:
-                o2.pin_reference_labels(key[0], classes)
-            self._maximal[key] = classes
-        return self._maximal[key]
+        return o2.maximal_orbit_types(_degree_index(j), l)
 
     # --- full product path ----------------------------------------------
     def invariant_full(self, j_o):
@@ -160,56 +153,18 @@ class InvariantEngine:
         return omega
 
     def maximal_terms(self, element):
-        supp = list(element.coeffs)
-        keep = [
-            ci
-            for ci in supp
-            if not any(t != ci and self.ring.fixed_cosets(ci, t) > 0 for t in supp)
-        ]
-        keep.sort(key=lambda ci: (-self.ring.order_of(ci), self.ring.label_of(ci)))
+        R = self.ring
         return tuple(
-            (self.ring.label_of(ci), element.coeffs[ci], self.ring.weyl(ci))
-            for ci in keep
+            (R.label_of(ci), element.coeffs[ci], R.weyl(ci))
+            for ci in R.sorted_support(R.maximal(element.coeffs))
         )
 
     # --- fast path: upper-set truncation ---------------------------------
-    def upper_set(self, j_o, h_ci):
-        """All catalog classes >= (H) at the modes touched by the invariant.
-
-        Complete for the truncated product: every orbit type appearing in a
-        factor or an intermediate product has temporal kernel dividing one
-        of the factor modes, hence lives in the graph catalog.
-        """
-        R = self.ring
-        factors = factors_before(j_o, self.alphas) + [(j_o, 1)]
-        modes = set()
-        for _, l in factors:
-            modes.update(d for d in range(1, l + 1) if l % d == 0)
-        pool = set()
-        for l in sorted(modes):
-            pool.update(o2.graph_classes(l))
-        upper = {h_ci}
-        for t_ci in pool:
-            if t_ci != h_ci and R.fixed_cosets(h_ci, t_ci) > 0:
-                upper.add(t_ci)
-        return upper
-
     def _truncated_factor(self, j, l, upper):
         """Coefficients of deg_{j,l} on the classes of `upper` (exact)."""
         R = self.ring
-        order = sorted(upper, key=lambda ci: -R.order_of(ci))
-        out = {}
-        for K in order:
-            s = (-1) ** R.fixed_dim(_degree_index(j), l, K) - 1
-            for Lt, nv in out.items():
-                if Lt != K:
-                    s -= R.fixed_cosets(K, Lt) * nv
-            q, r = divmod(s, R.weyl(K))
-            if r:
-                raise ConsistencyError("truncated degree non-integral")
-            if q:
-                out[K] = q
-        return (1, out)
+        idx = _degree_index(j)
+        return (1, R.recurrence(upper, lambda K: (-1) ** R.fixed_dim(idx, l, K) - 1))
 
     def _truncated_mult(self, x, y, upper, cache):
         ux, dx = x
@@ -224,34 +179,25 @@ class InvariantEngine:
             for kk, kv in dy.items():
                 key = (hk, kk) if hk <= kk else (kk, hk)
                 if key not in cache:
-                    cands = [
-                        L
-                        for L in upper
-                        if R.fixed_cosets(L, hk) > 0 and R.fixed_cosets(L, kk) > 0
-                    ]
-                    cands.sort(key=lambda L: -R.order_of(L))
-                    nn = {}
-                    for L in cands:
-                        s = R.fixed_cosets(L, hk) * R.fixed_cosets(L, kk)
-                        for Lt, nv in nn.items():
-                            if Lt != L:
-                                s -= R.fixed_cosets(L, Lt) * nv
-                        q, r = divmod(s, R.weyl(L))
-                        if r:
-                            raise ConsistencyError("truncated product non-integral")
-                        if q:
-                            nn[L] = q
-                    cache[key] = nn
+                    cache[key] = R.recurrence(
+                        [
+                            L
+                            for L in upper
+                            if R.fixed_cosets(L, hk) > 0 and R.fixed_cosets(L, kk) > 0
+                        ],
+                        lambda L: R.fixed_cosets(L, hk) * R.fixed_cosets(L, kk),
+                    )
                 for L, q in cache[key].items():
                     out[L] = out.get(L, 0) + hv * kv * q
         return (ux * uy, {k: v for k, v in out.items() if v})
 
     def fast_coefficient(self, j_o, h_ci):
         """Exact coefficient of (H) in the invariant via upper-set truncation."""
-        upper = self.upper_set(j_o, h_ci)
+        factors = factors_before(j_o, self.alphas)
+        upper = self.ring.upper_set(frozenset(l for _, l in factors) | {1}, h_ci)
         cache = {}
         prod = (1, {})
-        for j, l in factors_before(j_o, self.alphas):
+        for j, l in factors:
             prod = self._truncated_mult(
                 prod, self._truncated_factor(j, l, upper), upper, cache
             )
@@ -324,10 +270,11 @@ class InvariantEngine:
 
 def engine_from_spectrum(report):
     """Build the invariant engine from a labeled spectrum report."""
+    alphas = report.alphas()
     flag, witness = check_isotypic_nonresonance(report)
     if not flag:
         raise ResonanceError(f"isotypic resonance between blocks {witness}")
-    return InvariantEngine(report.alphas())
+    return InvariantEngine(alphas)
 
 
 def reference_alphas():

@@ -7,7 +7,9 @@ The product of two generators is computed with the standard recurrence
 
 processed in decreasing subgroup order; every division must be exact, a
 fractional quotient aborts with a consistency error.  ``fix_L(G/H)`` is the
-number of cosets fixed pointwise by L, equal to n(L,H) |W(H)|.
+number of cosets fixed pointwise by L, equal to n(L,H) |W(H)|.  Products,
+basic degrees and their truncations all run this one recurrence
+(``BurnsideRing.recurrence``), each with its own pool and leading term.
 
 Two backends provide the catalog hooks: the finite octahedral group (this
 module) and the temporal-symmetry extension (``orbit_o2``).
@@ -134,28 +136,43 @@ class BurnsideRing:
     def sorted_support(self, coeffs):
         return sorted(coeffs, key=lambda k: (-self.order_of(k), self.label_of(k)))
 
+    def recurrence(self, pool, lead):
+        """Coefficients n_L over the classes of `pool`, largest first:
+
+            n_L = (lead(L) - sum_{Lt found earlier} fix_L(G/Lt) n_Lt) / |W(L)|.
+
+        Every division is checked exact; zero coefficients are dropped.
+        """
+        out = {}
+        for L in sorted(pool, key=lambda L: -self.order_of(L)):
+            s = lead(L) - sum(self.fixed_cosets(L, Lt) * n for Lt, n in out.items())
+            q, r = divmod(s, self.weyl(L))
+            if r:
+                raise ConsistencyError(
+                    f"recurrence non-integral at {self.label_of(L)}: {s}/{self.weyl(L)}"
+                )
+            if q:
+                out[L] = q
+        return out
+
+    def maximal(self, keys):
+        """The keys no other key of `keys` lies above."""
+        return [
+            L
+            for L in keys
+            if not any(t != L and self.fixed_cosets(L, t) > 0 for t in keys)
+        ]
+
     def multiply_generators(self, H, K):
         cache = getattr(self, "_prod_cache", None)
         if cache is None:
             cache = self._prod_cache = {}
         if (H, K) in cache:
             return cache[(H, K)]
-        cands = [L for L in self.candidate_subtypes(H) if self.fixed_cosets(L, K) > 0]
-        cands.sort(key=lambda L: -self.order_of(L))
-        out = {}
-        for L in cands:
-            s = self.fixed_cosets(L, H) * self.fixed_cosets(L, K)
-            for Lt, n in out.items():
-                if Lt != L:
-                    s -= self.fixed_cosets(L, Lt) * n
-            q, r = divmod(s, self.weyl(L))
-            if r:
-                raise ConsistencyError(
-                    f"recurrence gave non-integer coefficient at {self.label_of(L)}: "
-                    f"{s}/{self.weyl(L)}"
-                )
-            if q:
-                out[L] = q
+        out = self.recurrence(
+            [L for L in self.candidate_subtypes(H) if self.fixed_cosets(L, K) > 0],
+            lambda L: self.fixed_cosets(L, H) * self.fixed_cosets(L, K),
+        )
         cache[(H, K)] = out
         cache[(K, H)] = out
         return out
@@ -254,22 +271,9 @@ class OctahedralBurnside(BurnsideRing):
     # ---------------- basic degrees ----------------------------------
     def basic_degree_from_dims(self, fixed_dims):
         """Degree of the antipodal map from dim V^K data (one per label)."""
-        order = sorted(fixed_dims, key=lambda lb: -self.order_of(lb))
-        if order and order[0] != self.unit_label:
+        if self.unit_label not in fixed_dims:
             raise ConsistencyError("fixed_dims must include the full group")
-        out = {}
-        for K in order:
-            s = (-1) ** fixed_dims[K]
-            for Lt, n in out.items():
-                if Lt != K:
-                    s -= self.fixed_cosets(K, Lt) * n
-            q, r = divmod(s, self.weyl(K))
-            if r:
-                raise ConsistencyError(
-                    f"degree recurrence non-integral at {K}: {s}/{self.weyl(K)}"
-                )
-            if q:
-                out[K] = q
+        out = self.recurrence(fixed_dims, lambda K: (-1) ** fixed_dims[K])
         unit = out.pop(self.unit_label, 0)
         return self.element(unit, out)
 

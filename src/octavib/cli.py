@@ -49,11 +49,12 @@ def cmd_critical(args):
     params = _params(args)
     eq = force_field.find_equilibrium(params)
     report = spectral.spectrum_at_equilibrium(eq)
+    alphas = report.alphas()
     ok, witness = bifurcation.check_isotypic_nonresonance(report)
     if not ok:
         print(f"resonance between isotypic blocks {witness[0]} and {witness[1]}")
         return 1
-    crit = bifurcation.critical_set(report.alphas(), args.max)
+    crit = bifurcation.critical_set(alphas, args.max)
     for c in crit:
         print(f"lambda[{c.j},{c.l}]={format_float(c.value)}")
     ties = bifurcation.ordering_ties(crit)
@@ -128,9 +129,7 @@ def cmd_catalog(args):
         ring = orbit_o2.ring()
         maximal = []
         for j in (0, 4, 7, 8, 9):
-            classes = orbit_o2.maximal_orbit_types(j, 1)
-            orbit_o2.pin_reference_labels(j, classes)
-            for ci in classes:
+            for ci in orbit_o2.maximal_orbit_types(j, 1):
                 maximal.append(
                     {
                         "block": str(j),

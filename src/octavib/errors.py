@@ -61,8 +61,8 @@ class SamplingError(ConfigError):
     """Requested phase shift is incommensurate with the sample grid."""
 
 
-class CatalogError(OctavibError):
-    """Orbit-type outside the constructed catalog closure."""
+class CatalogError(NumericalError):
+    """Orbit-type outside the constructed catalog closure (e.g. an off-grid mode)."""
 
     def __init__(self, msg, missing=None):
         super().__init__(msg)

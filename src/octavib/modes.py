@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import force_field, group_core, orbit_o2, spectral
+from . import bifurcation, force_field, group_core, orbit_o2, spectral
 from ._serialize import dumps, format_float
 from .errors import (
     AmplitudeError,
@@ -63,11 +63,9 @@ class ModeWorkshop:
 
     def types_for(self, j):
         """Maximal symmetry classes of isotypic block j, in label order."""
-        if j not in ("0", "4", "7", "7*", "8", "9"):
+        if j not in bifurcation.ISOTYPIC:
             raise ConfigError(f"unknown isotypic label {j!r}")
-        idx = 7 if j == "7*" else int(j)
-        classes = orbit_o2.maximal_orbit_types(idx, 1)
-        orbit_o2.pin_reference_labels(idx, classes)
+        classes = orbit_o2.maximal_orbit_types(bifurcation._degree_index(j), 1)
         return sorted(classes, key=self.ring.label_of)
 
     def alpha_of(self, j):

@@ -7,7 +7,10 @@ Elements of the ambient group are encoded as integers: a triple
 fixed-coset counts) is exact integer arithmetic.
 
 Conjugacy classes are interned in a registry; Burnside-ring products run
-over it through the shared recurrence in :mod:`octavib.burnside`.
+over it through the shared recurrence in :mod:`octavib.burnside`.  The ring
+(``ring()``) owns everything that depends only on the group and the Fourier
+mode: classes, Weyl orders, fixed-coset counts, maximal types with their
+reference labels, basic degrees and upper sets, each computed once.
 
 Every finite reflection-containing subgroup is conjugate to a cover of a
 "character graph": a subgroup K of the spatial group, a U(1)-character chi
@@ -343,6 +346,9 @@ class TemporalOctahedralRing(BurnsideRing):
         self._fix = {}
         self._graph_classes = {}
         self._pinned = {}
+        self._maximal = {}  # (j, l) -> maximal orbit types of irrep j at mode l
+        self._degree = {}   # (j, l) -> basic degree of irrep j at mode l
+        self._upper = {}    # (factor modes, class id) -> upper set of the class
 
     def pin_label(self, ci, label):
         """Fix the rendered symbol of a class (reference spelling)."""
@@ -452,6 +458,24 @@ class TemporalOctahedralRing(BurnsideRing):
                 L for L in pool if self.fixed_cosets(L, ci) > 0
             )
         return self._sub[ci]
+
+    def upper_set(self, modes, h):
+        """Classes >= (h) among the orbit types at the divisors of `modes`.
+
+        Complete for a product of degrees whose Fourier modes are the
+        frozenset `modes`: every orbit type appearing in a factor or an
+        intermediate product has temporal kernel dividing one of them, hence
+        lives in the graph catalog.
+        """
+        key = (modes, h)
+        if key not in self._upper:
+            pool = set()
+            for d in sorted({d for l in modes for d in range(1, l + 1) if l % d == 0}):
+                pool.update(graph_classes(d))
+            self._upper[key] = frozenset(
+                {h} | {t for t in pool if t != h and self.fixed_cosets(h, t) > 0}
+            )
+        return self._upper[key]
 
     def _profile_fits(self, L, H):
         """Whether every profile key counts no more elements in L than in H.
@@ -609,41 +633,39 @@ def graph_classes(l=1):
 
 
 def maximal_orbit_types(j, l=1):
-    """Maximal finite-Weyl orbit types of irrep j at mode l, by fixed spaces."""
+    """Maximal finite-Weyl orbit types of irrep j at mode l, by fixed spaces.
+
+    Computed once per (j, l) and kept on the ring; at l = 1 the classes
+    carry their reference labels from then on.
+    """
     R = ring()
-    cands = [ci for ci in graph_classes(l) if R.fixed_dim(j, l, ci) >= 1]
-    return [
-        ci
-        for ci in cands
-        if not any(t != ci and R.fixed_cosets(ci, t) > 0 for t in cands)
-    ]
+    key = (j, l)
+    if key not in R._maximal:
+        classes = tuple(
+            R.maximal([ci for ci in graph_classes(l) if R.fixed_dim(j, l, ci) >= 1])
+        )
+        if l == 1:
+            pin_reference_labels(j, classes)
+        R._maximal[key] = classes
+    return R._maximal[key]
 
 
 def basic_degree(j, l=1):
     """Antipodal-map degree on the ball of irrep-j mode-l, by the recurrence.
 
-    Computed over the downward closure of the maximal orbit types; the unit
-    coefficient is +1 and every division is checked exact.
+    Computed once per (j, l) over the downward closure of the maximal orbit
+    types and kept on the ring; the unit coefficient is +1.
     """
     R = ring()
-    cand = set()
-    for ci in maximal_orbit_types(j, l):
-        cand |= set(R.candidate_subtypes(ci))
-    order = sorted(cand, key=lambda ci: -R.order_of(ci))
-    out = {}
-    for K in order:
-        s = (-1) ** R.fixed_dim(j, l, K) - 1
-        for Lt, n in out.items():
-            if Lt != K:
-                s -= R.fixed_cosets(K, Lt) * n
-        q, r = divmod(s, R.weyl(K))
-        if r:
-            raise ConsistencyError(
-                f"basic degree non-integral at {R.label_of(K)}: {s}/{R.weyl(K)}"
-            )
-        if q:
-            out[K] = q
-    return R.element(1, out)
+    key = (j, l)
+    if key not in R._degree:
+        pool = set()
+        for ci in maximal_orbit_types(j, l):
+            pool.update(R.candidate_subtypes(ci))
+        R._degree[key] = R.element(
+            1, R.recurrence(pool, lambda K: (-1) ** R.fixed_dim(j, l, K) - 1)
+        )
+    return R._degree[key]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ from .errors import (
 MULTIPLICITIES = {"0": 1, "4": 2, "6": 3, "7": 3, "7*": 3, "8": 3, "9": 3}
 
 
+class NonPositiveFrequencyError(NumericalError):
+    """A reported alpha^2 other than the zero line "6" is not positive."""
+
+
 @dataclass(frozen=True)
 class StiffnessCoefficients:
     """Radial stiffness constants of the equilibrium, plus the mixing radius."""
@@ -66,11 +70,18 @@ class SpectrumReport:
         return {ln.label: ln.alpha_sq for ln in self.lines}
 
     def alphas(self):
-        """Positive frequencies alpha_j = sqrt(alpha^2_j) for nonzero lines."""
+        """Positive frequencies alpha_j = sqrt(alpha^2_j) of the lines but "6".
+
+        Critical numbers and invariants read their frequencies here, so a
+        line with alpha^2 <= 0 is refused rather than dropped.
+        """
+        for ln in self.lines:
+            if ln.label != "6" and ln.alpha_sq <= 0:
+                raise NonPositiveFrequencyError(
+                    f"block {ln.label} has alpha^2 = {ln.alpha_sq!r} <= 0"
+                )
         return {
-            ln.label: float(np.sqrt(ln.alpha_sq))
-            for ln in self.lines
-            if ln.alpha_sq > 1e-12
+            ln.label: float(np.sqrt(ln.alpha_sq)) for ln in self.lines if ln.label != "6"
         }
 
     def basis_for(self, label):
@@ -114,14 +125,6 @@ def closed_form_spectrum(coeffs):
         for j in sorted(values, key=lambda k: values[k])
     )
     return SpectrumReport(lines=lines)
-
-
-def cartesian_coefficients(coeffs, r0):
-    """Stiffness constants rescaled to the Cartesian Hessian convention."""
-    s = 2 * r0 * r0
-    return StiffnessCoefficients(
-        s * coeffs.a, s * coeffs.b, s * coeffs.c, 2 * coeffs.d, 2 * coeffs.e
-    )
 
 
 def numeric_spectrum(hessian, gap=1e-6):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from octavib import bifurcation, force_field, spectral
+from octavib import bifurcation, force_field, orbit_o2, spectral
+
+# the reported block-9 alpha^2 is negative here (about -1.3e-4), while the
+# Cartesian one is positive (about +0.243)
+UNSTABLE_REPORTED_9 = (0.04358, 0.07072, 1.4449)
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +31,13 @@ def labeled_spectrum(equilibrium):
 @pytest.fixture(scope="session")
 def engine(labeled_spectrum):
     return bifurcation.engine_from_spectrum(labeled_spectrum)
+
+
+@pytest.fixture
+def fresh_ring(monkeypatch):
+    """An empty orbit-type ring for one test; the process's ring comes back after."""
+    monkeypatch.setattr(orbit_o2, "_RING", orbit_o2.TemporalOctahedralRing())
+    return orbit_o2.ring()
 
 
 @pytest.fixture(scope="session")

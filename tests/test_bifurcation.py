@@ -1,10 +1,15 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from octavib import bifurcation as bf
+from octavib import force_field as ff
 from octavib import spectral
-from octavib.errors import ResonanceError
+from octavib.errors import ConfigError, NumericalError, ResonanceError
+
+from test_acceptance import EXPECTED_CENSUS
 
 REFERENCE_PREFIX = [
     ("0", 1), ("7*", 1), ("4", 1), ("7", 1), ("0", 2), ("8", 1), ("7*", 2), ("4", 2),
@@ -152,3 +157,30 @@ class TestInvariants:
             assert got == set(rep.reference_labels)
             for _, coeff, weyl in rep.maximal_types:
                 assert abs(coeff) == 2 // weyl
+
+
+class TestSweepBox:
+    """Every parameter set of the benchmark's sweep box ends in a result or a refusal."""
+
+    def test_fast_reports_or_documented_refusals(self):
+        rng = np.random.default_rng(1)
+        reference = ff.REFERENCE_PARAMS
+        outcomes = Counter()
+        for _ in range(48):
+            sigmas = [
+                s * math.exp(rng.uniform(-0.5, 0.5))
+                for s in (reference.sigma1, reference.sigma2, reference.sigma3)
+            ]
+            try:
+                eq = ff.find_equilibrium(ff.PotentialParams(*sigmas))
+                engine = bf.engine_from_spectrum(spectral.spectrum_at_equilibrium(eq))
+                for j in bf.ISOTYPIC:
+                    rep = engine.report(j, full=False)
+                    got = {lb: c for lb, c, _ in rep.maximal_types}
+                    assert set(got) == EXPECTED_CENSUS["7" if j == "7*" else j], sigmas
+                    assert all(abs(c) in (1, 2) for c in got.values()), (sigmas, got)
+            except (NumericalError, ConfigError) as exc:  # ConsistencyError fails
+                outcomes[type(exc).__name__] += 1
+            else:
+                outcomes["ok"] += 1
+        assert outcomes["ok"] >= 24, outcomes

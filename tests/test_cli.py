@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from octavib import bifurcation, cli
+from octavib import bifurcation, cli, orbit_o2
+
+from conftest import UNSTABLE_REPORTED_9
 
 
 def run(capsys, *argv):
@@ -76,6 +78,36 @@ class TestInvariant:
         assert code == 2
 
 
+class TestReportedSpectrumRefusal:
+    """A negative reported alpha^2 is one refusal, the same in every command."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        cfg = tmp_path / "unstable.cfg"
+        cfg.write_text(
+            "".join(f"sigma{i}={s}\n" for i, s in enumerate(UNSTABLE_REPORTED_9, 1))
+        )
+        return str(cfg)
+
+    @pytest.mark.parametrize(
+        "argv", [("critical",), ("invariant", "--j", "9"), ("census",)],
+        ids=["critical", "invariant", "census"],
+    )
+    def test_exit_1_naming_block_and_alpha_sq(self, capsys, config, argv):
+        code, out, err = run(capsys, "--config", config, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure: block 9 has alpha^2 = -0.00013")
+        assert err.rstrip().endswith("<= 0")
+
+    def test_modes_use_the_cartesian_spectrum(self, capsys, config, tmp_path):
+        code, out, _ = run(
+            capsys, "--config", config, "modes", "--j", "9", "--out", str(tmp_path)
+        )
+        assert code == 0
+        assert out.endswith("verified=true\n")
+
+
 class TestModes:
     def test_export(self, capsys, tmp_path):
         code, out, _ = run(
@@ -112,6 +144,19 @@ class TestCatalog:
 
 
 class TestDeterminism:
+    def test_output_independent_of_history(
+        self, capsys, monkeypatch, fresh_ring, tmp_path
+    ):
+        code, fresh, _ = run(capsys, "invariant", "--j", "4", "--full")
+        assert code == 0
+        # a second empty ring, filled by other commands first
+        monkeypatch.setattr(orbit_o2, "_RING", orbit_o2.TemporalOctahedralRing())
+        assert run(capsys, "modes", "--j", "9", "--out", str(tmp_path))[0] == 0
+        assert run(capsys, "census")[0] == 0
+        code, after, _ = run(capsys, "invariant", "--j", "4", "--full")
+        assert code == 0
+        assert after == fresh
+
     def test_byte_identical_reruns(self, capsys):
         outs = []
         for _ in range(2):

@@ -144,6 +144,13 @@ class TestConcreteSubgroups:
 
 
 class TestMaximalTypes:
+    def test_labels_pinned_by_the_ring(self, fresh_ring):
+        for j in (0, 4, 7, 8, 9):
+            classes = o2.maximal_orbit_types(j, 1)
+            assert o2.maximal_orbit_types(j, 1) is classes  # computed once
+            got = {fresh_ring.label_of(ci) for ci in classes}
+            assert got == set(o2.reference_red_labels(j)), j
+
     def test_reference_red_sets(self, sixteen_types):
         ring = R()
         for j in (0, 4, 7, 8, 9):

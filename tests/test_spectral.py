@@ -4,7 +4,9 @@ import pytest
 from octavib import force_field as ff
 from octavib import group_core as gc
 from octavib import spectral
-from octavib.errors import InvalidCharacterError, ShapeError
+from octavib.errors import InvalidCharacterError, NumericalError, ShapeError
+
+from conftest import UNSTABLE_REPORTED_9
 
 REFERENCE_ALPHA_SQ = {
     "0": 0.7867,
@@ -150,6 +152,17 @@ class TestAssign:
             if ln.alpha_sq > 0:
                 counts[ln.label] = counts.get(ln.label, 0) + 1
         assert counts == {"0": 1, "4": 1, "7": 1, "7*": 1, "8": 1, "9": 1}
+
+    def test_nonpositive_reported_line_refused(self):
+        eq = ff.find_equilibrium(ff.PotentialParams(*UNSTABLE_REPORTED_9))
+        report = spectral.spectrum_at_equilibrium(eq)
+        assert report.alpha_sq["9"] < 0
+        with pytest.raises(spectral.NonPositiveFrequencyError, match="block 9 ") as exc:
+            report.alphas()
+        assert isinstance(exc.value, NumericalError)
+        assert repr(report.alpha_sq["9"]) in str(exc.value)
+        cartesian = spectral.spectrum_at_equilibrium(eq, convention="cartesian")
+        assert cartesian.alpha_sq["9"] > 0
 
     def test_json_roundtrip(self, labeled_spectrum):
         import json
