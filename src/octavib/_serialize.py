@@ -1,5 +1,12 @@
 """Deterministic JSON: sorted keys, floats at 17 significant digits."""
 
+# string escapes as json.dumps writes them: quote, backslash, control characters
+_ESCAPES = str.maketrans(
+    {chr(c): f"\\u{c:04x}" for c in range(0x20)}
+    | {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f"}
+    | {"\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
+
 
 def _fmt(value):
     if isinstance(value, bool):
@@ -13,8 +20,7 @@ def _fmt(value):
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        out = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return f'"{value.translate(_ESCAPES)}"'
     if isinstance(value, dict):
         items = sorted(value.items())
         body = ",".join(f"{_fmt(str(k))}:{_fmt(v)}" for k, v in items)

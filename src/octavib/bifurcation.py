@@ -15,11 +15,12 @@ orbit-type ring, and a truncation of every factor to the upper set of one
 maximal type at a time (exact for that coefficient, and much cheaper).
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 from . import orbit_o2 as o2
-from .errors import ConfigError, ConsistencyError, ResonanceError
+from .errors import CatalogError, ConfigError, ConsistencyError, ResonanceError
 
 ISOTYPIC = ("0", "4", "7", "7*", "8", "9")
 
@@ -213,12 +214,11 @@ class InvariantEngine:
         target = CriticalNumber(j_o, 1, 1.0 / self.alphas[j_o])
         factors = tuple(factors_before(j_o, self.alphas))
         R = self.ring
-        maximal = self.maximal_classes(j_o, 1)
-        fast = {R.label_of(ci): self.fast_coefficient(j_o, ci) for ci in maximal}
-        invariant = None
-        maximal_terms = ()
+        with _naming_off_grid(j_o, factors):
+            maximal = self.maximal_classes(j_o, 1)
+            fast = {R.label_of(ci): self.fast_coefficient(j_o, ci) for ci in maximal}
+            invariant = R.pi0_truncate(self.invariant_full(j_o)) if full else None
         if full:
-            invariant = R.pi0_truncate(self.invariant_full(j_o))
             maximal_terms = self.maximal_terms(invariant)
         else:
             maximal_terms = tuple(
@@ -244,8 +244,12 @@ class InvariantEngine:
         seen = {}
         order = []
         for j in ("0", "4", "7", "8", "9"):
-            for ci in self.maximal_classes(j, 1):
-                coeff = self.fast_coefficient(j, ci)
+            with _naming_off_grid(j, factors_before(j, self.alphas)):
+                coeffs = [
+                    (ci, self.fast_coefficient(j, ci))
+                    for ci in self.maximal_classes(j, 1)
+                ]
+            for ci, coeff in coeffs:
                 if coeff == 0:
                     raise ConsistencyError(
                         f"census type {R.label_of(ci)} has zero coefficient"
@@ -266,6 +270,28 @@ class InvariantEngine:
             }
             for ci in order
         ]
+
+
+@contextlib.contextmanager
+def _naming_off_grid(j_o, factors):
+    """Restate mode_cover's off-grid refusal to name the block and the factor.
+
+    mode_cover knows only the Fourier mode; the first factor (j, l) of
+    block j_o whose l it divides is the one that needs it.
+    """
+    try:
+        yield
+    except CatalogError as exc:
+        mode = exc.missing
+        culprit = [f for f in factors if isinstance(mode, int) and f[1] % mode == 0]
+        if not culprit:
+            raise
+        j, l = culprit[0]
+        raise CatalogError(
+            f"block {j_o}: factor ({j}, {l}) needs Fourier mode {mode}, "
+            f"off the 1/{o2.GRID} grid",
+            missing=(j, l),
+        ) from exc
 
 
 def engine_from_spectrum(report):

@@ -247,22 +247,25 @@ CATALOG_WORDS = {
 
 
 def closure_mask(gen_ids):
-    """Bitmask of the subgroup generated by the given element ids."""
-    elems = {IDENTITY, *gen_ids}
-    frontier = list(elems)
+    """Bitmask of the subgroup generated by the given element ids.
+
+    Breadth-first over right multiplication by the generators: in a finite
+    group the inverses are powers, so the words reach the whole subgroup.
+    """
+    gens = tuple(set(gen_ids))
+    mask = 1 << IDENTITY
+    frontier = [IDENTITY]
     while frontier:
         nxt = []
         for x in frontier:
-            for y in list(elems):
-                for z in (MUL[x][y], MUL[y][x]):
-                    if z not in elems:
-                        elems.add(z)
-                        nxt.append(z)
+            row = MUL[x]
+            for g in gens:
+                z = row[g]
+                if not mask >> z & 1:
+                    mask |= 1 << z
+                    nxt.append(z)
         frontier = nxt
-    m = 0
-    for x in elems:
-        m |= 1 << x
-    return m
+    return mask
 
 
 def mask_elements(mask):

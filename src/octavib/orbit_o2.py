@@ -69,15 +69,71 @@ def conjugate(x, c):
     return encode(ex, -kx if ex == 0 else 2 * kc - kx, gg)
 
 
+_REFL = encode(1, 0, 0)  # codes from here on are temporal reflections
+
+# spatial conjugation table: _CONJ[g][x] = g^-1 x g
+_CONJ = tuple(
+    tuple(gc.MUL[gc.MUL[gc.INV[g]][x]][g] for x in range(N)) for g in range(N)
+)
+
+
+def _conjugators(gens, H, refl_h_by_spatial):
+    """Every c with c^-1 x c in H for each decoded generator x = (e, k, g).
+
+    Table-driven and fused, with no element decoded or encoded on the way.
+    Let x0 = (1, k0, g0) be the first reflection of gens.  Conjugation by
+    c = (e_c, kc, g_c) sends (e, k, g) to (e, s (k - 2 e kc), _CONJ[g_c][g]),
+    with s = -1 when c is a reflection.  So x0 lands on a reflection
+    (1, kb, h) of H exactly when h = _CONJ[g_c][g0] and
+    2 kc = k0 - s kb (mod GRID): two kc half a turn apart when k0 - s kb is
+    even.  Both send every other reflection (1, k, g) to angle
+    kb + s (k - k0) and every rotation (0, k, g) to angle s k, so each
+    (g_c, s, kb) is tested once, and the rotations once per (g_c, s).
+    """
+    refls = [(k, g) for e, k, g in gens if e]
+    if not refls:
+        raise ConsistencyError("alignment needs a reflection-containing subgroup")
+    k0, g0 = refls[0]
+    refls = [(k - k0, g) for k, g in refls[1:]]
+    rots = [(k, g) for e, k, g in gens if not e]
+    half = GRID // 2
+    for g_c in range(N):
+        row = _CONJ[g_c]
+        kbs = refl_h_by_spatial.get(row[g0])
+        if kbs is None:
+            continue
+        # the codes of c = (e_c, kc, g_c) are e_c * _REFL + kc * N + g_c
+        for s, base in ((1, g_c), (-1, _REFL + g_c)):
+            for k, g in rots:
+                if (s * k) % GRID * N + row[g] not in H:
+                    break
+            else:
+                for kb in kbs:
+                    d = (k0 - s * kb) % GRID
+                    if d % 2:
+                        continue
+                    for dk, g in refls:
+                        if _REFL + (kb + s * dk) % GRID * N + row[g] not in H:
+                            break
+                    else:
+                        yield base + d // 2 * N
+                        yield base + (d // 2 + half) * N
+
+
 def closure(gens):
     """Finite subgroup generated by gens: breadth-first over the generators."""
+    gens = [decode(g) for g in gens]
     elems = {IDENTITY}
     frontier = [IDENTITY]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                z = multiply(x, g)
+            ek, gx = divmod(x, N)
+            ex, kx = divmod(ek, GRID)
+            row = gc.MUL[gx]
+            for e, k, g in gens:
+                # multiply(x, g), inline
+                z = ((ex ^ e) * GRID + (kx - k if ex else kx + k) % GRID) * N + row[g]
                 if z not in elems:
                     elems.add(z)
                     nxt.append(z)
@@ -113,11 +169,7 @@ def _element_order(x):
 
 
 def reflections_of(A):
-    return [x for x in A if decode(x)[0] == 1]
-
-
-def rotations_of(A):
-    return [x for x in A if decode(x)[0] == 0]
+    return [x for x in A if x >= _REFL]
 
 
 def profile(A):
@@ -131,7 +183,7 @@ def profile(A):
 def _refl_by_spatial(H):
     d = {}
     for x in reflections_of(H):
-        _, k, g = decode(x)
+        k, g = divmod(x - _REFL, N)
         d.setdefault(g, []).append(k)
     return d
 
@@ -139,24 +191,12 @@ def _refl_by_spatial(H):
 def _alignment_candidates(L, H, refl_h_by_spatial):
     """Conjugators c with c^-1 x0 c in H, for one reflection x0 of L.
 
-    Every c with c^-1 L c contained in H is among them.
+    Every c with c^-1 L c contained in H is among them.  The tests check
+    this superset against brute force and filter it with the element
+    arithmetic as the reference for ``_conjugators``.
     """
-    refl_l = reflections_of(L)
-    if not refl_l:
-        raise ConsistencyError("alignment needs a reflection-containing subgroup")
-    x0 = refl_l[0]
-    _, k0, g0 = decode(x0)
-    out = set()
-    for g in range(N):
-        # c = (e,kc,g) gives c^-1 x0 c = (1, k0 - 2 kc or 2 kc - k0, g^-1 g0 g)
-        h = gc.MUL[gc.MUL[gc.INV[g]][g0]][g]
-        for kb in refl_h_by_spatial.get(h, ()):
-            for e, d in ((0, k0 - kb), (1, k0 + kb)):
-                d %= GRID
-                if d % 2 == 0:
-                    out.add(encode(e, d // 2, g))
-                    out.add(encode(e, d // 2 + GRID // 2, g))
-    return out
+    x0 = [decode(x) for x in reflections_of(L)[:1]]
+    return set(_conjugators(x0, H, refl_h_by_spatial))
 
 
 class ConcreteSubgroup:
@@ -201,18 +241,16 @@ class ConcreteSubgroup:
         return self._generators
 
     def has_reflection(self):
-        return any(decode(x)[0] == 1 for x in self.elements)
+        return any(x >= _REFL for x in self.elements)
 
     def conjugators_onto(self, other):
-        """Every c with c self c^-1 == other, generated lazily."""
+        """Every c with c^-1 self c == other, generated lazily."""
         A, B = self.elements, other.elements
         if len(A) != len(B):
             return
-        gens = self.generators()
-        for c in _alignment_candidates(B, A, _refl_by_spatial(A)):
-            # conjugation is injective and |A| = |B|: containment is equality
-            if all(conjugate(x, c) in B for x in gens):
-                yield c
+        gens = [decode(x) for x in self.generators()]
+        # conjugation is injective and |A| = |B|: containment is equality
+        yield from _conjugators(gens, B, _refl_by_spatial(B))
 
     def is_conjugate(self, other):
         if self.elements == other.elements:
@@ -265,7 +303,7 @@ class ConcreteSubgroup:
 def mode_cover(subgroup, l):
     """Preimage of a mode-1 group under the l-fold temporal cover."""
     if GRID % l:
-        raise CatalogError(f"mode {l} off the 1/{GRID} grid")
+        raise CatalogError(f"mode {l} off the 1/{GRID} grid", missing=l)
     out = []
     for x in subgroup.elements:
         e, k, g = decode(x)
@@ -495,12 +533,8 @@ class TemporalOctahedralRing(BurnsideRing):
         val = 0
         a, b = self._reps[L], self._reps[H].elements
         if len(b) % len(a) == 0 and self._profile_fits(L, H):
-            gens = a.generators()
-            n = 0
-            for c in _alignment_candidates(a.elements, b, _refl_by_spatial(b)):
-                ci = inverse(c)
-                if all(conjugate(x, ci) in b for x in gens):
-                    n += 1
+            gens = [decode(x) for x in a.generators()]
+            n = sum(1 for _ in _conjugators(gens, b, _refl_by_spatial(b)))
             val, r = divmod(n, len(b))
             if r:
                 raise ConsistencyError(

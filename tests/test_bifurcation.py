@@ -7,7 +7,8 @@ import pytest
 from octavib import bifurcation as bf
 from octavib import force_field as ff
 from octavib import spectral
-from octavib.errors import ConfigError, NumericalError, ResonanceError
+from octavib import cli
+from octavib.errors import CatalogError, ConfigError, NumericalError, ResonanceError
 
 from test_acceptance import EXPECTED_CENSUS
 
@@ -184,3 +185,44 @@ class TestSweepBox:
             else:
                 outcomes["ok"] += 1
         assert outcomes["ok"] >= 24, outcomes
+
+
+# draw 16 of the seed-1 sweep box above: block 9's factors run up to (0, 11)
+OFF_GRID_DRAW = (0.04345932313403799, 0.08507473313681423, 1.2011589783705856)
+
+
+class TestOffGridRefusal:
+    """A factor past the angle grid is refused naming the block and the factor."""
+
+    MESSAGE = "block 9: factor (0, 11) needs Fourier mode 11, off the 1/10080 grid"
+
+    def test_draw_is_from_the_sweep_box(self):
+        rng = np.random.default_rng(1)
+        reference = ff.REFERENCE_PARAMS
+        for _ in range(17):
+            sigmas = tuple(
+                s * math.exp(rng.uniform(-0.5, 0.5))
+                for s in (reference.sigma1, reference.sigma2, reference.sigma3)
+            )
+        assert sigmas == OFF_GRID_DRAW
+
+    def test_report_names_block_and_factor(self):
+        eq = ff.find_equilibrium(ff.PotentialParams(*OFF_GRID_DRAW))
+        engine = bf.engine_from_spectrum(spectral.spectrum_at_equilibrium(eq))
+        with pytest.raises(CatalogError) as info:
+            engine.report("9", full=False)
+        assert type(info.value) is CatalogError
+        assert str(info.value) == self.MESSAGE
+        assert info.value.missing == ("0", 11)
+
+    @pytest.mark.parametrize(
+        "argv", [("invariant", "--j", "9"), ("census",)], ids=["invariant", "census"]
+    )
+    def test_cli_exit_1(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "off_grid.cfg"
+        cfg.write_text(
+            "".join(f"sigma{i}={s!r}\n" for i, s in enumerate(OFF_GRID_DRAW, 1))
+        )
+        assert cli.main(["--config", str(cfg), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: {self.MESSAGE}\n"

@@ -6,6 +6,25 @@ import pytest
 from octavib import group_core as gc
 
 
+def closure_mask_oracle(gen_ids):
+    """Subgroup generated by the ids, closed under products on both sides."""
+    elems = {gc.IDENTITY, *gen_ids}
+    frontier = list(elems)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(elems):
+                for z in (gc.MUL[x][y], gc.MUL[y][x]):
+                    if z not in elems:
+                        elems.add(z)
+                        nxt.append(z)
+        frontier = nxt
+    m = 0
+    for x in elems:
+        m |= 1 << x
+    return m
+
+
 class TestElements:
     def test_group_order_by_closure(self):
         # repeated multiplication from the reference generator images
@@ -196,3 +215,25 @@ class TestCounts:
             assert set(row) == {
                 "label", "order", "generators", "normalizer_order", "weyl_order",
             }
+
+
+class TestClosureOracle:
+    """Generator-BFS closure against closure under all products."""
+
+    def test_every_subgroup_element_list(self):
+        for m in gc.enumerate_subgroups():
+            els = gc.mask_elements(m)
+            assert gc.closure_mask(els) == closure_mask_oracle(els) == m
+
+    def test_random_generator_sets(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            gens = rng.integers(0, 48, size=rng.integers(0, 5)).tolist()
+            assert gc.closure_mask(gens) == closure_mask_oracle(gens), gens
+
+    def test_enumeration_unchanged(self, monkeypatch):
+        fast = gc.enumerate_subgroups()
+        monkeypatch.setattr(gc, "closure_mask", closure_mask_oracle)
+        slow = gc.enumerate_subgroups()
+        assert len(fast) == 98
+        assert fast == slow

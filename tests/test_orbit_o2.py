@@ -353,3 +353,67 @@ class TestFastPathOracles:
             ci = ring.register_cover(base, l)
             assert ring.weyl(ci) == ring.weyl(base)
             assert ring.weyl(ci) == ring.representative(ci).weyl_order(), (base, l)
+
+
+def reference_conjugators(a, b):
+    """Alignment candidates c with c^-1 x c in b for every x of a (oracle).
+
+    Element by element through ``conjugate`` and ``inverse``; the ring's
+    fused arithmetic must find exactly these.
+    """
+    candidates = o2._alignment_candidates(a, b, o2._refl_by_spatial(b))
+    return {
+        c for c in candidates if all(o2.conjugate(x, o2.inverse(c)) in b for x in a)
+    }
+
+
+class TestFusedConjugators:
+    """Table-driven conjugator search against the element arithmetic."""
+
+    @staticmethod
+    def _pairs(ring, l, rng, n=12):
+        """(L, H) pairs at mode l, seeded: half subconjugate, half drawn blind.
+
+        Every class with two or more reflections among its generators is
+        also paired with itself: only there do the angles of the other
+        reflections enter the search.
+        """
+        classes = o2.graph_classes(l)
+        pairs = []
+        for H in rng.choice(classes, size=n, replace=False).tolist():
+            subs = ring.candidate_subtypes(H)
+            pairs.append((int(rng.choice(subs)), H))
+            pairs.append((int(rng.choice(classes)), H))
+        for ci in classes:
+            if len(o2.reflections_of(ring.representative(ci).generators())) > 1:
+                pairs.append((ci, ci))
+        return pairs
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_conjugators_match_element_arithmetic(self, l):
+        ring = R()
+        rng = np.random.default_rng(100 + l)
+        found = 0
+        for L, H in self._pairs(ring, l, rng):
+            a = ring.representative(L)
+            b = ring.representative(H).elements
+            gens = [o2.decode(x) for x in a.generators()]
+            got = list(o2._conjugators(gens, b, o2._refl_by_spatial(b)))
+            assert len(got) == len(set(got))
+            assert set(got) == reference_conjugators(a.elements, b), (L, H)
+            found += bool(got)
+        assert found >= 12
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_conjugators_onto_match_element_arithmetic(self, l):
+        ring = R()
+        rng = np.random.default_rng(200 + l)
+        for ci in rng.choice(o2.graph_classes(l), size=6, replace=False).tolist():
+            A = ring.representative(ci)
+            e, k, g = rng.integers(2), rng.integers(o2.GRID), rng.integers(48)
+            t = o2.encode(int(e), int(k), int(g))
+            B = o2.ConcreteSubgroup(o2.conjugate(x, o2.inverse(t)) for x in A.elements)
+            got = set(A.conjugators_onto(B))
+            assert t in got
+            assert got == reference_conjugators(A.elements, B.elements), ci
+            assert len(got) % len(A) == 0
