@@ -11,11 +11,11 @@ sign follows the reference invariant listings (the difference of degrees
 taken above-minus-below).
 
 Two evaluation paths are provided and compared: the full product in the
-orbit-type ring, and a truncation of every factor to the upper set of one
-maximal type at a time (exact for that coefficient, and much cheaper).
+orbit-type ring, and the marks path, one recurrence per maximal type over
+the mode-1 classes above it, led by omega's marks (exact for that
+coefficient, and much cheaper; it builds no higher-mode class).
 """
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -115,7 +115,7 @@ class BifurcationReport:
     factors: tuple
     invariant: object  # BurnsideElement over the orbit-type ring (full path)
     maximal_types: tuple  # ((label, coefficient, weyl_order), ...)
-    fast_coefficients: dict  # label -> coefficient from the truncated path
+    fast_coefficients: dict  # label -> coefficient from the marks path
     reference_labels: tuple = field(default=())
 
     def agreement(self):
@@ -146,9 +146,17 @@ class InvariantEngine:
 
     # --- full product path ----------------------------------------------
     def invariant_full(self, j_o):
+        factors = factors_before(j_o, self.alphas)
+        for j, l in factors:
+            if o2.GRID % l:
+                raise CatalogError(
+                    f"block {j_o}: factor ({j}, {l}) needs Fourier mode {l}, "
+                    f"off the 1/{o2.GRID} grid",
+                    missing=(j, l),
+                )
         unit = self.ring.unit()
         prod = unit
-        for j, l in factors_before(j_o, self.alphas):
+        for j, l in factors:
             prod = prod * self.degree(j, l)
         omega = prod * (self.degree(j_o, 1) - unit)
         return omega
@@ -160,51 +168,26 @@ class InvariantEngine:
             for ci in R.sorted_support(R.maximal(element.coeffs))
         )
 
-    # --- fast path: upper-set truncation ---------------------------------
-    def _truncated_factor(self, j, l, upper):
-        """Coefficients of deg_{j,l} on the classes of `upper` (exact)."""
-        R = self.ring
-        idx = _degree_index(j)
-        return (1, R.recurrence(upper, lambda K: (-1) ** R.fixed_dim(idx, l, K) - 1))
-
-    def _truncated_mult(self, x, y, upper, cache):
-        ux, dx = x
-        uy, dy = y
-        out = {}
-        for k, v in dx.items():
-            out[k] = out.get(k, 0) + uy * v
-        for k, v in dy.items():
-            out[k] = out.get(k, 0) + ux * v
-        R = self.ring
-        for hk, hv in dx.items():
-            for kk, kv in dy.items():
-                key = (hk, kk) if hk <= kk else (kk, hk)
-                if key not in cache:
-                    cache[key] = R.recurrence(
-                        [
-                            L
-                            for L in upper
-                            if R.fixed_cosets(L, hk) > 0 and R.fixed_cosets(L, kk) > 0
-                        ],
-                        lambda L: R.fixed_cosets(L, hk) * R.fixed_cosets(L, kk),
-                    )
-                for L, q in cache[key].items():
-                    out[L] = out.get(L, 0) + hv * kv * q
-        return (ux * uy, {k: v for k, v in out.items() if v})
-
+    # --- fast path: one recurrence over the marks -----------------------
     def fast_coefficient(self, j_o, h_ci):
-        """Exact coefficient of (H) in the invariant via upper-set truncation."""
-        factors = factors_before(j_o, self.alphas)
-        upper = self.ring.upper_set(frozenset(l for _, l in factors) | {1}, h_ci)
-        cache = {}
-        prod = (1, {})
-        for j, l in factors:
-            prod = self._truncated_mult(
-                prod, self._truncated_factor(j, l, upper), upper, cache
-            )
-        dj = self._truncated_factor(j_o, 1, upper)
-        omega = self._truncated_mult(prod, (dj[0] - 1, dj[1]), upper, cache)
-        return omega[1].get(h_ci, 0)
+        """Exact coefficient of (H) in the invariant, from its marks above H.
+
+        The mark of deg_{j,l} at K is (-1)^dim V_{j,l}^K and marks are
+        multiplicative, so one recurrence over the classes above H, led by
+        the marks of omega, gives the coefficient of H.  Only the mode-1
+        classes enter: every class at a mode d >= 2 contains a temporal
+        rotation that fixes no vector of V_{j_o,1}, so omega's mark there is
+        0, and these classes, closed upward, all get coefficient 0.
+        """
+        R = self.ring
+        factors = [(_degree_index(j), l) for j, l in factors_before(j_o, self.alphas)]
+        idx = _degree_index(j_o)
+
+        def mark(K):
+            sign = (-1) ** sum(R.fixed_dim(j, l, K) for j, l in factors)
+            return sign * ((-1) ** R.fixed_dim(idx, 1, K) - 1)
+
+        return R.recurrence(R.upper_set(h_ci), mark).get(h_ci, 0)
 
     # --- reports ----------------------------------------------------------
     def report(self, j_o, full=True):
@@ -214,10 +197,9 @@ class InvariantEngine:
         target = CriticalNumber(j_o, 1, 1.0 / self.alphas[j_o])
         factors = tuple(factors_before(j_o, self.alphas))
         R = self.ring
-        with _naming_off_grid(j_o, factors):
-            maximal = self.maximal_classes(j_o, 1)
-            fast = {R.label_of(ci): self.fast_coefficient(j_o, ci) for ci in maximal}
-            invariant = R.pi0_truncate(self.invariant_full(j_o)) if full else None
+        maximal = self.maximal_classes(j_o, 1)
+        fast = {R.label_of(ci): self.fast_coefficient(j_o, ci) for ci in maximal}
+        invariant = R.pi0_truncate(self.invariant_full(j_o)) if full else None
         if full:
             maximal_terms = self.maximal_terms(invariant)
         else:
@@ -244,12 +226,8 @@ class InvariantEngine:
         seen = {}
         order = []
         for j in ("0", "4", "7", "8", "9"):
-            with _naming_off_grid(j, factors_before(j, self.alphas)):
-                coeffs = [
-                    (ci, self.fast_coefficient(j, ci))
-                    for ci in self.maximal_classes(j, 1)
-                ]
-            for ci, coeff in coeffs:
+            for ci in self.maximal_classes(j, 1):
+                coeff = self.fast_coefficient(j, ci)
                 if coeff == 0:
                     raise ConsistencyError(
                         f"census type {R.label_of(ci)} has zero coefficient"
@@ -270,28 +248,6 @@ class InvariantEngine:
             }
             for ci in order
         ]
-
-
-@contextlib.contextmanager
-def _naming_off_grid(j_o, factors):
-    """Restate mode_cover's off-grid refusal to name the block and the factor.
-
-    mode_cover knows only the Fourier mode; the first factor (j, l) of
-    block j_o whose l it divides is the one that needs it.
-    """
-    try:
-        yield
-    except CatalogError as exc:
-        mode = exc.missing
-        culprit = [f for f in factors if isinstance(mode, int) and f[1] % mode == 0]
-        if not culprit:
-            raise
-        j, l = culprit[0]
-        raise CatalogError(
-            f"block {j_o}: factor ({j}, {l}) needs Fourier mode {mode}, "
-            f"off the 1/{o2.GRID} grid",
-            missing=(j, l),
-        ) from exc
 
 
 def engine_from_spectrum(report):

@@ -8,8 +8,9 @@ The product of two generators is computed with the standard recurrence
 processed in decreasing subgroup order; every division must be exact, a
 fractional quotient aborts with a consistency error.  ``fix_L(G/H)`` is the
 number of cosets fixed pointwise by L, equal to n(L,H) |W(H)|.  Products,
-basic degrees and their truncations all run this one recurrence
-(``BurnsideRing.recurrence``), each with its own pool and leading term.
+basic degrees and coefficients read back from marks all run this one
+recurrence (``BurnsideRing.recurrence``), each with its own pool and
+leading term.
 
 Two backends provide the catalog hooks: the finite octahedral group (this
 module) and the temporal-symmetry extension (``orbit_o2``).

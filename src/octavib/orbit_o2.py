@@ -386,7 +386,7 @@ class TemporalOctahedralRing(BurnsideRing):
         self._pinned = {}
         self._maximal = {}  # (j, l) -> maximal orbit types of irrep j at mode l
         self._degree = {}   # (j, l) -> basic degree of irrep j at mode l
-        self._upper = {}    # (factor modes, class id) -> upper set of the class
+        self._upper = {}    # class id -> mode-1 upper set of the class
 
     def pin_label(self, ci, label):
         """Fix the rendered symbol of a class (reference spelling)."""
@@ -497,23 +497,14 @@ class TemporalOctahedralRing(BurnsideRing):
             )
         return self._sub[ci]
 
-    def upper_set(self, modes, h):
-        """Classes >= (h) among the orbit types at the divisors of `modes`.
-
-        Complete for a product of degrees whose Fourier modes are the
-        frozenset `modes`: every orbit type appearing in a factor or an
-        intermediate product has temporal kernel dividing one of them, hence
-        lives in the graph catalog.
-        """
-        key = (modes, h)
-        if key not in self._upper:
-            pool = set()
-            for d in sorted({d for l in modes for d in range(1, l + 1) if l % d == 0}):
-                pool.update(graph_classes(d))
-            self._upper[key] = frozenset(
-                {h} | {t for t in pool if t != h and self.fixed_cosets(h, t) > 0}
+    def upper_set(self, h):
+        """The mode-1 classes >= (h): the pool of the fast path's recurrence."""
+        if h not in self._upper:
+            self._upper[h] = frozenset(
+                {h}
+                | {t for t in graph_classes(1) if t != h and self.fixed_cosets(h, t) > 0}
             )
-        return self._upper[key]
+        return self._upper[h]
 
     def _profile_fits(self, L, H):
         """Whether every profile key counts no more elements in L than in H.

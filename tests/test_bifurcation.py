@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,15 +7,34 @@ import pytest
 
 from octavib import bifurcation as bf
 from octavib import force_field as ff
+from octavib import orbit_o2 as o2
 from octavib import spectral
 from octavib import cli
-from octavib.errors import CatalogError, ConfigError, NumericalError, ResonanceError
+from octavib.errors import CatalogError, ResonanceError
 
 from test_acceptance import EXPECTED_CENSUS
 
 REFERENCE_PREFIX = [
     ("0", 1), ("7*", 1), ("4", 1), ("7", 1), ("0", 2), ("8", 1), ("7*", 2), ("4", 2),
 ]
+
+
+def sweep_box(n=48):
+    """The first n σ draws of the benchmark's sweep box (seed 1)."""
+    rng = np.random.default_rng(1)
+    reference = ff.REFERENCE_PARAMS
+    return [
+        tuple(
+            s * math.exp(rng.uniform(-0.5, 0.5))
+            for s in (reference.sigma1, reference.sigma2, reference.sigma3)
+        )
+        for _ in range(n)
+    ]
+
+
+def engine_at(sigmas):
+    eq = ff.find_equilibrium(ff.PotentialParams(*sigmas))
+    return bf.engine_from_spectrum(spectral.spectrum_at_equilibrium(eq))
 
 
 class TestCriticalSet:
@@ -164,27 +184,117 @@ class TestSweepBox:
     """Every parameter set of the benchmark's sweep box ends in a result or a refusal."""
 
     def test_fast_reports_or_documented_refusals(self):
-        rng = np.random.default_rng(1)
-        reference = ff.REFERENCE_PARAMS
         outcomes = Counter()
-        for _ in range(48):
-            sigmas = [
-                s * math.exp(rng.uniform(-0.5, 0.5))
-                for s in (reference.sigma1, reference.sigma2, reference.sigma3)
-            ]
+        for sigmas in sweep_box():
             try:
-                eq = ff.find_equilibrium(ff.PotentialParams(*sigmas))
-                engine = bf.engine_from_spectrum(spectral.spectrum_at_equilibrium(eq))
-                for j in bf.ISOTYPIC:
-                    rep = engine.report(j, full=False)
-                    got = {lb: c for lb, c, _ in rep.maximal_types}
-                    assert set(got) == EXPECTED_CENSUS["7" if j == "7*" else j], sigmas
-                    assert all(abs(c) in (1, 2) for c in got.values()), (sigmas, got)
-            except (NumericalError, ConfigError) as exc:  # ConsistencyError fails
+                engine = engine_at(sigmas)
+            except spectral.NonPositiveFrequencyError as exc:
                 outcomes[type(exc).__name__] += 1
-            else:
-                outcomes["ok"] += 1
+                continue
+            for j in bf.ISOTYPIC:
+                rep = engine.report(j, full=False)
+                got = {lb: c for lb, c, _ in rep.maximal_types}
+                assert set(got) == EXPECTED_CENSUS["7" if j == "7*" else j], sigmas
+                for _, c, weyl in rep.maximal_types:
+                    assert abs(c) == 2 // weyl, (sigmas, got)
+            outcomes["ok"] += 1
         assert outcomes["ok"] >= 24, outcomes
+
+
+def divisor_upper_set(R, modes, h):
+    """Classes >= (h) among the orbit types at every divisor of `modes`."""
+    pool = set()
+    for d in sorted({d for l in modes for d in range(1, l + 1) if l % d == 0}):
+        pool.update(o2.graph_classes(d))
+    return frozenset({h} | {t for t in pool if t != h and R.fixed_cosets(h, t) > 0})
+
+
+def pairwise_coefficient(engine, j_o, h):
+    """Coefficient of (h) in the invariant by truncated pairwise products.
+
+    Every factor is truncated to the upper set of h over the divisors of all
+    its Fourier modes, and the truncations are multiplied pair by pair with
+    the product recurrence: the reference for ``fast_coefficient``.
+    """
+    R = engine.ring
+    factors = bf.factors_before(j_o, engine.alphas)
+    upper = divisor_upper_set(R, frozenset(l for _, l in factors) | {1}, h)
+    cache = {}
+
+    def factor(j, l):
+        idx = bf._degree_index(j)
+        return 1, R.recurrence(upper, lambda K: (-1) ** R.fixed_dim(idx, l, K) - 1)
+
+    def mult(x, y):
+        ux, dx = x
+        uy, dy = y
+        out = {}
+        for k, v in dx.items():
+            out[k] = out.get(k, 0) + uy * v
+        for k, v in dy.items():
+            out[k] = out.get(k, 0) + ux * v
+        for hk, hv in dx.items():
+            for kk, kv in dy.items():
+                key = (hk, kk) if hk <= kk else (kk, hk)
+                if key not in cache:
+                    cache[key] = R.recurrence(
+                        [
+                            L
+                            for L in upper
+                            if R.fixed_cosets(L, hk) > 0 and R.fixed_cosets(L, kk) > 0
+                        ],
+                        lambda L: R.fixed_cosets(L, hk) * R.fixed_cosets(L, kk),
+                    )
+                for L, q in cache[key].items():
+                    out[L] = out.get(L, 0) + hv * kv * q
+        return ux * uy, {k: v for k, v in out.items() if v}
+
+    prod = (1, {})
+    for j, l in factors:
+        prod = mult(prod, factor(j, l))
+    dj = factor(j_o, 1)
+    return mult(prod, (dj[0] - 1, dj[1]))[1].get(h, 0)
+
+
+# the reference σ and sweep-box draws whose factors all stay on the angle
+# grid, reaching Fourier modes 6 (draw 0) to 10 (draw 26) in block 9
+ON_GRID_DRAWS = {"reference": None, **{f"draw{i}": i for i in (0, 1, 2, 10, 24, 26)}}
+
+
+@pytest.fixture(scope="module", params=sorted(ON_GRID_DRAWS))
+def on_grid_engine(request, engine):
+    i = ON_GRID_DRAWS[request.param]
+    return engine if i is None else engine_at(sweep_box(i + 1)[i])
+
+
+class TestMarksPath:
+    """The marks recurrence against the pairwise truncation it replaced."""
+
+    def test_fast_coefficient_matches_pairwise_truncation(self, on_grid_engine):
+        eng = on_grid_engine
+        for j in bf.ISOTYPIC:
+            assert all(o2.GRID % l == 0 for _, l in bf.factors_before(j, eng.alphas))
+            for h in eng.maximal_classes(j):
+                assert eng.fast_coefficient(j, h) == pairwise_coefficient(eng, j, h), (
+                    j,
+                    eng.ring.label_of(h),
+                )
+
+    def test_higher_mode_classes_have_no_fixed_vector(self, on_grid_engine):
+        # why the marks path may leave out every class at a mode d >= 2:
+        # omega's mark there carries the factor (-1)^0 - 1 = 0
+        eng = on_grid_engine
+        R = eng.ring
+        mode_1 = set(o2.graph_classes(1))
+        seen = 0
+        for j in bf.ISOTYPIC:
+            modes = frozenset(l for _, l in bf.factors_before(j, eng.alphas)) | {1}
+            idx = bf._degree_index(j)
+            for h in eng.maximal_classes(j):
+                for K in divisor_upper_set(R, modes, h) - mode_1:
+                    assert R.fixed_dim(idx, 1, K) == 0, (j, R.label_of(K))
+                    seen += 1
+        assert seen > 0
 
 
 # draw 16 of the seed-1 sweep box above: block 9's factors run up to (0, 11)
@@ -192,37 +302,59 @@ OFF_GRID_DRAW = (0.04345932313403799, 0.08507473313681423, 1.2011589783705856)
 
 
 class TestOffGridRefusal:
-    """A factor past the angle grid is refused naming the block and the factor."""
+    """A full product past the angle grid is refused naming the block and the factor.
+
+    The fast path needs no class above Fourier mode 1, so it answers there.
+    """
 
     MESSAGE = "block 9: factor (0, 11) needs Fourier mode 11, off the 1/10080 grid"
 
     def test_draw_is_from_the_sweep_box(self):
-        rng = np.random.default_rng(1)
-        reference = ff.REFERENCE_PARAMS
-        for _ in range(17):
-            sigmas = tuple(
-                s * math.exp(rng.uniform(-0.5, 0.5))
-                for s in (reference.sigma1, reference.sigma2, reference.sigma3)
-            )
-        assert sigmas == OFF_GRID_DRAW
+        assert sweep_box(17)[16] == OFF_GRID_DRAW
 
     def test_report_names_block_and_factor(self):
-        eq = ff.find_equilibrium(ff.PotentialParams(*OFF_GRID_DRAW))
-        engine = bf.engine_from_spectrum(spectral.spectrum_at_equilibrium(eq))
+        engine = engine_at(OFF_GRID_DRAW)
         with pytest.raises(CatalogError) as info:
-            engine.report("9", full=False)
+            engine.report("9", full=True)
         assert type(info.value) is CatalogError
         assert str(info.value) == self.MESSAGE
         assert info.value.missing == ("0", 11)
 
-    @pytest.mark.parametrize(
-        "argv", [("invariant", "--j", "9"), ("census",)], ids=["invariant", "census"]
-    )
-    def test_cli_exit_1(self, capsys, tmp_path, argv):
+    @staticmethod
+    def run_cli(capsys, tmp_path, argv):
         cfg = tmp_path / "off_grid.cfg"
         cfg.write_text(
             "".join(f"sigma{i}={s!r}\n" for i, s in enumerate(OFF_GRID_DRAW, 1))
         )
-        assert cli.main(["--config", str(cfg), *argv]) == 1
-        err = capsys.readouterr().err
-        assert err == f"numerical failure: {self.MESSAGE}\n"
+        code = cli.main(["--config", str(cfg), *argv])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv", [("invariant", "--j", "9", "--full")], ids=["invariant"]
+    )
+    def test_cli_exit_1(self, capsys, tmp_path, argv):
+        code, out = self.run_cli(capsys, tmp_path, argv)
+        assert code == 1
+        assert out.err == f"numerical failure: {self.MESSAGE}\n"
+
+    def test_fast_invariant_answers(self, capsys, tmp_path):
+        code, out = self.run_cli(capsys, tmp_path, ("invariant", "--j", "9"))
+        assert (code, out.err) == (0, "")
+        terms = re.findall(r"^  ([+-]\d+) \((.+)\)   \|W\|=(\d+)$", out.out, re.M)
+        assert {label for _, label, _ in terms} == EXPECTED_CENSUS["9"]
+        assert all(abs(int(c)) == 2 // int(w) for c, _, w in terms), terms
+
+    def test_census_answers(self, capsys, tmp_path):
+        code, out = self.run_cli(capsys, tmp_path, ("census",))
+        assert (code, out.err) == (0, "")
+        assert out.out.startswith("count=16\n")
+        rows = re.findall(
+            r"^  \((.+)\)  order=\d+ \|W\|=(\d+) blocks=(\S+) coeff=([+-]\d+)$",
+            out.out,
+            re.M,
+        )
+        assert len(rows) == 16
+        assert {label for label, _, blocks, _ in rows if "9" in blocks.split(",")} == (
+            EXPECTED_CENSUS["9"]
+        )
+        assert all(abs(int(c)) == 2 // int(w) for _, w, _, c in rows), rows
