@@ -32,6 +32,19 @@ class CriticalNumber:
     value: float
 
 
+def _check_frequencies(alphas):
+    """Refuse a frequency that is not positive and finite, naming its block.
+
+    Critical numbers l / alpha are counted up in l: for alpha = inf that
+    never stops, for nan it skips the block, and alpha = 0 divides by zero.
+    """
+    for j, a in alphas.items():
+        if not (math.isfinite(a) and a > 0):
+            raise ResonanceError(
+                f"alpha must be positive and finite, got {a!r} for block {j}"
+            )
+
+
 def critical_set(alphas, lambda_max):
     """All critical numbers up to lambda_max, ascending; ties left adjacent.
 
@@ -39,10 +52,9 @@ def critical_set(alphas, lambda_max):
     """
     if not math.isfinite(lambda_max):
         raise ConfigError(f"lambda_max must be finite, got {lambda_max}")
+    _check_frequencies(alphas)
     out = []
     for j, a in alphas.items():
-        if a <= 0:
-            raise ResonanceError(f"alpha must be positive, got {a} for {j}")
         l = 1
         while l / a <= lambda_max:
             out.append(CriticalNumber(j, l, l / a))
@@ -135,6 +147,7 @@ class InvariantEngine:
         missing = set(ISOTYPIC) - set(self.alphas)
         if missing:
             raise ConsistencyError(f"missing frequencies for {sorted(missing)}")
+        _check_frequencies(self.alphas)
         self.ring = o2.ring()
 
     # --- ring data -------------------------------------------------------
@@ -191,9 +204,6 @@ class InvariantEngine:
 
     # --- reports ----------------------------------------------------------
     def report(self, j_o, full=True):
-        ok = all(self.alphas[j] > 0 for j in ISOTYPIC)
-        if not ok:
-            raise ResonanceError("invalid frequencies")
         target = CriticalNumber(j_o, 1, 1.0 / self.alphas[j_o])
         factors = tuple(factors_before(j_o, self.alphas))
         R = self.ring

@@ -13,8 +13,13 @@ recurrence (``BurnsideRing.recurrence``), each with its own pool and
 leading term.
 
 Two backends provide the catalog hooks: the finite octahedral group (this
-module) and the temporal-symmetry extension (``orbit_o2``).
+module) and the temporal-symmetry extension (``orbit_o2``).  Whatever a ring
+keeps goes through one mechanism, ``cached``: a per-instance table keyed by
+method name and arguments.
 """
+
+import functools
+from collections import defaultdict
 
 import numpy as np
 
@@ -23,6 +28,28 @@ from ._serialize import dumps
 from .errors import ConsistencyError
 
 UNIT_KEY = "__unit__"
+
+
+def cached(method):
+    """Make a ring method a lookup in ``ring.memo[method name]``, by arguments.
+
+    Each value is computed once per key per ring, and a new ring starts with
+    no tables.  Arguments are positional, so one key names one value; a call
+    that raises stores nothing.
+    """
+    name = method.__name__
+
+    @functools.wraps(method)
+    def lookup(self, *args):
+        table = self.memo[name]
+        try:
+            return table[args]
+        except KeyError:
+            pass  # compute outside the handler: its errors must not chain to a KeyError
+        value = table[args] = method(self, *args)
+        return value
+
+    return lookup
 
 
 class BurnsideElement:
@@ -107,6 +134,9 @@ class BurnsideRing:
 
     unit_label = "G"
 
+    def __init__(self):
+        self.memo = defaultdict(dict)  # method name -> {arguments: value}
+
     # hooks ------------------------------------------------------------
     def weyl(self, key):
         raise NotImplementedError
@@ -165,18 +195,15 @@ class BurnsideRing:
         ]
 
     def multiply_generators(self, H, K):
-        cache = getattr(self, "_prod_cache", None)
-        if cache is None:
-            cache = self._prod_cache = {}
-        if (H, K) in cache:
-            return cache[(H, K)]
-        out = self.recurrence(
+        """(H) * (K); the product commutes, so both orders share one entry."""
+        return self._product(min(H, K), max(H, K))
+
+    @cached
+    def _product(self, H, K):
+        return self.recurrence(
             [L for L in self.candidate_subtypes(H) if self.fixed_cosets(L, K) > 0],
             lambda L: self.fixed_cosets(L, H) * self.fixed_cosets(L, K),
         )
-        cache[(H, K)] = out
-        cache[(K, H)] = out
-        return out
 
     def pi0_truncate(self, element):
         """Drop every orbit type with positive-dimensional Weyl group."""
@@ -190,8 +217,8 @@ class OctahedralBurnside(BurnsideRing):
     unit_label = "S_4^p"
 
     def __init__(self, cat=None):
+        super().__init__()
         self.catalog = cat or group_core.catalog()
-        self._census_tables = None
 
     def weyl(self, label):
         return self.catalog.by_label(label).weyl_order
@@ -219,21 +246,20 @@ class OctahedralBurnside(BurnsideRing):
         return self.element(0, {label: 1})
 
     # ---------------- brute-force census oracle ----------------------
+    @cached
     def _tables(self):
-        if self._census_tables is None:
-            cat = self.catalog
-            masks = []
-            ids = []
-            for ci, c in enumerate(cat.classes):
-                for m in c.conjugates:
-                    masks.append(m)
-                    ids.append(ci)
-            order = np.argsort(masks)
-            self._census_tables = (
-                np.array(masks, dtype=np.uint64)[order],
-                np.array(ids, dtype=np.int64)[order],
-            )
-        return self._census_tables
+        cat = self.catalog
+        masks = []
+        ids = []
+        for ci, c in enumerate(cat.classes):
+            for m in c.conjugates:
+                masks.append(m)
+                ids.append(ci)
+        order = np.argsort(masks)
+        return (
+            np.array(masks, dtype=np.uint64)[order],
+            np.array(ids, dtype=np.int64)[order],
+        )
 
     def census_multiply(self, H, K):
         """(H)*(K) by enumerating points of G/H x G/K and their stabilizers."""

@@ -9,8 +9,9 @@ fixed-coset counts) is exact integer arithmetic.
 Conjugacy classes are interned in a registry; Burnside-ring products run
 over it through the shared recurrence in :mod:`octavib.burnside`.  The ring
 (``ring()``) owns everything that depends only on the group and the Fourier
-mode: classes, Weyl orders, fixed-coset counts, maximal types with their
-reference labels, basic degrees and upper sets, each computed once.
+mode, each datum a ``cached`` method computed once per key: classes per
+mode, Weyl orders, labels, fixed-coset counts, fixed dimensions, maximal
+types, basic degrees, upper sets and per-class conjugacy data.
 
 Every finite reflection-containing subgroup is conjugate to a cover of a
 "character graph": a subgroup K of the spatial group, a U(1)-character chi
@@ -21,12 +22,13 @@ types of each irreducible block are found (and cross-checked against the
 reference lists).
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import group_core as gc
-from .burnside import BurnsideRing
+from .burnside import BurnsideRing, cached
 from .errors import CatalogError, ConsistencyError
 
 GRID = 10080  # angle denominator: covers D_{2nl} for n <= 8, modes l <= 8
@@ -318,18 +320,12 @@ def mode_cover(subgroup, l):
 # amalgam symbols
 # ---------------------------------------------------------------------------
 
-_SPATIAL_LABEL_CACHE = {}
-
-
 def _spatial_label(ids):
-    key = tuple(ids)
-    if key not in _SPATIAL_LABEL_CACHE:
-        cat = gc.catalog()
-        mask = 0
-        for g in ids:
-            mask |= 1 << g
-        _SPATIAL_LABEL_CACHE[key] = cat.classes[cat.class_of_mask[mask]].label
-    return _SPATIAL_LABEL_CACHE[key]
+    cat = gc.catalog()
+    mask = 0
+    for g in ids:
+        mask |= 1 << g
+    return cat.classes[cat.class_of_mask[mask]].label
 
 
 _ABSTRACT_NAME = {
@@ -375,29 +371,16 @@ class TemporalOctahedralRing(BurnsideRing):
     unit_label = "O(2) x S_4^p"
 
     def __init__(self):
+        super().__init__()
         self._reps = []       # class id -> ConcreteSubgroup
-        self._profiles = []
         self._by_set = {}
-        self._weyl = {}
         self._cover_base = {}  # cover class id -> mode-1 base class id
-        self._sub = {}
-        self._fix = {}
-        self._graph_classes = {}
-        self._pinned = {}
-        self._maximal = {}  # (j, l) -> maximal orbit types of irrep j at mode l
-        self._degree = {}   # (j, l) -> basic degree of irrep j at mode l
-        self._upper = {}    # class id -> mode-1 upper set of the class
 
     def pin_label(self, ci, label):
         """Fix the rendered symbol of a class (reference spelling)."""
-        self._pinned[ci] = label
+        self.memo["label_of"][(ci,)] = label
 
     # registry ---------------------------------------------------------
-    def _profile(self, ci):
-        if self._profiles[ci] is None:
-            self._profiles[ci] = self._reps[ci].profile()
-        return self._profiles[ci]
-
     def find_class(self, subgroup):
         key = subgroup.elements
         if key in self._by_set:
@@ -407,11 +390,10 @@ class TemporalOctahedralRing(BurnsideRing):
         for ci, rep in enumerate(self._reps):
             if len(rep) != size:
                 continue
-            if self._profile(ci) == p and rep.is_conjugate(subgroup):
+            if rep.profile() == p and rep.is_conjugate(subgroup):
                 self._by_set[key] = ci
                 return ci
         self._reps.append(subgroup)
-        self._profiles.append(p)
         ci = len(self._reps) - 1
         self._by_set[key] = ci
         return ci
@@ -433,7 +415,6 @@ class TemporalOctahedralRing(BurnsideRing):
             ci = self._by_set[cov.elements]
         else:
             self._reps.append(cov)
-            self._profiles.append(None)
             ci = len(self._reps) - 1
             self._by_set[cov.elements] = ci
         self._by_set[key] = ci
@@ -443,14 +424,18 @@ class TemporalOctahedralRing(BurnsideRing):
     def representative(self, ci):
         return self._reps[ci]
 
+    @cached
+    def graph_classes(self, l):
+        """Class ids of every finite-Weyl orbit type at Fourier mode l."""
+        if l > 1:
+            return sorted({self.register_cover(ci, l) for ci in self.graph_classes(1)})
+        return sorted({self.find_class(A) for A in _graph_subgroups()})
+
     # ring hooks ---------------------------------------------------------
+    @cached
     def _weyl_order(self, ci):
-        if ci not in self._weyl:
-            base = self._cover_base.get(ci)
-            self._weyl[ci] = (
-                self._reps[ci].weyl_order() if base is None else self._weyl_order(base)
-            )
-        return self._weyl[ci]
+        base = self._cover_base.get(ci)
+        return self._reps[ci].weyl_order() if base is None else self._weyl_order(base)
 
     def weyl(self, ci):
         w = self._weyl_order(ci)
@@ -464,20 +449,11 @@ class TemporalOctahedralRing(BurnsideRing):
     def order_of(self, ci):
         return len(self._reps[ci])
 
+    @cached
     def label_of(self, ci):
-        if ci in self._pinned:
-            return self._pinned[ci]
         return amalgam_symbol(self._reps[ci])
 
-    def temporal_kernel_order(self, ci):
-        return len(
-            [
-                x
-                for x in self._reps[ci].elements
-                if decode(x)[0] == 0 and decode(x)[2] == _IDENT
-            ]
-        )
-
+    @cached
     def candidate_subtypes(self, ci):
         """Classes subconjugate to ci, drawn from the complete catalog.
 
@@ -485,26 +461,29 @@ class TemporalOctahedralRing(BurnsideRing):
         ``graph_classes(l)``, so the catalog over the divisors of ci's
         kernel order is a complete candidate pool.
         """
-        if ci not in self._sub:
-            lH = self.temporal_kernel_order(ci)
-            pool = set()
-            for l in range(1, lH + 1):
-                if lH % l == 0:
-                    pool.update(graph_classes(l))
-            pool.add(ci)
-            self._sub[ci] = sorted(
-                L for L in pool if self.fixed_cosets(L, ci) > 0
-            )
-        return self._sub[ci]
+        lH = self._reps[ci].temporal_kernel()[1]
+        pool = {ci}
+        for l in range(1, lH + 1):
+            if lH % l == 0:
+                pool.update(self.graph_classes(l))
+        return sorted(L for L in pool if self.fixed_cosets(L, ci) > 0)
 
+    @cached
     def upper_set(self, h):
         """The mode-1 classes >= (h): the pool of the fast path's recurrence."""
-        if h not in self._upper:
-            self._upper[h] = frozenset(
-                {h}
-                | {t for t in graph_classes(1) if t != h and self.fixed_cosets(h, t) > 0}
-            )
-        return self._upper[h]
+        pool = self.graph_classes(1)
+        above = {t for t in pool if t != h and self.fixed_cosets(h, t) > 0}
+        return frozenset({h} | above)
+
+    @cached
+    def _refl_index(self, ci):
+        """The angles of ci's reflections, by spatial part (``_conjugators``)."""
+        return _refl_by_spatial(self._reps[ci].elements)
+
+    @cached
+    def _profile_counts(self, ci):
+        """ci's element count per (reflection bit, order, spatial class)."""
+        return dict(self._reps[ci].profile()[1])
 
     def _profile_fits(self, L, H):
         """Whether every profile key counts no more elements in L than in H.
@@ -513,36 +492,32 @@ class TemporalOctahedralRing(BurnsideRing):
         conjugation keeps the reflection bit, the order and the spatial
         class of an element.
         """
-        have = dict(self._profile(H)[1])
-        return all(have.get(k, 0) >= n for k, n in self._profile(L)[1])
+        have = self._profile_counts(H)
+        return all(have.get(k, 0) >= n for k, n in self._profile_counts(L).items())
 
+    @cached
     def fixed_cosets(self, L, H):
         """|(G/H)^L| = |{c : c^-1 L c in H}| / |H|, counted over conjugators."""
-        key = (L, H)
-        if key in self._fix:
-            return self._fix[key]
-        val = 0
         a, b = self._reps[L], self._reps[H].elements
-        if len(b) % len(a) == 0 and self._profile_fits(L, H):
-            gens = [decode(x) for x in a.generators()]
-            n = sum(1 for _ in _conjugators(gens, b, _refl_by_spatial(b)))
-            val, r = divmod(n, len(b))
-            if r:
-                raise ConsistencyError(
-                    f"conjugator count {n} not divisible by |H| = {len(b)}"
-                )
-        self._fix[key] = val
+        if len(b) % len(a) or not self._profile_fits(L, H):
+            return 0
+        gens = [decode(x) for x in a.generators()]
+        n = sum(1 for _ in _conjugators(gens, b, self._refl_index(H)))
+        val, r = divmod(n, len(b))
+        if r:
+            raise ConsistencyError(
+                f"conjugator count {n} not divisible by |H| = {len(b)}"
+            )
         return val
 
     # characters / fixed dimensions --------------------------------------
+    @cached
     def fixed_dim(self, j, l, ci):
         """dim of the fixed space of class ci in irrep-j Fourier-mode-l.
 
         Individual rotation terms 2 cos(2 pi l k / GRID) may be irrational,
         but the group average is an integer; a strict snap guards precision.
         """
-        import math
-
         total = 0.0
         for x in self._reps[ci].elements:
             e, k, g = decode(x)
@@ -554,6 +529,52 @@ class TemporalOctahedralRing(BurnsideRing):
         if abs(q - round(q)) > 1e-9:
             raise ConsistencyError(f"non-integral fixed dimension {q}")
         return int(round(q))
+
+    # maximal types, reference labels and basic degrees -------------------
+    @cached
+    def maximal_orbit_types(self, j, l):
+        """Maximal finite-Weyl orbit types of irrep j at mode l, by fixed spaces.
+
+        At l = 1 the classes carry their reference labels from then on.
+        """
+        fixing = [ci for ci in self.graph_classes(l) if self.fixed_dim(j, l, ci) >= 1]
+        classes = tuple(self.maximal(fixing))
+        if l == 1:
+            self.pin_reference_labels(j, classes, l)
+        return classes
+
+    def pin_reference_labels(self, j, class_ids, l):
+        """Pin computed maximal classes to the reference symbol spellings.
+
+        Returns the pinned labels; raises when a reference family matches zero
+        or several of the given classes (ambiguity is surfaced, not guessed).
+        """
+        out = {}
+        for _, red, fam in REFERENCE_EXPANSIONS[j]:
+            if not red:
+                continue
+            hits = [ci for ci in class_ids if _family_matches(fam, self._reps[ci], l)]
+            if len(hits) != 1:
+                raise ConsistencyError(
+                    f"reference family {fam.label(l)} matches {len(hits)} classes"
+                )
+            self.pin_label(hits[0], fam.label(l))
+            out[hits[0]] = fam.label(l)
+        return out
+
+    @cached
+    def basic_degree(self, j, l):
+        """Antipodal-map degree on the ball of irrep-j mode-l, by the recurrence.
+
+        The pool is the downward closure of the maximal orbit types; the unit
+        coefficient is +1.
+        """
+        pool = set()
+        for ci in self.maximal_orbit_types(j, l):
+            pool.update(self.candidate_subtypes(ci))
+        return self.element(
+            1, self.recurrence(pool, lambda K: (-1) ** self.fixed_dim(j, l, K) - 1)
+        )
 
 
 _RING = None
@@ -625,17 +646,12 @@ def _characters_of(mask):
     return [dict(u) for u in uniq]
 
 
-def graph_classes(l=1):
-    """Class ids of every finite-Weyl orbit type at Fourier mode l."""
-    R = ring()
-    if l in R._graph_classes:
-        return R._graph_classes[l]
-    if l > 1:
-        out = {R.register_cover(ci, l) for ci in graph_classes(1)}
-        R._graph_classes[l] = sorted(out)
-        return R._graph_classes[l]
+def _graph_subgroups():
+    """One subgroup per character graph: every mode-1 finite-Weyl orbit type.
+
+    A type may appear more than once; ``find_class`` interns the repeats.
+    """
     cat = gc.catalog()
-    out = set()
     for cls in cat.classes:
         K = cls.mask
         els = gc.mask_elements(K)
@@ -652,45 +668,22 @@ def graph_classes(l=1):
                 ):
                     continue
                 gens = [encode(0, chi[x], x) for x in spatial_gens] + [encode(1, 0, t)]
-                out.add(R.find_class(ConcreteSubgroup.generated(gens)))
-    R._graph_classes[l] = sorted(out)
-    return R._graph_classes[l]
+                yield ConcreteSubgroup.generated(gens)
+
+
+def graph_classes(l=1):
+    """Class ids of every finite-Weyl orbit type at Fourier mode l."""
+    return ring().graph_classes(l)
 
 
 def maximal_orbit_types(j, l=1):
-    """Maximal finite-Weyl orbit types of irrep j at mode l, by fixed spaces.
-
-    Computed once per (j, l) and kept on the ring; at l = 1 the classes
-    carry their reference labels from then on.
-    """
-    R = ring()
-    key = (j, l)
-    if key not in R._maximal:
-        classes = tuple(
-            R.maximal([ci for ci in graph_classes(l) if R.fixed_dim(j, l, ci) >= 1])
-        )
-        if l == 1:
-            pin_reference_labels(j, classes)
-        R._maximal[key] = classes
-    return R._maximal[key]
+    """Maximal finite-Weyl orbit types of irrep j at mode l; pinned at l = 1."""
+    return ring().maximal_orbit_types(j, l)
 
 
 def basic_degree(j, l=1):
-    """Antipodal-map degree on the ball of irrep-j mode-l, by the recurrence.
-
-    Computed once per (j, l) over the downward closure of the maximal orbit
-    types and kept on the ring; the unit coefficient is +1.
-    """
-    R = ring()
-    key = (j, l)
-    if key not in R._degree:
-        pool = set()
-        for ci in maximal_orbit_types(j, l):
-            pool.update(R.candidate_subtypes(ci))
-        R._degree[key] = R.element(
-            1, R.recurrence(pool, lambda K: (-1) ** R.fixed_dim(j, l, K) - 1)
-        )
-    return R._degree[key]
+    """Antipodal-map degree on the ball of irrep-j mode-l, kept on the ring."""
+    return ring().basic_degree(j, l)
 
 
 # ---------------------------------------------------------------------------
@@ -811,24 +804,8 @@ def _family_matches(family, subgroup, l=1):
 
 
 def pin_reference_labels(j, class_ids, l=1):
-    """Pin computed maximal classes to the reference symbol spellings.
-
-    Returns the pinned labels; raises when a reference family matches zero
-    or several of the given classes (ambiguity is surfaced, not guessed).
-    """
-    R = ring()
-    out = {}
-    for _, red, fam in REFERENCE_EXPANSIONS[j]:
-        if not red:
-            continue
-        hits = [ci for ci in class_ids if _family_matches(fam, R.representative(ci), l)]
-        if len(hits) != 1:
-            raise ConsistencyError(
-                f"reference family {fam.label(l)} matches {len(hits)} classes"
-            )
-        R.pin_label(hits[0], fam.label(l))
-        out[hits[0]] = fam.label(l)
-    return out
+    """Pin the ring's maximal classes to the reference symbol spellings."""
+    return ring().pin_reference_labels(j, class_ids, l)
 
 
 def instantiate(family, l=1):
@@ -873,23 +850,8 @@ def instantiate(family, l=1):
                     f"{lsize} vs {K_cls.order}/{ko_order} do not match"
                 )
         target_order = hsize * K_cls.order // lsize
-        for ci in graph_classes(l):
+        for ci in R.graph_classes(l):
             rep = R.representative(ci)
-            if len(rep) != target_order:
-                continue
-            hk, hm = rep.temporal_projection()
-            if (hk, hm) != (family.o2_kind, m):
-                continue
-            if _spatial_label(rep.spatial_projection()) != family.spatial:
-                continue
-            ok, om = rep.temporal_kernel()
-            want = {"Z_l": ("Z", l), "D_l": ("D", l), "Z_1": ("Z", 1)}[family.o2_kernel]
-            if (ok, om) != want:
-                continue
-            Ko_want = family.spatial_kernel
-            if Ko_want == "full":
-                Ko_want = family.spatial
-            if _spatial_label(rep.spatial_kernel()) != Ko_want:
-                continue
-            results.add(ci)
+            if len(rep) == target_order and _family_matches(family, rep, l):
+                results.add(ci)
     return sorted(results)

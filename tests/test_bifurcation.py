@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from collections import Counter
@@ -10,6 +11,7 @@ from octavib import force_field as ff
 from octavib import orbit_o2 as o2
 from octavib import spectral
 from octavib import cli
+from octavib.burnside import cached
 from octavib.errors import CatalogError, ResonanceError
 
 from test_acceptance import EXPECTED_CENSUS
@@ -63,12 +65,26 @@ class TestCriticalSet:
         assert len(ties) == 2  # lambda=2 and lambda=4 coincide across blocks
         assert {(c.j, c.l) for c in ties[0]} == {("a", 2), ("b", 1)}
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_frequency_refused(self, bad):
+        with pytest.raises(ResonanceError, match=f"got {bad!r} for block b"):
+            bf.critical_set({"a": 1.0, "b": bad}, 4.0)
+
     def test_position_of_slowest_block(self, labeled_spectrum):
         alphas = labeled_spectrum.alphas()
         lam91 = 1 / alphas["9"]
         crit = bf.critical_set(alphas, lam91 + 1e-9)
         assert (crit[-1].j, crit[-1].l) == ("9", 1)
         assert len(crit) == 29  # the slowest block enters 29th
+
+
+class TestEngineFrequencies:
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.inf, -math.inf, math.nan])
+    def test_constructor_refuses_bad_frequency(self, bad):
+        alphas = {j: 1.0 + 0.1 * i for i, j in enumerate(bf.ISOTYPIC)}
+        alphas["8"] = bad
+        with pytest.raises(ResonanceError, match=f"got {bad!r} for block 8"):
+            bf.InvariantEngine(alphas)
 
 
 class TestNonresonance:
@@ -199,6 +215,39 @@ class TestSweepBox:
                     assert abs(c) == 2 // weyl, (sigmas, got)
             outcomes["ok"] += 1
         assert outcomes["ok"] >= 24, outcomes
+
+
+def count_computations(monkeypatch, names):
+    """Count each computation of the named ``cached`` ring methods, per key."""
+    counts = {}
+    for name in names:
+        inner = vars(o2.TemporalOctahedralRing)[name].__wrapped__
+        calls = counts[name] = Counter()
+
+        @functools.wraps(inner)
+        def counted(self, *args, inner=inner, calls=calls):
+            calls[args] += 1
+            return inner(self, *args)
+
+        monkeypatch.setattr(o2.TemporalOctahedralRing, name, cached(counted))
+    return counts
+
+
+class TestRingTables:
+    def test_census_computes_each_key_once(
+        self, fresh_ring, monkeypatch, labeled_spectrum
+    ):
+        names = ("fixed_dim", "_refl_index", "_profile_counts")
+        counts = count_computations(monkeypatch, names)
+        bf.InvariantEngine(labeled_spectrum.alphas()).census()
+        seen = len(counts["fixed_dim"])
+        # block 9's factors reach Fourier mode 11 at this draw
+        engine_at(OFF_GRID_DRAW).census()
+        assert len(counts["fixed_dim"]) > seen
+        for name in names:
+            calls = counts[name]
+            assert calls and set(calls.values()) == {1}, name
+            assert set(calls) == set(fresh_ring.memo[name]), name
 
 
 def divisor_upper_set(R, modes, h):

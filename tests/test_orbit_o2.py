@@ -151,6 +151,28 @@ class TestMaximalTypes:
             got = {fresh_ring.label_of(ci) for ci in classes}
             assert got == set(o2.reference_red_labels(j)), j
 
+    def test_pin_replaces_a_label_read_before(self, fresh_ring):
+        # blocks 7 and 8 each hold a class whose reference spelling differs
+        # from its amalgam symbol; a label read first must not survive the pin
+        replaced = 0
+        for j in (7, 8):
+            fixing = [
+                ci for ci in o2.graph_classes(1) if fresh_ring.fixed_dim(j, 1, ci) >= 1
+            ]
+            unpinned = fresh_ring.maximal(fixing)
+            before = {ci: fresh_ring.label_of(ci) for ci in unpinned}
+            assert set(o2.maximal_orbit_types(j, 1)) == set(unpinned)
+            after = {ci: fresh_ring.label_of(ci) for ci in unpinned}
+            assert set(after.values()) == set(o2.reference_red_labels(j)), j
+            replaced += sum(before[ci] != after[ci] for ci in unpinned)
+        assert replaced == 3
+
+    def test_new_ring_starts_with_empty_tables(self, fresh_ring):
+        assert fresh_ring.memo == {}
+        o2.maximal_orbit_types(0, 1)
+        assert fresh_ring.memo["fixed_dim"] and fresh_ring.memo["label_of"]
+        assert o2.TemporalOctahedralRing().memo == {}
+
     def test_reference_red_sets(self, sixteen_types):
         ring = R()
         for j in (0, 4, 7, 8, 9):
