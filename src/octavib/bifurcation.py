@@ -10,17 +10,17 @@ coefficient name the symmetries of the bifurcating branches.  The global
 sign follows the reference invariant listings (the difference of degrees
 taken above-minus-below).
 
-Two evaluation paths are provided and compared: the full product in the
-orbit-type ring, and the marks path, one recurrence per maximal type over
-the mode-1 classes above it, led by omega's marks (exact for that
-coefficient, and much cheaper; it builds no higher-mode class).
+omega is read from its marks, products of (-1)^dim V_{j,l}^K: one recurrence
+over the mode-1 classes (a class at a mode d >= 2 has mark 0) and, compared
+with it, one per maximal type over the classes above that type.  The pairwise
+product of basic degrees (``invariant_full``) is the tests' oracle only.
 """
 
 import math
 from dataclasses import dataclass, field
 
 from . import orbit_o2 as o2
-from .errors import CatalogError, ConfigError, ConsistencyError, ResonanceError
+from .errors import ConfigError, ConsistencyError, ResonanceError
 
 ISOTYPIC = ("0", "4", "7", "7*", "8", "9")
 
@@ -125,7 +125,7 @@ class BifurcationReport:
     j: str
     target: CriticalNumber
     factors: tuple
-    invariant: object  # BurnsideElement over the orbit-type ring (full path)
+    invariant: object  # BurnsideElement over the mode-1 classes (full report)
     maximal_types: tuple  # ((label, coefficient, weyl_order), ...)
     fast_coefficients: dict  # label -> coefficient from the marks path
     reference_labels: tuple = field(default=())
@@ -157,22 +157,14 @@ class InvariantEngine:
     def maximal_classes(self, j, l=1):
         return o2.maximal_orbit_types(_degree_index(j), l)
 
-    # --- full product path ----------------------------------------------
+    # --- the pairwise product: the tests' oracle ------------------------
     def invariant_full(self, j_o):
-        factors = factors_before(j_o, self.alphas)
-        for j, l in factors:
-            if o2.GRID % l:
-                raise CatalogError(
-                    f"block {j_o}: factor ({j}, {l}) needs Fourier mode {l}, "
-                    f"off the 1/{o2.GRID} grid",
-                    missing=(j, l),
-                )
+        """omega as the product of basic degrees across Fourier modes."""
         unit = self.ring.unit()
         prod = unit
-        for j, l in factors:
+        for j, l in factors_before(j_o, self.alphas):
             prod = prod * self.degree(j, l)
-        omega = prod * (self.degree(j_o, 1) - unit)
-        return omega
+        return prod * (self.degree(j_o, 1) - unit)
 
     def maximal_terms(self, element):
         R = self.ring
@@ -181,26 +173,30 @@ class InvariantEngine:
             for ci in R.sorted_support(R.maximal(element.coeffs))
         )
 
-    # --- fast path: one recurrence over the marks -----------------------
-    def fast_coefficient(self, j_o, h_ci):
-        """Exact coefficient of (H) in the invariant, from its marks above H.
+    # --- the marks recurrence -------------------------------------------
+    def _mark(self, j_o):
+        """omega's mark at a mode-1 class K, grouping factors by (j, l mod period).
 
-        The mark of deg_{j,l} at K is (-1)^dim V_{j,l}^K and marks are
-        multiplicative, so one recurrence over the classes above H, led by
-        the marks of omega, gives the coefficient of H.  Only the mode-1
-        classes enter: every class at a mode d >= 2 contains a temporal
-        rotation that fixes no vector of V_{j_o,1}, so omega's mark there is
-        0, and these classes, closed upward, all get coefficient 0.
+        Only the parity of each group matters, so a mark's cost does not grow
+        with the number of factors.
         """
         R = self.ring
-        factors = [(_degree_index(j), l) for j, l in factors_before(j_o, self.alphas)]
+        period = R.mode_period()
+        odd = set()  # the (j, l mod period) groups of odd size
+        for j, l in factors_before(j_o, self.alphas):
+            odd ^= {(_degree_index(j), (l - 1) % period + 1)}
         idx = _degree_index(j_o)
 
         def mark(K):
-            sign = (-1) ** sum(R.fixed_dim(j, l, K) for j, l in factors)
+            sign = (-1) ** sum(R.fixed_dim(j, l, K) for j, l in odd)
             return sign * ((-1) ** R.fixed_dim(idx, 1, K) - 1)
 
-        return R.recurrence(R.upper_set(h_ci), mark).get(h_ci, 0)
+        return mark
+
+    def fast_coefficient(self, j_o, h_ci):
+        """Exact coefficient of (H) in the invariant, from its marks above H."""
+        R = self.ring
+        return R.recurrence(R.upper_set(h_ci), self._mark(j_o)).get(h_ci, 0)
 
     # --- reports ----------------------------------------------------------
     def report(self, j_o, full=True):
@@ -209,10 +205,12 @@ class InvariantEngine:
         R = self.ring
         maximal = self.maximal_classes(j_o, 1)
         fast = {R.label_of(ci): self.fast_coefficient(j_o, ci) for ci in maximal}
-        invariant = R.pi0_truncate(self.invariant_full(j_o)) if full else None
         if full:
+            # every mode-1 class is finite-Weyl; the unit coefficient is 1 * (1 - 1)
+            invariant = R.element(0, R.recurrence(R.graph_classes(1), self._mark(j_o)))
             maximal_terms = self.maximal_terms(invariant)
         else:
+            invariant = None
             maximal_terms = tuple(
                 (R.label_of(ci), fast[R.label_of(ci)], R.weyl(ci)) for ci in maximal
             )

@@ -77,8 +77,8 @@ class ModeWorkshop:
     # -- fixed-space construction ---------------------------------------
     def _pair_operator(self, element):
         """Action of a group element on (a, b) coefficient pairs."""
-        refl, k, g = orbit_o2.decode(element)
-        tau = 2 * math.pi * k / orbit_o2.GRID
+        refl, turn, g = orbit_o2.parts(element)
+        tau = 2 * math.pi * turn.numerator / turn.denominator
         G = group_core.action_matrix_18(g)
         c, s = math.cos(tau), math.sin(tau)
         T = np.zeros((36, 36))
@@ -197,14 +197,13 @@ class ModeWorkshop:
         report = {}
         worst = 0.0
         for x in sorted(A.elements):
-            refl, k, g = orbit_o2.decode(x)
-            shift_num = k * n
-            if shift_num % orbit_o2.GRID:
+            refl, turn, g = orbit_o2.parts(x)
+            s, r = divmod(turn.numerator * n, turn.denominator)
+            if r:
                 raise SamplingError(
-                    f"phase {k}/{orbit_o2.GRID} of a turn needs the sample count "
-                    f"to be a multiple of {orbit_o2.GRID // math.gcd(k, orbit_o2.GRID)}"
+                    f"phase {turn} of a turn needs the sample count "
+                    f"to be a multiple of {turn.denominator}"
                 )
-            s = shift_num // orbit_o2.GRID
             G = group_core.action_matrix_18(g)
             idx = (np.arange(n) - s) % n if refl == 0 else (s - np.arange(n)) % n
             res = float(np.max(np.linalg.norm(disp - disp[idx] @ G.T, axis=1)))
@@ -237,14 +236,10 @@ class ModeWorkshop:
 
 
 def _describe(element):
-    refl, k, g = orbit_o2.decode(element)
-    frac = ""
-    if k:
-        d = math.gcd(k, orbit_o2.GRID)
-        frac = f"{k // d}/{orbit_o2.GRID // d}"
+    refl, turn, g = orbit_o2.parts(element)
     kind = "refl" if refl else "rot"
     cyc = _cycle_string(group_core.PERM[g])
-    return f"({kind}{(' ' + frac) if frac else ''}, {cyc})"
+    return f"({kind}{f' {turn}' if turn else ''}, {cyc})"
 
 
 def _cycle_string(perm):

@@ -23,8 +23,9 @@ reference lists).
 """
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import group_core as gc
@@ -45,6 +46,16 @@ def decode(code):
     g = code % N
     ek = code // N
     return ek // GRID, ek % GRID, g
+
+
+@lru_cache(maxsize=None)
+def parts(code):
+    """(reflection bit, O(2) turn as an exact fraction in [0, 1), spatial index).
+
+    Callers outside this module read angles only here, never the grid.
+    """
+    refl, k, g = decode(code)
+    return refl, Fraction(k, GRID), g
 
 
 IDENTITY = encode(0, 0, _IDENT)
@@ -426,10 +437,25 @@ class TemporalOctahedralRing(BurnsideRing):
 
     @cached
     def graph_classes(self, l):
-        """Class ids of every finite-Weyl orbit type at Fourier mode l."""
+        """Class ids of every finite-Weyl orbit type at Fourier mode l.
+
+        At l = 1 in the order ``_graph_subgroups()`` first meets them, which
+        does not depend on what the ring registered before.
+        """
         if l > 1:
             return sorted({self.register_cover(ci, l) for ci in self.graph_classes(1)})
-        return sorted({self.find_class(A) for A in _graph_subgroups()})
+        return list(dict.fromkeys(self.find_class(A) for A in _graph_subgroups()))
+
+    @cached
+    def mode_period(self):
+        """A period in l of dim V_{j,l}^K for every mode-1 class K.
+
+        Only K's rotations have a trace, each a turn whose order divides K's
+        temporal order m_K; the period is the lcm of the m_K.
+        """
+        return math.lcm(
+            *(self._reps[ci].temporal_projection()[1] for ci in self.graph_classes(1))
+        )
 
     # ring hooks ---------------------------------------------------------
     @cached
@@ -451,7 +477,28 @@ class TemporalOctahedralRing(BurnsideRing):
 
     @cached
     def label_of(self, ci):
-        return amalgam_symbol(self._reps[ci])
+        """ci's amalgam symbol, plus an ordinal `` #k`` where classes share it.
+
+        A cover takes its base's ordinal: covers share a symbol exactly when
+        their bases do and their modes are equal.
+        """
+        symbol = amalgam_symbol(self._reps[ci])
+        k = self._symbol_ordinals().get(self._cover_base.get(ci, ci))
+        return symbol if k is None else f"{symbol} #{k}"
+
+    @cached
+    def _symbol_ordinals(self):
+        """Ordinal of each mode-1 class among those sharing its symbol, if any.
+
+        Counted in ``graph_classes(1)`` order: neither ids nor ring history.
+        """
+        same = defaultdict(list)
+        for ci in self.graph_classes(1):
+            same[amalgam_symbol(self._reps[ci])].append(ci)
+        return {
+            ci: k for group in same.values() if len(group) > 1
+            for k, ci in enumerate(group, 1)
+        }
 
     @cached
     def candidate_subtypes(self, ci):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,24 @@ from octavib import bifurcation, force_field, orbit_o2, spectral
 # the reported block-9 alpha^2 is negative here (about -1.3e-4), while the
 # Cartesian one is positive (about +0.243)
 UNSTABLE_REPORTED_9 = (0.04358, 0.07072, 1.4449)
+
+
+def sweep_box(n=48):
+    """The first n σ draws of the benchmark's sweep box (seed 1)."""
+    rng = np.random.default_rng(1)
+    reference = force_field.REFERENCE_PARAMS
+    return [
+        tuple(
+            s * math.exp(rng.uniform(-0.5, 0.5))
+            for s in (reference.sigma1, reference.sigma2, reference.sigma3)
+        )
+        for _ in range(n)
+    ]
+
+
+def engine_at(sigmas):
+    eq = force_field.find_equilibrium(force_field.PotentialParams(*sigmas))
+    return bifurcation.engine_from_spectrum(spectral.spectrum_at_equilibrium(eq))
 
 
 @pytest.fixture(scope="session")

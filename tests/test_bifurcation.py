@@ -1,42 +1,24 @@
 import functools
+import json
 import math
 import re
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from octavib import bifurcation as bf
-from octavib import force_field as ff
 from octavib import orbit_o2 as o2
 from octavib import spectral
 from octavib import cli
 from octavib.burnside import cached
-from octavib.errors import CatalogError, ResonanceError
+from octavib.errors import ResonanceError
 
+from conftest import engine_at, sweep_box
 from test_acceptance import EXPECTED_CENSUS
 
 REFERENCE_PREFIX = [
     ("0", 1), ("7*", 1), ("4", 1), ("7", 1), ("0", 2), ("8", 1), ("7*", 2), ("4", 2),
 ]
-
-
-def sweep_box(n=48):
-    """The first n σ draws of the benchmark's sweep box (seed 1)."""
-    rng = np.random.default_rng(1)
-    reference = ff.REFERENCE_PARAMS
-    return [
-        tuple(
-            s * math.exp(rng.uniform(-0.5, 0.5))
-            for s in (reference.sigma1, reference.sigma2, reference.sigma3)
-        )
-        for _ in range(n)
-    ]
-
-
-def engine_at(sigmas):
-    eq = ff.find_equilibrium(ff.PotentialParams(*sigmas))
-    return bf.engine_from_spectrum(spectral.spectrum_at_equilibrium(eq))
 
 
 class TestCriticalSet:
@@ -200,6 +182,7 @@ class TestSweepBox:
     """Every parameter set of the benchmark's sweep box ends in a result or a refusal."""
 
     def test_fast_reports_or_documented_refusals(self):
+        # full reports carry the fast coefficients too, and must agree with them
         outcomes = Counter()
         for sigmas in sweep_box():
             try:
@@ -208,13 +191,68 @@ class TestSweepBox:
                 outcomes[type(exc).__name__] += 1
                 continue
             for j in bf.ISOTYPIC:
-                rep = engine.report(j, full=False)
+                rep = engine.report(j, full=True)
+                assert rep.agreement(), (sigmas, j)
                 got = {lb: c for lb, c, _ in rep.maximal_types}
                 assert set(got) == EXPECTED_CENSUS["7" if j == "7*" else j], sigmas
                 for _, c, weyl in rep.maximal_types:
                     assert abs(c) == 2 // weyl, (sigmas, got)
             outcomes["ok"] += 1
-        assert outcomes["ok"] >= 24, outcomes
+        assert outcomes == {"ok": 43, "NonPositiveFrequencyError": 5}
+
+
+class TestFullReport:
+    """The whole invariant from the marks recurrence over the mode-1 classes."""
+
+    @pytest.mark.parametrize("draw", [None, 0], ids=["reference", "draw0"])
+    def test_matches_pairwise_product(self, engine, draw):
+        eng = engine if draw is None else engine_at(sweep_box(draw + 1)[draw])
+        for j in bf.ISOTYPIC:
+            want = eng.ring.pi0_truncate(eng.invariant_full(j))
+            assert eng.report(j, full=True).invariant == want, j
+
+    def test_printed_terms_are_the_support(self, engine):
+        for j in bf.ISOTYPIC:
+            invariant = engine.report(j, full=True).invariant
+            assert len(json.loads(invariant.to_json())) == len(invariant.coeffs), j
+
+    def test_no_command_builds_a_higher_mode(self, fresh_ring, capsys, tmp_path):
+        commands = [("invariant", "--j", j, "--full") for j in bf.ISOTYPIC]
+        commands += [("census",), ("catalog", "--catalog-dump")]
+        commands += [("modes", "--j", "9", "--out", str(tmp_path))]
+        for argv in commands:
+            assert cli.main(list(argv)) == 0, argv
+        capsys.readouterr()
+        assert list(fresh_ring.memo["graph_classes"]) == [(1,)]
+        assert not fresh_ring.memo.get("_product")
+        assert not fresh_ring.memo.get("basic_degree")
+        assert len(fresh_ring._reps) == len(fresh_ring.graph_classes(1))
+
+
+class TestGroupedMark:
+    def test_matches_ungrouped_sum_and_bounds_the_table(
+        self, fresh_ring, labeled_spectrum
+    ):
+        alphas = labeled_spectrum.alphas()
+        alphas["9"] = alphas["0"] / 1000.5  # block 0's factors reach l = 1000
+        eng = bf.InvariantEngine(alphas)
+        factors = bf.factors_before("9", alphas)
+        assert max(l for _, l in factors) == 1000 and len(factors) > 3000
+        assert eng.report("9", full=True).agreement()
+        R = fresh_ring
+        period = R.mode_period()
+        assert period == 12
+        assert len(R.memo["fixed_dim"]) <= 5 * period * len(R.graph_classes(1))
+        # the ungrouped sum on one class per temporal order and block 9's types
+        by_order = {
+            R.representative(K).temporal_projection()[1]: K for K in R.graph_classes(1)
+        }
+        assert sorted(by_order) == [1, 2, 3, 4, 6]
+        mark = eng._mark("9")
+        factors = [(bf._degree_index(j), l) for j, l in factors]
+        for K in {*by_order.values(), *eng.maximal_classes("9")}:
+            sign = (-1) ** sum(R.fixed_dim(j, l, K) for j, l in factors)
+            assert mark(K) == sign * ((-1) ** R.fixed_dim(9, 1, K) - 1), R.label_of(K)
 
 
 def count_computations(monkeypatch, names):
@@ -346,45 +384,42 @@ class TestMarksPath:
         assert seen > 0
 
 
-# draw 16 of the seed-1 sweep box above: block 9's factors run up to (0, 11)
-OFF_GRID_DRAW = (0.04345932313403799, 0.08507473313681423, 1.2011589783705856)
+# block 9's factors run up to (0, 11) at draw 16 and to (0, 9) and (7*, 8) at
+# draw 10: Fourier modes off the angle grid, or whose covers the grid cuts short
+OFF_GRID_DRAW = sweep_box(17)[16]
 
 
 class TestOffGridRefusal:
-    """A full product past the angle grid is refused naming the block and the factor.
+    """Draws whose factors leave the angle grid answer every command.
 
-    The fast path needs no class above Fourier mode 1, so it answers there.
+    The full product once refused draw 16 (``CatalogError``) and failed its
+    checks at draw 10 (exit 3); the invariant now comes from the mode-1
+    marks, so no command needs a class above Fourier mode 1.
     """
 
-    MESSAGE = "block 9: factor (0, 11) needs Fourier mode 11, off the 1/10080 grid"
-
-    def test_draw_is_from_the_sweep_box(self):
-        assert sweep_box(17)[16] == OFF_GRID_DRAW
-
-    def test_report_names_block_and_factor(self):
+    def test_full_report_agrees(self):
         engine = engine_at(OFF_GRID_DRAW)
-        with pytest.raises(CatalogError) as info:
-            engine.report("9", full=True)
-        assert type(info.value) is CatalogError
-        assert str(info.value) == self.MESSAGE
-        assert info.value.missing == ("0", 11)
+        rep = engine.report("9", full=True)
+        assert ("0", 11) in rep.factors
+        assert rep.agreement()
+        assert {lb for lb, _, _ in rep.maximal_types} == EXPECTED_CENSUS["9"]
 
     @staticmethod
-    def run_cli(capsys, tmp_path, argv):
+    def run_cli(capsys, tmp_path, argv, sigmas=OFF_GRID_DRAW):
         cfg = tmp_path / "off_grid.cfg"
-        cfg.write_text(
-            "".join(f"sigma{i}={s!r}\n" for i, s in enumerate(OFF_GRID_DRAW, 1))
-        )
+        cfg.write_text("".join(f"sigma{i}={s!r}\n" for i, s in enumerate(sigmas, 1)))
         code = cli.main(["--config", str(cfg), *argv])
         return code, capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "argv", [("invariant", "--j", "9", "--full")], ids=["invariant"]
-    )
-    def test_cli_exit_1(self, capsys, tmp_path, argv):
-        code, out = self.run_cli(capsys, tmp_path, argv)
-        assert code == 1
-        assert out.err == f"numerical failure: {self.MESSAGE}\n"
+    @pytest.mark.parametrize("draw", [16, 10], ids=["draw16", "draw10"])
+    def test_cli_full_invariant_answers(self, capsys, tmp_path, draw):
+        argv = ("invariant", "--j", "9", "--full")
+        code, out = self.run_cli(capsys, tmp_path, argv, sweep_box(draw + 1)[draw])
+        assert (code, out.err) == (0, "")
+        assert out.out.endswith("fast_path_agreement=true\n")
+        terms = re.findall(r"^  ([+-]\d+) \((.+)\)   \|W\|=(\d+)$", out.out, re.M)
+        assert {label for _, label, _ in terms} == EXPECTED_CENSUS["9"]
+        assert all(abs(int(c)) == 2 // int(w) for c, _, w in terms), terms
 
     def test_fast_invariant_answers(self, capsys, tmp_path):
         code, out = self.run_cli(capsys, tmp_path, ("invariant", "--j", "9"))

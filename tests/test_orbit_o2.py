@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +77,12 @@ class TestElementAlgebra:
             lhs = o2.conjugate(x, c)
             rhs = o2.multiply(o2.multiply(c, x), o2.inverse(c))
             assert lhs == rhs
+
+
+    def test_parts_reads_an_exact_turn(self):
+        g = oct_word("(1234)")
+        assert o2.parts(o2.temporal(1, 3, g, refl=True)) == (1, Fraction(1, 3), g)
+        assert o2.parts(o2.IDENTITY) == (0, 0, gc.IDENTITY)
 
 
 class TestConcreteSubgroups:
@@ -190,6 +197,33 @@ class TestMaximalTypes:
         for j, classes in sixteen_types.items():
             for ci in classes:
                 assert ring.fixed_dim(j, 1, ci) % 2 == 1
+
+
+class TestLabels:
+    def test_mode1_labels_are_unique(self, fresh_ring):
+        labels = [fresh_ring.label_of(ci) for ci in o2.graph_classes(1)]
+        assert len(set(labels)) == len(labels) == 257
+        # 27 amalgam symbols are shared, by 75 classes; each of those is numbered
+        shared = [lb.rsplit(" #", 1)[0] for lb in labels if " #" in lb]
+        assert (len(shared), len(set(shared))) == (75, 27)
+
+    def test_labels_do_not_depend_on_ring_history(self, fresh_ring):
+        names = {
+            fresh_ring.representative(ci): fresh_ring.label_of(ci)
+            for ci in o2.graph_classes(1)
+        }
+        other = o2.TemporalOctahedralRing()  # meets the classes in reverse first
+        for A in reversed(list(o2._graph_subgroups())):
+            other.find_class(A)
+        for rep, label in names.items():
+            assert other.label_of(other.find_class(rep)) == label
+
+    def test_a_cover_keeps_its_base_ordinal(self, fresh_ring):
+        labels = {ci: fresh_ring.label_of(ci) for ci in o2.graph_classes(1)}
+        base = next(ci for ci, label in labels.items() if label.endswith(" #2"))
+        cover = fresh_ring.register_cover(base, 3)
+        label = fresh_ring.label_of(cover)
+        assert label.endswith(" #2") and label != labels[base]
 
 
 class TestBasicDegrees:
