@@ -318,39 +318,27 @@ class Catalog:
     """The 33 conjugacy classes of subgroups, with labels and Weyl data."""
 
     def __init__(self):
-        subgroups = enumerate_subgroups()
-        class_of_mask = {}
-        orbits = []
-        for m in sorted(subgroups):
-            if m in class_of_mask:
-                continue
-            orbit = sorted({conj_mask(m, g) for g in range(N)})
-            for o in orbit:
-                class_of_mask[o] = len(orbits)
-            orbits.append(orbit)
-        # label each class from the reference generator words
-        label_of = {}
+        # each reference word closes to one class: its conjugation orbit;
+        # the classes are ordered by their least member
+        orbits, owner = [], {}
         for label, words in CATALOG_WORDS.items():
-            gens = [element_from_word(w) for w in words]
-            ci = class_of_mask[closure_mask(gens)]
-            if ci in label_of:
+            mask = closure_mask([element_from_word(w) for w in words])
+            if mask in owner:
                 raise ConsistencyError(
-                    f"duplicate catalog class: {label} vs {label_of[ci]}"
+                    f"duplicate catalog class: {label} vs {owner[mask]}"
                 )
-            label_of[ci] = label
-        if len(label_of) != len(orbits):
-            raise ConsistencyError(
-                f"{len(orbits)} subgroup classes found, {len(label_of)} labeled"
-            )
+            orbit = sorted({conj_mask(mask, g) for g in range(N)})
+            owner.update(dict.fromkeys(orbit, label))
+            orbits.append((orbit, label))
+        orbits.sort()
 
         self.classes = []
         self.index_of_label = {}
-        self.class_of_mask = class_of_mask
-        for ci, orbit in enumerate(orbits):
+        self.class_of_mask = {}
+        for ci, (orbit, label) in enumerate(orbits):
             rep = orbit[0]
             order = bin(rep).count("1")
             nn = sum(1 for g in range(N) if conj_mask(rep, g) == rep)
-            label = label_of[ci]
             self.classes.append(
                 SubgroupClass(
                     label=label,
@@ -363,6 +351,7 @@ class Catalog:
                 )
             )
             self.index_of_label[label] = ci
+            self.class_of_mask.update(dict.fromkeys(orbit, ci))
         self.n_classes = len(self.classes)
         self._fix = {}
 

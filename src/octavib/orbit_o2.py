@@ -346,12 +346,20 @@ _ABSTRACT_NAME = {
 }
 
 
-def amalgam_symbol(subgroup):
-    """Render the orbit-type symbol ``H^{Ho} x_{L}^{Ko} K`` of a subgroup."""
-    hk, hm = subgroup.temporal_projection()
-    ok, om = subgroup.temporal_kernel()
-    K = _spatial_label(subgroup.spatial_projection())
-    Ko = _spatial_label(subgroup.spatial_kernel())
+def symbol_key(subgroup):
+    """What an amalgam symbol names: (temporal kind, temporal order, kernel
+    kind, kernel order, spatial label, spatial-kernel label)."""
+    return (
+        *subgroup.temporal_projection(),
+        *subgroup.temporal_kernel(),
+        _spatial_label(subgroup.spatial_projection()),
+        _spatial_label(subgroup.spatial_kernel()),
+    )
+
+
+def amalgam_symbol(key):
+    """Render the orbit-type symbol ``H^{Ho} x_{L}^{Ko} K`` of a symbol key."""
+    hk, hm, ok, om, K, Ko = key
     H = f"{hk}_{hm}"
     Ho = f"{ok}_{om}"
     untwisted = hk == ok and hm == om
@@ -386,10 +394,6 @@ class TemporalOctahedralRing(BurnsideRing):
         self._reps = []       # class id -> ConcreteSubgroup
         self._by_set = {}
         self._cover_base = {}  # cover class id -> mode-1 base class id
-
-    def pin_label(self, ci, label):
-        """Fix the rendered symbol of a class (reference spelling)."""
-        self.memo["label_of"][(ci,)] = label
 
     # registry ---------------------------------------------------------
     def find_class(self, subgroup):
@@ -476,15 +480,31 @@ class TemporalOctahedralRing(BurnsideRing):
         return len(self._reps[ci])
 
     @cached
+    def symbol_key(self, ci):
+        """What ci's label and every reference-family match read."""
+        return symbol_key(self._reps[ci])
+
+    @cached
     def label_of(self, ci):
-        """ci's amalgam symbol, plus an ordinal `` #k`` where classes share it.
+        """ci's reference spelling if it has one, else its amalgam symbol plus
+        an ordinal `` #k`` where classes share the symbol.
 
         A cover takes its base's ordinal: covers share a symbol exactly when
         their bases do and their modes are equal.
         """
-        symbol = amalgam_symbol(self._reps[ci])
+        symbol = amalgam_symbol(self.symbol_key(ci))
         k = self._symbol_ordinals().get(self._cover_base.get(ci, ci))
-        return symbol if k is None else f"{symbol} #{k}"
+        symbol = symbol if k is None else f"{symbol} #{k}"
+        return self._reference_spellings().get(ci, symbol)
+
+    @cached
+    def _reference_spellings(self):
+        """The mode-1 class of each red reference family, with its spelling.
+
+        Each family's key must be held by exactly one mode-1 class.
+        """
+        keys = [(ci, self.symbol_key(ci)) for ci in self.graph_classes(1)]
+        return _reference_hits(_red_families(*REFERENCE_EXPANSIONS), keys, 1)
 
     @cached
     def _symbol_ordinals(self):
@@ -494,7 +514,7 @@ class TemporalOctahedralRing(BurnsideRing):
         """
         same = defaultdict(list)
         for ci in self.graph_classes(1):
-            same[amalgam_symbol(self._reps[ci])].append(ci)
+            same[amalgam_symbol(self.symbol_key(ci))].append(ci)
         return {
             ci: k for group in same.values() if len(group) > 1
             for k, ci in enumerate(group, 1)
@@ -577,37 +597,12 @@ class TemporalOctahedralRing(BurnsideRing):
             raise ConsistencyError(f"non-integral fixed dimension {q}")
         return int(round(q))
 
-    # maximal types, reference labels and basic degrees -------------------
+    # maximal types and basic degrees --------------------------------------
     @cached
     def maximal_orbit_types(self, j, l):
-        """Maximal finite-Weyl orbit types of irrep j at mode l, by fixed spaces.
-
-        At l = 1 the classes carry their reference labels from then on.
-        """
+        """Maximal finite-Weyl orbit types of irrep j at mode l, by fixed spaces."""
         fixing = [ci for ci in self.graph_classes(l) if self.fixed_dim(j, l, ci) >= 1]
-        classes = tuple(self.maximal(fixing))
-        if l == 1:
-            self.pin_reference_labels(j, classes, l)
-        return classes
-
-    def pin_reference_labels(self, j, class_ids, l):
-        """Pin computed maximal classes to the reference symbol spellings.
-
-        Returns the pinned labels; raises when a reference family matches zero
-        or several of the given classes (ambiguity is surfaced, not guessed).
-        """
-        out = {}
-        for _, red, fam in REFERENCE_EXPANSIONS[j]:
-            if not red:
-                continue
-            hits = [ci for ci in class_ids if _family_matches(fam, self._reps[ci], l)]
-            if len(hits) != 1:
-                raise ConsistencyError(
-                    f"reference family {fam.label(l)} matches {len(hits)} classes"
-                )
-            self.pin_label(hits[0], fam.label(l))
-            out[hits[0]] = fam.label(l)
-        return out
+        return tuple(self.maximal(fixing))
 
     @cached
     def basic_degree(self, j, l):
@@ -639,24 +634,9 @@ def ring():
 # ---------------------------------------------------------------------------
 
 
-def _spatial_generators(mask):
-    """A small generating set of the spatial subgroup, longest orders first."""
-    els = gc.mask_elements(mask)
-    gens = []
-    got = {gc.IDENTITY}
-    for g in sorted(els, key=lambda i: -_element_order(encode(0, 0, i))):
-        if g not in got:
-            gens.append(g)
-            got = set(gc.mask_elements(gc.closure_mask(gens)))
-            if len(got) == len(els):
-                break
-    return gens
-
-
-def _characters_of(mask):
-    """All homomorphisms from the spatial subgroup to the angle grid."""
-    els = gc.mask_elements(mask)
-    gens = _spatial_generators(mask)
+def _characters_of(els, gens):
+    """All homomorphisms to the angle grid from the spatial subgroup els,
+    generated by gens."""
     sols = []
 
     def extend(assign):
@@ -702,8 +682,9 @@ def _graph_subgroups():
     for cls in cat.classes:
         K = cls.mask
         els = gc.mask_elements(K)
-        spatial_gens = _spatial_generators(K)
-        for chi in _characters_of(K):
+        # spatial element g has code g, so these are spatial generators
+        spatial_gens = ConcreteSubgroup(els).generators()
+        for chi in _characters_of(els, spatial_gens):
             for t in range(N):
                 if gc.conj_mask(K, t) != K:
                     continue
@@ -724,7 +705,7 @@ def graph_classes(l=1):
 
 
 def maximal_orbit_types(j, l=1):
-    """Maximal finite-Weyl orbit types of irrep j at mode l; pinned at l = 1."""
+    """Maximal finite-Weyl orbit types of irrep j at mode l, kept on the ring."""
     return ring().maximal_orbit_types(j, l)
 
 
@@ -748,6 +729,14 @@ class OrbitTypeO2:
     spatial: str          # catalog label of K
     spatial_kernel: str   # catalog label of K_o ("full" for product types)
     quotient: str = ""    # informative; "" when forced
+
+    def key(self, l=1):
+        """The ``symbol_key`` of the family's classes at mode l."""
+        m = self.o2_scale * l
+        kernel = {"full": (self.o2_kind, m), "Z_l": ("Z", l), "D_l": ("D", l),
+                  "Z_1": ("Z", 1)}[self.o2_kernel]
+        ko = self.spatial if self.spatial_kernel == "full" else self.spatial_kernel
+        return (self.o2_kind, m, *kernel, self.spatial, ko)
 
     def label(self, l=1):
         m = self.o2_scale * l
@@ -826,33 +815,38 @@ REFERENCE_EXPANSIONS = {
 }
 
 
+def _red_families(*blocks):
+    return [fam for j in blocks for _, red, fam in REFERENCE_EXPANSIONS[j] if red]
+
+
+def _reference_hits(families, keys, l):
+    """{class id: family.label(l)} for the one class of ``keys``, a list of
+    (class id, symbol key), that holds each family's key at mode l.
+
+    Raises when a family matches zero or several classes (ambiguity is
+    surfaced, not guessed).
+    """
+    out = {}
+    for fam in families:
+        hits = [ci for ci, key in keys if key == fam.key(l)]
+        if len(hits) != 1:
+            raise ConsistencyError(
+                f"reference family {fam.label(l)} matches {len(hits)} classes"
+            )
+        out[hits[0]] = fam.label(l)
+    return out
+
+
 def reference_red_labels(j, l=1):
     """Maximal-type labels of the reference expansion for irrep j at mode l."""
-    return tuple(f.label(l) for _, red, f in REFERENCE_EXPANSIONS[j] if red)
-
-
-def _family_matches(family, subgroup, l=1):
-    hk, hm = subgroup.temporal_projection()
-    if (hk, hm) != (family.o2_kind, family.o2_scale * l):
-        return False
-    ok, om = subgroup.temporal_kernel()
-    want = {
-        "full": (hk, hm),
-        "Z_l": ("Z", l),
-        "D_l": ("D", l),
-        "Z_1": ("Z", 1),
-    }[family.o2_kernel]
-    if (ok, om) != want:
-        return False
-    if _spatial_label(subgroup.spatial_projection()) != family.spatial:
-        return False
-    ko = family.spatial_kernel if family.spatial_kernel != "full" else family.spatial
-    return _spatial_label(subgroup.spatial_kernel()) == ko
+    return tuple(fam.label(l) for fam in _red_families(j))
 
 
 def pin_reference_labels(j, class_ids, l=1):
-    """Pin the ring's maximal classes to the reference symbol spellings."""
-    return ring().pin_reference_labels(j, class_ids, l)
+    """Check that each red family of block j matches exactly one of the
+    classes, and return {class id: reference spelling}; writes nothing."""
+    keys = [(ci, symbol_key(ring().representative(ci))) for ci in class_ids]
+    return _reference_hits(_red_families(j), keys, l)
 
 
 def instantiate(family, l=1):
@@ -898,7 +892,6 @@ def instantiate(family, l=1):
                 )
         target_order = hsize * K_cls.order // lsize
         for ci in R.graph_classes(l):
-            rep = R.representative(ci)
-            if len(rep) == target_order and _family_matches(family, rep, l):
+            if R.order_of(ci) == target_order and R.symbol_key(ci) == family.key(l):
                 results.add(ci)
     return sorted(results)

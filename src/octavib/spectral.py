@@ -4,7 +4,7 @@
 stiffness constants; ``numeric_spectrum`` diagonalizes an assembled matrix
 and groups eigenvalue clusters; ``assign_eigenspaces`` labels each cluster
 with its irreducible component by matching restricted characters against the
-character table.
+character table, and refuses a cluster that holds several blocks.
 """
 
 from dataclasses import dataclass, field, replace
@@ -17,6 +17,7 @@ from .errors import (
     InvalidCharacterError,
     LabelingError,
     NumericalError,
+    ResonanceError,
     ShapeError,
 )
 
@@ -195,8 +196,19 @@ def assign_eigenspaces(report):
                 hit = j
                 break
         if hit is None:
-            raise LabelingError(
-                f"eigenspace at {ln.alpha_sq:.6g} matches no irreducible character: {chi}"
+            try:
+                counts = isotypic_multiplicities(chi)
+            except InvalidCharacterError:
+                raise LabelingError(
+                    f"eigenspace at {ln.alpha_sq:.6g} matches no irreducible character: {chi}"
+                ) from None
+            # a sum of irreducibles: several blocks share one alpha^2
+            names = group_core.IRREP_NAMES
+            merged = ", ".join(
+                names[j] if m == 1 else f"{m} x {names[j]}" for j, m in enumerate(counts) if m
+            )
+            raise ResonanceError(
+                f"blocks {merged} share one eigenspace at alpha^2 = {ln.alpha_sq:.6g}"
             )
         label = group_core.IRREP_NAMES[hit]
         if label == "7":

@@ -108,6 +108,29 @@ class TestReportedSpectrumRefusal:
         assert out.endswith("verified=true\n")
 
 
+class TestMergedEigenspaceRefusal:
+    """At σ = 0 blocks 6, 7, 8 and 9 share alpha^2 = 0: one refusal, exit 1."""
+
+    @pytest.mark.parametrize("sigma1", ["0", "1e-300"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("spectrum",), ("critical",), ("invariant", "--j", "9"), ("census",),
+         ("modes", "--j", "9")],
+        ids=["spectrum", "critical", "invariant", "census", "modes"],
+    )
+    def test_exit_1_naming_the_blocks(self, capsys, tmp_path, sigma1, argv):
+        cfg = tmp_path / "stretch.cfg"
+        cfg.write_text(f"sigma1={sigma1}\nsigma2=0\nsigma3=0\n")
+        argv += ("--out", str(tmp_path / "out")) if argv[0] == "modes" else ()
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "numerical failure: blocks 6, 7, 8, 9 share one eigenspace"
+            " at alpha^2 = 0\n"
+        )
+
+
 class TestModes:
     def test_export(self, capsys, tmp_path):
         code, out, _ = run(

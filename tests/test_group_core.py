@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from octavib import group_core as gc
+from octavib.errors import ConsistencyError
 
 
 def closure_mask_oracle(gen_ids):
@@ -160,6 +161,22 @@ class TestCatalog:
         union = [m for c in cat.classes for m in c.conjugates]
         assert len(union) == len(set(union)) == len(all_subgroups)
         assert set(union) == all_subgroups
+
+    def test_built_from_the_reference_words_alone(self, monkeypatch):
+        def no_enumeration():
+            raise AssertionError("the catalog enumerated every subgroup")
+
+        monkeypatch.setattr(gc, "enumerate_subgroups", no_enumeration)
+        cat = gc.Catalog()
+        assert len(cat) == 33
+        reps = [c.mask for c in cat.classes]
+        assert reps == sorted(reps)  # ordered by least member
+        assert all(c.mask == min(c.conjugates) for c in cat.classes)
+
+    def test_duplicate_reference_word_refused(self, monkeypatch):
+        monkeypatch.setitem(gc.CATALOG_WORDS, "Z_2'", ("(13)(24)",))
+        with pytest.raises(ConsistencyError, match="duplicate catalog class: Z_2' vs Z_2"):
+            gc.Catalog()
 
     def test_named_generators_reproduce_orders(self):
         cat = gc.catalog()

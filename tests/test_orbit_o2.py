@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from octavib import bifurcation as bf
 from octavib import group_core as gc
 from octavib import orbit_o2 as o2
 
@@ -105,7 +106,7 @@ class TestConcreteSubgroups:
         A = o2.ConcreteSubgroup.generated(gens)
         assert len(A) == 12
         assert A.weyl_order() == 2
-        assert o2.amalgam_symbol(A) == "D_6^{Z_1} x_{D_3^p} D_3^p"
+        assert o2.amalgam_symbol(o2.symbol_key(A)) == "D_6^{Z_1} x_{D_3^p} D_3^p"
 
     def test_self_conjugate(self):
         A = o2.ConcreteSubgroup.generated([o2.reflection(0, oct_word("(56)"))])
@@ -151,34 +152,47 @@ class TestConcreteSubgroups:
 
 
 class TestMaximalTypes:
-    def test_labels_pinned_by_the_ring(self, fresh_ring):
+    def test_maximal_types_carry_reference_labels(self, fresh_ring):
         for j in (0, 4, 7, 8, 9):
             classes = o2.maximal_orbit_types(j, 1)
             assert o2.maximal_orbit_types(j, 1) is classes  # computed once
             got = {fresh_ring.label_of(ci) for ci in classes}
             assert got == set(o2.reference_red_labels(j)), j
 
-    def test_pin_replaces_a_label_read_before(self, fresh_ring):
-        # blocks 7 and 8 each hold a class whose reference spelling differs
-        # from its amalgam symbol; a label read first must not survive the pin
-        replaced = 0
+    def test_reference_spellings_hold_before_maximal_types(self, fresh_ring):
+        # blocks 7 and 8 hold three classes whose reference spelling differs
+        # from their amalgam symbol; a label read before any maximal-type
+        # computation already carries it, and keeps it after
+        before = {}
         for j in (7, 8):
             fixing = [
                 ci for ci in o2.graph_classes(1) if fresh_ring.fixed_dim(j, 1, ci) >= 1
             ]
-            unpinned = fresh_ring.maximal(fixing)
-            before = {ci: fresh_ring.label_of(ci) for ci in unpinned}
-            assert set(o2.maximal_orbit_types(j, 1)) == set(unpinned)
-            after = {ci: fresh_ring.label_of(ci) for ci in unpinned}
-            assert set(after.values()) == set(o2.reference_red_labels(j)), j
-            replaced += sum(before[ci] != after[ci] for ci in unpinned)
-        assert replaced == 3
+            before[j] = {ci: fresh_ring.label_of(ci) for ci in fresh_ring.maximal(fixing)}
+            assert set(before[j].values()) == set(o2.reference_red_labels(j)), j
+        assert "maximal_orbit_types" not in fresh_ring.memo
+        respelled = {
+            ci for labels in before.values() for ci, label in labels.items()
+            if label != o2.amalgam_symbol(fresh_ring.symbol_key(ci))
+        }
+        assert len(respelled) == 3
+        for j, labels in before.items():
+            assert set(o2.maximal_orbit_types(j, 1)) == set(labels), j
+            assert {ci: fresh_ring.label_of(ci) for ci in labels} == labels, j
 
     def test_new_ring_starts_with_empty_tables(self, fresh_ring):
         assert fresh_ring.memo == {}
         o2.maximal_orbit_types(0, 1)
-        assert fresh_ring.memo["fixed_dim"] and fresh_ring.memo["label_of"]
+        assert fresh_ring.memo["fixed_dim"] and "label_of" not in fresh_ring.memo
         assert o2.TemporalOctahedralRing().memo == {}
+
+    def test_reference_check_writes_nothing(self, fresh_ring):
+        classes = {j: o2.maximal_orbit_types(j, 1) for j in (0, 4, 7, 8, 9)}
+        snapshot = {name: dict(table) for name, table in fresh_ring.memo.items()}
+        for j, cis in classes.items():
+            labels = o2.pin_reference_labels(j, cis)
+            assert sorted(labels.values()) == sorted(o2.reference_red_labels(j)), j
+        assert {name: dict(t) for name, t in fresh_ring.memo.items()} == snapshot
 
     def test_reference_red_sets(self, sixteen_types):
         ring = R()
@@ -215,8 +229,16 @@ class TestLabels:
         other = o2.TemporalOctahedralRing()  # meets the classes in reverse first
         for A in reversed(list(o2._graph_subgroups())):
             other.find_class(A)
+        for j in (0, 4, 7, 8, 9):  # and computes every block's maximal types
+            other.maximal_orbit_types(j, 1)
         for rep, label in names.items():
             assert other.label_of(other.find_class(rep)) == label
+
+    def test_census_keeps_the_labels_read_first(self, fresh_ring, labeled_spectrum):
+        first = {ci: fresh_ring.label_of(ci) for ci in o2.graph_classes(1)}
+        census = bf.InvariantEngine(labeled_spectrum.alphas()).census()
+        assert {ci: fresh_ring.label_of(ci) for ci in first} == first
+        assert {row["label"] for row in census} <= set(first.values())
 
     def test_a_cover_keeps_its_base_ordinal(self, fresh_ring):
         labels = {ci: fresh_ring.label_of(ci) for ci in o2.graph_classes(1)}

@@ -4,7 +4,13 @@ import pytest
 from octavib import force_field as ff
 from octavib import group_core as gc
 from octavib import spectral
-from octavib.errors import InvalidCharacterError, NumericalError, ShapeError
+from octavib.errors import (
+    InvalidCharacterError,
+    LabelingError,
+    NumericalError,
+    ResonanceError,
+    ShapeError,
+)
 
 from conftest import UNSTABLE_REPORTED_9
 
@@ -163,6 +169,24 @@ class TestAssign:
         assert repr(report.alpha_sq["9"]) in str(exc.value)
         cartesian = spectral.spectrum_at_equilibrium(eq, convention="cartesian")
         assert cartesian.alpha_sq["9"] > 0
+
+    def test_eigenspace_that_does_not_decompose_is_a_labelling_bug(self):
+        # one coordinate axis spans no invariant subspace
+        line = spectral.SpectrumLine("?", 1.0, 1)
+        report = spectral.SpectrumReport(lines=(line,), basis=np.eye(18)[:, :1])
+        with pytest.raises(LabelingError, match="matches no irreducible character"):
+            spectral.assign_eigenspaces(report)
+
+    def test_merged_blocks_refused_with_resonance(self, labeled_spectrum):
+        # blocks 7 and 7* under one alpha^2: twice the character of irrep 7
+        lines = labeled_spectrum.lines
+        pair = [ln for ln in lines if ln.label in ("7", "7*")]
+        basis = np.hstack([labeled_spectrum.basis_for(ln.label) for ln in pair])
+        report = spectral.SpectrumReport(
+            lines=(spectral.SpectrumLine("?", 2.5, 6),), basis=basis
+        )
+        with pytest.raises(ResonanceError, match=r"blocks 2 x 7 share .* = 2\.5$"):
+            spectral.assign_eigenspaces(report)
 
     def test_json_roundtrip(self, labeled_spectrum):
         import json
