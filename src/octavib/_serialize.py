@@ -14,9 +14,7 @@ def _fmt(value):
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
             raise ValueError("non-finite float in JSON document")
-        if value == int(value) and abs(value) < 1e16:
-            return f"{value:.1f}"
-        return f"{value:.17g}"
+        return format_float(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):

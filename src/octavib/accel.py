@@ -1,4 +1,4 @@
-"""Numpy force-field and census kernels, batched over configurations.
+"""Numpy force-field kernels, batched over configurations.
 
 The force-field kernels take ligand positions as a ``(..., 6, 3)`` array and
 work over the 15 ligand pairs j < k; pair forces go back to the ligands
@@ -56,9 +56,3 @@ def hessian(pos, s1, s2, s3):
         H[j, :, j, :] += 2.0 * (1.0 - rr[j] ** -0.5) * np.eye(3)
     return H.reshape(18, 18)
 
-
-def census_counts(conj_h, conj_k, sorted_masks, class_ids, n_classes):
-    """Isotropy class counts over all coset pairs (h, k)."""
-    iso = np.bitwise_and.outer(conj_h, conj_k).ravel()
-    pos = np.searchsorted(sorted_masks, iso)
-    return np.bincount(class_ids[pos], minlength=n_classes).astype(np.int64)

@@ -265,12 +265,3 @@ def engine_from_spectrum(report):
     if not flag:
         raise ResonanceError(f"isotypic resonance between blocks {witness}")
     return InvariantEngine(alphas)
-
-
-def reference_alphas():
-    """Frequencies at the reference force-field parameters."""
-    from . import force_field, spectral
-
-    eq = force_field.find_equilibrium(force_field.REFERENCE_PARAMS)
-    rep = spectral.spectrum_at_equilibrium(eq)
-    return rep.alphas()

@@ -19,11 +19,9 @@ method name and arguments.
 """
 
 import functools
-from collections import defaultdict
+from collections import Counter, defaultdict
 
-import numpy as np
-
-from . import accel, group_core
+from . import group_core
 from ._serialize import dumps
 from .errors import ConsistencyError
 
@@ -216,9 +214,9 @@ class OctahedralBurnside(BurnsideRing):
 
     unit_label = "S_4^p"
 
-    def __init__(self, cat=None):
+    def __init__(self):
         super().__init__()
-        self.catalog = cat or group_core.catalog()
+        self.catalog = group_core.catalog()
 
     def weyl(self, label):
         return self.catalog.by_label(label).weyl_order
@@ -226,18 +224,38 @@ class OctahedralBurnside(BurnsideRing):
     def order_of(self, label):
         return self.catalog.by_label(label).order
 
-    def fixed_cosets(self, L, H):
-        return self.catalog.fixed_cosets(
-            self.catalog.index_of_label[L], self.catalog.index_of_label[H]
-        )
+    @cached
+    def coset_conjugates(self, H):
+        """The conjugates gHg^-1 of H's representative, one per coset gH, as masks."""
+        mask = self.catalog.by_label(H).mask
+        elems = group_core.mask_elements(mask)
+        out, covered = [], set()
+        for g in range(group_core.N):
+            if g not in covered:
+                out.append(group_core.conj_mask(mask, g))
+                covered.update(group_core.MUL[g][x] for x in elems)
+        return out
 
+    @cached
+    def fixed_cosets(self, L, H):
+        """|(G/H)^L|: the cosets gH whose stabilizer gHg^-1 contains L."""
+        mask = self.catalog.by_label(L).mask
+        return sum(1 for c in self.coset_conjugates(H) if mask & ~c == 0)
+
+    @cached
     def candidate_subtypes(self, H):
-        hidx = self.catalog.index_of_label[H]
-        return [
-            c.label
-            for ci, c in enumerate(self.catalog.classes)
-            if self.catalog.subconjugate(ci, hidx)
-        ]
+        return [c.label for c in self.catalog.classes if self.fixed_cosets(c.label, H)]
+
+    @cached
+    def fixed_dim(self, j, label):
+        """dim of the irrep-j fixed space under the class `label`, via characters."""
+        cls = self.catalog.by_label(label)
+        chi = group_core.CHARACTER_TABLE[j]
+        total = sum(chi[group_core.ELEMENT_CLASS[x]] for x in cls.elements)
+        q, r = divmod(total, cls.order)
+        if r:
+            raise ConsistencyError(f"non-integer fixed dimension at {label}")
+        return q
 
     def generator(self, label):
         self.catalog.by_label(label)  # validate
@@ -246,54 +264,22 @@ class OctahedralBurnside(BurnsideRing):
         return self.element(0, {label: 1})
 
     # ---------------- brute-force census oracle ----------------------
-    @cached
-    def _tables(self):
-        cat = self.catalog
-        masks = []
-        ids = []
-        for ci, c in enumerate(cat.classes):
-            for m in c.conjugates:
-                masks.append(m)
-                ids.append(ci)
-        order = np.argsort(masks)
-        return (
-            np.array(masks, dtype=np.uint64)[order],
-            np.array(ids, dtype=np.int64)[order],
-        )
-
     def census_multiply(self, H, K):
         """(H)*(K) by enumerating points of G/H x G/K and their stabilizers."""
         cat = self.catalog
-        sorted_masks, class_ids = self._tables()
-        hi = cat.index_of_label[H]
-        ki = cat.index_of_label[K]
-        conj_h = np.array(
-            [group_core.conj_mask(cat.classes[hi].mask, g) for g in cat.coset_reps(hi)],
-            dtype=np.uint64,
-        )
-        conj_k = np.array(
-            [group_core.conj_mask(cat.classes[ki].mask, g) for g in cat.coset_reps(ki)],
-            dtype=np.uint64,
-        )
-        counts = accel.census_counts(
-            conj_h, conj_k, sorted_masks, class_ids, len(cat.classes)
+        counts = Counter(
+            cat.class_of_mask[a & b]
+            for a in self.coset_conjugates(H)
+            for b in self.coset_conjugates(K)
         )
         out = {}
-        for ci, cnt in enumerate(counts):
-            if not cnt:
-                continue
-            orbit_size = group_core.N // cat.classes[ci].order
-            n, r = divmod(int(cnt), orbit_size)
+        for ci, cnt in counts.items():
+            cls = cat.classes[ci]
+            n, r = divmod(cnt, group_core.N // cls.order)
             if r:
                 raise ConsistencyError("census points do not fill whole orbits")
-            label = cat.classes[ci].label
-            if label == self.unit_label:
-                continue
-            out[label] = n
-        unit = 1 if H == self.unit_label and K == self.unit_label else 0
-        # the unit class appears only when both factors are the full group
-        full = self.element(unit, out)
-        return full
+            out[cls.label] = n
+        return self.element(out.pop(self.unit_label, 0), out)
 
     # ---------------- basic degrees ----------------------------------
     def basic_degree_from_dims(self, fixed_dims):
@@ -306,10 +292,7 @@ class OctahedralBurnside(BurnsideRing):
 
     def basic_degree(self, j):
         """Degree of the antipodal map on the ball of irreducible j."""
-        cat = self.catalog
-        dims = {
-            c.label: cat.irrep_fixed_dim(j, ci) for ci, c in enumerate(cat.classes)
-        }
+        dims = {c.label: self.fixed_dim(j, c.label) for c in self.catalog.classes}
         return self.basic_degree_from_dims(dims)
 
 

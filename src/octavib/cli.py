@@ -7,12 +7,22 @@ floats printed with 17 significant digits.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
 from . import bifurcation, force_field, group_core, modes, orbit_o2, spectral
 from ._serialize import dumps, format_float
 from .errors import ConfigError, ConsistencyError, OctavibError
+
+
+@contextlib.contextmanager
+def _writing():
+    """Refuse an output path that cannot be written as a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
 def _params(args):
@@ -37,7 +47,7 @@ def cmd_spectrum(args):
     doc = report.to_json()
     if args.out:
         path = os.path.join(args.out, "spectrum.json")
-        with open(path, "w") as fh:
+        with _writing(), open(path, "w") as fh:
             fh.write(doc + "\n")
         print(f"wrote {path}")
     else:
@@ -109,13 +119,14 @@ def cmd_modes(args):
     traj = shop.build_mode(args.j, args.k, args.eps, args.samples)
     passed, report = shop.verify_symmetry(traj)
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
     stem = f"mode_j{args.j.replace('*', 's')}_k{args.k}"
     csv_path = os.path.join(outdir, stem + ".csv")
     man_path = os.path.join(outdir, stem + ".json")
-    modes.export_trajectory(traj, csv_path)
-    with open(man_path, "w") as fh:
-        fh.write(modes.mode_manifest(traj, passed, report) + "\n")
+    with _writing():
+        os.makedirs(outdir, exist_ok=True)
+        modes.export_trajectory(traj, csv_path)
+        with open(man_path, "w") as fh:
+            fh.write(modes.mode_manifest(traj, passed, report) + "\n")
     print(f"wrote {csv_path}")
     print(f"wrote {man_path}")
     print(f"symmetry=({traj.symmetry}) verified={'true' if passed else 'false'}")
@@ -150,7 +161,7 @@ def cmd_catalog(args):
     text = dumps(doc)
     if args.out:
         path = os.path.join(args.out, "catalog.json")
-        with open(path, "w") as fh:
+        with _writing(), open(path, "w") as fh:
             fh.write(text + "\n")
         print(f"wrote {path}")
     else:

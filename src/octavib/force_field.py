@@ -68,26 +68,32 @@ REFERENCE_PARAMS = PotentialParams(0.0618, 0.0618, 1.0)
 
 def load_params(path):
     """Read a ``key=value`` parameter file (sigma1=, sigma2=, sigma3=)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text") from None
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in ("sigma1", "sigma2", "sigma3"):
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad number {val.strip()!r}") from None
-            if not np.isfinite(values[key]):
-                raise ConfigError(
-                    f"{path}:{lineno}: {key} must be finite, got {val.strip()!r}"
-                )
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in ("sigma1", "sigma2", "sigma3"):
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = float(val)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad number {val.strip()!r}") from None
+        if not np.isfinite(values[key]):
+            raise ConfigError(
+                f"{path}:{lineno}: {key} must be finite, got {val.strip()!r}"
+            )
     missing = {"sigma1", "sigma2", "sigma3"} - set(values)
     if missing:
         raise ConfigError(f"{path}: missing {', '.join(sorted(missing))}")

@@ -43,15 +43,6 @@ def _cycles_to_perm(cycles, n):
     return tuple(out)
 
 
-def _perm_sign(p):
-    s = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                s = -s
-    return s
-
-
 def _cycle_type(p):
     seen = [False] * len(p)
     ct = []
@@ -114,10 +105,6 @@ INV = tuple(
 )
 
 # conjugacy classes of elements, in character-table column order
-CLASS_NAMES = (
-    "((1),1)", "((1),-1)", "((12),1)", "((12),-1)", "((12)(34),1)",
-    "((12)(34),-1)", "((123),1)", "((123),-1)", "((1234),1)", "((1234),-1)",
-)
 _CLASS_KEYS = (
     ((1, 1, 1, 1), 1), ((1, 1, 1, 1), -1), ((2, 1, 1), 1), ((2, 1, 1), -1),
     ((2, 2), 1), ((2, 2), -1), ((3, 1), 1), ((3, 1), -1), ((4,), 1), ((4,), -1),
@@ -353,58 +340,12 @@ class Catalog:
             self.index_of_label[label] = ci
             self.class_of_mask.update(dict.fromkeys(orbit, ci))
         self.n_classes = len(self.classes)
-        self._fix = {}
 
     def __len__(self):
         return self.n_classes
 
     def by_label(self, label):
         return self.classes[self.index_of_label[label]]
-
-    def coset_reps(self, ci):
-        mask = self.classes[ci].mask
-        elems = set(mask_elements(mask))
-        reps, covered = [], set()
-        for g in range(N):
-            if g in covered:
-                continue
-            reps.append(g)
-            covered |= {MUL[g][x] for x in elems}
-        return reps
-
-    def fixed_cosets(self, L, H):
-        """|(G/H)^L|: cosets gH whose pointwise stabilizer contains L."""
-        key = (L, H)
-        if key in self._fix:
-            return self._fix[key]
-        Lm = self.classes[L].mask
-        Hm = self.classes[H].mask
-        cnt = 0
-        for g in self.coset_reps(H):
-            if Lm & ~conj_mask(Hm, g) == 0:
-                cnt += 1
-        self._fix[key] = cnt
-        return cnt
-
-    def n_count(self, L, H):
-        """n(L,H): number of conjugates of H containing L."""
-        fc = self.fixed_cosets(L, H)
-        w = self.classes[H].weyl_order
-        if fc % w:
-            raise ConsistencyError(f"fixed-coset count not divisible by Weyl order")
-        return fc // w
-
-    def subconjugate(self, L, H):
-        return self.fixed_cosets(L, H) > 0
-
-    def irrep_fixed_dim(self, j, ci):
-        """dim of the irrep-j fixed space under class ci, via characters."""
-        chi = CHARACTER_TABLE[j]
-        total = sum(chi[ELEMENT_CLASS[x]] for x in self.classes[ci].elements)
-        order = self.classes[ci].order
-        if total % order:
-            raise ConsistencyError("non-integer fixed dimension")
-        return total // order
 
     def export(self):
         """JSON-ready catalog description."""

@@ -55,10 +55,9 @@ class ModeWorkshop:
         self.params = params or force_field.REFERENCE_PARAMS
         self.equilibrium = force_field.find_equilibrium(self.params)
         self.center = self.equilibrium.configuration.reshape(18)
-        H = force_field.hessian_blocks(
-            self.params, self.equilibrium.radius, convention="cartesian"
+        self.spectrum = spectral.spectrum_at_equilibrium(
+            self.equilibrium, convention="cartesian"
         )
-        self.spectrum = spectral.assign_eigenspaces(spectral.numeric_spectrum(H))
         self.ring = orbit_o2.ring()
 
     def types_for(self, j):

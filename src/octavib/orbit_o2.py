@@ -32,7 +32,9 @@ from . import group_core as gc
 from .burnside import BurnsideRing, cached
 from .errors import CatalogError, ConsistencyError
 
-GRID = 10080  # angle denominator: covers D_{2nl} for n <= 8, modes l <= 8
+# angle denominator, 24 * lcm(1..7).  Mode-l covers stay on the grid only
+# where 24 l divides it, which fails at l = 8, 9, 11, 13, 16, 17, ...
+GRID = 10080
 
 N = gc.N
 _IDENT = gc.IDENTITY

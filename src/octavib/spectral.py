@@ -88,7 +88,6 @@ class SpectrumReport:
     def basis_for(self, label):
         if self.basis is None:
             raise ShapeError("spectrum report carries no eigenbasis")
-        cols = []
         k = 0
         for ln in self.lines:
             if ln.label == label:

@@ -1,17 +1,7 @@
-import numpy as np
 import pytest
 
-from octavib import accel, burnside, group_core as gc
+from octavib import burnside
 from octavib.errors import ConsistencyError
-
-
-def census_loop(conj_h, conj_k, sorted_masks, class_ids, n_classes):
-    """Scalar oracle for ``accel.census_counts``, one coset pair at a time."""
-    counts = np.zeros(n_classes, dtype=np.int64)
-    for mh in conj_h:
-        for mk in conj_k:
-            counts[class_ids[np.searchsorted(sorted_masks, mh & mk)]] += 1
-    return counts
 
 
 @pytest.fixture(scope="module")
@@ -69,22 +59,6 @@ class TestProducts:
             sq = ring.generator(label) * ring.generator(label)
             assert sq.coefficient(label) == cls.weyl_order
 
-    def test_census_kernels_agree(self, ring):
-        cat = ring.catalog
-        masks, ids = ring._tables()
-        for h, k in (("D_3^p", "D_4^p"), ("V_4^p", "D_2^d"), ("Z_1", "S_4^p")):
-            conj_h, conj_k = (
-                np.array(
-                    [gc.conj_mask(cat.classes[i].mask, g) for g in cat.coset_reps(i)],
-                    dtype=np.uint64,
-                )
-                for i in (cat.index_of_label[h], cat.index_of_label[k])
-            )
-            args = (conj_h, conj_k, masks, ids, len(cat.classes))
-            counts = accel.census_counts(*args)
-            assert np.array_equal(counts, census_loop(*args)), (h, k)
-            assert counts.sum() == len(conj_h) * len(conj_k)
-
 
 class TestBasicDegrees:
     def test_trivial_representation(self, ring):
@@ -104,46 +78,25 @@ class TestBasicDegrees:
         )
 
     def test_leading_coefficient_law(self, ring):
-        cat = ring.catalog
         for j in range(10):
             deg = ring.basic_degree(j) - ring.unit()
-            supp = list(deg.coeffs)
-            if j == 0:
-                supp.append(burnside.UNIT_KEY)
-            maximal = [
-                lb
-                for lb in deg.coeffs
-                if not any(
-                    other != lb
-                    and cat.subconjugate(
-                        cat.index_of_label[lb], cat.index_of_label[other]
-                    )
-                    for other in deg.coeffs
-                )
-            ]
             if j == 0:
                 assert deg.unit == -2  # the full group itself carries the law
                 continue
+            maximal = ring.maximal(list(deg.coeffs))
             assert maximal
             for lb in maximal:
-                w = cat.by_label(lb).weyl_order
-                n = deg.coefficient(lb)
+                n, w = deg.coefficient(lb), ring.weyl(lb)
                 assert (n, w) in ((-1, 2), (-2, 1)), (j, lb, n, w)
-                ci = cat.index_of_label[lb]
-                assert cat.irrep_fixed_dim(j, ci) % 2 == 1
+                assert ring.fixed_dim(j, lb) % 2 == 1
 
     def test_degree_from_dims_matches_character_path(self, ring):
-        cat = ring.catalog
         for j in (1, 4, 7, 9):
-            dims = {
-                c.label: cat.irrep_fixed_dim(j, ci)
-                for ci, c in enumerate(cat.classes)
-            }
+            dims = {c.label: ring.fixed_dim(j, c.label) for c in ring.catalog.classes}
             assert ring.basic_degree_from_dims(dims) == ring.basic_degree(j)
 
     def test_inconsistent_dims_panic(self, ring):
-        cat = ring.catalog
-        dims = {c.label: 1 for c in cat.classes}
+        dims = {c.label: 1 for c in ring.catalog.classes}
         dims["D_1^z"] = 2  # breaks the parity structure of a real representation
         with pytest.raises(ConsistencyError):
             ring.basic_degree_from_dims(dims)
@@ -151,3 +104,14 @@ class TestBasicDegrees:
     def test_pi0_is_identity_here(self, ring):
         x = ring.basic_degree(7)
         assert ring.pi0_truncate(x) == x
+
+
+class TestRingTables:
+    def test_basic_degree_fills_the_ring_tables_once(self):
+        fresh = burnside.OctahedralBurnside()
+        assert not fresh.memo
+        fresh.basic_degree(7)
+        assert fresh.memo["fixed_cosets"] and fresh.memo["fixed_dim"]
+        keys = {name: set(table) for name, table in fresh.memo.items()}
+        fresh.basic_degree(7)
+        assert {name: set(table) for name, table in fresh.memo.items()} == keys

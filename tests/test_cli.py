@@ -42,6 +42,44 @@ class TestEquilibrium:
         assert "nan.cfg:3: sigma3" in err
 
 
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize(
+        "make", [lambda d: d / "missing.cfg", lambda d: d, lambda d: d / "latin1.cfg"],
+        ids=["missing", "directory", "not-utf8"],
+    )
+    def test_unreadable_config_exit_2(self, capsys, tmp_path, make):
+        (tmp_path / "latin1.cfg").write_bytes(b"sigma1=0.1 # \xe9\xff\n")
+        path = make(tmp_path)
+        code, out, err = run(capsys, "--config", str(path), "equilibrium")
+        assert code == 2
+        assert err.startswith(f"configuration error: cannot read {path}: ")
+        assert out == ""
+
+    def test_spectrum_into_missing_directory_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "spectrum.json"
+        code, out, err = run(capsys, "spectrum", "--out", str(target.parent))
+        assert code == 2
+        assert err.startswith(f"configuration error: cannot write {target}: ")
+        assert out == ""
+
+    def test_modes_into_a_file_exit_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys, "modes", "--j", "0", "--samples", "8", "--out", str(blocker)
+        )
+        assert code == 2
+        assert err.startswith(f"configuration error: cannot write {blocker}: ")
+        assert out == ""
+
+    def test_catalog_into_missing_directory_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "catalog.json"
+        code, _, err = run(capsys, "catalog", "--out", str(target.parent))
+        assert code == 2
+        assert f"cannot write {target}" in err
+
+
 class TestCritical:
     def test_prefix(self, capsys):
         code, out, _ = run(capsys, "critical", "--max", "3")
