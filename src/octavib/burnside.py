@@ -185,12 +185,18 @@ class BurnsideRing:
         return out
 
     def maximal(self, keys):
-        """The keys no other key of `keys` lies above."""
-        return [
-            L
-            for L in keys
-            if not any(t != L and self.fixed_cosets(L, t) > 0 for t in keys)
-        ]
+        """The keys no other key of `keys` lies above, in input order.
+
+        Largest first, a key is kept when no key kept so far lies above it.
+        That suffices: two distinct classes of one order are never
+        comparable, and whatever lies above a key lies below a maximal key of
+        larger order, which subconjugacy's transitivity carries down to it.
+        """
+        kept = []
+        for L in sorted(keys, key=lambda L: -self.order_of(L)):
+            if not any(self.fixed_cosets(L, M) > 0 for M in kept):
+                kept.append(L)
+        return [L for L in keys if L in kept]
 
     def multiply_generators(self, H, K):
         """(H) * (K); the product commutes, so both orders share one entry."""

@@ -1,9 +1,10 @@
 """Command-line driver.
 
 Subcommands: equilibrium, spectrum, critical, invariant, modes, catalog.
-Exit codes: 0 ok, 1 numerical failure, 2 bad configuration, 3 internal
-consistency failure.  All output is deterministic: sorted JSON keys and
-floats printed with 17 significant digits.
+Exit codes: 0 ok, 1 numerical failure (its message names the σ it
+happened at), 2 bad configuration, 3 internal consistency failure.  All
+output is deterministic: sorted JSON keys and floats printed with 17
+significant digits.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 
 from . import bifurcation, force_field, group_core, modes, orbit_o2, spectral
 from ._serialize import dumps, format_float
-from .errors import ConfigError, ConsistencyError, OctavibError
+from .errors import ConfigError, ConsistencyError, OctavibError, ResonanceError
 
 
 @contextlib.contextmanager
@@ -29,6 +30,26 @@ def _params(args):
     if args.config:
         return force_field.load_params(args.config)
     return force_field.REFERENCE_PARAMS
+
+
+def _sigma(args):
+    """The request's σ, as a numerical failure names it.
+
+    Every command that can fail numerically has read its parameters first,
+    so reading them again cannot fail.
+    """
+    params = _params(args)
+    names = ("sigma1", "sigma2", "sigma3")
+    return ", ".join(f"{name}={float(getattr(params, name))!r}" for name in names)
+
+
+def _output_directory(path):
+    """Refuse a directory path that is, or lies under, something else."""
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigError(f"cannot write {path}: not a directory")
 
 
 def cmd_equilibrium(args):
@@ -62,8 +83,9 @@ def cmd_critical(args):
     alphas = report.alphas()
     ok, witness = bifurcation.check_isotypic_nonresonance(report)
     if not ok:
-        print(f"resonance between isotypic blocks {witness[0]} and {witness[1]}")
-        return 1
+        message = f"resonance between isotypic blocks {witness[0]} and {witness[1]}"
+        print(message)
+        raise ResonanceError(message)
     crit = bifurcation.critical_set(alphas, args.max)
     for c in crit:
         print(f"lambda[{c.j},{c.l}]={format_float(c.value)}")
@@ -114,11 +136,12 @@ def cmd_census(args):
 
 
 def cmd_modes(args):
+    outdir = args.out or "."
+    _output_directory(outdir)
     params = _params(args)
     shop = modes.ModeWorkshop(params)
     traj = shop.build_mode(args.j, args.k, args.eps, args.samples)
     passed, report = shop.verify_symmetry(traj)
-    outdir = args.out or "."
     stem = f"mode_j{args.j.replace('*', 's')}_k{args.k}"
     csv_path = os.path.join(outdir, stem + ".csv")
     man_path = os.path.join(outdir, stem + ".json")
@@ -231,7 +254,7 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OctavibError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc} ({_sigma(args)})", file=sys.stderr)
         return 1
 
 

@@ -92,8 +92,9 @@ _CONJ = tuple(
 )
 
 
-def _conjugators(gens, H, refl_h_by_spatial):
-    """Every c with c^-1 x c in H for each decoded generator x = (e, k, g).
+def _conjugators(gens, H, refl_h_by_spatial, spatial=range(N)):
+    """Every c with c^-1 x c in H for each decoded generator x = (e, k, g),
+    among those whose spatial part g_c is in ``spatial``.
 
     Table-driven and fused, with no element decoded or encoded on the way.
     Let x0 = (1, k0, g0) be the first reflection of gens.  Conjugation by
@@ -112,7 +113,7 @@ def _conjugators(gens, H, refl_h_by_spatial):
     refls = [(k - k0, g) for k, g in refls[1:]]
     rots = [(k, g) for e, k, g in gens if not e]
     half = GRID // 2
-    for g_c in range(N):
+    for g_c in spatial:
         row = _CONJ[g_c]
         kbs = refl_h_by_spatial.get(row[g0])
         if kbs is None:
@@ -399,6 +400,12 @@ class TemporalOctahedralRing(BurnsideRing):
 
     # registry ---------------------------------------------------------
     def find_class(self, subgroup):
+        """Class id of a subgroup, registering a new class if none is conjugate.
+
+        The mode-1 classes are registered first, so their ids do not depend
+        on what the ring was asked before.
+        """
+        self.graph_classes(1)
         key = subgroup.elements
         if key in self._by_set:
             return self._by_set[key]
@@ -410,9 +417,12 @@ class TemporalOctahedralRing(BurnsideRing):
             if rep.profile() == p and rep.is_conjugate(subgroup):
                 self._by_set[key] = ci
                 return ci
+        return self._register(subgroup)
+
+    def _register(self, subgroup):
         self._reps.append(subgroup)
         ci = len(self._reps) - 1
-        self._by_set[key] = ci
+        self._by_set[subgroup.elements] = ci
         return ci
 
     def register_cover(self, base_ci, l):
@@ -428,12 +438,9 @@ class TemporalOctahedralRing(BurnsideRing):
         if key in self._by_set:
             return self._by_set[key]
         cov = mode_cover(self._reps[base_ci], l)
-        if cov.elements in self._by_set:
-            ci = self._by_set[cov.elements]
-        else:
-            self._reps.append(cov)
-            ci = len(self._reps) - 1
-            self._by_set[cov.elements] = ci
+        ci = self._by_set.get(cov.elements)
+        if ci is None:
+            ci = self._register(cov)
         self._by_set[key] = ci
         self._cover_base[ci] = base_ci
         return ci
@@ -445,12 +452,14 @@ class TemporalOctahedralRing(BurnsideRing):
     def graph_classes(self, l):
         """Class ids of every finite-Weyl orbit type at Fourier mode l.
 
-        At l = 1 in the order ``_graph_subgroups()`` first meets them, which
-        does not depend on what the ring registered before.
+        At l = 1 these are the ring's first ids, one class per orbit of
+        character graphs, each built once as the subgroup its first graph
+        names, in the order ``_graph_representatives()`` meets them.  At
+        l > 1 they are the covers of the mode-1 classes.
         """
         if l > 1:
             return sorted({self.register_cover(ci, l) for ci in self.graph_classes(1)})
-        return list(dict.fromkeys(self.find_class(A) for A in _graph_subgroups()))
+        return [self._register(A) for A in _graph_representatives()]
 
     @cached
     def mode_period(self):
@@ -565,17 +574,38 @@ class TemporalOctahedralRing(BurnsideRing):
         return all(have.get(k, 0) >= n for k, n in self._profile_counts(L).items())
 
     @cached
+    def _spatial_cosets(self, ci):
+        """One spatial part per left coset g pi(A) of the spatial projection
+        pi(A) of ci's representative A, and |A| / |pi(A)|."""
+        projection = self._reps[ci].spatial_projection()
+        reps, covered = [], set()
+        for g in range(N):
+            if g not in covered:
+                reps.append(g)
+                covered.update(gc.MUL[g][p] for p in projection)
+        return tuple(reps), len(self._reps[ci]) // len(projection)
+
+    @cached
     def fixed_cosets(self, L, H):
-        """|(G/H)^L| = |{c : c^-1 L c in H}| / |H|, counted over conjugators."""
+        """|(G/H)^L| = |{c : c^-1 L c in H}| / |H|, counted over conjugators.
+
+        The conjugators form whole left cosets cH, and right multiplication
+        by h in H moves a conjugator's spatial part g_c to g_c pi(h) while
+        keeping the count per spatial part.  So one g_c per left coset
+        g pi(H) is searched, and the count over those is divided (checked)
+        by |H| / |pi(H)| instead of |H|.
+        """
         a, b = self._reps[L], self._reps[H].elements
         if len(b) % len(a) or not self._profile_fits(L, H):
             return 0
         gens = [decode(x) for x in a.generators()]
-        n = sum(1 for _ in _conjugators(gens, b, self._refl_index(H)))
-        val, r = divmod(n, len(b))
+        spatial, kernel = self._spatial_cosets(H)
+        n = sum(1 for _ in _conjugators(gens, b, self._refl_index(H), spatial))
+        val, r = divmod(n, kernel)
         if r:
             raise ConsistencyError(
-                f"conjugator count {n} not divisible by |H| = {len(b)}"
+                f"conjugator count {n} over one spatial part per coset of pi(H)"
+                f" not divisible by |H|/|pi(H)| = {kernel}"
             )
         return val
 
@@ -675,30 +705,68 @@ def _characters_of(els, gens):
     return [dict(u) for u in uniq]
 
 
-def _graph_subgroups():
-    """One subgroup per character graph: every mode-1 finite-Weyl orbit type.
+def _graph_representatives():
+    """The subgroup each mode-1 finite-Weyl orbit type is first met as.
 
-    A type may appear more than once; ``find_class`` interns the repeats.
+    A character graph (K, chi, t) pairs a catalog representative K, a
+    character chi of K and a t normalizing K with t^2 in K and
+    chi(t x t^-1) = -chi(x); it names the subgroup generated by
+    graph(chi) = {(0, chi(x), x)} and the reflection (1, 0, t).  The
+    triples are walked in catalog, character and t order.  Triples in one
+    orbit under conjugation by N(K), chi -> -chi (conjugation by the
+    temporal reflection) and t -> t x for x in K (a temporal rotation turns
+    the subgroup's reflection (1, -chi(x), t x) to angle 0) name conjugate
+    subgroups, so a triple in the orbit of one met before is skipped.
+
+    chi(t^2) is 0 or a half turn.  At 0 the subgroup is
+    graph(chi) + (1, 0, t) graph(chi), built directly, and conversely a
+    subgroup conjugate to it comes from a triple of the same orbit, so it
+    is a new class.  At a half turn, (1, 0, t)^2 = (0, 0, t^2) adds the
+    rotation (0, 1/2, 1): the subgroup is closed from its generators, it
+    fixes chi only up to a character into {0, 1/2}, and so it is checked
+    against the earlier subgroups of this kind, the only ones it can be
+    conjugate to.
     """
-    cat = gc.catalog()
-    for cls in cat.classes:
+    half_turn = []
+    for cls in gc.catalog().classes:
         K = cls.mask
         els = gc.mask_elements(K)
+        normalizer = [n for n in range(N) if gc.conj_mask(K, n) == K]
+        # each coset g K of the normalizer, named by its least element
+        coset = {g: min(gc.MUL[g][x] for x in els) for g in normalizer}
         # spatial element g has code g, so these are spatial generators
         spatial_gens = ConcreteSubgroup(els).generators()
+        # the N(K)-images (chi as angles over els, coset t K) of the triples
+        # built; chi -> -chi is looked up, not stored
+        met = set()
         for chi in _characters_of(els, spatial_gens):
-            for t in range(N):
-                if gc.conj_mask(K, t) != K:
-                    continue
+            angles = tuple(chi[x] for x in els)
+            negated = tuple(-a % GRID for a in angles)
+            for t in normalizer:
                 if not K >> gc.MUL[t][t] & 1:
+                    continue
+                if (angles, coset[t]) in met or (negated, coset[t]) in met:
                     continue
                 if any(
                     chi[gc.MUL[gc.MUL[t][x]][gc.INV[t]]] != (-chi[x]) % GRID
                     for x in els
                 ):
                     continue
-                gens = [encode(0, chi[x], x) for x in spatial_gens] + [encode(1, 0, t)]
-                yield ConcreteSubgroup.generated(gens)
+                for n in normalizer:
+                    turned = tuple(chi[_CONJ[n][y]] for y in els)
+                    met.add((turned, coset[gc.MUL[gc.MUL[n][t]][gc.INV[n]]]))
+                if chi[gc.MUL[t][t]]:
+                    gens = [encode(0, chi[x], x) for x in spatial_gens]
+                    A = ConcreteSubgroup.generated(gens + [encode(1, 0, t)])
+                    if any(A.is_conjugate(B) for B in half_turn):
+                        continue
+                    half_turn.append(A)
+                else:
+                    A = ConcreteSubgroup(
+                        [encode(0, chi[x], x) for x in els]
+                        + [encode(1, -chi[x], gc.MUL[t][x]) for x in els]
+                    )
+                yield A
 
 
 def graph_classes(l=1):

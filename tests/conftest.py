@@ -23,6 +23,14 @@ def sweep_box(n=48):
     ]
 
 
+def all_pairs_maximal(ring, keys):
+    """The keys no other key lies above, testing every ordered pair (oracle
+    for ``BurnsideRing.maximal``)."""
+    return [
+        L for L in keys if not any(t != L and ring.fixed_cosets(L, t) > 0 for t in keys)
+    ]
+
+
 def engine_at(sigmas):
     eq = force_field.find_equilibrium(force_field.PotentialParams(*sigmas))
     return bifurcation.engine_from_spectrum(spectral.spectrum_at_equilibrium(eq))

@@ -3,6 +3,8 @@ import pytest
 from octavib import burnside
 from octavib.errors import ConsistencyError
 
+from conftest import all_pairs_maximal
+
 
 @pytest.fixture(scope="module")
 def ring():
@@ -100,6 +102,11 @@ class TestBasicDegrees:
         dims["D_1^z"] = 2  # breaks the parity structure of a real representation
         with pytest.raises(ConsistencyError):
             ring.basic_degree_from_dims(dims)
+
+    def test_maximal_matches_all_pairs_on_every_support(self, ring):
+        for j in range(10):
+            keys = list(ring.basic_degree(j).coeffs)
+            assert ring.maximal(keys) == all_pairs_maximal(ring, keys), j
 
     def test_pi0_is_identity_here(self, ring):
         x = ring.basic_degree(7)

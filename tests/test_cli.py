@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from octavib import bifurcation, cli, orbit_o2
+from octavib import bifurcation, cli, modes, orbit_o2
 
 from conftest import UNSTABLE_REPORTED_9
 
@@ -73,6 +73,21 @@ class TestUnusablePaths:
         assert err.startswith(f"configuration error: cannot write {blocker}: ")
         assert out == ""
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+    def test_modes_into_a_file_refused_before_the_mode(
+        self, capsys, monkeypatch, tmp_path, below
+    ):
+        def no_mode(*args):
+            raise AssertionError("the mode was built before the path was checked")
+
+        monkeypatch.setattr(modes.ModeWorkshop, "build_mode", no_mode)
+        (tmp_path / "file").write_text("")
+        target = tmp_path.joinpath("file", below)
+        code, out, err = run(capsys, "modes", "--j", "0", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"configuration error: cannot write {target}: not a directory\n"
+
     def test_catalog_into_missing_directory_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "catalog.json"
         code, _, err = run(capsys, "catalog", "--out", str(target.parent))
@@ -136,7 +151,9 @@ class TestReportedSpectrumRefusal:
         assert code == 1
         assert out == ""
         assert err.startswith("numerical failure: block 9 has alpha^2 = -0.00013")
-        assert err.rstrip().endswith("<= 0")
+        assert err.endswith(
+            "<= 0 (sigma1=0.04358, sigma2=0.07072, sigma3=1.4449)\n"
+        )
 
     def test_modes_use_the_cartesian_spectrum(self, capsys, config, tmp_path):
         code, out, _ = run(
@@ -165,7 +182,21 @@ class TestMergedEigenspaceRefusal:
         assert out == ""
         assert err == (
             "numerical failure: blocks 6, 7, 8, 9 share one eigenspace"
-            " at alpha^2 = 0\n"
+            f" at alpha^2 = 0 (sigma1={float(sigma1)!r}, sigma2=0.0, sigma3=0.0)\n"
+        )
+
+
+class TestCriticalResonanceRefusal:
+    def test_exit_1_naming_sigma_and_keeping_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            bifurcation, "check_isotypic_nonresonance", lambda report: (False, ("4", "7"))
+        )
+        code, out, err = run(capsys, "critical")
+        assert code == 1
+        assert out == "resonance between isotypic blocks 4 and 7\n"
+        assert err == (
+            "numerical failure: resonance between isotypic blocks 4 and 7"
+            " (sigma1=0.0618, sigma2=0.0618, sigma3=1.0)\n"
         )
 
 

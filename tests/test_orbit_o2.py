@@ -8,6 +8,8 @@ from octavib import bifurcation as bf
 from octavib import group_core as gc
 from octavib import orbit_o2 as o2
 
+from conftest import all_pairs_maximal, engine_at, sweep_box
+
 R = lambda: o2.ring()
 
 
@@ -34,6 +36,42 @@ def reference_fixed_cosets(ring, L, H, weyl_orders):
     if H not in weyl_orders:
         weyl_orders[H] = ring.representative(H).weyl_order()
     return len(hits) * weyl_orders[H]
+
+
+def reference_graph_subgroups():
+    """The closure of every character graph (K, chi, t), in catalog,
+    character and t order; a type may appear more than once (oracle)."""
+    cat = gc.catalog()
+    for cls in cat.classes:
+        K = cls.mask
+        els = gc.mask_elements(K)
+        spatial_gens = o2.ConcreteSubgroup(els).generators()
+        for chi in o2._characters_of(els, spatial_gens):
+            for t in range(o2.N):
+                if gc.conj_mask(K, t) != K:
+                    continue
+                if not K >> gc.MUL[t][t] & 1:
+                    continue
+                if any(
+                    chi[gc.MUL[gc.MUL[t][x]][gc.INV[t]]] != (-chi[x]) % o2.GRID
+                    for x in els
+                ):
+                    continue
+                gens = [o2.encode(0, chi[x], x) for x in spatial_gens]
+                yield o2.ConcreteSubgroup.generated(gens + [o2.encode(1, 0, t)])
+
+
+def reference_graph_classes():
+    """The first-met subgroup of each class, interning every closed graph by
+    a conjugacy scan over the classes met before (oracle)."""
+    reps, seen = [], set()
+    for A in reference_graph_subgroups():
+        if A.elements in seen:
+            continue
+        seen.add(A.elements)
+        if not any(len(B) == len(A) and B.is_conjugate(A) for B in reps):
+            reps.append(A)
+    return reps
 
 
 def oct_word(word):
@@ -226,8 +264,8 @@ class TestLabels:
             fresh_ring.representative(ci): fresh_ring.label_of(ci)
             for ci in o2.graph_classes(1)
         }
-        other = o2.TemporalOctahedralRing()  # meets the classes in reverse first
-        for A in reversed(list(o2._graph_subgroups())):
+        other = o2.TemporalOctahedralRing()  # asked for the classes in reverse first
+        for A in reversed(list(reference_graph_subgroups())):
             other.find_class(A)
         for j in (0, 4, 7, 8, 9):  # and computes every block's maximal types
             other.maximal_orbit_types(j, 1)
@@ -246,6 +284,53 @@ class TestLabels:
         cover = fresh_ring.register_cover(base, 3)
         label = fresh_ring.label_of(cover)
         assert label.endswith(" #2") and label != labels[base]
+
+
+class TestGraphClasses:
+    """One build per orbit of character graphs against closing every graph."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return reference_graph_classes()
+
+    def test_same_classes_in_the_same_order(self, fresh_ring, reference):
+        got = [fresh_ring.representative(ci) for ci in o2.graph_classes(1)]
+        assert [A.elements for A in got] == [A.elements for A in reference]
+        assert [len(A) for A in got] == [len(A) for A in reference]
+        for ci, A in zip(o2.graph_classes(1), reference):
+            assert fresh_ring.weyl(ci) == A.weyl_order(), ci
+            assert fresh_ring.symbol_key(ci) == o2.symbol_key(A), ci
+
+    def test_same_labels(self, fresh_ring, reference, monkeypatch):
+        labels = [fresh_ring.label_of(ci) for ci in o2.graph_classes(1)]
+        monkeypatch.setattr(o2, "_graph_representatives", lambda: iter(reference))
+        other = o2.TemporalOctahedralRing()
+        assert [other.label_of(ci) for ci in other.graph_classes(1)] == labels
+
+    def test_registry_opens_with_the_mode1_classes(self, fresh_ring):
+        rotations = o2.ConcreteSubgroup.generated([o2.rotation(0, oct_word("(1234)"))])
+        ci = fresh_ring.find_class(rotations)
+        assert fresh_ring.graph_classes(1) == list(range(257))
+        assert ci == 257
+
+
+class TestMaximalAgainstAllPairs:
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_each_block_fixing_set(self, l):
+        ring = R()
+        for j in (0, 4, 7, 8, 9):
+            fixing = [ci for ci in o2.graph_classes(l) if ring.fixed_dim(j, l, ci) >= 1]
+            assert ring.maximal(fixing) == all_pairs_maximal(ring, fixing), (j, l)
+
+    @pytest.mark.parametrize(
+        "draw", [None, 0, 10, 16], ids=["reference", "draw0", "draw10", "draw16"]
+    )
+    def test_full_invariant_support(self, engine, draw):
+        ring = R()
+        eng = engine if draw is None else engine_at(sweep_box(draw + 1)[draw])
+        for j in bf.ISOTYPIC:
+            keys = list(eng.report(j, full=True).invariant.coeffs)
+            assert ring.maximal(keys) == all_pairs_maximal(ring, keys), j
 
 
 class TestBasicDegrees:
