@@ -62,7 +62,7 @@ class SamplingError(ConfigError):
 
 
 class CatalogError(NumericalError):
-    """Orbit-type outside the constructed catalog closure (e.g. an off-grid mode)."""
+    """Orbit-type outside the constructed catalog closure (e.g. an off-grid angle)."""
 
     def __init__(self, msg, missing=None):
         super().__init__(msg)

@@ -16,10 +16,14 @@ types, basic degrees, upper sets and per-class conjugacy data.
 Every finite reflection-containing subgroup is conjugate to a cover of a
 "character graph": a subgroup K of the spatial group, a U(1)-character chi
 pairing each k with the rotation angle chi(k), and a reflection extension.
-Enumerating those triples yields the complete list of orbit types with
-finite Weyl group at a given Fourier mode, which is how the maximal orbit
-types of each irreducible block are found (and cross-checked against the
-reference lists).
+Enumerating those triples yields the mode-1 classes, with their element
+sets.  A class at Fourier mode l is the pair (K, l) of a mode-1 class K and
+l: the preimage K^l of K under the temporal map z -> z^l, which is never
+built.  Pulling orbit types back along z -> z^l is the l-folding
+homomorphism Theta_l, a ring map that keeps marks (Balanov, Krawcewicz and
+Steinlein, *Applied Equivariant Degree*, 2006), so each datum of K^l is
+read from K: its order, Weyl order, symbol key, fixed dimensions, fixed
+cosets, maximal types and basic degrees.
 """
 
 import math
@@ -32,8 +36,9 @@ from . import group_core as gc
 from .burnside import BurnsideRing, cached
 from .errors import CatalogError, ConsistencyError
 
-# angle denominator, 24 * lcm(1..7).  Mode-l covers stay on the grid only
-# where 24 l divides it, which fails at l = 8, 9, 11, 13, 16, 17, ...
+# angle denominator, 24 * lcm(1..7).  It holds every mode-1 class and the
+# mode-2 covers that ``fixed_cosets`` builds; no class at a higher mode is
+# built, so it limits no Fourier mode
 GRID = 10080
 
 N = gc.N
@@ -317,9 +322,10 @@ class ConcreteSubgroup:
 
 
 def mode_cover(subgroup, l):
-    """Preimage of a mode-1 group under the l-fold temporal cover."""
-    if GRID % l:
-        raise CatalogError(f"mode {l} off the 1/{GRID} grid", missing=l)
+    """Preimage of a subgroup under the l-fold temporal map z -> z^l.
+
+    Refused when a preimage angle is off the grid, rather than dropped.
+    """
     out = []
     for x in subgroup.elements:
         e, k, g = decode(x)
@@ -327,7 +333,17 @@ def mode_cover(subgroup, l):
             num = k + m * GRID
             if num % l == 0:
                 out.append(encode(e, num // l, g))
+    if len(out) != l * len(subgroup):
+        raise CatalogError(f"mode {l} cover off the 1/{GRID} grid", missing=l)
     return ConcreteSubgroup(out)
+
+
+def mode_image(subgroup, b):
+    """Image of a subgroup under the b-fold temporal map z -> z^b: every
+    temporal angle times b."""
+    return ConcreteSubgroup(
+        encode(e, b * k, g) for e, k, g in map(decode, subgroup.elements)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +410,18 @@ class TemporalOctahedralRing(BurnsideRing):
 
     def __init__(self):
         super().__init__()
-        self._reps = []       # class id -> ConcreteSubgroup
+        self._reps = {}      # class id -> ConcreteSubgroup, where l = 1
         self._by_set = {}
-        self._cover_base = {}  # cover class id -> mode-1 base class id
+        self._pairs = []     # class id -> (K, l): the class is K^l
+        self._by_pair = {}   # (K, l) -> class id
 
     # registry ---------------------------------------------------------
     def find_class(self, subgroup):
         """Class id of a subgroup, registering a new class if none is conjugate.
 
         The mode-1 classes are registered first, so their ids do not depend
-        on what the ring was asked before.
+        on what the ring was asked before.  A subgroup conjugate to none of
+        the classes with an element set becomes such a class, as (A, 1).
         """
         self.graph_classes(1)
         key = subgroup.elements
@@ -411,7 +429,7 @@ class TemporalOctahedralRing(BurnsideRing):
             return self._by_set[key]
         p = subgroup.profile()
         size = len(subgroup)
-        for ci, rep in enumerate(self._reps):
+        for ci, rep in self._reps.items():
             if len(rep) != size:
                 continue
             if rep.profile() == p and rep.is_conjugate(subgroup):
@@ -420,32 +438,43 @@ class TemporalOctahedralRing(BurnsideRing):
         return self._register(subgroup)
 
     def _register(self, subgroup):
-        self._reps.append(subgroup)
-        ci = len(self._reps) - 1
+        ci = len(self._pairs)
+        self._reps[ci] = subgroup
         self._by_set[subgroup.elements] = ci
+        self._pairs.append((ci, 1))
+        self._by_pair[ci, 1] = ci
         return ci
 
-    def register_cover(self, base_ci, l):
-        """Class of the l-fold temporal cover of a registered mode-1 class.
+    def register_cover(self, ci, l):
+        """Class of ci^l, the preimage of class ci under z -> z^l, interned as
+        a pair; no element set is built.
 
-        Covers of non-conjugate classes are non-conjugate and their kernels
-        distinguish them from every mode-1 class, so they are interned
-        directly without a conjugacy scan.  z -> z^l maps O(2) onto O(2)
-        with kernel Z_l, so normalizers correspond and a cover has its
-        base's Weyl order.
+        (K^a)^l = K^(a l).  A mode-1 class M of temporal-kernel order 2 is
+        itself K^2 for the mode-1 class K = M's image under z -> z^2
+        (``_halves``), so M's covers are interned through K and each class
+        has one pair.
         """
-        key = ("cover", base_ci, l)
-        if key in self._by_set:
-            return self._by_set[key]
-        cov = mode_cover(self._reps[base_ci], l)
-        ci = self._by_set.get(cov.elements)
-        if ci is None:
-            ci = self._register(cov)
-        self._by_set[key] = ci
-        self._cover_base[ci] = base_ci
-        return ci
+        K, a = self._pairs[ci]
+        halves = self._halves()
+        key = (halves[K], 2 * a * l) if K in halves else (K, a * l)
+        if key not in self._by_pair:
+            self._by_pair[key] = len(self._pairs)
+            self._pairs.append(key)
+        return self._by_pair[key]
+
+    @cached
+    def _halves(self):
+        """{M: K} for the mode-1 classes M = K^2 of a mode-1 class K: those of
+        temporal-kernel order 2.  Interns the pair (K, 2) as M."""
+        out = {}
+        for M in self.graph_classes(1):
+            if self.symbol_key(M)[3] == 2:
+                out[M] = K = self.find_class(mode_image(self._reps[M], 2))
+                self._by_pair[K, 2] = M
+        return out
 
     def representative(self, ci):
+        """The element set of a class with l = 1; a cover has none."""
         return self._reps[ci]
 
     @cached
@@ -472,11 +501,13 @@ class TemporalOctahedralRing(BurnsideRing):
             *(self._reps[ci].temporal_projection()[1] for ci in self.graph_classes(1))
         )
 
-    # ring hooks ---------------------------------------------------------
+    # ring hooks: each datum of K^l read from K ----------------------------
     @cached
     def _weyl_order(self, ci):
-        base = self._cover_base.get(ci)
-        return self._reps[ci].weyl_order() if base is None else self._weyl_order(base)
+        """|W(ci)| = |(G/ci)^ci|; None when infinite, as a circle of
+        rotations centralizes a class without reflections."""
+        K, _ = self._pairs[ci]
+        return self.fixed_cosets(ci, ci) if self._reps[K].has_reflection() else None
 
     def weyl(self, ci):
         w = self._weyl_order(ci)
@@ -488,23 +519,27 @@ class TemporalOctahedralRing(BurnsideRing):
         return self._weyl_order(ci) is not None
 
     def order_of(self, ci):
-        return len(self._reps[ci])
+        K, l = self._pairs[ci]
+        return l * len(self._reps[K])
 
     @cached
     def symbol_key(self, ci):
-        """What ci's label and every reference-family match read."""
-        return symbol_key(self._reps[ci])
+        """What ci's label and every reference-family match read: K's key
+        with both temporal orders times l."""
+        K, l = self._pairs[ci]
+        hk, hm, ok, om, spatial, spatial_kernel = symbol_key(self._reps[K])
+        return hk, hm * l, ok, om * l, spatial, spatial_kernel
 
     @cached
     def label_of(self, ci):
         """ci's reference spelling if it has one, else its amalgam symbol plus
         an ordinal `` #k`` where classes share the symbol.
 
-        A cover takes its base's ordinal: covers share a symbol exactly when
-        their bases do and their modes are equal.
+        K^l takes K's ordinal: covers share a symbol exactly when their
+        mode-1 classes do and their modes are equal.
         """
         symbol = amalgam_symbol(self.symbol_key(ci))
-        k = self._symbol_ordinals().get(self._cover_base.get(ci, ci))
+        k = self._symbol_ordinals().get(self._pairs[ci][0])
         symbol = symbol if k is None else f"{symbol} #{k}"
         return self._reference_spellings().get(ci, symbol)
 
@@ -531,6 +566,18 @@ class TemporalOctahedralRing(BurnsideRing):
             for k, ci in enumerate(group, 1)
         }
 
+    def multiply_generators(self, H, K):
+        """(H)(K) for H = A^a and K = B^b: with d = gcd(a, b), Theta_d of
+        (A^(a/d))(B^(b/d)), since Theta_d is a ring map."""
+        (A, a), (B, b) = self._pairs[H], self._pairs[K]
+        d = math.gcd(a, b)
+        if d == 1:
+            return super().multiply_generators(H, K)
+        low = self.multiply_generators(
+            self.register_cover(A, a // d), self.register_cover(B, b // d)
+        )
+        return {self.register_cover(L, d): n for L, n in low.items()}
+
     @cached
     def candidate_subtypes(self, ci):
         """Classes subconjugate to ci, drawn from the complete catalog.
@@ -539,7 +586,7 @@ class TemporalOctahedralRing(BurnsideRing):
         ``graph_classes(l)``, so the catalog over the divisors of ci's
         kernel order is a complete candidate pool.
         """
-        lH = self._reps[ci].temporal_kernel()[1]
+        lH = self.symbol_key(ci)[3]
         pool = {ci}
         for l in range(1, lH + 1):
             if lH % l == 0:
@@ -563,15 +610,16 @@ class TemporalOctahedralRing(BurnsideRing):
         """ci's element count per (reflection bit, order, spatial class)."""
         return dict(self._reps[ci].profile()[1])
 
-    def _profile_fits(self, L, H):
-        """Whether every profile key counts no more elements in L than in H.
+    def _profile_fits(self, A, H):
+        """Whether every profile key counts no more elements in the subgroup A
+        than in H's representative.
 
-        A necessary condition for L to be subconjugate to H, since
+        A necessary condition for A to be subconjugate to H, since
         conjugation keeps the reflection bit, the order and the spatial
         class of an element.
         """
         have = self._profile_counts(H)
-        return all(have.get(k, 0) >= n for k, n in self._profile_counts(L).items())
+        return all(have.get(k, 0) >= n for k, n in A.profile()[1])
 
     @cached
     def _spatial_cosets(self, ci):
@@ -586,45 +634,74 @@ class TemporalOctahedralRing(BurnsideRing):
         return tuple(reps), len(self._reps[ci]) // len(projection)
 
     @cached
-    def fixed_cosets(self, L, H):
-        """|(G/H)^L| = |{c : c^-1 L c in H}| / |H|, counted over conjugators.
+    def _pullback(self, K, a, b):
+        """phi_b(K)^a: K's representative with every temporal angle times b,
+        then its preimage under z -> z^a."""
+        A = self._reps[K]
+        if b > 1:
+            A = mode_image(A, b)
+        return A if a == 1 else mode_cover(A, a)
 
-        The conjugators form whole left cosets cH, and right multiplication
-        by h in H moves a conjugator's spatial part g_c to g_c pi(h) while
-        keeping the count per spatial part.  So one g_c per left coset
-        g pi(H) is searched, and the count over those is divided (checked)
-        by |H| / |pi(H)| instead of |H|.
+    @cached
+    def fixed_cosets(self, L, H):
+        """|(G/H)^L| for L = K^a and H = M^b, read from mode 1.
+
+        z -> z^b carries G/H onto G/M, so with d = gcd(a, b) the count is
+        |(G/M)^A| for A = phi_{b/d}(K)^{a/d}, the image of L under z -> z^b.
+        A holds the a/d rotations of ker(z -> z^(a/d)) over the spatial
+        identity, so it lies in no conjugate of M unless a/d divides the
+        order of M's temporal kernel, 1 or 2 for a mode-1 class: A is built
+        only for a/d <= 2.
+
+        |(G/M)^A| = |{c : c^-1 A c in M}| / |M|.  The conjugators form whole
+        left cosets cM, and right multiplication by m in M moves a
+        conjugator's spatial part g_c to g_c pi(m) while keeping the count
+        per spatial part.  So one g_c per left coset g pi(M) is searched,
+        and the count over those is divided (checked) by |M| / |pi(M)|
+        instead of |M|.
         """
-        a, b = self._reps[L], self._reps[H].elements
-        if len(b) % len(a) or not self._profile_fits(L, H):
+        (K, a), (M, b) = self._pairs[L], self._pairs[H]
+        d = math.gcd(a, b)
+        a, b = a // d, b // d
+        if a > 1 and self.symbol_key(M)[3] % a:
             return 0
-        gens = [decode(x) for x in a.generators()]
-        spatial, kernel = self._spatial_cosets(H)
-        n = sum(1 for _ in _conjugators(gens, b, self._refl_index(H), spatial))
+        A = self._pullback(K, a, b)
+        B = self._reps[M].elements
+        if len(B) % len(A) or not self._profile_fits(A, M):
+            return 0
+        gens = [decode(x) for x in A.generators()]
+        spatial, kernel = self._spatial_cosets(M)
+        n = sum(1 for _ in _conjugators(gens, B, self._refl_index(M), spatial))
         val, r = divmod(n, kernel)
         if r:
             raise ConsistencyError(
-                f"conjugator count {n} over one spatial part per coset of pi(H)"
-                f" not divisible by |H|/|pi(H)| = {kernel}"
+                f"conjugator count {n} over one spatial part per coset of pi(M)"
+                f" not divisible by |M|/|pi(M)| = {kernel}"
             )
         return val
 
     # characters / fixed dimensions --------------------------------------
     @cached
-    def fixed_dim(self, j, l, ci):
-        """dim of the fixed space of class ci in irrep-j Fourier-mode-l.
+    def fixed_dim(self, j, m, ci):
+        """dim of the fixed space of class ci = K^l in irrep-j Fourier-mode-m.
 
-        Individual rotation terms 2 cos(2 pi l k / GRID) may be irrational,
+        ker(z -> z^l) turns V_{j,m} by multiples of m/l turns, so it fixes
+        nothing unless l divides m, and then the space is K's in mode m/l.
+        Individual rotation terms 2 cos(2 pi m k / GRID) may be irrational,
         but the group average is an integer; a strict snap guards precision.
         """
+        K, l = self._pairs[ci]
+        if m % l:
+            return 0
+        m //= l
         total = 0.0
-        for x in self._reps[ci].elements:
+        for x in self._reps[K].elements:
             e, k, g = decode(x)
             if e:
                 continue  # temporal reflections act with zero trace
-            c2 = 2.0 * math.cos(2.0 * math.pi * ((l * k) % GRID) / GRID)
+            c2 = 2.0 * math.cos(2.0 * math.pi * ((m * k) % GRID) / GRID)
             total += c2 * gc.CHARACTER_TABLE[j][gc.ELEMENT_CLASS[g]]
-        q = total / len(self._reps[ci])
+        q = total / len(self._reps[K])
         if abs(q - round(q)) > 1e-9:
             raise ConsistencyError(f"non-integral fixed dimension {q}")
         return int(round(q))
@@ -632,22 +709,33 @@ class TemporalOctahedralRing(BurnsideRing):
     # maximal types and basic degrees --------------------------------------
     @cached
     def maximal_orbit_types(self, j, l):
-        """Maximal finite-Weyl orbit types of irrep j at mode l, by fixed spaces."""
-        fixing = [ci for ci in self.graph_classes(l) if self.fixed_dim(j, l, ci) >= 1]
+        """Maximal finite-Weyl orbit types of irrep j at mode l: the covers
+        K^l of those at mode 1, found there by fixed spaces."""
+        if l > 1:
+            return tuple(
+                self.register_cover(K, l) for K in self.maximal_orbit_types(j, 1)
+            )
+        fixing = [ci for ci in self.graph_classes(1) if self.fixed_dim(j, 1, ci) >= 1]
         return tuple(self.maximal(fixing))
 
     @cached
     def basic_degree(self, j, l):
-        """Antipodal-map degree on the ball of irrep-j mode-l, by the recurrence.
+        """Antipodal-map degree on the ball of irrep-j mode-l.
 
-        The pool is the downward closure of the maximal orbit types; the unit
-        coefficient is +1.
+        At mode 1 by the recurrence, whose pool is the downward closure of
+        the maximal orbit types; the unit coefficient is +1.  At mode l it
+        is Theta_l of that: every class K replaced by K^l.
         """
+        if l > 1:
+            deg = self.basic_degree(j, 1)
+            return self.element(
+                deg.unit, {self.register_cover(K, l): n for K, n in deg.coeffs.items()}
+            )
         pool = set()
-        for ci in self.maximal_orbit_types(j, l):
+        for ci in self.maximal_orbit_types(j, 1):
             pool.update(self.candidate_subtypes(ci))
         return self.element(
-            1, self.recurrence(pool, lambda K: (-1) ** self.fixed_dim(j, l, K) - 1)
+            1, self.recurrence(pool, lambda K: (-1) ** self.fixed_dim(j, 1, K) - 1)
         )
 
 
@@ -929,13 +1017,9 @@ def instantiate(family, l=1):
     R = ring()
     cat = gc.catalog()
     K_cls = cat.by_label(family.spatial)
-    K = K_cls.mask
-    els = gc.mask_elements(K)
     m = family.o2_scale * l
     if family.o2_kind != "D":
         raise CatalogError("only dihedral temporal families instantiate")
-    if GRID % (2 * m):
-        raise CatalogError(f"temporal order {m} off the grid", missing=family)
 
     results = set()
     if family.o2_kernel == "full":
@@ -944,9 +1028,13 @@ def instantiate(family, l=1):
                 f"untwisted temporal part requires an untwisted spatial part: "
                 f"{family.label(l)}"
             )
-        gens = [encode(0, GRID // m, _IDENT), encode(1, 0, _IDENT)]
-        gens += [encode(0, 0, g) for g in els]
-        results.add(R.find_class(ConcreteSubgroup.generated(gens)))
+        # D_m x K is the cover at mode m of the mode-1 class D_1 x K
+        product = ("D", 1, "D", 1, family.spatial, family.spatial)
+        results.update(
+            R.register_cover(ci, m)
+            for ci in R.graph_classes(1)
+            if R.symbol_key(ci) == product
+        )
     else:
         # twisted family: match against the complete graph-class enumeration
         hsize = 2 * m

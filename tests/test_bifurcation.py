@@ -204,12 +204,19 @@ class TestSweepBox:
 class TestFullReport:
     """The whole invariant from the marks recurrence over the mode-1 classes."""
 
-    @pytest.mark.parametrize("draw", [None, 0], ids=["reference", "draw0"])
+    @pytest.mark.parametrize(
+        "draw", [None, 0, 10, 16], ids=["reference", "draw0", "draw10", "draw16"]
+    )
     def test_matches_pairwise_product(self, engine, draw):
         eng = engine if draw is None else engine_at(sweep_box(draw + 1)[draw])
+        eng.ring.graph_classes(1)
+        registered = len(eng.ring._reps)
         for j in bf.ISOTYPIC:
             want = eng.ring.pi0_truncate(eng.invariant_full(j))
             assert eng.report(j, full=True).invariant == want, j
+        # block 9's factors reach Fourier mode 11 at draw 16: the product
+        # reads every class above mode 1 as a pair and registers no element set
+        assert len(eng.ring._reps) == registered
 
     def test_printed_terms_are_the_support(self, engine):
         for j in bf.ISOTYPIC:
@@ -343,34 +350,40 @@ def pairwise_coefficient(engine, j_o, h):
     return mult(prod, (dj[0] - 1, dj[1]))[1].get(h, 0)
 
 
-# the reference σ and sweep-box draws whose factors all stay on the angle
-# grid, reaching Fourier modes 6 (draw 0) to 10 (draw 26) in block 9
-ON_GRID_DRAWS = {"reference": None, **{f"draw{i}": i for i in (0, 1, 2, 10, 24, 26)}}
+# the reference σ and sweep-box draws whose factors reach Fourier modes 6
+# (draw 0) to 11 (draw 16) in block 9
+MARKS_DRAWS = {"reference": None, **{f"draw{i}": i for i in (0, 1, 2, 10, 16, 24, 26)}}
 
 
-@pytest.fixture(scope="module", params=sorted(ON_GRID_DRAWS))
-def on_grid_engine(request, engine):
-    i = ON_GRID_DRAWS[request.param]
+@pytest.fixture(scope="module", params=sorted(MARKS_DRAWS))
+def marks_engine(request, engine):
+    i = MARKS_DRAWS[request.param]
     return engine if i is None else engine_at(sweep_box(i + 1)[i])
 
 
 class TestMarksPath:
     """The marks recurrence against the pairwise truncation it replaced."""
 
-    def test_fast_coefficient_matches_pairwise_truncation(self, on_grid_engine):
-        eng = on_grid_engine
+    def test_fast_coefficient_matches_pairwise_truncation(self, marks_engine):
+        eng = marks_engine
+        R = eng.ring
+        mode_1 = set(o2.graph_classes(1))
         for j in bf.ISOTYPIC:
-            assert all(o2.GRID % l == 0 for _, l in bf.factors_before(j, eng.alphas))
+            modes = frozenset(l for _, l in bf.factors_before(j, eng.alphas)) | {1}
             for h in eng.maximal_classes(j):
                 assert eng.fast_coefficient(j, h) == pairwise_coefficient(eng, j, h), (
                     j,
                     eng.ring.label_of(h),
                 )
+                # what once kept these draws on the angle grid: the truncation
+                # reads every class above mode 1 as a pair, with no element set
+                above = divisor_upper_set(R, modes, h) - mode_1
+                assert not above & set(R._reps), (j, R.label_of(h))
 
-    def test_higher_mode_classes_have_no_fixed_vector(self, on_grid_engine):
+    def test_higher_mode_classes_have_no_fixed_vector(self, marks_engine):
         # why the marks path may leave out every class at a mode d >= 2:
         # omega's mark there carries the factor (-1)^0 - 1 = 0
-        eng = on_grid_engine
+        eng = marks_engine
         R = eng.ring
         mode_1 = set(o2.graph_classes(1))
         seen = 0

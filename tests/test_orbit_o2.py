@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,35 +8,95 @@ import pytest
 from octavib import bifurcation as bf
 from octavib import group_core as gc
 from octavib import orbit_o2 as o2
+from octavib.burnside import BurnsideRing, cached
 
 from conftest import all_pairs_maximal, engine_at, sweep_box
 
 R = lambda: o2.ring()
 
 
-def reference_fixed_cosets(ring, L, H, weyl_orders):
-    """Distinct conjugates of H containing L, times |W(H)| (oracle).
+class ReferenceFixedCosets:
+    """|(G/H)^L| of subgroups L and H as the distinct conjugates of H
+    containing L, times |W(H)| (oracle).
 
-    ``weyl_orders`` caches ``ConcreteSubgroup.weyl_order()`` per class.
+    The conjugates c H c^-1 that contain the least reflection x0 of L are
+    found once per (x0, H), one per coset cH of the conjugators aligning x0
+    into H; ``weyl_order()`` is read once per H.
     """
-    a = ring.representative(L).elements
-    b = ring.representative(H).elements
-    if len(b) % len(a):
-        return 0
-    hits, seen = set(), set()
-    for c in o2._alignment_candidates(a, b, o2._refl_by_spatial(b)):
-        if c in seen:
-            continue
-        ci = o2.inverse(c)
-        if all(o2.conjugate(x, ci) in b for x in a):
-            # every conjugator in the coset cH gives the same conjugate
-            seen.update(o2.multiply(c, h) for h in b)
-            hits.add(frozenset(o2.conjugate(x, c) for x in b))
-    if not hits:
-        return 0
-    if H not in weyl_orders:
-        weyl_orders[H] = ring.representative(H).weyl_order()
-    return len(hits) * weyl_orders[H]
+
+    def __init__(self):
+        self._conjugates = {}
+        self._weyl = {}
+
+    def _holding(self, x0, b):
+        key = (x0, b)
+        if key not in self._conjugates:
+            out, seen = set(), set()
+            for c in o2._alignment_candidates([x0], b, o2._refl_by_spatial(b)):
+                if c not in seen:
+                    # every conjugator in the coset cH gives the same conjugate
+                    seen.update(o2.multiply(c, h) for h in b)
+                    out.add(frozenset(o2.conjugate(x, c) for x in b))
+            self._conjugates[key] = out
+        return self._conjugates[key]
+
+    def __call__(self, L, H):
+        a, b = L.elements, H.elements
+        if len(b) % len(a):
+            return 0
+        hits = sum(a <= C for C in self._holding(min(o2.reflections_of(a)), b))
+        if not hits:
+            return 0
+        if b not in self._weyl:
+            self._weyl[b] = H.weyl_order()
+        return hits * self._weyl[b]
+
+
+def element_cover(ring, ci):
+    """The subgroup K^l of the class ci = (K, l), built element by element
+    on the grid (oracle)."""
+    K, l = ring._pairs[ci]
+    return o2.mode_cover(ring.representative(K), l)
+
+
+class ElementBuiltRing(o2.TemporalOctahedralRing):
+    """Covers built element by element with ``mode_cover`` and registered as
+    classes of their own, each datum read from their element sets (oracle
+    for reading every mode from mode 1, at the modes whose covers stay on
+    the grid).
+
+    Maximal types and basic degrees at mode l come from the fixing set of
+    ``graph_classes(l)`` and the recurrence over its downward closure.
+    """
+
+    def register_cover(self, ci, l):
+        cover = o2.mode_cover(self.representative(ci), l)
+        if cover.elements not in self._by_set:
+            self._register(cover)
+        return self._by_set[cover.elements]
+
+    @cached
+    def _weyl_order(self, ci):
+        return self.representative(ci).weyl_order()
+
+    @cached
+    def maximal_orbit_types(self, j, l):
+        fixing = [ci for ci in self.graph_classes(l) if self.fixed_dim(j, l, ci) >= 1]
+        return tuple(self.maximal(fixing))
+
+    @cached
+    def basic_degree(self, j, l):
+        pool = set()
+        for ci in self.maximal_orbit_types(j, l):
+            pool.update(self.candidate_subtypes(ci))
+        return self.element(
+            1, self.recurrence(pool, lambda K: (-1) ** self.fixed_dim(j, l, K) - 1)
+        )
+
+
+# the Fourier modes up to 15 whose element-built covers stay on the angle
+# grid: the divisors of GRID / 24
+ON_GRID_MODES = (1, 2, 3, 4, 5, 6, 7, 10, 12, 14, 15)
 
 
 def reference_graph_subgroups():
@@ -349,7 +410,8 @@ class TestBasicDegrees:
         ((ci, coeff),) = deg.coeffs.items()
         assert coeff == -1
         assert ring.order_of(ci) == 192
-        rep = ring.representative(ci)
+        rep = element_cover(ring, ci)
+        assert len(rep) == 192
         assert rep.temporal_projection() == ("D", 2)
 
     def test_involutions(self):
@@ -429,6 +491,18 @@ class TestInstantiation:
         target = ring.find_class(o2.ConcreteSubgroup.generated(gens))
         assert target in hits
 
+    @pytest.mark.parametrize("l", [8, 11, 41])
+    def test_red_families_off_the_grid(self, l):
+        # once refused off the angle grid; each family's class at mode l is
+        # the cover of its class at mode 1
+        ring = R()
+        for fam in o2._red_families(0, 4, 7, 8, 9):
+            (ci,) = o2.instantiate(fam, 1)
+            cover = ring.register_cover(ci, l)
+            assert o2.instantiate(fam, l) == [cover], fam.label(l)
+            assert ring.symbol_key(cover) == fam.key(l)
+            assert ring.order_of(cover) == l * ring.order_of(ci)
+
     def test_pi0_drops_infinite_weyl(self):
         ring = R()
         spatial_only = ring.find_class(
@@ -446,14 +520,20 @@ class TestFastPathOracles:
     """The ring's conjugator counts against the direct constructions."""
 
     @staticmethod
-    def _check_pairs(ring, pairs, weyl_orders):
+    def _check_pairs(ring, pairs):
+        reference = ReferenceFixedCosets()
+        classes = {ci for pair in pairs for ci in pair}
+        covers = {ci: element_cover(ring, ci) for ci in classes}
         nonzero = 0
         for L, H in pairs:
-            want = reference_fixed_cosets(ring, L, H, weyl_orders)
+            want = reference(covers[L], covers[H])
             assert ring.fixed_cosets(L, H) == want, (L, H)
             if want:
                 nonzero += 1
-                assert ring._profile_fits(L, H), (L, H)
+                (K, a), (M, b) = ring._pairs[L], ring._pairs[H]
+                d = math.gcd(a, b)
+                A = ring._pullback(K, a // d, b // d)
+                assert ring._profile_fits(A, M), (L, H)
         return nonzero
 
     def test_alignment_candidates_match_brute_force(self):
@@ -485,15 +565,13 @@ class TestFastPathOracles:
     def test_fixed_cosets_mode1_all_pairs(self):
         ring = R()
         classes = o2.graph_classes(1)
-        weyl_orders = {}
         pairs = [(L, H) for H in classes for L in classes]
-        assert self._check_pairs(ring, pairs, weyl_orders) > len(classes)
+        assert self._check_pairs(ring, pairs) > len(classes)
 
     def test_fixed_cosets_mode2_sample(self):
         ring = R()
         mode1, mode2 = o2.graph_classes(1), o2.graph_classes(2)
         rng = np.random.default_rng(7)
-        weyl_orders = {}
         pool = mode1 + mode2
         pairs = [
             (L, H)
@@ -501,12 +579,12 @@ class TestFastPathOracles:
             for L in pool
         ]
         pairs += [tuple(rng.choice(pool, size=2).tolist()) for _ in range(300)]
-        assert self._check_pairs(ring, pairs, weyl_orders) > 6
+        assert self._check_pairs(ring, pairs) > 6
 
     def test_generators_generate(self):
         ring = R()
         for ci in o2.graph_classes(1) + o2.graph_classes(2):
-            rep = ring.representative(ci)
+            rep = element_cover(ring, ci)
             assert o2.closure(rep.generators()) == rep.elements, ci
 
     @pytest.mark.parametrize("l", [2, 3])
@@ -515,7 +593,110 @@ class TestFastPathOracles:
         for base in o2.graph_classes(1):
             ci = ring.register_cover(base, l)
             assert ring.weyl(ci) == ring.weyl(base)
-            assert ring.weyl(ci) == ring.representative(ci).weyl_order(), (base, l)
+            assert ring.weyl(ci) == element_cover(ring, ci).weyl_order(), (base, l)
+
+
+class TestModeOneReading:
+    """Every datum of a class K^l read from the mode-1 class K, against the
+    covers built element by element at the modes that stay on the grid."""
+
+    BLOCKS = (0, 4, 7, 8, 9)
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        ring = ElementBuiltRing()
+        ring.graph_classes(1)
+        return ring
+
+    @staticmethod
+    def as_built(ring, built, ci):
+        return built.register_cover(*ring._pairs[ci])
+
+    @pytest.mark.parametrize("l", ON_GRID_MODES)
+    def test_cover_data(self, built, l):
+        ring = R()
+        for K in o2.graph_classes(1):
+            ci, cj = ring.register_cover(K, l), built.register_cover(K, l)
+            A = built.representative(cj)
+            assert ring.order_of(ci) == len(A) == l * ring.order_of(K), (K, l)
+            assert ring.symbol_key(ci) == o2.symbol_key(A), (K, l)
+        rng = np.random.default_rng(300 + l)
+        for K in rng.choice(o2.graph_classes(1), size=12, replace=False).tolist():
+            ci, cj = ring.register_cover(K, l), built.register_cover(K, l)
+            assert ring.weyl(ci) == built.weyl(cj) == ring.weyl(K), (K, l)
+            for j in self.BLOCKS:
+                for m in (1, l, 2 * l, 3 * l):
+                    assert ring.fixed_dim(j, m, ci) == built.fixed_dim(j, m, cj), (K, l)
+
+    @pytest.mark.parametrize("l", ON_GRID_MODES)
+    def test_basic_degrees_and_maximal_types(self, built, l):
+        ring = R()
+        for j in self.BLOCKS:
+            got = ring.basic_degree(j, l)
+            want = built.basic_degree(j, l)
+            assert got.unit == want.unit == 1
+            coeffs = {self.as_built(ring, built, ci): n for ci, n in got.coeffs.items()}
+            assert coeffs == want.coeffs, (j, l)
+            maximal = ring.maximal_orbit_types(j, l)
+            assert {self.as_built(ring, built, ci) for ci in maximal} == set(
+                built.maximal_orbit_types(j, l)
+            ), (j, l)
+
+    def test_fixed_cosets(self, built):
+        ring = R()
+        classes = o2.graph_classes(1)
+        rng = np.random.default_rng(11)
+        pairs = []
+        for _ in range(150):  # (K) <= (M) at mode 1, and a divides b
+            M = int(rng.choice(classes))
+            K = int(rng.choice(ring.candidate_subtypes(M)))
+            b = int(rng.choice(ON_GRID_MODES))
+            a = int(rng.choice([a for a in ON_GRID_MODES if b % a == 0]))
+            pairs.append((K, a, M, b))
+        for _ in range(150):  # drawn blind
+            K, M = rng.choice(classes, size=2).tolist()
+            a, b = rng.choice(ON_GRID_MODES, size=2).tolist()
+            pairs.append((K, a, M, b))
+        # a mode-1 class M of temporal-kernel order 2 is K^2 for a mode-1
+        # class K; under M, a class at mode 2 is counted through the cover at
+        # a / d = 2 that ``fixed_cosets`` builds.  Each is 0: whatever lies
+        # below such a K is itself such a K, whose square is M's own class
+        kernel_2 = [M for M in classes if ring.symbol_key(M)[3] == 2]
+        assert len(kernel_2) == 3
+        pairs += [(K, a, M, 1) for M in kernel_2 for K in classes for a in (1, 2)]
+        counted = Counter()
+        for K, a, M, b in pairs:
+            L, H = ring.register_cover(K, a), ring.register_cover(M, b)
+            L_built, H_built = built.register_cover(K, a), built.register_cover(M, b)
+            want = built.fixed_cosets(L_built, H_built)
+            assert ring.fixed_cosets(L, H) == want, (K, a, M, b)
+            (_, a), (_, b) = ring._pairs[L], ring._pairs[H]
+            counted[a // math.gcd(a, b), want > 0] += 1
+        assert counted[1, True] >= 150 and counted[2, False] >= 500, counted
+        assert {a for a, hit in counted if hit} == {1}, counted
+
+    def test_every_basic_degree_to_mode_41(self):
+        # the seed-1 sweep box reaches Fourier mode 41
+        ring = R()
+        unit = ring.unit()
+        for l in range(1, 42):
+            for j in self.BLOCKS:
+                deg = o2.basic_degree(j, l)
+                assert deg.unit == 1 and deg * deg == unit, (j, l)
+
+    @pytest.mark.parametrize("l", [2, 8, 9, 11])
+    def test_products_match_the_recurrence(self, l):
+        # a product of classes at one mode, read from mode 1, against the
+        # recurrence over the candidate subtypes of the covers
+        ring = R()
+        recurrence = BurnsideRing._product.__wrapped__
+        for j in self.BLOCKS:
+            support = sorted(o2.basic_degree(j, l).coeffs)
+            for H in support:
+                for K in support[support.index(H):]:
+                    assert ring.multiply_generators(H, K) == recurrence(ring, H, K), (
+                        j, l, H, K
+                    )
 
 
 def reference_conjugators(a, b):
@@ -548,7 +729,7 @@ class TestFusedConjugators:
             pairs.append((int(rng.choice(subs)), H))
             pairs.append((int(rng.choice(classes)), H))
         for ci in classes:
-            if len(o2.reflections_of(ring.representative(ci).generators())) > 1:
+            if len(o2.reflections_of(element_cover(ring, ci).generators())) > 1:
                 pairs.append((ci, ci))
         return pairs
 
@@ -558,8 +739,8 @@ class TestFusedConjugators:
         rng = np.random.default_rng(100 + l)
         found = 0
         for L, H in self._pairs(ring, l, rng):
-            a = ring.representative(L)
-            b = ring.representative(H).elements
+            a = element_cover(ring, L)
+            b = element_cover(ring, H).elements
             gens = [o2.decode(x) for x in a.generators()]
             got = list(o2._conjugators(gens, b, o2._refl_by_spatial(b)))
             assert len(got) == len(set(got))
@@ -572,7 +753,7 @@ class TestFusedConjugators:
         ring = R()
         rng = np.random.default_rng(200 + l)
         for ci in rng.choice(o2.graph_classes(l), size=6, replace=False).tolist():
-            A = ring.representative(ci)
+            A = element_cover(ring, ci)
             e, k, g = rng.integers(2), rng.integers(o2.GRID), rng.integers(48)
             t = o2.encode(int(e), int(k), int(g))
             B = o2.ConcreteSubgroup(o2.conjugate(x, o2.inverse(t)) for x in A.elements)
