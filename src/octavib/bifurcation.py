@@ -139,7 +139,8 @@ class InvariantEngine:
     """Invariants at the critical ordering set by the frequencies.
 
     Only the frequencies belong to the engine; orbit types, maximal types,
-    basic degrees and upper sets are ring data, computed once per process.
+    basic degrees and upper sets are ring data, read from the mode-1 table
+    or computed once per process.
     """
 
     def __init__(self, alphas):

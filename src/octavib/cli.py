@@ -9,6 +9,7 @@ significant digits.
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -192,7 +193,10 @@ def cmd_catalog(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every call of ``main`` reads its arguments afresh."""
     p = argparse.ArgumentParser(
         prog="octavib",
         description="Octahedral-molecule vibrational analysis pipeline",

@@ -6,13 +6,6 @@ Elements of the ambient group are encoded as integers: a triple
 48 spatial elements.  All subgroup work (closure, conjugacy, normalizers,
 fixed-coset counts) is exact integer arithmetic.
 
-Conjugacy classes are interned in a registry; Burnside-ring products run
-over it through the shared recurrence in :mod:`octavib.burnside`.  The ring
-(``ring()``) owns everything that depends only on the group and the Fourier
-mode, each datum a ``cached`` method computed once per key: classes per
-mode, Weyl orders, labels, fixed-coset counts, fixed dimensions, maximal
-types, basic degrees, upper sets and per-class conjugacy data.
-
 Every finite reflection-containing subgroup is conjugate to a cover of a
 "character graph": a subgroup K of the spatial group, a U(1)-character chi
 pairing each k with the rotation angle chi(k), and a reflection extension.
@@ -24,22 +17,39 @@ homomorphism Theta_l, a ring map that keeps marks (Balanov, Krawcewicz and
 Steinlein, *Applied Equivariant Degree*, 2006), so each datum of K^l is
 read from K: its order, Weyl order, symbol key, fixed dimensions, fixed
 cosets, maximal types and basic degrees.
+
+The mode-1 data are constants of the group.  ``build_mode1_table()``
+computes them by the element arithmetic of this module and writes them as
+``o2_mode1.json``, a table of marks in the sense of Pfeiffer ("The
+subgroups of M24, or how to compute the table of marks of a finite group",
+1997).  The ring (``ring()``) reads that file once, when it is built, and
+answers every datum from it; Burnside products run over its registry of
+classes through the shared recurrence in :mod:`octavib.burnside`, and what
+the ring computes beyond the table (classes per mode, maximal types and
+basic degrees above mode 1, candidate subtypes) is a ``cached`` method.
 """
 
+import json
 import math
+import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import group_core as gc
+from ._serialize import dumps
 from .burnside import BurnsideRing, cached
 from .errors import CatalogError, ConsistencyError
 
-# angle denominator, 24 * lcm(1..7).  It holds every mode-1 class and the
-# mode-2 covers that ``fixed_cosets`` builds; no class at a higher mode is
-# built, so it limits no Fourier mode
+# angle denominator, 24 * lcm(1..7).  It holds every mode-1 class and its
+# images under z -> z^b; no class at a higher mode is built, so it limits
+# no Fourier mode
 GRID = 10080
+
+# the mode-1 table the ring reads, written by ``build_mode1_table()``
+TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "o2_mode1.json")
+_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))  # digit -> its value
 
 N = gc.N
 _IDENT = gc.IDENTITY
@@ -223,12 +233,13 @@ def _alignment_candidates(L, H, refl_h_by_spatial):
 class ConcreteSubgroup:
     """Finite subgroup of the ambient group, with exact conjugacy tooling."""
 
-    __slots__ = ("elements", "_profile", "_generators")
+    __slots__ = ("elements", "_profile", "_generators", "_search")
 
     def __init__(self, elements):
         self.elements = frozenset(elements)
         self._profile = None
         self._generators = None
+        self._search = None
 
     @classmethod
     def generated(cls, gens):
@@ -278,6 +289,16 @@ class ConcreteSubgroup:
             return True
         if self.profile() != other.profile():
             return False
+        if not self.has_reflection():
+            # temporal rotations commute with rotations: c acts only by its
+            # spatial part and, when c is a reflection, by negating angles
+            rots = [decode(x) for x in self.elements]
+            return any(
+                frozenset(encode(0, s * k, _CONJ[c][g]) for _, k, g in rots)
+                == other.elements
+                for c in range(N)
+                for s in (1, -1)
+            )
         return next(self.conjugators_onto(other), None) is not None
 
     def weyl_order(self):
@@ -303,6 +324,60 @@ class ConcreteSubgroup:
                         n += 1
         return n // len(self.elements)
 
+    def _search_aids(self):
+        """What a conjugator search into this subgroup H reads: its
+        reflection angles by spatial part, its element count per profile
+        key, one spatial part per left coset g pi(H) of its spatial
+        projection pi(H), and |H| / |pi(H)|."""
+        if self._search is None:
+            projection = self.spatial_projection()
+            reps, covered = [], set()
+            for g in range(N):
+                if g not in covered:
+                    reps.append(g)
+                    covered.update(gc.MUL[g][p] for p in projection)
+            self._search = (
+                _refl_by_spatial(self.elements),
+                dict(self.profile()[1]),
+                tuple(reps),
+                len(self) // len(projection),
+            )
+        return self._search
+
+    def profile_fits(self, A):
+        """Whether every profile key counts no more elements in the subgroup
+        A than in this one.
+
+        A necessary condition for A to be subconjugate to it, since
+        conjugation keeps the reflection bit, the order and the spatial
+        class of an element.
+        """
+        have = self._search_aids()[1]
+        return all(have.get(k, 0) >= n for k, n in A.profile()[1])
+
+    def fixed_cosets(self, A):
+        """|(G/H)^A| for this subgroup H and a reflection-containing
+        subgroup A: |{c : c^-1 A c in H}| / |H|.
+
+        The conjugators form whole left cosets cH, and right multiplication
+        by h in H moves a conjugator's spatial part g_c to g_c pi(h) while
+        keeping the count per spatial part.  So one g_c per left coset
+        g pi(H) is searched, and the count over those is divided (checked)
+        by |H| / |pi(H)| instead of |H|.
+        """
+        if len(self) % len(A) or not self.profile_fits(A):
+            return 0
+        refl_index, _, spatial, kernel = self._search_aids()
+        gens = [decode(x) for x in A.generators()]
+        n = sum(1 for _ in _conjugators(gens, self.elements, refl_index, spatial))
+        val, r = divmod(n, kernel)
+        if r:
+            raise ConsistencyError(
+                f"conjugator count {n} over one spatial part per coset of pi(H)"
+                f" not divisible by |H|/|pi(H)| = {kernel}"
+            )
+        return val
+
     # structural projections used for symbol rendering -----------------
     def spatial_projection(self):
         return sorted({decode(x)[2] for x in self.elements})
@@ -319,6 +394,15 @@ class ConcreteSubgroup:
         rots = {decode(x)[1] for x in over_id if decode(x)[0] == 0}
         refl = any(decode(x)[0] == 1 for x in over_id)
         return ("D" if refl else "Z", len(rots))
+
+
+def _class_among(reps, A):
+    """Index of the subgroup of ``reps`` that A is conjugate to, or None."""
+    p = A.profile()
+    for ci, B in enumerate(reps):
+        if len(B) == len(A) and B.profile() == p and B.is_conjugate(A):
+            return ci
+    return None
 
 
 def mode_cover(subgroup, l):
@@ -344,6 +428,50 @@ def mode_image(subgroup, b):
     return ConcreteSubgroup(
         encode(e, b * k, g) for e, k, g in map(decode, subgroup.elements)
     )
+
+
+# ---------------------------------------------------------------------------
+# fixed dimensions
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _rotation_weight(q):
+    """2 mu(q) / phi(q): the mean of 2 cos(2 pi k / q) over the k prime to q
+    (Ramanujan's sum c_q(1) = mu(q), over phi(q) terms)."""
+    mu, phi, n, p = 1, 1, q, 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            mu = 0 if e > 1 else -mu
+            phi *= (p - 1) * p ** (e - 1)
+        p += 1
+    return Fraction(2 * mu, phi)
+
+
+def exact_fixed_dim(A, j, m):
+    """dim of the fixed space of the subgroup A in irrep-j Fourier-mode-m.
+
+    The average over A of the trace: temporal reflections act with trace 0,
+    a rotation (0, k, g) with 2 cos(2 pi m k / GRID) chi_j(g).  The total is
+    rational, so it equals its mean over the Galois conjugates, which turn
+    the angle m k / GRID of order q through the turns of order q and leave
+    the rational chi_j(g) alone: each rotation contributes
+    2 mu(q) / phi(q) chi_j(g) exactly.
+    """
+    chi = gc.CHARACTER_TABLE[j]
+    turns = Counter(
+        (GRID // math.gcd(m * k, GRID), gc.ELEMENT_CLASS[g])
+        for e, k, g in map(decode, A.elements)
+        if not e
+    )
+    dim = sum(_rotation_weight(q) * n * chi[c] for (q, c), n in turns.items()) / len(A)
+    if dim.denominator != 1:
+        raise ConsistencyError(f"non-integral fixed dimension {dim}")
+    return int(dim)
 
 
 # ---------------------------------------------------------------------------
@@ -398,173 +526,177 @@ def amalgam_symbol(key):
     return f"{H}^{{{Ho}}} x_{{{quot}}}^{{{Ko}}} {K}"
 
 
+def mode1_labels(keys):
+    """The label and ordinal of each mode-1 class, from the symbol keys in
+    class order.
+
+    A class's label is its reference spelling if it has one (each red
+    reference family's key must be held by exactly one class), else its
+    amalgam symbol plus `` #k`` where k, its ordinal, counts the classes
+    sharing the symbol in class order; the ordinal is 0 for a symbol of one
+    class.
+    """
+    symbols = [amalgam_symbol(key) for key in keys]
+    same = defaultdict(list)
+    for ci, symbol in enumerate(symbols):
+        same[symbol].append(ci)
+    ordinals = [0] * len(keys)
+    for group in same.values():
+        if len(group) > 1:
+            for k, ci in enumerate(group, 1):
+                ordinals[ci] = k
+    spellings = _reference_hits(
+        _red_families(*REFERENCE_EXPANSIONS), list(enumerate(keys)), 1
+    )
+    labels = [
+        spellings.get(ci, f"{symbol} #{k}" if k else symbol)
+        for ci, (symbol, k) in enumerate(zip(symbols, ordinals))
+    ]
+    return labels, ordinals
+
+
 # ---------------------------------------------------------------------------
 # the Burnside ring over the registry of conjugacy classes
 # ---------------------------------------------------------------------------
 
 
 class TemporalOctahedralRing(BurnsideRing):
-    """A(O(2) x octahedral group), restricted to finite-Weyl orbit types."""
+    """A(O(2) x octahedral group), restricted to finite-Weyl orbit types.
+
+    Every datum of a mode-1 class is read from the table ``o2_mode1.json``,
+    loaded once when the ring is built, and every datum of a class K^l from
+    K's.  A class's base K is a mode-1 class with one rotation over the
+    spatial identity: the three mode-1 classes M with two are M = K^2 for
+    the mode-1 class K, M's image under z -> z^2, and are the pair (K, 2).
+    """
 
     unit_label = "O(2) x S_4^p"
 
     def __init__(self):
         super().__init__()
-        self._reps = {}      # class id -> ConcreteSubgroup, where l = 1
-        self._by_set = {}
-        self._pairs = []     # class id -> (K, l): the class is K^l
-        self._by_pair = {}   # (K, l) -> class id
+        with open(TABLE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        self._period = doc["mode_period"]
+        self._labels = doc["label"]
+        self._ordinals = doc["ordinal"]
+        # by base K: |K|, and |W(K)| (None when infinite)
+        self._orders = dict(enumerate(doc["order"]))
+        self._weyl = dict(enumerate(doc["weyl"]))
+        self._keys = [tuple(key) for key in doc["symbol_key"]]
+        # class -> irrep -> one byte per mode 1 .. period, the dimension
+        self._dims = [
+            [row.encode().translate(_DIGITS) for row in rows] for rows in doc["fixed_dim"]
+        ]
+        # class -> b mod period -> the class of phi_b(class)
+        self._images = doc["image"]
+        # L -> {H: fix_L(G/H)}, nonzero marks only
+        self._marks = [dict(row) for row in doc["marks"]]
+        self._maximal = {int(j): tuple(cis) for j, cis in doc["maximal"].items()}
+        # the element sets of the mode-1 classes and of the classes
+        # ``find_class`` registers
+        self._reps = {ci: ConcreteSubgroup(els) for ci, els in enumerate(doc["elements"])}
+        self._by_set = {A.elements: ci for ci, A in self._reps.items()}
+        self._pairs = [(ci, 1) for ci in self._reps]  # class id -> (K, l): K^l
+        for M, K in doc["halves"]:
+            self._pairs[M] = (K, 2)
+        self._by_pair = {pair: ci for ci, pair in enumerate(self._pairs)}
 
     # registry ---------------------------------------------------------
     def find_class(self, subgroup):
-        """Class id of a subgroup, registering a new class if none is conjugate.
+        """Class id of a subgroup: the mode-1 class it is conjugate to, or,
+        for a subgroup without reflections, the class of the first such
+        subgroup conjugate to it that was asked for.  Such a class has no
+        table row: only ``order_of``, ``finite_weyl`` and ``pi0_truncate``
+        are defined on it (its order, and that its Weyl group is infinite).
 
-        The mode-1 classes are registered first, so their ids do not depend
-        on what the ring was asked before.  A subgroup conjugate to none of
-        the classes with an element set becomes such a class, as (A, 1).
+        Element arithmetic: the tests ask, no request does.
         """
-        self.graph_classes(1)
         key = subgroup.elements
-        if key in self._by_set:
-            return self._by_set[key]
-        p = subgroup.profile()
-        size = len(subgroup)
-        for ci, rep in self._reps.items():
-            if len(rep) != size:
-                continue
-            if rep.profile() == p and rep.is_conjugate(subgroup):
-                self._by_set[key] = ci
-                return ci
-        return self._register(subgroup)
-
-    def _register(self, subgroup):
-        ci = len(self._pairs)
-        self._reps[ci] = subgroup
-        self._by_set[subgroup.elements] = ci
-        self._pairs.append((ci, 1))
-        self._by_pair[ci, 1] = ci
-        return ci
+        if key not in self._by_set:
+            if subgroup.has_reflection():
+                mode1 = [self._reps[ci] for ci in self.graph_classes(1)]
+                ci = _class_among(mode1, subgroup)
+                if ci is None:
+                    raise CatalogError("subgroup conjugate to no mode-1 class")
+            else:
+                free = [ci for ci in self._reps if ci >= len(self._labels)]
+                i = _class_among([self._reps[ci] for ci in free], subgroup)
+                if i is not None:
+                    ci = free[i]
+                else:
+                    ci = len(self._pairs)
+                    self._reps[ci] = subgroup
+                    self._pairs.append((ci, 1))
+                    self._by_pair[ci, 1] = ci
+                    self._orders[ci] = len(subgroup)
+                    self._weyl[ci] = None
+            self._by_set[key] = ci
+        return self._by_set[key]
 
     def register_cover(self, ci, l):
         """Class of ci^l, the preimage of class ci under z -> z^l, interned as
-        a pair; no element set is built.
-
-        (K^a)^l = K^(a l).  A mode-1 class M of temporal-kernel order 2 is
-        itself K^2 for the mode-1 class K = M's image under z -> z^2
-        (``_halves``), so M's covers are interned through K and each class
-        has one pair.
-        """
+        a pair, (K^a)^l = K^(a l); no element set is built."""
         K, a = self._pairs[ci]
-        halves = self._halves()
-        key = (halves[K], 2 * a * l) if K in halves else (K, a * l)
+        key = (K, a * l)
         if key not in self._by_pair:
             self._by_pair[key] = len(self._pairs)
             self._pairs.append(key)
         return self._by_pair[key]
 
-    @cached
-    def _halves(self):
-        """{M: K} for the mode-1 classes M = K^2 of a mode-1 class K: those of
-        temporal-kernel order 2.  Interns the pair (K, 2) as M."""
-        out = {}
-        for M in self.graph_classes(1):
-            if self.symbol_key(M)[3] == 2:
-                out[M] = K = self.find_class(mode_image(self._reps[M], 2))
-                self._by_pair[K, 2] = M
-        return out
-
     def representative(self, ci):
-        """The element set of a class with l = 1; a cover has none."""
+        """The element set of a mode-1 class; a cover has none."""
         return self._reps[ci]
 
     @cached
     def graph_classes(self, l):
         """Class ids of every finite-Weyl orbit type at Fourier mode l.
 
-        At l = 1 these are the ring's first ids, one class per orbit of
-        character graphs, each built once as the subgroup its first graph
-        names, in the order ``_graph_representatives()`` meets them.  At
-        l > 1 they are the covers of the mode-1 classes.
+        At l = 1 these are the table's classes, the ring's first ids, one
+        per orbit of character graphs in the order the enumeration meets
+        them.  At l > 1 they are the covers of the mode-1 classes.
         """
         if l > 1:
             return sorted({self.register_cover(ci, l) for ci in self.graph_classes(1)})
-        return [self._register(A) for A in _graph_representatives()]
+        return list(range(len(self._labels)))
 
-    @cached
     def mode_period(self):
-        """A period in l of dim V_{j,l}^K for every mode-1 class K.
-
-        Only K's rotations have a trace, each a turn whose order divides K's
-        temporal order m_K; the period is the lcm of the m_K.
-        """
-        return math.lcm(
-            *(self._reps[ci].temporal_projection()[1] for ci in self.graph_classes(1))
-        )
+        """A period in l of dim V_{j,l}^K for every mode-1 class K: the lcm
+        of their temporal orders (12)."""
+        return self._period
 
     # ring hooks: each datum of K^l read from K ----------------------------
-    @cached
-    def _weyl_order(self, ci):
-        """|W(ci)| = |(G/ci)^ci|; None when infinite, as a circle of
-        rotations centralizes a class without reflections."""
-        K, _ = self._pairs[ci]
-        return self.fixed_cosets(ci, ci) if self._reps[K].has_reflection() else None
-
     def weyl(self, ci):
-        w = self._weyl_order(ci)
+        w = self._weyl[self._pairs[ci][0]]
         if w is None:
             raise ConsistencyError("infinite Weyl group inside Burnside arithmetic")
         return w
 
     def finite_weyl(self, ci):
-        return self._weyl_order(ci) is not None
+        return self._weyl[self._pairs[ci][0]] is not None
 
     def order_of(self, ci):
         K, l = self._pairs[ci]
-        return l * len(self._reps[K])
+        return l * self._orders[K]
 
-    @cached
     def symbol_key(self, ci):
         """What ci's label and every reference-family match read: K's key
         with both temporal orders times l."""
         K, l = self._pairs[ci]
-        hk, hm, ok, om, spatial, spatial_kernel = symbol_key(self._reps[K])
+        hk, hm, ok, om, spatial, spatial_kernel = self._keys[K]
         return hk, hm * l, ok, om * l, spatial, spatial_kernel
 
-    @cached
     def label_of(self, ci):
-        """ci's reference spelling if it has one, else its amalgam symbol plus
-        an ordinal `` #k`` where classes share the symbol.
+        """A mode-1 class's label, from the table; a cover K^l's amalgam
+        symbol, with K's ordinal `` #k`` where mode-1 classes share K's.
 
-        K^l takes K's ordinal: covers share a symbol exactly when their
-        mode-1 classes do and their modes are equal.
+        Covers share a symbol exactly when their mode-1 classes do and
+        their modes are equal.
         """
+        if ci < len(self._labels):
+            return self._labels[ci]
         symbol = amalgam_symbol(self.symbol_key(ci))
-        k = self._symbol_ordinals().get(self._pairs[ci][0])
-        symbol = symbol if k is None else f"{symbol} #{k}"
-        return self._reference_spellings().get(ci, symbol)
-
-    @cached
-    def _reference_spellings(self):
-        """The mode-1 class of each red reference family, with its spelling.
-
-        Each family's key must be held by exactly one mode-1 class.
-        """
-        keys = [(ci, self.symbol_key(ci)) for ci in self.graph_classes(1)]
-        return _reference_hits(_red_families(*REFERENCE_EXPANSIONS), keys, 1)
-
-    @cached
-    def _symbol_ordinals(self):
-        """Ordinal of each mode-1 class among those sharing its symbol, if any.
-
-        Counted in ``graph_classes(1)`` order: neither ids nor ring history.
-        """
-        same = defaultdict(list)
-        for ci in self.graph_classes(1):
-            same[amalgam_symbol(self.symbol_key(ci))].append(ci)
-        return {
-            ci: k for group in same.values() if len(group) > 1
-            for k, ci in enumerate(group, 1)
-        }
+        k = self._ordinals[self._pairs[ci][0]]
+        return f"{symbol} #{k}" if k else symbol
 
     def multiply_generators(self, H, K):
         """(H)(K) for H = A^a and K = B^b: with d = gcd(a, b), Theta_d of
@@ -593,130 +725,49 @@ class TemporalOctahedralRing(BurnsideRing):
                 pool.update(self.graph_classes(l))
         return sorted(L for L in pool if self.fixed_cosets(L, ci) > 0)
 
-    @cached
     def upper_set(self, h):
-        """The mode-1 classes >= (h): the pool of the fast path's recurrence."""
-        pool = self.graph_classes(1)
-        above = {t for t in pool if t != h and self.fixed_cosets(h, t) > 0}
-        return frozenset({h} | above)
+        """The mode-1 classes >= (h), the pool of the fast path's recurrence:
+        the classes of h's row of marks."""
+        return frozenset(self._marks[h])
 
-    @cached
-    def _refl_index(self, ci):
-        """The angles of ci's reflections, by spatial part (``_conjugators``)."""
-        return _refl_by_spatial(self._reps[ci].elements)
-
-    @cached
-    def _profile_counts(self, ci):
-        """ci's element count per (reflection bit, order, spatial class)."""
-        return dict(self._reps[ci].profile()[1])
-
-    def _profile_fits(self, A, H):
-        """Whether every profile key counts no more elements in the subgroup A
-        than in H's representative.
-
-        A necessary condition for A to be subconjugate to H, since
-        conjugation keeps the reflection bit, the order and the spatial
-        class of an element.
-        """
-        have = self._profile_counts(H)
-        return all(have.get(k, 0) >= n for k, n in A.profile()[1])
-
-    @cached
-    def _spatial_cosets(self, ci):
-        """One spatial part per left coset g pi(A) of the spatial projection
-        pi(A) of ci's representative A, and |A| / |pi(A)|."""
-        projection = self._reps[ci].spatial_projection()
-        reps, covered = [], set()
-        for g in range(N):
-            if g not in covered:
-                reps.append(g)
-                covered.update(gc.MUL[g][p] for p in projection)
-        return tuple(reps), len(self._reps[ci]) // len(projection)
-
-    @cached
-    def _pullback(self, K, a, b):
-        """phi_b(K)^a: K's representative with every temporal angle times b,
-        then its preimage under z -> z^a."""
-        A = self._reps[K]
-        if b > 1:
-            A = mode_image(A, b)
-        return A if a == 1 else mode_cover(A, a)
-
-    @cached
     def fixed_cosets(self, L, H):
-        """|(G/H)^L| for L = K^a and H = M^b, read from mode 1.
+        """|(G/H)^L| for L = K^a and H = M^b, read from the mode-1 marks.
 
         z -> z^b carries G/H onto G/M, so with d = gcd(a, b) the count is
-        |(G/M)^A| for A = phi_{b/d}(K)^{a/d}, the image of L under z -> z^b.
-        A holds the a/d rotations of ker(z -> z^(a/d)) over the spatial
-        identity, so it lies in no conjugate of M unless a/d divides the
-        order of M's temporal kernel, 1 or 2 for a mode-1 class: A is built
-        only for a/d <= 2.
-
-        |(G/M)^A| = |{c : c^-1 A c in M}| / |M|.  The conjugators form whole
-        left cosets cM, and right multiplication by m in M moves a
-        conjugator's spatial part g_c to g_c pi(m) while keeping the count
-        per spatial part.  So one g_c per left coset g pi(M) is searched,
-        and the count over those is divided (checked) by |M| / |pi(M)|
-        instead of |M|.
+        |(G/M)^A| for A = phi_{b/d}(K)^{a/d}, the image of L under z -> z^b,
+        where phi_b multiplies every temporal angle by b.  A holds a/d
+        rotations over the spatial identity and M one, so the count is 0
+        unless a = d.  Then A = phi_{b/d}(K), whose class the table holds
+        by b/d modulo the mode period.
         """
         (K, a), (M, b) = self._pairs[L], self._pairs[H]
         d = math.gcd(a, b)
-        a, b = a // d, b // d
-        if a > 1 and self.symbol_key(M)[3] % a:
+        if a > d:
             return 0
-        A = self._pullback(K, a, b)
-        B = self._reps[M].elements
-        if len(B) % len(A) or not self._profile_fits(A, M):
-            return 0
-        gens = [decode(x) for x in A.generators()]
-        spatial, kernel = self._spatial_cosets(M)
-        n = sum(1 for _ in _conjugators(gens, B, self._refl_index(M), spatial))
-        val, r = divmod(n, kernel)
-        if r:
-            raise ConsistencyError(
-                f"conjugator count {n} over one spatial part per coset of pi(M)"
-                f" not divisible by |M|/|pi(M)| = {kernel}"
-            )
-        return val
+        return self._marks[self._images[K][b // d % self._period]].get(M, 0)
 
-    # characters / fixed dimensions --------------------------------------
-    @cached
     def fixed_dim(self, j, m, ci):
         """dim of the fixed space of class ci = K^l in irrep-j Fourier-mode-m.
 
         ker(z -> z^l) turns V_{j,m} by multiples of m/l turns, so it fixes
-        nothing unless l divides m, and then the space is K's in mode m/l.
-        Individual rotation terms 2 cos(2 pi m k / GRID) may be irrational,
-        but the group average is an integer; a strict snap guards precision.
+        nothing unless l divides m, and then the space is K's in mode m/l,
+        which the table holds by m/l modulo the mode period.
         """
         K, l = self._pairs[ci]
         if m % l:
             return 0
-        m //= l
-        total = 0.0
-        for x in self._reps[K].elements:
-            e, k, g = decode(x)
-            if e:
-                continue  # temporal reflections act with zero trace
-            c2 = 2.0 * math.cos(2.0 * math.pi * ((m * k) % GRID) / GRID)
-            total += c2 * gc.CHARACTER_TABLE[j][gc.ELEMENT_CLASS[g]]
-        q = total / len(self._reps[K])
-        if abs(q - round(q)) > 1e-9:
-            raise ConsistencyError(f"non-integral fixed dimension {q}")
-        return int(round(q))
+        return self._dims[K][j][(m // l - 1) % self._period]
 
     # maximal types and basic degrees --------------------------------------
     @cached
     def maximal_orbit_types(self, j, l):
         """Maximal finite-Weyl orbit types of irrep j at mode l: the covers
-        K^l of those at mode 1, found there by fixed spaces."""
+        K^l of those at mode 1, which the table holds."""
         if l > 1:
             return tuple(
                 self.register_cover(K, l) for K in self.maximal_orbit_types(j, 1)
             )
-        fixing = [ci for ci in self.graph_classes(1) if self.fixed_dim(j, 1, ci) >= 1]
-        return tuple(self.maximal(fixing))
+        return self._maximal[j]
 
     @cached
     def basic_degree(self, j, l):
@@ -747,6 +798,70 @@ def ring():
     if _RING is None:
         _RING = TemporalOctahedralRing()
     return _RING
+
+
+# ---------------------------------------------------------------------------
+# the mode-1 table, by element arithmetic
+# ---------------------------------------------------------------------------
+
+
+def build_mode1_table():
+    """The text of ``o2_mode1.json``: every datum the ring reads about the
+    mode-1 classes, computed from the subgroups ``_graph_representatives()``
+    meets, in class order.
+
+    Per class: its elements, order, Weyl order |W(K)| = |(G/K)^K|, symbol
+    key, label and ordinal, fixed dimensions at irreps 0-9 (one string of
+    digits per irrep, over the modes 1 to the mode period, which JSON reads
+    far faster than a list of numbers), its row of nonzero marks
+    fix_K(G/H), and the class of phi_b(K) for b modulo the mode period.  Also the classes M = K^2 (as
+    [M, K]) and each reference block's maximal types.  Raises when a class
+    has more than two rotations over the spatial identity, or when an image
+    phi_b(K) is conjugate to none of the classes.
+    """
+    reps = list(_graph_representatives())
+    keys = [symbol_key(A) for A in reps]
+    if any(key[3] not in (1, 2) for key in keys):
+        raise ConsistencyError("a mode-1 class with more than two kernel rotations")
+    period = math.lcm(*(key[1] for key in keys))
+
+    def find(A):
+        ci = _class_among(reps, A)
+        if ci is None:
+            raise ConsistencyError("an image phi_b(K) of a mode-1 class is a new class")
+        return ci
+
+    marks = [{H: n for H, B in enumerate(reps) if (n := B.fixed_cosets(A))} for A in reps]
+    images = [[find(mode_image(A, b)) for b in range(period)] for A in reps]
+    dims = [
+        [[exact_fixed_dim(A, j, m) for m in range(1, period + 1)]
+         for j in range(len(gc.CHARACTER_TABLE))]
+        for A in reps
+    ]
+    if any(d > 9 for rows in dims for row in rows for d in row):
+        raise ConsistencyError("a fixed dimension of more than one digit")
+    maximal = {}
+    for j in REFERENCE_EXPANSIONS:
+        fixing = {ci for ci, rows in enumerate(dims) if rows[j][0] >= 1}
+        maximal[j] = [
+            L for L in sorted(fixing) if not any(t != L and t in fixing for t in marks[L])
+        ]
+    labels, ordinals = mode1_labels(keys)
+    doc = {
+        "elements": [sorted(A.elements) for A in reps],
+        "fixed_dim": [["".join(map(str, row)) for row in rows] for rows in dims],
+        "halves": [[M, images[M][2]] for M, key in enumerate(keys) if key[3] == 2],
+        "image": images,
+        "label": labels,
+        "marks": [sorted(row.items()) for row in marks],
+        "maximal": maximal,
+        "mode_period": period,
+        "ordinal": ordinals,
+        "order": [len(A) for A in reps],
+        "symbol_key": keys,
+        "weyl": [marks[ci][ci] for ci in range(len(reps))],
+    }
+    return dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1003,7 +1118,7 @@ def reference_red_labels(j, l=1):
 def pin_reference_labels(j, class_ids, l=1):
     """Check that each red family of block j matches exactly one of the
     classes, and return {class id: reference spelling}; writes nothing."""
-    keys = [(ci, symbol_key(ring().representative(ci))) for ci in class_ids]
+    keys = [(ci, ring().symbol_key(ci)) for ci in class_ids]
     return _reference_hits(_red_families(j), keys, l)
 
 

@@ -249,7 +249,8 @@ class TestGroupedMark:
         R = fresh_ring
         period = R.mode_period()
         assert period == 12
-        assert len(R.memo["fixed_dim"]) <= 5 * period * len(R.graph_classes(1))
+        # fixed dimensions are read from the mode-1 table, never kept
+        assert "fixed_dim" not in R.memo
         # the ungrouped sum on one class per temporal order and block 9's types
         by_order = {
             R.representative(K).temporal_projection()[1]: K for K in R.graph_classes(1)
@@ -282,13 +283,17 @@ class TestRingTables:
     def test_census_computes_each_key_once(
         self, fresh_ring, monkeypatch, labeled_spectrum
     ):
-        names = ("fixed_dim", "_refl_index", "_profile_counts")
+        # the census reads mode-1 data from the table; what it keeps in the
+        # ring's tables is each block's maximal types
+        names = ("maximal_orbit_types",)
         counts = count_computations(monkeypatch, names)
         bf.InvariantEngine(labeled_spectrum.alphas()).census()
-        seen = len(counts["fixed_dim"])
-        # block 9's factors reach Fourier mode 11 at this draw
+        seen = {name: dict(counts[name]) for name in names}
+        # block 9's factors reach Fourier mode 11 at this draw, and the census
+        # computes nothing more
         engine_at(OFF_GRID_DRAW).census()
-        assert len(counts["fixed_dim"]) > seen
+        assert {name: dict(counts[name]) for name in names} == seen
+        assert set(fresh_ring.memo) == set(names)
         for name in names:
             calls = counts[name]
             assert calls and set(calls.values()) == {1}, name

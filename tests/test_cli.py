@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -264,3 +268,41 @@ class TestDeterminism:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+class TestOneParserPerProcess:
+    """``main`` parses with one parser per process; no call leaks into the next."""
+
+    @staticmethod
+    def python(code):
+        src = pathlib.Path(cli.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(src), os.environ.get("PYTHONPATH")
+        ])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            check=True,
+        )
+        return proc.stdout
+
+    def test_two_commands_print_what_two_processes_print(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("sigma1=0.05\nsigma2=0.07\nsigma3=1.2\n")
+        first = ["--config", str(cfg), "critical", "--max", "2"]
+        second = ["equilibrium"]  # the reference σ: the first --config must not stick
+        call = "from octavib import cli; cli.main({!r})"
+        apart = self.python(call.format(first)) + self.python(call.format(second))
+        together = self.python(call.format(first) + "; " + call.format(second))
+        assert together == apart
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "argv", [["invariant"], ["modes", "--k", "x"], ["frobnicate"], []]
+    )
+    def test_argparse_errors_still_exit_2(self, capsys, argv):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        assert "usage: octavib" in capsys.readouterr().err
+        assert run(capsys, "invariant", "--j", "0")[0] == 0

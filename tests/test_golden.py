@@ -22,6 +22,7 @@ COMMANDS = {
     "invariant_j7.txt": ["invariant", "--j", "7"],
     "invariant_j7s.txt": ["invariant", "--j", "7*"],
     "invariant_j8.txt": ["invariant", "--j", "8"],
+    "invariant_j8_full.txt": ["invariant", "--j", "8", "--full"],
     "invariant_j9.txt": ["invariant", "--j", "9"],
     "invariant_j9_full.txt": ["invariant", "--j", "9", "--full"],
     "census.txt": ["census"],

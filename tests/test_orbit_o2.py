@@ -59,25 +59,65 @@ def element_cover(ring, ci):
     return o2.mode_cover(ring.representative(K), l)
 
 
-class ElementBuiltRing(o2.TemporalOctahedralRing):
-    """Covers built element by element with ``mode_cover`` and registered as
-    classes of their own, each datum read from their element sets (oracle
-    for reading every mode from mode 1, at the modes whose covers stay on
-    the grid).
+class ElementBuiltRing(BurnsideRing):
+    """Every class an element set and every datum computed from it by the
+    table builder's arithmetic: the mode-1 classes as the character-graph
+    enumeration meets them, and their covers built element by element with
+    ``mode_cover``, each registered as a class of its own (oracle for the
+    table and for reading every mode from mode 1, at the modes whose covers
+    stay on the grid).
 
-    Maximal types and basic degrees at mode l come from the fixing set of
-    ``graph_classes(l)`` and the recurrence over its downward closure.
+    Weyl orders are ``weyl_order()``.  Maximal types and basic degrees at
+    mode l come from the fixing set of ``graph_classes(l)`` and the
+    recurrence over its downward closure.
     """
 
+    def __init__(self):
+        super().__init__()
+        self.reps = list(o2._graph_representatives())
+        self.mode1 = list(range(len(self.reps)))
+        self._by_set = {A.elements: ci for ci, A in enumerate(self.reps)}
+
     def register_cover(self, ci, l):
-        cover = o2.mode_cover(self.representative(ci), l)
+        cover = o2.mode_cover(self.reps[ci], l)
         if cover.elements not in self._by_set:
-            self._register(cover)
+            self._by_set[cover.elements] = len(self.reps)
+            self.reps.append(cover)
         return self._by_set[cover.elements]
 
+    def representative(self, ci):
+        return self.reps[ci]
+
+    def order_of(self, ci):
+        return len(self.reps[ci])
+
+    def symbol_key(self, ci):
+        return o2.symbol_key(self.reps[ci])
+
     @cached
-    def _weyl_order(self, ci):
-        return self.representative(ci).weyl_order()
+    def weyl(self, ci):
+        return self.reps[ci].weyl_order()
+
+    @cached
+    def fixed_cosets(self, L, H):
+        return self.reps[H].fixed_cosets(self.reps[L])
+
+    @cached
+    def fixed_dim(self, j, m, ci):
+        return o2.exact_fixed_dim(self.reps[ci], j, m)
+
+    @cached
+    def graph_classes(self, l):
+        return sorted({self.register_cover(ci, l) for ci in self.mode1})
+
+    @cached
+    def candidate_subtypes(self, ci):
+        lH = self.symbol_key(ci)[3]
+        pool = {ci}
+        for l in range(1, lH + 1):
+            if lH % l == 0:
+                pool.update(self.graph_classes(l))
+        return sorted(L for L in pool if self.fixed_cosets(L, ci) > 0)
 
     @cached
     def maximal_orbit_types(self, j, l):
@@ -282,7 +322,8 @@ class TestMaximalTypes:
     def test_new_ring_starts_with_empty_tables(self, fresh_ring):
         assert fresh_ring.memo == {}
         o2.maximal_orbit_types(0, 1)
-        assert fresh_ring.memo["fixed_dim"] and "label_of" not in fresh_ring.memo
+        assert fresh_ring.memo["maximal_orbit_types"]
+        assert "label_of" not in fresh_ring.memo
         assert o2.TemporalOctahedralRing().memo == {}
 
     def test_reference_check_writes_nothing(self, fresh_ring):
@@ -362,17 +403,28 @@ class TestGraphClasses:
             assert fresh_ring.weyl(ci) == A.weyl_order(), ci
             assert fresh_ring.symbol_key(ci) == o2.symbol_key(A), ci
 
-    def test_same_labels(self, fresh_ring, reference, monkeypatch):
+    def test_same_labels(self, fresh_ring, reference):
         labels = [fresh_ring.label_of(ci) for ci in o2.graph_classes(1)]
-        monkeypatch.setattr(o2, "_graph_representatives", lambda: iter(reference))
-        other = o2.TemporalOctahedralRing()
-        assert [other.label_of(ci) for ci in other.graph_classes(1)] == labels
+        built, _ = o2.mode1_labels([o2.symbol_key(A) for A in reference])
+        assert built == labels
 
     def test_registry_opens_with_the_mode1_classes(self, fresh_ring):
         rotations = o2.ConcreteSubgroup.generated([o2.rotation(0, oct_word("(1234)"))])
         ci = fresh_ring.find_class(rotations)
         assert fresh_ring.graph_classes(1) == list(range(257))
         assert ci == 257
+
+    def test_conjugate_reflection_free_subgroups_share_a_class(self, fresh_ring):
+        first, second = (
+            o2.ConcreteSubgroup.generated([o2.rotation(0, oct_word(w))])
+            for w in ("(1234)", "(1536)")
+        )
+        assert first.elements != second.elements and first.is_conjugate(second)
+        ci = fresh_ring.find_class(first)
+        assert fresh_ring.find_class(second) == ci
+        assert fresh_ring.order_of(ci) == 4 and not fresh_ring.finite_weyl(ci)
+        third = o2.ConcreteSubgroup.generated([o2.rotation(0, oct_word("(13)(24)"))])
+        assert fresh_ring.find_class(third) == ci + 1
 
 
 class TestMaximalAgainstAllPairs:
@@ -530,10 +582,8 @@ class TestFastPathOracles:
             assert ring.fixed_cosets(L, H) == want, (L, H)
             if want:
                 nonzero += 1
-                (K, a), (M, b) = ring._pairs[L], ring._pairs[H]
-                d = math.gcd(a, b)
-                A = ring._pullback(K, a // d, b // d)
-                assert ring._profile_fits(A, M), (L, H)
+                # the builder's profile test rejects no subconjugate pair
+                assert covers[H].profile_fits(covers[L]), (L, H)
         return nonzero
 
     def test_alignment_candidates_match_brute_force(self):
@@ -657,13 +707,15 @@ class TestModeOneReading:
             K, M = rng.choice(classes, size=2).tolist()
             a, b = rng.choice(ON_GRID_MODES, size=2).tolist()
             pairs.append((K, a, M, b))
-        # a mode-1 class M of temporal-kernel order 2 is K^2 for a mode-1
-        # class K; under M, a class at mode 2 is counted through the cover at
-        # a / d = 2 that ``fixed_cosets`` builds.  Each is 0: whatever lies
-        # below such a K is itself such a K, whose square is M's own class
+        # a mode-1 class M of temporal-kernel order 2 is the pair (K, 2) for
+        # the mode-1 class K, M's image under z -> z^2: a class at mode 1 or
+        # 2 is counted against M through K's row of marks, at a / d = 1, and
+        # a class at mode 2 against K itself at a / d = 2, which is 0
         kernel_2 = [M for M in classes if ring.symbol_key(M)[3] == 2]
         assert len(kernel_2) == 3
         pairs += [(K, a, M, 1) for M in kernel_2 for K in classes for a in (1, 2)]
+        bases = [ring._pairs[M][0] for M in kernel_2]
+        pairs += [(K, 2, B, 1) for B in bases for K in classes]
         counted = Counter()
         for K, a, M, b in pairs:
             L, H = ring.register_cover(K, a), ring.register_cover(M, b)
