@@ -325,7 +325,7 @@ class Catalog:
         for ci, (orbit, label) in enumerate(orbits):
             rep = orbit[0]
             order = bin(rep).count("1")
-            nn = sum(1 for g in range(N) if conj_mask(rep, g) == rep)
+            nn = N // len(orbit)  # orbit-stabilizer: |N(H)| = |G| / |orbit|
             self.classes.append(
                 SubgroupClass(
                     label=label,

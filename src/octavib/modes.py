@@ -11,13 +11,14 @@ relations to machine precision, while the nonlinear residual scales
 quadratically with the amplitude.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bifurcation, force_field, group_core, orbit_o2, spectral
-from ._serialize import dumps, format_float
+from ._serialize import dumps
 from .errors import (
     AmplitudeError,
     CollisionError,
@@ -265,31 +266,61 @@ CSV_HEADER = "t," + ",".join(f"{c}{i}" for i in range(1, 7) for c in ("x", "y", 
 
 
 def export_trajectory(traj, path):
-    """Write the sampled trajectory as CSV (17 significant digits)."""
-    lines = [CSV_HEADER]
-    for t, row in zip(traj.times, traj.samples):
-        lines.append(",".join(format_float(v) for v in (t, *row)))
+    """Write the sampled trajectory as CSV, every cell as ``format_float``
+    prints it: ``%.1f`` for an integral value below 1e16, else ``%.17g``.
+
+    The cells ``format_float`` prints as ``%.1f`` are found for the whole
+    array at once; each row is then one ``%`` on the template of its mask,
+    built the first time the mask appears (a mode has two: the row at
+    t = 0 and every other row).  Non-finite samples raise ``ValueError``
+    before the file is opened.
+    """
+    data = np.column_stack((traj.times, traj.samples))
+    if not np.isfinite(data).all():
+        raise ValueError(f"non-finite sample; {path} not written")
+    integral = (data == np.trunc(data)) & (np.abs(data) < 1e16)
+    keys = integral @ (1 << np.arange(data.shape[1]))
+    templates = {}
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        for key, mask, row in zip(keys.tolist(), integral, data.tolist()):
+            if key not in templates:
+                templates[key] = ",".join(np.where(mask, "%.1f", "%.17g")) + "\n"
+            fh.write(templates[key] % tuple(row))
     return path
 
 
 def read_trajectory(path):
-    """Round-trip reader for exported CSV trajectories."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header in {path}")
-        try:
-            rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-        except ValueError:
-            raise ConfigError(f"non-numeric sample in {path}") from None
+    """Round-trip reader for exported CSV trajectories.
+
+    Cells are parsed by ``np.loadtxt``, which reads every exported value
+    back exactly but, unlike ``float()``, refuses digit-group underscores
+    ("1_0") and non-ASCII digits.  Blank and whitespace-only lines are
+    skipped.
+    """
     width = CSV_HEADER.count(",") + 1
-    if not rows:
-        raise ConfigError(f"no samples in {path}")
-    if any(len(row) != width for row in rows):
+    with open(path) as fh:
+        if fh.readline().strip() != CSV_HEADER:
+            raise ConfigError(f"unexpected CSV header in {path}")
+        lines = (line for line in fh if not line.isspace())
+        first = next(lines, None)
+        if first is None:
+            raise ConfigError(f"no samples in {path}")
+        try:
+            data = np.loadtxt(
+                itertools.chain((first,), lines),
+                delimiter=",", comments=None, ndmin=2,
+            )
+        except ValueError as exc:
+            # numpy's two refusals: "the number of columns changed from ..."
+            # and "could not convert string ... to float64"
+            if "number of columns" in str(exc):
+                raise ConfigError(
+                    f"rows of {path} do not all have {width} columns"
+                ) from None
+            raise ConfigError(f"non-numeric sample in {path}") from None
+    if data.shape[1] != width:
         raise ConfigError(f"rows of {path} do not all have {width} columns")
-    data = np.array(rows)
     return data[:, 0], data[:, 1:]
 
 

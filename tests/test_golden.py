@@ -1,9 +1,10 @@
-"""CLI stdout at the reference parameters against the files in tests/golden/.
+"""CLI output at the reference parameters against the files in tests/golden/.
 
 Each command runs on an empty orbit-type ring, so its output may not depend
-on what the process computed before.  The files are the output of the
-command line ``octavib <args> > tests/golden/<name>``; a change that means to
-alter an output rewrites its file in the same commit.
+on what the process computed before.  The stdout files are the output of the
+command line ``octavib <args> > tests/golden/<name>``; the mode files are the
+CSV and manifest that ``octavib modes <args> --out tests/golden`` writes.  A
+change that means to alter an output rewrites its file in the same commit.
 """
 
 import contextlib
@@ -29,9 +30,16 @@ COMMANDS = {
     "catalog_dump.txt": ["catalog", "--catalog-dump"],
 }
 
+# the stem of the files `modes` writes -> its arguments
+MODE_COMMANDS = {
+    "mode_j0_k1": ["modes", "--j", "0", "--k", "1", "--samples", "24"],
+    "mode_j9_k5": ["modes", "--j", "9", "--k", "5", "--samples", "24"],
+}
+MODE_FILES = [stem + ext for stem in MODE_COMMANDS for ext in (".csv", ".json")]
+
 
 def test_every_golden_file_has_a_command():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(COMMANDS)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*COMMANDS, *MODE_FILES])
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -41,3 +49,12 @@ def test_cli_output_is_byte_identical(name, fresh_ring):
         code = cli.main(COMMANDS[name])
     assert code == 0
     assert out.getvalue().encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("stem", sorted(MODE_COMMANDS))
+def test_mode_files_are_byte_identical(stem, fresh_ring, tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*MODE_COMMANDS[stem], "--out", str(tmp_path)])
+    assert code == 0
+    for ext in (".csv", ".json"):
+        assert (tmp_path / (stem + ext)).read_bytes() == (GOLDEN / (stem + ext)).read_bytes()

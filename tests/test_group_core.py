@@ -205,6 +205,12 @@ class TestCatalog:
             assert c.normalizer_order % c.order == 0
             assert c.weyl_order == c.normalizer_order // c.order
 
+    def test_normalizer_orders_against_the_scan(self):
+        # oracle: count the elements conjugating the representative to itself
+        for c in gc.catalog().classes:
+            scan = sum(1 for g in range(gc.N) if gc.conj_mask(c.mask, g) == c.mask)
+            assert c.normalizer_order == scan, c.label
+
 
 class TestCounts:
     def test_self_count(self):

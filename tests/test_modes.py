@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from octavib import force_field as ff
-from octavib import modes, orbit_o2, spectral
+from octavib import bifurcation, modes, orbit_o2, spectral
+from octavib._serialize import format_float
 from octavib.errors import AmplitudeError, ConfigError, SamplingError
 
 from conftest import gradient_loop
@@ -221,6 +223,60 @@ class TestReferenceVectors:
         assert sign in (-1.0, 1.0)
 
 
+def per_value_export(traj, path):
+    """``format_float`` on every cell, one at a time (oracle for
+    ``modes.export_trajectory``)."""
+    lines = [modes.CSV_HEADER]
+    for t, row in zip(traj.times, traj.samples):
+        lines.append(",".join(format_float(v) for v in (t, *row)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def per_value_read(path):
+    """``float()`` on every cell, one at a time (oracle for
+    ``modes.read_trajectory``)."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != modes.CSV_HEADER:
+            raise ConfigError(f"unexpected CSV header in {path}")
+        try:
+            rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+        except ValueError:
+            raise ConfigError(f"non-numeric sample in {path}") from None
+    width = modes.CSV_HEADER.count(",") + 1
+    if not rows:
+        raise ConfigError(f"no samples in {path}")
+    if any(len(row) != width for row in rows):
+        raise ConfigError(f"rows of {path} do not all have {width} columns")
+    data = np.array(rows)
+    return data[:, 0], data[:, 1:]
+
+
+# the edges of format_float's two branches: signed zero, integral values on
+# both sides of 1e16, the largest double below it, 2**53, the least
+# subnormal and a non-integral value
+EDGE_VALUES = [
+    0.0, -0.0, 1.0, -3.0, 1e15, 9999999999999998.0, 1e16, 1.5e16, 1e17,
+    float(2 ** 53), 5e-324, 0.1,
+]
+
+
+def edge_trajectory():
+    """12 rows whose cells run over EDGE_VALUES and their negatives, each
+    row shifted by one, so that the rows have many distinct masks."""
+    values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+    rows = np.array([np.resize(np.roll(values, -i), 19) for i in range(len(EDGE_VALUES))])
+    return SimpleNamespace(times=rows[:, 0], samples=rows[:, 1:])
+
+
+def every_mode(shop, n_samples):
+    for j in bifurcation.ISOTYPIC:
+        for k in range(1, len(shop.types_for(j)) + 1):
+            yield shop.build_mode(j, k, 0.05, n_samples)
+
+
 class TestExport:
     def test_csv_contract(self, shop, tmp_path):
         traj = shop.build_mode("0", 1, 0.05, n_samples=24)
@@ -240,16 +296,80 @@ class TestExport:
         assert np.array_equal(times, traj.times)
         assert np.array_equal(samples, traj.samples)
 
+    def test_every_mode_matches_the_per_value_codec(self, shop, tmp_path):
+        trajs = list(every_mode(shop, modes.DEFAULT_SAMPLES))
+        assert len(trajs) == 24
+        for traj in trajs:
+            new = modes.export_trajectory(traj, tmp_path / "new.csv")
+            old = per_value_export(traj, tmp_path / "old.csv")
+            assert new.read_bytes() == old.read_bytes(), (traj.j, traj.k)
+            for got, want in zip(modes.read_trajectory(new), per_value_read(old)):
+                assert got.tobytes() == want.tobytes(), (traj.j, traj.k)
+
+    def test_edge_values_match_the_per_value_codec(self, tmp_path):
+        traj = edge_trajectory()
+        new = modes.export_trajectory(traj, tmp_path / "new.csv")
+        old = per_value_export(traj, tmp_path / "old.csv")
+        assert new.read_bytes() == old.read_bytes()
+        times, samples = modes.read_trajectory(new)
+        # bytes, not values: -0.0 must come back with its sign
+        assert times.tobytes() == traj.times.tobytes()
+        assert samples.tobytes() == traj.samples.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused_before_the_file(self, shop, tmp_path, bad):
+        traj = shop.build_mode("0", 1, 0.05, n_samples=24)
+        traj.samples[5, 7] = bad
+        path = tmp_path / "mode.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            modes.export_trajectory(traj, path)
+        assert not path.exists()
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "body",
-        ["", "0.0" + ",1.0" * 18 + "\n0.5,1.0\n", "0.0" + ",x" * 18 + "\n"],
-        ids=["empty", "ragged", "non_numeric"],
+        "body, message",
+        [
+            ("", "no samples"),
+            ("\n\n", "no samples"),
+            ("  \n\t\n \r\n", "no samples"),
+            ("0.0" + ",1.0" * 18 + "\n0.5,1.0\n", "do not all have 19 columns"),
+            ("0.0" + ",1.0" * 17 + "\n0.5" + ",1.0" * 17 + "\n", "do not all have 19 columns"),
+            ("0.0" + ",x" * 18 + "\n", "non-numeric sample"),
+            ("0.0,1,,2" + ",1.0" * 15 + "\n", "non-numeric sample"),
+        ],
+        ids=["empty", "blank_only", "whitespace_only", "ragged", "narrow", "non_numeric",
+             "empty_cell"],
     )
-    def test_read_refuses_bad_body(self, tmp_path, body):
+    def test_read_refuses_bad_body(self, tmp_path, body, message):
         path = tmp_path / "bad.csv"
         path.write_text(modes.CSV_HEADER + "\n" + body)
-        with pytest.raises(ConfigError, match="bad.csv"):
+        with pytest.raises(ConfigError, match=f"{message} .*bad.csv|bad.csv .*{message}"):
             modes.read_trajectory(path)
+
+    def test_read_refuses_digit_group_underscores(self, tmp_path):
+        # float("1_0") is 10.0, but no exporter writes it: the reader is
+        # numpy's, which refuses it
+        path = tmp_path / "bad.csv"
+        path.write_text(modes.CSV_HEADER + "\n" + "0.0,1_0" + ",1.0" * 17 + "\n")
+        assert per_value_read(path)[1][0, 0] == 10.0
+        with pytest.raises(ConfigError, match="non-numeric sample in .*bad.csv"):
+            modes.read_trajectory(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "newline, gap, end",
+        [("\r\n", "", "\r\n"), ("\n", "\n\n", "\n"), ("\n", "  \n", ""),
+         ("\n", "", "")],
+        ids=["crlf", "blank_lines", "whitespace_line_no_final_newline", "no_final_newline"],
+    )
+    def test_read_accepts_loose_layout(self, shop, tmp_path, newline, gap, end):
+        traj = shop.build_mode("8", 2, 0.05, n_samples=24)
+        rows = per_value_export(traj, tmp_path / "mode.csv").read_text().splitlines()
+        path = tmp_path / "loose.csv"
+        path.write_bytes((rows[0] + newline + (newline + gap).join(rows[1:]) + end).encode())
+        times, samples = modes.read_trajectory(path)
+        assert np.array_equal(times, traj.times)
+        assert np.array_equal(samples, traj.samples)
 
     def test_manifest(self, shop):
         import json
