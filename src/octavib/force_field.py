@@ -225,18 +225,18 @@ def find_equilibrium(params, lo=1e-3, hi=1e3):
     if params.sigma1 == params.sigma2 == params.sigma3 == 0:
         return Equilibrium(1.0, params)  # pure bond stretching
 
+    # the first grid step where phi' turns from negative to nonnegative
+    # (phi' overflows at the grid's ends for extreme σ; inf and nan compare
+    # as the scalar values would, so only the warnings are dropped)
     grid = np.geomspace(lo, hi, 200)
-    vals = [phi_prime(params, r) for r in grid]
-    bracket = None
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa < 0 <= fb:
-            bracket = (a, b)
-            break
-    if bracket is None:
+    with np.errstate(all="ignore"):
+        vals = phi_prime(params, grid)
+    steps = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
+    if not steps.size:
         raise SearchFailureError(
             f"no sign change of phi' in ({lo:g}, {hi:g}) for {params}"
         )
-    a, b = bracket
+    a, b = grid[steps[0]], grid[steps[0] + 1]
     for _ in range(100):
         mid = 0.5 * (a + b)
         if phi_prime(params, mid) < 0:
@@ -267,11 +267,28 @@ def stiffness(params, r0):
     )
 
 
+# the unit-template outer products the block matrix is built from: m_jk is
+# (p_j - p_k)(p_j - p_k)^T, taken over ADJACENT[j] in order and then over the
+# opposite vertex
+_EYE = np.eye(3)
+_VERTEX = np.arange(6)
+_OPP = np.array(OPPOSITE)
+_ADJ_J = np.repeat(_VERTEX, 4).reshape(6, 4)
+_ADJ_K = np.array(ADJACENT)
+_DIFF_ADJ = OCTAHEDRON[_ADJ_J] - OCTAHEDRON[_ADJ_K]
+_M_ADJ = _DIFF_ADJ[..., :, None] * _DIFF_ADJ[..., None, :]  # (6, 4, 3, 3)
+_DIFF_OPP = OCTAHEDRON - OCTAHEDRON[_OPP]
+_M_OPP = _DIFF_OPP[:, :, None] * _DIFF_OPP[:, None, :]  # (6, 3, 3)
+_M_SELF = OCTAHEDRON[:, :, None] * OCTAHEDRON[:, None, :]  # p_j p_j^T
+
+
 def blocks_from_stiffness(a, b, c, d, e, convention="reported", r0=None):
     """Assemble an 18x18 block matrix from the five stiffness constants.
 
     Adjacent blocks are -qa*m - ia*I, opposite blocks -qb*m - ib*I with m
-    the unit-template outer products, and the diagonal balances them.
+    the unit-template outer products, and the diagonal balances them: it
+    starts at qc*p_j p_j^T - ib*I and adds qa*m over ADJACENT[j] in order,
+    then qb*m of the opposite vertex.
     """
     if convention == "reported":
         qa, qb, qc, ia, ib = 2 * a, 2 * b, 2 * c, e, d
@@ -283,20 +300,15 @@ def blocks_from_stiffness(a, b, c, d, e, convention="reported", r0=None):
     else:
         raise ConfigError(f"unknown convention {convention!r}")
 
-    p = OCTAHEDRON
-    H = np.zeros((18, 18))
-    for j in range(6):
-        diag = qc * np.outer(p[j], p[j]) - ib * np.eye(3)
-        for k in ADJACENT[j]:
-            m = np.outer(p[j] - p[k], p[j] - p[k])
-            H[3 * j : 3 * j + 3, 3 * k : 3 * k + 3] = -qa * m - ia * np.eye(3)
-            diag += qa * m
-        k = OPPOSITE[j]
-        m = np.outer(p[j] - p[k], p[j] - p[k])
-        H[3 * j : 3 * j + 3, 3 * k : 3 * k + 3] = -qb * m - ib * np.eye(3)
-        diag += qb * m
-        H[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = diag
-    return H
+    diag = qc * _M_SELF - ib * _EYE
+    for n in range(4):
+        diag += qa * _M_ADJ[:, n]
+    diag += qb * _M_OPP
+    H = np.zeros((6, 6, 3, 3))
+    H[_ADJ_J, _ADJ_K] = -qa * _M_ADJ - ia * _EYE
+    H[_VERTEX, _OPP] = -qb * _M_OPP - ib * _EYE
+    H[_VERTEX, _VERTEX] = diag
+    return H.transpose(0, 2, 1, 3).reshape(18, 18)
 
 
 def hessian_blocks(params, r0, convention="reported"):

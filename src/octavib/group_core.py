@@ -96,6 +96,7 @@ _ELEMS = _build_group()
 PERM = tuple(e[0] for e in _ELEMS)
 ABSTRACT = tuple((e[1], e[2]) for e in _ELEMS)
 _INDEX = {e[0]: i for i, e in enumerate(_ELEMS)}
+_ABSTRACT_INDEX = {a: i for i, a in enumerate(ABSTRACT)}
 IDENTITY = _INDEX[tuple(range(6))]
 MUL = tuple(
     tuple(_INDEX[_compose(PERM[i], PERM[j])] for j in range(N)) for i in range(N)
@@ -150,10 +151,9 @@ def element_from_word(word):
                 raise ConsistencyError(f"bad generator word {word!r}")
             cycles.append(cyc)
     sigma = _cycles_to_perm(cycles, 4)
-    for i in range(N):
-        if ABSTRACT[i] == (sigma, eps):
-            return i
-    raise ConsistencyError(f"word {word!r} not in group")
+    if (sigma, eps) not in _ABSTRACT_INDEX:
+        raise ConsistencyError(f"word {word!r} not in group")
+    return _ABSTRACT_INDEX[sigma, eps]
 
 
 def element_from_vertex_word(word):
@@ -259,6 +259,17 @@ def mask_elements(mask):
     return [i for i in range(N) if mask >> i & 1]
 
 
+# the conjugation table: CONJ[g, x] is the element g^-1 x g
+_MUL = np.array(MUL)
+CONJ = _MUL[_MUL[np.array(INV)], np.arange(N)[:, None]]
+_BITS = 1 << np.arange(N, dtype=np.int64)
+
+
+def conjugate_masks(mask):
+    """The conjugates g^-1 H g of a subgroup mask, g = 0..47, as 48 masks."""
+    return np.bitwise_or.reduce(_BITS[CONJ[:, mask_elements(mask)]], axis=1).tolist()
+
+
 def conj_mask(mask, g):
     out = 0
     gi = INV[g]
@@ -314,7 +325,7 @@ class Catalog:
                 raise ConsistencyError(
                     f"duplicate catalog class: {label} vs {owner[mask]}"
                 )
-            orbit = sorted({conj_mask(mask, g) for g in range(N)})
+            orbit = sorted(set(conjugate_masks(mask)))
             owner.update(dict.fromkeys(orbit, label))
             orbits.append((orbit, label))
         orbits.sort()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bifurcation, force_field, group_core, orbit_o2, spectral
-from ._serialize import dumps
+from ._serialize import dumps, format_rows
 from .errors import (
     AmplitudeError,
     CollisionError,
@@ -107,7 +107,7 @@ class ModeWorkshop:
             T = self._pair_operator(x)
             rows.append(P.T @ T @ P - np.eye(2 * m))
         M = np.vstack(rows)
-        _, sv, Vt = np.linalg.svd(M)
+        _, sv, Vt = np.linalg.svd(M, full_matrices=False)
         null = Vt[sv.size - np.sum(sv < 1e-10) :] if np.sum(sv < 1e-10) else Vt[:0]
         # rows of `null` span the fixed space in reduced coordinates
         out = []
@@ -267,26 +267,16 @@ CSV_HEADER = "t," + ",".join(f"{c}{i}" for i in range(1, 7) for c in ("x", "y", 
 
 def export_trajectory(traj, path):
     """Write the sampled trajectory as CSV, every cell as ``format_float``
-    prints it: ``%.1f`` for an integral value below 1e16, else ``%.17g``.
-
-    The cells ``format_float`` prints as ``%.1f`` are found for the whole
-    array at once; each row is then one ``%`` on the template of its mask,
-    built the first time the mask appears (a mode has two: the row at
-    t = 0 and every other row).  Non-finite samples raise ``ValueError``
+    prints it (``format_rows``).  Non-finite samples raise ``ValueError``
     before the file is opened.
     """
     data = np.column_stack((traj.times, traj.samples))
     if not np.isfinite(data).all():
         raise ValueError(f"non-finite sample; {path} not written")
-    integral = (data == np.trunc(data)) & (np.abs(data) < 1e16)
-    keys = integral @ (1 << np.arange(data.shape[1]))
-    templates = {}
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for key, mask, row in zip(keys.tolist(), integral, data.tolist()):
-            if key not in templates:
-                templates[key] = ",".join(np.where(mask, "%.1f", "%.17g")) + "\n"
-            fh.write(templates[key] % tuple(row))
+        for row in format_rows(data):
+            fh.write(row + "\n")
     return path
 
 

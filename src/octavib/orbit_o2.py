@@ -102,9 +102,7 @@ def conjugate(x, c):
 _REFL = encode(1, 0, 0)  # codes from here on are temporal reflections
 
 # spatial conjugation table: _CONJ[g][x] = g^-1 x g
-_CONJ = tuple(
-    tuple(gc.MUL[gc.MUL[gc.INV[g]][x]][g] for x in range(N)) for g in range(N)
-)
+_CONJ = gc.CONJ.tolist()
 
 
 def _conjugators(gens, H, refl_h_by_spatial, spatial=range(N)):

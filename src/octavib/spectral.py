@@ -103,7 +103,7 @@ class SpectrumReport:
             ]
         }
         if self.basis is not None:
-            doc["basis"] = [list(col) for col in self.basis.T]
+            doc["basis"] = self.basis.T
         return dumps(doc)
 
 
@@ -169,32 +169,30 @@ def isotypic_multiplicities(character):
     return tuple(out)
 
 
-def _restricted_character(basis):
-    """Character of the 18-dim action restricted to the span of `basis`."""
-    vals = []
-    for g in group_core.CLASS_REPS:
-        G = group_core.action_matrix_18(g)
-        vals.append(float(np.einsum("ij,ik,kj->", basis, G, basis)))
-    return vals
+# the 18-dim action of the ten class representatives, and the character
+# table, as arrays: v^T G v is the character share of a unit column v
+_CLASS_ACTIONS = np.stack([group_core.action_matrix_18(g) for g in group_core.CLASS_REPS])
+_CHARACTERS = np.array(group_core.CHARACTER_TABLE, dtype=float)
 
 
 def assign_eigenspaces(report):
-    """Label every eigenvalue cluster with its irreducible component."""
+    """Label every eigenvalue cluster with its irreducible component.
+
+    A cluster's restricted character on the ten classes is the sum of its
+    orthonormal columns' shares v^T G v; it must equal one row of the
+    character table to within 1e-6.
+    """
     if report.basis is None:
         raise ShapeError("need an eigenbasis to assign labels")
+    V = report.basis
+    shares = ((_CLASS_ACTIONS @ V) * V).sum(axis=1)  # (class, column)
+    starts = np.cumsum([0] + [ln.multiplicity for ln in report.lines[:-1]])
+    chars = np.add.reduceat(shares, starts, axis=1).T  # (cluster, class)
+    matches = (np.abs(chars[:, None, :] - _CHARACTERS) < 1e-6).all(axis=2)
     labeled = []
     seen_7 = 0
-    k = 0
-    for ln in report.lines:
-        B = report.basis[:, k : k + ln.multiplicity]
-        k += ln.multiplicity
-        chi = _restricted_character(B)
-        hit = None
-        for j, row in enumerate(group_core.CHARACTER_TABLE):
-            if all(abs(c - r) < 1e-6 for c, r in zip(chi, row)):
-                hit = j
-                break
-        if hit is None:
+    for ln, chi, match in zip(report.lines, chars.tolist(), matches):
+        if not match.any():
             try:
                 counts = isotypic_multiplicities(chi)
             except InvalidCharacterError:
@@ -209,7 +207,7 @@ def assign_eigenspaces(report):
             raise ResonanceError(
                 f"blocks {merged} share one eigenspace at alpha^2 = {ln.alpha_sq:.6g}"
             )
-        label = group_core.IRREP_NAMES[hit]
+        label = group_core.IRREP_NAMES[int(np.argmax(match))]
         if label == "7":
             # the two equivalent 3-dim components: lower eigenvalue keeps "7"
             label = "7" if seen_7 == 0 else "7*"

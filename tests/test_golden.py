@@ -18,6 +18,9 @@ from octavib import cli
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 COMMANDS = {
+    "equilibrium.txt": ["equilibrium"],
+    "spectrum.txt": ["spectrum"],
+    "critical.txt": ["critical"],
     "invariant_j0.txt": ["invariant", "--j", "0"],
     "invariant_j4.txt": ["invariant", "--j", "4"],
     "invariant_j7.txt": ["invariant", "--j", "7"],

@@ -211,6 +211,18 @@ class TestCatalog:
             scan = sum(1 for g in range(gc.N) if gc.conj_mask(c.mask, g) == c.mask)
             assert c.normalizer_order == scan, c.label
 
+    def test_conjugation_table(self):
+        for g in range(gc.N):
+            for x in range(gc.N):
+                assert gc.CONJ[g, x] == gc.MUL[gc.MUL[gc.INV[g]][x]][g]
+
+    def test_conjugates_against_the_scan(self):
+        # oracle: conjugate the representative by each element, one at a time
+        for c in gc.catalog().classes:
+            scan = [gc.conj_mask(c.mask, gc.INV[g]) for g in range(gc.N)]
+            assert gc.conjugate_masks(c.mask) == scan, c.label
+            assert c.conjugates == tuple(sorted(set(scan))), c.label
+
 
 class TestCounts:
     def test_self_count(self):
