@@ -27,6 +27,7 @@ from .spectral import (
 from .bifurcation import (
     CriticalNumber,
     InvariantEngine,
+    Request,
     check_isotypic_nonresonance,
     critical_set,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "spectrum_at_equilibrium",
     "CriticalNumber",
     "InvariantEngine",
+    "Request",
     "check_isotypic_nonresonance",
     "critical_set",
     "ModeWorkshop",

@@ -1,4 +1,8 @@
-"""Critical numbers, nonresonance, bifurcation invariants, and the census.
+"""The per-σ request, critical numbers, nonresonance, bifurcation invariants,
+and the census.
+
+A ``Request`` carries what depends on σ: the equilibrium, the two spectra,
+the checked frequencies and the invariant engine.
 
 The invariant at the first critical number of isotypic block j is
 
@@ -18,7 +22,9 @@ product of basic degrees (``invariant_full``) is the tests' oracle only.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
+from . import force_field, spectral
 from . import orbit_o2 as o2
 from .errors import ConfigError, ConsistencyError, ResonanceError
 
@@ -259,10 +265,58 @@ class InvariantEngine:
         ]
 
 
+def checked_frequencies(report):
+    """The frequencies of a labeled spectrum, refused unless every alpha^2
+    but block 6's is positive and the isotypic blocks are nonresonant."""
+    alphas = report.alphas()
+    ok, witness = check_isotypic_nonresonance(report)
+    if not ok:
+        raise ResonanceError(
+            f"resonance between isotypic blocks {witness[0]} and {witness[1]}"
+        )
+    return alphas
+
+
 def engine_from_spectrum(report):
     """Build the invariant engine from a labeled spectrum report."""
-    alphas = report.alphas()
-    flag, witness = check_isotypic_nonresonance(report)
-    if not flag:
-        raise ResonanceError(f"isotypic resonance between blocks {witness}")
-    return InvariantEngine(alphas)
+    return InvariantEngine(checked_frequencies(report))
+
+
+class Request:
+    """Everything that depends on σ, each piece computed on first use and once.
+
+    The equilibrium gives the reported spectrum, whose checked frequencies
+    order the critical numbers and build the invariant engine, and the
+    Cartesian spectrum the modes are built from.
+    """
+
+    def __init__(self, params):
+        self.params = params
+
+    @property
+    def sigma(self):
+        """σ as a refusal names it."""
+        return ", ".join(
+            f"{name}={float(getattr(self.params, name))!r}"
+            for name in ("sigma1", "sigma2", "sigma3")
+        )
+
+    @cached_property
+    def equilibrium(self):
+        return force_field.find_equilibrium(self.params)
+
+    @cached_property
+    def spectrum(self):
+        return spectral.spectrum_at_equilibrium(self.equilibrium)
+
+    @cached_property
+    def cartesian_spectrum(self):
+        return spectral.spectrum_at_equilibrium(self.equilibrium, convention="cartesian")
+
+    @cached_property
+    def frequencies(self):
+        return checked_frequencies(self.spectrum)
+
+    @cached_property
+    def engine(self):
+        return engine_from_spectrum(self.spectrum)

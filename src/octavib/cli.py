@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 
-from . import bifurcation, force_field, group_core, modes, orbit_o2, spectral
+from . import bifurcation, force_field, group_core, modes, orbit_o2
 from ._serialize import dumps, format_float
 from .errors import ConfigError, ConsistencyError, OctavibError, ResonanceError
 
@@ -27,21 +27,17 @@ def _writing():
         raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
-def _params(args):
-    if args.config:
-        return force_field.load_params(args.config)
-    return force_field.REFERENCE_PARAMS
+def _request(args):
+    """The command line's per-σ request, from --config or the reference σ.
 
-
-def _sigma(args):
-    """The request's σ, as a numerical failure names it.
-
-    Every command that can fail numerically has read its parameters first,
-    so reading them again cannot fail.
+    ``main`` names the σ of a numerical failure from it.
     """
-    params = _params(args)
-    names = ("sigma1", "sigma2", "sigma3")
-    return ", ".join(f"{name}={float(getattr(params, name))!r}" for name in names)
+    params = (
+        force_field.load_params(args.config) if args.config
+        else force_field.REFERENCE_PARAMS
+    )
+    args.request = bifurcation.Request(params)
+    return args.request
 
 
 def _output_directory(path):
@@ -54,19 +50,16 @@ def _output_directory(path):
 
 
 def cmd_equilibrium(args):
-    params = _params(args)
-    eq = force_field.find_equilibrium(params)
-    print(f"r0={format_float(eq.radius)}")
-    print(f"criticality_residual={format_float(force_field.ct_residual(params, eq.radius))}")
-    print(f"phi_second={format_float(force_field.phi_second(params, eq.radius))}")
+    request = _request(args)
+    params, r0 = request.params, request.equilibrium.radius
+    print(f"r0={format_float(r0)}")
+    print(f"criticality_residual={format_float(force_field.ct_residual(params, r0))}")
+    print(f"phi_second={format_float(force_field.phi_second(params, r0))}")
     return 0
 
 
 def cmd_spectrum(args):
-    params = _params(args)
-    eq = force_field.find_equilibrium(params)
-    report = spectral.spectrum_at_equilibrium(eq)
-    doc = report.to_json()
+    doc = _request(args).spectrum.to_json()
     if args.out:
         path = os.path.join(args.out, "spectrum.json")
         with _writing(), open(path, "w") as fh:
@@ -78,15 +71,13 @@ def cmd_spectrum(args):
 
 
 def cmd_critical(args):
-    params = _params(args)
-    eq = force_field.find_equilibrium(params)
-    report = spectral.spectrum_at_equilibrium(eq)
-    alphas = report.alphas()
-    ok, witness = bifurcation.check_isotypic_nonresonance(report)
-    if not ok:
-        message = f"resonance between isotypic blocks {witness[0]} and {witness[1]}"
-        print(message)
-        raise ResonanceError(message)
+    request = _request(args)
+    request.spectrum  # a merged eigenspace is refused here, on stderr only
+    try:
+        alphas = request.frequencies
+    except ResonanceError as exc:
+        print(exc)  # critical also prints an isotypic resonance on stdout
+        raise
     crit = bifurcation.critical_set(alphas, args.max)
     for c in crit:
         print(f"lambda[{c.j},{c.l}]={format_float(c.value)}")
@@ -98,10 +89,7 @@ def cmd_critical(args):
 
 
 def cmd_invariant(args):
-    params = _params(args)
-    eq = force_field.find_equilibrium(params)
-    report = spectral.spectrum_at_equilibrium(eq)
-    eng = bifurcation.engine_from_spectrum(report)
+    eng = _request(args).engine
     j = args.j
     if j not in bifurcation.ISOTYPIC:
         raise ConfigError(f"--j must be one of {', '.join(bifurcation.ISOTYPIC)}")
@@ -121,11 +109,7 @@ def cmd_invariant(args):
 
 
 def cmd_census(args):
-    params = _params(args)
-    eq = force_field.find_equilibrium(params)
-    report = spectral.spectrum_at_equilibrium(eq)
-    eng = bifurcation.engine_from_spectrum(report)
-    rows = eng.census()
+    rows = _request(args).engine.census()
     print(f"count={len(rows)}")
     for row in rows:
         blocks = ",".join(row["blocks"])
@@ -139,8 +123,7 @@ def cmd_census(args):
 def cmd_modes(args):
     outdir = args.out or "."
     _output_directory(outdir)
-    params = _params(args)
-    shop = modes.ModeWorkshop(params)
+    shop = modes.ModeWorkshop(_request(args))
     traj = shop.build_mode(args.j, args.k, args.eps, args.samples)
     passed, report = shop.verify_symmetry(traj)
     stem = f"mode_j{args.j.replace('*', 's')}_k{args.k}"
@@ -202,6 +185,7 @@ def build_parser():
         description="Octahedral-molecule vibrational analysis pipeline",
     )
     p.add_argument("--config", help="key=value parameter file (sigma1/2/3)")
+    p.set_defaults(request=None)  # set by the commands that read σ
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("equilibrium", help="radial equilibrium and residuals")
@@ -258,7 +242,8 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OctavibError as exc:
-        print(f"numerical failure: {exc} ({_sigma(args)})", file=sys.stderr)
+        sigma = f" ({args.request.sigma})" if args.request else ""
+        print(f"numerical failure: {exc}{sigma}", file=sys.stderr)
         return 1
 
 

@@ -197,17 +197,27 @@ def phi_prime(params, r):
     )
 
 
-def phi_second(params, r, step=1e-6):
-    return (phi(params, r + step) - 2 * phi(params, r) + phi(params, r - step)) / step ** 2
+def phi_second(params, r):
+    return 12 * ct_residual(params, r) + 24 * r * r * (
+        8 * u1_second(2 * r * r, params)
+        + 8 * u1_second(4 * r * r, params)
+        + u2_second(r * r)
+    )
+
+
+def _ct_terms(params, r):
+    """The three summands of the radial criticality condition at radius r."""
+    return (
+        4 * u1_prime(2 * r * r, params),
+        2 * u1_prime(4 * r * r, params),
+        u2_prime(r * r),
+    )
 
 
 def ct_residual(params, r):
     """Residual of the radial criticality condition at radius r."""
-    return (
-        4 * u1_prime(2 * r * r, params)
-        + 2 * u1_prime(4 * r * r, params)
-        + u2_prime(r * r)
-    )
+    adjacent, opposite, bond = _ct_terms(params, r)
+    return adjacent + opposite + bond
 
 
 @dataclass(frozen=True)
@@ -248,7 +258,7 @@ def find_equilibrium(params, lo=1e-3, hi=1e3):
     r0 = 0.5 * (a + b)
     # one Newton step on phi' sharpens the root to machine precision
     fp = phi_prime(params, r0)
-    fpp = (phi_prime(params, r0 + 1e-7) - phi_prime(params, r0 - 1e-7)) / 2e-7
+    fpp = phi_second(params, r0)
     if fpp > 0:
         r0 -= fp / fpp
     return Equilibrium(float(r0), params)
@@ -316,9 +326,13 @@ def hessian_blocks(params, r0, convention="reported"):
 
     ``convention="reported"`` reproduces the reference block matrix (the
     alpha^2 spectrum); ``"cartesian"`` produces the true second derivative
-    at r0 * template.  Requires r0 to satisfy the criticality condition.
+    at r0 * template.  Requires r0 to satisfy the criticality condition to
+    within what rounding its three summands, or r0 itself, can leave
+    (r0 * dct/dr is phi''/12 less the residual).
     """
-    if abs(ct_residual(params, r0)) > 1e-6:
+    adjacent, opposite, bond = _ct_terms(params, r0)
+    scale = abs(adjacent) + abs(opposite) + abs(bond) + abs(phi_second(params, r0)) / 12
+    if abs(adjacent + opposite + bond) > 1e-9 * scale:
         raise ShapeError(
             "block Hessian is only valid at the octahedral equilibrium radius"
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bifurcation, force_field, group_core, orbit_o2, spectral
+from . import bifurcation, force_field, group_core, orbit_o2
 from ._serialize import dumps, format_rows
 from .errors import (
     AmplitudeError,
@@ -50,15 +50,21 @@ class ModeTrajectory:
 
 
 class ModeWorkshop:
-    """Mode construction bound to one equilibrium."""
+    """Mode construction bound to one equilibrium.
+
+    Built from a ``bifurcation.Request``, or from the parameters of a new
+    one (the reference parameters by default); the equilibrium and the
+    Cartesian spectrum are the request's.
+    """
 
     def __init__(self, params=None):
-        self.params = params or force_field.REFERENCE_PARAMS
-        self.equilibrium = force_field.find_equilibrium(self.params)
-        self.center = self.equilibrium.configuration.reshape(18)
-        self.spectrum = spectral.spectrum_at_equilibrium(
-            self.equilibrium, convention="cartesian"
+        request = (
+            params if isinstance(params, bifurcation.Request)
+            else bifurcation.Request(params or force_field.REFERENCE_PARAMS)
         )
+        self.params = request.params
+        self.center = request.equilibrium.configuration.reshape(18)
+        self.spectrum = request.cartesian_spectrum
         self.ring = orbit_o2.ring()
 
     def types_for(self, j):
@@ -67,12 +73,6 @@ class ModeWorkshop:
             raise ConfigError(f"unknown isotypic label {j!r}")
         classes = orbit_o2.maximal_orbit_types(bifurcation._degree_index(j), 1)
         return sorted(classes, key=self.ring.label_of)
-
-    def alpha_of(self, j):
-        for ln in self.spectrum.lines:
-            if ln.label == j:
-                return math.sqrt(ln.alpha_sq)
-        raise ConfigError(f"unknown isotypic label {j!r}")
 
     # -- fixed-space construction ---------------------------------------
     def _pair_operator(self, element):
@@ -166,7 +166,7 @@ class ModeWorkshop:
             type_class=type_class,
             symmetry=self.ring.label_of(type_class),
             epsilon=float(epsilon),
-            alpha=self.alpha_of(j),
+            alpha=self.spectrum.alpha(j),
             times=times,
             samples=samples,
             center=self.center.copy(),

@@ -76,14 +76,14 @@ class SpectrumReport:
         Critical numbers and invariants read their frequencies here, so a
         line with alpha^2 <= 0 is refused rather than dropped.
         """
+        return {ln.label: _frequency(ln) for ln in self.lines if ln.label != "6"}
+
+    def alpha(self, label):
+        """The positive frequency of one block, refused like ``alphas``."""
         for ln in self.lines:
-            if ln.label != "6" and ln.alpha_sq <= 0:
-                raise NonPositiveFrequencyError(
-                    f"block {ln.label} has alpha^2 = {ln.alpha_sq!r} <= 0"
-                )
-        return {
-            ln.label: float(np.sqrt(ln.alpha_sq)) for ln in self.lines if ln.label != "6"
-        }
+            if ln.label == label:
+                return _frequency(ln)
+        raise KeyError(label)
 
     def basis_for(self, label):
         if self.basis is None:
@@ -105,6 +105,14 @@ class SpectrumReport:
         if self.basis is not None:
             doc["basis"] = self.basis.T
         return dumps(doc)
+
+
+def _frequency(line):
+    if line.alpha_sq <= 0:
+        raise NonPositiveFrequencyError(
+            f"block {line.label} has alpha^2 = {line.alpha_sq!r} <= 0"
+        )
+    return float(np.sqrt(line.alpha_sq))
 
 
 def closed_form_spectrum(coeffs):

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import pathlib
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from octavib import bifurcation, cli, modes, orbit_o2
+from octavib import bifurcation, cli, force_field, modes, orbit_o2, spectral
 
 from conftest import UNSTABLE_REPORTED_9
 
@@ -202,6 +203,99 @@ class TestCriticalResonanceRefusal:
             "numerical failure: resonance between isotypic blocks 4 and 7"
             " (sigma1=0.0618, sigma2=0.0618, sigma3=1.0)\n"
         )
+
+
+    @pytest.mark.parametrize("command", ["census", "invariant"])
+    def test_one_message_in_every_command(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(
+            bifurcation, "check_isotypic_nonresonance", lambda report: (False, ("4", "7"))
+        )
+        argv = [command] + (["--j", "0"] if command == "invariant" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "numerical failure: resonance between isotypic blocks 4 and 7"
+            " (sigma1=0.0618, sigma2=0.0618, sigma3=1.0)\n"
+        )
+
+
+class TestNonPositiveCartesianRefusal:
+    """A mode of a block whose Cartesian alpha^2 is negative is refused; the
+    other blocks at the same σ still build."""
+
+    SIGMA = (0.002469790349329038, 0.0024097035400066614, 1.0582188795427901e-05)
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        cfg = tmp_path / "soft.cfg"
+        cfg.write_text("".join(f"sigma{i}={s!r}\n" for i, s in enumerate(self.SIGMA, 1)))
+        return str(cfg)
+
+    def test_modes_exit_1_naming_block_and_sigma(self, capsys, config, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "--config", config, "modes", "--j", "8", "--out", str(out_dir)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure: block 8 has alpha^2 = -0.00798")
+        assert err.endswith(
+            "<= 0 (sigma1=0.002469790349329038, sigma2=0.0024097035400066614,"
+            " sigma3=1.0582188795427901e-05)\n"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("j", ["0", "4", "7*"])
+    def test_other_blocks_build(self, capsys, config, tmp_path, j):
+        code, out, _ = run(capsys, "--config", config, "modes", "--j", j, "--out", str(tmp_path))
+        assert code == 0
+        assert out.endswith("verified=true\n")
+
+
+class TestOneRequestPerCommand:
+    """Each command finds the equilibrium and each spectrum at most once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+        find = force_field.find_equilibrium
+        spectrum = spectral.spectrum_at_equilibrium
+
+        def counted_find(params):
+            counts["equilibrium"] += 1
+            return find(params)
+
+        def counted_spectrum(eq, convention="reported"):
+            counts[convention] += 1
+            return spectrum(eq, convention)
+
+        monkeypatch.setattr(force_field, "find_equilibrium", counted_find)
+        monkeypatch.setattr(spectral, "spectrum_at_equilibrium", counted_spectrum)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv, pieces",
+        [
+            (["equilibrium"], ["equilibrium"]),
+            (["spectrum"], ["equilibrium", "reported"]),
+            (["critical"], ["equilibrium", "reported"]),
+            (["census"], ["equilibrium", "reported"]),
+            (["invariant", "--j", "7", "--full"], ["equilibrium", "reported"]),
+            (["modes", "--j", "0"], ["equilibrium", "cartesian"]),
+        ],
+        ids=["equilibrium", "spectrum", "critical", "census", "invariant", "modes"],
+    )
+    def test_command(self, capsys, calls, tmp_path, argv, pieces):
+        argv += ["--out", str(tmp_path)] if argv[0] == "modes" else []
+        assert run(capsys, *argv)[0] == 0
+        assert calls == dict.fromkeys(pieces, 1)
+
+    @pytest.mark.parametrize("args", [(), (force_field.REFERENCE_PARAMS,)],
+                             ids=["default", "params"])
+    def test_workshop(self, calls, args):
+        modes.ModeWorkshop(*args).build_mode("9", 1)
+        assert calls == {"equilibrium": 1, "cartesian": 1}
 
 
 class TestModes:

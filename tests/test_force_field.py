@@ -192,6 +192,18 @@ class TestEquilibrium:
         assert ff.phi_second(params, equilibrium.radius) > 0
         assert abs(ff.ct_residual(params, equilibrium.radius)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "sigmas", [(0.0618, 0.0618, 1.0), (0.1, 0.1, 0.5), (0.1, 1e5, 1.0), (1e-3, 0, 10)]
+    )
+    def test_phi_second_is_the_slope_of_phi_prime(self, sigmas):
+        params = ff.PotentialParams(*sigmas)
+        r0 = ff.find_equilibrium(params).radius
+        for r in (r0, 0.9 * r0, 1.2 * r0):
+            exact = ff.phi_second(params, r)
+            for h in (1e-5 * r, 1e-6 * r):
+                slope = (ff.phi_prime(params, r + h) - ff.phi_prime(params, r - h)) / (2 * h)
+                assert slope == pytest.approx(exact, rel=1e-8)
+
     def test_harmonic_only(self):
         eq = ff.find_equilibrium(ff.PotentialParams(0, 0, 0))
         assert eq.radius == 1.0
@@ -260,6 +272,16 @@ class TestHessian:
     def test_block_path_requires_equilibrium(self, params):
         with pytest.raises(ShapeError):
             ff.hessian_blocks(params, 2.0)
+
+    @pytest.mark.parametrize("sigmas", [(0.1, 1e5, 1.0), (1e-300, 0, 0)])
+    def test_criticality_is_checked_against_its_rounding(self, sigmas):
+        # at (0.1, 1e5, 1) the residual is -0.0071 beside summands of 1.3e12;
+        # at (1e-300, 0, 0) r0 = 1 leaves 1e-301 that no rounding of r0 removes
+        params = ff.PotentialParams(*sigmas)
+        r0 = ff.find_equilibrium(params).radius
+        assert ff.hessian_blocks(params, r0).shape == (18, 18)
+        with pytest.raises(ShapeError):
+            ff.hessian_blocks(params, r0 * (1 + 1e-6))
 
 
 class TestParamsFile:

@@ -170,6 +170,18 @@ class TestAssign:
         cartesian = spectral.spectrum_at_equilibrium(eq, convention="cartesian")
         assert cartesian.alpha_sq["9"] > 0
 
+    def test_one_block_frequency(self, labeled_spectrum):
+        alphas = labeled_spectrum.alphas()
+        assert {j: labeled_spectrum.alpha(j) for j in alphas} == alphas
+        with pytest.raises(KeyError):
+            labeled_spectrum.alpha("3")
+        # the other blocks of a spectrum with a negative line still answer
+        eq = ff.find_equilibrium(ff.PotentialParams(*UNSTABLE_REPORTED_9))
+        report = spectral.spectrum_at_equilibrium(eq)
+        assert report.alpha("0") == np.sqrt(report.alpha_sq["0"])
+        with pytest.raises(spectral.NonPositiveFrequencyError, match="block 9 "):
+            report.alpha("9")
+
     def test_eigenspace_that_does_not_decompose_is_a_labelling_bug(self):
         # one coordinate axis spans no invariant subspace
         line = spectral.SpectrumLine("?", 1.0, 1)
