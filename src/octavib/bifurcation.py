@@ -29,6 +29,7 @@ from . import orbit_o2 as o2
 from .errors import ConfigError, ConsistencyError, ResonanceError
 
 ISOTYPIC = ("0", "4", "7", "7*", "8", "9")
+RESONANCE_RTOL = 1e-6  # alpha^2 this close, relative to max |alpha^2|, resonate
 
 
 @dataclass(frozen=True)
@@ -87,19 +88,28 @@ def ordering_ties(criticals, rel_tol=1e-9):
     return ties
 
 
-def check_isotypic_nonresonance(report, tol=1e-9):
-    """True when the six nonzero eigenvalues are distinct and uniquely labeled."""
-    lines = [ln for ln in report.lines if ln.label != "6" and ln.alpha_sq > tol]
-    labels = [ln.label for ln in lines]
-    if len(set(labels)) != len(labels):
-        dup = next(lb for lb in labels if labels.count(lb) > 1)
-        return False, (dup, dup)
-    scale = max(ln.alpha_sq for ln in lines)
-    for i, a in enumerate(lines):
-        for b in lines[i + 1 :]:
-            if abs(a.alpha_sq - b.alpha_sq) <= tol * scale:
-                return False, (a.label, b.label)
-    return True, None
+def resonant_groups(report):
+    """Blocks whose alpha^2, block 6's included, chain through neighbours that
+    close, lowest first; label order makes residues of either sign alike."""
+    lines = sorted(report.lines, key=lambda ln: ln.alpha_sq)
+    tol = RESONANCE_RTOL * max(abs(ln.alpha_sq) for ln in lines)
+    groups = [[lines[0].label]]
+    for a, b in zip(lines, lines[1:]):
+        if b.alpha_sq - a.alpha_sq > tol:
+            groups.append([])
+        groups[-1].append(b.label)
+    return [tuple(sorted(g)) for g in groups if len(g) > 1]
+
+
+def check_isotypic_nonresonance(report):
+    """(True, None) when no two alpha^2 resonate, else (False, the lowest group)."""
+    groups = resonant_groups(report)
+    return (False, groups[0]) if groups else (True, None)
+
+
+def _resonance_error(group):
+    names = ", ".join(group[:-1]) + " and " + group[-1]
+    return ResonanceError(f"resonance between isotypic blocks {names}")
 
 
 def factors_before(j_o, alphas):
@@ -266,15 +276,19 @@ class InvariantEngine:
 
 
 def checked_frequencies(report):
-    """The frequencies of a labeled spectrum, refused unless every alpha^2
-    but block 6's is positive and the isotypic blocks are nonresonant."""
-    alphas = report.alphas()
+    """Frequencies of a spectrum, refused for a resonance, then for alpha^2 <= 0."""
     ok, witness = check_isotypic_nonresonance(report)
     if not ok:
-        raise ResonanceError(
-            f"resonance between isotypic blocks {witness[0]} and {witness[1]}"
-        )
-    return alphas
+        raise _resonance_error(witness)
+    return report.alphas()
+
+
+def checked_frequency(report, j):
+    """Block j's frequency, refused like ``checked_frequencies`` for j alone."""
+    for group in resonant_groups(report):
+        if j in group:
+            raise _resonance_error(group)
+    return report.alpha(j)
 
 
 def engine_from_spectrum(report):
@@ -319,4 +333,4 @@ class Request:
 
     @cached_property
     def engine(self):
-        return engine_from_spectrum(self.spectrum)
+        return InvariantEngine(self.frequencies)

@@ -71,10 +71,8 @@ def cmd_spectrum(args):
 
 
 def cmd_critical(args):
-    request = _request(args)
-    request.spectrum  # a merged eigenspace is refused here, on stderr only
     try:
-        alphas = request.frequencies
+        alphas = _request(args).frequencies
     except ResonanceError as exc:
         print(exc)  # critical also prints an isotypic resonance on stdout
         raise

@@ -166,7 +166,7 @@ class ModeWorkshop:
             type_class=type_class,
             symmetry=self.ring.label_of(type_class),
             epsilon=float(epsilon),
-            alpha=self.spectrum.alpha(j),
+            alpha=bifurcation.checked_frequency(self.spectrum, j),
             times=times,
             samples=samples,
             center=self.center.copy(),

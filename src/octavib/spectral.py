@@ -1,10 +1,10 @@
 """Equilibrium Hessian spectrum and its isotypic decomposition.
 
-``closed_form_spectrum`` evaluates the reference alpha^2 table from the five
-stiffness constants; ``numeric_spectrum`` diagonalizes an assembled matrix
-and groups eigenvalue clusters; ``assign_eigenspaces`` labels each cluster
-with its irreducible component by matching restricted characters against the
-character table, and refuses a cluster that holds several blocks.
+The isotypic components of R^18 do not depend on σ.  ``Q``, built once from
+the projectors P_j = (dim chi_j / |G|) sum_g chi_j(g) g, is a basis of them,
+and ``numeric_spectrum`` reads each labeled line from its block of Q^T H Q.
+``closed_form_spectrum`` (alpha^2 from the five stiffness constants) and
+``assign_eigenspaces`` (labels from restricted characters) are oracles.
 """
 
 from dataclasses import dataclass, field, replace
@@ -13,13 +13,7 @@ import numpy as np
 
 from . import force_field, group_core
 from ._serialize import dumps
-from .errors import (
-    InvalidCharacterError,
-    LabelingError,
-    NumericalError,
-    ResonanceError,
-    ShapeError,
-)
+from .errors import InvalidCharacterError, LabelingError, NumericalError, ShapeError
 
 MULTIPLICITIES = {"0": 1, "4": 2, "6": 3, "7": 3, "7*": 3, "8": 3, "9": 3}
 
@@ -56,7 +50,7 @@ class StiffnessCoefficients:
 
 @dataclass(frozen=True)
 class SpectrumLine:
-    label: str  # irrep index "0".."9", or "?" before labeling
+    label: str  # irrep index "0".."9"; "7*" is the upper copy of irrep 7
     alpha_sq: float
     multiplicity: int
 
@@ -71,11 +65,7 @@ class SpectrumReport:
         return {ln.label: ln.alpha_sq for ln in self.lines}
 
     def alphas(self):
-        """Positive frequencies alpha_j = sqrt(alpha^2_j) of the lines but "6".
-
-        Critical numbers and invariants read their frequencies here, so a
-        line with alpha^2 <= 0 is refused rather than dropped.
-        """
+        """Frequencies sqrt(alpha^2) of the lines but "6"; alpha^2 <= 0 is refused."""
         return {ln.label: _frequency(ln) for ln in self.lines if ln.label != "6"}
 
     def alpha(self, label):
@@ -135,31 +125,6 @@ def closed_form_spectrum(coeffs):
     return SpectrumReport(lines=lines)
 
 
-def numeric_spectrum(hessian, gap=1e-6):
-    """Eigen-decomposition with relative-gap clustering of multiplicities."""
-    H = np.asarray(hessian, dtype=float)
-    if H.shape != (18, 18):
-        raise ShapeError(f"expected an 18x18 matrix, got {H.shape}")
-    if np.max(np.abs(H - H.T)) > 1e-9:
-        raise ShapeError("matrix is not symmetric")
-    w, V = np.linalg.eigh(0.5 * (H + H.T))
-    scale = max(np.max(np.abs(w)), 1.0)
-    lines = []
-    cols = []
-    k = 0
-    while k < 18:
-        m = k + 1
-        while m < 18 and w[m] - w[m - 1] <= gap * scale:
-            m += 1
-        val = float(np.mean(w[k:m]))
-        if abs(val) <= gap * scale:
-            val = 0.0
-        lines.append(SpectrumLine("?", val, m - k))
-        cols.append(V[:, k:m])
-        k = m
-    return SpectrumReport(lines=tuple(lines), basis=np.hstack(cols))
-
-
 def isotypic_multiplicities(character):
     """Decompose a class function over the ten irreducibles."""
     chi = tuple(character)
@@ -177,16 +142,53 @@ def isotypic_multiplicities(character):
     return tuple(out)
 
 
-# the 18-dim action of the ten class representatives, and the character
-# table, as arrays: v^T G v is the character share of a unit column v
-_CLASS_ACTIONS = np.stack([group_core.action_matrix_18(g) for g in group_core.CLASS_REPS])
+# the 18-dim action and the character table; v^T G v is the share of a column v
+_ACTIONS = np.stack([group_core.action_matrix_18(g) for g in range(group_core.N)])
+_CLASS_ACTIONS = _ACTIONS[list(group_core.CLASS_REPS)]
 _CHARACTERS = np.array(group_core.CHARACTER_TABLE, dtype=float)
 
 
-def assign_eigenspaces(report):
-    """Label every eigenvalue cluster with its irreducible component.
+def _component(j, copies):
+    """(label, copies, columns) of one component: the range of its projector."""
+    chi = _CHARACTERS[j, list(group_core.ELEMENT_CLASS)]
+    P = chi[0] / group_core.N * np.tensordot(chi, _ACTIONS, axes=1)
+    V = np.linalg.eigh(P)[1]  # eigenvalues 0, then 1 on the range
+    return group_core.IRREP_NAMES[j], copies, V[:, 18 - copies * int(chi[0]) :]
 
-    A cluster's restricted character on the ten classes is the sum of its
+
+_COPIES = isotypic_multiplicities(group_core.action_character())
+COMPONENTS = tuple(_component(j, m) for j, m in enumerate(_COPIES) if m)
+Q = np.hstack([B for _, _, B in COMPONENTS])
+
+
+def numeric_spectrum(hessian):
+    """The seven labeled lines of an equivariant 18x18 matrix, by alpha^2.
+
+    H is alpha^2 times the identity on a component with one copy of its
+    irreducible (Schur), read as the mean of its block of Q^T H Q; a 6x6
+    ``eigh`` splits the two copies of 7 into "7" below and "7*" above."""
+    H = np.asarray(hessian, dtype=float)
+    if H.shape != (18, 18):
+        raise ShapeError(f"expected an 18x18 matrix, got {H.shape}")
+    if np.max(np.abs(H - H.T)) > 1e-9:
+        raise ShapeError("matrix is not symmetric")
+    out = []
+    for label, copies, B in COMPONENTS:
+        R = B.T @ H @ B
+        if copies == 1:
+            out.append((SpectrumLine(label, float(np.trace(R)) / len(R), len(R)), B))
+            continue
+        w, V = np.linalg.eigh(R)
+        for name, k in ((label, slice(0, 3)), (label + "*", slice(3, 6))):
+            out.append((SpectrumLine(name, float(np.mean(w[k])), 3), B @ V[:, k]))
+    out.sort(key=lambda pair: pair[0].alpha_sq)
+    return SpectrumReport(tuple(ln for ln, _ in out), np.hstack([c for _, c in out]))
+
+
+def assign_eigenspaces(report):
+    """Label every line of a report with its irreducible component.
+
+    A line's restricted character on the ten classes is the sum of its
     orthonormal columns' shares v^T G v; it must equal one row of the
     character table to within 1e-6.
     """
@@ -195,31 +197,17 @@ def assign_eigenspaces(report):
     V = report.basis
     shares = ((_CLASS_ACTIONS @ V) * V).sum(axis=1)  # (class, column)
     starts = np.cumsum([0] + [ln.multiplicity for ln in report.lines[:-1]])
-    chars = np.add.reduceat(shares, starts, axis=1).T  # (cluster, class)
+    chars = np.add.reduceat(shares, starts, axis=1).T  # (line, class)
     matches = (np.abs(chars[:, None, :] - _CHARACTERS) < 1e-6).all(axis=2)
-    labeled = []
-    seen_7 = 0
+    labeled, seen_7 = [], False
     for ln, chi, match in zip(report.lines, chars.tolist(), matches):
         if not match.any():
-            try:
-                counts = isotypic_multiplicities(chi)
-            except InvalidCharacterError:
-                raise LabelingError(
-                    f"eigenspace at {ln.alpha_sq:.6g} matches no irreducible character: {chi}"
-                ) from None
-            # a sum of irreducibles: several blocks share one alpha^2
-            names = group_core.IRREP_NAMES
-            merged = ", ".join(
-                names[j] if m == 1 else f"{m} x {names[j]}" for j, m in enumerate(counts) if m
-            )
-            raise ResonanceError(
-                f"blocks {merged} share one eigenspace at alpha^2 = {ln.alpha_sq:.6g}"
+            raise LabelingError(
+                f"eigenspace at {ln.alpha_sq:.6g} matches no irreducible character: {chi}"
             )
         label = group_core.IRREP_NAMES[int(np.argmax(match))]
-        if label == "7":
-            # the two equivalent 3-dim components: lower eigenvalue keeps "7"
-            label = "7" if seen_7 == 0 else "7*"
-            seen_7 += 1
+        if label == "7":  # two equivalent components: the lower keeps "7"
+            label, seen_7 = ("7*" if seen_7 else "7"), True
         labeled.append(replace(ln, label=label))
     return SpectrumReport(lines=tuple(labeled), basis=report.basis)
 
@@ -227,4 +215,4 @@ def assign_eigenspaces(report):
 def spectrum_at_equilibrium(eq, convention="reported"):
     """Labeled numeric spectrum of the block Hessian at an equilibrium."""
     H = force_field.hessian_blocks(eq.params, eq.radius, convention=convention)
-    return assign_eigenspaces(numeric_spectrum(H))
+    return numeric_spectrum(H)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import re
@@ -99,11 +100,40 @@ class TestNonresonance:
             report = spectral.SpectrumReport(lines=lines)
             ok, _ = bf.check_isotypic_nonresonance(report)
             direct = all(
-                abs(vals[i] - vals[k]) > 1e-9 * vals.max()
+                abs(vals[i] - vals[k]) > bf.RESONANCE_RTOL * vals.max()
                 for i in range(6)
                 for k in range(i + 1, 6)
             )
             assert ok == direct
+
+
+    @pytest.mark.parametrize("signs", itertools.product((1, -1), repeat=4))
+    def test_group_named_alike_for_either_residue_sign(self, signs):
+        # blocks 6, 7, 8 and 9 at alpha^2 = 0 up to rounding, as at σ = 0
+        residues = dict(zip(("6", "7", "8", "9"), (3e-33, 2e-17, 1e-16, 4e-33)))
+        values = {"0": 0.9999999999999999, "4": 1.0000000000000002, "7*": 1.0}
+        values.update({j: s * r for s, (j, r) in zip(signs, residues.items())})
+        report = spectral.SpectrumReport(
+            lines=tuple(spectral.SpectrumLine(j, v, 3) for j, v in values.items())
+        )
+        assert bf.check_isotypic_nonresonance(report) == (False, ("6", "7", "8", "9"))
+        assert bf.resonant_groups(report) == [("6", "7", "8", "9"), ("0", "4", "7*")]
+        with pytest.raises(ResonanceError) as exc:
+            bf.checked_frequencies(report)
+        assert str(exc.value) == "resonance between isotypic blocks 6, 7, 8 and 9"
+        with pytest.raises(ResonanceError, match="blocks 0, 4 and 7\\*$"):
+            bf.checked_frequency(report, "0")
+
+    def test_rule_is_relative_to_the_largest_alpha_sq(self):
+        # 9 sits 3e-6 above 6: apart beside alpha^2 = 2, resonant beside 4
+        def report(top):
+            values = (("6", 0.0), ("9", 3e-6), ("8", 1.0), ("7", top))
+            return spectral.SpectrumReport(
+                lines=tuple(spectral.SpectrumLine(j, v, 3) for j, v in values)
+            )
+
+        assert bf.check_isotypic_nonresonance(report(2.0)) == (True, None)
+        assert bf.check_isotypic_nonresonance(report(4.0)) == (False, ("6", "9"))
 
 
 class TestFactors:

@@ -169,25 +169,40 @@ class TestReportedSpectrumRefusal:
 
 
 class TestMergedEigenspaceRefusal:
-    """At σ = 0 blocks 6, 7, 8 and 9 share alpha^2 = 0: one refusal, exit 1."""
+    """At σ = 0 and at σ1 = 1e-300 the alpha^2 of blocks 6, 7, 8 and 9 are
+    rounding residues of either sign: `spectrum` prints the seven lines, and
+    every command that reads a frequency of the group refuses the whole group
+    as one resonance, before any positivity check reads a residue's sign."""
+
+    MESSAGE = "resonance between isotypic blocks 6, 7, 8 and 9"
+
+    @staticmethod
+    def config(tmp_path, sigma1):
+        cfg = tmp_path / "stretch.cfg"
+        cfg.write_text(f"sigma1={sigma1}\nsigma2=0\nsigma3=0\n")
+        return str(cfg)
+
+    @pytest.mark.parametrize("sigma1", ["0", "1e-300"])
+    def test_spectrum_prints_every_line(self, capsys, tmp_path, sigma1):
+        code, out, err = run(capsys, "--config", self.config(tmp_path, sigma1), "spectrum")
+        assert code == 0 and err == ""
+        lines = json.loads(out)["eigenvalues"]
+        assert {row["j"]: row["multiplicity"] for row in lines} == spectral.MULTIPLICITIES
 
     @pytest.mark.parametrize("sigma1", ["0", "1e-300"])
     @pytest.mark.parametrize(
         "argv",
-        [("spectrum",), ("critical",), ("invariant", "--j", "9"), ("census",),
-         ("modes", "--j", "9")],
-        ids=["spectrum", "critical", "invariant", "census", "modes"],
+        [("critical",), ("invariant", "--j", "9"), ("census",), ("modes", "--j", "9")],
+        ids=["critical", "invariant", "census", "modes"],
     )
     def test_exit_1_naming_the_blocks(self, capsys, tmp_path, sigma1, argv):
-        cfg = tmp_path / "stretch.cfg"
-        cfg.write_text(f"sigma1={sigma1}\nsigma2=0\nsigma3=0\n")
         argv += ("--out", str(tmp_path / "out")) if argv[0] == "modes" else ()
-        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        code, out, err = run(capsys, "--config", self.config(tmp_path, sigma1), *argv)
         assert code == 1
-        assert out == ""
+        assert out == (self.MESSAGE + "\n" if argv[0] == "critical" else "")
         assert err == (
-            "numerical failure: blocks 6, 7, 8, 9 share one eigenspace"
-            f" at alpha^2 = 0 (sigma1={float(sigma1)!r}, sigma2=0.0, sigma3=0.0)\n"
+            f"numerical failure: {self.MESSAGE}"
+            f" (sigma1={float(sigma1)!r}, sigma2=0.0, sigma3=0.0)\n"
         )
 
 
@@ -254,13 +269,15 @@ class TestNonPositiveCartesianRefusal:
 
 
 class TestOneRequestPerCommand:
-    """Each command finds the equilibrium and each spectrum at most once."""
+    """Each command finds the equilibrium, each spectrum and the checked
+    frequencies at most once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = collections.Counter()
         find = force_field.find_equilibrium
         spectrum = spectral.spectrum_at_equilibrium
+        checked = bifurcation.checked_frequencies
 
         def counted_find(params):
             counts["equilibrium"] += 1
@@ -270,8 +287,13 @@ class TestOneRequestPerCommand:
             counts[convention] += 1
             return spectrum(eq, convention)
 
+        def counted_checked(report):
+            counts["frequencies"] += 1
+            return checked(report)
+
         monkeypatch.setattr(force_field, "find_equilibrium", counted_find)
         monkeypatch.setattr(spectral, "spectrum_at_equilibrium", counted_spectrum)
+        monkeypatch.setattr(bifurcation, "checked_frequencies", counted_checked)
         return counts
 
     @pytest.mark.parametrize(
@@ -279,9 +301,9 @@ class TestOneRequestPerCommand:
         [
             (["equilibrium"], ["equilibrium"]),
             (["spectrum"], ["equilibrium", "reported"]),
-            (["critical"], ["equilibrium", "reported"]),
-            (["census"], ["equilibrium", "reported"]),
-            (["invariant", "--j", "7", "--full"], ["equilibrium", "reported"]),
+            (["critical"], ["equilibrium", "reported", "frequencies"]),
+            (["census"], ["equilibrium", "reported", "frequencies"]),
+            (["invariant", "--j", "7", "--full"], ["equilibrium", "reported", "frequencies"]),
             (["modes", "--j", "0"], ["equilibrium", "cartesian"]),
         ],
         ids=["equilibrium", "spectrum", "critical", "census", "invariant", "modes"],
@@ -290,6 +312,11 @@ class TestOneRequestPerCommand:
         argv += ["--out", str(tmp_path)] if argv[0] == "modes" else []
         assert run(capsys, *argv)[0] == 0
         assert calls == dict.fromkeys(pieces, 1)
+
+    def test_engine_reads_the_checked_frequencies(self, calls):
+        request = bifurcation.Request(force_field.REFERENCE_PARAMS)
+        assert request.engine.alphas == request.frequencies
+        assert calls == {"equilibrium": 1, "reported": 1, "frequencies": 1}
 
     @pytest.mark.parametrize("args", [(), (force_field.REFERENCE_PARAMS,)],
                              ids=["default", "params"])

@@ -52,7 +52,7 @@ def shop():
 @pytest.fixture(scope="module")
 def reported_spectrum(params, equilibrium):
     H = ff.hessian_blocks(params, equilibrium.radius)
-    return spectral.assign_eigenspaces(spectral.numeric_spectrum(H))
+    return spectral.numeric_spectrum(H)
 
 
 class TestBuild:

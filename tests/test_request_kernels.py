@@ -1,13 +1,15 @@
 """The per-σ request path against the scalar loops it replaced.
 
 Each kernel a request runs once per σ (the equilibrium bracket, the block
-Hessian, the eigenspace characters, the spectrum JSON and the fixed-space
-SVD) is checked bit for bit against its loop oracle below, over the seed-1
+Hessian, the spectrum JSON and the fixed-space SVD) is checked bit for bit
+against its loop oracle below, and the spectrum's labels and alpha^2
+against the per-line characters and a dense eigensolver, over the seed-1
 sweep box, the reference σ and σ = (0, 0, 0).
 """
 
 import contextlib
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,13 +18,7 @@ import pytest
 from octavib import cli, group_core, modes, spectral
 from octavib import force_field as ff
 from octavib._serialize import dumps
-from octavib.errors import (
-    InvalidCharacterError,
-    LabelingError,
-    NumericalError,
-    ResonanceError,
-    SearchFailureError,
-)
+from octavib.errors import SearchFailureError
 
 from conftest import sweep_box
 
@@ -106,8 +102,8 @@ def restricted_character(basis):
 
 
 def per_cluster_labels(report):
-    """``assign_eigenspaces`` with one character per cluster: the labels, or
-    the refusal as (class, counts) when a cluster matches no irreducible."""
+    """``assign_eigenspaces`` with one character per line: the labels, or
+    None when a line matches no irreducible."""
     labels, seen_7, k = [], 0, 0
     for ln in report.lines:
         chi = restricted_character(report.basis[:, k : k + ln.multiplicity])
@@ -120,10 +116,7 @@ def per_cluster_labels(report):
             None,
         )
         if hit is None:
-            try:
-                return ResonanceError, spectral.isotypic_multiplicities(chi)
-            except InvalidCharacterError:
-                return LabelingError, None
+            return None
         label = group_core.IRREP_NAMES[hit]
         if label == "7":
             label = "7" if seen_7 == 0 else "7*"
@@ -182,36 +175,45 @@ def test_blocks_equal_the_loop_assembly_on_signed_constants():
             assert np.array_equal(got, want)
 
 
+def spectrum_of(sigmas, convention):
+    r0, coeffs = stiffness_at(sigmas)
+    H = ff.blocks_from_stiffness(*coeffs, convention=convention, r0=r0)
+    return H, spectral.numeric_spectrum(H)
+
+
 @pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_labels_equal_the_per_cluster_characters(sigmas, convention):
-    r0, coeffs = stiffness_at(sigmas)
-    H = ff.blocks_from_stiffness(*coeffs, convention=convention, r0=r0)
-    unlabeled = spectral.numeric_spectrum(H)
-    want = per_cluster_labels(unlabeled)
-    if isinstance(want, list):
-        report = spectral.assign_eigenspaces(unlabeled)
-        assert [ln.label for ln in report.lines] == want
-        return
-    refusal, counts = want
-    with pytest.raises(refusal) as exc:
-        spectral.assign_eigenspaces(unlabeled)
-    if counts is not None:
-        names = group_core.IRREP_NAMES
-        blocks = ", ".join(
-            names[j] if m == 1 else f"{m} x {names[j]}" for j, m in enumerate(counts) if m
-        )
-        assert str(exc.value).startswith(f"blocks {blocks} share one eigenspace")
+    _, report = spectrum_of(sigmas, convention)
+    labels = [ln.label for ln in report.lines]
+    assert per_cluster_labels(report) == labels
+    assert [ln.label for ln in spectral.assign_eigenspaces(report).lines] == labels
+
+
+@pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_single_copy_components_are_eigenspaces(sigmas, convention):
+    H, report = spectrum_of(sigmas, convention)
+    scale = max(abs(ln.alpha_sq) for ln in report.lines)
+    for label, copies, B in spectral.COMPONENTS:
+        if copies == 1:
+            residual = H @ B - report.alpha_sq[label] * B
+            assert np.abs(residual).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_alpha_sq_equal_the_sorted_eigenvalues(sigmas, convention):
+    H, report = spectrum_of(sigmas, convention)
+    lines = np.repeat([ln.alpha_sq for ln in report.lines],
+                      [ln.multiplicity for ln in report.lines])
+    dense = np.linalg.eigvalsh(H)
+    assert np.abs(lines - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
 def test_spectrum_json_equals_the_nested_lists(sigmas):
-    r0, coeffs = stiffness_at(sigmas)
-    report = spectral.numeric_spectrum(ff.blocks_from_stiffness(*coeffs))
-    try:
-        report = spectral.assign_eigenspaces(report)
-    except NumericalError:
-        pass  # σ = 0: the unlabeled report still has its JSON
+    _, report = spectrum_of(sigmas, "reported")
     doc = {
         "eigenvalues": [
             {"j": ln.label, "alpha_sq": ln.alpha_sq, "multiplicity": ln.multiplicity}
@@ -259,8 +261,8 @@ def test_extreme_sigma_prints_only_the_result_or_the_refusal(tmp_path, sigmas, c
         code = cli.main(["--config", str(cfg), command])
     # stderr holds the refusal line naming σ and nothing else; (0.1, 1e5, 1)
     # passes the block Hessian's criticality check, whose residual is rounding
-    # next to its summands, and is refused as blocks 6 and 7 share one
-    # eigenspace: alpha^2_7 = 660 is below the rounding of alpha^2 = 4.9e16
+    # next to its summands, and `critical` refuses it as a resonance between
+    # blocks 6 and 7: alpha^2_7 = 660 is below the rounding of alpha^2 = 4.9e16
     _assert_result_or_numerical_refusal(code, err.getvalue(), sigmas)
 
 
@@ -293,6 +295,16 @@ WIDE_COMMANDS = (
     ["invariant", "--j", "8"], ["modes", "--j", "8", "--k", "1"],
 )
 
+# what a wide-grid command may refuse: a non-positive alpha^2, a resonance
+# between isotypic blocks, an amplitude beyond the collision-safe bound, or
+# an equilibrium search that finds no bracket
+WIDE_REFUSAL = re.compile(
+    r"numerical failure: (block \S+ has alpha\^2 = \S+ <= 0"
+    r"|resonance between isotypic blocks \S.*"
+    r"|amplitude \S+ (exceeds the collision-safe bound|produces a colliding sample).*"
+    r"|no sign change of phi' .*) \(sigma1="
+)
+
 
 @pytest.mark.parametrize("sigmas", wide_grid(), ids=[f"wide{i}" for i in range(200)])
 def test_wide_grid_ends_in_a_result_or_a_numerical_refusal(tmp_path, sigmas):
@@ -304,4 +316,10 @@ def test_wide_grid_ends_in_a_result_or_a_numerical_refusal(tmp_path, sigmas):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(["--config", str(cfg), *argv])
-        _assert_result_or_numerical_refusal(code, err.getvalue(), sigmas)
+        err = err.getvalue()
+        _assert_result_or_numerical_refusal(code, err, sigmas)
+        if argv[0] == "spectrum":
+            assert code == 0, err  # every draw has its seven labeled lines
+        if code:
+            assert WIDE_REFUSAL.match(err), err
+            assert "share one eigenspace" not in err
