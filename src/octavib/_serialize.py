@@ -5,8 +5,6 @@ integral value below 1e16, else ``%.17g``.  ``format_rows`` applies it to a
 whole array, for the exported CSV trajectories and for float arrays in JSON.
 """
 
-import functools
-
 import numpy as np
 
 # string escapes as json.dumps writes them: quote, backslash, control characters
@@ -60,21 +58,18 @@ def format_rows(data):
     """Yield each row of a finite 2-D float array as its cells joined by ","
     with every cell as ``format_float`` prints it.
 
-    The cells printed as ``%.1f`` are found for the whole array at once,
-    ``(x == trunc(x)) & (|x| < 1e16)``; each row is then one ``%`` on the
-    template of its mask.  Non-finite cells are the caller's to refuse.
+    A mode repeats its coordinates across columns and half a period apart,
+    so the rule runs once per distinct bit pattern of the whole array (-0.0
+    is not 0.0) and the rows are joined from that table in bounded slices.
+    Non-finite cells are the caller's to refuse.
     """
-    integral = (data == np.trunc(data)) & (np.abs(data) < 1e16)
-    packed = np.ascontiguousarray(np.packbits(integral, axis=1))
-    width = data.shape[1]
-    keys = packed.view(f"V{packed.shape[1]}")[:, 0].tolist() if width else [b""] * len(data)
-    templates = {key: _template(key, width) for key in set(keys)}
-    for key, row in zip(keys, data.tolist()):
-        yield templates[key] % tuple(row)
-
-
-@functools.lru_cache(maxsize=1024)
-def _template(key, width):
-    """The ``%`` template of a row whose integral cells are the bits of key."""
-    integral = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=width)
-    return ",".join(np.where(integral, "%.1f", "%.17g"))
+    data = np.ascontiguousarray(data, dtype=float)
+    bits, index = np.unique(data.view(np.uint64), return_inverse=True)
+    values = bits.view(float)
+    table = np.array(list(map("%.17g".__mod__, values.tolist())), dtype=object)
+    integral = np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e16))
+    table[integral] = ["%.1f" % x for x in values[integral].tolist()]
+    index = index.reshape(data.shape)
+    for start in range(0, len(index), 256):
+        for cells in table[index[start : start + 256]].tolist():
+            yield ",".join(cells)

@@ -19,7 +19,7 @@ INCIDENCE[PAIR_K, np.arange(PAIR_K.size)] = -1.0
 
 def pairs(pos):
     """Pair differences p_j - p_k (..., 15, 3) and their squares (..., 15)."""
-    d = pos[..., PAIR_J, :] - pos[..., PAIR_K, :]
+    d = np.take(pos, PAIR_J, axis=-2) - np.take(pos, PAIR_K, axis=-2)
     return d, np.einsum("...pc,...pc->...p", d, d)
 
 

@@ -18,7 +18,6 @@ listing: cycles on {1,2,3,4} give sigma, a trailing "(56)" flags eps = -1.
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -182,7 +181,6 @@ def octahedral_matrix(i):
     return M
 
 
-@lru_cache(maxsize=None)
 def action_matrix_18(i):
     """Orthogonal 18x18 matrix of the permute-then-rotate action.
 
@@ -197,9 +195,14 @@ def action_matrix_18(i):
     return G
 
 
+# the 18-dim action of every element, read-only: the one copy every module indexes
+ACTIONS_18 = np.stack([action_matrix_18(g) for g in range(N)])
+ACTIONS_18.flags.writeable = False
+
+
 def action_character():
     """Trace of the 18-dim action on the ten class representatives."""
-    return tuple(int(round(np.trace(action_matrix_18(g)))) for g in CLASS_REPS)
+    return tuple(int(round(np.trace(ACTIONS_18[g]))) for g in CLASS_REPS)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ relations to machine precision, while the nonlinear residual scales
 quadratically with the amplitude.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -79,7 +80,7 @@ class ModeWorkshop:
         """Action of a group element on (a, b) coefficient pairs."""
         refl, turn, g = orbit_o2.parts(element)
         tau = 2 * math.pi * turn.numerator / turn.denominator
-        G = group_core.action_matrix_18(g)
+        G = group_core.ACTIONS_18[g]
         c, s = math.cos(tau), math.sin(tau)
         T = np.zeros((36, 36))
         if refl == 0:
@@ -204,7 +205,7 @@ class ModeWorkshop:
                     f"phase {turn} of a turn needs the sample count "
                     f"to be a multiple of {turn.denominator}"
                 )
-            G = group_core.action_matrix_18(g)
+            G = group_core.ACTIONS_18[g]
             idx = (np.arange(n) - s) % n if refl == 0 else (s - np.arange(n)) % n
             res = float(np.max(np.linalg.norm(disp - disp[idx] @ G.T, axis=1)))
             report[_describe(x)] = res
@@ -235,6 +236,7 @@ class ModeWorkshop:
         return orbit_o2.encode(1, 0, group_core.IDENTITY) in A.elements
 
 
+@functools.lru_cache(maxsize=None)
 def _describe(element):
     refl, turn, g = orbit_o2.parts(element)
     kind = "refl" if refl else "rot"
@@ -275,8 +277,7 @@ def export_trajectory(traj, path):
         raise ValueError(f"non-finite sample; {path} not written")
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in format_rows(data):
-            fh.write(row + "\n")
+        fh.writelines(row + "\n" for row in format_rows(data))
     return path
 
 

@@ -143,15 +143,14 @@ def isotypic_multiplicities(character):
 
 
 # the 18-dim action and the character table; v^T G v is the share of a column v
-_ACTIONS = np.stack([group_core.action_matrix_18(g) for g in range(group_core.N)])
-_CLASS_ACTIONS = _ACTIONS[list(group_core.CLASS_REPS)]
+_CLASS_ACTIONS = group_core.ACTIONS_18[list(group_core.CLASS_REPS)]
 _CHARACTERS = np.array(group_core.CHARACTER_TABLE, dtype=float)
 
 
 def _component(j, copies):
     """(label, copies, columns) of one component: the range of its projector."""
     chi = _CHARACTERS[j, list(group_core.ELEMENT_CLASS)]
-    P = chi[0] / group_core.N * np.tensordot(chi, _ACTIONS, axes=1)
+    P = chi[0] / group_core.N * np.tensordot(chi, group_core.ACTIONS_18, axes=1)
     V = np.linalg.eigh(P)[1]  # eigenvalues 0, then 1 on the range
     return group_core.IRREP_NAMES[j], copies, V[:, 18 - copies * int(chi[0]) :]
 
@@ -159,6 +158,11 @@ def _component(j, copies):
 _COPIES = isotypic_multiplicities(group_core.action_character())
 COMPONENTS = tuple(_component(j, m) for j, m in enumerate(_COPIES) if m)
 Q = np.hstack([B for _, _, B in COMPONENTS])
+# the entries of Q^T H Q an equivariant H may hold: those whose row and
+# column lie in one component, the whole 6x6 of the two copies of 7 included
+_OWNER = np.repeat(np.arange(len(COMPONENTS)), [B.shape[1] for _, _, B in COMPONENTS])
+_IN_BLOCK = _OWNER[:, None] == _OWNER[None, :]
+EQUIVARIANCE_RTOL = 1e-9
 
 
 def numeric_spectrum(hessian):
@@ -166,12 +170,18 @@ def numeric_spectrum(hessian):
 
     H is alpha^2 times the identity on a component with one copy of its
     irreducible (Schur), read as the mean of its block of Q^T H Q; a 6x6
-    ``eigh`` splits the two copies of 7 into "7" below and "7*" above."""
+    ``eigh`` splits the two copies of 7 into "7" below and "7*" above.  A
+    matrix that is not symmetric, or whose Q^T H Q has an entry outside
+    those blocks, beyond ``EQUIVARIANCE_RTOL`` * max|H| is a ``ShapeError``.
+    """
     H = np.asarray(hessian, dtype=float)
     if H.shape != (18, 18):
         raise ShapeError(f"expected an 18x18 matrix, got {H.shape}")
-    if np.max(np.abs(H - H.T)) > 1e-9:
+    tol = EQUIVARIANCE_RTOL * np.max(np.abs(H), initial=0.0)
+    if np.max(np.abs(H - H.T)) > tol:
         raise ShapeError("matrix is not symmetric")
+    if np.max(np.abs(Q.T @ H @ Q)[~_IN_BLOCK]) > tol:
+        raise ShapeError("matrix does not commute with the octahedral action")
     out = []
     for label, copies, B in COMPONENTS:
         R = B.T @ H @ B

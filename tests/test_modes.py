@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from octavib import force_field as ff
-from octavib import bifurcation, modes, orbit_o2, spectral
+from octavib import accel, bifurcation, modes, orbit_o2, spectral
 from octavib._serialize import format_float
 from octavib.errors import AmplitudeError, ConfigError, SamplingError
 
@@ -277,6 +277,23 @@ def every_mode(shop, n_samples):
             yield shop.build_mode(j, k, 0.05, n_samples)
 
 
+@pytest.fixture(scope="module")
+def long_modes(shop):
+    trajs = list(every_mode(shop, 1200))
+    assert len(trajs) == 24
+    return trajs
+
+
+class TestPairDifferences:
+    def test_take_equals_fancy_indexing_on_every_mode(self, long_modes):
+        for traj in long_modes:
+            pos = traj.samples.reshape(-1, 6, 3)
+            want = pos[..., accel.PAIR_J, :] - pos[..., accel.PAIR_K, :]
+            d, r = accel.pairs(pos)
+            assert d.tobytes() == want.tobytes(), (traj.j, traj.k)
+            assert r.tobytes() == np.einsum("...pc,...pc->...p", want, want).tobytes()
+
+
 class TestExport:
     def test_csv_contract(self, shop, tmp_path):
         traj = shop.build_mode("0", 1, 0.05, n_samples=24)
@@ -305,6 +322,13 @@ class TestExport:
             assert new.read_bytes() == old.read_bytes(), (traj.j, traj.k)
             for got, want in zip(modes.read_trajectory(new), per_value_read(old)):
                 assert got.tobytes() == want.tobytes(), (traj.j, traj.k)
+
+    def test_every_long_mode_matches_the_per_value_codec(self, long_modes, tmp_path):
+        # the benchmark's sample count: repeats lie up to half a period apart
+        for traj in long_modes:
+            new = modes.export_trajectory(traj, tmp_path / "new.csv")
+            old = per_value_export(traj, tmp_path / "old.csv")
+            assert new.read_bytes() == old.read_bytes(), (traj.j, traj.k)
 
     def test_edge_values_match_the_per_value_codec(self, tmp_path):
         traj = edge_trajectory()

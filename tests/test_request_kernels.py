@@ -203,6 +203,15 @@ def test_single_copy_components_are_eigenspaces(sigmas, convention):
 
 @pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
 @pytest.mark.parametrize("convention", CONVENTIONS)
+def test_block_hessians_commute_far_inside_the_tolerance(sigmas, convention):
+    # the equivariance refusal leaves every block Hessian of the box accepted
+    H, _ = spectrum_of(sigmas, convention)
+    off = np.abs(spectral.Q.T @ H @ spectral.Q)[~spectral._IN_BLOCK]
+    assert off.max() <= 1e-5 * spectral.EQUIVARIANCE_RTOL * np.abs(H).max()
+
+
+@pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
+@pytest.mark.parametrize("convention", CONVENTIONS)
 def test_alpha_sq_equal_the_sorted_eigenvalues(sigmas, convention):
     H, report = spectrum_of(sigmas, convention)
     lines = np.repeat([ln.alpha_sq for ln in report.lines],

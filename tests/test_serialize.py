@@ -68,3 +68,45 @@ class TestArrays:
         data = np.array([EDGES, EDGES[::-1]])
         rows = list(format_rows(data))
         assert rows == [",".join(format_float(v) for v in row) for row in data]
+
+
+def per_value_rows(data):
+    """``format_float`` on every cell (oracle for ``format_rows``)."""
+    return [",".join(format_float(v) for v in row) for row in data.tolist()]
+
+
+# a mode's cells repeat, negated or not: each bit pattern is formatted once
+REPEATS = [0.0, -0.0, 2.0 ** 53, -(2.0 ** 53), 9999999999999998.0, 1e16, -1e16,
+           5e-324, -5e-324, 0.1, -0.1, 1e17, -7.0]
+
+
+class TestDistinctValues:
+    @pytest.mark.parametrize("rows", [1, 2, 255, 256, 257, 600])
+    def test_signed_repeats_match_format_float(self, rows):
+        rng = np.random.default_rng(rows)
+        data = rng.choice(REPEATS, size=(rows, 19))
+        assert list(format_rows(data)) == per_value_rows(data)
+
+    def test_every_repeat_in_one_row(self):
+        data = np.array([REPEATS, REPEATS[::-1]])
+        rows = list(format_rows(data))
+        assert rows == per_value_rows(data)
+        # signed zero keeps its sign; the magnitudes on both sides of 1e16
+        # keep their own branch of the rule
+        assert rows[0].split(",")[:6] == [
+            "0.0", "-0.0", "9007199254740992.0", "-9007199254740992.0",
+            "9999999999999998.0", "10000000000000000",
+        ]
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 2.5, -1e16, 5e-324])
+    def test_all_equal(self, value):
+        data = np.full((300, 4), value)
+        assert list(format_rows(data)) == per_value_rows(data)
+
+    @pytest.mark.parametrize("shape", [(0, 19), (3, 0), (0, 0)])
+    def test_empty(self, shape):
+        assert list(format_rows(np.zeros(shape))) == [""] * shape[0]
+
+    def test_strided_view(self):
+        data = np.random.default_rng(5).choice(REPEATS, size=(40, 30))[::3, ::-2]
+        assert list(format_rows(data)) == per_value_rows(data)

@@ -77,6 +77,40 @@ class TestNumericSpectrum:
         with pytest.raises(ShapeError):
             spectral.numeric_spectrum(M)
 
+    def test_symmetry_is_relative_to_the_matrix(self):
+        # asymmetry at the rounding of a large matrix passes; the same
+        # relative asymmetry on a small one is refused
+        big = 1e12 * np.eye(18)
+        big[0, 1] += 1e-2
+        assert spectral.numeric_spectrum(big).alpha_sq["0"] == pytest.approx(1e12)
+        small = 1e-12 * np.eye(18)
+        small[0, 1] += 1e-15
+        with pytest.raises(ShapeError, match="not symmetric"):
+            spectral.numeric_spectrum(small)
+
+    def test_non_equivariant_matrix_refused(self):
+        A = np.random.default_rng(0).normal(size=(18, 18))
+        with pytest.raises(ShapeError, match="does not commute"):
+            spectral.numeric_spectrum(A + A.T)
+
+    def test_off_block_entry_refused_beyond_the_tolerance(self):
+        Q = spectral.Q
+        R = np.diag(np.arange(1.0, 19.0))
+        R[0, 17] = R[17, 0] = 1e-3 * spectral.EQUIVARIANCE_RTOL
+        spectral.numeric_spectrum(Q @ R @ Q.T)
+        R[0, 17] = R[17, 0] = 1e3 * spectral.EQUIVARIANCE_RTOL
+        with pytest.raises(ShapeError, match="does not commute"):
+            spectral.numeric_spectrum(Q @ R @ Q.T)
+
+    def test_both_copies_of_7_may_mix(self):
+        # the whole 6x6 block of the two copies of 7 is the matrix's own
+        start = sum(B.shape[1] for label, _, B in spectral.COMPONENTS if label < "7")
+        A = np.random.default_rng(1).normal(size=(6, 6))
+        R = np.diag(np.arange(1.0, 19.0))
+        R[start : start + 6, start : start + 6] += A + A.T
+        report = spectral.numeric_spectrum(spectral.Q @ R @ spectral.Q.T)
+        assert {ln.label for ln in report.lines} == set(spectral.MULTIPLICITIES)
+
     def test_zero_space_is_rotation_tangent(self, params, equilibrium):
         H = ff.hessian_blocks(params, equilibrium.radius)
         labeled = spectral.assign_eigenspaces(spectral.numeric_spectrum(H))
