@@ -22,7 +22,7 @@ product of basic degrees (``invariant_full``) is the tests' oracle only.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import force_field, spectral
 from . import orbit_o2 as o2
@@ -154,9 +154,10 @@ class BifurcationReport:
 class InvariantEngine:
     """Invariants at the critical ordering set by the frequencies.
 
-    Only the frequencies belong to the engine; orbit types, maximal types,
-    basic degrees and upper sets are ring data, read from the mode-1 table
-    or computed once per process.
+    Only the frequencies belong to the engine, and what it reads of them is
+    each block's odd groups of factors; orbit types, maximal types, basic
+    degrees, upper sets and the fast coefficient per odd groups are ring
+    data, read from the mode-1 table or computed once per process.
     """
 
     def __init__(self, alphas):
@@ -166,6 +167,7 @@ class InvariantEngine:
             raise ConsistencyError(f"missing frequencies for {sorted(missing)}")
         _check_frequencies(self.alphas)
         self.ring = o2.ring()
+        self._odd = {}  # block -> its factors' odd groups
 
     # --- ring data -------------------------------------------------------
     def degree(self, j, l=1):
@@ -191,29 +193,35 @@ class InvariantEngine:
         )
 
     # --- the marks recurrence -------------------------------------------
-    def _mark(self, j_o):
-        """omega's mark at a mode-1 class K, grouping factors by (j, l mod period).
+    def _odd_groups(self, j_o):
+        """The (degree index, (l - 1) mod period + 1) groups of j_o's factors
+        that hold an odd number of them, once per engine and block.
 
-        Only the parity of each group matters, so a mark's cost does not grow
-        with the number of factors.
+        Only a group's parity enters omega's marks, so the marks cost the
+        same for any number of factors, and this set is all of σ a fast
+        coefficient reads.
         """
-        R = self.ring
-        period = R.mode_period()
-        odd = set()  # the (j, l mod period) groups of odd size
+        try:
+            return self._odd[j_o]
+        except KeyError:
+            pass
+        period = self.ring.mode_period()
+        odd = set()
         for j, l in factors_before(j_o, self.alphas):
             odd ^= {(_degree_index(j), (l - 1) % period + 1)}
-        idx = _degree_index(j_o)
+        self._odd[j_o] = frozenset(odd)
+        return self._odd[j_o]
 
-        def mark(K):
-            sign = (-1) ** sum(R.fixed_dim(j, l, K) for j, l in odd)
-            return sign * ((-1) ** R.fixed_dim(idx, 1, K) - 1)
-
-        return mark
+    def _mark(self, j_o):
+        """omega's mark at a mode-1 class K, as a function of K."""
+        return partial(self.ring.invariant_mark, _degree_index(j_o), self._odd_groups(j_o))
 
     def fast_coefficient(self, j_o, h_ci):
-        """Exact coefficient of (H) in the invariant, from its marks above H."""
-        R = self.ring
-        return R.recurrence(R.upper_set(h_ci), self._mark(j_o)).get(h_ci, 0)
+        """Exact coefficient of (H) in the invariant, from its marks above H:
+        the ring's entry for j_o's odd groups."""
+        return self.ring.marks_coefficient(
+            _degree_index(j_o), self._odd_groups(j_o), h_ci
+        )
 
     # --- reports ----------------------------------------------------------
     def report(self, j_o, full=True):

@@ -31,6 +31,7 @@ UNIT_KEY = "__unit__"
 def cached(method):
     """Make a ring method a lookup in ``ring.memo[method name]``, by arguments.
 
+    A module function whose first argument is the ring is kept the same way.
     Each value is computed once per key per ring, and a new ring starts with
     no tables.  Arguments are positional, so one key names one value; a call
     that raises stores nothing.

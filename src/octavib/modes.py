@@ -9,17 +9,23 @@ is taken from the fixed space of the type's spatio-temporal action, so the
 trajectory satisfies the linearized dynamics exactly and its own symmetry
 relations to machine precision, while the nonlinear residual scales
 quadratically with the amplitude.
+
+What depends on the type alone is kept in the orbit-type ring's tables: its
+elements as arrays, their sample shifts per sample count, and the fixed pairs
+of a block with one copy of its irreducible.  A workshop computes only what
+depends on σ.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import bifurcation, force_field, group_core, orbit_o2
+from . import bifurcation, force_field, group_core, orbit_o2, spectral
 from ._serialize import dumps, format_rows
+from .burnside import cached
 from .errors import (
     AmplitudeError,
     CollisionError,
@@ -29,6 +35,9 @@ from .errors import (
 )
 
 DEFAULT_SAMPLES = 120  # divisible by 2,3,4,5,6,8: every phase shift in use
+# bound on a verify temporary: elements sharing a sample shift are checked
+# as many at a time as fit
+VERIFY_BLOCK_BYTES = 384 * 1024
 
 
 @dataclass(frozen=True)
@@ -76,47 +85,16 @@ class ModeWorkshop:
         return sorted(classes, key=self.ring.label_of)
 
     # -- fixed-space construction ---------------------------------------
-    def _pair_operator(self, element):
-        """Action of a group element on (a, b) coefficient pairs."""
-        refl, turn, g = orbit_o2.parts(element)
-        tau = 2 * math.pi * turn.numerator / turn.denominator
-        G = group_core.ACTIONS_18[g]
-        c, s = math.cos(tau), math.sin(tau)
-        T = np.zeros((36, 36))
-        if refl == 0:
-            T[:18, :18] = c * G
-            T[:18, 18:] = -s * G
-            T[18:, :18] = s * G
-            T[18:, 18:] = c * G
-        else:
-            T[:18, :18] = c * G
-            T[:18, 18:] = s * G
-            T[18:, :18] = s * G
-            T[18:, 18:] = -c * G
-        return T
-
     def fixed_pairs(self, type_class, j):
-        """Orthonormal basis of the type's fixed space inside block j."""
-        B = self.spectrum.basis_for(j)  # 18 x m
-        m = B.shape[1]
-        P = np.zeros((36, 2 * m))
-        P[:18, :m] = B
-        P[18:, m:] = B
-        A = self.ring.representative(type_class)
-        rows = []
-        for x in sorted(A.elements):
-            T = self._pair_operator(x)
-            rows.append(P.T @ T @ P - np.eye(2 * m))
-        M = np.vstack(rows)
-        _, sv, Vt = np.linalg.svd(M, full_matrices=False)
-        null = Vt[sv.size - np.sum(sv < 1e-10) :] if np.sum(sv < 1e-10) else Vt[:0]
-        # rows of `null` span the fixed space in reduced coordinates
-        out = []
-        for row in null:
-            a = B @ row[:m]
-            b = B @ row[m:]
-            out.append((a, b))
-        return out
+        """Orthonormal basis of the type's fixed space inside block j.
+
+        A block with one copy of its irreducible has a constant basis, the
+        block of ``spectral.Q``, so its fixed pairs are the ring's; the two
+        copies of 7 are split per σ, and blocks 7 and 7* are solved here.
+        """
+        if j in _CONSTANT_BASES:
+            return _constant_fixed_pairs(self.ring, type_class, j)
+        return _fixed_pairs(self.ring, type_class, self.spectrum.basis_for(j))
 
     def build_mode(self, j, k=1, epsilon=0.05, n_samples=DEFAULT_SAMPLES):
         """Trajectory for the k-th maximal type of block j (1-based)."""
@@ -177,6 +155,10 @@ class ModeWorkshop:
 
     def safe_amplitude(self):
         """Amplitude below which no sample can collide (unit directions)."""
+        return self._safe_amplitude
+
+    @cached_property
+    def _safe_amplitude(self):
         pos = self.center.reshape(6, 3)
         dmin = min(
             np.linalg.norm(pos[i] - pos[j]) for i in range(6) for j in range(i + 1, 6)
@@ -188,29 +170,33 @@ class ModeWorkshop:
     def verify_symmetry(self, traj, type_class=None):
         """Max sample residual of every symmetry relation of the type.
 
-        Returns (passed, report) where report maps a generator description
-        to its residual; pass threshold is 1e-9 * epsilon.
+        Returns (passed, report) where report maps an element's description
+        to its residual; the mode passes when the largest residual is at
+        most 1e-9 * epsilon, so a mode of amplitude 0, whose every residual
+        is 0, passes.  The elements that shift the samples alike are checked
+        together: their shifted samples are gathered once and moved by the
+        stacked action matrices, at most ``VERIFY_BLOCK_BYTES`` at a time.
         """
         ci = traj.type_class if type_class is None else type_class
-        A = self.ring.representative(ci)
+        els = _type_elements(self.ring, ci)
         n = traj.n_samples
         disp = traj.samples - traj.center[None, :]
-        report = {}
-        worst = 0.0
-        for x in sorted(A.elements):
-            refl, turn, g = orbit_o2.parts(x)
-            s, r = divmod(turn.numerator * n, turn.denominator)
-            if r:
-                raise SamplingError(
-                    f"phase {turn} of a turn needs the sample count "
-                    f"to be a multiple of {turn.denominator}"
-                )
-            G = group_core.ACTIONS_18[g]
-            idx = (np.arange(n) - s) % n if refl == 0 else (s - np.arange(n)) % n
-            res = float(np.max(np.linalg.norm(disp - disp[idx] @ G.T, axis=1)))
-            report[_describe(x)] = res
-            worst = max(worst, res)
-        return worst < 1e-9 * traj.epsilon, report
+        res = np.empty(len(els.names))
+        step = min(len(res), max(1, VERIFY_BLOCK_BYTES // disp.nbytes))
+        moved = np.empty_like(disp)  # the samples one shift group moves
+        block = np.empty((step, n, 18))  # their residuals, `step` members at a time
+        for refl, s, members in _shift_groups(self.ring, ci, n):
+            idx = np.arange(n) - s if refl == 0 else s - np.arange(n)
+            np.take(disp, idx, axis=0, out=moved, mode="wrap")  # indices mod n
+            for lo in range(0, len(members), step):
+                part = members[lo : lo + step]
+                G = group_core.ACTIONS_18[els.g[part]]
+                d = np.matmul(moved, G.transpose(0, 2, 1), out=block[: len(part)])
+                np.subtract(disp, d, out=d)
+                np.multiply(d, d, out=d)
+                res[part] = np.sqrt(np.add.reduce(d, axis=2).max(axis=1))
+        worst = float(res.max())
+        return worst <= 1e-9 * traj.epsilon, dict(zip(els.names, res.tolist()))
 
     def nonlinear_residual(self, traj):
         """Peak norm of udotdot + grad U(u) along the trajectory."""
@@ -236,7 +222,104 @@ class ModeWorkshop:
         return orbit_o2.encode(1, 0, group_core.IDENTITY) in A.elements
 
 
-@functools.lru_cache(maxsize=None)
+# -- the ring's mode data: σ-independent, each table kept in ring.memo --------
+
+
+@dataclass(frozen=True)
+class TypeElements:
+    """A mode-1 class's elements in sorted order, as arrays."""
+
+    refl: np.ndarray        # reflection bit
+    turn: tuple             # O(2) turn, an exact fraction
+    g: np.ndarray           # spatial index
+    cos: np.ndarray         # cos and sin of the turn's angle
+    sin: np.ndarray
+    names: tuple            # ``_describe`` strings, a verify report's keys
+
+
+@cached
+def _type_elements(ring, ci):
+    els = sorted(ring.representative(ci).elements)
+    refl, turn, g = zip(*map(orbit_o2.parts, els))
+    tau = [2 * math.pi * t.numerator / t.denominator for t in turn]
+    return TypeElements(
+        refl=np.array(refl),
+        turn=turn,
+        g=np.array(g),
+        cos=np.array([math.cos(t) for t in tau]),
+        sin=np.array([math.sin(t) for t in tau]),
+        names=tuple(map(_describe, els)),
+    )
+
+
+@cached
+def _shift_groups(ring, ci, n):
+    """The elements of class ci grouped by the sample shift they act by at n
+    samples per period: (reflection bit, shift s, positions in sorted order).
+
+    An element with reflection bit 0 relates sample i to sample i - s, one
+    with bit 1 to sample s - i.  A turn that is no multiple of 1/n is a
+    ``SamplingError``.
+    """
+    els = _type_elements(ring, ci)
+    groups = {}
+    for pos, (refl, turn) in enumerate(zip(els.refl.tolist(), els.turn)):
+        s, r = divmod(turn.numerator * n, turn.denominator)
+        if r:
+            raise SamplingError(
+                f"phase {turn} of a turn needs the sample count "
+                f"to be a multiple of {turn.denominator}"
+            )
+        groups.setdefault((refl, s), []).append(pos)
+    return tuple((refl, s, np.array(p)) for (refl, s), p in groups.items())
+
+
+def _fixed_pairs(ring, ci, B):
+    """The (a, b) pairs spanning the fixed space of class ci in the span of
+    the orthonormal columns B: the null space of the stacked P^T T P - I,
+    with P the basis of (a, b) pairs and T each element's pair operator."""
+    els = _type_elements(ring, ci)
+    m = B.shape[1]
+    P = np.zeros((36, 2 * m))
+    P[:18, :m] = B
+    P[18:, m:] = B
+    M = (P.T @ _pair_operators(els) @ P - np.eye(2 * m)).reshape(-1, 2 * m)
+    _, sv, Vt = np.linalg.svd(M, full_matrices=False)
+    null = Vt[sv.size - np.sum(sv < 1e-10) :] if np.sum(sv < 1e-10) else Vt[:0]
+    # rows of `null` span the fixed space in reduced coordinates
+    return tuple((B @ row[:m], B @ row[m:]) for row in null)
+
+
+def _pair_operators(els):
+    """The (elements, 36, 36) actions on (a, b) coefficient pairs: a rotation
+    by tau maps (a, b) to G (c a - s b, s a + c b), a reflection to
+    G (c a + s b, s a - c b)."""
+    G = group_core.ACTIONS_18[els.g]
+    c = els.cos[:, None, None]
+    s = els.sin[:, None, None]
+    flip = els.refl[:, None, None] == 1
+    T = np.zeros((len(G), 36, 36))
+    np.multiply(c, G, out=T[:, :18, :18])
+    np.multiply(np.where(flip, s, -s), G, out=T[:, :18, 18:])
+    np.multiply(s, G, out=T[:, 18:, :18])
+    np.multiply(np.where(flip, -c, c), G, out=T[:, 18:, 18:])
+    return T
+
+
+# blocks with one copy of their irreducible: the columns of spectral.Q
+# every spectrum reports for them
+_CONSTANT_BASES = {label: B for label, copies, B in spectral.COMPONENTS if copies == 1}
+
+
+@cached
+def _constant_fixed_pairs(ring, ci, j):
+    """``fixed_pairs`` of a one-copy block, read-only: every σ shares them."""
+    pairs = _fixed_pairs(ring, ci, _CONSTANT_BASES[j])
+    for a, b in pairs:
+        a.flags.writeable = b.flags.writeable = False
+    return pairs
+
+
 def _describe(element):
     refl, turn, g = orbit_o2.parts(element)
     kind = "refl" if refl else "rot"

@@ -35,7 +35,7 @@ import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import group_core as gc
 from ._serialize import dumps
@@ -755,6 +755,27 @@ class TemporalOctahedralRing(BurnsideRing):
         if m % l:
             return 0
         return self._dims[K][j][(m // l - 1) % self._period]
+
+    # the invariant's marks -------------------------------------------------
+    def invariant_mark(self, j, odd, K):
+        """The mark at a mode-1 class K of the invariant of irrep j whose
+        factors leave the groups `odd`: (-1)^(sum of dim V_{j',l'}^K over
+        the pairs (j', l') of `odd`) times ((-1)^dim V_{j,1}^K - 1).
+
+        A factor's sign depends on l only modulo the mode period, so the
+        factors fall into groups (j', l' mod period), and a group of even
+        size multiplies the mark by 1: `odd` holds the others.
+        """
+        sign = (-1) ** sum(self.fixed_dim(i, l, K) for i, l in odd)
+        return sign * ((-1) ** self.fixed_dim(j, 1, K) - 1)
+
+    @cached
+    def marks_coefficient(self, j, odd, h):
+        """Exact coefficient of (h) in that invariant, by the recurrence over
+        the marks above h.  A σ reaches it only through `odd`, so one entry
+        serves every σ whose factors leave the same groups."""
+        marks = partial(self.invariant_mark, j, odd)
+        return self.recurrence(self.upper_set(h), marks).get(h, 0)
 
     # maximal types and basic degrees --------------------------------------
     @cached

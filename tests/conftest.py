@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from octavib import bifurcation, force_field, orbit_o2, spectral
+from octavib import bifurcation, force_field, group_core, modes, orbit_o2, spectral
+from octavib.errors import SamplingError
 
 # the reported block-9 alpha^2 is negative here (about -1.3e-4), while the
 # Cartesian one is positive (about +0.243)
@@ -102,3 +103,68 @@ def gradient_loop(pos, s1, s2, s3):
         for c in range(3):
             g[j, c] += 2.0 * u2p * pos[j, c]
     return g
+
+
+def pair_operator(element):
+    """Action of one group element on (a, b) coefficient pairs, a 36x36
+    matrix (oracle for the stacked ``modes._pair_operators``)."""
+    refl, turn, g = orbit_o2.parts(element)
+    tau = 2 * math.pi * turn.numerator / turn.denominator
+    G = group_core.ACTIONS_18[g]
+    c, s = math.cos(tau), math.sin(tau)
+    T = np.zeros((36, 36))
+    if refl == 0:
+        T[:18, :18] = c * G
+        T[:18, 18:] = -s * G
+        T[18:, :18] = s * G
+        T[18:, 18:] = c * G
+    else:
+        T[:18, :18] = c * G
+        T[:18, 18:] = s * G
+        T[18:, :18] = s * G
+        T[18:, 18:] = -c * G
+    return T
+
+
+def loop_fixed_pairs(shop, type_class, j):
+    """``ModeWorkshop.fixed_pairs`` assembled one element at a time from the
+    request's basis: the oracle of the stacked and the ring-kept paths."""
+    B = shop.spectrum.basis_for(j)
+    m = B.shape[1]
+    P = np.zeros((36, 2 * m))
+    P[:18, :m] = B
+    P[18:, m:] = B
+    A = shop.ring.representative(type_class)
+    rows = []
+    for x in sorted(A.elements):
+        T = pair_operator(x)
+        rows.append(P.T @ T @ P - np.eye(2 * m))
+    M = np.vstack(rows)
+    _, sv, Vt = np.linalg.svd(M, full_matrices=False)
+    null = Vt[sv.size - np.sum(sv < 1e-10) :] if np.sum(sv < 1e-10) else Vt[:0]
+    return [(B @ row[:m], B @ row[m:]) for row in null]
+
+
+def loop_verify_symmetry(shop, traj, type_class=None):
+    """``ModeWorkshop.verify_symmetry`` one element at a time, each with its
+    own shifted copy of the samples and its own 18x18 product (oracle)."""
+    ci = traj.type_class if type_class is None else type_class
+    A = shop.ring.representative(ci)
+    n = traj.n_samples
+    disp = traj.samples - traj.center[None, :]
+    report = {}
+    worst = 0.0
+    for x in sorted(A.elements):
+        refl, turn, g = orbit_o2.parts(x)
+        s, r = divmod(turn.numerator * n, turn.denominator)
+        if r:
+            raise SamplingError(
+                f"phase {turn} of a turn needs the sample count "
+                f"to be a multiple of {turn.denominator}"
+            )
+        G = group_core.ACTIONS_18[g]
+        idx = (np.arange(n) - s) % n if refl == 0 else (s - np.arange(n)) % n
+        res = float(np.max(np.linalg.norm(disp - disp[idx] @ G.T, axis=1)))
+        report[modes._describe(x)] = res
+        worst = max(worst, res)
+    return worst <= 1e-9 * traj.epsilon, report

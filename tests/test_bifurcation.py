@@ -314,15 +314,20 @@ class TestRingTables:
         self, fresh_ring, monkeypatch, labeled_spectrum
     ):
         # the census reads mode-1 data from the table; what it keeps in the
-        # ring's tables is each block's maximal types
-        names = ("maximal_orbit_types",)
+        # ring's tables is each block's maximal types and the coefficient of
+        # each type for the block's odd groups of factors
+        names = ("maximal_orbit_types", "marks_coefficient")
         counts = count_computations(monkeypatch, names)
         bf.InvariantEngine(labeled_spectrum.alphas()).census()
         seen = {name: dict(counts[name]) for name in names}
-        # block 9's factors reach Fourier mode 11 at this draw, and the census
-        # computes nothing more
-        engine_at(OFF_GRID_DRAW).census()
+        # the same σ again computes nothing
+        bf.InvariantEngine(labeled_spectrum.alphas()).census()
         assert {name: dict(counts[name]) for name in names} == seen
+        # block 9's factors reach Fourier mode 11 at this draw: the census
+        # adds only the coefficients of odd groups the first σ did not have
+        engine_at(OFF_GRID_DRAW).census()
+        assert dict(counts["maximal_orbit_types"]) == seen["maximal_orbit_types"]
+        assert len(counts["marks_coefficient"]) > len(seen["marks_coefficient"])
         assert set(fresh_ring.memo) == set(names)
         for name in names:
             calls = counts[name]

@@ -341,6 +341,17 @@ class TestModes:
         header = csv.read_text().splitlines()[0]
         assert header.startswith("t,x1,y1,z1") and header.endswith("x6,y6,z6")
 
+    def test_zero_amplitude_verifies(self, capsys, tmp_path):
+        # every residual of the resting mode is 0.0, at most 1e-9 * 0
+        code, out, _ = run(
+            capsys, "modes", "--j", "0", "--k", "1", "--eps", "0",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert out.endswith("verified=true\n")
+        doc = json.loads((tmp_path / "mode_j0_k1.json").read_text())
+        assert doc["epsilon"] == 0.0 and doc["verified"] is True
+
     def test_nan_amplitude_exit_2(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         code, out, err = run(

@@ -1,0 +1,245 @@
+"""The ring's σ-independent mode and fast-path tables against the loops they
+replaced.
+
+A type's sorted elements, their sample shifts, the fixed pairs of a block
+with one copy of its irreducible and the fast coefficient per odd groups of
+factors are ring tables (``burnside.cached``).  Every mode the request path
+builds and verifies is checked bit for bit against the per-element oracles
+in ``conftest``, on a new ring and on one that has served other σ.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from octavib import bifurcation as bf
+from octavib import force_field as ff
+from octavib import group_core, modes, orbit_o2, spectral
+from octavib.errors import CatalogError, ConfigError, NumericalError, SamplingError
+
+from conftest import (
+    engine_at,
+    loop_fixed_pairs,
+    loop_verify_symmetry,
+    pair_operator,
+    sweep_box,
+)
+
+MODES = [
+    (j, k)
+    for j, n in (("0", 1), ("4", 3), ("7", 5), ("7*", 5), ("8", 5), ("9", 5))
+    for k in range(1, n + 1)
+]
+SAMPLES = (modes.DEFAULT_SAMPLES, 1200)
+EPSILON = 0.05
+REFERENCE = ff.REFERENCE_PARAMS
+SIGMAS = [(REFERENCE.sigma1, REFERENCE.sigma2, REFERENCE.sigma3), *sweep_box()]
+IDS = ["reference"] + [f"draw{i}" for i in range(48)]
+
+
+def new_ring(monkeypatch, ring=None):
+    ring = ring or orbit_o2.TemporalOctahedralRing()
+    monkeypatch.setattr(orbit_o2, "_RING", ring)
+    return ring
+
+
+def mode_outputs(params, oracle=False):
+    """(j, k, samples) -> the mode's samples, a, b and verify report as bytes
+    and float hex, or the refusal; the oracle builds from the per-element
+    fixed pairs and verifies element by element."""
+    try:
+        shop = modes.ModeWorkshop(params)
+    except NumericalError as exc:
+        return repr(exc)
+    if oracle:
+        shop.fixed_pairs = lambda ci, j: loop_fixed_pairs(shop, ci, j)
+    out = {}
+    for j, k in MODES:
+        for n in SAMPLES:
+            try:
+                traj = shop.build_mode(j, k, EPSILON, n)
+            except (NumericalError, ConfigError) as exc:
+                out[j, k, n] = repr(exc)
+                continue
+            if oracle:
+                passed, report = loop_verify_symmetry(shop, traj)
+            else:
+                passed, report = shop.verify_symmetry(traj)
+            out[j, k, n] = (
+                traj.samples.tobytes(),
+                traj.cos_dir.tobytes(),
+                traj.sin_dir.tobytes(),
+                passed,
+                [(name, res.hex()) for name, res in report.items()],
+            )
+    return out
+
+
+@pytest.fixture(scope="module")
+def warm_ring():
+    """A ring that has served every mode at two other σ."""
+    ring = orbit_o2.TemporalOctahedralRing()
+    with pytest.MonkeyPatch.context() as mp:
+        new_ring(mp, ring)
+        for sigmas in ((0.9 * REFERENCE.sigma1, REFERENCE.sigma2, REFERENCE.sigma3),
+                       (REFERENCE.sigma1, 1.1 * REFERENCE.sigma2, REFERENCE.sigma3)):
+            mode_outputs(ff.PotentialParams(*sigmas))
+    assert ring.memo["_constant_fixed_pairs"]
+    return ring
+
+
+class TestModesBitForBit:
+    @pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
+    def test_equal_the_per_element_oracles(self, sigmas, warm_ring, monkeypatch):
+        params = ff.PotentialParams(*sigmas)
+        want = mode_outputs(params, oracle=True)
+        # every mode builds at every one of these σ: no check is vacuous
+        assert all(isinstance(v, tuple) for v in want.values())
+        new_ring(monkeypatch)
+        assert mode_outputs(params) == want
+        new_ring(monkeypatch, warm_ring)
+        assert mode_outputs(params) == want
+
+
+class TestModeTables:
+    def test_stacked_pair_operators_equal_each_elements(self, fresh_ring):
+        shop = modes.ModeWorkshop()
+        for j in ("0", "4", "7", "8", "9"):
+            for ci in shop.types_for(j):
+                els = sorted(fresh_ring.representative(ci).elements)
+                want = np.stack([pair_operator(x) for x in els])
+                got = modes._pair_operators(modes._type_elements(fresh_ring, ci))
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    def test_one_copy_blocks_are_kept_and_read_only(self, fresh_ring):
+        single = {label for label, copies, _ in spectral.COMPONENTS if copies == 1}
+        shop = modes.ModeWorkshop()
+        for j in bf.ISOTYPIC:
+            for ci in shop.types_for(j):
+                pairs = shop.fixed_pairs(ci, j)
+                assert all(not a.flags.writeable and not b.flags.writeable
+                           for a, b in pairs) == (j in single)
+        kept = fresh_ring.memo["_constant_fixed_pairs"]
+        assert {j for _, j in kept} == single & set(bf.ISOTYPIC)
+        # another σ reads them: no new entry, the same objects
+        before = dict(kept)
+        other = modes.ModeWorkshop(ff.PotentialParams(*SIGMAS[1]))
+        for (ci, j), pairs in before.items():
+            assert other.fixed_pairs(ci, j) is pairs
+        assert kept == before
+
+    def test_incommensurate_sampling_stores_nothing(self, fresh_ring):
+        shop = modes.ModeWorkshop()
+        third = [shop.ring.label_of(c) for c in shop.types_for("8")].index(
+            "D_3^{Z_1} x_{D_3} D_3^p"
+        )
+        ci = shop.types_for("8")[third]
+        traj = shop.build_mode("8", third + 1, 0.02, n_samples=50)
+        with pytest.raises(SamplingError, match="multiple of 3"):
+            shop.verify_symmetry(traj)
+        assert (ci, 50) not in fresh_ring.memo["_shift_groups"]
+        # a type whose turns all divide 50 samples verifies
+        passed, _ = shop.verify_symmetry(shop.build_mode("8", 1, 0.02, n_samples=50))
+        assert passed
+
+    def test_shift_groups_partition_the_elements(self, fresh_ring):
+        shop = modes.ModeWorkshop()
+        sizes = []
+        for ci in {c for j in bf.ISOTYPIC for c in shop.types_for(j)}:
+            groups = modes._shift_groups(fresh_ring, ci, 1200)
+            members = np.sort(np.concatenate([p for _, _, p in groups]))
+            assert np.array_equal(members, np.arange(len(fresh_ring.representative(ci))))
+            sizes.append(len(groups))
+        assert 2 <= min(sizes) and max(sizes) <= 12
+
+
+def box_frequencies():
+    out = []
+    for sigmas in sweep_box():
+        try:
+            out.append(engine_at(sigmas).alphas)
+        except spectral.NonPositiveFrequencyError:
+            continue
+    return out
+
+
+def coefficients_served(alphas):
+    """(j, maximal type) -> fast coefficient, on the ring in use now."""
+    eng = bf.InvariantEngine(alphas)
+    return {(j, h): eng.fast_coefficient(j, h) for j in bf.ISOTYPIC
+            for h in eng.maximal_classes(j)}
+
+
+class TestFastCoefficientTable:
+    def test_memoized_equal_a_fresh_rings_either_order(self, monkeypatch):
+        draws = box_frequencies()
+        assert len(draws) == 43
+        fresh = []
+        for alphas in draws:
+            new_ring(monkeypatch)
+            fresh.append(coefficients_served(alphas))
+        for order in (range(len(draws)), reversed(range(len(draws)))):
+            ring = new_ring(monkeypatch)
+            served = {i: coefficients_served(draws[i]) for i in order}
+            assert [served[i] for i in range(len(draws))] == fresh
+            # the draws share their odd groups: far fewer keys than requests
+            keys = {(j, odd) for j, odd, _ in ring.memo["marks_coefficient"]}
+            assert len(keys) < len(draws)
+
+    def test_a_key_that_raises_stores_nothing(self, fresh_ring, monkeypatch):
+        # block 9's factors at this draw hold (0, 11) once: a fixed-dimension
+        # lookup that misses mode 11 refuses the fast coefficient
+        eng = engine_at(sweep_box(17)[16])
+        assert (0, 11) in eng._odd_groups("9")
+        h = eng.maximal_classes("9")[0]
+        read = fresh_ring.fixed_dim
+
+        def missing_mode_11(j, m, ci):
+            if m == 11:
+                raise CatalogError("mode 11 off the table")
+            return read(j, m, ci)
+
+        monkeypatch.setattr(fresh_ring, "fixed_dim", missing_mode_11)
+        with pytest.raises(CatalogError):
+            eng.fast_coefficient("9", h)
+        key = (9, eng._odd_groups("9"), h)
+        assert key not in fresh_ring.memo["marks_coefficient"]
+        monkeypatch.setattr(fresh_ring, "fixed_dim", read)
+        value = eng.fast_coefficient("9", h)
+        assert fresh_ring.memo["marks_coefficient"][key] == value != 0
+        assert value == fresh_ring.recurrence(
+            fresh_ring.upper_set(h), eng._mark("9")
+        ).get(h, 0)
+
+
+class TestVerifyMemory:
+    def test_actions_are_signed_permutations(self):
+        A = group_core.ACTIONS_18
+        assert A.shape == (group_core.N, 18, 18)
+        assert set(np.unique(A).tolist()) == {-1.0, 0.0, 1.0}
+        nonzero = A != 0
+        assert (nonzero.sum(axis=1) == 1).all() and (nonzero.sum(axis=2) == 1).all()
+
+    def test_peak_at_most_twice_the_oracle_loops(self, fresh_ring):
+        shop = modes.ModeWorkshop()
+        ci = max(
+            (c for j in bf.ISOTYPIC for c in shop.types_for(j)),
+            key=lambda c: len(fresh_ring.representative(c)),
+        )
+        assert len(fresh_ring.representative(ci)) == 96
+        traj = shop.build_mode_for_type(ci, "0", 1, EPSILON, 1200)
+        shop.verify_symmetry(traj)  # fill the ring's tables first
+
+        def peak(verify):
+            tracemalloc.start()
+            try:
+                result = verify(shop, traj)
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        oracle_peak, want = peak(loop_verify_symmetry)
+        got_peak, got = peak(modes.ModeWorkshop.verify_symmetry)
+        assert got == want
+        assert got_peak <= 2 * oracle_peak, (got_peak, oracle_peak)

@@ -9,7 +9,7 @@ from octavib import accel, bifurcation, modes, orbit_o2, spectral
 from octavib._serialize import format_float
 from octavib.errors import AmplitudeError, ConfigError, SamplingError
 
-from conftest import gradient_loop
+from conftest import gradient_loop, pair_operator
 
 # reference eigenvectors of the reported block Hessian, printed to 3-4
 # digits; used as an identification oracle only
@@ -146,9 +146,9 @@ class TestVerify:
         els = sorted(A.elements)
         for _ in range(20):
             x, y = rng.choice(els, size=2)
-            Tx = shop._pair_operator(int(x))
-            Ty = shop._pair_operator(int(y))
-            Txy = shop._pair_operator(orbit_o2.multiply(int(x), int(y)))
+            Tx = pair_operator(int(x))
+            Ty = pair_operator(int(y))
+            Txy = pair_operator(orbit_o2.multiply(int(x), int(y)))
             assert np.allclose(Tx @ Ty, Txy, atol=1e-12)
 
 

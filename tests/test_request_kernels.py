@@ -20,7 +20,7 @@ from octavib import force_field as ff
 from octavib._serialize import dumps
 from octavib.errors import SearchFailureError
 
-from conftest import sweep_box
+from conftest import pair_operator, sweep_box
 
 REFERENCE = ff.REFERENCE_PARAMS
 SIGMAS = [
@@ -134,7 +134,7 @@ def full_svd_pairs(shop, type_class, j):
     P[18:, m:] = B
     A = shop.ring.representative(type_class)
     M = np.vstack(
-        [P.T @ shop._pair_operator(x) @ P - np.eye(2 * m) for x in sorted(A.elements)]
+        [P.T @ pair_operator(x) @ P - np.eye(2 * m) for x in sorted(A.elements)]
     )
     _, sv, Vt = np.linalg.svd(M)
     null = Vt[sv.size - np.sum(sv < 1e-10) :] if np.sum(sv < 1e-10) else Vt[:0]
