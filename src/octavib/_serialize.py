@@ -2,8 +2,12 @@
 
 ``format_float`` is the one float rule of every output: ``%.1f`` for an
 integral value below 1e16, else ``%.17g``.  ``format_rows`` applies it to a
-whole array, for the exported CSV trajectories and for float arrays in JSON.
+whole array, for the exported CSV trajectories and for float arrays in JSON,
+once per distinct value: through ``format_values``, an exact array kernel,
+from ``KERNEL_MIN_VALUES`` distinct values on, and value by value below.
 """
+
+import functools
 
 import numpy as np
 
@@ -54,22 +58,245 @@ def format_float(x):
     return f"{x:.17g}"
 
 
+# below this many distinct values the kernel's fixed cost loses to formatting
+# value by value (the crossover lay at 350-500 values on a 2-core x86 VM)
+KERNEL_MIN_VALUES = 512
+
+
 def format_rows(data):
-    """Yield each row of a finite 2-D float array as its cells joined by ","
+    """Yield each row of a 2-D float array as its cells joined by ","
     with every cell as ``format_float`` prints it.
 
     A mode repeats its coordinates across columns and half a period apart,
     so the rule runs once per distinct bit pattern of the whole array (-0.0
     is not 0.0) and the rows are joined from that table in bounded slices.
-    Non-finite cells are the caller's to refuse.
+    Non-finite cells come out as ``%.17g`` writes them, for the caller to
+    refuse.
     """
     data = np.ascontiguousarray(data, dtype=float)
     bits, index = np.unique(data.view(np.uint64), return_inverse=True)
     values = bits.view(float)
-    table = np.array(list(map("%.17g".__mod__, values.tolist())), dtype=object)
-    integral = np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e16))
-    table[integral] = ["%.1f" % x for x in values[integral].tolist()]
+    if len(values) >= KERNEL_MIN_VALUES:
+        table = format_values(values)
+    else:
+        table = _per_value(values)
     index = index.reshape(data.shape)
     for start in range(0, len(index), 256):
         for cells in table[index[start : start + 256]].tolist():
-            yield ",".join(cells)
+            yield b",".join(cells).decode()
+
+
+def _per_value(values):
+    """The rule one value at a time, as an object array of ASCII bytes."""
+    table = np.empty(len(values), dtype=object)
+    table[:] = list(map(b"%.17g".__mod__, values.tolist()))
+    integral = np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e16))
+    table[integral] = [b"%.1f" % x for x in values[integral].tolist()]
+    return table
+
+
+# -- the array kernel ---------------------------------------------------------
+#
+# For a finite non-integral value x with decade E = floor(log10|x|), %.17g
+# prints the 17 digits D = round(|x| 10^(16-E)) in [10^16, 10^17).  D comes
+# from Dekker's exact split product of the mantissa of x with a two-double
+# 10^(16-E), so |x| 10^(16-E) is known to within 2^-45; a value is certified
+# when its fraction lies further than 2^-40 from 1/2 (ties and near-ties take
+# the scalar rule).  The %g layout is then built as bytes, 4096 values at a
+# time.
+
+_BLOCK = 4096
+_WIDTH = 24  # "-1.2345678901234567e-308"
+_SPLIT = 134217729.0  # 2**27 + 1
+# 16 - E over every finite double's decade E in [-324, 308], and one beyond
+_K_MIN, _K_MAX = -293, 341
+
+
+def _round_scaled(num, den, shift):
+    """round(num * 2**shift / den) for positive integers."""
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    return (2 * num + den) // (2 * den)
+
+
+@functools.cache
+def _pow10():
+    """10^k for k in [_K_MIN, _K_MAX] as (hi + lo) * 2^b, hi in [1, 2] and
+    |lo| <= 2^-53, hi pre-split for the product: built on first use."""
+    his, los, exps = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        shift = 106 - (num.bit_length() - den.bit_length())
+        m = _round_scaled(num, den, shift)
+        if m < 1 << 106:
+            shift += 1
+            m = _round_scaled(num, den, shift)
+        hi = (m + (1 << 53)) >> 54  # m = hi * 2^54 + rest, |rest| <= 2^53
+        his.append(hi)
+        los.append(m - (hi << 54))
+        exps.append(106 - shift)
+    hi = np.array(his, dtype=float) * 2.0**-52
+    lo = np.array(los, dtype=float) * 2.0**-106
+    c = hi * _SPLIT
+    hi_hi = c - (c - hi)
+    return hi, hi_hi, hi - hi_hi, lo, np.array(exps, dtype=np.intc)
+
+
+def _word(text):
+    return np.frombuffer(text.encode(), dtype=np.uint32)[0]
+
+
+def _windows(buf, width):
+    """Every run of ``width`` consecutive bytes of a C-contiguous byte
+    array, as one void record each (record i starts at byte i)."""
+    return np.ndarray((buf.size - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
+
+
+@functools.cache
+def _glyphs():
+    """The layout's lookup tables, built on first use: the four ASCII digits
+    of each c < 10^4 as one uint32 and its trailing zeros, "000d" per digit,
+    the exponent suffix "e+dd" or "e-ddd" per exponent in [-400, 400], and
+    record p of 0xff bytes before column p."""
+    c = np.arange(10000)
+    quads = (c[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    trailing = sum((c % p == 0).astype(np.intp) for p in (10, 100, 1000, 10000))
+    leads = np.array([_word(f"000{d}") for d in range(10)])
+    x = np.arange(-400, 401)
+    ax = np.abs(x)
+    three = ax >= 100
+    suffix = np.zeros((len(x), 5), dtype=np.uint8)
+    suffix[:, 0] = ord("e")
+    suffix[:, 1] = np.where(x < 0, ord("-"), ord("+"))
+    suffix[:, 2] = 48 + np.where(three, ax // 100, ax // 10 % 10)
+    suffix[:, 3] = 48 + np.where(three, ax // 10 % 10, ax % 10)
+    suffix[:, 4] = np.where(three, 48 + ax % 10, 0)
+    before = np.where(np.arange(_WIDTH + 1)[:, None] > np.arange(_WIDTH), 255, 0)
+    return (
+        quads.view(np.uint32).ravel(),
+        trailing,
+        leads,
+        suffix.view("V5").ravel(),
+        before.astype(np.uint8).view(f"V{_WIDTH}").ravel(),
+    )
+
+
+def _scaled(f, e, E):
+    """|x| 10^(16-E) as hi + lo for |x| = f 2^e, f in [0.5, 1).  An E off
+    the table is clipped to its edge, so its product falls out of range."""
+    hi, hi_hi, hi_lo, lo, exps = _pow10()
+    k = 16 - _K_MIN - E
+    h, h_hi, h_lo = (t.take(k, mode="clip") for t in (hi, hi_hi, hi_lo))
+    c = f * _SPLIT
+    f_hi = c - (c - f)
+    f_lo = f - f_hi
+    p = f * h
+    t = (((f_hi * h_hi - p) + f_hi * h_lo + f_lo * h_hi) + f_lo * h_lo)
+    t += f * lo.take(k, mode="clip")
+    s = p + t
+    r = t - (s - p)
+    shift = e + exps.take(k, mode="clip")
+    return np.ldexp(s, shift), np.ldexp(r, shift)
+
+
+def _digits(a):
+    """(D, X, certified) for positive finite values: the 17 digits and the
+    decimal exponent of %.17g."""
+    f, e = np.frexp(a)
+    E = np.floor(np.log10(a)).astype(np.intc)
+    hi, lo = _scaled(f, e, E)
+    # log10 may land one decade off next to a power of ten: one more pass
+    # with E - 1 or E + 1, and a value still out of range is not certified
+    below = (hi - 1e16) + lo < 0
+    above = (hi - 1e17) + lo >= 0
+    off = np.flatnonzero(below | above)
+    if len(off):
+        E[off] += above[off].astype(np.intc) - below[off]
+        hi[off], lo[off] = _scaled(f[off], e[off], E[off])
+        below[off] = (hi[off] - 1e16) + lo[off] < 0
+        above[off] = (hi[off] - 1e17) + lo[off] >= 0
+    # hi >= 2^53 is an integer, so lo carries the fraction
+    whole = np.rint(lo)
+    ok = np.abs(np.abs(lo - whole) - 0.5) > 2.0**-40
+    ok &= ~(below | above)
+    D = hi.astype(np.int64) + whole.astype(np.int64)
+    carry = D == 10**17
+    D[carry | ~ok] = 10**16  # an uncertified D may lie anywhere
+    return D, E + carry, ok
+
+
+def _layout(D, X, neg):
+    """The %g text of (-1)^neg D 10^(X-16) as (n, _WIDTH) ASCII bytes,
+    NUL-padded: fixed notation for -4 <= X < 17, else exponent form,
+    trailing zeros stripped."""
+    quads, trailing, leads, suffix, before = _glyphs()
+    n = len(D)
+    rows = np.arange(n)
+    upper = D // 10**8
+    lower = D - upper * 10**8
+    d0 = upper // 10**8
+    mid = upper - d0 * 10**8
+    c = np.empty((n, 4), dtype=np.intp)
+    c[:, 0] = mid // 10**4
+    c[:, 1] = mid - c[:, 0] * 10**4
+    c[:, 2] = lower // 10**4
+    c[:, 3] = lower - c[:, 2] * 10**4
+    # "0000" "000d" and four digit quads: the digits from byte 7 on
+    pad = np.zeros((n, 8), dtype=np.uint32)
+    pad[:, 0] = _word("0000")
+    pad[:, 1] = leads[d0]
+    pad[:, 2:6] = quads[c]
+    zeros = trailing[c[:, 3]]
+    tail = c[:, 3] == 0
+    for i in (2, 1, 0):
+        zeros += tail * trailing[c[:, i]]
+        tail &= c[:, i] == 0
+    fixed = (X >= -4) & (X < 17)
+    lead = np.where(fixed & (X < 0), -X, 0)  # the zeros of 0.000ddd
+    point = neg + np.where(fixed, 1 + np.maximum(X, 0), 1)
+    last = neg + lead + 17 - zeros  # one past the last significant digit
+    end = np.where(last > point, last + 1, point)
+    # the text without its point from the sign's column on, and the same
+    # one column later: each side of the point comes from its own record
+    windows = _windows(pad.view(np.uint8), _WIDTH)
+    start = rows * 32 + 6 - lead - neg
+    out = windows[start].view(np.uint64).reshape(n, -1)
+    later = windows[start + 1].view(np.uint64).reshape(n, -1)
+    later ^= out
+    later &= before[point].view(np.uint64).reshape(n, -1)
+    out ^= later
+    text = out.view(np.uint8)
+    text[rows, point] = ord(".")
+    out &= before[end].view(np.uint64).reshape(n, -1)
+    np.copyto(text[:, 0], ord("-"), where=neg.astype(bool))
+    exp = np.flatnonzero(~fixed)
+    if len(exp):
+        _windows(text, 5)[exp * _WIDTH + end[exp]] = suffix[X[exp] + 400]
+    return text
+
+
+def format_values(values):
+    """``format_float`` of each value of a 1-D float array, as an object
+    array of ASCII bytes.
+
+    Finite non-integral values whose digits the kernel certifies are laid out
+    as arrays; the rest (integral values below 1e16, ties and near-ties of
+    the 17th digit, non-finite values) take the rule one value at a time.
+    """
+    values = np.asarray(values, dtype=float)
+    table = np.empty(len(values), dtype=object)
+    scalar = ~np.isfinite(values) | ((values == np.trunc(values)) & (np.abs(values) < 1e16))
+    # the kernel runs on every row, a stand-in 0.5 on the scalar ones
+    magnitude = np.where(scalar, 0.5, np.abs(values))
+    neg = np.signbit(values).astype(np.intp)
+    for start in range(0, len(values), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        D, X, ok = _digits(magnitude[block])
+        scalar[block] |= ~ok
+        text = _layout(D, X, neg[block])
+        table[block] = text.view(f"S{_WIDTH}").ravel()
+    rest = np.flatnonzero(scalar)
+    table[rest] = _per_value(values[rest])
+    return table

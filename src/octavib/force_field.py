@@ -76,6 +76,7 @@ def load_params(path):
     except UnicodeDecodeError:
         raise ConfigError(f"cannot read {path}: not UTF-8 text") from None
     values = {}
+    first_line = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -86,6 +87,11 @@ def load_params(path):
         key = key.strip()
         if key not in ("sigma1", "sigma2", "sigma3"):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: repeated key {key!r}, first set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             values[key] = float(val)
         except ValueError:

@@ -353,14 +353,15 @@ CSV_HEADER = "t," + ",".join(f"{c}{i}" for i in range(1, 7) for c in ("x", "y", 
 def export_trajectory(traj, path):
     """Write the sampled trajectory as CSV, every cell as ``format_float``
     prints it (``format_rows``).  Non-finite samples raise ``ValueError``
-    before the file is opened.
+    before the file is opened; the whole text is formatted first and
+    written at once.
     """
     data = np.column_stack((traj.times, traj.samples))
     if not np.isfinite(data).all():
         raise ValueError(f"non-finite sample; {path} not written")
+    text = "\n".join([CSV_HEADER, *format_rows(data)]) + "\n"
     with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.writelines(row + "\n" for row in format_rows(data))
+        fh.write(text)
     return path
 
 

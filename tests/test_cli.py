@@ -39,6 +39,16 @@ class TestEquilibrium:
         assert code == 2
         assert ":2:" in err
 
+    def test_repeated_key_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("sigma1=0.1\nsigma1=0.2\nsigma2=0.1\nsigma3=1\n")
+        code, out, err = run(capsys, "--config", str(cfg), "equilibrium")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"configuration error: {cfg}:2: repeated key 'sigma1', first set on line 1\n"
+        )
+
     def test_non_finite_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("sigma1=0.1\nsigma2=0.1\nsigma3=nan\n")

@@ -297,6 +297,22 @@ class TestParamsFile:
         with pytest.raises(ConfigError, match=":2:"):
             ff.load_params(path)
 
+    @pytest.mark.parametrize(
+        "body, line, first",
+        [
+            ("sigma1=0.1\nsigma1=0.2\nsigma2=0.1\nsigma3=1\n", 2, 1),
+            ("sigma3=1\nsigma1=0.1\n\n# again\nsigma2=0\n sigma3 = 1\n", 6, 1),
+            ("sigma1=0.1\nsigma2=0.1\nsigma3=1\nsigma2=0.1\n", 4, 2),
+        ],
+        ids=["last_would_win", "same_value_after_a_comment", "after_a_complete_set"],
+    )
+    def test_repeated_key_refused(self, tmp_path, body, line, first):
+        path = tmp_path / "twice.cfg"
+        path.write_text(body)
+        message = rf"twice\.cfg:{line}: repeated key 'sigma\d', first set on line {first}$"
+        with pytest.raises(ConfigError, match=message):
+            ff.load_params(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value(self, tmp_path, value):
         path = tmp_path / "nonfinite.cfg"

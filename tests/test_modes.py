@@ -1,15 +1,18 @@
 import math
+import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from octavib import force_field as ff
-from octavib import accel, bifurcation, modes, orbit_o2, spectral
-from octavib._serialize import format_float
-from octavib.errors import AmplitudeError, ConfigError, SamplingError
+from octavib import _serialize, accel, bifurcation, modes, orbit_o2, spectral
+from octavib._serialize import format_float, format_rows, format_values
+from octavib.errors import AmplitudeError, ConfigError, NumericalError, SamplingError
 
 from conftest import gradient_loop, pair_operator
+from test_request_kernels import wide_grid
 
 # reference eigenvectors of the reported block Hessian, printed to 3-4
 # digits; used as an identification oracle only
@@ -284,6 +287,71 @@ def long_modes(shop):
     return trajs
 
 
+@pytest.fixture(scope="module")
+def wide_modes():
+    """Mode (7, 3) at 1,200 samples for every draw of the 400-draw wide grid
+    that builds it: nonzero magnitudes from 7.8e-38 to 92, rounding noise
+    included."""
+    trajs = []
+    for sigmas in wide_grid(400):
+        try:
+            shop = modes.ModeWorkshop(ff.PotentialParams(*sigmas))
+            trajs.append(shop.build_mode("7", 3, 0.05, 1200))
+        except NumericalError:
+            continue
+    assert len(trajs) == 240
+    return trajs
+
+
+def distinct_values(traj):
+    data = np.column_stack((traj.times, traj.samples))
+    return np.unique(data.view(np.uint64)).view(float)
+
+
+class TestKernelOnModes:
+    """The array kernel called directly, whatever size selection picks."""
+
+    def assert_kernel_matches_format_float(self, traj):
+        values = distinct_values(traj)
+        got = [text.decode() for text in format_values(values).tolist()]
+        assert got == list(map(format_float, values.tolist())), (traj.j, traj.k)
+
+    def test_every_mode(self, shop, long_modes):
+        for traj in [*every_mode(shop, modes.DEFAULT_SAMPLES), *long_modes]:
+            self.assert_kernel_matches_format_float(traj)
+
+    def test_every_wide_grid_mode(self, wide_modes):
+        # 3.2 million values in all
+        for traj in wide_modes:
+            self.assert_kernel_matches_format_float(traj)
+
+    def test_sizes_on_either_side_of_the_crossover(self, shop, long_modes):
+        # the 18x18 spectrum basis stays value by value, a 1,200-sample mode
+        # takes the kernel
+        basis = shop.spectrum.basis
+        assert len(np.unique(basis)) < _serialize.KERNEL_MIN_VALUES
+        assert min(len(distinct_values(t)) for t in long_modes) >= _serialize.KERNEL_MIN_VALUES
+
+    def test_memory_peak_of_the_largest_mode(self, long_modes, monkeypatch):
+        traj = max(long_modes, key=lambda t: len(distinct_values(t)))
+        data = np.column_stack((traj.times, traj.samples))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                for _ in format_rows(data):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        format_values(np.array([0.5]))  # the tables are built once per process
+        kernel = peak()
+        monkeypatch.setattr(_serialize, "KERNEL_MIN_VALUES", sys.maxsize)
+        per_value = peak()
+        assert kernel <= 1.5 * per_value, (kernel, per_value)
+
+
 class TestPairDifferences:
     def test_take_equals_fancy_indexing_on_every_mode(self, long_modes):
         for traj in long_modes:
@@ -329,6 +397,14 @@ class TestExport:
             new = modes.export_trajectory(traj, tmp_path / "new.csv")
             old = per_value_export(traj, tmp_path / "old.csv")
             assert new.read_bytes() == old.read_bytes(), (traj.j, traj.k)
+
+    def test_every_wide_grid_mode_matches_the_per_value_codec(self, wide_modes, tmp_path):
+        # one in twenty of the 240 exports, cell by cell (all of them value
+        # by value in TestKernelOnModes)
+        for traj in wide_modes[::20]:
+            new = modes.export_trajectory(traj, tmp_path / "new.csv")
+            old = per_value_export(traj, tmp_path / "old.csv")
+            assert new.read_bytes() == old.read_bytes()
 
     def test_edge_values_match_the_per_value_codec(self, tmp_path):
         traj = edge_trajectory()
