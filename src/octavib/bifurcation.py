@@ -30,6 +30,7 @@ from .errors import ConfigError, ConsistencyError, ResonanceError
 
 ISOTYPIC = ("0", "4", "7", "7*", "8", "9")
 RESONANCE_RTOL = 1e-6  # alpha^2 this close, relative to max |alpha^2|, resonate
+MAX_CRITICAL = 2**18  # the most critical numbers one request lists (~60 MB)
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,35 @@ def _check_frequencies(alphas):
             )
 
 
+def critical_count(alphas, lambda_max):
+    """How many critical numbers lie up to lambda_max: the sum over blocks
+    of floor(lambda_max alpha_j), a float once a product passes 2^53, where
+    every float is integral."""
+    count = 0
+    for a in alphas.values():
+        x = lambda_max * a
+        if x >= 1:
+            count += x if x >= 2**53 else math.floor(x)
+    return count
+
+
 def critical_set(alphas, lambda_max):
     """All critical numbers up to lambda_max, ascending; ties left adjacent.
 
-    `alphas` maps isotypic labels to positive frequencies alpha_j.
+    `alphas` maps isotypic labels to positive frequencies alpha_j.  More
+    than ``MAX_CRITICAL`` of them is refused before any is listed, as a
+    ``ConfigError`` naming the count: the bound is on what the caller asks
+    for, whatever σ gives the frequencies.
     """
     if not math.isfinite(lambda_max):
         raise ConfigError(f"lambda_max must be finite, got {lambda_max}")
     _check_frequencies(alphas)
+    count = critical_count(alphas, lambda_max)
+    if count > MAX_CRITICAL:
+        raise ConfigError(
+            f"lambda_max={lambda_max} gives {count} critical numbers, "
+            f"more than the bound of {MAX_CRITICAL}"
+        )
     out = []
     for j, a in alphas.items():
         l = 1

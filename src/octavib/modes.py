@@ -16,7 +16,6 @@ of a block with one copy of its irreducible.  A workshop computes only what
 depends on σ.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bifurcation, force_field, group_core, orbit_o2, spectral
-from ._serialize import dumps, format_rows
+from ._serialize import RowWidthError, dumps, format_rows, parse_values
 from .burnside import cached
 from .errors import (
     AmplitudeError,
@@ -35,6 +34,9 @@ from .errors import (
 )
 
 DEFAULT_SAMPLES = 120  # divisible by 2,3,4,5,6,8: every phase shift in use
+# the most samples per period a mode is built with: at the bound `modes`
+# peaks at 136 MB, its arrays and CSV text about 1.5 kB per sample
+MAX_SAMPLES = 2**16
 # bound on a verify temporary: elements sharing a sample shift are checked
 # as many at a time as fit
 VERIFY_BLOCK_BYTES = 384 * 1024
@@ -102,6 +104,10 @@ class ModeWorkshop:
             raise ConfigError(f"epsilon must be finite and nonnegative, got {epsilon}")
         if n_samples < 8:
             raise ConfigError("need at least 8 samples per period")
+        if n_samples > MAX_SAMPLES:
+            raise ConfigError(
+                f"{n_samples} samples per period exceed the bound of {MAX_SAMPLES}"
+            )
         types = self.types_for(j)
         if not 1 <= k <= len(types):
             raise ConfigError(
@@ -366,37 +372,46 @@ def export_trajectory(traj, path):
 
 
 def read_trajectory(path):
-    """Round-trip reader for exported CSV trajectories.
+    """Read back a CSV trajectory that ``export_trajectory`` wrote.
 
-    Cells are parsed by ``np.loadtxt``, which reads every exported value
-    back exactly but, unlike ``float()``, refuses digit-group underscores
-    ("1_0") and non-ASCII digits.  Blank and whitespace-only lines are
-    skipped.
+    After ``CSV_HEADER`` every row holds 19 cells of ``format_float``'s
+    grammar: an optional "-", digits with at most one "." and a digit either
+    side of it, and an optional exponent "e+dd", "e-dd", "e+ddd" or
+    "e-ddd", 24 bytes at most.  ``_serialize.parse_values`` reads each
+    cell as the double ``float()`` reads from it, bit for bit.  Lines may
+    end in CRLF, blank and whitespace-only lines are skipped and the final
+    newline may be missing.  Anything else in a row is a non-numeric
+    sample: whitespace, a leading "+", "1e5", ".5", "1.", "nan", "inf",
+    digit-group underscores ("1_0") or a longer cell.
     """
     width = CSV_HEADER.count(",") + 1
-    with open(path) as fh:
-        if fh.readline().strip() != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header in {path}")
-        lines = (line for line in fh if not line.isspace())
-        first = next(lines, None)
-        if first is None:
-            raise ConfigError(f"no samples in {path}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # universal newlines
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    head = data.index(b"\n")
+    if data[:head].strip() != CSV_HEADER.encode():
+        raise ConfigError(f"unexpected CSV header in {path}")
+    try:
         try:
-            data = np.loadtxt(
-                itertools.chain((first,), lines),
-                delimiter=",", comments=None, ndmin=2,
-            )
-        except ValueError as exc:
-            # numpy's two refusals: "the number of columns changed from ..."
-            # and "could not convert string ... to float64"
-            if "number of columns" in str(exc):
-                raise ConfigError(
-                    f"rows of {path} do not all have {width} columns"
-                ) from None
-            raise ConfigError(f"non-numeric sample in {path}") from None
-    if data.shape[1] != width:
-        raise ConfigError(f"rows of {path} do not all have {width} columns")
-    return data[:, 0], data[:, 1:]
+            values = parse_values(data, width, start=head + 1)
+        except ValueError:
+            # the kernel refuses blank and whitespace-only lines: drop them
+            # and read again, if there are any
+            rows = data[head + 1 : -1].split(b"\n")
+            kept = [row for row in rows if row.strip()]
+            if len(kept) == len(rows):
+                raise
+            values = parse_values(b"".join(row + b"\n" for row in kept), width)
+    except RowWidthError:
+        raise ConfigError(f"rows of {path} do not all have {width} columns") from None
+    except ValueError:
+        raise ConfigError(f"non-numeric sample in {path}") from None
+    if not len(values):
+        raise ConfigError(f"no samples in {path}")
+    return values[:, 0], values[:, 1:]
 
 
 def mode_manifest(traj, verified, generator_report):

@@ -12,7 +12,7 @@ from octavib import orbit_o2 as o2
 from octavib import spectral
 from octavib import cli
 from octavib.burnside import cached
-from octavib.errors import ResonanceError
+from octavib.errors import ConfigError, ResonanceError
 
 from conftest import engine_at, sweep_box
 from test_acceptance import EXPECTED_CENSUS
@@ -59,6 +59,24 @@ class TestCriticalSet:
         crit = bf.critical_set(alphas, lam91 + 1e-9)
         assert (crit[-1].j, crit[-1].l) == ("9", 1)
         assert len(crit) == 29  # the slowest block enters 29th
+
+
+class TestCriticalBound:
+    def test_count_is_the_length_of_the_list(self, labeled_spectrum):
+        alphas = labeled_spectrum.alphas()
+        for lam in (0.5, 3.0, 12.0, 100.0):
+            assert bf.critical_count(alphas, lam) == len(bf.critical_set(alphas, lam))
+        assert bf.critical_count({"a": 1.0}, 1e300) == 1e300
+        assert bf.critical_count({"a": 1.0}, -5.0) == 0
+
+    def test_refused_above_the_bound_only(self, monkeypatch):
+        monkeypatch.setattr(bf, "MAX_CRITICAL", 10)
+        alphas = {"a": 1.0, "b": 0.5}
+        assert len(bf.critical_set(alphas, 7.9)) == 10  # 7 + 3
+        with pytest.raises(ConfigError, match="lambda_max=8.0 gives 12 critical numbers, more than the bound of 10"):
+            bf.critical_set(alphas, 8.0)
+        with pytest.raises(ConfigError, match="gives inf critical numbers"):
+            bf.critical_set(alphas, 1e308 * 1.5)
 
 
 class TestEngineFrequencies:

@@ -133,6 +133,23 @@ class TestCritical:
         assert out == ""
         assert f"lambda_max must be finite, got {bound}" in err
 
+    def test_oversized_max_exit_2(self, capsys, monkeypatch):
+        def no_critical_numbers(*args):
+            raise AssertionError("critical_set started listing critical numbers")
+
+        # counted, not listed: 3.4e9 entries would exhaust the memory
+        monkeypatch.setattr(bifurcation, "CriticalNumber", no_critical_numbers)
+        alphas = bifurcation.Request(force_field.REFERENCE_PARAMS).frequencies
+        count = bifurcation.critical_count(alphas, 1e9)
+        assert count == 3408988790
+        code, out, err = run(capsys, "critical", "--max", "1e9")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"configuration error: lambda_max=1000000000.0 gives {count} critical "
+            f"numbers, more than the bound of {bifurcation.MAX_CRITICAL}\n"
+        )
+
 
 class TestInvariant:
     def test_block0(self, capsys):
@@ -361,6 +378,21 @@ class TestModes:
         assert out.endswith("verified=true\n")
         doc = json.loads((tmp_path / "mode_j0_k1.json").read_text())
         assert doc["epsilon"] == 0.0 and doc["verified"] is True
+
+    def test_samples_beyond_the_bound_exit_2(self, capsys, monkeypatch, tmp_path):
+        def no_mode(*args):
+            raise AssertionError("the mode was built past the sample bound")
+
+        monkeypatch.setattr(modes.ModeWorkshop, "build_mode_for_type", no_mode)
+        n = modes.MAX_SAMPLES + 1
+        code, out, err = run(capsys, "modes", "--j", "0", "--samples", str(n), "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"configuration error: {n} samples per period exceed the bound of "
+            f"{modes.MAX_SAMPLES}\n"
+        )
+        assert not list(tmp_path.iterdir())
 
     def test_nan_amplitude_exit_2(self, capsys, tmp_path):
         out_dir = tmp_path / "out"

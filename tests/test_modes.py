@@ -352,6 +352,58 @@ class TestKernelOnModes:
         assert kernel <= 1.5 * per_value, (kernel, per_value)
 
 
+class TestReadBack:
+    """``read_trajectory`` against ``float()`` on every cell, bit for bit."""
+
+    def test_every_mode_reads_as_float_does(self, shop, long_modes, tmp_path):
+        for traj in [*every_mode(shop, modes.DEFAULT_SAMPLES), *long_modes]:
+            path = modes.export_trajectory(traj, tmp_path / "mode.csv")
+            for got, want in zip(modes.read_trajectory(path), per_value_read(path)):
+                assert got.tobytes() == want.tobytes(), (traj.j, traj.k, traj.n_samples)
+
+    def test_every_wide_grid_mode_reads_as_float_does(self, wide_modes, tmp_path):
+        # 17 digits read back to the value written, so float() of every cell
+        # is the trajectory's value; one in twenty is read by float() too
+        for i, traj in enumerate(wide_modes):
+            path = modes.export_trajectory(traj, tmp_path / "mode.csv")
+            times, samples = modes.read_trajectory(path)
+            assert times.tobytes() == traj.times.tobytes()
+            assert samples.tobytes() == traj.samples.tobytes()
+            if i % 20 == 0:
+                assert samples.tobytes() == per_value_read(path)[1].tobytes()
+
+    def test_edge_values_read_as_float_does(self, tmp_path):
+        traj = edge_trajectory()
+        path = modes.export_trajectory(traj, tmp_path / "mode.csv")
+        times, samples = modes.read_trajectory(path)
+        want_times, want_samples = per_value_read(path)
+        assert times.tobytes() == want_times.tobytes()
+        assert samples.tobytes() == want_samples.tobytes()
+        assert np.signbit(samples[0, 0]) and samples[0, 0] == 0.0  # -0.0 keeps its sign
+
+    def test_memory_peak_of_the_largest_mode(self, long_modes, tmp_path):
+        # 4,096 cells at a time: the peak stays within a few times the file
+        traj = max(long_modes, key=lambda t: len(distinct_values(t)))
+        path = modes.export_trajectory(traj, tmp_path / "mode.csv")
+        modes.read_trajectory(path)  # the tables are built once per process
+        tracemalloc.start()
+        try:
+            modes.read_trajectory(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+class TestSampleBound:
+    def test_refused_above_the_bound_before_any_work(self, shop, monkeypatch):
+        monkeypatch.setattr(modes, "MAX_SAMPLES", 24)
+        assert shop.build_mode("0", 1, 0.05, 24).n_samples == 24
+        monkeypatch.setattr(shop, "types_for", None)  # nothing past the check runs
+        with pytest.raises(ConfigError, match="^25 samples per period exceed the bound of 24$"):
+            shop.build_mode("0", 1, 0.05, 25)
+
+
 class TestPairDifferences:
     def test_take_equals_fancy_indexing_on_every_mode(self, long_modes):
         for traj in long_modes:
@@ -470,6 +522,22 @@ class TestExport:
         times, samples = modes.read_trajectory(path)
         assert np.array_equal(times, traj.times)
         assert np.array_equal(samples, traj.samples)
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["+1.0", " 1.0", "1.0 ", "1e5", "1e+5", ".5", "1.", "--1", "nan", "inf",
+         "0x1p-3", "1_0", "-1.23456789012345678e-300"],
+        ids=["plus", "leading_space", "trailing_space", "bare_exponent",
+             "one_digit_exponent", "no_integer_digit", "no_fraction_digit", "two_minus",
+             "nan", "inf", "hex", "underscore", "25_bytes"],
+    )
+    def test_read_refuses_off_grammar_cells(self, tmp_path, cell):
+        # the writer prints none of these, so the reader takes none of them,
+        # though float() and numpy's loadtxt read most of them
+        path = tmp_path / "bad.csv"
+        path.write_text(modes.CSV_HEADER + "\n" + "0.0," + cell + ",1.0" * 17 + "\n")
+        with pytest.raises(ConfigError, match="non-numeric sample in .*bad.csv"):
+            modes.read_trajectory(path)
 
     def test_manifest(self, shop):
         import json

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 
 from octavib import _serialize
-from octavib._serialize import dumps, format_float, format_rows, format_values
+from octavib._serialize import (
+    RowWidthError,
+    dumps,
+    format_float,
+    format_rows,
+    format_values,
+    parse_values,
+)
 
 
 class TestStrings:
@@ -221,6 +229,201 @@ class TestKernel:
         code = (
             "import octavib.cli, octavib._serialize as s; "
             "print(s._pow10.cache_info().currsize, s._glyphs.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["0", "0"]
+
+
+def parse_text(texts):
+    """``parse_values`` of ASCII cells, one per line."""
+    return parse_values(b"\n".join(texts) + b"\n").ravel()
+
+
+def float_text(texts):
+    """``float()`` of each cell (oracle for ``parse_values``)."""
+    return np.array([float(text) for text in texts])
+
+
+@pytest.fixture
+def per_cell(monkeypatch):
+    """The cells ``parse_values`` leaves to ``float()``, as they are read."""
+    seen = []
+    scalar = _serialize._per_cell
+
+    def recording(data, first, end):
+        seen.extend(data[i:j] for i, j in zip(first.tolist(), end.tolist()))
+        return scalar(data, first, end)
+
+    monkeypatch.setattr(_serialize, "_per_cell", recording)
+    return seen
+
+
+def powers_of_two():
+    """2^k for every finite double's exponent, each with its neighbours."""
+    p = np.ldexp(1.0, np.arange(-1074, 1024))
+    return np.concatenate((p, np.nextafter(p, 0), np.nextafter(p, np.inf)))
+
+
+def subnormals(n, seed):
+    """n seeded random subnormal bit patterns and the edges of the range."""
+    bits = np.random.default_rng(seed).integers(1, 2**52, size=n, dtype=np.uint64)
+    least_normal = 2.2250738585072014e-308
+    return np.concatenate((bits.view(float), [5e-324, least_normal, np.nextafter(least_normal, 0)]))
+
+
+# decimals of at most 24 bytes that lie exactly halfway between two doubles:
+# odd integers between 2^53 and 2^54, 2 mod 4 between 2^54 and 2^55, ...
+TIE_INTEGERS = [
+    *(2**53 + 1 + 2 * i for i in range(0, 2000, 7)),
+    2**54 + 2, 2**55 + 4, 2**56 + 8, 2**57 + 16, 2**60 + 2**7, 2**62 + 2**9,
+]
+
+
+def tie_texts():
+    for m in TIE_INTEGERS:
+        digits = str(m)
+        yield digits.encode()
+        yield f"-{digits}.0".encode()
+        yield f"{digits[0]}.{digits[1:]}e+{len(digits) - 1:02d}".encode()
+
+
+class TestParseKernel:
+    """``parse_values`` against ``float()``, cell by cell, bit for bit."""
+
+    def round_trip(self, values):
+        """parse(format(x)) is x, and format(parse(t)) is t."""
+        texts = format_values(values).tolist()
+        got = parse_text(texts)
+        assert got.tobytes() == values.tobytes()
+        assert format_values(got).tolist() == texts
+
+    def test_random_bit_patterns(self, per_cell):
+        values = random_doubles(200_000, seed=22)
+        self.round_trip(values)
+        # the subnormal patterns take float(), the bulk does not
+        subnormal = np.count_nonzero(np.abs(values) < 2.2250738585072014e-308)
+        assert subnormal > 50
+        assert subnormal <= len(per_cell) < 2 * subnormal
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = powers_of_ten()
+        self.round_trip(np.concatenate((values, -values)))
+
+    def test_powers_of_two_and_their_neighbours(self, per_cell):
+        values = powers_of_two()
+        self.round_trip(np.concatenate((values, -values)))
+        # the subnormal ones take float()
+        assert len(per_cell) >= 2 * 52
+
+    def test_format_kernel_value_sets(self):
+        self.round_trip(np.concatenate((TIES, -TIES)))
+        self.round_trip(np.array(EDGES + REPEATS + [2.0**53 + 2, 1e16 + 2, -1e16 - 2, 1.0 - 2**-53]))
+
+    def test_signed_zero(self):
+        got = parse_text([b"0.0", b"-0.0", b"0", b"-0", b"-0e+00", b"00.000"])
+        assert np.signbit(got).tolist() == [False, True, False, True, True, False]
+        assert not got.any()
+
+    def test_exact_decimal_ties(self, per_cell):
+        # float() rounds a tie to the even double; every tie takes float()
+        texts = list(tie_texts())
+        assert parse_text(texts).tobytes() == float_text(texts).tobytes()
+        assert sorted(per_cell) == sorted(texts)
+        assert parse_text([b"9007199254740993"])[0] == 2.0**53
+
+    def test_subnormals(self, per_cell):
+        values = subnormals(5000, seed=23)
+        self.round_trip(np.concatenate((values, -values)))
+        assert len(per_cell) >= 2 * 5000
+        # near the least subnormal and past the table: 0.0, 5e-324 or 0.0
+        texts = [b"5e-324", b"4.9406564584124654e-324", b"2.4703282292062328e-324",
+                 b"2.4703282292062327e-324", b"1e-999", b"-1e-400",
+                 b"2.2250738585072011e-308", b"0.0000000000000001e-292"]
+        assert parse_text(texts).tobytes() == float_text(texts).tobytes()
+
+    def test_largest_doubles_and_overflow(self):
+        texts = [b"1.7976931348623157e+308", b"1.7976931348623158e+308",
+                 b"1.7976931348623159e+308", b"-1e+309", b"1e+999", b"9e+307"]
+        got = parse_text(texts)
+        assert got.tobytes() == float_text(texts).tobytes()
+        assert got[0] == got[1] == np.finfo(float).max and np.isinf(got[2:5]).all()
+
+    def test_more_digits_than_the_writer_prints(self, per_cell):
+        # up to 18 digits below 9.2e17 fit the kernel's 63 bits; more take float()
+        long = [b"1234567890123456789", b"1.000000000000000000001", b"123456789012345678901234"]
+        texts = [b"123456789012345678", b"0.123456789012345678", b"-9.19999999999999999",
+                 b"0.0000000000000000000001", b"000000000000000000000007",
+                 b"0.0000000000000001e-99", *long]
+        assert parse_text(texts).tobytes() == float_text(texts).tobytes()
+        assert per_cell == long
+
+    @pytest.mark.parametrize(
+        "cell",
+        [b"+1.0", b" 1.0", b"1.0 ", b"1e5", b"1e+5", b"1e-0005", b".5", b"1.", b"-",
+         b"--1", b"1-", b"1.2.3", b"e+05", b"1.0e+05e+05", b"nan", b"inf", b"0x1p-3",
+         b"1_0", b"1E+05", b"\xd9\xa1", b"", b"-1.23456789012345678e-300"],
+    )
+    def test_refuses_what_the_writer_never_writes(self, cell):
+        for row in ([cell], [b"0.5", cell, b"-2e-05"]):
+            with pytest.raises(ValueError) as info:
+                parse_values(b",".join(row) + b"\n", width=len(row))
+            assert not isinstance(info.value, RowWidthError)
+
+    def test_random_spellings_against_float_and_the_grammar(self):
+        # seeded cells in the grammar, spelled as the writer never does, and
+        # random text: each row is read as float() reads it exactly when
+        # every cell matches the grammar, and refused otherwise
+        rng = np.random.default_rng(24)
+        grammar = re.compile(rb"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]{2,3})?")
+
+        def digits(lo, hi):
+            return bytes(rng.choice(list(b"0123456789"), size=rng.integers(lo, hi + 1)))
+
+        def spelled():
+            cell = (b"-" if rng.random() < 0.4 else b"") + digits(1, 12)
+            if rng.random() < 0.7:
+                cell += b"." + digits(1, 12)
+            if rng.random() < 0.5:
+                cell += b"e" + bytes([rng.choice(list(b"+-"))]) + digits(2, 3)
+            return cell
+
+        def junk():
+            return bytes(rng.choice(list(b"0123456789.-+eE _x"), size=rng.integers(0, 27)))
+
+        for _ in range(3000):
+            cells = [spelled() if rng.random() < 0.7 else junk() for _ in range(rng.integers(1, 5))]
+            data = b",".join(cells) + b"\n"
+            if all(len(c) <= 24 and grammar.fullmatch(c) for c in cells):
+                got = parse_values(data, width=len(cells)).ravel()
+                assert got.tobytes() == float_text(cells).tobytes(), cells
+            else:
+                with pytest.raises(ValueError):
+                    parse_values(data, width=len(cells))
+
+    def test_rows(self):
+        got = parse_values(b"1.0,2.5\n-3.0,4e-05\n", width=2)
+        assert got.tolist() == [[1.0, 2.5], [-3.0, 4e-05]]
+        for bad in (b"1.0,2.5\n3.0\n", b"1.0\n2.5\n", b"1.0,2.5,3.0\n4.0\n"):
+            with pytest.raises(RowWidthError):
+                parse_values(bad, width=2)
+        with pytest.raises(ValueError):
+            parse_values(b"1.0,2.5", width=2)  # no final newline
+        assert parse_values(b"", width=3).shape == (0, 3)
+
+    def test_bytes_before_start_are_skipped(self):
+        data = b"anything at all\n1.5\n-2.0\n"
+        assert parse_values(data, start=16).ravel().tolist() == [1.5, -2.0]
+        # an "e" just before a short first cell is not its exponent
+        for prefix in (b"e", b"e,", b"e+", b"e-0", b"x" * 30 + b"e,1"):
+            data = prefix + b"\n5\n-7\n"
+            assert parse_values(data, start=len(prefix) + 1).ravel().tolist() == [5.0, -7.0]
+
+    def test_parse_tables_built_on_first_use(self):
+        code = (
+            "import octavib.cli, octavib._serialize as s; "
+            "print(s._parse_tables.cache_info().currsize, s._scales.cache_info().currsize)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
