@@ -11,9 +11,10 @@ relations to machine precision, while the nonlinear residual scales
 quadratically with the amplitude.
 
 What depends on the type alone is kept in the orbit-type ring's tables: its
-elements as arrays, their sample shifts per sample count, and the fixed pairs
-of a block with one copy of its irreducible.  A workshop computes only what
-depends on σ.
+elements as arrays, their sample shifts per sample count, and its fixed pairs
+in the first copy of each irreducible, solved once in ``spectral.BASES``.
+Every block's columns carry the matrices of that copy, so a workshop maps the
+pairs through them and solves nothing per σ.
 """
 
 import math
@@ -90,13 +91,13 @@ class ModeWorkshop:
     def fixed_pairs(self, type_class, j):
         """Orthonormal basis of the type's fixed space inside block j.
 
-        A block with one copy of its irreducible has a constant basis, the
-        block of ``spectral.Q``, so its fixed pairs are the ring's; the two
-        copies of 7 are split per σ, and blocks 7 and 7* are solved here.
+        Block j's columns carry the matrices of its irreducible's first copy
+        (``spectral.BASES``), so its pairs are the ring's reduced pairs
+        mapped through them: no solve depends on σ.
         """
-        if j in _CONSTANT_BASES:
-            return _constant_fixed_pairs(self.ring, type_class, j)
-        return _fixed_pairs(self.ring, type_class, self.spectrum.basis_for(j))
+        B = self.spectrum.basis_for(j)
+        pairs = _reduced_pairs(self.ring, type_class, j.rstrip("*"))
+        return tuple((B @ x, B @ y) for x, y in pairs)
 
     def build_mode(self, j, k=1, epsilon=0.05, n_samples=DEFAULT_SAMPLES):
         """Trajectory for the k-th maximal type of block j (1-based)."""
@@ -280,20 +281,25 @@ def _shift_groups(ring, ci, n):
     return tuple((refl, s, np.array(p)) for (refl, s), p in groups.items())
 
 
-def _fixed_pairs(ring, ci, B):
-    """The (a, b) pairs spanning the fixed space of class ci in the span of
-    the orthonormal columns B: the null space of the stacked P^T T P - I,
-    with P the basis of (a, b) pairs and T each element's pair operator."""
-    els = _type_elements(ring, ci)
+@cached
+def _reduced_pairs(ring, ci, irrep):
+    """The fixed space of class ci in the first copy B of an irreducible, as
+    read-only coefficient pairs (x, y) on B's columns: the null space of the
+    stacked P^T T P - I, with P = diag(B, B) and T each element's pair
+    operator.  Each null vector's first entry beyond 1e-9 is positive."""
+    B = spectral.BASES[irrep]
     m = B.shape[1]
     P = np.zeros((36, 2 * m))
     P[:18, :m] = B
     P[18:, m:] = B
+    els = _type_elements(ring, ci)
     M = (P.T @ _pair_operators(els) @ P - np.eye(2 * m)).reshape(-1, 2 * m)
     _, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    null = Vt[sv.size - np.sum(sv < 1e-10) :] if np.sum(sv < 1e-10) else Vt[:0]
-    # rows of `null` span the fixed space in reduced coordinates
-    return tuple((B @ row[:m], B @ row[m:]) for row in null)
+    null = Vt[sv.size - np.sum(sv < 1e-10) :]
+    lead = np.argmax(np.abs(null) > 1e-9, axis=1)  # each row's first entry beyond 1e-9
+    null *= np.sign(null[np.arange(len(null)), lead])[:, None]
+    null.flags.writeable = False
+    return tuple((row[:m], row[m:]) for row in null)
 
 
 def _pair_operators(els):
@@ -310,20 +316,6 @@ def _pair_operators(els):
     np.multiply(s, G, out=T[:, 18:, :18])
     np.multiply(np.where(flip, -c, c), G, out=T[:, 18:, 18:])
     return T
-
-
-# blocks with one copy of their irreducible: the columns of spectral.Q
-# every spectrum reports for them
-_CONSTANT_BASES = {label: B for label, copies, B in spectral.COMPONENTS if copies == 1}
-
-
-@cached
-def _constant_fixed_pairs(ring, ci, j):
-    """``fixed_pairs`` of a one-copy block, read-only: every σ shares them."""
-    pairs = _fixed_pairs(ring, ci, _CONSTANT_BASES[j])
-    for a, b in pairs:
-        a.flags.writeable = b.flags.writeable = False
-    return pairs
 
 
 def _describe(element):

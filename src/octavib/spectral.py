@@ -1,12 +1,14 @@
 """Equilibrium Hessian spectrum and its isotypic decomposition.
 
-The isotypic components of R^18 do not depend on σ.  ``Q``, built once from
-the projectors P_j = (dim chi_j / |G|) sum_g chi_j(g) g, is a basis of them,
-and ``numeric_spectrum`` reads each labeled line from its block of Q^T H Q.
+The isotypic components of R^18 do not depend on σ.  ``Q`` is one exact
+basis of them, the symmetry coordinates of an octahedral AX6, in which
+Q^T H Q of an equivariant H is its Schur form: ``numeric_spectrum`` reads
+the seven labeled lines from eight numbers, with no eigensolver.
 ``closed_form_spectrum`` (alpha^2 from the five stiffness constants) and
 ``assign_eigenspaces`` (labels from restricted characters) are oracles.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -147,32 +149,48 @@ _CLASS_ACTIONS = group_core.ACTIONS_18[list(group_core.CLASS_REPS)]
 _CHARACTERS = np.array(group_core.CHARACTER_TABLE, dtype=float)
 
 
-def _component(j, copies):
-    """(label, copies, columns) of one component: the range of its projector."""
-    chi = _CHARACTERS[j, list(group_core.ELEMENT_CLASS)]
-    P = chi[0] / group_core.N * np.tensordot(chi, group_core.ACTIONS_18, axes=1)
-    V = np.linalg.eigh(P)[1]  # eigenvalues 0, then 1 on the range
-    return group_core.IRREP_NAMES[j], copies, V[:, 18 - copies * int(chi[0]) :]
+def _coordinates(*fields):
+    """Unit columns, one per field: the ligand at unit vertex p moves by f(p)."""
+    U = np.array(fields, dtype=float).reshape(len(fields), 18).T + 0.0  # no -0.0
+    return U / np.sqrt((U * U).sum(axis=0))
 
 
-_COPIES = isotypic_multiplicities(group_core.action_character())
-COMPONENTS = tuple(_component(j, m) for j, m in enumerate(_COPIES) if m)
-Q = np.hstack([B for _, _, B in COMPONENTS])
-# the entries of Q^T H Q an equivariant H may hold: those whose row and
-# column lie in one component, the whole 6x6 of the two copies of 7 included
-_OWNER = np.repeat(np.arange(len(COMPONENTS)), [B.shape[1] for _, _, B in COMPONENTS])
-_IN_BLOCK = _OWNER[:, None] == _OWNER[None, :]
+# the symmetry coordinates of an octahedral AX6 (Wilson, Decius & Cross,
+# Molecular Vibrations, 1955): BASES holds each irreducible's first copy, that
+# of 7 its radial part, whose tangential part carries the same 3x3 matrices
+_p, _e = group_core.VERTICES.astype(float), np.eye(3)  # a unit vertex per row
+_pa = _p.T[:, :, None]  # _pa[a] is the column of the vertices' p_a
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+BASES = {
+    "0": _coordinates(_p),
+    "4": _coordinates((3 * _pa[0] ** 2 - 1) * _p, (_pa[1] ** 2 - _pa[2] ** 2) * _p),
+    "6": _coordinates(*(np.cross(_e[a], _p) for a in range(3))),
+    "7": _coordinates(*(_pa[a] * _p for a in range(3))),
+    "8": _coordinates(*(_pa[c] * _e[b] + _pa[b] * _e[c] for a, b, c in _CYCLIC)),
+    "9": _coordinates(*((_pa[b] ** 2 - _pa[c] ** 2) * _e[a] for a, b, c in _CYCLIC)),
+}
+_TANGENTIAL_7 = _coordinates(*(_e[a] - _pa[a] * _p for a in range(3)))
+Q = np.hstack([BASES[j] for j in "0467"] + [_TANGENTIAL_7, BASES["8"], BASES["9"]])
+
+# Q^T H Q of an equivariant H is eight numbers times these patterns (rows of
+# 18 * 18): alpha^2 times the identity on each one-copy block, and
+# [[p, q], [q, r]] (x) I_3 on the radial (p) and tangential (r) copies of 7
+_BLOCK = np.repeat(list("046pr89"), [1, 2, 3, 3, 3, 3, 3])  # each column's block
+_cross = np.diag(_BLOCK[:15] == "p", 3)
+_PATTERNS = np.array([*(np.diag(_BLOCK == b) for b in "04689p"), _cross + _cross.T,
+                      np.diag(_BLOCK == "r")], dtype=float).reshape(8, 18 * 18)
+_DUAL = _PATTERNS / _PATTERNS.sum(axis=1, keepdims=True)  # reads the eight
 EQUIVARIANCE_RTOL = 1e-9
 
 
 def numeric_spectrum(hessian):
     """The seven labeled lines of an equivariant 18x18 matrix, by alpha^2.
 
-    H is alpha^2 times the identity on a component with one copy of its
-    irreducible (Schur), read as the mean of its block of Q^T H Q; a 6x6
-    ``eigh`` splits the two copies of 7 into "7" below and "7*" above.  A
-    matrix that is not symmetric, or whose Q^T H Q has an entry outside
-    those blocks, beyond ``EQUIVARIANCE_RTOL`` * max|H| is a ``ShapeError``.
+    One product reads the eight numbers of Q^T H Q's Schur form.  "7" and
+    "7*" are (p + r)/2 -+ hypot((p - r)/2, q), their columns the radial and
+    tangential copies turned by t = atan2(2q, p - r)/2.  A matrix that is
+    not symmetric, or whose Q^T H Q differs from its Schur form, beyond
+    ``EQUIVARIANCE_RTOL`` * max|H| is a ``ShapeError``.
     """
     H = np.asarray(hessian, dtype=float)
     if H.shape != (18, 18):
@@ -180,19 +198,19 @@ def numeric_spectrum(hessian):
     tol = EQUIVARIANCE_RTOL * np.max(np.abs(H), initial=0.0)
     if np.max(np.abs(H - H.T)) > tol:
         raise ShapeError("matrix is not symmetric")
-    if np.max(np.abs(Q.T @ H @ Q)[~_IN_BLOCK]) > tol:
+    M = (Q.T @ H @ Q).ravel()
+    schur = _DUAL @ M
+    if np.max(np.abs(M - schur @ _PATTERNS)) > tol:
         raise ShapeError("matrix does not commute with the octahedral action")
-    out = []
-    for label, copies, B in COMPONENTS:
-        R = B.T @ H @ B
-        if copies == 1:
-            out.append((SpectrumLine(label, float(np.trace(R)) / len(R), len(R)), B))
-            continue
-        w, V = np.linalg.eigh(R)
-        for name, k in ((label, slice(0, 3)), (label + "*", slice(3, 6))):
-            out.append((SpectrumLine(name, float(np.mean(w[k])), 3), B @ V[:, k]))
-    out.sort(key=lambda pair: pair[0].alpha_sq)
-    return SpectrumReport(tuple(ln for ln, _ in out), np.hstack([c for _, c in out]))
+    *alpha_sq, p, q, r = schur.tolist()
+    mid, half = (p + r) / 2, math.hypot((p - r) / 2, q)
+    t = math.atan2(2 * q, p - r) / 2
+    c, s, rad, tan = math.cos(t), math.sin(t), BASES["7"], _TANGENTIAL_7
+    out = [(j, a, BASES[j]) for j, a in zip("04689", alpha_sq)]
+    out[3:3] = [("7", mid - half, c * tan - s * rad), ("7*", mid + half, c * rad + s * tan)]
+    out.sort(key=lambda line: line[1])  # stable: a tie keeps the order 0 4 6 7 7* 8 9
+    lines = tuple(SpectrumLine(j, a, B.shape[1]) for j, a, B in out)
+    return SpectrumReport(lines, np.hstack([B for _, _, B in out]))
 
 
 def assign_eigenspaces(report):

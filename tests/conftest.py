@@ -126,14 +126,26 @@ def pair_operator(element):
     return T
 
 
+def pinned_null_rows(Vt, sv):
+    """The rows of Vt whose singular values are below 1e-10, each negated
+    where its first entry beyond 1e-9 is negative."""
+    null = Vt[sv.size - np.sum(sv < 1e-10) :].copy()
+    for row in null:
+        lead = next(x for x in row if abs(x) > 1e-9)
+        if lead < 0:
+            row *= -1
+    return null
+
+
 def loop_fixed_pairs(shop, type_class, j):
-    """``ModeWorkshop.fixed_pairs`` assembled one element at a time from the
-    request's basis: the oracle of the stacked and the ring-kept paths."""
-    B = shop.spectrum.basis_for(j)
-    m = B.shape[1]
+    """``ModeWorkshop.fixed_pairs`` assembled one element at a time in the
+    first copy of block j's irreducible and mapped through the request's
+    basis: the oracle of the stacked and the ring-kept paths."""
+    B0 = spectral.BASES[j.rstrip("*")]
+    m = B0.shape[1]
     P = np.zeros((36, 2 * m))
-    P[:18, :m] = B
-    P[18:, m:] = B
+    P[:18, :m] = B0
+    P[18:, m:] = B0
     A = shop.ring.representative(type_class)
     rows = []
     for x in sorted(A.elements):
@@ -141,8 +153,8 @@ def loop_fixed_pairs(shop, type_class, j):
         rows.append(P.T @ T @ P - np.eye(2 * m))
     M = np.vstack(rows)
     _, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    null = Vt[sv.size - np.sum(sv < 1e-10) :] if np.sum(sv < 1e-10) else Vt[:0]
-    return [(B @ row[:m], B @ row[m:]) for row in null]
+    B = shop.spectrum.basis_for(j)
+    return [(B @ row[:m], B @ row[m:]) for row in pinned_null_rows(Vt, sv)]
 
 
 def loop_verify_symmetry(shop, traj, type_class=None):

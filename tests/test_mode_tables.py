@@ -1,13 +1,15 @@
 """The ring's σ-independent mode and fast-path tables against the loops they
 replaced.
 
-A type's sorted elements, their sample shifts, the fixed pairs of a block
-with one copy of its irreducible and the fast coefficient per odd groups of
-factors are ring tables (``burnside.cached``).  Every mode the request path
+A type's sorted elements, their sample shifts, its fixed pairs in the first
+copy of each irreducible and the fast coefficient per odd groups of factors
+are ring tables (``burnside.cached``).  Every mode the request path
 builds and verifies is checked bit for bit against the per-element oracles
 in ``conftest``, on a new ring and on one that has served other σ.
 """
 
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from octavib import bifurcation as bf
 from octavib import force_field as ff
-from octavib import group_core, modes, orbit_o2, spectral
+from octavib import cli, group_core, modes, orbit_o2, spectral
 from octavib.errors import CatalogError, ConfigError, NumericalError, SamplingError
 
 from conftest import (
@@ -85,7 +87,7 @@ def warm_ring():
         for sigmas in ((0.9 * REFERENCE.sigma1, REFERENCE.sigma2, REFERENCE.sigma3),
                        (REFERENCE.sigma1, 1.1 * REFERENCE.sigma2, REFERENCE.sigma3)):
             mode_outputs(ff.PotentialParams(*sigmas))
-    assert ring.memo["_constant_fixed_pairs"]
+    assert ring.memo["_reduced_pairs"]
     return ring
 
 
@@ -113,20 +115,30 @@ class TestModeTables:
                 assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
     def test_one_copy_blocks_are_kept_and_read_only(self, fresh_ring):
-        single = {label for label, copies, _ in spectral.COMPONENTS if copies == 1}
+        # one read-only table per (type, irreducible): blocks 7 and 7* read
+        # the first copy's, and a block's pairs are its columns times them
         shop = modes.ModeWorkshop()
         for j in bf.ISOTYPIC:
+            B = shop.spectrum.basis_for(j)
             for ci in shop.types_for(j):
-                pairs = shop.fixed_pairs(ci, j)
-                assert all(not a.flags.writeable and not b.flags.writeable
-                           for a, b in pairs) == (j in single)
-        kept = fresh_ring.memo["_constant_fixed_pairs"]
-        assert {j for _, j in kept} == single & set(bf.ISOTYPIC)
+                reduced = modes._reduced_pairs(fresh_ring, ci, j.rstrip("*"))
+                want = [(B @ x, B @ y) for x, y in reduced]
+                got = shop.fixed_pairs(ci, j)
+                assert [(a.tobytes(), b.tobytes()) for a, b in got] == [
+                    (a.tobytes(), b.tobytes()) for a, b in want
+                ]
+        kept = fresh_ring.memo["_reduced_pairs"]
+        assert {irrep for _, irrep in kept} == {"0", "4", "7", "8", "9"}
+        assert all(not x.flags.writeable and not y.flags.writeable
+                   for pairs in kept.values() for x, y in pairs)
         # another σ reads them: no new entry, the same objects
         before = dict(kept)
         other = modes.ModeWorkshop(ff.PotentialParams(*SIGMAS[1]))
-        for (ci, j), pairs in before.items():
-            assert other.fixed_pairs(ci, j) is pairs
+        for j in bf.ISOTYPIC:
+            for ci in other.types_for(j):
+                other.fixed_pairs(ci, j)
+                irrep = j.rstrip("*")
+                assert modes._reduced_pairs(fresh_ring, ci, irrep) is before[ci, irrep]
         assert kept == before
 
     def test_incommensurate_sampling_stores_nothing(self, fresh_ring):
@@ -152,6 +164,61 @@ class TestModeTables:
             assert np.array_equal(members, np.arange(len(fresh_ring.representative(ci))))
             sizes.append(len(groups))
         assert 2 <= min(sizes) and max(sizes) <= 12
+
+
+def export_all_modes(out_dir):
+    """Run ``octavib modes`` for every maximal type of every block at the
+    reference parameters; file name -> bytes of what it wrote."""
+    for j, k in MODES:
+        argv = ["modes", "--j", j, "--k", str(k), "--out", str(out_dir)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    return {p.name: p.read_bytes() for p in sorted(out_dir.glob("mode_*"))}
+
+
+def forbidden(name):
+    def raise_(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{name} ran on the request path")
+
+    return raise_
+
+
+class TestNoSolvePerSigma:
+    def test_pair_signs_do_not_rest_on_the_svd(self, tmp_path, monkeypatch):
+        # an SVD that returns every null vector negated leaves all 24
+        # exported modes byte for byte
+        new_ring(monkeypatch)
+        (tmp_path / "plain").mkdir()
+        want = export_all_modes(tmp_path / "plain")
+        assert len(want) == 2 * len(MODES) == 48
+        svd = np.linalg.svd
+
+        def negated(a, *args, **kwargs):
+            U, S, Vt = svd(a, *args, **kwargs)
+            return U, S, -Vt
+
+        monkeypatch.setattr(np.linalg, "svd", negated)
+        new_ring(monkeypatch)
+        (tmp_path / "negated").mkdir()
+        assert export_all_modes(tmp_path / "negated") == want
+
+    def test_a_warm_ring_solves_nothing_per_sigma(self, tmp_path, monkeypatch):
+        new_ring(monkeypatch)
+        export_all_modes(tmp_path)  # the ring's tables, at the reference σ
+        monkeypatch.setattr(np.linalg, "eigh", forbidden("eigh"))
+        monkeypatch.setattr(np.linalg, "svd", forbidden("svd"))
+        sigmas = SIGMAS[1]
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("".join(f"sigma{i}={s!r}\n" for i, s in enumerate(sigmas, 1)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--config", str(cfg), "spectrum"]) == 0
+        shop = modes.ModeWorkshop(ff.PotentialParams(*sigmas))
+        for j in ("7", "7*"):
+            for k in range(1, len(shop.types_for(j)) + 1):
+                argv = ["--config", str(cfg), "modes", "--j", j, "--k", str(k),
+                        "--out", str(tmp_path)]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0, argv
 
 
 def box_frequencies():

@@ -1,10 +1,11 @@
 """The per-σ request path against the scalar loops it replaced.
 
 Each kernel a request runs once per σ (the equilibrium bracket, the block
-Hessian, the spectrum JSON and the fixed-space SVD) is checked bit for bit
+Hessian, the spectrum JSON and the fixed pairs) is checked bit for bit
 against its loop oracle below, and the spectrum's labels and alpha^2
 against the per-line characters and a dense eigensolver, over the seed-1
-sweep box, the reference σ and σ = (0, 0, 0).
+sweep box, the reference σ and σ = (0, 0, 0); the closed-form split of 7
+and 7* also over the wide grid.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ from octavib import force_field as ff
 from octavib._serialize import dumps
 from octavib.errors import SearchFailureError
 
-from conftest import pair_operator, sweep_box
+from conftest import pair_operator, pinned_null_rows, sweep_box
 
 REFERENCE = ff.REFERENCE_PARAMS
 SIGMAS = [
@@ -126,19 +127,20 @@ def per_cluster_labels(report):
 
 
 def full_svd_pairs(shop, type_class, j):
-    """``fixed_pairs`` through the full SVD, U included."""
-    B = shop.spectrum.basis_for(j)
-    m = B.shape[1]
+    """``fixed_pairs`` through the full SVD, U included, in the first copy of
+    block j's irreducible, mapped through the request's basis."""
+    B0 = spectral.BASES[j.rstrip("*")]
+    m = B0.shape[1]
     P = np.zeros((36, 2 * m))
-    P[:18, :m] = B
-    P[18:, m:] = B
+    P[:18, :m] = B0
+    P[18:, m:] = B0
     A = shop.ring.representative(type_class)
     M = np.vstack(
         [P.T @ pair_operator(x) @ P - np.eye(2 * m) for x in sorted(A.elements)]
     )
     _, sv, Vt = np.linalg.svd(M)
-    null = Vt[sv.size - np.sum(sv < 1e-10) :] if np.sum(sv < 1e-10) else Vt[:0]
-    return [(B @ row[:m], B @ row[m:]) for row in null]
+    B = shop.spectrum.basis_for(j)
+    return [(B @ row[:m], B @ row[m:]) for row in pinned_null_rows(Vt, sv)]
 
 
 # -- the request path against the oracles ------------------------------------
@@ -195,10 +197,16 @@ def test_labels_equal_the_per_cluster_characters(sigmas, convention):
 def test_single_copy_components_are_eigenspaces(sigmas, convention):
     H, report = spectrum_of(sigmas, convention)
     scale = max(abs(ln.alpha_sq) for ln in report.lines)
-    for label, copies, B in spectral.COMPONENTS:
-        if copies == 1:
-            residual = H @ B - report.alpha_sq[label] * B
-            assert np.abs(residual).max() <= 1e-12 * scale
+    for label in ("0", "4", "6", "8", "9"):
+        B = spectral.BASES[label]
+        residual = H @ B - report.alpha_sq[label] * B
+        assert np.abs(residual).max() <= 1e-12 * scale
+
+
+def schur_residual(H):
+    """max|Q^T H Q - its Schur form|, the form rebuilt from the projection."""
+    M = (spectral.Q.T @ H @ spectral.Q).ravel()
+    return np.abs(M - spectral._DUAL @ M @ spectral._PATTERNS).max()
 
 
 @pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
@@ -206,8 +214,36 @@ def test_single_copy_components_are_eigenspaces(sigmas, convention):
 def test_block_hessians_commute_far_inside_the_tolerance(sigmas, convention):
     # the equivariance refusal leaves every block Hessian of the box accepted
     H, _ = spectrum_of(sigmas, convention)
-    off = np.abs(spectral.Q.T @ H @ spectral.Q)[~spectral._IN_BLOCK]
-    assert off.max() <= 1e-5 * spectral.EQUIVARIANCE_RTOL * np.abs(H).max()
+    assert schur_residual(H) <= 1e-5 * spectral.EQUIVARIANCE_RTOL * np.abs(H).max()
+
+
+def accepted_spectra():
+    """(H, report) of both conventions at the seed-1 box, the reference σ,
+    σ = 0 and the 400 draws of the wide grid, where the equilibrium exists."""
+    for sigmas in (*SIGMAS, *wide_grid(400)):
+        try:
+            r0, coeffs = stiffness_at(sigmas)
+        except SearchFailureError:
+            continue
+        for convention in CONVENTIONS:
+            H = ff.blocks_from_stiffness(*coeffs, convention=convention, r0=r0)
+            yield H, spectral.numeric_spectrum(H)
+
+
+def test_closed_form_seven_equals_the_6x6_eigensolver():
+    # the 2x2 in closed form against ``eigh`` of the block of the two copies
+    # of 7: the means of its lower and upper three eigenvalues, and the
+    # columns of each line are eigenvectors of H
+    count = 0
+    for H, report in accepted_spectra():
+        scale = np.abs(H).max()
+        w = np.linalg.eigvalsh((spectral.Q.T @ H @ spectral.Q)[6:12, 6:12])
+        for label, part in (("7", w[:3]), ("7*", w[3:])):
+            assert abs(report.alpha_sq[label] - part.mean()) <= 1e-14 * scale
+            B = report.basis_for(label)
+            assert np.abs(H @ B - report.alpha_sq[label] * B).max() <= 1e-14 * scale
+        count += 1
+    assert count > 2 * len(SIGMAS)
 
 
 @pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
@@ -246,6 +282,31 @@ def test_fixed_pairs_equal_the_full_svd(sigmas):
             assert len(got) == len(want) > 0
             for (a, b), (a0, b0) in zip(got, want):
                 assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+@pytest.mark.parametrize("sigmas", [SIGMAS[48], *(SIGMAS[i] for i in (0, 10, 16))],
+                         ids=["reference", "draw0", "draw10", "draw16"])
+def test_seven_pairs_are_fixed_and_span_the_direct_null_space(sigmas):
+    # independent of the first copy's table: the pairs of blocks 7 and 7*
+    # are fixed by every element, and span the null space of a full SVD
+    # taken on the block's own columns
+    shop = modes.ModeWorkshop(ff.PotentialParams(*sigmas))
+    for j in ("7", "7*"):
+        B = shop.spectrum.basis_for(j)
+        P = np.zeros((36, 6))
+        P[:18, :3] = B
+        P[18:, 3:] = B
+        for type_class in shop.types_for(j):
+            els = sorted(shop.ring.representative(type_class).elements)
+            pairs = shop.fixed_pairs(type_class, j)
+            got = np.array([np.concatenate(pair) for pair in pairs])
+            for x in els:
+                assert np.abs(got @ pair_operator(x).T - got).max() <= 1e-12
+            M = np.vstack([P.T @ pair_operator(x) @ P - np.eye(6) for x in els])
+            _, sv, Vt = np.linalg.svd(M)
+            null = P @ Vt[sv.size - np.sum(sv < 1e-10) :].T
+            assert got.shape[0] == null.shape[1] > 0
+            assert np.abs(got.T @ got - null @ null.T).max() <= 1e-12
 
 
 # -- no warnings on the request path: every test here runs with warnings as

@@ -95,21 +95,55 @@ class TestNumericSpectrum:
 
     def test_off_block_entry_refused_beyond_the_tolerance(self):
         Q = spectral.Q
-        R = np.diag(np.arange(1.0, 19.0))
+        R = schur_form(np.arange(1.0, 9.0))
         R[0, 17] = R[17, 0] = 1e-3 * spectral.EQUIVARIANCE_RTOL
         spectral.numeric_spectrum(Q @ R @ Q.T)
         R[0, 17] = R[17, 0] = 1e3 * spectral.EQUIVARIANCE_RTOL
         with pytest.raises(ShapeError, match="does not commute"):
             spectral.numeric_spectrum(Q @ R @ Q.T)
 
-    def test_both_copies_of_7_may_mix(self):
-        # the whole 6x6 block of the two copies of 7 is the matrix's own
-        start = sum(B.shape[1] for label, _, B in spectral.COMPONENTS if label < "7")
+    def test_matrix_not_constant_on_a_block_refused(self):
+        # every entry of Q^T H Q lies in a component block, but the blocks are
+        # not alpha^2 times the identity: H does not commute with the action
+        Q = spectral.Q
+        H = Q @ np.diag(np.arange(1.0, 19.0)) @ Q.T
+        assert max(np.abs(G @ H - H @ G).max() for G in gc.ACTIONS_18) > 1
+        with pytest.raises(ShapeError, match="does not commute"):
+            spectral.numeric_spectrum(H)
+        # a 6x6 block of the two copies of 7 that is no 2x2 times I_3
         A = np.random.default_rng(1).normal(size=(6, 6))
-        R = np.diag(np.arange(1.0, 19.0))
-        R[start : start + 6, start : start + 6] += A + A.T
-        report = spectral.numeric_spectrum(spectral.Q @ R @ spectral.Q.T)
-        assert {ln.label for ln in report.lines} == set(spectral.MULTIPLICITIES)
+        R = schur_form(np.arange(1.0, 9.0))
+        R[6:12, 6:12] += A + A.T
+        with pytest.raises(ShapeError, match="does not commute"):
+            spectral.numeric_spectrum(Q @ R @ Q.T)
+
+    def test_both_copies_of_7_may_mix(self):
+        # any 2x2 [[p, q], [q, r]] on the radial and tangential copies
+        rng = np.random.default_rng(1)
+        for p, q, r in rng.normal(size=(20, 3)):
+            values = np.array([10.0, 11.0, 12.0, 13.0, 14.0, p, q, r])
+            report = spectral.numeric_spectrum(equivariant_matrix(values))
+            assert {ln.label for ln in report.lines} == set(spectral.MULTIPLICITIES)
+            w = np.linalg.eigvalsh([[p, q], [q, r]])
+            assert report.alpha_sq["7"] == pytest.approx(w[0], abs=1e-14)
+            assert report.alpha_sq["7*"] == pytest.approx(w[1], abs=1e-14)
+
+    @pytest.mark.parametrize("p, r", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5)],
+                             ids=["p<r", "p>r", "p=r"])
+    def test_uncoupled_copies_of_7(self, p, r):
+        # q = 0: the copies do not mix, and the lower (or the first of two
+        # equal) alpha^2 is labeled "7"
+        values = np.array([10.0, 11.0, 12.0, 13.0, 14.0, p, 0.0, r])
+        report = spectral.numeric_spectrum(equivariant_matrix(values))
+        labels = [ln.label for ln in report.lines]
+        assert labels[:2] == ["7", "7*"]
+        assert np.isfinite([ln.alpha_sq for ln in report.lines]).all()
+        assert report.alpha_sq["7"] == pytest.approx(min(p, r), abs=1e-14)
+        assert report.alpha_sq["7*"] == pytest.approx(max(p, r), abs=1e-14)
+        if p != r:  # the lower copy is the line "7"
+            lower = spectral.BASES["7"] if p < r else spectral._TANGENTIAL_7
+            B = report.basis_for("7")
+            assert np.abs(B @ B.T - lower @ lower.T).max() <= 1e-15
 
     def test_zero_space_is_rotation_tangent(self, params, equilibrium):
         H = ff.hessian_blocks(params, equilibrium.radius)
@@ -166,25 +200,63 @@ def projector(j):
     return chi[0] / gc.N * sum(c * gc.action_matrix_18(g) for g, c in enumerate(chi))
 
 
+def eigh_component(label, copies):
+    """An orthonormal basis of the range of P_j from ``eigh``: the columns of
+    the eigenvalue 1 (oracle for the spans of the exact basis)."""
+    j = gc.IRREP_NAMES.index(label)
+    V = np.linalg.eigh(projector(j))[1]  # eigenvalues 0, then 1 on the range
+    return V[:, 18 - copies * gc.CHARACTER_TABLE[j][0] :]
+
+
+def schur_form(values):
+    """The 18x18 Schur form of the eight numbers, in the coordinates of Q."""
+    return (values @ spectral._PATTERNS).reshape(18, 18)
+
+
+def equivariant_matrix(values):
+    """The equivariant matrix whose Schur form holds the eight numbers."""
+    return spectral.Q @ schur_form(values) @ spectral.Q.T
+
+
 class TestIsotypicBasis:
     def test_orthonormal(self):
-        assert np.allclose(spectral.Q.T @ spectral.Q, np.eye(18), atol=1e-14)
+        assert np.abs(spectral.Q.T @ spectral.Q - np.eye(18)).max() <= 2.3e-16
+
+    def test_entries_are_exact(self):
+        # within 1 ulp of 0 or of +-1/sqrt(k) for k in 1, 2, 3, 4, 6, 12
+        exact = np.array([0.0] + [1 / np.sqrt(k) for k in (1, 2, 3, 4, 6, 12)])
+        entries = np.abs(spectral.Q).ravel()
+        nearest = exact[np.argmin(np.abs(entries[:, None] - exact), axis=1)]
+        assert (np.abs(entries - nearest) <= np.spacing(nearest)).all()
 
     def test_components_span_the_projector_ranges(self):
         counts = spectral.isotypic_multiplicities(gc.action_character())
-        assert [(label, m) for label, m, _ in spectral.COMPONENTS] == [
-            (gc.IRREP_NAMES[j], m) for j, m in enumerate(counts) if m
-        ]
-        for label, _, B in spectral.COMPONENTS:
+        copies = {gc.IRREP_NAMES[j]: m for j, m in enumerate(counts) if m}
+        assert copies == {"0": 1, "4": 1, "6": 1, "7": 2, "8": 1, "9": 1}
+        assert list(spectral.BASES) == list(copies)
+        for label, m in copies.items():
+            B = spectral.BASES[label]
+            if label == "7":
+                B = np.hstack([B, spectral._TANGENTIAL_7])
+            V = eigh_component(label, m)
+            assert B.shape == V.shape
+            assert np.abs(B @ B.T - V @ V.T).max() <= 1e-14
             P = projector(gc.IRREP_NAMES.index(label))
-            assert np.allclose(B @ B.T, P, atol=1e-14)
+            assert np.abs(B @ B.T - P).max() <= 1e-14
+
+    def test_copies_of_7_carry_the_same_matrices(self):
+        rad, tan = spectral.BASES["7"], spectral._TANGENTIAL_7
+        assert np.abs(rad.T @ tan).max() == 0
+        # equal up to the rounding of 2 (1/sqrt(2))^2
+        for G in gc.ACTIONS_18:
+            assert np.abs(rad.T @ G @ rad - tan.T @ G @ tan).max() <= 2 * np.spacing(1.0)
 
     def test_columns_are_the_basis_of_the_lines(self, labeled_spectrum):
-        for label, copies, B in spectral.COMPONENTS:
-            if copies == 1:
+        for label, B in spectral.BASES.items():
+            if label != "7":
                 assert np.array_equal(labeled_spectrum.basis_for(label), B)
         seven = np.hstack([labeled_spectrum.basis_for(j) for j in ("7", "7*")])
-        B = next(cols for label, _, cols in spectral.COMPONENTS if label == "7")
+        B = np.hstack([spectral.BASES["7"], spectral._TANGENTIAL_7])
         assert np.allclose(seven @ seven.T, B @ B.T, atol=1e-14)
 
 
