@@ -17,9 +17,7 @@ from .force_field import (
 )
 from .spectral import (
     SpectrumReport,
-    StiffnessCoefficients,
     assign_eigenspaces,
-    closed_form_spectrum,
     isotypic_multiplicities,
     numeric_spectrum,
     spectrum_at_equilibrium,
@@ -45,9 +43,7 @@ __all__ = [
     "hessian_blocks",
     "potential",
     "SpectrumReport",
-    "StiffnessCoefficients",
     "assign_eigenspaces",
-    "closed_form_spectrum",
     "isotypic_multiplicities",
     "numeric_spectrum",
     "spectrum_at_equilibrium",

@@ -35,6 +35,8 @@ MAX_CRITICAL = 2**18  # the most critical numbers one request lists (~60 MB)
 
 @dataclass(frozen=True)
 class CriticalNumber:
+    """A critical number l / alpha_j of block j at Fourier mode l."""
+
     j: str
     l: int
     value: float
@@ -160,6 +162,8 @@ def _degree_index(j):
 
 @dataclass
 class BifurcationReport:
+    """The invariant at one critical number and its maximal types' coefficients."""
+
     j: str
     target: CriticalNumber
     factors: tuple

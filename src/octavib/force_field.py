@@ -228,6 +228,8 @@ def ct_residual(params, r):
 
 @dataclass(frozen=True)
 class Equilibrium:
+    """A radial equilibrium: the regular octahedron of this radius under params."""
+
     radius: float
     params: PotentialParams
 

@@ -16,7 +16,6 @@ Generator words in the catalog follow the convention of the subgroup
 listing: cycles on {1,2,3,4} give sigma, a trailing "(56)" flags eps = -1.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,15 +93,24 @@ def _build_group():
 _ELEMS = _build_group()
 PERM = tuple(e[0] for e in _ELEMS)
 ABSTRACT = tuple((e[1], e[2]) for e in _ELEMS)
-_INDEX = {e[0]: i for i, e in enumerate(_ELEMS)}
 _ABSTRACT_INDEX = {a: i for i, a in enumerate(ABSTRACT)}
-IDENTITY = _INDEX[tuple(range(6))]
-MUL = tuple(
-    tuple(_INDEX[_compose(PERM[i], PERM[j])] for j in range(N)) for i in range(N)
-)
-INV = tuple(
-    next(j for j in range(N) if MUL[i][j] == IDENTITY) for i in range(N)
-)
+IDENTITY = PERM.index(tuple(range(6)))
+
+
+def _tables():
+    """MUL[i][j], the index of PERM[i] after PERM[j], and INV, by index
+    arithmetic: a permutation's base-6 digits are its key, and PERM is
+    sorted, so its keys are too."""
+    perm = np.array(PERM)
+    keys = perm @ 6 ** np.arange(5, -1, -1)
+    mul = np.searchsorted(keys, perm[:, perm] @ 6 ** np.arange(5, -1, -1))
+    inv = np.argmax(mul == IDENTITY, axis=1)
+    return mul, inv
+
+
+_MUL, _INV = _tables()
+MUL = tuple(map(tuple, _MUL.tolist()))
+INV = tuple(_INV.tolist())
 
 # conjugacy classes of elements, in character-table column order
 _CLASS_KEYS = (
@@ -153,22 +161,6 @@ def element_from_word(word):
     if (sigma, eps) not in _ABSTRACT_INDEX:
         raise ConsistencyError(f"word {word!r} not in group")
     return _ABSTRACT_INDEX[sigma, eps]
-
-
-def element_from_vertex_word(word):
-    """Element index from a vertex permutation word like "(145326)"."""
-    word = word.replace(" ", "")
-    if word in ("e", "()", "(1)"):
-        return IDENTITY
-    cycles = []
-    for part in word.strip(")").split(")"):
-        part = part.lstrip("(")
-        if part:
-            cycles.append(tuple(int(ch) for ch in part))
-    perm = _cycles_to_perm(cycles, 6)
-    if perm not in _INDEX:
-        raise ConsistencyError(f"vertex word {word!r} is not an octahedral symmetry")
-    return _INDEX[perm]
 
 
 def octahedral_matrix(i):
@@ -263,8 +255,7 @@ def mask_elements(mask):
 
 
 # the conjugation table: CONJ[g, x] is the element g^-1 x g
-_MUL = np.array(MUL)
-CONJ = _MUL[_MUL[np.array(INV)], np.arange(N)[:, None]]
+CONJ = _MUL[_MUL[_INV], np.arange(N)[:, None]]
 _BITS = 1 << np.arange(N, dtype=np.int64)
 
 
@@ -281,27 +272,10 @@ def conj_mask(mask, g):
     return out
 
 
-def enumerate_subgroups():
-    """All subgroups of the group, as bitmasks (cyclic extension sweep)."""
-    triv = closure_mask([])
-    found = {triv}
-    frontier = [triv]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in range(N):
-                if m >> g & 1:
-                    continue
-                m2 = closure_mask(mask_elements(m) + [g])
-                if m2 not in found:
-                    found.add(m2)
-                    nxt.append(m2)
-        frontier = nxt
-    return found
-
-
 @dataclass(frozen=True)
 class SubgroupClass:
+    """One conjugacy class of subgroups: its label, representative and Weyl data."""
+
     label: str
     mask: int
     order: int

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bifurcation, force_field, group_core, orbit_o2, spectral
-from ._serialize import RowWidthError, dumps, format_rows, parse_values
+from ._serialize import RowWidthError, dumps, format_rows
 from .burnside import cached
 from .errors import (
     AmplitudeError,
@@ -45,6 +45,8 @@ VERIFY_BLOCK_BYTES = 384 * 1024
 
 @dataclass(frozen=True)
 class ModeTrajectory:
+    """One sampled period of a linearized mode of block j's k-th type."""
+
     j: str
     k: int
     type_class: int
@@ -129,9 +131,11 @@ class ModeWorkshop:
                 f"type {self.ring.label_of(type_class)} has no fixed mode in block {j}"
             )
         a, b = pairs[0]
-        # normalize the peak displacement to epsilon
-        gram = np.array([[a @ a, a @ b], [a @ b, b @ b]])
-        peak = math.sqrt(max(np.linalg.eigvalsh(gram).max(), 1e-300))
+        # normalize the peak displacement to epsilon: the larger eigenvalue
+        # of the Gram matrix [[aa, ab], [ab, bb]], in closed form
+        aa, ab, bb = float(a @ a), float(a @ b), float(b @ b)
+        top = (aa + bb) / 2 + math.hypot((aa - bb) / 2, ab)
+        peak = math.sqrt(max(top, 1e-300))
         a, b = a / peak, b / peak
         times = 2 * math.pi * np.arange(n_samples) / n_samples
         samples = (
@@ -211,23 +215,6 @@ class ModeWorkshop:
         g = force_field.gradients(self.params, traj.samples)
         return float(np.linalg.norm(acc + g, axis=1).max(initial=0.0))
 
-    def brake_velocity(self, traj):
-        """Central-difference speed at the two turning phases t = 0 and pi."""
-        n = traj.n_samples
-        if n % 2:
-            raise SamplingError("brake check needs an even sample count")
-        dt = 2 * math.pi / n
-        out = []
-        for i in (0, n // 2):
-            v = (traj.samples[(i + 1) % n] - traj.samples[i - 1]) / (2 * dt)
-            out.append(float(np.linalg.norm(v)))
-        return out
-
-    def is_brake_type(self, type_class):
-        """True when the type contains the bare time reversal."""
-        A = self.ring.representative(type_class)
-        return orbit_o2.encode(1, 0, group_core.IDENTITY) in A.elements
-
 
 # -- the ring's mode data: σ-independent, each table kept in ring.memo --------
 
@@ -237,7 +224,7 @@ class TypeElements:
     """A mode-1 class's elements in sorted order, as arrays."""
 
     refl: np.ndarray        # reflection bit
-    turn: tuple             # O(2) turn, an exact fraction
+    turn: tuple             # O(2) turn, an exact fraction (numerator, denominator)
     g: np.ndarray           # spatial index
     cos: np.ndarray         # cos and sin of the turn's angle
     sin: np.ndarray
@@ -248,7 +235,7 @@ class TypeElements:
 def _type_elements(ring, ci):
     els = sorted(ring.representative(ci).elements)
     refl, turn, g = zip(*map(orbit_o2.parts, els))
-    tau = [2 * math.pi * t.numerator / t.denominator for t in turn]
+    tau = [2 * math.pi * num / den for num, den in turn]
     return TypeElements(
         refl=np.array(refl),
         turn=turn,
@@ -270,12 +257,12 @@ def _shift_groups(ring, ci, n):
     """
     els = _type_elements(ring, ci)
     groups = {}
-    for pos, (refl, turn) in enumerate(zip(els.refl.tolist(), els.turn)):
-        s, r = divmod(turn.numerator * n, turn.denominator)
+    for pos, (refl, (num, den)) in enumerate(zip(els.refl.tolist(), els.turn)):
+        s, r = divmod(num * n, den)
         if r:
             raise SamplingError(
-                f"phase {turn} of a turn needs the sample count "
-                f"to be a multiple of {turn.denominator}"
+                f"phase {num}/{den} of a turn needs the sample count "
+                f"to be a multiple of {den}"
             )
         groups.setdefault((refl, s), []).append(pos)
     return tuple((refl, s, np.array(p)) for (refl, s), p in groups.items())
@@ -319,10 +306,10 @@ def _pair_operators(els):
 
 
 def _describe(element):
-    refl, turn, g = orbit_o2.parts(element)
+    refl, (num, den), g = orbit_o2.parts(element)
     kind = "refl" if refl else "rot"
     cyc = _cycle_string(group_core.PERM[g])
-    return f"({kind}{f' {turn}' if turn else ''}, {cyc})"
+    return f"({kind}{f' {num}/{den}' if num else ''}, {cyc})"
 
 
 def _cycle_string(perm):
@@ -369,13 +356,15 @@ def read_trajectory(path):
     After ``CSV_HEADER`` every row holds 19 cells of ``format_float``'s
     grammar: an optional "-", digits with at most one "." and a digit either
     side of it, and an optional exponent "e+dd", "e-dd", "e+ddd" or
-    "e-ddd", 24 bytes at most.  ``_serialize.parse_values`` reads each
+    "e-ddd", 24 bytes at most.  ``_kernels.parse_values`` reads each
     cell as the double ``float()`` reads from it, bit for bit.  Lines may
     end in CRLF, blank and whitespace-only lines are skipped and the final
     newline may be missing.  Anything else in a row is a non-numeric
     sample: whitespace, a leading "+", "1e5", ".5", "1.", "nan", "inf",
     digit-group underscores ("1_0") or a longer cell.
     """
+    from ._kernels import parse_values
+
     width = CSV_HEADER.count(",") + 1
     with open(path, "rb") as fh:
         data = fh.read()

@@ -3,8 +3,8 @@
 Elements of the ambient group are encoded as integers: a triple
 (refl, angle, g) with angle on a fixed fraction-of-turn grid (denominator
 ``GRID``), refl selecting rotation vs reflection in O(2), and g one of the
-48 spatial elements.  All subgroup work (closure, conjugacy, normalizers,
-fixed-coset counts) is exact integer arithmetic.
+48 spatial elements.  All subgroup work (closure, conjugacy, normalizers)
+is exact integer arithmetic.
 
 Every finite reflection-containing subgroup is conjugate to a cover of a
 "character graph": a subgroup K of the spatial group, a U(1)-character chi
@@ -18,8 +18,9 @@ Steinlein, *Applied Equivariant Degree*, 2006), so each datum of K^l is
 read from K: its order, Weyl order, symbol key, fixed dimensions, fixed
 cosets, maximal types and basic degrees.
 
-The mode-1 data are constants of the group.  ``build_mode1_table()``
-computes them by the element arithmetic of this module and writes them as
+The mode-1 data are constants of the group.  The builder in
+``tests/regenerate_o2_table.py`` enumerates the character graphs, computes
+the data by the element arithmetic of this module and writes them as
 ``o2_mode1.json``, a table of marks in the sense of Pfeiffer ("The
 subgroups of M24, or how to compute the table of marks of a finite group",
 1997).  The ring (``ring()``) reads that file once, when it is built, and
@@ -32,13 +33,11 @@ basic degrees above mode 1, candidate subtypes) is a ``cached`` method.
 import json
 import math
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import group_core as gc
-from ._serialize import dumps
 from .burnside import BurnsideRing, cached
 from .errors import CatalogError, ConsistencyError
 
@@ -47,7 +46,7 @@ from .errors import CatalogError, ConsistencyError
 # no Fourier mode
 GRID = 10080
 
-# the mode-1 table the ring reads, written by ``build_mode1_table()``
+# the mode-1 table the ring reads, written by ``tests/regenerate_o2_table.py``
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "o2_mode1.json")
 _DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))  # digit -> its value
 
@@ -67,12 +66,14 @@ def decode(code):
 
 @lru_cache(maxsize=None)
 def parts(code):
-    """(reflection bit, O(2) turn as an exact fraction in [0, 1), spatial index).
+    """(reflection bit, O(2) turn in [0, 1), spatial index), the turn as an
+    exact fraction (numerator, denominator) in lowest terms, (0, 1) for none.
 
     Callers outside this module read angles only here, never the grid.
     """
     refl, k, g = decode(code)
-    return refl, Fraction(k, GRID), g
+    d = math.gcd(k, GRID)
+    return refl, (k // d, GRID // d), g
 
 
 IDENTITY = encode(0, 0, _IDENT)
@@ -82,21 +83,6 @@ def multiply(x, y):
     ex, kx, gx = decode(x)
     ey, ky, gy = decode(y)
     return encode(ex ^ ey, kx + (ky if ex == 0 else -ky), gc.MUL[gx][gy])
-
-
-def inverse(x):
-    e, k, g = decode(x)
-    return encode(e, -k if e == 0 else k, gc.INV[g])
-
-
-def conjugate(x, c):
-    """c x c^-1."""
-    ec, kc, gcpart = decode(c)
-    ex, kx, gx = decode(x)
-    gg = gc.MUL[gc.MUL[gcpart][gx]][gc.INV[gcpart]]
-    if ec == 0:
-        return encode(ex, kx if ex == 0 else kx + 2 * kc, gg)
-    return encode(ex, -kx if ex == 0 else 2 * kc - kx, gg)
 
 
 _REFL = encode(1, 0, 0)  # codes from here on are temporal reflections
@@ -170,24 +156,6 @@ def closure(gens):
     return frozenset(elems)
 
 
-def rotation(k, g=_IDENT):
-    return encode(0, k, g)
-
-
-def reflection(k=0, g=_IDENT):
-    return encode(1, k, g)
-
-
-def temporal(turn_num, turn_den, g=_IDENT, refl=False):
-    """Element with O(2) part a turn_num/turn_den turn (reflection if asked)."""
-    if (GRID * turn_num) % turn_den:
-        raise CatalogError(
-            f"angle {turn_num}/{turn_den} is off the 1/{GRID} grid",
-            missing=(turn_num, turn_den),
-        )
-    return encode(1 if refl else 0, GRID * turn_num // turn_den, g)
-
-
 @lru_cache(maxsize=None)
 def _element_order(x):
     y, n = x, 1
@@ -217,27 +185,15 @@ def _refl_by_spatial(H):
     return d
 
 
-def _alignment_candidates(L, H, refl_h_by_spatial):
-    """Conjugators c with c^-1 x0 c in H, for one reflection x0 of L.
-
-    Every c with c^-1 L c contained in H is among them.  The tests check
-    this superset against brute force and filter it with the element
-    arithmetic as the reference for ``_conjugators``.
-    """
-    x0 = [decode(x) for x in reflections_of(L)[:1]]
-    return set(_conjugators(x0, H, refl_h_by_spatial))
-
-
 class ConcreteSubgroup:
     """Finite subgroup of the ambient group, with exact conjugacy tooling."""
 
-    __slots__ = ("elements", "_profile", "_generators", "_search")
+    __slots__ = ("elements", "_profile", "_generators")
 
     def __init__(self, elements):
         self.elements = frozenset(elements)
         self._profile = None
         self._generators = None
-        self._search = None
 
     @classmethod
     def generated(cls, gens):
@@ -308,91 +264,6 @@ class ConcreteSubgroup:
             raise ConsistencyError("normalizer size not divisible by group order")
         return n // len(self.elements)
 
-    def truncated_weyl_order(self, m):
-        """Brute-force Weyl order inside the dihedral-m truncation (oracle)."""
-        if GRID % m:
-            raise CatalogError(f"truncation order {m} off the grid")
-        step = GRID // m
-        n = 0
-        for e in (0, 1):
-            for k in range(0, GRID, step):
-                for g in range(N):
-                    c = encode(e, k, g)
-                    if all(conjugate(x, c) in self.elements for x in self.elements):
-                        n += 1
-        return n // len(self.elements)
-
-    def _search_aids(self):
-        """What a conjugator search into this subgroup H reads: its
-        reflection angles by spatial part, its element count per profile
-        key, one spatial part per left coset g pi(H) of its spatial
-        projection pi(H), and |H| / |pi(H)|."""
-        if self._search is None:
-            projection = self.spatial_projection()
-            reps, covered = [], set()
-            for g in range(N):
-                if g not in covered:
-                    reps.append(g)
-                    covered.update(gc.MUL[g][p] for p in projection)
-            self._search = (
-                _refl_by_spatial(self.elements),
-                dict(self.profile()[1]),
-                tuple(reps),
-                len(self) // len(projection),
-            )
-        return self._search
-
-    def profile_fits(self, A):
-        """Whether every profile key counts no more elements in the subgroup
-        A than in this one.
-
-        A necessary condition for A to be subconjugate to it, since
-        conjugation keeps the reflection bit, the order and the spatial
-        class of an element.
-        """
-        have = self._search_aids()[1]
-        return all(have.get(k, 0) >= n for k, n in A.profile()[1])
-
-    def fixed_cosets(self, A):
-        """|(G/H)^A| for this subgroup H and a reflection-containing
-        subgroup A: |{c : c^-1 A c in H}| / |H|.
-
-        The conjugators form whole left cosets cH, and right multiplication
-        by h in H moves a conjugator's spatial part g_c to g_c pi(h) while
-        keeping the count per spatial part.  So one g_c per left coset
-        g pi(H) is searched, and the count over those is divided (checked)
-        by |H| / |pi(H)| instead of |H|.
-        """
-        if len(self) % len(A) or not self.profile_fits(A):
-            return 0
-        refl_index, _, spatial, kernel = self._search_aids()
-        gens = [decode(x) for x in A.generators()]
-        n = sum(1 for _ in _conjugators(gens, self.elements, refl_index, spatial))
-        val, r = divmod(n, kernel)
-        if r:
-            raise ConsistencyError(
-                f"conjugator count {n} over one spatial part per coset of pi(H)"
-                f" not divisible by |H|/|pi(H)| = {kernel}"
-            )
-        return val
-
-    # structural projections used for symbol rendering -----------------
-    def spatial_projection(self):
-        return sorted({decode(x)[2] for x in self.elements})
-
-    def spatial_kernel(self):
-        return sorted({decode(x)[2] for x in self.elements if decode(x)[:2] == (0, 0)})
-
-    def temporal_projection(self):
-        rots = {decode(x)[1] for x in self.elements if decode(x)[0] == 0}
-        return ("D" if self.has_reflection() else "Z", len(rots))
-
-    def temporal_kernel(self):
-        over_id = [x for x in self.elements if decode(x)[2] == _IDENT]
-        rots = {decode(x)[1] for x in over_id if decode(x)[0] == 0}
-        refl = any(decode(x)[0] == 1 for x in over_id)
-        return ("D" if refl else "Z", len(rots))
-
 
 def _class_among(reps, A):
     """Index of the subgroup of ``reps`` that A is conjugate to, or None."""
@@ -420,86 +291,15 @@ def mode_cover(subgroup, l):
     return ConcreteSubgroup(out)
 
 
-def mode_image(subgroup, b):
-    """Image of a subgroup under the b-fold temporal map z -> z^b: every
-    temporal angle times b."""
-    return ConcreteSubgroup(
-        encode(e, b * k, g) for e, k, g in map(decode, subgroup.elements)
-    )
-
-
-# ---------------------------------------------------------------------------
-# fixed dimensions
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _rotation_weight(q):
-    """2 mu(q) / phi(q): the mean of 2 cos(2 pi k / q) over the k prime to q
-    (Ramanujan's sum c_q(1) = mu(q), over phi(q) terms)."""
-    mu, phi, n, p = 1, 1, q, 2
-    while n > 1:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            mu = 0 if e > 1 else -mu
-            phi *= (p - 1) * p ** (e - 1)
-        p += 1
-    return Fraction(2 * mu, phi)
-
-
-def exact_fixed_dim(A, j, m):
-    """dim of the fixed space of the subgroup A in irrep-j Fourier-mode-m.
-
-    The average over A of the trace: temporal reflections act with trace 0,
-    a rotation (0, k, g) with 2 cos(2 pi m k / GRID) chi_j(g).  The total is
-    rational, so it equals its mean over the Galois conjugates, which turn
-    the angle m k / GRID of order q through the turns of order q and leave
-    the rational chi_j(g) alone: each rotation contributes
-    2 mu(q) / phi(q) chi_j(g) exactly.
-    """
-    chi = gc.CHARACTER_TABLE[j]
-    turns = Counter(
-        (GRID // math.gcd(m * k, GRID), gc.ELEMENT_CLASS[g])
-        for e, k, g in map(decode, A.elements)
-        if not e
-    )
-    dim = sum(_rotation_weight(q) * n * chi[c] for (q, c), n in turns.items()) / len(A)
-    if dim.denominator != 1:
-        raise ConsistencyError(f"non-integral fixed dimension {dim}")
-    return int(dim)
-
-
 # ---------------------------------------------------------------------------
 # amalgam symbols
 # ---------------------------------------------------------------------------
-
-def _spatial_label(ids):
-    cat = gc.catalog()
-    mask = 0
-    for g in ids:
-        mask |= 1 << g
-    return cat.classes[cat.class_of_mask[mask]].label
-
 
 _ABSTRACT_NAME = {
     (1, False): "Z_1", (1, True): "D_1", (2, False): "Z_2", (2, True): "D_2",
     (3, False): "Z_3", (3, True): "D_3", (4, False): "Z_4", (4, True): "D_4",
     (6, False): "Z_6", (6, True): "D_6", (8, True): "D_8", (12, True): "D_12",
 }
-
-
-def symbol_key(subgroup):
-    """What an amalgam symbol names: (temporal kind, temporal order, kernel
-    kind, kernel order, spatial label, spatial-kernel label)."""
-    return (
-        *subgroup.temporal_projection(),
-        *subgroup.temporal_kernel(),
-        _spatial_label(subgroup.spatial_projection()),
-        _spatial_label(subgroup.spatial_kernel()),
-    )
 
 
 def amalgam_symbol(key):
@@ -522,35 +322,6 @@ def amalgam_symbol(key):
         return f"{H}^{{{Ho}}} x^{{{Ko}}} {K}"
     quot = _ABSTRACT_NAME.get((q // 2, True), f"?_{q}")
     return f"{H}^{{{Ho}}} x_{{{quot}}}^{{{Ko}}} {K}"
-
-
-def mode1_labels(keys):
-    """The label and ordinal of each mode-1 class, from the symbol keys in
-    class order.
-
-    A class's label is its reference spelling if it has one (each red
-    reference family's key must be held by exactly one class), else its
-    amalgam symbol plus `` #k`` where k, its ordinal, counts the classes
-    sharing the symbol in class order; the ordinal is 0 for a symbol of one
-    class.
-    """
-    symbols = [amalgam_symbol(key) for key in keys]
-    same = defaultdict(list)
-    for ci, symbol in enumerate(symbols):
-        same[symbol].append(ci)
-    ordinals = [0] * len(keys)
-    for group in same.values():
-        if len(group) > 1:
-            for k, ci in enumerate(group, 1):
-                ordinals[ci] = k
-    spellings = _reference_hits(
-        _red_families(*REFERENCE_EXPANSIONS), list(enumerate(keys)), 1
-    )
-    labels = [
-        spellings.get(ci, f"{symbol} #{k}" if k else symbol)
-        for ci, (symbol, k) in enumerate(zip(symbols, ordinals))
-    ]
-    return labels, ordinals
 
 
 # ---------------------------------------------------------------------------
@@ -819,178 +590,6 @@ def ring():
     return _RING
 
 
-# ---------------------------------------------------------------------------
-# the mode-1 table, by element arithmetic
-# ---------------------------------------------------------------------------
-
-
-def build_mode1_table():
-    """The text of ``o2_mode1.json``: every datum the ring reads about the
-    mode-1 classes, computed from the subgroups ``_graph_representatives()``
-    meets, in class order.
-
-    Per class: its elements, order, Weyl order |W(K)| = |(G/K)^K|, symbol
-    key, label and ordinal, fixed dimensions at irreps 0-9 (one string of
-    digits per irrep, over the modes 1 to the mode period, which JSON reads
-    far faster than a list of numbers), its row of nonzero marks
-    fix_K(G/H), and the class of phi_b(K) for b modulo the mode period.  Also the classes M = K^2 (as
-    [M, K]) and each reference block's maximal types.  Raises when a class
-    has more than two rotations over the spatial identity, or when an image
-    phi_b(K) is conjugate to none of the classes.
-    """
-    reps = list(_graph_representatives())
-    keys = [symbol_key(A) for A in reps]
-    if any(key[3] not in (1, 2) for key in keys):
-        raise ConsistencyError("a mode-1 class with more than two kernel rotations")
-    period = math.lcm(*(key[1] for key in keys))
-
-    def find(A):
-        ci = _class_among(reps, A)
-        if ci is None:
-            raise ConsistencyError("an image phi_b(K) of a mode-1 class is a new class")
-        return ci
-
-    marks = [{H: n for H, B in enumerate(reps) if (n := B.fixed_cosets(A))} for A in reps]
-    images = [[find(mode_image(A, b)) for b in range(period)] for A in reps]
-    dims = [
-        [[exact_fixed_dim(A, j, m) for m in range(1, period + 1)]
-         for j in range(len(gc.CHARACTER_TABLE))]
-        for A in reps
-    ]
-    if any(d > 9 for rows in dims for row in rows for d in row):
-        raise ConsistencyError("a fixed dimension of more than one digit")
-    maximal = {}
-    for j in REFERENCE_EXPANSIONS:
-        fixing = {ci for ci, rows in enumerate(dims) if rows[j][0] >= 1}
-        maximal[j] = [
-            L for L in sorted(fixing) if not any(t != L and t in fixing for t in marks[L])
-        ]
-    labels, ordinals = mode1_labels(keys)
-    doc = {
-        "elements": [sorted(A.elements) for A in reps],
-        "fixed_dim": [["".join(map(str, row)) for row in rows] for rows in dims],
-        "halves": [[M, images[M][2]] for M, key in enumerate(keys) if key[3] == 2],
-        "image": images,
-        "label": labels,
-        "marks": [sorted(row.items()) for row in marks],
-        "maximal": maximal,
-        "mode_period": period,
-        "ordinal": ordinals,
-        "order": [len(A) for A in reps],
-        "symbol_key": keys,
-        "weyl": [marks[ci][ci] for ci in range(len(reps))],
-    }
-    return dumps(doc) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# graph-subgroup enumeration: the complete mode-l orbit-type family
-# ---------------------------------------------------------------------------
-
-
-def _characters_of(els, gens):
-    """All homomorphisms to the angle grid from the spatial subgroup els,
-    generated by gens."""
-    sols = []
-
-    def extend(assign):
-        chi = {gc.IDENTITY: 0}
-        frontier = [gc.IDENTITY]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = gc.MUL[g][x]
-                    v = (assign[g] + chi[x]) % GRID
-                    if y not in chi:
-                        chi[y] = v
-                        nxt.append(y)
-                    elif chi[y] != v:
-                        return
-            frontier = nxt
-        if len(chi) == len(els):
-            sols.append(chi)
-
-    def backtrack(i, assign):
-        if i == len(gens):
-            extend(assign)
-            return
-        g = gens[i]
-        step = GRID // _element_order(encode(0, 0, g))
-        for k in range(0, GRID, step):
-            assign[g] = k
-            backtrack(i + 1, assign)
-        del assign[g]
-
-    backtrack(0, {})
-    uniq = {tuple(sorted(c.items())) for c in sols}
-    return [dict(u) for u in uniq]
-
-
-def _graph_representatives():
-    """The subgroup each mode-1 finite-Weyl orbit type is first met as.
-
-    A character graph (K, chi, t) pairs a catalog representative K, a
-    character chi of K and a t normalizing K with t^2 in K and
-    chi(t x t^-1) = -chi(x); it names the subgroup generated by
-    graph(chi) = {(0, chi(x), x)} and the reflection (1, 0, t).  The
-    triples are walked in catalog, character and t order.  Triples in one
-    orbit under conjugation by N(K), chi -> -chi (conjugation by the
-    temporal reflection) and t -> t x for x in K (a temporal rotation turns
-    the subgroup's reflection (1, -chi(x), t x) to angle 0) name conjugate
-    subgroups, so a triple in the orbit of one met before is skipped.
-
-    chi(t^2) is 0 or a half turn.  At 0 the subgroup is
-    graph(chi) + (1, 0, t) graph(chi), built directly, and conversely a
-    subgroup conjugate to it comes from a triple of the same orbit, so it
-    is a new class.  At a half turn, (1, 0, t)^2 = (0, 0, t^2) adds the
-    rotation (0, 1/2, 1): the subgroup is closed from its generators, it
-    fixes chi only up to a character into {0, 1/2}, and so it is checked
-    against the earlier subgroups of this kind, the only ones it can be
-    conjugate to.
-    """
-    half_turn = []
-    for cls in gc.catalog().classes:
-        K = cls.mask
-        els = gc.mask_elements(K)
-        normalizer = [n for n in range(N) if gc.conj_mask(K, n) == K]
-        # each coset g K of the normalizer, named by its least element
-        coset = {g: min(gc.MUL[g][x] for x in els) for g in normalizer}
-        # spatial element g has code g, so these are spatial generators
-        spatial_gens = ConcreteSubgroup(els).generators()
-        # the N(K)-images (chi as angles over els, coset t K) of the triples
-        # built; chi -> -chi is looked up, not stored
-        met = set()
-        for chi in _characters_of(els, spatial_gens):
-            angles = tuple(chi[x] for x in els)
-            negated = tuple(-a % GRID for a in angles)
-            for t in normalizer:
-                if not K >> gc.MUL[t][t] & 1:
-                    continue
-                if (angles, coset[t]) in met or (negated, coset[t]) in met:
-                    continue
-                if any(
-                    chi[gc.MUL[gc.MUL[t][x]][gc.INV[t]]] != (-chi[x]) % GRID
-                    for x in els
-                ):
-                    continue
-                for n in normalizer:
-                    turned = tuple(chi[_CONJ[n][y]] for y in els)
-                    met.add((turned, coset[gc.MUL[gc.MUL[n][t]][gc.INV[n]]]))
-                if chi[gc.MUL[t][t]]:
-                    gens = [encode(0, chi[x], x) for x in spatial_gens]
-                    A = ConcreteSubgroup.generated(gens + [encode(1, 0, t)])
-                    if any(A.is_conjugate(B) for B in half_turn):
-                        continue
-                    half_turn.append(A)
-                else:
-                    A = ConcreteSubgroup(
-                        [encode(0, chi[x], x) for x in els]
-                        + [encode(1, -chi[x], gc.MUL[t][x]) for x in els]
-                    )
-                yield A
-
-
 def graph_classes(l=1):
     """Class ids of every finite-Weyl orbit type at Fourier mode l."""
     return ring().graph_classes(l)
@@ -1140,50 +739,3 @@ def pin_reference_labels(j, class_ids, l=1):
     keys = [(ci, ring().symbol_key(ci)) for ci in class_ids]
     return _reference_hits(_red_families(j), keys, l)
 
-
-def instantiate(family, l=1):
-    """Concrete realizations of a symbolic family at mode l.
-
-    Enumerates all kernel choices and quotient identifications, deduplicates
-    up to conjugacy, and returns the distinct classes.  Ambiguous labels
-    (more than one class) are returned in full rather than guessed.
-    """
-    R = ring()
-    cat = gc.catalog()
-    K_cls = cat.by_label(family.spatial)
-    m = family.o2_scale * l
-    if family.o2_kind != "D":
-        raise CatalogError("only dihedral temporal families instantiate")
-
-    results = set()
-    if family.o2_kernel == "full":
-        if family.spatial_kernel not in ("full", family.spatial):
-            raise CatalogError(
-                f"untwisted temporal part requires an untwisted spatial part: "
-                f"{family.label(l)}"
-            )
-        # D_m x K is the cover at mode m of the mode-1 class D_1 x K
-        product = ("D", 1, "D", 1, family.spatial, family.spatial)
-        results.update(
-            R.register_cover(ci, m)
-            for ci in R.graph_classes(1)
-            if R.symbol_key(ci) == product
-        )
-    else:
-        # twisted family: match against the complete graph-class enumeration
-        hsize = 2 * m
-        osize = {"Z_l": l, "D_l": 2 * l, "Z_1": 1}[family.o2_kernel]
-        lsize = hsize // osize  # |L| = |H| / |H_o| = |K| / |K_o|
-        ko_label = family.spatial_kernel
-        if ko_label not in ("full", family.spatial):
-            ko_order = cat.by_label(ko_label).order
-            if K_cls.order != lsize * ko_order:
-                raise CatalogError(
-                    f"malformed amalgam {family.label(l)}: quotient sizes "
-                    f"{lsize} vs {K_cls.order}/{ko_order} do not match"
-                )
-        target_order = hsize * K_cls.order // lsize
-        for ci in R.graph_classes(l):
-            if R.order_of(ci) == target_order and R.symbol_key(ci) == family.key(l):
-                results.add(ci)
-    return sorted(results)

@@ -4,8 +4,7 @@ The isotypic components of R^18 do not depend on σ.  ``Q`` is one exact
 basis of them, the symmetry coordinates of an octahedral AX6, in which
 Q^T H Q of an equivariant H is its Schur form: ``numeric_spectrum`` reads
 the seven labeled lines from eight numbers, with no eigensolver.
-``closed_form_spectrum`` (alpha^2 from the five stiffness constants) and
-``assign_eigenspaces`` (labels from restricted characters) are oracles.
+``assign_eigenspaces`` (labels from restricted characters) is an oracle.
 """
 
 import math
@@ -25,33 +24,9 @@ class NonPositiveFrequencyError(NumericalError):
 
 
 @dataclass(frozen=True)
-class StiffnessCoefficients:
-    """Radial stiffness constants of the equilibrium, plus the mixing radius."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-
-    @classmethod
-    def from_equilibrium(cls, eq):
-        a, b, c, d, e = force_field.stiffness(eq.params, eq.radius)
-        return cls(a, b, c, d, e)
-
-    @property
-    def rho(self):
-        a, c, e = self.a, self.c, self.e
-        radicand = 36 * a * a + 4 * a * c + c * c + 36 * a * e + 2 * c * e + 9 * e * e
-        if radicand < 0:
-            raise NumericalError(
-                f"negative mixing radicand {radicand:g}: not a valid equilibrium"
-            )
-        return float(np.sqrt(radicand))
-
-
-@dataclass(frozen=True)
 class SpectrumLine:
+    """One eigenvalue alpha^2 of the Hessian, its block label and multiplicity."""
+
     label: str  # irrep index "0".."9"; "7*" is the upper copy of irrep 7
     alpha_sq: float
     multiplicity: int
@@ -59,6 +34,8 @@ class SpectrumLine:
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """The labeled lines by alpha^2, with their orthonormal columns if computed."""
+
     lines: tuple
     basis: np.ndarray | None = field(default=None, repr=False)
 
@@ -105,26 +82,6 @@ def _frequency(line):
             f"block {line.label} has alpha^2 = {line.alpha_sq!r} <= 0"
         )
     return float(np.sqrt(line.alpha_sq))
-
-
-def closed_form_spectrum(coeffs):
-    """The seven closed-form eigenvalues with their multiplicities."""
-    a, b, c, d, e = coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e
-    rho = coeffs.rho
-    values = {
-        "0": 2 * (8 * a + 8 * b + c),
-        "4": 2 * (2 * a + 8 * b + c),
-        "6": 0.0,
-        "7": 6 * a + c - 2 * d - e - rho,
-        "7*": 6 * a + c - 2 * d - e + rho,
-        "8": 8 * a,
-        "9": 2 * (2 * a - d + e),
-    }
-    lines = tuple(
-        SpectrumLine(j, float(values[j]), MULTIPLICITIES[j])
-        for j in sorted(values, key=lambda k: values[k])
-    )
-    return SpectrumReport(lines=lines)
 
 
 def isotypic_multiplicities(character):

@@ -6,6 +6,8 @@ import pytest
 from octavib import bifurcation, force_field, group_core, modes, orbit_o2, spectral
 from octavib.errors import SamplingError
 
+from oracles import StiffnessCoefficients
+
 # the reported block-9 alpha^2 is negative here (about -1.3e-4), while the
 # Cartesian one is positive (about +0.243)
 UNSTABLE_REPORTED_9 = (0.04358, 0.07072, 1.4449)
@@ -49,7 +51,7 @@ def equilibrium(params):
 
 @pytest.fixture(scope="session")
 def coefficients(equilibrium):
-    return spectral.StiffnessCoefficients.from_equilibrium(equilibrium)
+    return StiffnessCoefficients.from_equilibrium(equilibrium)
 
 
 @pytest.fixture(scope="session")
@@ -108,8 +110,8 @@ def gradient_loop(pos, s1, s2, s3):
 def pair_operator(element):
     """Action of one group element on (a, b) coefficient pairs, a 36x36
     matrix (oracle for the stacked ``modes._pair_operators``)."""
-    refl, turn, g = orbit_o2.parts(element)
-    tau = 2 * math.pi * turn.numerator / turn.denominator
+    refl, (num, den), g = orbit_o2.parts(element)
+    tau = 2 * math.pi * num / den
     G = group_core.ACTIONS_18[g]
     c, s = math.cos(tau), math.sin(tau)
     T = np.zeros((36, 36))
@@ -167,12 +169,12 @@ def loop_verify_symmetry(shop, traj, type_class=None):
     report = {}
     worst = 0.0
     for x in sorted(A.elements):
-        refl, turn, g = orbit_o2.parts(x)
-        s, r = divmod(turn.numerator * n, turn.denominator)
+        refl, (num, den), g = orbit_o2.parts(x)
+        s, r = divmod(num * n, den)
         if r:
             raise SamplingError(
-                f"phase {turn} of a turn needs the sample count "
-                f"to be a multiple of {turn.denominator}"
+                f"phase {num}/{den} of a turn needs the sample count "
+                f"to be a multiple of {den}"
             )
         G = group_core.ACTIONS_18[g]
         idx = (np.arange(n) - s) % n if refl == 0 else (s - np.arange(n)) % n

@@ -1,0 +1,258 @@
+"""Brute-force oracles the tests check the package against.
+
+No request runs these.  They are the direct constructions the package's
+tables and kernels replace: the group tables by composing permutations, the
+subgroup enumeration, element constructors and conjugation in the
+temporal-spatial group, Weyl orders in a dihedral truncation, symbolic
+families matched against the catalog, the closed-form spectrum from the
+stiffness constants, and the brake checks of a mode.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from octavib import force_field
+from octavib import group_core as gc
+from octavib import orbit_o2 as o2
+from octavib.errors import CatalogError, ConsistencyError, NumericalError, SamplingError
+from octavib.spectral import MULTIPLICITIES, SpectrumLine, SpectrumReport
+
+# ---------------------------------------------------------------------------
+# the spatial group
+# ---------------------------------------------------------------------------
+
+
+def composed_tables():
+    """(MUL, INV) by composing the vertex permutations one pair at a time
+    (oracle for ``group_core``'s index arithmetic)."""
+    index = {p: i for i, p in enumerate(gc.PERM)}
+    mul = tuple(
+        tuple(index[gc._compose(gc.PERM[i], gc.PERM[j])] for j in range(gc.N))
+        for i in range(gc.N)
+    )
+    inv = tuple(next(j for j in range(gc.N) if mul[i][j] == gc.IDENTITY) for i in range(gc.N))
+    return mul, inv
+
+
+def enumerate_subgroups():
+    """All subgroups of the group, as bitmasks (cyclic extension sweep)."""
+    triv = gc.closure_mask([])
+    found = {triv}
+    frontier = [triv]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in range(gc.N):
+                if m >> g & 1:
+                    continue
+                m2 = gc.closure_mask(gc.mask_elements(m) + [g])
+                if m2 not in found:
+                    found.add(m2)
+                    nxt.append(m2)
+        frontier = nxt
+    return found
+
+
+def element_from_vertex_word(word):
+    """Element index from a vertex permutation word like "(145326)"."""
+    word = word.replace(" ", "")
+    if word in ("e", "()", "(1)"):
+        return gc.IDENTITY
+    cycles = []
+    for part in word.strip(")").split(")"):
+        part = part.lstrip("(")
+        if part:
+            cycles.append(tuple(int(ch) for ch in part))
+    perm = gc._cycles_to_perm(cycles, 6)
+    if perm not in gc.PERM:
+        raise ConsistencyError(f"vertex word {word!r} is not an octahedral symmetry")
+    return gc.PERM.index(perm)
+
+
+# ---------------------------------------------------------------------------
+# elements of the temporal-spatial group
+# ---------------------------------------------------------------------------
+
+
+def inverse(x):
+    e, k, g = o2.decode(x)
+    return o2.encode(e, -k if e == 0 else k, gc.INV[g])
+
+
+def conjugate(x, c):
+    """c x c^-1."""
+    ec, kc, gcpart = o2.decode(c)
+    ex, kx, gx = o2.decode(x)
+    gg = gc.MUL[gc.MUL[gcpart][gx]][gc.INV[gcpart]]
+    if ec == 0:
+        return o2.encode(ex, kx if ex == 0 else kx + 2 * kc, gg)
+    return o2.encode(ex, -kx if ex == 0 else 2 * kc - kx, gg)
+
+
+def rotation(k, g=gc.IDENTITY):
+    return o2.encode(0, k, g)
+
+
+def reflection(k=0, g=gc.IDENTITY):
+    return o2.encode(1, k, g)
+
+
+def temporal(turn_num, turn_den, g=gc.IDENTITY, refl=False):
+    """Element with O(2) part a turn_num/turn_den turn (reflection if asked)."""
+    if (o2.GRID * turn_num) % turn_den:
+        raise CatalogError(
+            f"angle {turn_num}/{turn_den} is off the 1/{o2.GRID} grid",
+            missing=(turn_num, turn_den),
+        )
+    return o2.encode(1 if refl else 0, o2.GRID * turn_num // turn_den, g)
+
+
+def alignment_candidates(L, H, refl_h_by_spatial):
+    """Conjugators c with c^-1 x0 c in H, for one reflection x0 of L.
+
+    Every c with c^-1 L c contained in H is among them.  The tests check
+    this superset against brute force and filter it with the element
+    arithmetic as the reference for ``orbit_o2._conjugators``.
+    """
+    x0 = [o2.decode(x) for x in o2.reflections_of(L)[:1]]
+    return set(o2._conjugators(x0, H, refl_h_by_spatial))
+
+
+def truncated_weyl_order(subgroup, m):
+    """Brute-force Weyl order inside the dihedral-m truncation."""
+    if o2.GRID % m:
+        raise CatalogError(f"truncation order {m} off the grid")
+    step = o2.GRID // m
+    n = 0
+    for e in (0, 1):
+        for k in range(0, o2.GRID, step):
+            for g in range(o2.N):
+                c = o2.encode(e, k, g)
+                if all(conjugate(x, c) in subgroup.elements for x in subgroup.elements):
+                    n += 1
+    return n // len(subgroup.elements)
+
+
+def instantiate(family, l=1):
+    """Concrete realizations of a symbolic family at mode l.
+
+    Enumerates all kernel choices and quotient identifications, deduplicates
+    up to conjugacy, and returns the distinct classes.  Ambiguous labels
+    (more than one class) are returned in full rather than guessed.
+    """
+    R = o2.ring()
+    cat = gc.catalog()
+    K_cls = cat.by_label(family.spatial)
+    m = family.o2_scale * l
+    if family.o2_kind != "D":
+        raise CatalogError("only dihedral temporal families instantiate")
+
+    results = set()
+    if family.o2_kernel == "full":
+        if family.spatial_kernel not in ("full", family.spatial):
+            raise CatalogError(
+                f"untwisted temporal part requires an untwisted spatial part: "
+                f"{family.label(l)}"
+            )
+        # D_m x K is the cover at mode m of the mode-1 class D_1 x K
+        product = ("D", 1, "D", 1, family.spatial, family.spatial)
+        results.update(
+            R.register_cover(ci, m)
+            for ci in R.graph_classes(1)
+            if R.symbol_key(ci) == product
+        )
+    else:
+        # twisted family: match against the complete graph-class enumeration
+        hsize = 2 * m
+        osize = {"Z_l": l, "D_l": 2 * l, "Z_1": 1}[family.o2_kernel]
+        lsize = hsize // osize  # |L| = |H| / |H_o| = |K| / |K_o|
+        ko_label = family.spatial_kernel
+        if ko_label not in ("full", family.spatial):
+            ko_order = cat.by_label(ko_label).order
+            if K_cls.order != lsize * ko_order:
+                raise CatalogError(
+                    f"malformed amalgam {family.label(l)}: quotient sizes "
+                    f"{lsize} vs {K_cls.order}/{ko_order} do not match"
+                )
+        target_order = hsize * K_cls.order // lsize
+        for ci in R.graph_classes(l):
+            if R.order_of(ci) == target_order and R.symbol_key(ci) == family.key(l):
+                results.add(ci)
+    return sorted(results)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form spectrum
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StiffnessCoefficients:
+    """Radial stiffness constants of the equilibrium, plus the mixing radius."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+    e: float
+
+    @classmethod
+    def from_equilibrium(cls, eq):
+        a, b, c, d, e = force_field.stiffness(eq.params, eq.radius)
+        return cls(a, b, c, d, e)
+
+    @property
+    def rho(self):
+        a, c, e = self.a, self.c, self.e
+        radicand = 36 * a * a + 4 * a * c + c * c + 36 * a * e + 2 * c * e + 9 * e * e
+        if radicand < 0:
+            raise NumericalError(
+                f"negative mixing radicand {radicand:g}: not a valid equilibrium"
+            )
+        return float(np.sqrt(radicand))
+
+
+def closed_form_spectrum(coeffs):
+    """The seven closed-form eigenvalues with their multiplicities."""
+    a, b, c, d, e = coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e
+    rho = coeffs.rho
+    values = {
+        "0": 2 * (8 * a + 8 * b + c),
+        "4": 2 * (2 * a + 8 * b + c),
+        "6": 0.0,
+        "7": 6 * a + c - 2 * d - e - rho,
+        "7*": 6 * a + c - 2 * d - e + rho,
+        "8": 8 * a,
+        "9": 2 * (2 * a - d + e),
+    }
+    lines = tuple(
+        SpectrumLine(j, float(values[j]), MULTIPLICITIES[j])
+        for j in sorted(values, key=lambda k: values[k])
+    )
+    return SpectrumReport(lines=lines)
+
+
+# ---------------------------------------------------------------------------
+# brake modes
+# ---------------------------------------------------------------------------
+
+
+def brake_velocity(traj):
+    """Central-difference speed at the two turning phases t = 0 and pi."""
+    n = traj.n_samples
+    if n % 2:
+        raise SamplingError("brake check needs an even sample count")
+    dt = 2 * math.pi / n
+    out = []
+    for i in (0, n // 2):
+        v = (traj.samples[(i + 1) % n] - traj.samples[i - 1]) / (2 * dt)
+        out.append(float(np.linalg.norm(v)))
+    return out
+
+
+def is_brake_type(ring, type_class):
+    """True when the type contains the bare time reversal."""
+    A = ring.representative(type_class)
+    return o2.encode(1, 0, gc.IDENTITY) in A.elements

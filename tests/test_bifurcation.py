@@ -301,7 +301,7 @@ class TestGroupedMark:
         assert "fixed_dim" not in R.memo
         # the ungrouped sum on one class per temporal order and block 9's types
         by_order = {
-            R.representative(K).temporal_projection()[1]: K for K in R.graph_classes(1)
+            R.symbol_key(K)[1]: K for K in R.graph_classes(1)
         }
         assert sorted(by_order) == [1, 2, 3, 4, 6]
         mark = eng._mark("9")

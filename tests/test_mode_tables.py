@@ -205,8 +205,8 @@ class TestNoSolvePerSigma:
     def test_a_warm_ring_solves_nothing_per_sigma(self, tmp_path, monkeypatch):
         new_ring(monkeypatch)
         export_all_modes(tmp_path)  # the ring's tables, at the reference σ
-        monkeypatch.setattr(np.linalg, "eigh", forbidden("eigh"))
-        monkeypatch.setattr(np.linalg, "svd", forbidden("svd"))
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, forbidden(name))
         sigmas = SIGMAS[1]
         cfg = tmp_path / "p.cfg"
         cfg.write_text("".join(f"sigma{i}={s!r}\n" for i, s in enumerate(sigmas, 1)))
@@ -219,6 +219,20 @@ class TestNoSolvePerSigma:
                         "--out", str(tmp_path)]
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(argv) == 0, argv
+
+
+def test_peak_is_the_gram_eigensolver_to_an_ulp():
+    # the closed-form larger eigenvalue of [[aa, ab], [ab, bb]] that
+    # normalizes a mode's peak, against np.linalg.eigvalsh, on every type's
+    # first pair at the reference σ and at each σ of the seed-1 box
+    for sigmas in SIGMAS:
+        shop = modes.ModeWorkshop(ff.PotentialParams(*sigmas))
+        for j, k in MODES:
+            a, b = shop.fixed_pairs(shop.types_for(j)[k - 1], j)[0]
+            aa, ab, bb = a @ a, a @ b, b @ b
+            want = np.linalg.eigvalsh([[aa, ab], [ab, bb]]).max()
+            top = (aa + bb) / 2 + np.hypot((aa - bb) / 2, ab)
+            assert abs(top - want) <= 2 * np.spacing(want), (sigmas, j, k)
 
 
 def box_frequencies():

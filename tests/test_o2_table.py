@@ -1,5 +1,5 @@
 """The committed mode-1 table against its builder, and the request path that
-reads it without element arithmetic."""
+reads it without element arithmetic or the builder."""
 
 import contextlib
 import io
@@ -13,12 +13,12 @@ from octavib import cli
 from octavib import group_core as gc
 from octavib import orbit_o2 as o2
 
-import regenerate_o2_table
+import regenerate_o2_table as builder
 from test_golden import COMMANDS, GOLDEN
 
 
 def test_committed_table_is_current():
-    assert regenerate_o2_table.main(["--check"]) == 0, (
+    assert builder.main(["--check"]) == 0, (
         f"{o2.TABLE} is stale: regenerate it with "
         f"`PYTHONPATH=src python tests/regenerate_o2_table.py`"
     )
@@ -50,7 +50,7 @@ def test_exact_fixed_dims_match_the_float_path():
         A = o2.ConcreteSubgroup(els)
         for j, row in enumerate(rows):
             for m in range(1, period + 1):
-                exact = o2.exact_fixed_dim(A, j, m)
+                exact = builder.exact_fixed_dim(A, j, m)
                 assert exact == float_fixed_dim(A, j, m), (j, m)
                 assert int(row[m - 1]) == exact, (j, m)
                 checked += 1
@@ -72,8 +72,15 @@ def test_halves_are_pairs_from_the_start(fresh_ring):
     for M in halves:
         K, _ = fresh_ring._pairs[M]
         assert fresh_ring.register_cover(K, 2) == M
-        image = o2.mode_image(fresh_ring.representative(M), 2)
+        image = builder.mode_image(fresh_ring.representative(M), 2)
         assert fresh_ring.find_class(image) == K
+
+
+# the table builder's functions, none of which the package holds
+BUILDER = (
+    "build_mode1_table", "_graph_representatives", "_characters_of", "fixed_cosets",
+    "profile_fits", "mode_image", "exact_fixed_dim", "symbol_key", "mode1_labels",
+)
 
 
 def forbidden(name):
@@ -85,10 +92,14 @@ def forbidden(name):
 
 @pytest.fixture
 def arithmetic_forbidden(monkeypatch):
-    """A new ring on which the conjugator search, closures, the character
-    graph enumeration and conjugacy tests raise."""
-    for name in ("_conjugators", "closure", "_graph_representatives"):
+    """A new ring on which the conjugator search, closures, conjugacy tests
+    and every function of the table builder raise: the character-graph
+    enumeration, fixed cosets, exact fixed dimensions, images, symbol keys
+    and labels."""
+    for name in ("_conjugators", "closure"):
         monkeypatch.setattr(o2, name, forbidden(name))
+    for name in BUILDER:
+        monkeypatch.setattr(builder, name, forbidden(name))
     monkeypatch.setattr(
         o2.ConcreteSubgroup, "is_conjugate", forbidden("ConcreteSubgroup.is_conjugate")
     )
@@ -105,6 +116,8 @@ GUARDED = [(argv, name) for name, argv in sorted(COMMANDS.items())] + [
 
 
 def test_request_path_does_no_element_arithmetic(arithmetic_forbidden, tmp_path):
+    assert not [name for name in BUILDER if hasattr(o2, name)]
+    assert not hasattr(o2.ConcreteSubgroup, "fixed_cosets")
     assert {argv[2] for argv, _ in GUARDED if argv[0] == "invariant"} == set(
         bf.ISOTYPIC
     )

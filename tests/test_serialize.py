@@ -6,15 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from octavib import _serialize
-from octavib._serialize import (
-    RowWidthError,
-    dumps,
-    format_float,
-    format_rows,
-    format_values,
-    parse_values,
-)
+from octavib import _kernels, _serialize
+from octavib._kernels import format_values, parse_values
+from octavib._serialize import RowWidthError, dumps, format_float, format_rows
 
 
 class TestStrings:
@@ -225,15 +219,22 @@ class TestKernel:
         assert seen[2] <= 20
 
     def test_tables_built_on_first_use(self):
-        # a cold CLI process pays for neither the 10^k table nor the glyphs
-        code = (
-            "import octavib.cli, octavib._serialize as s; "
-            "print(s._pow10.cache_info().currsize, s._glyphs.cache_info().currsize)"
-        )
+        # a cold CLI process serving `invariant` loads neither the kernels
+        # nor fractions and decimal; the kernels, once imported, build
+        # neither the 10^k table nor the glyphs before a call
+        code = "\n".join((
+            "import contextlib, io, sys",
+            "import octavib.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert octavib.cli.main(['invariant', '--j', '8']) == 0",
+            "print(*(m in sys.modules for m in ('octavib._kernels', 'fractions', 'decimal')))",
+            "import octavib._kernels as k",
+            "print(k._pow10.cache_info().currsize, k._glyphs.cache_info().currsize)",
+        ))
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert out.stdout.split() == ["0", "0"]
+        assert out.stdout.splitlines() == ["False False False", "0 0"]
 
 
 def parse_text(texts):
@@ -250,13 +251,13 @@ def float_text(texts):
 def per_cell(monkeypatch):
     """The cells ``parse_values`` leaves to ``float()``, as they are read."""
     seen = []
-    scalar = _serialize._per_cell
+    scalar = _kernels._per_cell
 
     def recording(data, first, end):
         seen.extend(data[i:j] for i, j in zip(first.tolist(), end.tolist()))
         return scalar(data, first, end)
 
-    monkeypatch.setattr(_serialize, "_per_cell", recording)
+    monkeypatch.setattr(_kernels, "_per_cell", recording)
     return seen
 
 
@@ -422,8 +423,8 @@ class TestParseKernel:
 
     def test_parse_tables_built_on_first_use(self):
         code = (
-            "import octavib.cli, octavib._serialize as s; "
-            "print(s._parse_tables.cache_info().currsize, s._scales.cache_info().currsize)"
+            "import octavib.cli, octavib._kernels as k; "
+            "print(k._parse_tables.cache_info().currsize, k._scales.cache_info().currsize)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True

@@ -7,6 +7,7 @@ from octavib import spectral
 from octavib.errors import InvalidCharacterError, LabelingError, NumericalError, ShapeError
 
 from conftest import UNSTABLE_REPORTED_9
+from oracles import StiffnessCoefficients, closed_form_spectrum
 
 REFERENCE_ALPHA_SQ = {
     "0": 0.7867,
@@ -20,33 +21,33 @@ REFERENCE_ALPHA_SQ = {
 
 class TestClosedForm:
     def test_reference_values(self, coefficients):
-        report = spectral.closed_form_spectrum(coefficients)
+        report = closed_form_spectrum(coefficients)
         values = report.alpha_sq
         for j, ref in REFERENCE_ALPHA_SQ.items():
             assert values[j] == pytest.approx(ref, abs=1e-3)
         assert values["6"] == 0.0
 
     def test_multiplicities_sum(self, coefficients):
-        report = spectral.closed_form_spectrum(coefficients)
+        report = closed_form_spectrum(coefficients)
         assert sum(ln.multiplicity for ln in report.lines) == 18
         assert {ln.label: ln.multiplicity for ln in report.lines} == {
             "0": 1, "4": 2, "6": 3, "7": 3, "7*": 3, "8": 3, "9": 3,
         }
 
     def test_zero_coefficients(self):
-        z = spectral.StiffnessCoefficients(0, 0, 0, 0, 0)
-        report = spectral.closed_form_spectrum(z)
+        z = StiffnessCoefficients(0, 0, 0, 0, 0)
+        report = closed_form_spectrum(z)
         assert all(ln.alpha_sq == 0 for ln in report.lines)
 
     def test_random_coefficients_match_dense_eigensolver(self, rng):
         for _ in range(10):
             a, b, c = rng.uniform(0.05, 1.0, size=3)
             d, e = rng.uniform(-0.5, 0.0, size=2)
-            co = spectral.StiffnessCoefficients(a, b, c, d, e)
+            co = StiffnessCoefficients(a, b, c, d, e)
             H = ff.blocks_from_stiffness(a, b, c, d, e)
             closed = sorted(
                 ln.alpha_sq
-                for ln in spectral.closed_form_spectrum(co).lines
+                for ln in closed_form_spectrum(co).lines
                 for _ in range(ln.multiplicity)
             )
             dense = np.linalg.eigvalsh(H)
@@ -162,14 +163,14 @@ class TestNumericSpectrum:
     def test_closed_vs_numeric_relative(self, params, equilibrium, coefficients):
         H = ff.hessian_blocks(params, equilibrium.radius)
         labeled = spectral.assign_eigenspaces(spectral.numeric_spectrum(H))
-        closed = spectral.closed_form_spectrum(coefficients).alpha_sq
+        closed = closed_form_spectrum(coefficients).alpha_sq
         scale = max(abs(v) for v in closed.values())
         for ln in labeled.lines:
             assert abs(ln.alpha_sq - closed[ln.label]) < 1e-8 * scale
 
     def test_trace_identity(self, params, equilibrium, coefficients):
         H = ff.hessian_blocks(params, equilibrium.radius)
-        v = spectral.closed_form_spectrum(coefficients).alpha_sq
+        v = closed_form_spectrum(coefficients).alpha_sq
         expected = v["0"] + 2 * v["4"] + 3 * (v["7"] + v["7*"] + v["8"] + v["9"])
         assert np.trace(H) == pytest.approx(expected, abs=1e-8)
 
@@ -262,7 +263,7 @@ class TestIsotypicBasis:
 
 class TestAssign:
     def test_labels(self, labeled_spectrum, coefficients):
-        closed = spectral.closed_form_spectrum(coefficients).alpha_sq
+        closed = closed_form_spectrum(coefficients).alpha_sq
         for ln in labeled_spectrum.lines:
             assert ln.alpha_sq == pytest.approx(closed[ln.label], abs=1e-9)
 
