@@ -73,8 +73,7 @@ def format_rows(data):
     Non-finite cells come out as ``%.17g`` writes them, for the caller to
     refuse.
     """
-    data = np.ascontiguousarray(data, dtype=float)
-    bits, index = np.unique(data.view(np.uint64), return_inverse=True)
+    bits, index = distinct_bits(data)
     values = bits.view(float)
     if len(values) >= KERNEL_MIN_VALUES:
         from ._kernels import format_values
@@ -82,10 +81,31 @@ def format_rows(data):
         table = format_values(values)
     else:
         table = _per_value(values)
-    index = index.reshape(data.shape)
     for start in range(0, len(index), 256):
         for cells in table[index[start : start + 256]].tolist():
             yield b",".join(cells).decode()
+
+
+def distinct_bits(data):
+    """The sorted distinct bit patterns of a 2-D float array and, shaped like
+    it, each cell's position among them: what ``np.unique`` returns with
+    ``return_inverse=True`` for the array's ``uint64`` view.
+
+    The patterns are sorted column by column with a stable sort (timsort),
+    which takes a column's monotone runs whole: each column of a sampled
+    sinusoid is a few long runs, where a row-major order alternates between
+    the coordinates.
+    """
+    bits = np.ascontiguousarray(np.asarray(data, dtype=float).T).view(np.uint64)
+    flat = bits.ravel()
+    order = flat.argsort(kind="stable")
+    ordered = flat[order]
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    index = np.empty(len(flat), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index.reshape(bits.shape).T
 
 
 def _per_value(values):

@@ -30,9 +30,10 @@ def potential(pos, s1, s2, s3):
     return pair + np.sum((np.sqrt(rr) - 1.0) ** 2, axis=-1)
 
 
-def gradient(pos, s1, s2, s3):
-    """Gradient of the potential at each configuration, shaped like ``pos``."""
-    d, r = pairs(pos)
+def gradient(pos, s1, s2, s3, pair=None):
+    """Gradient of the potential at each configuration, shaped like ``pos``;
+    ``pair`` is ``pairs(pos)`` when the caller has it already."""
+    d, r = pairs(pos) if pair is None else pair
     u1p = -6.0 * s1 / r ** 7 + 3.0 * s2 / r ** 4 - 0.5 * s3 * r ** -1.5
     g = INCIDENCE @ (2.0 * u1p[..., None] * d)
     rr = np.einsum("...jc,...jc->...j", pos, pos)

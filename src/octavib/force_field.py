@@ -126,18 +126,28 @@ def check_configurations(stack):
     the samples one by one would raise first: samples in order, ligands j
     ascending, the origin test of j before its pairs (j, k > j).
     """
+    return _checked(stack)[0]
+
+
+def _checked(stack):
+    """``check_configurations``' stack and its ``accel.pairs``; the ordered
+    table of the tests is built only when some squared distance is below
+    the tolerance."""
     pos = np.asarray(stack, dtype=float)
     if pos.ndim == 2 and pos.shape[1] == 18:
         pos = pos.reshape(len(pos), 6, 3)
     if pos.ndim != 3 or pos.shape[1:] != (6, 3):
         raise ShapeError(f"configurations must be (n,6,3) or (n,18), got {pos.shape}")
     origin = np.einsum("njc,njc->nj", pos, pos)
-    _, pair = accel.pairs(pos)
-    close = np.concatenate([origin, pair], axis=1)[:, _CHECK_COLUMNS] < _COLLISION_TOL
-    if close.any():
-        first = int(np.argmax(close.ravel())) % len(_CHECKS)
-        raise CollisionError(*_CHECKS[first])
-    return pos
+    pair = accel.pairs(pos)
+    # NaN compares false below, so these minima skip it too
+    least = (np.fmin.reduce(x, axis=None, initial=np.inf) for x in (origin, pair[1]))
+    if min(least) < _COLLISION_TOL:
+        close = np.concatenate([origin, pair[1]], axis=1)[:, _CHECK_COLUMNS] < _COLLISION_TOL
+        if close.any():
+            first = int(np.argmax(close.ravel())) % len(_CHECKS)
+            raise CollisionError(*_CHECKS[first])
+    return pos, pair
 
 
 # scalar derivatives of the two interaction terms ---------------------------
@@ -173,8 +183,8 @@ def potential(params, config):
 
 def gradients(params, samples):
     """Gradient of the potential at each configuration of a stack, as (n,18)."""
-    pos = check_configurations(samples)
-    g = accel.gradient(pos, params.sigma1, params.sigma2, params.sigma3)
+    pos, pair = _checked(samples)
+    g = accel.gradient(pos, params.sigma1, params.sigma2, params.sigma3, pair)
     return g.reshape(len(pos), 18)
 
 

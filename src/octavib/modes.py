@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import bifurcation, force_field, group_core, orbit_o2, spectral
+from . import accel, bifurcation, force_field, group_core, orbit_o2, spectral
 from ._serialize import RowWidthError, dumps, format_rows
 from .burnside import cached
 from .errors import (
@@ -38,9 +38,16 @@ DEFAULT_SAMPLES = 120  # divisible by 2,3,4,5,6,8: every phase shift in use
 # the most samples per period a mode is built with: at the bound `modes`
 # peaks at 136 MB, its arrays and CSV text about 1.5 kB per sample
 MAX_SAMPLES = 2**16
-# bound on a verify temporary: elements sharing a sample shift are checked
-# as many at a time as fit
-VERIFY_BLOCK_BYTES = 384 * 1024
+# numpy sums a row of 18 terms pairwise: terms i and i + 8 into eight partial
+# sums, combined as ((0+1)+(2+3))+((4+5)+(6+7)), then term 16, then term 17.
+# In this coordinate order each of those steps adds the second half of a
+# block onto its first, in place
+_PAIRWISE_ORDER = np.array([0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15, 16, 17])
+# group_core.ACTION_ROWS with its rows and the stacked (x, -x) both in that
+# order, which is its own inverse
+_PAIRWISE_ROWS = np.concatenate([_PAIRWISE_ORDER, _PAIRWISE_ORDER + 18])[
+    group_core.ACTION_ROWS[:, _PAIRWISE_ORDER]
+]
 
 
 @dataclass(frozen=True)
@@ -125,6 +132,9 @@ class ModeWorkshop:
                 f"amplitude {epsilon} exceeds the collision-safe bound "
                 f"{self.safe_amplitude():.3g}"
             )
+        # a sample count the type's turns do not divide is refused before
+        # any sample is built
+        _shift_groups(self.ring, type_class, n_samples)
         pairs = self.fixed_pairs(type_class, j)
         if not pairs:
             raise ConsistencyError(
@@ -171,11 +181,9 @@ class ModeWorkshop:
     @cached_property
     def _safe_amplitude(self):
         pos = self.center.reshape(6, 3)
-        dmin = min(
-            np.linalg.norm(pos[i] - pos[j]) for i in range(6) for j in range(i + 1, 6)
-        )
-        dmin = min(dmin, min(np.linalg.norm(pos[i]) for i in range(6)))
-        return 0.45 * dmin
+        _, pair = accel.pairs(pos)
+        origin = np.einsum("jc,jc->j", pos, pos)
+        return 0.45 * math.sqrt(min(pair.min(), origin.min()))
 
     # -- verification -----------------------------------------------------
     def verify_symmetry(self, traj, type_class=None):
@@ -184,28 +192,43 @@ class ModeWorkshop:
         Returns (passed, report) where report maps an element's description
         to its residual; the mode passes when the largest residual is at
         most 1e-9 * epsilon, so a mode of amplitude 0, whose every residual
-        is 0, passes.  The elements that shift the samples alike are checked
-        together: their shifted samples are gathered once and moved by the
-        stacked action matrices, at most ``VERIFY_BLOCK_BYTES`` at a time.
+        is 0, passes.  The displacement is held as an (18, n) array, its
+        coordinates in ``_PAIRWISE_ORDER``.  The elements that shift the
+        samples alike share one gather of the shifted samples and their
+        negation, from which each element's action is a row gather
+        (``group_core.ACTION_ROWS``); its squared residuals are summed over
+        the coordinates in numpy's pairwise order, so every residual has the
+        bits of the norm of disp - G disp with G the action matrix.
         """
         ci = traj.type_class if type_class is None else type_class
         els = _type_elements(self.ring, ci)
         n = traj.n_samples
-        disp = traj.samples - traj.center[None, :]
+        groups = _shift_groups(self.ring, ci, n)
+        disp = np.empty((18, n))
+        np.subtract(
+            traj.samples.T[_PAIRWISE_ORDER], traj.center[_PAIRWISE_ORDER, None], out=disp
+        )
+        rows = _PAIRWISE_ROWS[els.g]
         res = np.empty(len(els.names))
-        step = min(len(res), max(1, VERIFY_BLOCK_BYTES // disp.nbytes))
-        moved = np.empty_like(disp)  # the samples one shift group moves
-        block = np.empty((step, n, 18))  # their residuals, `step` members at a time
-        for refl, s, members in _shift_groups(self.ring, ci, n):
+        moved = np.empty((36, n))  # one shift group's samples, then their negation
+        d = np.empty((18, n))  # one element's residuals
+        for refl, s, members in groups:
             idx = np.arange(n) - s if refl == 0 else s - np.arange(n)
-            np.take(disp, idx, axis=0, out=moved, mode="wrap")  # indices mod n
-            for lo in range(0, len(members), step):
-                part = members[lo : lo + step]
-                G = group_core.ACTIONS_18[els.g[part]]
-                d = np.matmul(moved, G.transpose(0, 2, 1), out=block[: len(part)])
+            np.take(disp, idx, axis=1, out=moved[:18], mode="wrap")  # indices mod n
+            np.negative(moved[:18], out=moved[18:])
+            for p in members.tolist():
+                # the rows are in range; mode="raise" would copy `out` first
+                np.take(moved, rows[p], axis=0, out=d, mode="clip")
                 np.subtract(disp, d, out=d)
                 np.multiply(d, d, out=d)
-                res[part] = np.sqrt(np.add.reduce(d, axis=2).max(axis=1))
+                np.add(d[:8], d[8:16], out=d[:8])
+                np.add(d[:4], d[4:8], out=d[:4])
+                np.add(d[:2], d[2:4], out=d[:2])
+                np.add(d[0], d[1], out=d[0])
+                d[0] += d[16]
+                d[0] += d[17]
+                res[p] = d[0].max()
+        np.sqrt(res, out=res)
         worst = float(res.max())
         return worst <= 1e-9 * traj.epsilon, dict(zip(els.names, res.tolist()))
 

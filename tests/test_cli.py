@@ -394,6 +394,28 @@ class TestModes:
         )
         assert not list(tmp_path.iterdir())
 
+    def test_incommensurate_samples_exit_2_before_the_mode(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # 2^16 samples are no multiple of the sixth turn of block 7's fifth
+        # type: refused before a sample is built
+        def no_samples(*args):
+            raise AssertionError("samples were built for a refused sample count")
+
+        monkeypatch.setattr(modes.ModeWorkshop, "fixed_pairs", no_samples)
+        monkeypatch.setattr(force_field, "check_configurations", no_samples)
+        code, out, err = run(
+            capsys, "modes", "--j", "7", "--k", "5", "--samples", str(2**16),
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "configuration error: phase 1/6 of a turn needs the sample count "
+            "to be a multiple of 6\n"
+        )
+        assert not list(tmp_path.iterdir())
+
     def test_nan_amplitude_exit_2(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         code, out, err = run(

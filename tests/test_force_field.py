@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from octavib import accel
+from octavib import accel, modes
 from octavib import force_field as ff
 from octavib import group_core as gc
 from octavib.errors import CollisionError, ConfigError, SearchFailureError, ShapeError
@@ -42,6 +43,33 @@ def as_configuration_rows(stack):
 def perturbed_stack(n, seed):
     rng = np.random.default_rng(seed)
     return np.array([random_configuration(rng) for _ in range(n)])
+
+
+# (sample, ligand) -> the point it is set to (the origin, or infinity) or the
+# ligand it is set onto, and the collision the row loop reports first
+COLLISIONS = pytest.mark.parametrize(
+    "plant, expected",
+    [
+        ({(0, 2): 0.0}, (2, None)),
+        ({(0, 4): 1}, (1, 4)),
+        ({(0, 3): 0.0, (0, 1): 2}, (1, 2)),  # lower ligand's pair first
+        ({(0, 2): 0.0, (0, 4): 0.0}, (2, None)),  # origin before (2, 4)
+        ({(7, 0): 3, (9, 0): 0.0}, (0, 3)),  # later rows, first one wins
+        # two ligands at infinity: a NaN pair distance, which collides with nothing
+        ({(0, 0): math.inf, (0, 1): 0, (5, 4): 3}, (3, 4)),
+    ],
+    ids=["origin", "pair", "pair_before_origin", "origin_before_pair", "later_row",
+         "nan_distance_first"],
+)
+# the ligands at infinity are inf - inf apart
+INF_MINUS_INF = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+
+
+def planted_stack(plant):
+    stack = perturbed_stack(12, seed=13)
+    for (row, j), target in plant.items():
+        stack[row, j] = target if isinstance(target, float) else stack[row, target]
+    return stack
 
 
 class TestPotential:
@@ -143,22 +171,10 @@ class TestBatchedKernels:
             assert np.array_equal(ff.gradient(params, pos), row)
             assert np.array_equal(ff.gradient(params, pos.reshape(18)), row)
 
-    @pytest.mark.parametrize(
-        "plant, expected",
-        [
-            ({(0, 2): 0.0}, (2, None)),
-            ({(0, 4): 1}, (1, 4)),
-            ({(0, 3): 0.0, (0, 1): 2}, (1, 2)),  # lower ligand's pair first
-            ({(0, 2): 0.0, (0, 4): 0.0}, (2, None)),  # origin before (2, 4)
-            ({(7, 0): 3, (9, 0): 0.0}, (0, 3)),  # later rows, first one wins
-        ],
-        ids=["origin", "pair", "pair_before_origin", "origin_before_pair", "later_row"],
-    )
+    @COLLISIONS
+    @INF_MINUS_INF
     def test_collision_matches_row_loop(self, plant, expected):
-        """Each planted ligand is set to the origin (0.0) or onto another ligand."""
-        stack = perturbed_stack(12, seed=13)
-        for (row, j), target in plant.items():
-            stack[row, j] = 0.0 if isinstance(target, float) else stack[row, target]
+        stack = planted_stack(plant)
         with pytest.raises(CollisionError) as ref:
             as_configuration_rows(stack)
         with pytest.raises(CollisionError) as err:
@@ -168,6 +184,27 @@ class TestBatchedKernels:
         with pytest.raises(CollisionError) as err18:
             ff.check_configurations(stack.reshape(12, 18))
         assert err18.value.pair == expected
+
+    @COLLISIONS
+    @INF_MINUS_INF
+    def test_gradients_refuse_as_the_check(self, params, plant, expected):
+        # gradients and the nonlinear residual share the check's pair
+        # distances and raise what it raises, on either stack shape
+        stack = planted_stack(plant)
+        with pytest.raises(CollisionError) as ref:
+            ff.check_configurations(stack)
+        shop = modes.ModeWorkshop(params)
+        traj = dataclasses.replace(shop.build_mode("0"), samples=stack.reshape(12, 18))
+        calls = [
+            lambda: ff.gradients(params, stack),
+            lambda: ff.gradients(params, stack.reshape(12, 18)),
+            lambda: shop.nonlinear_residual(traj),
+        ]
+        for call in calls:
+            with pytest.raises(CollisionError) as err:
+                call()
+            assert err.value.args == ref.value.args
+            assert err.value.pair == ref.value.pair == expected
 
     def test_clean_stack_passes(self):
         stack = perturbed_stack(12, seed=14)
@@ -180,9 +217,11 @@ class TestBatchedKernels:
         "shape", [(6, 3), (4, 5, 3), (3, 17), (2, 6, 3, 1)],
         ids=["6x3", "4x5x3", "3x17", "2x6x3x1"],
     )
-    def test_stack_shape_error(self, shape):
+    def test_stack_shape_error(self, params, shape):
         with pytest.raises(ShapeError):
             ff.check_configurations(np.ones(shape))
+        with pytest.raises(ShapeError):
+            ff.gradients(params, np.ones(shape))
 
 
 class TestEquilibrium:

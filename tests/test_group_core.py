@@ -127,6 +127,14 @@ class TestAction:
         for i in range(48):
             assert np.allclose(gc.action_matrix_18(i) @ v0, v0)
 
+    def test_row_gather_is_the_action(self, rng):
+        # the stacked (x, -x) gathered at ACTION_ROWS[g] is ACTIONS_18[g] @ x
+        for x in (rng.normal(size=(18, 7)), np.arange(1.0, 19.0)[:, None]):
+            stacked = np.concatenate([x, -x])
+            for g in range(gc.N):
+                got = stacked[gc.ACTION_ROWS[g]]
+                assert got.tobytes() == (gc.ACTIONS_18[g] @ x).tobytes()
+
     def test_action_character_row(self):
         assert gc.action_character() == (18, 0, 0, 2, -2, 4, 0, 0, 2, 0)
 

@@ -147,13 +147,17 @@ class TestModeTables:
             "D_3^{Z_1} x_{D_3} D_3^p"
         )
         ci = shop.types_for("8")[third]
-        traj = shop.build_mode("8", third + 1, 0.02, n_samples=50)
         with pytest.raises(SamplingError, match="multiple of 3"):
-            shop.verify_symmetry(traj)
+            shop.build_mode("8", third + 1, 0.02, n_samples=50)
         assert (ci, 50) not in fresh_ring.memo["_shift_groups"]
-        # a type whose turns all divide 50 samples verifies
-        passed, _ = shop.verify_symmetry(shop.build_mode("8", 1, 0.02, n_samples=50))
+        # a type whose turns all divide 50 samples verifies; its mode checked
+        # against the third-turn type is refused, and stores nothing either
+        traj = shop.build_mode("8", 1, 0.02, n_samples=50)
+        passed, _ = shop.verify_symmetry(traj)
         assert passed
+        with pytest.raises(SamplingError, match="multiple of 3"):
+            shop.verify_symmetry(traj, type_class=ci)
+        assert (ci, 50) not in fresh_ring.memo["_shift_groups"]
 
     def test_shift_groups_partition_the_elements(self, fresh_ring):
         shop = modes.ModeWorkshop()
@@ -178,7 +182,7 @@ def export_all_modes(out_dir):
 
 def forbidden(name):
     def raise_(*args, **kwargs):
-        raise AssertionError(f"np.linalg.{name} ran on the request path")
+        raise AssertionError(f"{name} ran on the request path")
 
     return raise_
 
@@ -206,7 +210,7 @@ class TestNoSolvePerSigma:
         new_ring(monkeypatch)
         export_all_modes(tmp_path)  # the ring's tables, at the reference σ
         for name in ("eigh", "eigvalsh", "svd"):
-            monkeypatch.setattr(np.linalg, name, forbidden(name))
+            monkeypatch.setattr(np.linalg, name, forbidden(f"np.linalg.{name}"))
         sigmas = SIGMAS[1]
         cfg = tmp_path / "p.cfg"
         cfg.write_text("".join(f"sigma{i}={s!r}\n" for i, s in enumerate(sigmas, 1)))
@@ -219,6 +223,34 @@ class TestNoSolvePerSigma:
                         "--out", str(tmp_path)]
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(argv) == 0, argv
+
+
+class TestOneVerifyPath:
+    def test_no_matmul_in_verify(self, monkeypatch):
+        # every action is a row gather: with np.matmul refused, every mode
+        # at the reference σ still verifies, at both sample counts
+        shop = modes.ModeWorkshop()
+        trajs = [shop.build_mode(j, k, EPSILON, n) for j, k in MODES for n in SAMPLES]
+        monkeypatch.setattr(np, "matmul", forbidden("np.matmul"))
+        for traj in trajs:
+            passed, report = shop.verify_symmetry(traj)
+            assert passed and len(report) == len(shop.ring.representative(traj.type_class))
+
+
+def loop_safe_amplitude(shop):
+    """``ModeWorkshop.safe_amplitude`` as 21 norms in a loop (oracle)."""
+    pos = shop.center.reshape(6, 3)
+    dmin = min(np.linalg.norm(pos[i] - pos[j]) for i in range(6) for j in range(i + 1, 6))
+    return 0.45 * min(dmin, min(np.linalg.norm(pos[i]) for i in range(6)))
+
+
+def test_safe_amplitude_equals_the_norm_loop():
+    for sigmas in SIGMAS:
+        try:
+            shop = modes.ModeWorkshop(ff.PotentialParams(*sigmas))
+        except NumericalError:
+            continue
+        assert shop.safe_amplitude() == loop_safe_amplitude(shop), sigmas
 
 
 def test_peak_is_the_gram_eigensolver_to_an_ulp():

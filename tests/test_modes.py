@@ -138,13 +138,17 @@ class TestVerify:
         assert max(report.values()) > 1e-3 * traj.epsilon
 
     def test_incommensurate_sampling(self, shop):
-        # the third-turn type needs the sample count divisible by 3
-        k_third = 1 + [
-            shop.ring.label_of(c) for c in shop.types_for("8")
-        ].index("D_3^{Z_1} x_{D_3} D_3^p")
-        traj = shop.build_mode("8", k_third, 0.02, n_samples=50)
+        # the third-turn type needs the sample count divisible by 3: its mode
+        # is refused, and so is verifying another 50-sample mode against it
+        types = shop.types_for("8")
+        k_third = 1 + [shop.ring.label_of(c) for c in types].index(
+            "D_3^{Z_1} x_{D_3} D_3^p"
+        )
         with pytest.raises(SamplingError):
-            shop.verify_symmetry(traj)
+            shop.build_mode("8", k_third, 0.02, n_samples=50)
+        traj = shop.build_mode("8", 1, 0.02, n_samples=50)
+        with pytest.raises(SamplingError):
+            shop.verify_symmetry(traj, type_class=types[k_third - 1])
 
     def test_pair_action_is_representation(self, shop, rng):
         A = shop.ring.representative(shop.types_for("9")[0])

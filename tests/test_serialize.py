@@ -6,9 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from octavib import _kernels, _serialize
+from octavib import _kernels, _serialize, modes
 from octavib._kernels import format_values, parse_values
-from octavib._serialize import RowWidthError, dumps, format_float, format_rows
+from octavib._serialize import (
+    RowWidthError,
+    distinct_bits,
+    dumps,
+    format_float,
+    format_rows,
+)
 
 
 class TestStrings:
@@ -133,6 +139,54 @@ class TestDistinctValuesOnTheKernel(TestDistinctValues):
     @pytest.fixture(autouse=True)
     def kernel_at_any_size(self, monkeypatch):
         monkeypatch.setattr(_serialize, "KERNEL_MIN_VALUES", 0)
+
+
+def unique_oracle(data):
+    """``np.unique`` of the bit patterns, the inverse shaped like the data."""
+    data = np.ascontiguousarray(data, dtype=float)
+    bits, index = np.unique(data.view(np.uint64), return_inverse=True)
+    return bits, index.reshape(data.shape)
+
+
+class TestDistinctBits:
+    """The run-aware dedupe against ``np.unique(..., return_inverse=True)``."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]),
+            np.full((300, 4), -0.0),
+            np.full((7, 19), 2.5),
+            np.array([REPEATS]),
+            np.array([REPEATS]).T,
+            np.random.default_rng(3).choice(REPEATS, size=(600, 19)),
+            np.random.default_rng(4).normal(size=(50, 19)),
+            np.sin(np.arange(1200) / 100.0)[:, None] * np.arange(-9.0, 10.0),
+            np.zeros((0, 19)),
+            np.zeros((3, 0)),
+            np.zeros((0, 0)),
+            np.random.default_rng(5).choice(REPEATS, size=(40, 30))[::3, ::-2],
+        ],
+        ids=["signed_zeros", "all_negative_zero", "all_equal", "one_row", "one_column",
+             "repeats", "random", "sinusoids", "0x19", "3x0", "0x0", "strided_view"],
+    )
+    def test_equals_np_unique(self, data):
+        bits, index = distinct_bits(data)
+        want_bits, want_index = unique_oracle(data)
+        assert bits.dtype == want_bits.dtype and bits.tobytes() == want_bits.tobytes()
+        assert index.shape == data.shape
+        assert np.array_equal(index, want_index)
+
+    def test_every_mode(self):
+        shop = modes.ModeWorkshop()
+        for j in ("0", "4", "7", "7*", "8", "9"):
+            for k in range(1, len(shop.types_for(j)) + 1):
+                traj = shop.build_mode(j, k, 0.05, 1200)
+                data = np.column_stack((traj.times, traj.samples))
+                bits, index = distinct_bits(data)
+                want_bits, want_index = unique_oracle(data)
+                assert np.array_equal(bits, want_bits), (j, k)
+                assert np.array_equal(index, want_index), (j, k)
 
 
 def kernel_text(values):
