@@ -54,7 +54,7 @@ class ResonanceError(NumericalError):
 
 
 class AmplitudeError(NumericalError):
-    """Mode amplitude large enough to produce a colliding sample."""
+    """Mode amplitude above the collision-safe bound (``safe_amplitude``)."""
 
 
 class SamplingError(ConfigError):

@@ -108,7 +108,7 @@ def load_params(path):
 
 def as_configuration(positions):
     """Validate and return a (6,3) float array of ligand positions."""
-    return check_configurations(_one(positions))[0]
+    return check_configurations(_one(positions))[0][0]
 
 
 def _one(positions):
@@ -120,19 +120,14 @@ def _one(positions):
 
 
 def check_configurations(stack):
-    """Validate and return an (n,6,3) float array of configurations.
+    """Validate an (n,6,3) or (n,18) stack of configurations; return it as
+    an (n,6,3) float array with its ``accel.pairs``.
 
-    Accepts (n,6,3) or (n,18).  Raises the ``CollisionError`` that checking
-    the samples one by one would raise first: samples in order, ligands j
-    ascending, the origin test of j before its pairs (j, k > j).
+    Raises the ``CollisionError`` that checking the samples one by one would
+    raise first: samples in order, ligands j ascending, the origin test of j
+    before its pairs (j, k > j).  The ordered table of the tests is built
+    only when some squared distance is below the tolerance.
     """
-    return _checked(stack)[0]
-
-
-def _checked(stack):
-    """``check_configurations``' stack and its ``accel.pairs``; the ordered
-    table of the tests is built only when some squared distance is below
-    the tolerance."""
     pos = np.asarray(stack, dtype=float)
     if pos.ndim == 2 and pos.shape[1] == 18:
         pos = pos.reshape(len(pos), 6, 3)
@@ -183,7 +178,7 @@ def potential(params, config):
 
 def gradients(params, samples):
     """Gradient of the potential at each configuration of a stack, as (n,18)."""
-    pos, pair = _checked(samples)
+    pos, pair = check_configurations(samples)
     g = accel.gradient(pos, params.sigma1, params.sigma2, params.sigma3, pair)
     return g.reshape(len(pos), 18)
 

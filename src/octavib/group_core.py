@@ -190,11 +190,6 @@ def action_matrix_18(i):
 # the 18-dim action of every element, read-only: the one copy every module indexes
 ACTIONS_18 = np.stack([action_matrix_18(g) for g in range(N)])
 ACTIONS_18.flags.writeable = False
-# every action matrix is a signed permutation, so ACTIONS_18[g] @ x is a row
-# gather: row i is row ACTION_ROWS[g, i] of the stacked (x, -x), that is row
-# r of x for a +1 in column r and row 18 + r for a -1
-ACTION_ROWS = np.argmax(ACTIONS_18 != 0, axis=2) + 18 * (ACTIONS_18.sum(axis=2) < 0)
-ACTION_ROWS.flags.writeable = False
 
 
 def action_character():

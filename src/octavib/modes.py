@@ -19,20 +19,13 @@ pairs through them and solves nothing per σ.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from . import accel, bifurcation, force_field, group_core, orbit_o2, spectral
+from . import bifurcation, force_field, group_core, orbit_o2, spectral
 from ._serialize import RowWidthError, dumps, format_rows
 from .burnside import cached
-from .errors import (
-    AmplitudeError,
-    CollisionError,
-    ConfigError,
-    ConsistencyError,
-    SamplingError,
-)
+from .errors import AmplitudeError, ConfigError, ConsistencyError, SamplingError
 
 DEFAULT_SAMPLES = 120  # divisible by 2,3,4,5,6,8: every phase shift in use
 # the most samples per period a mode is built with: at the bound `modes`
@@ -43,11 +36,6 @@ MAX_SAMPLES = 2**16
 # In this coordinate order each of those steps adds the second half of a
 # block onto its first, in place
 _PAIRWISE_ORDER = np.array([0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15, 16, 17])
-# group_core.ACTION_ROWS with its rows and the stacked (x, -x) both in that
-# order, which is its own inverse
-_PAIRWISE_ROWS = np.concatenate([_PAIRWISE_ORDER, _PAIRWISE_ORDER + 18])[
-    group_core.ACTION_ROWS[:, _PAIRWISE_ORDER]
-]
 
 
 @dataclass(frozen=True)
@@ -85,6 +73,7 @@ class ModeWorkshop:
             else bifurcation.Request(params or force_field.REFERENCE_PARAMS)
         )
         self.params = request.params
+        self.radius = request.equilibrium.radius
         self.center = request.equilibrium.configuration.reshape(18)
         self.spectrum = request.cartesian_spectrum
         self.ring = orbit_o2.ring()
@@ -127,6 +116,11 @@ class ModeWorkshop:
 
     def build_mode_for_type(self, type_class, j, k=1, epsilon=0.05,
                             n_samples=DEFAULT_SAMPLES):
+        """Trajectory of amplitude epsilon in the type's first fixed pair.
+
+        An amplitude above ``safe_amplitude()`` is refused; at or below it
+        no sample can collide, so none is checked.
+        """
         if epsilon > self.safe_amplitude():
             raise AmplitudeError(
                 f"amplitude {epsilon} exceeds the collision-safe bound "
@@ -153,13 +147,6 @@ class ModeWorkshop:
             + epsilon * np.cos(times)[:, None] * a[None, :]
             + epsilon * np.sin(times)[:, None] * b[None, :]
         )
-        try:
-            force_field.check_configurations(samples)
-        except CollisionError as exc:
-            raise AmplitudeError(
-                f"amplitude {epsilon} produces a colliding sample ({exc}); "
-                f"stay below {self.safe_amplitude():.3g}"
-            ) from None
         return ModeTrajectory(
             j=j,
             k=k,
@@ -175,15 +162,16 @@ class ModeWorkshop:
         )
 
     def safe_amplitude(self):
-        """Amplitude below which no sample can collide (unit directions)."""
-        return self._safe_amplitude
+        """The largest amplitude a mode is built with: 0.45 r0, with r0 the
+        equilibrium radius (adjacent ligands are r0 sqrt(2) apart).
 
-    @cached_property
-    def _safe_amplitude(self):
-        pos = self.center.reshape(6, 3)
-        _, pair = accel.pairs(pos)
-        origin = np.einsum("jc,jc->j", pos, pos)
-        return 0.45 * math.sqrt(min(pair.min(), origin.min()))
+        A mode's peak 18-vector displacement is its amplitude, so at 0.45 r0
+        no ligand moves by more than 0.45 r0 and no pair's difference by
+        more than 0.45 r0 sqrt(2): every ligand stays at least 0.55 r0 from
+        the center and every pair at least 0.55 r0 sqrt(2) apart, and no
+        sample collides.
+        """
+        return 0.45 * self.radius
 
     # -- verification -----------------------------------------------------
     def verify_symmetry(self, traj, type_class=None):
@@ -196,7 +184,7 @@ class ModeWorkshop:
         coordinates in ``_PAIRWISE_ORDER``.  The elements that shift the
         samples alike share one gather of the shifted samples and their
         negation, from which each element's action is a row gather
-        (``group_core.ACTION_ROWS``); its squared residuals are summed over
+        (``TypeElements.rows``); its squared residuals are summed over
         the coordinates in numpy's pairwise order, so every residual has the
         bits of the norm of disp - G disp with G the action matrix.
         """
@@ -208,7 +196,6 @@ class ModeWorkshop:
         np.subtract(
             traj.samples.T[_PAIRWISE_ORDER], traj.center[_PAIRWISE_ORDER, None], out=disp
         )
-        rows = _PAIRWISE_ROWS[els.g]
         res = np.empty(len(els.names))
         moved = np.empty((36, n))  # one shift group's samples, then their negation
         d = np.empty((18, n))  # one element's residuals
@@ -218,7 +205,7 @@ class ModeWorkshop:
             np.negative(moved[:18], out=moved[18:])
             for p in members.tolist():
                 # the rows are in range; mode="raise" would copy `out` first
-                np.take(moved, rows[p], axis=0, out=d, mode="clip")
+                np.take(moved, els.rows[p], axis=0, out=d, mode="clip")
                 np.subtract(disp, d, out=d)
                 np.multiply(d, d, out=d)
                 np.add(d[:8], d[8:16], out=d[:8])
@@ -252,13 +239,19 @@ class TypeElements:
     cos: np.ndarray         # cos and sin of the turn's angle
     sin: np.ndarray
     names: tuple            # ``_describe`` strings, a verify report's keys
+    rows: np.ndarray        # (elements, 18) verify gathers, see ``_type_elements``
 
 
 @cached
 def _type_elements(ring, ci):
+    """Class ci's elements.  Each action matrix G is a signed permutation,
+    so with x and G x both in ``_PAIRWISE_ORDER`` row i of G x is row
+    ``rows[p, i]`` of the stacked (x, -x): row r of x for a +1 in column r,
+    row 18 + r for a -1."""
     els = sorted(ring.representative(ci).elements)
     refl, turn, g = zip(*map(orbit_o2.parts, els))
     tau = [2 * math.pi * num / den for num, den in turn]
+    G = group_core.ACTIONS_18[np.ix_(g, _PAIRWISE_ORDER, _PAIRWISE_ORDER)]
     return TypeElements(
         refl=np.array(refl),
         turn=turn,
@@ -266,6 +259,7 @@ def _type_elements(ring, ci):
         cos=np.array([math.cos(t) for t in tau]),
         sin=np.array([math.sin(t) for t in tau]),
         names=tuple(map(_describe, els)),
+        rows=np.argmax(G != 0, axis=2) + 18 * (G.sum(axis=2) < 0),
     )
 
 

@@ -1,12 +1,21 @@
+import functools
 import math
+import tempfile
 
+import hypothesis.configuration
 import numpy as np
 import pytest
 
 from octavib import bifurcation, force_field, group_core, modes, orbit_o2, spectral
-from octavib.errors import SamplingError
+from octavib.errors import NumericalError, SamplingError
 
 from oracles import StiffnessCoefficients
+
+# Hypothesis's pytest plugin caches the constants of the loaded source under
+# its home directory, .hypothesis in the working directory by default; keep
+# that cache in a temporary directory, removed when the process exits
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="octavib-hypothesis-")
+hypothesis.configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 # the reported block-9 alpha^2 is negative here (about -1.3e-4), while the
 # Cartesian one is positive (about +0.243)
@@ -24,6 +33,36 @@ def sweep_box(n=48):
         )
         for _ in range(n)
     ]
+
+
+def wide_grid(n=200):
+    """σ over twelve decades: each σ_i = 10^u, u ~ U(-6, 6) (seed 12345), and
+    σ2 = 0 on every tenth draw; ``load_params`` accepts every draw."""
+    rng = np.random.default_rng(12345)
+    draws = []
+    for i, u in enumerate(rng.uniform(-6, 6, size=(n, 3))):
+        sigmas = [float(10.0 ** x) for x in u]
+        if i % 10 == 0:
+            sigmas[1] = 0.0
+        draws.append(tuple(sigmas))
+    return draws
+
+
+@functools.cache
+def checked_wide_grid():
+    """The 240 draws of the 400-draw wide grid whose modes' frequencies are
+    all checked (``checked_frequencies`` of the Cartesian spectrum), so that
+    every block builds its modes."""
+    draws = []
+    for sigmas in wide_grid(400):
+        try:
+            request = bifurcation.Request(force_field.PotentialParams(*sigmas))
+            bifurcation.checked_frequencies(request.cartesian_spectrum)
+        except NumericalError:
+            continue
+        draws.append(sigmas)
+    assert len(draws) == 240
+    return tuple(draws)
 
 
 def all_pairs_maximal(ring, keys):

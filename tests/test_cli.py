@@ -1,13 +1,20 @@
 import collections
+import contextlib
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octavib import bifurcation, cli, force_field, modes, orbit_o2, spectral
+from octavib.errors import OctavibError
 
 from conftest import UNSTABLE_REPORTED_9
 
@@ -403,7 +410,6 @@ class TestModes:
             raise AssertionError("samples were built for a refused sample count")
 
         monkeypatch.setattr(modes.ModeWorkshop, "fixed_pairs", no_samples)
-        monkeypatch.setattr(force_field, "check_configurations", no_samples)
         code, out, err = run(
             capsys, "modes", "--j", "7", "--k", "5", "--samples", str(2**16),
             "--out", str(tmp_path),
@@ -425,6 +431,72 @@ class TestModes:
         assert "epsilon must be finite and nonnegative, got nan" in err
         assert out == ""
         assert not out_dir.exists()
+
+
+# σ's edges: 0, two subnormals, the least normal float and 1e300
+SIGMA_EDGES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300)
+
+
+@st.composite
+def modes_requests(draw):
+    """(σ, `modes` arguments).  Half the σ lie in the benchmark's sweep box
+    around the reference; the rest take each σ_i from its edges, twelve
+    decades around 1 as in the wide grid, or any float up to 1e300, so σ1 = 0
+    with σ2 > 0, which ``load_params`` refuses, comes up too.  --eps runs
+    from 0 to twice the σ's collision-safe bound, or is nan or inf; --k runs
+    one beyond each end of the largest block."""
+    if draw(st.booleans()):
+        reference = force_field.REFERENCE_PARAMS
+        sigmas = tuple(
+            s * math.exp(draw(st.floats(-0.5, 0.5)))
+            for s in (reference.sigma1, reference.sigma2, reference.sigma3)
+        )
+    else:
+        sigmas = tuple(draw(st.one_of(
+            st.sampled_from(SIGMA_EDGES),
+            st.floats(-6.0, 6.0).map(lambda u: 10.0 ** u),
+            st.floats(0.0, 1e300),
+        )) for _ in range(3))
+    try:
+        bound = 0.45 * force_field.find_equilibrium(force_field.PotentialParams(*sigmas)).radius
+    except OctavibError:
+        bound = 1.0
+    special = draw(st.integers(0, 7))
+    eps = (math.nan, math.inf)[special] if special < 2 else draw(st.floats(0.0, 2.0)) * bound
+    argv = [
+        "--j", draw(st.sampled_from(bifurcation.ISOTYPIC)),
+        "--k", str(draw(st.integers(0, 6))),
+        "--eps", repr(eps),
+        "--samples", str(draw(st.integers(8, 4096))),
+    ]
+    return sigmas, argv
+
+
+def modes_outcome(cfg, out_dir, argv):
+    """`octavib modes` as its exit code, stdout, stderr and the files in
+    out_dir."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--config", str(cfg), "modes", *argv, "--out", str(out_dir)])
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+class TestModesExitCodes:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(modes_requests())
+    def test_exit_0_1_or_2_and_the_same_bytes_again(self, request):
+        # whatever σ and arguments, `modes` ends in a result or a refusal,
+        # never a consistency failure, and a second call repeats the first
+        sigmas, argv = request
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp) / "p.cfg"
+            cfg.write_text("".join(f"sigma{i}={s!r}\n" for i, s in enumerate(sigmas, 1)))
+            out_dir = pathlib.Path(tmp) / "out"
+            out_dir.mkdir()
+            first = modes_outcome(cfg, out_dir, argv)
+            assert first[0] in (0, 1, 2), (sigmas, argv, first[2])
+            assert modes_outcome(cfg, out_dir, argv) == first
 
 
 class TestCatalog:

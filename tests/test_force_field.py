@@ -208,10 +208,12 @@ class TestBatchedKernels:
 
     def test_clean_stack_passes(self):
         stack = perturbed_stack(12, seed=14)
-        out = ff.check_configurations(stack.reshape(12, 18))
+        out, (d, r) = ff.check_configurations(stack.reshape(12, 18))
         assert out.shape == (12, 6, 3)
         assert np.array_equal(out, stack)
-        assert ff.check_configurations(np.zeros((0, 18))).shape == (0, 6, 3)
+        want_d, want_r = accel.pairs(stack)
+        assert np.array_equal(d, want_d) and np.array_equal(r, want_r)
+        assert ff.check_configurations(np.zeros((0, 18)))[0].shape == (0, 6, 3)
 
     @pytest.mark.parametrize(
         "shape", [(6, 3), (4, 5, 3), (3, 17), (2, 6, 3, 1)],

@@ -10,6 +10,8 @@ in ``conftest``, on a new ring and on one that has served other σ.
 
 import contextlib
 import io
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,10 +19,11 @@ import pytest
 
 from octavib import bifurcation as bf
 from octavib import force_field as ff
-from octavib import cli, group_core, modes, orbit_o2, spectral
+from octavib import accel, cli, group_core, modes, orbit_o2, spectral
 from octavib.errors import CatalogError, ConfigError, NumericalError, SamplingError
 
 from conftest import (
+    checked_wide_grid,
     engine_at,
     loop_fixed_pairs,
     loop_verify_symmetry,
@@ -236,6 +239,84 @@ class TestOneVerifyPath:
             passed, report = shop.verify_symmetry(traj)
             assert passed and len(report) == len(shop.ring.representative(traj.type_class))
 
+    def test_verify_rows_gather_each_action(self, rng):
+        # the stacked (x, -x) gathered at a type's rows is ACTIONS_18[g] @ x,
+        # both in the pairwise order, for every element of the 24 types
+        # (which between them hold all 48 spatial elements)
+        shop = modes.ModeWorkshop()
+        order = modes._PAIRWISE_ORDER
+        els = [modes._type_elements(shop.ring, ci) for j in bf.ISOTYPIC
+               for ci in shop.types_for(j)]
+        assert len(els) == len(MODES)
+        assert len({g for e in els for g in e.g.tolist()}) == group_core.N
+        for x in (rng.normal(size=(18, 7)), np.arange(1.0, 19.0)[:, None]):
+            stacked = np.concatenate([x[order], -x[order]])
+            want = (group_core.ACTIONS_18 @ x)[:, order]
+            for e in els:
+                for g, rows in zip(e.g.tolist(), e.rows):
+                    assert stacked[rows].tobytes() == want[g].tobytes()
+
+
+def test_verify_rows_built_on_first_use(tmp_path):
+    # a cold `invariant` process builds no verify rows: no table at import
+    # and no type's elements in the ring; a mode builds them
+    code = "\n".join((
+        "import contextlib, io, sys",
+        "import octavib.cli",
+        "from octavib import group_core, modes, orbit_o2",
+        "def main(*argv):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert octavib.cli.main(list(argv)) == 0",
+        "    ring = orbit_o2.ring()",
+        "    print(hasattr(group_core, 'ACTION_ROWS'), hasattr(modes, '_PAIRWISE_ROWS'),",
+        "          len(ring.memo.get('_type_elements', ())))",
+        "main('invariant', '--j', '8')",
+        "main('modes', '--j', '8', '--out', sys.argv[1])",
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == ["False False 0", "False False 1"]
+
+
+def counted(monkeypatch, module, name):
+    """Record the argument shapes of each call of module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(tuple(np.shape(a) for a in args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOnePairPass:
+    def test_build_makes_no_pair_pass(self, monkeypatch):
+        # ε ≤ safe_amplitude() rules out a collision, so the build checks no
+        # sample: with accel.pairs refused, all 24 types still build
+        new_ring(monkeypatch)
+        shop = modes.ModeWorkshop()
+        monkeypatch.setattr(accel, "pairs", forbidden("accel.pairs"))
+        for j, k in MODES:
+            assert shop.build_mode(j, k, shop.safe_amplitude(), 1200).n_samples == 1200
+
+    def test_a_trajectories_op_makes_one_pair_pass(self, tmp_path, monkeypatch):
+        # build, verify, residual, CSV round trip: the residual's gradients
+        # compute the pair differences once, for the check and the forces
+        shop = modes.ModeWorkshop()
+        calls = counted(monkeypatch, accel, "pairs")
+        path = tmp_path / "mode.csv"
+        for j, k in MODES:
+            calls.clear()
+            traj = shop.build_mode(j, k, EPSILON, 1200)
+            assert shop.verify_symmetry(traj)[0]
+            shop.nonlinear_residual(traj)
+            modes.export_trajectory(traj, path)
+            modes.read_trajectory(path)
+            assert calls == [((1200, 6, 3),)], (j, k)
+
 
 def loop_safe_amplitude(shop):
     """``ModeWorkshop.safe_amplitude`` as 21 norms in a loop (oracle)."""
@@ -245,12 +326,12 @@ def loop_safe_amplitude(shop):
 
 
 def test_safe_amplitude_equals_the_norm_loop():
-    for sigmas in SIGMAS:
-        try:
-            shop = modes.ModeWorkshop(ff.PotentialParams(*sigmas))
-        except NumericalError:
-            continue
+    # 0.45 r0, bit for bit, on the seed-1 box and the checked wide grid
+    for sigmas in [*SIGMAS, *checked_wide_grid()]:
+        shop = modes.ModeWorkshop(ff.PotentialParams(*sigmas))
         assert shop.safe_amplitude() == loop_safe_amplitude(shop), sigmas
+        radius = ff.find_equilibrium(ff.PotentialParams(*sigmas)).radius
+        assert shop.safe_amplitude() == 0.45 * radius, sigmas
 
 
 def test_peak_is_the_gram_eigensolver_to_an_ulp():

@@ -12,9 +12,8 @@ from octavib._kernels import format_values
 from octavib._serialize import format_float, format_rows
 from octavib.errors import AmplitudeError, ConfigError, NumericalError, SamplingError
 
-from conftest import gradient_loop, pair_operator
+from conftest import checked_wide_grid, gradient_loop, pair_operator, sweep_box, wide_grid
 from oracles import brake_velocity, is_brake_type
-from test_request_kernels import wide_grid
 
 # reference eigenvectors of the reported block Hessian, printed to 3-4
 # digits; used as an identification oracle only
@@ -90,21 +89,25 @@ class TestBuild:
             shop.build_mode("5", 1)
 
     def test_excessive_amplitude(self, shop):
-        with pytest.raises(AmplitudeError):
+        with pytest.raises(
+            AmplitudeError, match=r"^amplitude 5.0 exceeds the collision-safe bound 0.636$"
+        ):
             shop.build_mode("0", 1, 5.0)
 
-    def test_colliding_sample_is_amplitude_error(self, shop, monkeypatch):
-        # past the safe bound the breathing mode, scaled so that its deepest
-        # sample reaches the center, puts every ligand on the central atom
-        monkeypatch.setattr(shop, "safe_amplitude", lambda: math.inf)
-        ci = shop.types_for("0")[0]
-        unit = shop.build_mode_for_type(ci, "0", 1, epsilon=1.0, n_samples=8)
-        radial = (unit.samples - unit.center) @ unit.center / (unit.center @ unit.center)
-        with pytest.raises(
-            AmplitudeError,
-            match=r"colliding sample \(ligand 1 coincides with the central atom\)",
-        ):
-            shop.build_mode_for_type(ci, "0", 1, epsilon=-1 / radial.min(), n_samples=8)
+    def test_no_sample_comes_nearer_than_the_bound(self):
+        # at the largest amplitude, every ligand of every type's samples
+        # stays 0.55 r0 from the center and 0.55 r0 sqrt(2) from the others:
+        # the bound that lets the build check no sample
+        reference = ff.REFERENCE_PARAMS
+        sigmas = [(reference.sigma1, reference.sigma2, reference.sigma3), *sweep_box()]
+        for s in [*sigmas, *checked_wide_grid()]:
+            shop = modes.ModeWorkshop(ff.PotentialParams(*s))
+            trajs = list(every_mode(shop, modes.DEFAULT_SAMPLES, shop.safe_amplitude()))
+            assert len(trajs) == 24
+            for traj in trajs:
+                pos = traj.samples.reshape(-1, 6, 3)
+                least = min(np.einsum("njc,njc->nj", pos, pos).min(), accel.pairs(pos)[1].min())
+                assert least >= 0.3025 * shop.radius ** 2, (s, traj.j, traj.k)
 
     def test_linearized_equation_exact(self, shop):
         traj = shop.build_mode("8", 1, 0.01)
@@ -280,10 +283,10 @@ def edge_trajectory():
     return SimpleNamespace(times=rows[:, 0], samples=rows[:, 1:])
 
 
-def every_mode(shop, n_samples):
+def every_mode(shop, n_samples, epsilon=0.05):
     for j in bifurcation.ISOTYPIC:
         for k in range(1, len(shop.types_for(j)) + 1):
-            yield shop.build_mode(j, k, 0.05, n_samples)
+            yield shop.build_mode(j, k, epsilon, n_samples)
 
 
 @pytest.fixture(scope="module")
