@@ -21,7 +21,7 @@ product of basic degrees (``invariant_full``) is the tests' oracle only.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 from . import force_field, spectral
@@ -31,6 +31,7 @@ from .errors import ConfigError, ConsistencyError, ResonanceError
 ISOTYPIC = ("0", "4", "7", "7*", "8", "9")
 RESONANCE_RTOL = 1e-6  # alpha^2 this close, relative to max |alpha^2|, resonate
 MAX_CRITICAL = 2**18  # the most critical numbers one request lists (~60 MB)
+TIE_RTOL = 1e-9  # critical numbers this close, relative to the lower, tie
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,12 @@ def critical_count(alphas, lambda_max):
     return count
 
 
+def check_lambda_max(lambda_max):
+    """Refuse a bound on the critical numbers that is not finite, whatever σ."""
+    if not math.isfinite(lambda_max):
+        raise ConfigError(f"lambda_max must be finite, got {lambda_max}")
+
+
 def critical_set(alphas, lambda_max):
     """All critical numbers up to lambda_max, ascending; ties left adjacent.
 
@@ -75,8 +82,7 @@ def critical_set(alphas, lambda_max):
     ``ConfigError`` naming the count: the bound is on what the caller asks
     for, whatever σ gives the frequencies.
     """
-    if not math.isfinite(lambda_max):
-        raise ConfigError(f"lambda_max must be finite, got {lambda_max}")
+    check_lambda_max(lambda_max)
     _check_frequencies(alphas)
     count = critical_count(alphas, lambda_max)
     if count > MAX_CRITICAL:
@@ -94,8 +100,8 @@ def critical_set(alphas, lambda_max):
     return out
 
 
-def ordering_ties(criticals, rel_tol=1e-9):
-    """Groups of consecutive critical numbers equal within tolerance."""
+def ordering_ties(criticals):
+    """Groups of consecutive critical numbers equal within ``TIE_RTOL``."""
     ties = []
     k = 0
     while k < len(criticals):
@@ -103,7 +109,7 @@ def ordering_ties(criticals, rel_tol=1e-9):
         while (
             m < len(criticals)
             and criticals[m].value - criticals[k].value
-            <= rel_tol * criticals[k].value
+            <= TIE_RTOL * criticals[k].value
         ):
             m += 1
         if m - k > 1:
@@ -165,12 +171,9 @@ class BifurcationReport:
     """The invariant at one critical number and its maximal types' coefficients."""
 
     j: str
-    target: CriticalNumber
-    factors: tuple
     invariant: object  # BurnsideElement over the mode-1 classes (full report)
     maximal_types: tuple  # ((label, coefficient, weyl_order), ...)
     fast_coefficients: dict  # label -> coefficient from the marks path
-    reference_labels: tuple = field(default=())
 
     def agreement(self):
         full = {lb: c for lb, c, _ in self.maximal_types}
@@ -251,8 +254,6 @@ class InvariantEngine:
 
     # --- reports ----------------------------------------------------------
     def report(self, j_o, full=True):
-        target = CriticalNumber(j_o, 1, 1.0 / self.alphas[j_o])
-        factors = tuple(factors_before(j_o, self.alphas))
         R = self.ring
         maximal = self.maximal_classes(j_o, 1)
         fast = {R.label_of(ci): self.fast_coefficient(j_o, ci) for ci in maximal}
@@ -267,12 +268,9 @@ class InvariantEngine:
             )
         return BifurcationReport(
             j=j_o,
-            target=target,
-            factors=factors,
             invariant=invariant,
             maximal_types=maximal_terms,
             fast_coefficients=fast,
-            reference_labels=o2.reference_red_labels(_degree_index(j_o), 1),
         )
 
     def census(self):

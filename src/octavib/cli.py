@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 
-from . import bifurcation, force_field, group_core, modes, orbit_o2
+from . import bifurcation, force_field, group_core, orbit_o2
 from ._serialize import dumps, format_float
 from .errors import ConfigError, ConsistencyError, OctavibError, ResonanceError
 
@@ -71,6 +71,7 @@ def cmd_spectrum(args):
 
 
 def cmd_critical(args):
+    bifurcation.check_lambda_max(args.max)
     try:
         alphas = _request(args).frequencies
     except ResonanceError as exc:
@@ -87,12 +88,11 @@ def cmd_critical(args):
 
 
 def cmd_invariant(args):
-    eng = _request(args).engine
     j = args.j
     if j not in bifurcation.ISOTYPIC:
         raise ConfigError(f"--j must be one of {', '.join(bifurcation.ISOTYPIC)}")
     full = args.full or j in ("0", "7*", "4", "7")
-    rep = eng.report(j, full=full)
+    rep = _request(args).engine.report(j, full=full)
     if rep.invariant is not None:
         print(f"invariant={rep.invariant.to_json()}")
     print("maximal_types:")
@@ -119,10 +119,13 @@ def cmd_census(args):
 
 
 def cmd_modes(args):
+    from . import modes  # the one command that builds arrays of samples
+
     outdir = args.out or "."
     _output_directory(outdir)
+    samples = modes.DEFAULT_SAMPLES if args.samples is None else args.samples
     shop = modes.ModeWorkshop(_request(args))
-    traj = shop.build_mode(args.j, args.k, args.eps, args.samples)
+    traj = shop.build_mode(args.j, args.k, args.eps, samples)
     passed, report = shop.verify_symmetry(traj)
     stem = f"mode_j{args.j.replace('*', 's')}_k{args.k}"
     csv_path = os.path.join(outdir, stem + ".csv")
@@ -204,7 +207,7 @@ def build_parser():
     sm.add_argument("--j", required=True, help="isotypic label")
     sm.add_argument("--k", type=int, default=1, help="type index within the block")
     sm.add_argument("--eps", type=float, default=0.05, help="amplitude")
-    sm.add_argument("--samples", type=int, default=modes.DEFAULT_SAMPLES)
+    sm.add_argument("--samples", type=int)  # None: modes.DEFAULT_SAMPLES
     sm.add_argument("--out", help="output directory")
 
     scat = sub.add_parser("catalog", help="subgroup catalog dump")

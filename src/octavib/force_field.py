@@ -243,7 +243,12 @@ class Equilibrium:
         return self.radius * OCTAHEDRON
 
 
-def find_equilibrium(params, lo=1e-3, hi=1e3):
+# the radii the equilibrium search brackets phi' on, 200 points spaced evenly
+# in log r
+SEARCH_LO, SEARCH_HI = 1e-3, 1e3
+
+
+def find_equilibrium(params):
     """Locate the radial minimizer of phi by bisection plus one Newton polish."""
     if params.sigma1 == params.sigma2 == params.sigma3 == 0:
         return Equilibrium(1.0, params)  # pure bond stretching
@@ -251,13 +256,13 @@ def find_equilibrium(params, lo=1e-3, hi=1e3):
     # the first grid step where phi' turns from negative to nonnegative
     # (phi' overflows at the grid's ends for extreme σ; inf and nan compare
     # as the scalar values would, so only the warnings are dropped)
-    grid = np.geomspace(lo, hi, 200)
+    grid = np.geomspace(SEARCH_LO, SEARCH_HI, 200)
     with np.errstate(all="ignore"):
         vals = phi_prime(params, grid)
     steps = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
     if not steps.size:
         raise SearchFailureError(
-            f"no sign change of phi' in ({lo:g}, {hi:g}) for {params}"
+            f"no sign change of phi' in ({SEARCH_LO:g}, {SEARCH_HI:g})"
         )
     a, b = grid[steps[0]], grid[steps[0] + 1]
     for _ in range(100):

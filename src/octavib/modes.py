@@ -19,6 +19,7 @@ pairs through them and solves nothing per σ.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,19 +65,30 @@ class ModeWorkshop:
 
     Built from a ``bifurcation.Request``, or from the parameters of a new
     one (the reference parameters by default); the equilibrium and the
-    Cartesian spectrum are the request's.
+    Cartesian spectrum are the request's, read on first use, so
+    ``build_mode`` refuses malformed arguments before any work on σ.
     """
 
     def __init__(self, params=None):
-        request = (
+        self.request = (
             params if isinstance(params, bifurcation.Request)
             else bifurcation.Request(params or force_field.REFERENCE_PARAMS)
         )
-        self.params = request.params
-        self.radius = request.equilibrium.radius
-        self.center = request.equilibrium.configuration.reshape(18)
-        self.spectrum = request.cartesian_spectrum
+        self.params = self.request.params
         self.ring = orbit_o2.ring()
+
+    @property
+    def radius(self):
+        return self.request.equilibrium.radius
+
+    @cached_property
+    def center(self):
+        """The equilibrium 18-vector."""
+        return self.request.equilibrium.configuration.reshape(18)
+
+    @property
+    def spectrum(self):
+        return self.request.cartesian_spectrum
 
     def types_for(self, j):
         """Maximal symmetry classes of isotypic block j, in label order."""
@@ -118,17 +130,16 @@ class ModeWorkshop:
                             n_samples=DEFAULT_SAMPLES):
         """Trajectory of amplitude epsilon in the type's first fixed pair.
 
-        An amplitude above ``safe_amplitude()`` is refused; at or below it
-        no sample can collide, so none is checked.
+        A sample count the type's turns do not divide is refused first, before
+        any work on σ; then an amplitude above ``safe_amplitude()``.  At or
+        below it no sample can collide, so none is checked.
         """
+        _shift_groups(self.ring, type_class, n_samples)
         if epsilon > self.safe_amplitude():
             raise AmplitudeError(
                 f"amplitude {epsilon} exceeds the collision-safe bound "
                 f"{self.safe_amplitude():.3g}"
             )
-        # a sample count the type's turns do not divide is refused before
-        # any sample is built
-        _shift_groups(self.ring, type_class, n_samples)
         pairs = self.fixed_pairs(type_class, j)
         if not pairs:
             raise ConsistencyError(

@@ -212,7 +212,8 @@ class TestInvariants:
 
     def test_reference_label_sets(self, reports):
         for j, rep in reports.items():
-            assert {lb for lb, _, _ in rep.maximal_types} == set(rep.reference_labels)
+            reference = o2.reference_red_labels(bf._degree_index(j))
+            assert {lb for lb, _, _ in rep.maximal_types} == set(reference)
 
     def test_full_product_agreement_on_later_blocks(self, engine):
         # beyond the required trio, the five-factor block-8 product (which
@@ -221,7 +222,7 @@ class TestInvariants:
             rep = engine.report(j, full=True)
             assert rep.agreement(), j
             got = {lb for lb, _, _ in rep.maximal_types}
-            assert got == set(rep.reference_labels)
+            assert got == set(o2.reference_red_labels(bf._degree_index(j)))
             for _, coeff, weyl in rep.maximal_types:
                 assert abs(coeff) == 2 // weyl
 
@@ -471,7 +472,7 @@ class TestOffGridRefusal:
     def test_full_report_agrees(self):
         engine = engine_at(OFF_GRID_DRAW)
         rep = engine.report("9", full=True)
-        assert ("0", 11) in rep.factors
+        assert ("0", 11) in bf.factors_before("9", engine.alphas)
         assert rep.agreement()
         assert {lb for lb, _, _ in rep.maximal_types} == EXPECTED_CENSUS["9"]
 

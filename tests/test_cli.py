@@ -39,6 +39,17 @@ class TestEquilibrium:
         assert code == 0
         assert out.splitlines()[0] == "r0=1.0"
 
+    def test_no_equilibrium_names_sigma_once(self, capsys, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("sigma1=1e300\nsigma2=0\nsigma3=0\n")
+        code, out, err = run(capsys, "--config", str(cfg), "equilibrium")
+        assert (code, out) == (1, "")
+        assert err == (
+            "numerical failure: no sign change of phi' in (0.001, 1000)"
+            " (sigma1=1e+300, sigma2=0.0, sigma3=0.0)\n"
+        )
+        assert err.count("sigma1=") == 1
+
     def test_malformed_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("sigma1=0.1\noops\n")
@@ -438,25 +449,30 @@ SIGMA_EDGES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300)
 
 
 @st.composite
-def modes_requests(draw):
-    """(σ, `modes` arguments).  Half the σ lie in the benchmark's sweep box
-    around the reference; the rest take each σ_i from its edges, twelve
-    decades around 1 as in the wide grid, or any float up to 1e300, so σ1 = 0
-    with σ2 > 0, which ``load_params`` refuses, comes up too.  --eps runs
-    from 0 to twice the σ's collision-safe bound, or is nan or inf; --k runs
-    one beyond each end of the largest block."""
+def sigma_triples(draw):
+    """Half the σ lie in the benchmark's sweep box around the reference; the
+    rest take each σ_i from its edges, twelve decades around 1 as in the wide
+    grid, or any float up to 1e300, so σ1 = 0 with σ2 > 0, which
+    ``load_params`` refuses, comes up too."""
     if draw(st.booleans()):
         reference = force_field.REFERENCE_PARAMS
-        sigmas = tuple(
+        return tuple(
             s * math.exp(draw(st.floats(-0.5, 0.5)))
             for s in (reference.sigma1, reference.sigma2, reference.sigma3)
         )
-    else:
-        sigmas = tuple(draw(st.one_of(
-            st.sampled_from(SIGMA_EDGES),
-            st.floats(-6.0, 6.0).map(lambda u: 10.0 ** u),
-            st.floats(0.0, 1e300),
-        )) for _ in range(3))
+    return tuple(draw(st.one_of(
+        st.sampled_from(SIGMA_EDGES),
+        st.floats(-6.0, 6.0).map(lambda u: 10.0 ** u),
+        st.floats(0.0, 1e300),
+    )) for _ in range(3))
+
+
+@st.composite
+def modes_requests(draw):
+    """(σ, `modes` arguments), σ from ``sigma_triples``.  --eps runs from 0
+    to twice the σ's collision-safe bound, or is nan or inf; --k runs one
+    beyond each end of the largest block."""
+    sigmas = draw(sigma_triples())
     try:
         bound = 0.45 * force_field.find_equilibrium(force_field.PotentialParams(*sigmas)).radius
     except OctavibError:
@@ -499,6 +515,147 @@ class TestModesExitCodes:
             assert modes_outcome(cfg, out_dir, argv) == first
 
 
+# options each command refuses before any work on σ, with their messages
+MALFORMED = {
+    ("invariant", "--j", "5"): "--j must be one of 0, 4, 7, 7*, 8, 9",
+    ("critical", "--max", "nan"): "lambda_max must be finite, got nan",
+    ("critical", "--max", "inf"): "lambda_max must be finite, got inf",
+    ("modes", "--j", "5"): "unknown isotypic label '5'",
+    ("modes", "--j", "0", "--k", "9"): "block 0 has 1 maximal types; k=9 is out of range",
+    ("modes", "--j", "0", "--k", "0"): "block 0 has 1 maximal types; k=0 is out of range",
+    ("modes", "--j", "0", "--samples", "0"): "need at least 8 samples per period",
+    ("modes", "--j", "0", "--samples", "3"): "need at least 8 samples per period",
+    ("modes", "--j", "0", "--samples", "70000"):
+        "70000 samples per period exceed the bound of 65536",
+    ("modes", "--j", "9", "--samples", "121"):
+        "phase 1/2 of a turn needs the sample count to be a multiple of 2",
+    ("modes", "--j", "0", "--eps", "nan"): "epsilon must be finite and nonnegative, got nan",
+    ("modes", "--j", "0", "--eps", "-1"): "epsilon must be finite and nonnegative, got -1.0",
+}
+
+
+class TestMalformedOptions:
+    """A malformed option exits 2 whatever σ: at σ1 = 1e300 no equilibrium
+    exists, and at σ = 0 blocks 6 to 9 resonate, yet neither is reached."""
+
+    @pytest.mark.parametrize(
+        "params", ["sigma1=1e300\nsigma2=0\nsigma3=0\n", "sigma1=0\nsigma2=0\nsigma3=0\n"],
+        ids=["no-equilibrium", "resonant"],
+    )
+    @pytest.mark.parametrize("argv", list(MALFORMED), ids=" ".join)
+    def test_exit_2_before_any_work_on_sigma(self, capsys, tmp_path, params, argv):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(params)
+        out_dir = tmp_path / "out"
+        message = f"configuration error: {MALFORMED[argv]}\n"
+        argv += ("--out", str(out_dir)) if argv[0] == "modes" else ()
+        assert run(capsys, "--config", str(cfg), *argv) == (2, "", message)
+        assert not out_dir.exists()
+
+
+@st.composite
+def params_files(draw, sigmas):
+    """A params file for σ in ``load_params``' grammar, as bytes: the three
+    keys in any order, spaces around "=" or not, between comments and blank
+    lines, with LF or CRLF line ends.  One file in three has a fault: a
+    repeated, unknown or missing key, a value that is no number, not finite
+    or negative, a line without "=", or a comment that is not UTF-8."""
+    lines = [
+        f"sigma{i}{draw(st.sampled_from(('=', ' = ', '= ')))}{s!r}"
+        for i, s in enumerate(sigmas, 1)
+    ]
+    lines = draw(st.permutations(lines))
+    fault = draw(st.sampled_from(
+        (None,) * 12 + ("repeated", "unknown", "missing", "value", "no-equals", "latin-1")
+    ))
+    if fault == "repeated":
+        lines.append(draw(st.sampled_from(lines)))
+    elif fault == "unknown":
+        lines.append(draw(st.sampled_from(("sigma4=1", "Sigma1=1", "epsilon=0.05"))))
+    elif fault == "missing":
+        del lines[draw(st.integers(0, 2))]
+    elif fault == "value":
+        value = draw(st.sampled_from(("", "abc", "0x1p3", "nan", "-inf", "1e999", "-1")))
+        lines[draw(st.integers(0, 2))] = f"sigma{draw(st.integers(1, 3))}={value}"
+    elif fault == "no-equals":
+        lines.insert(draw(st.integers(0, 3)), "sigma1 0.1")
+    text = [line.encode() for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from((b"", b"   ", b"# a comment", b"#sigma1=5", b"  # x=y")))
+        text.insert(draw(st.integers(0, len(text))), extra)
+    if fault == "latin-1":
+        text.insert(draw(st.integers(0, len(text))), b"# caf\xe9 \xff")
+    end = draw(st.sampled_from((b"\n", b"\r\n")))
+    return b"".join(line + end for line in text)
+
+
+ONE_SHOT = ("equilibrium", "spectrum", "critical", "invariant", "census", "catalog")
+
+
+@st.composite
+def one_shot_requests(draw, command):
+    """(σ, params-file bytes, arguments) for a command other than `modes`:
+    --max is nan, inf, negative or up to 1e6, and --j one of the blocks or
+    no block at all."""
+    sigmas = draw(sigma_triples())
+    argv = [command]
+    if command == "critical":
+        bound = draw(st.one_of(
+            st.sampled_from((math.nan, math.inf, -math.inf)),
+            st.floats(-1e6, 0.0),
+            st.floats(0.0, 10.0),
+            st.floats(0.0, 1e6),
+        ))
+        argv.append(f"--max={bound!r}")  # "--max -inf" would read as an option
+    elif command == "invariant":
+        argv += ["--j", draw(st.sampled_from(bifurcation.ISOTYPIC + ("5", "6", "7**", "")))]
+        argv += ["--full"] if draw(st.booleans()) else []
+    elif command == "catalog":
+        argv += ["--catalog-dump"] if draw(st.booleans()) else []
+    return sigmas, draw(params_files(sigmas)), argv
+
+
+def malformed(argv):
+    """Whether an option is refused whatever σ: a --j that names no block, a
+    --max that is not finite."""
+    if argv[0] == "invariant":
+        return argv[2] not in bifurcation.ISOTYPIC
+    if argv[0] == "critical":
+        return not math.isfinite(float(argv[1].removeprefix("--max=")))
+    return False
+
+
+def outcome(argv):
+    """`octavib` as its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ONE_SHOT)
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_one_shot_exit_0_1_or_2_and_the_same_bytes_again(command, data):
+    # every command but `modes` ends in a result or a refusal; a numerical
+    # refusal names σ once, a malformed option is refused whatever σ, and a
+    # second call repeats the first
+    sigmas, text, argv = data.draw(one_shot_requests(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "p.cfg"
+        cfg.write_bytes(text)
+        first = outcome(["--config", str(cfg), *argv])
+        assert outcome(["--config", str(cfg), *argv]) == first
+    code, _, err = first
+    assert code in (0, 1, 2), (sigmas, text, argv, err)
+    if code == 1:
+        named = ", ".join(f"sigma{i}={s!r}" for i, s in enumerate(sigmas, 1))
+        assert err.startswith("numerical failure: "), err
+        assert err.endswith(f" ({named})\n") and err.count("sigma1=") == 1, err
+    if malformed(argv):
+        assert code == 2 and err.startswith("configuration error: "), (argv, err)
+
+
 class TestCatalog:
     def test_subgroup_dump(self, capsys):
         code, out, _ = run(capsys, "catalog")
@@ -538,20 +695,21 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+def python(code):
+    """What a fresh interpreter running code prints, the package on its path."""
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")
+    ])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    return proc.stdout
+
+
 class TestOneParserPerProcess:
     """``main`` parses with one parser per process; no call leaks into the next."""
-
-    @staticmethod
-    def python(code):
-        src = pathlib.Path(cli.__file__).parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            str(src), os.environ.get("PYTHONPATH")
-        ])))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-            check=True,
-        )
-        return proc.stdout
 
     def test_two_commands_print_what_two_processes_print(self, tmp_path):
         cfg = tmp_path / "p.cfg"
@@ -559,8 +717,8 @@ class TestOneParserPerProcess:
         first = ["--config", str(cfg), "critical", "--max", "2"]
         second = ["equilibrium"]  # the reference σ: the first --config must not stick
         call = "from octavib import cli; cli.main({!r})"
-        apart = self.python(call.format(first)) + self.python(call.format(second))
-        together = self.python(call.format(first) + "; " + call.format(second))
+        apart = python(call.format(first)) + python(call.format(second))
+        together = python(call.format(first) + "; " + call.format(second))
         assert together == apart
         assert cli.build_parser() is cli.build_parser()
 
@@ -574,3 +732,31 @@ class TestOneParserPerProcess:
             assert exc.value.code == 2
         assert "usage: octavib" in capsys.readouterr().err
         assert run(capsys, "invariant", "--j", "0")[0] == 0
+
+
+class TestColdImports:
+    """What a fresh process loads: the package root alone loads neither numpy
+    nor a submodule, and only `modes` loads ``octavib.modes``."""
+
+    def test_package_root_loads_nothing(self):
+        code = (
+            "import sys, octavib; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('octavib')))"
+        )
+        assert python(code) == "['octavib']\n"
+
+    def test_only_modes_loads_modes(self, tmp_path):
+        one_shot = [
+            ["equilibrium"], ["spectrum"], ["critical"], ["invariant", "--j", "8"],
+            ["census"], ["catalog"],
+        ]
+        code = "\n".join((
+            "import contextlib, io, sys",
+            "from octavib import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert all(cli.main(argv) == 0 for argv in {one_shot!r})",
+            "    before = [m in sys.modules for m in ('octavib.modes', 'octavib._kernels')]",
+            f"    assert cli.main(['modes', '--j', '0', '--out', {str(tmp_path)!r}]) == 0",
+            "print(*before, 'octavib.modes' in sys.modules)",
+        ))
+        assert python(code) == "False False True\n"

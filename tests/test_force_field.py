@@ -263,8 +263,9 @@ class TestEquilibrium:
         assert ff.phi(params, 1e3) > floor + 1e3
 
     def test_search_failure(self):
+        # phi' < 0 over the whole grid: the repulsion puts the minimum past 1e3
         with pytest.raises(SearchFailureError):
-            ff.find_equilibrium(ff.PotentialParams(0, 0, 1e12), hi=10.0)
+            ff.find_equilibrium(ff.PotentialParams(1e300, 0, 0))
 
 
 class TestHessian:
