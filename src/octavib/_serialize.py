@@ -6,8 +6,11 @@ whole array, for the exported CSV trajectories and for float arrays in JSON,
 once per distinct value: through ``_kernels.format_values``, an exact array
 kernel, from ``KERNEL_MIN_VALUES`` distinct values on, and value by value
 (``_per_value``) below.  The kernels, and their inverse
-``_kernels.parse_values``, are imported on first use.
+``_kernels.parse_values``, are imported on first use.  ``write_over`` writes
+every file the package writes.
 """
+
+import os
 
 import numpy as np
 
@@ -40,7 +43,8 @@ def _fmt(value):
         # a list of rows, written as the nested lists of its values would be
         if not np.isfinite(value).all():
             raise ValueError("non-finite float in JSON document")
-        return "[" + ",".join(f"[{row}]" for row in format_rows(value)) + "]"
+        rows = b",".join(b"[" + row + b"]" for row in format_rows(value))
+        return "[" + rows.decode() + "]"
     try:
         return _fmt(float(value))
     except (TypeError, ValueError):
@@ -49,6 +53,27 @@ def _fmt(value):
 
 def dumps(doc):
     return _fmt(doc)
+
+
+def write_over(path, data):
+    """Write the bytes data to path, over the file's old bytes.
+
+    The file is created (mode 0o666 less the umask, as ``open(path, "w")``
+    makes it) or overwritten in place and trimmed to ``len(data)``, never
+    truncated to zero first: on ext4 with ``auto_da_alloc`` a file truncated
+    to zero and rewritten starts its write-back at ``close()``.  A FIFO or
+    ``os.devnull``, whose size reads 0, is written and left as it is.  Like
+    ``open(path, "w")`` it is not atomic: a reader may see old and new
+    bytes mixed, and an error part way leaves the file partly written.
+    Returns path.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        longer = os.fstat(fd).st_size > len(data)
+        fh.write(data)
+        if longer:
+            fh.truncate()
+    return path
 
 
 def format_float(x):
@@ -64,8 +89,8 @@ KERNEL_MIN_VALUES = 512
 
 
 def format_rows(data):
-    """Yield each row of a 2-D float array as its cells joined by ","
-    with every cell as ``format_float`` prints it.
+    """Yield each row of a 2-D float array as ASCII bytes: its cells joined
+    by "," with every cell as ``format_float`` prints it.
 
     A mode repeats its coordinates across columns and half a period apart,
     so the rule runs once per distinct bit pattern of the whole array (-0.0
@@ -83,7 +108,7 @@ def format_rows(data):
         table = _per_value(values)
     for start in range(0, len(index), 256):
         for cells in table[index[start : start + 256]].tolist():
-            yield b",".join(cells).decode()
+            yield b",".join(cells)
 
 
 def distinct_bits(data):

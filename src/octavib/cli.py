@@ -2,9 +2,12 @@
 
 Subcommands: equilibrium, spectrum, critical, invariant, modes, catalog.
 Exit codes: 0 ok, 1 numerical failure (its message names the σ it
-happened at), 2 bad configuration, 3 internal consistency failure.  All
-output is deterministic: sorted JSON keys and floats printed with 17
-significant digits.
+happened at), 2 bad configuration, 3 internal consistency failure, 141
+standard output closed before all output was written (128 + SIGPIPE, as a
+shell reports a process that SIGPIPE ended; nothing is printed on stderr).
+All output is deterministic: sorted JSON keys and floats printed with 17
+significant digits.  Every file is written by ``_serialize.write_over``,
+over its old bytes.
 """
 
 import argparse
@@ -14,8 +17,10 @@ import os
 import sys
 
 from . import bifurcation, force_field, group_core, orbit_o2
-from ._serialize import dumps, format_float
+from ._serialize import dumps, format_float, write_over
 from .errors import ConfigError, ConsistencyError, OctavibError, ResonanceError
+
+EXIT_BROKEN_PIPE = 141
 
 
 @contextlib.contextmanager
@@ -49,6 +54,29 @@ def _output_directory(path):
         raise ConfigError(f"cannot write {path}: not a directory")
 
 
+def _output_file(args, name):
+    """--out's file name, or None without --out.  ``spectrum`` and
+    ``catalog`` create no directory, so they refuse an --out that is not an
+    existing directory here, before any work on σ."""
+    if not args.out:
+        return None
+    path = os.path.join(args.out, name)
+    if not os.path.isdir(args.out):
+        _output_directory(args.out)  # a file, or under one
+        raise ConfigError(f"cannot write {path}: No such file or directory")
+    return path
+
+
+def _emit(path, text):
+    """Print text, or write it as a line to path and print where."""
+    if path is None:
+        print(text)
+        return
+    with _writing():
+        write_over(path, (text + "\n").encode())
+    print(f"wrote {path}")
+
+
 def cmd_equilibrium(args):
     request = _request(args)
     params, r0 = request.params, request.equilibrium.radius
@@ -59,14 +87,8 @@ def cmd_equilibrium(args):
 
 
 def cmd_spectrum(args):
-    doc = _request(args).spectrum.to_json()
-    if args.out:
-        path = os.path.join(args.out, "spectrum.json")
-        with _writing(), open(path, "w") as fh:
-            fh.write(doc + "\n")
-        print(f"wrote {path}")
-    else:
-        print(doc)
+    path = _output_file(args, "spectrum.json")
+    _emit(path, _request(args).spectrum.to_json())
     return 0
 
 
@@ -133,8 +155,7 @@ def cmd_modes(args):
     with _writing():
         os.makedirs(outdir, exist_ok=True)
         modes.export_trajectory(traj, csv_path)
-        with open(man_path, "w") as fh:
-            fh.write(modes.mode_manifest(traj, passed, report) + "\n")
+        write_over(man_path, (modes.mode_manifest(traj, passed, report) + "\n").encode())
     print(f"wrote {csv_path}")
     print(f"wrote {man_path}")
     print(f"symmetry=({traj.symmetry}) verified={'true' if passed else 'false'}")
@@ -142,6 +163,8 @@ def cmd_modes(args):
 
 
 def cmd_catalog(args):
+    path = _output_file(args, "catalog.json")
+    _request(args)  # the catalog reads no σ, but a malformed --config is refused
     cat = group_core.catalog()
     doc = {"subgroup_classes": cat.export()}
     if args.with_o2:
@@ -166,14 +189,7 @@ def cmd_catalog(args):
             }
             for ci in orbit_o2.graph_classes(1)
         ]
-    text = dumps(doc)
-    if args.out:
-        path = os.path.join(args.out, "catalog.json")
-        with _writing(), open(path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {path}")
-    else:
-        print(text)
+    _emit(path, dumps(doc))
     return 0
 
 
@@ -232,10 +248,26 @@ _DISPATCH = {
 }
 
 
+def _discard_stdout():
+    """Point standard output at os.devnull, so the flush at exit does not
+    meet the closed pipe again; signal handlers are left as they are."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        stdout = sys.stdout.fileno()  # a stream with no descriptor is left alone
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout)
+        os.close(devnull)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        if sys.stdout is not None:  # None in a process started without one
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 3

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bifurcation, force_field, group_core, orbit_o2, spectral
-from ._serialize import RowWidthError, dumps, format_rows
+from ._serialize import RowWidthError, dumps, format_rows, write_over
 from .burnside import cached
 from .errors import AmplitudeError, ConfigError, ConsistencyError, SamplingError
 
@@ -366,16 +366,13 @@ CSV_HEADER = "t," + ",".join(f"{c}{i}" for i in range(1, 7) for c in ("x", "y", 
 def export_trajectory(traj, path):
     """Write the sampled trajectory as CSV, every cell as ``format_float``
     prints it (``format_rows``).  Non-finite samples raise ``ValueError``
-    before the file is opened; the whole text is formatted first and
-    written at once.
+    before the file is opened; the whole text is formatted first, as bytes,
+    and written at once over the file's old bytes (``write_over``).
     """
     data = np.column_stack((traj.times, traj.samples))
     if not np.isfinite(data).all():
         raise ValueError(f"non-finite sample; {path} not written")
-    text = "\n".join([CSV_HEADER, *format_rows(data)]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
+    return write_over(path, b"\n".join([CSV_HEADER.encode(), *format_rows(data), b""]))
 
 
 def read_trajectory(path):

@@ -1,10 +1,12 @@
 import collections
 import contextlib
+import errno
 import io
 import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octavib import bifurcation, cli, force_field, modes, orbit_o2, spectral
-from octavib.errors import OctavibError
+from octavib.errors import ConfigError, OctavibError
 
 from conftest import UNSTABLE_REPORTED_9
 
@@ -126,6 +128,59 @@ class TestUnusablePaths:
         code, _, err = run(capsys, "catalog", "--out", str(target.parent))
         assert code == 2
         assert f"cannot write {target}" in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["spectrum"], "spectrum.json"), (["catalog"], "catalog.json"),
+         (["modes", "--j", "0", "--samples", "8"], "mode_j0_k1.json")],
+        ids=["spectrum", "catalog", "modes"],
+    )
+    @pytest.mark.parametrize("kind", ["read-only", "directory"])
+    def test_unwritable_existing_file_exit_2(
+        self, capsys, monkeypatch, tmp_path, argv, name, kind
+    ):
+        target = tmp_path / name
+        if kind == "directory":
+            target.mkdir()
+            reason = "Is a directory"
+        else:
+            target.write_bytes(b"old bytes")
+            target.chmod(0o444)
+            reason = "Permission denied"
+            if os.access(target, os.W_OK):
+                # this process may write read-only files (root): refuse the
+                # way the kernel refuses every other user
+                real_open = os.open
+
+                def refusing(path, flags, *rest):
+                    if os.fspath(path) == str(target) and flags & (os.O_WRONLY | os.O_RDWR):
+                        raise PermissionError(errno.EACCES, reason, path)
+                    return real_open(path, flags, *rest)
+
+                monkeypatch.setattr(os, "open", refusing)
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"configuration error: cannot write {target}: {reason}\n"
+        if kind == "read-only":
+            assert target.read_bytes() == b"old bytes"
+
+    @pytest.mark.parametrize("command", ["spectrum", "catalog"])
+    @pytest.mark.parametrize(
+        "out", ["file", "file/sub", "missing"], ids=["file", "under-a-file", "missing"]
+    )
+    def test_out_refused_before_any_work_on_sigma(self, capsys, tmp_path, command, out):
+        # σ1 = 1e300 has no equilibrium, yet the path is refused first
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("sigma1=1e300\nsigma2=0\nsigma3=0\n")
+        (tmp_path / "file").write_text("")
+        target = tmp_path / out
+        code, stdout, err = run(capsys, "--config", str(cfg), command, "--out", str(target))
+        assert (code, stdout) == (2, "")
+        if out == "missing":
+            target, reason = target / f"{command}.json", "No such file or directory"
+        else:
+            reason = "not a directory"
+        assert err == f"configuration error: cannot write {target}: {reason}\n"
 
 
 class TestCritical:
@@ -590,13 +645,18 @@ def params_files(draw, sigmas):
 
 
 ONE_SHOT = ("equilibrium", "spectrum", "critical", "invariant", "census", "catalog")
+# the commands with an --out directory, and the file each writes there
+OUT_FILE = {"spectrum": "spectrum.json", "catalog": "catalog.json"}
+# --out as a path under a scratch directory that holds the directory "dir"
+# and the file "file": only "dir" can be written to
+OUT_PATHS = ("dir", "missing", "file", "file/sub")
 
 
 @st.composite
 def one_shot_requests(draw, command):
     """(σ, params-file bytes, arguments) for a command other than `modes`:
-    --max is nan, inf, negative or up to 1e6, and --j one of the blocks or
-    no block at all."""
+    --max is nan, inf, negative or up to 1e6, --j one of the blocks or
+    no block at all, and --out none or one of ``OUT_PATHS``."""
     sigmas = draw(sigma_triples())
     argv = [command]
     if command == "critical":
@@ -612,6 +672,9 @@ def one_shot_requests(draw, command):
         argv += ["--full"] if draw(st.booleans()) else []
     elif command == "catalog":
         argv += ["--catalog-dump"] if draw(st.booleans()) else []
+    if command in OUT_FILE:
+        out = draw(st.sampled_from((None,) + OUT_PATHS))
+        argv += ["--out", out] if out else []
     return sigmas, draw(params_files(sigmas)), argv
 
 
@@ -638,22 +701,42 @@ def outcome(argv):
 @given(data=st.data())
 def test_one_shot_exit_0_1_or_2_and_the_same_bytes_again(command, data):
     # every command but `modes` ends in a result or a refusal; a numerical
-    # refusal names σ once, a malformed option is refused whatever σ, and a
-    # second call repeats the first
+    # refusal names σ once, a malformed option, params file or --out is
+    # refused whatever σ, and a second call repeats the first, files included
     sigmas, text, argv = data.draw(one_shot_requests(command))
+    out = argv[argv.index("--out") + 1] if "--out" in argv else None
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = pathlib.Path(tmp) / "p.cfg"
+        tmp = pathlib.Path(tmp)
+        cfg = tmp / "p.cfg"
         cfg.write_bytes(text)
-        first = outcome(["--config", str(cfg), *argv])
-        assert outcome(["--config", str(cfg), *argv]) == first
-    code, _, err = first
+        (tmp / "dir").mkdir()
+        (tmp / "file").write_text("")
+        if out:
+            argv[-1] = str(tmp / out)
+
+        def call():
+            result = outcome(["--config", str(cfg), *argv])
+            return result, sorted((p.name, p.read_bytes()) for p in (tmp / "dir").iterdir())
+
+        first = call()
+        assert call() == first
+        try:
+            force_field.load_params(cfg)
+            refused_params = False
+        except ConfigError:
+            refused_params = True
+    (code, _, err), files = first
     assert code in (0, 1, 2), (sigmas, text, argv, err)
     if code == 1:
         named = ", ".join(f"sigma{i}={s!r}" for i, s in enumerate(sigmas, 1))
         assert err.startswith("numerical failure: "), err
         assert err.endswith(f" ({named})\n") and err.count("sigma1=") == 1, err
-    if malformed(argv):
+    if malformed(argv) or refused_params:
         assert code == 2 and err.startswith("configuration error: "), (argv, err)
+    if out in ("missing", "file", "file/sub"):
+        assert code == 2 and err.startswith("configuration error: cannot write "), (argv, err)
+    written = [OUT_FILE[command]] if out == "dir" and code == 0 else []
+    assert [name for name, _ in files] == written, (argv, err)
 
 
 class TestCatalog:
@@ -695,17 +778,82 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+def package_env(**extra):
+    """The environment with the package on PYTHONPATH."""
+    src = pathlib.Path(cli.__file__).parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")
+    ])), **extra)
+
+
 def python(code):
     """What a fresh interpreter running code prints, the package on its path."""
-    src = pathlib.Path(cli.__file__).parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(src), os.environ.get("PYTHONPATH")
-    ])))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(),
         check=True,
     )
     return proc.stdout
+
+
+class TestClosedStdout:
+    """Standard output closed before the output is written: exit 141 with
+    nothing on stderr, and the signal handlers left as they are."""
+
+    @pytest.mark.parametrize(
+        "argv", [["catalog"], ["catalog", "--catalog-dump"], ["equilibrium"]], ids=" ".join
+    )
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_exit_141_without_a_traceback(self, argv, unbuffered):
+        # buffered, the output fits the buffer and the pipe breaks at main's
+        # flush; unbuffered, at the first print
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "octavib.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=package_env(PYTHONUNBUFFERED=unbuffered),
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+        assert cli.EXIT_BROKEN_PIPE == 128 + signal.SIGPIPE
+
+    def test_started_without_stdout(self):
+        # with descriptor 1 closed at start, sys.stdout is None and print
+        # writes nothing: exit 0, as before
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "octavib.cli",
+             "equilibrium"],
+            stderr=subprocess.PIPE, env=package_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def test_in_process(self):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        before = signal.getsignal(signal.SIGPIPE)
+        with contextlib.redirect_stdout(Closed()):
+            assert cli.main(["equilibrium"]) == cli.EXIT_BROKEN_PIPE
+        assert signal.getsignal(signal.SIGPIPE) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["equilibrium"], ["spectrum"], ["critical"], ["invariant", "--j", "8"], ["census"],
+     ["catalog"], ["modes", "--j", "0"]],
+    ids=lambda argv: argv[0],
+)
+def test_repeated_key_exit_2_in_every_command(capsys, tmp_path, argv):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("sigma1=0.1\nsigma1=0.2\nsigma2=0.1\nsigma3=1\n")
+    argv = argv + (["--out", str(tmp_path / "out")] if argv[0] == "modes" else [])
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"configuration error: {cfg}:2: repeated key 'sigma1', first set on line 1\n"
+    )
 
 
 class TestOneParserPerProcess:

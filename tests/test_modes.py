@@ -1,5 +1,8 @@
 import math
+import os
+import stat
 import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -486,6 +489,15 @@ class TestExport:
             modes.export_trajectory(traj, path)
         assert not path.exists()
 
+    def test_non_finite_sample_leaves_the_old_file(self, shop, tmp_path):
+        path = modes.export_trajectory(shop.build_mode("0", 1, 0.05, 24), tmp_path / "m.csv")
+        old = path.read_bytes()
+        traj = shop.build_mode("9", 1, 0.05, 40)
+        traj.samples[3, 2] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            modes.export_trajectory(traj, path)
+        assert path.read_bytes() == old
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "body, message",
@@ -558,3 +570,56 @@ class TestExport:
         assert doc["symmetry"] == "D_1 x S_4^p"
         assert doc["verified"] is True
         assert len(doc["verified_generators"]) == 96
+
+
+class TestWriteOver:
+    """``export_trajectory`` writes over a file's old bytes, through
+    ``_serialize.write_over``, and leaves what ``open(path, "w")`` left."""
+
+    def test_over_longer_then_shorter_files(self, shop, tmp_path):
+        # 120 samples, then 8 over them (the tail trimmed), then 120 again
+        # over 8 (the file grows): each time the bytes open(path, "w") leaves
+        path = tmp_path / "mode.csv"
+        for i, n in enumerate((120, 8, 120)):
+            traj = shop.build_mode("7", 2, 0.05, n)
+            fresh = per_value_export(traj, tmp_path / f"fresh{i}.csv").read_bytes()
+            assert modes.export_trajectory(traj, path).read_bytes() == fresh, n
+
+    def test_devnull(self, shop):
+        traj = shop.build_mode("0", 1, 0.05, 24)
+        assert modes.export_trajectory(traj, os.devnull) == os.devnull
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_fifo(self, shop, tmp_path):
+        # a FIFO's size reads 0: it is written, and nothing is trimmed
+        traj = shop.build_mode("4", 1, 0.05, 24)
+        fresh = modes.export_trajectory(traj, tmp_path / "fresh.csv").read_bytes()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        modes.export_trajectory(traj, fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [fresh]
+
+    def test_new_file_mode_follows_the_umask(self, shop, tmp_path):
+        traj = shop.build_mode("0", 1, 0.05, 24)
+        old_mask = os.umask(0o027)
+        try:
+            with open(tmp_path / "open.csv", "w"):
+                pass
+            modes.export_trajectory(traj, tmp_path / "new.csv")
+        finally:
+            os.umask(old_mask)
+        want = stat.S_IMODE((tmp_path / "open.csv").stat().st_mode)
+        assert want == 0o640
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == want
+
+    def test_existing_file_keeps_its_mode(self, shop, tmp_path):
+        path = tmp_path / "mode.csv"
+        path.write_bytes(b"x" * 100_000)
+        path.chmod(0o600)
+        modes.export_trajectory(shop.build_mode("0", 1, 0.05, 24), path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600

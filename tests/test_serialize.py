@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -78,12 +80,12 @@ class TestArrays:
     def test_rows_match_format_float(self):
         data = np.array([EDGES, EDGES[::-1]])
         rows = list(format_rows(data))
-        assert rows == [",".join(format_float(v) for v in row) for row in data]
+        assert rows == [",".join(format_float(v) for v in row).encode() for row in data]
 
 
 def per_value_rows(data):
-    """``format_float`` on every cell (oracle for ``format_rows``)."""
-    return [",".join(format_float(v) for v in row) for row in data.tolist()]
+    """``format_float`` on every cell, as bytes (oracle for ``format_rows``)."""
+    return [",".join(format_float(v) for v in row).encode() for row in data.tolist()]
 
 
 # a mode's cells repeat, negated or not: each bit pattern is formatted once
@@ -106,9 +108,9 @@ class TestDistinctValues:
         assert rows == per_value_rows(data)
         # signed zero keeps its sign; the magnitudes on both sides of 1e16
         # keep their own branch of the rule
-        assert rows[0].split(",")[:6] == [
-            "0.0", "-0.0", "9007199254740992.0", "-9007199254740992.0",
-            "9999999999999998.0", "10000000000000000",
+        assert rows[0].split(b",")[:6] == [
+            b"0.0", b"-0.0", b"9007199254740992.0", b"-9007199254740992.0",
+            b"9999999999999998.0", b"10000000000000000",
         ]
 
     @pytest.mark.parametrize("value", [0.0, -0.0, 2.5, -1e16, 5e-324])
@@ -118,7 +120,7 @@ class TestDistinctValues:
 
     @pytest.mark.parametrize("shape", [(0, 19), (3, 0), (0, 0)])
     def test_empty(self, shape):
-        assert list(format_rows(np.zeros(shape))) == [""] * shape[0]
+        assert list(format_rows(np.zeros(shape))) == [b""] * shape[0]
 
     def test_strided_view(self):
         data = np.random.default_rng(5).choice(REPEATS, size=(40, 30))[::3, ::-2]
@@ -129,7 +131,7 @@ class TestDistinctValues:
         data = np.random.default_rng(9).normal(size=(10, 19))
         data[3, 4] = bad
         rows = list(format_rows(data))
-        assert rows[3].split(",")[4] == str(bad)  # nan, inf, -inf
+        assert rows[3].split(b",")[4] == str(bad).encode()  # nan, inf, -inf
         assert rows[:3] + rows[4:] == per_value_rows(np.delete(data, 3, axis=0))
 
 
@@ -484,3 +486,89 @@ class TestParseKernel:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert out.stdout.split() == ["0", "0"]
+
+
+# -- one writer ---------------------------------------------------------------
+
+PACKAGE = pathlib.Path(_serialize.__file__).parent
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+WRITING_METHODS = {"write_text", "write_bytes", "savetxt", "tofile", "fdopen"}
+# the functions of the package that may open a file for writing: the writer,
+# and the closed-pipe exit, which points standard output at os.devnull
+WRITERS = {("_serialize.py", "write_over"), ("cli.py", "_discard_stdout")}
+
+
+def opens_for_writing(call):
+    """Whether a call may open a file for writing: ``open`` (builtin,
+    ``io.open`` or a path's method) with a mode that is not a literal free of
+    "w", "a", "x" and "+", ``os.open`` unless its flags are ``os.O_*``
+    names joined by "|" and none of them a write flag, or a method in
+    ``WRITING_METHODS``."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    owner = ast.unparse(func.value) if isinstance(func, ast.Attribute) else None
+    if name == "open" and owner == "os":
+        flags = call.args[1] if len(call.args) > 1 else None
+        parts = []
+        while isinstance(flags, ast.BinOp) and isinstance(flags.op, ast.BitOr):
+            parts.append(flags.right)
+            flags = flags.left
+        parts.append(flags)
+        return not all(
+            isinstance(part, ast.Attribute) and part.attr.startswith("O_")
+            and part.attr not in WRITE_FLAGS
+            for part in parts
+        )
+    if name == "open":
+        position = 1 if owner in (None, "io") else 0
+        mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+        if mode is None and len(call.args) > position:
+            mode = call.args[position]
+        if mode is None:
+            return False
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+"))
+    return name in WRITING_METHODS
+
+
+def writing_functions(source):
+    """The functions of source, by name, that hold a call that may open a
+    file for writing (None for module level)."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and opens_for_writing(child):
+                found.add(function)
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, writes",
+    [
+        ("open(p)", False), ("open(p, 'rb')", False), ("open(p, encoding='utf-8')", False),
+        ("Path(p).open()", False), ("os.open(p, os.O_RDONLY)", False),
+        ("open(p, 'w')", True), ("open(p, mode='a')", True), ("open(p, m)", True),
+        ("io.open(p, 'r+')", True), ("Path(p).open('x')", True), ("p.write_text(s)", True),
+        ("np.savetxt(p, a)", True), ("os.open(p, os.O_WRONLY | os.O_CREAT)", True),
+        ("os.open(p, os.O_RDONLY | os.O_CLOEXEC)", False), ("os.open(p, flags)", True),
+        ("os.open(p, 1)", True), ("os.open(p)", True),
+        ("os.fdopen(fd, 'w')", True),
+    ],
+)
+def test_opens_for_writing(source, writes):
+    assert writing_functions(f"def f():\n    {source}\n") == ({"f"} if writes else set())
+
+
+def test_one_writer():
+    # every file the package writes goes through _serialize.write_over
+    found = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in writing_functions(path.read_text(encoding="utf-8"))
+    }
+    assert found == WRITERS
