@@ -5,9 +5,10 @@ integral value below 1e16, else ``%.17g``.  ``format_rows`` applies it to a
 whole array, for the exported CSV trajectories and for float arrays in JSON,
 once per distinct value: through ``_kernels.format_values``, an exact array
 kernel, from ``KERNEL_MIN_VALUES`` distinct values on, and value by value
-(``_per_value``) below.  The kernels, and their inverse
-``_kernels.parse_values``, are imported on first use.  ``write_over`` writes
-every file the package writes.
+(``_per_value``) below.  ``json_rows`` writes an array's rows as JSON lists
+with it, and ``JSONText`` carries rows written earlier into a document.
+The kernels, and their inverse ``_kernels.parse_values``, are imported on
+first use.  ``write_over`` writes every file the package writes.
 """
 
 import os
@@ -32,6 +33,8 @@ def _fmt(value):
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
+        if isinstance(value, JSONText):
+            return value
         return f'"{value.translate(_ESCAPES)}"'
     if isinstance(value, dict):
         items = sorted(value.items())
@@ -40,11 +43,7 @@ def _fmt(value):
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_fmt(v) for v in value) + "]"
     if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 2:
-        # a list of rows, written as the nested lists of its values would be
-        if not np.isfinite(value).all():
-            raise ValueError("non-finite float in JSON document")
-        rows = b",".join(b"[" + row + b"]" for row in format_rows(value))
-        return "[" + rows.decode() + "]"
+        return "[" + b",".join(json_rows(value)).decode() + "]"
     try:
         return _fmt(float(value))
     except (TypeError, ValueError):
@@ -53,6 +52,19 @@ def _fmt(value):
 
 def dumps(doc):
     return _fmt(doc)
+
+
+class JSONText(str):
+    """Text that is already a value as ``dumps`` writes it; ``dumps`` copies
+    it as it is."""
+
+
+def json_rows(data):
+    """Each row of a 2-D float array as ``dumps`` writes the list of its
+    values, as ASCII bytes; a non-finite cell is a ``ValueError``."""
+    if not np.isfinite(data).all():
+        raise ValueError("non-finite float in JSON document")
+    return [b"[" + row + b"]" for row in format_rows(data)]
 
 
 def write_over(path, data):

@@ -57,13 +57,18 @@ def _output_directory(path):
 def _output_file(args, name):
     """--out's file name, or None without --out.  ``spectrum`` and
     ``catalog`` create no directory, so they refuse an --out that is not an
-    existing directory here, before any work on σ."""
+    existing directory, or a file name that is a directory there, here,
+    before any work on σ.  A file they may not write (read-only) is refused
+    only when they write it: finding out earlier takes an open, which would
+    create the file for a request that is then refused."""
     if not args.out:
         return None
     path = os.path.join(args.out, name)
     if not os.path.isdir(args.out):
         _output_directory(args.out)  # a file, or under one
         raise ConfigError(f"cannot write {path}: No such file or directory")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: Is a directory")
     return path
 
 

@@ -17,6 +17,7 @@ Two Hessian conventions coexist (see ``hessian_blocks``):
   substitution (a,b,c) -> 2 r0^2 (a,b,c), (d,e) -> 2 (d,e).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,15 +249,28 @@ class Equilibrium:
 SEARCH_LO, SEARCH_HI = 1e-3, 1e3
 
 
+@functools.cache
+def search_grid():
+    """The 200 radii of the equilibrium search, built on first use; read-only."""
+    grid = np.geomspace(SEARCH_LO, SEARCH_HI, 200)
+    grid.flags.writeable = False
+    return grid
+
+
 def find_equilibrium(params):
-    """Locate the radial minimizer of phi by bisection plus one Newton polish."""
+    """Locate the radial minimizer of phi by bisection plus one Newton polish.
+
+    phi' is evaluated as one array on the grid; the bisection and the polish
+    run on Python floats, whose ``**`` calls the same libm ``pow`` as a
+    float64 scalar's, so the radius has the bits of the all-numpy search.
+    """
     if params.sigma1 == params.sigma2 == params.sigma3 == 0:
         return Equilibrium(1.0, params)  # pure bond stretching
 
     # the first grid step where phi' turns from negative to nonnegative
     # (phi' overflows at the grid's ends for extreme σ; inf and nan compare
     # as the scalar values would, so only the warnings are dropped)
-    grid = np.geomspace(SEARCH_LO, SEARCH_HI, 200)
+    grid = search_grid()
     with np.errstate(all="ignore"):
         vals = phi_prime(params, grid)
     steps = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
@@ -264,7 +278,9 @@ def find_equilibrium(params):
         raise SearchFailureError(
             f"no sign change of phi' in ({SEARCH_LO:g}, {SEARCH_HI:g})"
         )
-    a, b = grid[steps[0]], grid[steps[0] + 1]
+    # every power of r within the grid is a normal float, so no ``**`` or
+    # division on Python floats below raises
+    a, b = grid[steps[0] : steps[0] + 2].tolist()
     for _ in range(100):
         mid = 0.5 * (a + b)
         if phi_prime(params, mid) < 0:
@@ -310,6 +326,20 @@ _M_OPP = _DIFF_OPP[:, :, None] * _DIFF_OPP[:, None, :]  # (6, 3, 3)
 _M_SELF = OCTAHEDRON[:, :, None] * OCTAHEDRON[:, None, :]  # p_j p_j^T
 
 
+def block_coefficients(a, b, c, d, e, convention="reported", r0=None):
+    """The five coefficients (qa, qb, qc, ia, ib) of the block matrix of the
+    stiffness constants (a, b, c, d, e) in a convention (see
+    ``blocks_from_stiffness``)."""
+    if convention == "reported":
+        return 2 * a, 2 * b, 2 * c, e, d
+    if convention == "cartesian":
+        if r0 is None:
+            raise ConfigError("cartesian convention needs the equilibrium radius")
+        s = 2 * r0 * r0
+        return 2 * s * a, 2 * s * b, 2 * s * c, 2 * e, 2 * d
+    raise ConfigError(f"unknown convention {convention!r}")
+
+
 def blocks_from_stiffness(a, b, c, d, e, convention="reported", r0=None):
     """Assemble an 18x18 block matrix from the five stiffness constants.
 
@@ -318,16 +348,7 @@ def blocks_from_stiffness(a, b, c, d, e, convention="reported", r0=None):
     starts at qc*p_j p_j^T - ib*I and adds qa*m over ADJACENT[j] in order,
     then qb*m of the opposite vertex.
     """
-    if convention == "reported":
-        qa, qb, qc, ia, ib = 2 * a, 2 * b, 2 * c, e, d
-    elif convention == "cartesian":
-        if r0 is None:
-            raise ConfigError("cartesian convention needs the equilibrium radius")
-        s = 2 * r0 * r0
-        qa, qb, qc, ia, ib = 2 * s * a, 2 * s * b, 2 * s * c, 2 * e, 2 * d
-    else:
-        raise ConfigError(f"unknown convention {convention!r}")
-
+    qa, qb, qc, ia, ib = block_coefficients(a, b, c, d, e, convention, r0)
     diag = qc * _M_SELF - ib * _EYE
     for n in range(4):
         diag += qa * _M_ADJ[:, n]
@@ -339,14 +360,10 @@ def blocks_from_stiffness(a, b, c, d, e, convention="reported", r0=None):
     return H.transpose(0, 2, 1, 3).reshape(18, 18)
 
 
-def hessian_blocks(params, r0, convention="reported"):
-    """Assemble the equilibrium Hessian from its 3x3 closed-form blocks.
-
-    ``convention="reported"`` reproduces the reference block matrix (the
-    alpha^2 spectrum); ``"cartesian"`` produces the true second derivative
-    at r0 * template.  Requires r0 to satisfy the criticality condition to
-    within what rounding its three summands, or r0 itself, can leave
-    (r0 * dct/dr is phi''/12 less the residual).
+def equilibrium_stiffness(params, r0):
+    """The stiffness constants at r0, which must satisfy the criticality
+    condition to within what rounding its three summands, or r0 itself, can
+    leave (r0 * dct/dr is phi''/12 less the residual); else a ``ShapeError``.
     """
     adjacent, opposite, bond = _ct_terms(params, r0)
     scale = abs(adjacent) + abs(opposite) + abs(bond) + abs(phi_second(params, r0)) / 12
@@ -354,5 +371,15 @@ def hessian_blocks(params, r0, convention="reported"):
         raise ShapeError(
             "block Hessian is only valid at the octahedral equilibrium radius"
         )
-    a, b, c, d, e = stiffness(params, r0)
+    return stiffness(params, r0)
+
+
+def hessian_blocks(params, r0, convention="reported"):
+    """Assemble the equilibrium Hessian from its 3x3 closed-form blocks.
+
+    ``convention="reported"`` reproduces the reference block matrix (the
+    alpha^2 spectrum); ``"cartesian"`` produces the true second derivative
+    at r0 * template.  r0 is checked by ``equilibrium_stiffness``.
+    """
+    a, b, c, d, e = equilibrium_stiffness(params, r0)
     return blocks_from_stiffness(a, b, c, d, e, convention=convention, r0=r0)

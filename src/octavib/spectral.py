@@ -2,18 +2,22 @@
 
 The isotypic components of R^18 do not depend on σ.  ``Q`` is one exact
 basis of them, the symmetry coordinates of an octahedral AX6, in which
-Q^T H Q of an equivariant H is its Schur form: ``numeric_spectrum`` reads
-the seven labeled lines from eight numbers, with no eigensolver.
-``assign_eigenspaces`` (labels from restricted characters) is an oracle.
+Q^T H Q of an equivariant H is its Schur form: ``schur_spectrum`` reads the
+seven labeled lines from its eight numbers, with no eigensolver.
+``spectrum_at_equilibrium`` has them in closed form from the block
+Hessian's five coefficients; ``numeric_spectrum`` projects any equivariant
+matrix, and is, with ``assign_eigenspaces`` (labels from restricted
+characters), an oracle.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import force_field, group_core
-from ._serialize import dumps
+from ._serialize import JSONText, dumps, json_rows
 from .errors import InvalidCharacterError, LabelingError, NumericalError, ShapeError
 
 MULTIPLICITIES = {"0": 1, "4": 2, "6": 3, "7": 3, "7*": 3, "8": 3, "9": 3}
@@ -72,8 +76,28 @@ class SpectrumReport:
             ]
         }
         if self.basis is not None:
-            doc["basis"] = self.basis.T
+            doc["basis"] = _basis_json(self.basis)
         return dumps(doc)
+
+
+def _basis_json(basis):
+    """The columns of a basis as the JSON list of their values: a column of
+    ``_constant_rows`` from its table, the others formatted here."""
+    rows = np.ascontiguousarray(basis.T)
+    known = _constant_rows()
+    out = [known.get(row.tobytes()) for row in rows]
+    rest = [i for i, row in enumerate(out) if row is None]
+    for i, row in zip(rest, json_rows(rows[rest])):
+        out[i] = row
+    return JSONText("[" + b",".join(out).decode() + "]")
+
+
+@functools.cache
+def _constant_rows():
+    """The JSON list of each column of the σ-independent lines 0, 4, 6, 8
+    and 9, keyed by the column's bytes; formatted on first use."""
+    columns = np.hstack([BASES[j] for j in "04689"]).T
+    return dict(zip((c.tobytes() for c in columns), json_rows(columns)))
 
 
 def _frequency(line):
@@ -143,11 +167,10 @@ EQUIVARIANCE_RTOL = 1e-9
 def numeric_spectrum(hessian):
     """The seven labeled lines of an equivariant 18x18 matrix, by alpha^2.
 
-    One product reads the eight numbers of Q^T H Q's Schur form.  "7" and
-    "7*" are (p + r)/2 -+ hypot((p - r)/2, q), their columns the radial and
-    tangential copies turned by t = atan2(2q, p - r)/2.  A matrix that is
-    not symmetric, or whose Q^T H Q differs from its Schur form, beyond
-    ``EQUIVARIANCE_RTOL`` * max|H| is a ``ShapeError``.
+    One product reads the eight numbers of Q^T H Q's Schur form, which
+    ``schur_spectrum`` splits.  A matrix that is not symmetric, or whose
+    Q^T H Q differs from its Schur form, beyond ``EQUIVARIANCE_RTOL`` *
+    max|H| is a ``ShapeError``.
     """
     H = np.asarray(hessian, dtype=float)
     if H.shape != (18, 18):
@@ -159,12 +182,23 @@ def numeric_spectrum(hessian):
     schur = _DUAL @ M
     if np.max(np.abs(M - schur @ _PATTERNS)) > tol:
         raise ShapeError("matrix does not commute with the octahedral action")
-    *alpha_sq, p, q, r = schur.tolist()
+    return schur_spectrum(*schur.tolist())
+
+
+def schur_spectrum(a0, a4, a6, a8, a9, p, q, r):
+    """The seven labeled lines of the Schur form with these eight numbers:
+    the alpha^2 of blocks 0, 4, 6, 8 and 9, and [[p, q], [q, r]] on the
+    radial and tangential copies of 7.
+
+    "7" and "7*" are (p + r)/2 -+ hypot((p - r)/2, q), their columns the
+    radial and tangential copies turned by t = atan2(2q, p - r)/2.
+    """
     mid, half = (p + r) / 2, math.hypot((p - r) / 2, q)
     t = math.atan2(2 * q, p - r) / 2
     c, s, rad, tan = math.cos(t), math.sin(t), BASES["7"], _TANGENTIAL_7
-    out = [(j, a, BASES[j]) for j, a in zip("04689", alpha_sq)]
-    out[3:3] = [("7", mid - half, c * tan - s * rad), ("7*", mid + half, c * rad + s * tan)]
+    out = [("0", a0, BASES["0"]), ("4", a4, BASES["4"]), ("6", a6, BASES["6"]),
+           ("7", mid - half, c * tan - s * rad), ("7*", mid + half, c * rad + s * tan),
+           ("8", a8, BASES["8"]), ("9", a9, BASES["9"])]
     out.sort(key=lambda line: line[1])  # stable: a tie keeps the order 0 4 6 7 7* 8 9
     lines = tuple(SpectrumLine(j, a, B.shape[1]) for j, a, B in out)
     return SpectrumReport(lines, np.hstack([B for _, _, B in out]))
@@ -197,7 +231,22 @@ def assign_eigenspaces(report):
     return SpectrumReport(lines=tuple(labeled), basis=report.basis)
 
 
+_SQRT8 = math.sqrt(8)
+
+
 def spectrum_at_equilibrium(eq, convention="reported"):
-    """Labeled numeric spectrum of the block Hessian at an equilibrium."""
-    H = force_field.hessian_blocks(eq.params, eq.radius, convention=convention)
-    return numeric_spectrum(H)
+    """Labeled spectrum of the block Hessian at an equilibrium.
+
+    The block Hessian is linear in its coefficients (qa, qb, qc, ia, ib), so
+    its eight Schur numbers are a constant map of them, read here with no
+    matrix; ``numeric_spectrum`` of ``hessian_blocks`` is the oracle.  A
+    radius off the criticality condition is the ``ShapeError`` of
+    ``hessian_blocks``.
+    """
+    qa, qb, qc, ia, ib = force_field.block_coefficients(
+        *force_field.equilibrium_stiffness(eq.params, eq.radius), convention, eq.radius
+    )
+    return schur_spectrum(
+        8 * qa + 8 * qb + qc, 2 * qa + 8 * qb + qc, 0.0, 4 * qa, 2 * qa + 2 * ia - 2 * ib,
+        4 * qa + qc - 2 * ib, -_SQRT8 * (qa + ia), 2 * qa - 2 * ia - 2 * ib,
+    )

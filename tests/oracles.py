@@ -4,8 +4,9 @@ No request runs these.  They are the direct constructions the package's
 tables and kernels replace: the group tables by composing permutations, the
 subgroup enumeration, element constructors and conjugation in the
 temporal-spatial group, Weyl orders in a dihedral truncation, symbolic
-families matched against the catalog, the closed-form spectrum from the
-stiffness constants, and the brake checks of a mode.
+families matched against the catalog, the equilibrium search on float64
+scalars, the closed-form spectrum from the stiffness constants, and the
+brake checks of a mode.
 """
 
 import math
@@ -16,7 +17,13 @@ import numpy as np
 from octavib import force_field
 from octavib import group_core as gc
 from octavib import orbit_o2 as o2
-from octavib.errors import CatalogError, ConsistencyError, NumericalError, SamplingError
+from octavib.errors import (
+    CatalogError,
+    ConsistencyError,
+    NumericalError,
+    SamplingError,
+    SearchFailureError,
+)
 from octavib.spectral import MULTIPLICITIES, SpectrumLine, SpectrumReport
 
 # ---------------------------------------------------------------------------
@@ -181,6 +188,41 @@ def instantiate(family, l=1):
             if R.order_of(ci) == target_order and R.symbol_key(ci) == family.key(l):
                 results.add(ci)
     return sorted(results)
+
+
+# ---------------------------------------------------------------------------
+# the equilibrium search on float64 scalars
+# ---------------------------------------------------------------------------
+
+
+def numpy_scalar_equilibrium(params):
+    """``force_field.find_equilibrium`` with a grid built per call and the
+    bisection and the Newton polish on numpy float64 scalars (oracle for the
+    cached grid and the Python-float bisection)."""
+    if params.sigma1 == params.sigma2 == params.sigma3 == 0:
+        return force_field.Equilibrium(1.0, params)
+    lo, hi = force_field.SEARCH_LO, force_field.SEARCH_HI
+    grid = np.geomspace(lo, hi, 200)
+    with np.errstate(all="ignore"):
+        vals = force_field.phi_prime(params, grid)
+    steps = np.flatnonzero((vals[:-1] < 0) & (vals[1:] >= 0))
+    if not steps.size:
+        raise SearchFailureError(f"no sign change of phi' in ({lo:g}, {hi:g})")
+    a, b = grid[steps[0]], grid[steps[0] + 1]
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        if force_field.phi_prime(params, mid) < 0:
+            a = mid
+        else:
+            b = mid
+        if b - a < 1e-12 * mid:
+            break
+    r0 = 0.5 * (a + b)
+    fp = force_field.phi_prime(params, r0)
+    fpp = force_field.phi_second(params, r0)
+    if fpp > 0:
+        r0 -= fp / fpp
+    return force_field.Equilibrium(float(r0), params)
 
 
 # ---------------------------------------------------------------------------

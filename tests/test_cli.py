@@ -166,18 +166,22 @@ class TestUnusablePaths:
 
     @pytest.mark.parametrize("command", ["spectrum", "catalog"])
     @pytest.mark.parametrize(
-        "out", ["file", "file/sub", "missing"], ids=["file", "under-a-file", "missing"]
+        "out", ["file", "file/sub", "missing", "taken"],
+        ids=["file", "under-a-file", "missing", "file-name-is-a-directory"],
     )
     def test_out_refused_before_any_work_on_sigma(self, capsys, tmp_path, command, out):
         # σ1 = 1e300 has no equilibrium, yet the path is refused first
         cfg = tmp_path / "p.cfg"
         cfg.write_text("sigma1=1e300\nsigma2=0\nsigma3=0\n")
         (tmp_path / "file").write_text("")
+        (tmp_path / "taken" / f"{command}.json").mkdir(parents=True)
         target = tmp_path / out
         code, stdout, err = run(capsys, "--config", str(cfg), command, "--out", str(target))
         assert (code, stdout) == (2, "")
         if out == "missing":
             target, reason = target / f"{command}.json", "No such file or directory"
+        elif out == "taken":
+            target, reason = target / f"{command}.json", "Is a directory"
         else:
             reason = "not a directory"
         assert err == f"configuration error: cannot write {target}: {reason}\n"
@@ -647,9 +651,10 @@ def params_files(draw, sigmas):
 ONE_SHOT = ("equilibrium", "spectrum", "critical", "invariant", "census", "catalog")
 # the commands with an --out directory, and the file each writes there
 OUT_FILE = {"spectrum": "spectrum.json", "catalog": "catalog.json"}
-# --out as a path under a scratch directory that holds the directory "dir"
-# and the file "file": only "dir" can be written to
-OUT_PATHS = ("dir", "missing", "file", "file/sub")
+# --out as a path under a scratch directory that holds the directory "dir",
+# the file "file" and the directory "taken", in which each command's file
+# name is a directory: only "dir" can be written to
+OUT_PATHS = ("dir", "missing", "file", "file/sub", "taken")
 
 
 @st.composite
@@ -711,6 +716,8 @@ def test_one_shot_exit_0_1_or_2_and_the_same_bytes_again(command, data):
         cfg.write_bytes(text)
         (tmp / "dir").mkdir()
         (tmp / "file").write_text("")
+        for name in OUT_FILE.values():
+            (tmp / "taken" / name).mkdir(parents=True)
         if out:
             argv[-1] = str(tmp / out)
 
@@ -733,7 +740,7 @@ def test_one_shot_exit_0_1_or_2_and_the_same_bytes_again(command, data):
         assert err.endswith(f" ({named})\n") and err.count("sigma1=") == 1, err
     if malformed(argv) or refused_params:
         assert code == 2 and err.startswith("configuration error: "), (argv, err)
-    if out in ("missing", "file", "file/sub"):
+    if out in ("missing", "file", "file/sub", "taken"):
         assert code == 2 and err.startswith("configuration error: cannot write "), (argv, err)
     written = [OUT_FILE[command]] if out == "dir" and code == 0 else []
     assert [name for name, _ in files] == written, (argv, err)
@@ -892,6 +899,20 @@ class TestColdImports:
             "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('octavib')))"
         )
         assert python(code) == "['octavib']\n"
+
+    def test_only_spectrum_formats_the_basis_rows(self):
+        # the JSON rows of the constant columns are formatted on first use
+        code = "\n".join((
+            "import contextlib, io",
+            "from octavib import cli, spectral",
+            "rows = spectral._constant_rows.cache_info",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['invariant', '--j', '8']) == 0",
+            "    before = rows().currsize",
+            "    assert cli.main(['spectrum']) == 0",
+            "print(before, rows().currsize)",
+        ))
+        assert python(code) == "0 1\n"
 
     def test_only_modes_loads_modes(self, tmp_path):
         one_shot = [

@@ -5,23 +5,29 @@ Hessian, the spectrum JSON and the fixed pairs) is checked bit for bit
 against its loop oracle below, and the spectrum's labels and alpha^2
 against the per-line characters and a dense eigensolver, over the seed-1
 sweep box, the reference σ and σ = (0, 0, 0); the closed-form split of 7
-and 7* also over the wide grid.
+and 7* also over the wide grid.  The radius of the Python-float search, the
+closed-form spectrum and its JSON are checked against the float64 search,
+the projection of the block Hessian and ``dumps`` over the box and the
+400-draw wide grid, and every alpha^2 against its value at 50 digits.
 """
 
 import contextlib
 import io
+import math
 import re
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
-from octavib import cli, group_core, modes, spectral
+from octavib import bifurcation, cli, group_core, modes, spectral
 from octavib import force_field as ff
 from octavib._serialize import dumps
-from octavib.errors import SearchFailureError
+from octavib.errors import OctavibError, SearchFailureError, ShapeError
 
 from conftest import pair_operator, pinned_null_rows, sweep_box, wide_grid
+from oracles import numpy_scalar_equilibrium
 
 REFERENCE = ff.REFERENCE_PARAMS
 SIGMAS = [
@@ -160,6 +166,152 @@ def test_radius_equals_the_scalar_grid_bracket(sigmas):
     assert radius(sigmas) == scalar_grid_equilibrium(ff.PotentialParams(*sigmas))
 
 
+def outcome(search, sigmas):
+    """A search's radius, or the class and message of its refusal."""
+    try:
+        return search(ff.PotentialParams(*sigmas)).radius.hex()
+    except OctavibError as exc:
+        return type(exc), str(exc)
+
+
+BOX_AND_WIDE = (*SIGMAS, *wide_grid(400))
+
+
+def test_radius_has_the_bits_of_the_float64_search():
+    # the extremes below include σ with no equilibrium on the grid
+    extremes = [tuple(map(float, s)) for s in EXTREMES]
+    outcomes = [
+        (outcome(ff.find_equilibrium, s), outcome(numpy_scalar_equilibrium, s))
+        for s in (*BOX_AND_WIDE, *extremes)
+    ]
+    assert all(got == want for got, want in outcomes)
+    refused = [got for got, _ in outcomes if not isinstance(got, str)]
+    assert 0 < len(refused) < len(outcomes)  # both ends are compared
+
+
+def test_search_grid_is_read_only_geomspace():
+    grid = ff.search_grid()
+    assert grid is ff.search_grid()
+    assert not grid.flags.writeable
+    want = np.geomspace(ff.SEARCH_LO, ff.SEARCH_HI, 200)
+    assert grid.tobytes() == want.tobytes()
+
+
+def request_spectra():
+    """(equilibrium, convention, closed-form report or its ShapeError, the
+    projection's report or its ShapeError) over the box and the wide grid,
+    where the equilibrium exists."""
+    for sigmas in BOX_AND_WIDE:
+        try:
+            eq = ff.find_equilibrium(ff.PotentialParams(*sigmas))
+        except SearchFailureError:
+            continue
+        for convention in CONVENTIONS:
+            reports = []
+            for build in (
+                lambda: spectral.spectrum_at_equilibrium(eq, convention),
+                lambda: spectral.numeric_spectrum(
+                    ff.hessian_blocks(eq.params, eq.radius, convention)
+                ),
+            ):
+                try:
+                    reports.append(build())
+                except ShapeError as exc:
+                    reports.append(exc)
+            yield eq, convention, *reports
+
+
+def test_closed_form_lines_and_order_equal_the_projection():
+    # two lines may trade places only when their alpha^2 lie within the
+    # rounding of the largest: 6 (exactly 0 in closed form) and a 7 that
+    # cancels to 0 +- 2e5 next to alpha^2 of 1e21, in 10 of the 900 spectra
+    count, swapped = 0, 0
+    for eq, convention, closed, numeric in request_spectra():
+        if isinstance(numeric, ShapeError):
+            assert str(closed) == str(numeric)
+            continue
+        scale = max(abs(ln.alpha_sq) for ln in numeric.lines)
+        got, want = closed.alpha_sq, numeric.alpha_sq
+        assert got.keys() == want.keys()
+        assert all(abs(got[j] - want[j]) <= 1e-13 * scale for j in got)
+        rank = {ln.label: n for n, ln in enumerate(numeric.lines)}
+        order = [ln.label for ln in closed.lines]
+        for n, lower in enumerate(order):
+            for upper in order[n + 1 :]:
+                if rank[lower] > rank[upper]:
+                    assert got[upper] - got[lower] <= 1e-16 * scale
+        swapped += order != list(rank)
+        assert [B.shape for B in map(closed.basis_for, order)] == [
+            (18, spectral.MULTIPLICITIES[j]) for j in order
+        ]
+        for j in order:
+            # the columns of 0, 4, 6, 8 and 9 are those of ``BASES``; the
+            # turned copies of 7 agree as the Schur numbers do
+            assert np.abs(closed.basis_for(j) - numeric.basis_for(j)).max() <= 1e-8
+        count += 1
+    assert count > 2 * len(SIGMAS)
+    assert swapped <= 10
+
+
+def exact_lines(eq, convention):
+    """Each line's alpha^2 at 50 digits from the float stiffness constants
+    (and radius), with the same sums over the absolute values of their terms
+    as the scale the float value is rounded against."""
+    with mpmath.workdps(50):
+        a, b, c, d, e = map(mpmath.mpf, ff.stiffness(eq.params, eq.radius))
+        if convention == "reported":
+            coeffs = (2 * a, 2 * b, 2 * c, e, d)
+        else:
+            s = 2 * mpmath.mpf(eq.radius) ** 2
+            coeffs = (2 * s * a, 2 * s * b, 2 * s * c, 2 * e, 2 * d)
+
+        def lines(qa, qb, qc, ia, ib, sign):
+            # sign -1 gives the values, +1 with absolute coefficients the scales
+            p, r = 4 * qa + qc + sign * 2 * ib, 2 * qa + sign * 2 * (ia + ib)
+            q = mpmath.sqrt(8) * (qa + ia)
+            mid, half = (p + r) / 2, mpmath.sqrt(((p + sign * r) / 2) ** 2 + q * q)
+            return {
+                "0": 8 * qa + 8 * qb + qc, "4": 2 * qa + 8 * qb + qc, "8": 4 * qa,
+                "9": 2 * qa + 2 * ia + sign * 2 * ib,
+                "7": mid + sign * half, "7*": mid + half,
+            }
+
+        values = lines(*coeffs, -1)
+        scales = lines(*map(abs, coeffs), 1)
+        return {j: (values[j], float(scales[j])) for j in values}
+
+
+def test_alpha_sq_within_three_ulp_of_the_50_digit_value():
+    # an ulp of the sum of the absolute values of the line's terms: the
+    # projection of the block Hessian reached 5.1 ulp on the box and 1,319
+    # on the wide grid
+    worst = 0.0
+    for eq, convention, closed, _ in request_spectra():
+        if isinstance(closed, ShapeError):
+            continue
+        exact = exact_lines(eq, convention)
+        for ln in closed.lines:
+            if ln.label == "6":
+                assert ln.alpha_sq == 0.0
+                continue
+            value, scale = exact[ln.label]
+            err = abs(mpmath.mpf(ln.alpha_sq) - value) / math.ulp(scale)
+            worst = max(worst, float(err))
+    assert 1.0 < worst <= 3.0  # 1.46 on the box, 2.46 on the wide grid
+
+
+def test_request_reads_its_spectra_without_a_matrix(monkeypatch):
+    def matrix(*args, **kwargs):
+        raise AssertionError("the request assembled or projected a block Hessian")
+
+    monkeypatch.setattr(spectral, "numeric_spectrum", matrix)
+    monkeypatch.setattr(ff, "blocks_from_stiffness", matrix)
+    monkeypatch.setattr(ff, "hessian_blocks", matrix)
+    for sigmas in SIGMAS:
+        request = bifurcation.Request(ff.PotentialParams(*sigmas))
+        assert len(request.spectrum.lines) == len(request.cartesian_spectrum.lines) == 7
+
+
 @pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_blocks_equal_the_loop_assembly(sigmas, convention):
@@ -269,6 +421,24 @@ def test_spectrum_json_equals_the_nested_lists(sigmas):
     assert report.to_json() == dumps(doc)
     unlabeled = replace(report, basis=None)
     assert unlabeled.to_json() == dumps({"eigenvalues": doc["eigenvalues"]})
+
+
+def test_spectrum_json_equals_dumps_of_the_whole_document():
+    # the rows of 0, 4, 6, 8 and 9 come from a table formatted once; a basis
+    # whose columns are not in it (negated) is formatted row by row
+    count = 0
+    for _, _, closed, numeric in request_spectra():
+        for report in (closed, numeric, replace(closed, basis=-closed.basis)):
+            doc = {
+                "eigenvalues": [
+                    {"j": ln.label, "alpha_sq": ln.alpha_sq, "multiplicity": ln.multiplicity}
+                    for ln in report.lines
+                ],
+                "basis": report.basis.T,
+            }
+            assert report.to_json() == dumps(doc)
+        count += 1
+    assert count > 2 * len(SIGMAS)
 
 
 @pytest.mark.parametrize("sigmas", [SIGMAS[48], *(SIGMAS[i] for i in (0, 10, 16))],
