@@ -1,8 +1,14 @@
-"""Numpy force-field kernels, batched over configurations.
+"""The force field's pair and bond terms and its numpy kernels, batched over
+configurations.
 
-The force-field kernels take ligand positions as a ``(..., 6, 3)`` array and
-work over the 15 ligand pairs j < k; pair forces go back to the ligands
-through the fixed 6x15 incidence matrix.
+The pair term u1 and the bond term u2 are functions of a squared distance r,
+
+    u1(r) = s1/r^6 - s2/r^3 + s3/sqrt(r),      u2(r) = (sqrt(r) - 1)^2,
+
+each written here once with its first and second derivative in r.  The
+kernels take ligand positions as a ``(..., 6, 3)`` array and work over the
+15 ligand pairs j < k; pair forces go back to the ligands through the fixed
+6x15 incidence matrix.
 """
 
 import numpy as np
@@ -17,6 +23,30 @@ INCIDENCE[PAIR_J, np.arange(PAIR_J.size)] = 1.0
 INCIDENCE[PAIR_K, np.arange(PAIR_K.size)] = -1.0
 
 
+def u1(r, s1, s2, s3):
+    return s1 / r ** 6 - s2 / r ** 3 + s3 / np.sqrt(r)
+
+
+def u1_prime(r, s1, s2, s3):
+    return -6.0 * s1 / r ** 7 + 3.0 * s2 / r ** 4 - 0.5 * s3 * r ** -1.5
+
+
+def u1_second(r, s1, s2, s3):
+    return 42.0 * s1 / r ** 8 - 12.0 * s2 / r ** 5 + 0.75 * s3 * r ** -2.5
+
+
+def u2(r):
+    return (np.sqrt(r) - 1.0) ** 2
+
+
+def u2_prime(r):
+    return 1.0 - r ** -0.5
+
+
+def u2_second(r):
+    return 0.5 * r ** -1.5
+
+
 def pairs(pos):
     """Pair differences p_j - p_k (..., 15, 3) and their squares (..., 15)."""
     d = np.take(pos, PAIR_J, axis=-2) - np.take(pos, PAIR_K, axis=-2)
@@ -26,34 +56,31 @@ def pairs(pos):
 def potential(pos, s1, s2, s3):
     _, r = pairs(pos)
     rr = np.einsum("...jc,...jc->...j", pos, pos)
-    pair = np.sum(s1 / r ** 6 - s2 / r ** 3 + s3 / np.sqrt(r), axis=-1)
-    return pair + np.sum((np.sqrt(rr) - 1.0) ** 2, axis=-1)
+    return np.sum(u1(r, s1, s2, s3), axis=-1) + np.sum(u2(rr), axis=-1)
 
 
 def gradient(pos, s1, s2, s3, pair=None):
     """Gradient of the potential at each configuration, shaped like ``pos``;
     ``pair`` is ``pairs(pos)`` when the caller has it already."""
     d, r = pairs(pos) if pair is None else pair
-    u1p = -6.0 * s1 / r ** 7 + 3.0 * s2 / r ** 4 - 0.5 * s3 * r ** -1.5
-    g = INCIDENCE @ (2.0 * u1p[..., None] * d)
+    g = INCIDENCE @ (2.0 * u1_prime(r, s1, s2, s3)[..., None] * d)
     rr = np.einsum("...jc,...jc->...j", pos, pos)
-    g += 2.0 * (1.0 - rr ** -0.5)[..., None] * pos
+    g += 2.0 * u2_prime(rr)[..., None] * pos
     return g
 
 
 def hessian(pos, s1, s2, s3):
     """Cartesian Hessian (18, 18) of one (6, 3) configuration."""
     d, r = pairs(pos)
-    u1p = -6.0 * s1 / r ** 7 + 3.0 * s2 / r ** 4 - 0.5 * s3 * r ** -1.5
-    u1pp = 42.0 * s1 / r ** 8 - 12.0 * s2 / r ** 5 + 0.75 * s3 * r ** -2.5
     # the 3x3 block of each pair: off-diagonal at (j, k) and (k, j), and
     # subtracted from both diagonal blocks, as the incidence Laplacian does
-    blk = -4.0 * u1pp[:, None, None] * np.einsum("pa,pb->pab", d, d)
-    blk -= 2.0 * u1p[:, None, None] * np.eye(3)
+    blk = -4.0 * u1_second(r, s1, s2, s3)[:, None, None] * np.einsum("pa,pb->pab", d, d)
+    blk -= 2.0 * u1_prime(r, s1, s2, s3)[:, None, None] * np.eye(3)
     H = -np.einsum("jp,kp,pab->jakb", INCIDENCE, INCIDENCE, blk)
     rr = np.einsum("jc,jc->j", pos, pos)
     for j in range(6):
-        H[j, :, j, :] += 2.0 * rr[j] ** -1.5 * np.outer(pos[j], pos[j])
-        H[j, :, j, :] += 2.0 * (1.0 - rr[j] ** -0.5) * np.eye(3)
+        # the bond terms of ligand j on the float64 scalar rr[j]; 4 u2'' is
+        # 2 rr^-1.5 exactly, a power-of-two scaling
+        H[j, :, j, :] += 4.0 * u2_second(rr[j]) * np.outer(pos[j], pos[j])
+        H[j, :, j, :] += 2.0 * u2_prime(rr[j]) * np.eye(3)
     return H.reshape(18, 18)
-

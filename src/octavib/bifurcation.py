@@ -28,7 +28,11 @@ from . import force_field, spectral
 from . import orbit_o2 as o2
 from .errors import ConfigError, ConsistencyError, ResonanceError
 
-ISOTYPIC = ("0", "4", "7", "7*", "8", "9")
+# each isotypic block's irreducible: 7* is the upper copy of irreducible 7
+# and shares its expansion (the two components are equivalent)
+IRREP = {"0": 0, "4": 4, "7": 7, "7*": 7, "8": 8, "9": 9}
+ISOTYPIC = tuple(IRREP)
+MAXIMAL_IRREPS = tuple(dict.fromkeys(IRREP.values()))  # the irreps with maximal types
 RESONANCE_RTOL = 1e-6  # alpha^2 this close, relative to max |alpha^2|, resonate
 MAX_CRITICAL = 2**18  # the most critical numbers one request lists (~60 MB)
 TIE_RTOL = 1e-9  # critical numbers this close, relative to the lower, tie
@@ -161,11 +165,6 @@ def factors_before(j_o, alphas):
     return [(j, l) for j, l, _ in out]
 
 
-def _degree_index(j):
-    """7* shares the block-7 expansion (the two components are equivalent)."""
-    return 7 if j == "7*" else int(j)
-
-
 @dataclass
 class BifurcationReport:
     """The invariant at one critical number and its maximal types' coefficients."""
@@ -200,10 +199,10 @@ class InvariantEngine:
 
     # --- ring data -------------------------------------------------------
     def degree(self, j, l=1):
-        return o2.basic_degree(_degree_index(j), l)
+        return o2.basic_degree(IRREP[j], l)
 
     def maximal_classes(self, j, l=1):
-        return o2.maximal_orbit_types(_degree_index(j), l)
+        return o2.maximal_orbit_types(IRREP[j], l)
 
     # --- the pairwise product: the tests' oracle ------------------------
     def invariant_full(self, j_o):
@@ -237,19 +236,19 @@ class InvariantEngine:
         period = self.ring.mode_period()
         odd = set()
         for j, l in factors_before(j_o, self.alphas):
-            odd ^= {(_degree_index(j), (l - 1) % period + 1)}
+            odd ^= {(IRREP[j], (l - 1) % period + 1)}
         self._odd[j_o] = frozenset(odd)
         return self._odd[j_o]
 
     def _mark(self, j_o):
         """omega's mark at a mode-1 class K, as a function of K."""
-        return partial(self.ring.invariant_mark, _degree_index(j_o), self._odd_groups(j_o))
+        return partial(self.ring.invariant_mark, IRREP[j_o], self._odd_groups(j_o))
 
     def fast_coefficient(self, j_o, h_ci):
         """Exact coefficient of (H) in the invariant, from its marks above H:
         the ring's entry for j_o's odd groups."""
         return self.ring.marks_coefficient(
-            _degree_index(j_o), self._odd_groups(j_o), h_ci
+            IRREP[j_o], self._odd_groups(j_o), h_ci
         )
 
     # --- reports ----------------------------------------------------------
@@ -282,9 +281,10 @@ class InvariantEngine:
         R = self.ring
         seen = {}
         order = []
-        for j in ("0", "4", "7", "8", "9"):
-            for ci in self.maximal_classes(j, 1):
-                coeff = self.fast_coefficient(j, ci)
+        for irrep in MAXIMAL_IRREPS:
+            blocks = [b for b in ISOTYPIC if IRREP[b] == irrep]
+            for ci in self.maximal_classes(blocks[0], 1):
+                coeff = self.fast_coefficient(blocks[0], ci)
                 if coeff == 0:
                     raise ConsistencyError(
                         f"census type {R.label_of(ci)} has zero coefficient"
@@ -292,9 +292,7 @@ class InvariantEngine:
                 if ci not in seen:
                     seen[ci] = []
                     order.append(ci)
-                blocks = ["7", "7*"] if j == "7" else [j]
-                for b in blocks:
-                    seen[ci].append((b, coeff))
+                seen[ci].extend((b, coeff) for b in blocks)
         return [
             {
                 "label": R.label_of(ci),

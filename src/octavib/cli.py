@@ -1,6 +1,7 @@
 """Command-line driver.
 
-Subcommands: equilibrium, spectrum, critical, invariant, modes, catalog.
+Subcommands: equilibrium, spectrum, critical, invariant, census, modes,
+catalog.
 Exit codes: 0 ok, 1 numerical failure (its message names the σ it
 happened at), 2 bad configuration, 3 internal consistency failure, 141
 standard output closed before all output was written (128 + SIGPIPE, as a
@@ -150,9 +151,10 @@ def cmd_modes(args):
 
     outdir = args.out or "."
     _output_directory(outdir)
+    eps = modes.DEFAULT_EPSILON if args.eps is None else args.eps
     samples = modes.DEFAULT_SAMPLES if args.samples is None else args.samples
     shop = modes.ModeWorkshop(_request(args))
-    traj = shop.build_mode(args.j, args.k, args.eps, samples)
+    traj = shop.build_mode(args.j, args.k, eps, samples)
     passed, report = shop.verify_symmetry(traj)
     stem = f"mode_j{args.j.replace('*', 's')}_k{args.k}"
     csv_path = os.path.join(outdir, stem + ".csv")
@@ -175,7 +177,7 @@ def cmd_catalog(args):
     if args.with_o2:
         ring = orbit_o2.ring()
         maximal = []
-        for j in (0, 4, 7, 8, 9):
+        for j in bifurcation.MAXIMAL_IRREPS:
             for ci in orbit_o2.maximal_orbit_types(j, 1):
                 maximal.append(
                     {
@@ -220,14 +222,17 @@ def build_parser():
 
     si = sub.add_parser("invariant", help="bifurcation invariant for one block")
     si.add_argument("--j", required=True, help="isotypic label (0,4,7,7*,8,9)")
-    si.add_argument("--full", action="store_true", help="force the full product")
+    si.add_argument(
+        "--full", action="store_true",
+        help="print the whole invariant and the fast path's agreement with it",
+    )
 
     sub.add_parser("census", help="the 16 maximal symmetry types")
 
     sm = sub.add_parser("modes", help="build, verify and export one mode")
     sm.add_argument("--j", required=True, help="isotypic label")
     sm.add_argument("--k", type=int, default=1, help="type index within the block")
-    sm.add_argument("--eps", type=float, default=0.05, help="amplitude")
+    sm.add_argument("--eps", type=float, help="amplitude")  # None: modes.DEFAULT_EPSILON
     sm.add_argument("--samples", type=int)  # None: modes.DEFAULT_SAMPLES
     sm.add_argument("--out", help="output directory")
 

@@ -1,11 +1,9 @@
 """Force field for the six-ligand octahedral molecule.
 
-The pair interaction and the bond term are functions of *squared* distance,
-
-    u1(r) = s1/r^6 - s2/r^3 + s3/sqrt(r),      u2(r) = (sqrt(r) - 1)^2,
-
-so u1 is a 12-6 Lennard-Jones plus Coulomb repulsion in plain distance and
-u2 a harmonic bond stretch against the central atom at the origin.
+The pair interaction u1 and the bond term u2 (``accel``) are functions of
+*squared* distance: u1 is a 12-6 Lennard-Jones plus Coulomb repulsion in
+plain distance and u2 a harmonic bond stretch against the central atom at
+the origin.  The ligands sit on ``group_core.VERTICES`` scaled by a radius.
 
 Two Hessian conventions coexist (see ``hessian_blocks``):
 
@@ -22,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
+from . import accel, group_core
+from .accel import u1, u1_prime, u1_second, u2, u2_prime, u2_second
 from .errors import CollisionError, ConfigError, SearchFailureError, ShapeError
 
-# unit octahedron template: p1=-p3=e_x, p2=-p4=e_y, p5=-p6=e_z
-OCTAHEDRON = np.array(
-    [[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0]]
-)
-OPPOSITE = (2, 3, 0, 1, 5, 4)  # index of the antipodal vertex
+OCTAHEDRON = group_core.VERTICES  # the unit template
+OPPOSITE = group_core.ANTIPODE
 ADJACENT = tuple(
     tuple(k for k in range(6) if k != j and k != OPPOSITE[j]) for j in range(6)
 )
@@ -146,32 +142,6 @@ def check_configurations(stack):
     return pos, pair
 
 
-# scalar derivatives of the two interaction terms ---------------------------
-
-def u1(r, p):
-    return p.sigma1 / r ** 6 - p.sigma2 / r ** 3 + p.sigma3 / np.sqrt(r)
-
-
-def u1_prime(r, p):
-    return -6 * p.sigma1 / r ** 7 + 3 * p.sigma2 / r ** 4 - 0.5 * p.sigma3 * r ** -1.5
-
-
-def u1_second(r, p):
-    return 42 * p.sigma1 / r ** 8 - 12 * p.sigma2 / r ** 5 + 0.75 * p.sigma3 * r ** -2.5
-
-
-def u2(r):
-    return (np.sqrt(r) - 1.0) ** 2
-
-
-def u2_prime(r):
-    return 1.0 - r ** -0.5
-
-
-def u2_second(r):
-    return 0.5 * r ** -1.5
-
-
 def potential(params, config):
     pos = as_configuration(config)
     return float(accel.potential(pos, params.sigma1, params.sigma2, params.sigma3))
@@ -198,30 +168,34 @@ def hessian(params, config):
 # radial restriction phi(r) = U(r * template) -------------------------------
 
 def phi(params, r):
-    return 12 * u1(2 * r * r, params) + 3 * u1(4 * r * r, params) + 6 * u2(r * r)
+    s1, s2, s3 = params.sigma1, params.sigma2, params.sigma3
+    return 12 * u1(2 * r * r, s1, s2, s3) + 3 * u1(4 * r * r, s1, s2, s3) + 6 * u2(r * r)
 
 
 def phi_prime(params, r):
+    s1, s2, s3 = params.sigma1, params.sigma2, params.sigma3
     return 12 * r * (
-        4 * u1_prime(2 * r * r, params)
-        + 2 * u1_prime(4 * r * r, params)
+        4 * u1_prime(2 * r * r, s1, s2, s3)
+        + 2 * u1_prime(4 * r * r, s1, s2, s3)
         + u2_prime(r * r)
     )
 
 
 def phi_second(params, r):
+    s1, s2, s3 = params.sigma1, params.sigma2, params.sigma3
     return 12 * ct_residual(params, r) + 24 * r * r * (
-        8 * u1_second(2 * r * r, params)
-        + 8 * u1_second(4 * r * r, params)
+        8 * u1_second(2 * r * r, s1, s2, s3)
+        + 8 * u1_second(4 * r * r, s1, s2, s3)
         + u2_second(r * r)
     )
 
 
 def _ct_terms(params, r):
     """The three summands of the radial criticality condition at radius r."""
+    s1, s2, s3 = params.sigma1, params.sigma2, params.sigma3
     return (
-        4 * u1_prime(2 * r * r, params),
-        2 * u1_prime(4 * r * r, params),
+        4 * u1_prime(2 * r * r, s1, s2, s3),
+        2 * u1_prime(4 * r * r, s1, s2, s3),
         u2_prime(r * r),
     )
 
@@ -302,12 +276,13 @@ def find_equilibrium(params):
 
 def stiffness(params, r0):
     """The five radial stiffness constants (a, b, c, d, e) at radius r0."""
+    s1, s2, s3 = params.sigma1, params.sigma2, params.sigma3
     return (
-        u1_second(2 * r0 * r0, params),
-        u1_second(4 * r0 * r0, params),
+        u1_second(2 * r0 * r0, s1, s2, s3),
+        u1_second(4 * r0 * r0, s1, s2, s3),
         u2_second(r0 * r0),
-        u1_prime(4 * r0 * r0, params),
-        u1_prime(2 * r0 * r0, params),
+        u1_prime(4 * r0 * r0, s1, s2, s3),
+        u1_prime(2 * r0 * r0, s1, s2, s3),
     )
 
 

@@ -23,9 +23,13 @@ import numpy as np
 from .errors import ConsistencyError
 
 N = 48
+# the unit octahedron, one vertex per row: p1=-p3=e_x, p2=-p4=e_y, p5=-p6=e_z;
+# read-only, the one copy every module reads
 VERTICES = np.array(
-    [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=int
+    [[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0]]
 )
+VERTICES.flags.writeable = False
+ANTIPODE = (2, 3, 0, 1, 5, 4)  # the index of each vertex's antipode
 
 
 def _compose(a, b):
@@ -41,18 +45,20 @@ def _cycles_to_perm(cycles, n):
     return tuple(out)
 
 
-def _cycle_type(p):
+def cycle_decomposition(p):
+    """The cycles of a permutation of 0..n-1, fixed points included, each
+    from its least point, in the order of those points."""
     seen = [False] * len(p)
-    ct = []
+    out = []
     for i in range(len(p)):
         if not seen[i]:
-            ln, j = 0, i
+            cyc, j = [], i
             while not seen[j]:
                 seen[j] = True
+                cyc.append(j)
                 j = p[j]
-                ln += 1
-            ct.append(ln)
-    return tuple(sorted(ct, reverse=True))
+            out.append(tuple(cyc))
+    return out
 
 
 def _build_group():
@@ -61,7 +67,6 @@ def _build_group():
     b4 = _cycles_to_perm([(1, 3, 2)], 4)
     img_a = (3, 0, 1, 2, 4, 5)  # vertex 4-cycle (1432)
     img_b = (3, 4, 1, 5, 2, 0)  # vertex perm (146)(253)
-    antipode = (2, 3, 0, 1, 5, 4)
 
     hom = {tuple(range(4)): tuple(range(6))}
     frontier = [tuple(range(4))]
@@ -84,7 +89,7 @@ def _build_group():
     elems = []
     for s in sorted(hom):
         for eps in (1, -1):
-            img = hom[s] if eps == 1 else _compose(antipode, hom[s])
+            img = hom[s] if eps == 1 else _compose(ANTIPODE, hom[s])
             elems.append((img, s, eps))
     elems.sort()
     return elems
@@ -117,8 +122,10 @@ _CLASS_KEYS = (
     ((1, 1, 1, 1), 1), ((1, 1, 1, 1), -1), ((2, 1, 1), 1), ((2, 1, 1), -1),
     ((2, 2), 1), ((2, 2), -1), ((3, 1), 1), ((3, 1), -1), ((4,), 1), ((4,), -1),
 )
+# an element's class key: the cycle type of sigma, longest cycle first, and eps
 ELEMENT_CLASS = tuple(
-    _CLASS_KEYS.index((_cycle_type(ABSTRACT[i][0]), ABSTRACT[i][1])) for i in range(N)
+    _CLASS_KEYS.index((tuple(sorted(map(len, cycle_decomposition(s)), reverse=True)), eps))
+    for s, eps in ABSTRACT
 )
 CLASS_SIZES = tuple(ELEMENT_CLASS.count(c) for c in range(10))
 CLASS_REPS = tuple(ELEMENT_CLASS.index(c) for c in range(10))

@@ -28,6 +28,7 @@ from ._serialize import RowWidthError, dumps, format_rows, write_over
 from .burnside import cached
 from .errors import AmplitudeError, ConfigError, ConsistencyError, SamplingError
 
+DEFAULT_EPSILON = 0.05  # mode amplitude
 DEFAULT_SAMPLES = 120  # divisible by 2,3,4,5,6,8: every phase shift in use
 # the most samples per period a mode is built with: at the bound `modes`
 # peaks at 136 MB, its arrays and CSV text about 1.5 kB per sample
@@ -94,7 +95,7 @@ class ModeWorkshop:
         """Maximal symmetry classes of isotypic block j, in label order."""
         if j not in bifurcation.ISOTYPIC:
             raise ConfigError(f"unknown isotypic label {j!r}")
-        classes = orbit_o2.maximal_orbit_types(bifurcation._degree_index(j), 1)
+        classes = orbit_o2.maximal_orbit_types(bifurcation.IRREP[j], 1)
         return sorted(classes, key=self.ring.label_of)
 
     # -- fixed-space construction ---------------------------------------
@@ -106,10 +107,10 @@ class ModeWorkshop:
         mapped through them: no solve depends on σ.
         """
         B = self.spectrum.basis_for(j)
-        pairs = _reduced_pairs(self.ring, type_class, j.rstrip("*"))
+        pairs = _reduced_pairs(self.ring, type_class, bifurcation.IRREP[j])
         return tuple((B @ x, B @ y) for x, y in pairs)
 
-    def build_mode(self, j, k=1, epsilon=0.05, n_samples=DEFAULT_SAMPLES):
+    def build_mode(self, j, k=1, epsilon=DEFAULT_EPSILON, n_samples=DEFAULT_SAMPLES):
         """Trajectory for the k-th maximal type of block j (1-based)."""
         if not (math.isfinite(epsilon) and epsilon >= 0):
             raise ConfigError(f"epsilon must be finite and nonnegative, got {epsilon}")
@@ -126,7 +127,7 @@ class ModeWorkshop:
             )
         return self.build_mode_for_type(types[k - 1], j, k, epsilon, n_samples)
 
-    def build_mode_for_type(self, type_class, j, k=1, epsilon=0.05,
+    def build_mode_for_type(self, type_class, j, k=1, epsilon=DEFAULT_EPSILON,
                             n_samples=DEFAULT_SAMPLES):
         """Trajectory of amplitude epsilon in the type's first fixed pair.
 
@@ -298,11 +299,11 @@ def _shift_groups(ring, ci, n):
 
 @cached
 def _reduced_pairs(ring, ci, irrep):
-    """The fixed space of class ci in the first copy B of an irreducible, as
+    """The fixed space of class ci in the first copy B of irreducible irrep, as
     read-only coefficient pairs (x, y) on B's columns: the null space of the
     stacked P^T T P - I, with P = diag(B, B) and T each element's pair
     operator.  Each null vector's first entry beyond 1e-9 is positive."""
-    B = spectral.BASES[irrep]
+    B = spectral.BASES[group_core.IRREP_NAMES[irrep]]
     m = B.shape[1]
     P = np.zeros((36, 2 * m))
     P[:18, :m] = B
@@ -336,26 +337,11 @@ def _pair_operators(els):
 def _describe(element):
     refl, (num, den), g = orbit_o2.parts(element)
     kind = "refl" if refl else "rot"
-    cyc = _cycle_string(group_core.PERM[g])
-    return f"({kind}{f' {num}/{den}' if num else ''}, {cyc})"
-
-
-def _cycle_string(perm):
-    seen = [False] * len(perm)
-    parts = []
-    for i in range(len(perm)):
-        if seen[i] or perm[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        parts.append("(" + "".join(str(v + 1) for v in cyc) + ")")
-    return "".join(parts) or "e"
+    cyc = "".join(
+        "(" + "".join(str(v + 1) for v in c) + ")"
+        for c in group_core.cycle_decomposition(group_core.PERM[g]) if len(c) > 1
+    )
+    return f"({kind}{f' {num}/{den}' if num else ''}, {cyc or 'e'})"
 
 
 # -- export -----------------------------------------------------------------

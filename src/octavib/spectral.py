@@ -139,7 +139,7 @@ def _coordinates(*fields):
 # the symmetry coordinates of an octahedral AX6 (Wilson, Decius & Cross,
 # Molecular Vibrations, 1955): BASES holds each irreducible's first copy, that
 # of 7 its radial part, whose tangential part carries the same 3x3 matrices
-_p, _e = group_core.VERTICES.astype(float), np.eye(3)  # a unit vertex per row
+_p, _e = group_core.VERTICES, np.eye(3)  # a unit vertex per row
 _pa = _p.T[:, :, None]  # _pa[a] is the column of the vertices' p_a
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 BASES = {

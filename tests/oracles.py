@@ -4,9 +4,10 @@ No request runs these.  They are the direct constructions the package's
 tables and kernels replace: the group tables by composing permutations, the
 subgroup enumeration, element constructors and conjugation in the
 temporal-spatial group, Weyl orders in a dihedral truncation, symbolic
-families matched against the catalog, the equilibrium search on float64
-scalars, the closed-form spectrum from the stiffness constants, and the
-brake checks of a mode.
+families matched against the catalog, the force field with its pair and bond
+terms written inline, the equilibrium search on float64 scalars, the
+closed-form spectrum from the stiffness constants, the brake checks of a
+mode and the names of its symmetry relations.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from octavib import force_field
+from octavib import accel, force_field
 from octavib import group_core as gc
 from octavib import orbit_o2 as o2
 from octavib.errors import (
@@ -191,6 +192,101 @@ def instantiate(family, l=1):
 
 
 # ---------------------------------------------------------------------------
+# the force field with every pair and bond term written inline, each
+# expression in the order the package must keep (bit-for-bit oracle for the
+# terms ``accel`` defines once)
+# ---------------------------------------------------------------------------
+
+
+def inline_potential(pos, s1, s2, s3):
+    _, r = accel.pairs(pos)
+    rr = np.einsum("...jc,...jc->...j", pos, pos)
+    pair = np.sum(s1 / r ** 6 - s2 / r ** 3 + s3 / np.sqrt(r), axis=-1)
+    return pair + np.sum((np.sqrt(rr) - 1.0) ** 2, axis=-1)
+
+
+def inline_gradient(pos, s1, s2, s3):
+    d, r = accel.pairs(pos)
+    u1p = -6.0 * s1 / r ** 7 + 3.0 * s2 / r ** 4 - 0.5 * s3 * r ** -1.5
+    g = accel.INCIDENCE @ (2.0 * u1p[..., None] * d)
+    rr = np.einsum("...jc,...jc->...j", pos, pos)
+    g += 2.0 * (1.0 - rr ** -0.5)[..., None] * pos
+    return g
+
+
+def inline_hessian(pos, s1, s2, s3):
+    d, r = accel.pairs(pos)
+    u1p = -6.0 * s1 / r ** 7 + 3.0 * s2 / r ** 4 - 0.5 * s3 * r ** -1.5
+    u1pp = 42.0 * s1 / r ** 8 - 12.0 * s2 / r ** 5 + 0.75 * s3 * r ** -2.5
+    blk = -4.0 * u1pp[:, None, None] * np.einsum("pa,pb->pab", d, d)
+    blk -= 2.0 * u1p[:, None, None] * np.eye(3)
+    H = -np.einsum("jp,kp,pab->jakb", accel.INCIDENCE, accel.INCIDENCE, blk)
+    rr = np.einsum("jc,jc->j", pos, pos)
+    for j in range(6):
+        H[j, :, j, :] += 2.0 * rr[j] ** -1.5 * np.outer(pos[j], pos[j])
+        H[j, :, j, :] += 2.0 * (1.0 - rr[j] ** -0.5) * np.eye(3)
+    return H.reshape(18, 18)
+
+
+def _u1(r, p):
+    return p.sigma1 / r ** 6 - p.sigma2 / r ** 3 + p.sigma3 / np.sqrt(r)
+
+
+def _u1_prime(r, p):
+    return -6 * p.sigma1 / r ** 7 + 3 * p.sigma2 / r ** 4 - 0.5 * p.sigma3 * r ** -1.5
+
+
+def _u1_second(r, p):
+    return 42 * p.sigma1 / r ** 8 - 12 * p.sigma2 / r ** 5 + 0.75 * p.sigma3 * r ** -2.5
+
+
+def _u2(r):
+    return (np.sqrt(r) - 1.0) ** 2
+
+
+def _u2_prime(r):
+    return 1.0 - r ** -0.5
+
+
+def _u2_second(r):
+    return 0.5 * r ** -1.5
+
+
+def inline_phi(params, r):
+    return 12 * _u1(2 * r * r, params) + 3 * _u1(4 * r * r, params) + 6 * _u2(r * r)
+
+
+def inline_phi_prime(params, r):
+    return 12 * r * (
+        4 * _u1_prime(2 * r * r, params) + 2 * _u1_prime(4 * r * r, params) + _u2_prime(r * r)
+    )
+
+
+def inline_ct_residual(params, r):
+    return (
+        4 * _u1_prime(2 * r * r, params) + 2 * _u1_prime(4 * r * r, params) + _u2_prime(r * r)
+    )
+
+
+def inline_phi_second(params, r):
+    return 12 * inline_ct_residual(params, r) + 24 * r * r * (
+        8 * _u1_second(2 * r * r, params)
+        + 8 * _u1_second(4 * r * r, params)
+        + _u2_second(r * r)
+    )
+
+
+def inline_stiffness(params, r0):
+    return (
+        _u1_second(2 * r0 * r0, params),
+        _u1_second(4 * r0 * r0, params),
+        _u2_second(r0 * r0),
+        _u1_prime(4 * r0 * r0, params),
+        _u1_prime(2 * r0 * r0, params),
+    )
+
+
+# ---------------------------------------------------------------------------
 # the equilibrium search on float64 scalars
 # ---------------------------------------------------------------------------
 
@@ -298,3 +394,36 @@ def is_brake_type(ring, type_class):
     """True when the type contains the bare time reversal."""
     A = ring.representative(type_class)
     return o2.encode(1, 0, gc.IDENTITY) in A.elements
+
+
+# ---------------------------------------------------------------------------
+# the names of a mode's symmetry relations
+# ---------------------------------------------------------------------------
+
+
+def cycle_string(perm):
+    """A vertex permutation's cycles that move something, 1-based, in the
+    order of their least points; "e" for the identity (oracle for the
+    cycles in a verify report's names)."""
+    seen = [False] * len(perm)
+    parts = []
+    for i in range(len(perm)):
+        if seen[i] or perm[i] == i:
+            seen[i] = True
+            continue
+        cyc = [i]
+        seen[i] = True
+        j = perm[i]
+        while j != i:
+            cyc.append(j)
+            seen[j] = True
+            j = perm[j]
+        parts.append("(" + "".join(str(v + 1) for v in cyc) + ")")
+    return "".join(parts) or "e"
+
+
+def describe_element(element):
+    """A verify report's name of one temporal-spatial element."""
+    refl, (num, den), g = o2.parts(element)
+    kind = "refl" if refl else "rot"
+    return f"({kind}{f' {num}/{den}' if num else ''}, {cycle_string(gc.PERM[g])})"

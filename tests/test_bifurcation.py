@@ -212,7 +212,7 @@ class TestInvariants:
 
     def test_reference_label_sets(self, reports):
         for j, rep in reports.items():
-            reference = o2.reference_red_labels(bf._degree_index(j))
+            reference = o2.reference_red_labels(bf.IRREP[j])
             assert {lb for lb, _, _ in rep.maximal_types} == set(reference)
 
     def test_full_product_agreement_on_later_blocks(self, engine):
@@ -222,7 +222,7 @@ class TestInvariants:
             rep = engine.report(j, full=True)
             assert rep.agreement(), j
             got = {lb for lb, _, _ in rep.maximal_types}
-            assert got == set(o2.reference_red_labels(bf._degree_index(j)))
+            assert got == set(o2.reference_red_labels(bf.IRREP[j]))
             for _, coeff, weyl in rep.maximal_types:
                 assert abs(coeff) == 2 // weyl
 
@@ -306,7 +306,7 @@ class TestGroupedMark:
         }
         assert sorted(by_order) == [1, 2, 3, 4, 6]
         mark = eng._mark("9")
-        factors = [(bf._degree_index(j), l) for j, l in factors]
+        factors = [(bf.IRREP[j], l) for j, l in factors]
         for K in {*by_order.values(), *eng.maximal_classes("9")}:
             sign = (-1) ** sum(R.fixed_dim(j, l, K) for j, l in factors)
             assert mark(K) == sign * ((-1) ** R.fixed_dim(9, 1, K) - 1), R.label_of(K)
@@ -375,7 +375,7 @@ def pairwise_coefficient(engine, j_o, h):
     cache = {}
 
     def factor(j, l):
-        idx = bf._degree_index(j)
+        idx = bf.IRREP[j]
         return 1, R.recurrence(upper, lambda K: (-1) ** R.fixed_dim(idx, l, K) - 1)
 
     def mult(x, y):
@@ -448,7 +448,7 @@ class TestMarksPath:
         seen = 0
         for j in bf.ISOTYPIC:
             modes = frozenset(l for _, l in bf.factors_before(j, eng.alphas)) | {1}
-            idx = bf._degree_index(j)
+            idx = bf.IRREP[j]
             for h in eng.maximal_classes(j):
                 for K in divisor_upper_set(R, modes, h) - mode_1:
                     assert R.fixed_dim(idx, 1, K) == 0, (j, R.label_of(K))

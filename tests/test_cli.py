@@ -431,19 +431,24 @@ class TestOneRequestPerCommand:
 
 class TestModes:
     def test_export(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "modes", "--j", "0", "--k", "1", "--eps", "0.05",
-            "--out", str(tmp_path),
-        )
-        assert code == 0
-        csv = tmp_path / "mode_j0_k1.csv"
-        man = tmp_path / "mode_j0_k1.json"
-        assert csv.exists() and man.exists()
-        doc = json.loads(man.read_text())
-        assert doc["symmetry"] == "D_1 x S_4^p"
-        assert doc["verified"] is True
-        header = csv.read_text().splitlines()[0]
-        assert header.startswith("t,x1,y1,z1") and header.endswith("x6,y6,z6")
+        # no --eps is modes.DEFAULT_EPSILON: the same bytes as --eps 0.05
+        written = []
+        for name, eps in (("default", ()), ("explicit", ("--eps", "0.05"))):
+            code, out, _ = run(
+                capsys, "modes", "--j", "0", "--k", "1", *eps,
+                "--out", str(tmp_path / name),
+            )
+            assert code == 0
+            csv = tmp_path / name / "mode_j0_k1.csv"
+            man = tmp_path / name / "mode_j0_k1.json"
+            assert csv.exists() and man.exists()
+            doc = json.loads(man.read_text())
+            assert doc["symmetry"] == "D_1 x S_4^p"
+            assert doc["verified"] is True
+            header = csv.read_text().splitlines()[0]
+            assert header.startswith("t,x1,y1,z1") and header.endswith("x6,y6,z6")
+            written.append((csv.read_bytes(), man.read_bytes()))
+        assert written[0] == written[1]
 
     def test_zero_amplitude_verifies(self, capsys, tmp_path):
         # every residual of the resting mode is 0.0, at most 1e-9 * 0

@@ -9,7 +9,8 @@ from octavib import force_field as ff
 from octavib import group_core as gc
 from octavib.errors import CollisionError, ConfigError, SearchFailureError, ShapeError
 
-from conftest import gradient_loop, random_configuration
+import oracles
+from conftest import gradient_loop, random_configuration, sweep_box, wide_grid
 
 
 def pairwise_reference(params, pos):
@@ -80,10 +81,11 @@ class TestPotential:
     def test_radial_formula_and_pairwise_oracle(self, params):
         r = 1.4128
         config = r * ff.OCTAHEDRON
+        sig = (params.sigma1, params.sigma2, params.sigma3)
         expected = (
-            12 * ff.u1(2 * r * r, params)
-            + 3 * ff.u1(4 * r * r, params)
-            + 6 * ff.u2(r * r)
+            12 * accel.u1(2 * r * r, *sig)
+            + 3 * accel.u1(4 * r * r, *sig)
+            + 6 * accel.u2(r * r)
         )
         value = ff.potential(params, config)
         assert value == pytest.approx(expected, rel=1e-12)
@@ -367,3 +369,68 @@ class TestParamsFile:
             ff.PotentialParams(-1, 0, 0)
         with pytest.raises(ConfigError):
             ff.PotentialParams(0, 0.5, 1)
+
+
+def bits(x):
+    """The float64 bit patterns of x, zero signs and NaN payloads included."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+# the σ the pair and bond terms are checked at, bit for bit
+TERM_SIGMAS = {
+    "reference": [(0.0618, 0.0618, 1.0)],
+    "zero": [(0.0, 0.0, 0.0)],
+    "sweep_box": sweep_box(48),
+    "wide_grid": wide_grid(200),
+}
+# the radii of the radial configurations, and the radii the radial functions
+# are evaluated at as Python floats, as the equilibrium search does
+RADII = (0.3, 0.7, 1.0, 1.4128, 2.5)
+FLOAT_RADII = RADII + tuple(np.geomspace(0.05, 20.0, 40).tolist())
+RADIAL = [
+    (ff.phi, oracles.inline_phi),
+    (ff.phi_prime, oracles.inline_phi_prime),
+    (ff.phi_second, oracles.inline_phi_second),
+    (ff.ct_residual, oracles.inline_ct_residual),
+    (ff.stiffness, oracles.inline_stiffness),
+]
+
+
+@pytest.mark.parametrize("sigmas", TERM_SIGMAS.values(), ids=TERM_SIGMAS.keys())
+class TestTermsBitForBit:
+    """The kernels and the radial functions keep the bits of the force field
+    with every pair and bond term written inline."""
+
+    def test_kernels(self, sigmas):
+        radial = np.array([r * ff.OCTAHEDRON for r in RADII])
+        stack = np.concatenate([radial, perturbed_stack(8, seed=21)])
+        for sig in sigmas:
+            assert np.array_equal(
+                bits(accel.potential(stack, *sig)), bits(oracles.inline_potential(stack, *sig))
+            ), sig
+            assert np.array_equal(
+                bits(accel.gradient(stack, *sig)), bits(oracles.inline_gradient(stack, *sig))
+            ), sig
+            for pos in stack:
+                assert np.array_equal(
+                    bits(accel.hessian(pos, *sig)), bits(oracles.inline_hessian(pos, *sig))
+                ), sig
+
+    def test_radial_functions(self, sigmas):
+        for sig in sigmas:
+            params = ff.PotentialParams(*sig)
+            radii = FLOAT_RADII
+            try:
+                radii += (ff.find_equilibrium(params).radius,)
+            except SearchFailureError:
+                pass
+            for r in radii:
+                for got, want in RADIAL:
+                    a, b = got(params, r), want(params, r)
+                    assert type(a) is type(b), (got.__name__, sig, r)
+                    assert np.array_equal(bits(a), bits(b)), (got.__name__, sig, r)
+            # on the search grid, where the extreme σ overflow
+            with np.errstate(all="ignore"):
+                for got, want in RADIAL:
+                    a, b = got(params, ff.search_grid()), want(params, ff.search_grid())
+                    assert np.array_equal(bits(a), bits(b)), (got.__name__, sig)

@@ -124,14 +124,14 @@ class TestModeTables:
         for j in bf.ISOTYPIC:
             B = shop.spectrum.basis_for(j)
             for ci in shop.types_for(j):
-                reduced = modes._reduced_pairs(fresh_ring, ci, j.rstrip("*"))
+                reduced = modes._reduced_pairs(fresh_ring, ci, bf.IRREP[j])
                 want = [(B @ x, B @ y) for x, y in reduced]
                 got = shop.fixed_pairs(ci, j)
                 assert [(a.tobytes(), b.tobytes()) for a, b in got] == [
                     (a.tobytes(), b.tobytes()) for a, b in want
                 ]
         kept = fresh_ring.memo["_reduced_pairs"]
-        assert {irrep for _, irrep in kept} == {"0", "4", "7", "8", "9"}
+        assert {irrep for _, irrep in kept} == {0, 4, 7, 8, 9}
         assert all(not x.flags.writeable and not y.flags.writeable
                    for pairs in kept.values() for x, y in pairs)
         # another σ reads them: no new entry, the same objects
@@ -140,7 +140,7 @@ class TestModeTables:
         for j in bf.ISOTYPIC:
             for ci in other.types_for(j):
                 other.fixed_pairs(ci, j)
-                irrep = j.rstrip("*")
+                irrep = bf.IRREP[j]
                 assert modes._reduced_pairs(fresh_ring, ci, irrep) is before[ci, irrep]
         assert kept == before
 

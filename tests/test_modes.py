@@ -16,7 +16,7 @@ from octavib._serialize import format_float, format_rows
 from octavib.errors import AmplitudeError, ConfigError, NumericalError, SamplingError
 
 from conftest import checked_wide_grid, gradient_loop, pair_operator, sweep_box, wide_grid
-from oracles import brake_velocity, is_brake_type
+from oracles import brake_velocity, describe_element, is_brake_type
 
 # reference eigenvectors of the reported block Hessian, printed to 3-4
 # digits; used as an identification oracle only
@@ -155,6 +155,18 @@ class TestVerify:
         traj = shop.build_mode("8", 1, 0.02, n_samples=50)
         with pytest.raises(SamplingError):
             shop.verify_symmetry(traj, type_class=types[k_third - 1])
+
+    def test_report_names_of_every_type(self, shop):
+        # the names are the elements' cycles as the standalone cycle walk
+        # writes them, in sorted element order
+        count = 0
+        for j in bifurcation.ISOTYPIC:
+            for k, ci in enumerate(shop.types_for(j), start=1):
+                _, report = shop.verify_symmetry(shop.build_mode(j, k))
+                els = sorted(shop.ring.representative(ci).elements)
+                assert list(report) == [describe_element(x) for x in els], (j, k)
+                count += 1
+        assert count == 24
 
     def test_pair_action_is_representation(self, shop, rng):
         A = shop.ring.representative(shop.types_for("9")[0])
