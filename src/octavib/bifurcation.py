@@ -21,8 +21,8 @@ product of basic degrees (``invariant_full``) is the tests' oracle only.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from . import force_field, spectral
 from . import orbit_o2 as o2
@@ -38,8 +38,7 @@ MAX_CRITICAL = 2**18  # the most critical numbers one request lists (~60 MB)
 TIE_RTOL = 1e-9  # critical numbers this close, relative to the lower, tie
 
 
-@dataclass(frozen=True)
-class CriticalNumber:
+class CriticalNumber(NamedTuple):
     """A critical number l / alpha_j of block j at Fourier mode l."""
 
     j: str
@@ -165,8 +164,7 @@ def factors_before(j_o, alphas):
     return [(j, l) for j, l, _ in out]
 
 
-@dataclass
-class BifurcationReport:
+class BifurcationReport(NamedTuple):
     """The invariant at one critical number and its maximal types' coefficients."""
 
     j: str

@@ -130,7 +130,9 @@ def cmd_invariant(args):
         agree = rep.agreement()
         print(f"fast_path_agreement={'true' if agree else 'false'}")
         if not agree:
-            raise ConsistencyError("fast path disagrees with the full product")
+            raise ConsistencyError(
+                "the marks recurrence's whole invariant disagrees with the fast path"
+            )
     return 0
 
 

@@ -16,7 +16,7 @@ Two Hessian conventions coexist (see ``hessian_blocks``):
 """
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,23 +41,32 @@ _PAIRS = list(zip(accel.PAIR_J.tolist(), accel.PAIR_K.tolist()))
 _CHECK_COLUMNS = np.array([c[0] if len(c) == 1 else 6 + _PAIRS.index(c) for c in _CHECKS])
 
 
-@dataclass(frozen=True)
-class PotentialParams:
-    """Dimensionless force-field constants."""
-
+class _Sigmas(NamedTuple):
     sigma1: float
     sigma2: float
     sigma3: float
 
-    def __post_init__(self):
-        for name in ("sigma1", "sigma2", "sigma3"):
-            if getattr(self, name) < 0:
+
+class PotentialParams(_Sigmas):
+    """Dimensionless force-field constants."""
+
+    __slots__ = ()
+
+    def __new__(cls, sigma1, sigma2, sigma3):
+        for name, value in zip(cls._fields, (sigma1, sigma2, sigma3)):
+            if value < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if self.sigma1 == 0 and self.sigma2 != 0:
+        if sigma1 == 0 and sigma2 != 0:
             raise ConfigError(
                 "sigma1=0 with sigma2>0 removes the short-range barrier; "
                 "set sigma1>0 or sigma1=sigma2=0"
             )
+        return super().__new__(cls, sigma1, sigma2, sigma3)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds its copy here: refuse it as a construction
+        return cls(*iterable)
 
 
 REFERENCE_PARAMS = PotentialParams(0.0618, 0.0618, 1.0)
@@ -206,8 +215,7 @@ def ct_residual(params, r):
     return adjacent + opposite + bond
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     """A radial equilibrium: the regular octahedron of this radius under params."""
 
     radius: float

@@ -16,7 +16,8 @@ Generator words in the catalog follow the convention of the subgroup
 listing: cycles on {1,2,3,4} give sigma, a trailing "(56)" flags eps = -1.
 """
 
-from dataclasses import dataclass
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,14 +195,18 @@ def action_matrix_18(i):
     return G
 
 
-# the 18-dim action of every element, read-only: the one copy every module indexes
-ACTIONS_18 = np.stack([action_matrix_18(g) for g in range(N)])
-ACTIONS_18.flags.writeable = False
+@functools.cache
+def actions_18():
+    """The 18-dim action of every element, (48, 18, 18), built on first use;
+    read-only: the one copy every module indexes."""
+    table = np.stack([action_matrix_18(g) for g in range(N)])
+    table.flags.writeable = False
+    return table
 
 
 def action_character():
     """Trace of the 18-dim action on the ten class representatives."""
-    return tuple(int(round(np.trace(ACTIONS_18[g]))) for g in CLASS_REPS)
+    return tuple(int(round(np.trace(actions_18()[g]))) for g in CLASS_REPS)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +284,7 @@ def conj_mask(mask, g):
     return out
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """One conjugacy class of subgroups: its label, representative and Weyl data."""
 
     label: str

@@ -18,8 +18,8 @@ pairs through them and solves nothing per σ.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ MAX_SAMPLES = 2**16
 _PAIRWISE_ORDER = np.array([0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15, 16, 17])
 
 
-@dataclass(frozen=True)
-class ModeTrajectory:
+class ModeTrajectory(NamedTuple):
     """One sampled period of a linearized mode of block j's k-th type."""
 
     j: str
@@ -50,11 +49,11 @@ class ModeTrajectory:
     symmetry: str
     epsilon: float
     alpha: float                # physical angular frequency
-    times: np.ndarray = field(repr=False)
-    samples: np.ndarray = field(repr=False)   # (n, 18), absolute positions
-    center: np.ndarray = field(repr=False)    # equilibrium 18-vector
-    cos_dir: np.ndarray = field(repr=False)
-    sin_dir: np.ndarray = field(repr=False)
+    times: np.ndarray
+    samples: np.ndarray   # (n, 18), absolute positions
+    center: np.ndarray    # equilibrium 18-vector
+    cos_dir: np.ndarray
+    sin_dir: np.ndarray
 
     @property
     def n_samples(self):
@@ -241,8 +240,7 @@ class ModeWorkshop:
 # -- the ring's mode data: σ-independent, each table kept in ring.memo --------
 
 
-@dataclass(frozen=True)
-class TypeElements:
+class TypeElements(NamedTuple):
     """A mode-1 class's elements in sorted order, as arrays."""
 
     refl: np.ndarray        # reflection bit
@@ -263,7 +261,7 @@ def _type_elements(ring, ci):
     els = sorted(ring.representative(ci).elements)
     refl, turn, g = zip(*map(orbit_o2.parts, els))
     tau = [2 * math.pi * num / den for num, den in turn]
-    G = group_core.ACTIONS_18[np.ix_(g, _PAIRWISE_ORDER, _PAIRWISE_ORDER)]
+    G = group_core.actions_18()[np.ix_(g, _PAIRWISE_ORDER, _PAIRWISE_ORDER)]
     return TypeElements(
         refl=np.array(refl),
         turn=turn,
@@ -322,7 +320,7 @@ def _pair_operators(els):
     """The (elements, 36, 36) actions on (a, b) coefficient pairs: a rotation
     by tau maps (a, b) to G (c a - s b, s a + c b), a reflection to
     G (c a + s b, s a - c b)."""
-    G = group_core.ACTIONS_18[els.g]
+    G = group_core.actions_18()[els.g]
     c = els.cos[:, None, None]
     s = els.sin[:, None, None]
     flip = els.refl[:, None, None] == 1
@@ -334,14 +332,23 @@ def _pair_operators(els):
     return T
 
 
+@cache
+def _cycle_strings():
+    """Each spatial element's vertex cycles that move something, 1-based
+    ("e" for none), by index g; built on first use."""
+    return tuple(
+        "".join(
+            "(" + "".join(str(v + 1) for v in c) + ")"
+            for c in group_core.cycle_decomposition(p) if len(c) > 1
+        ) or "e"
+        for p in group_core.PERM
+    )
+
+
 def _describe(element):
     refl, (num, den), g = orbit_o2.parts(element)
     kind = "refl" if refl else "rot"
-    cyc = "".join(
-        "(" + "".join(str(v + 1) for v in c) + ")"
-        for c in group_core.cycle_decomposition(group_core.PERM[g]) if len(c) > 1
-    )
-    return f"({kind}{f' {num}/{den}' if num else ''}, {cyc or 'e'})"
+    return f"({kind}{f' {num}/{den}' if num else ''}, {_cycle_strings()[g]})"
 
 
 # -- export -----------------------------------------------------------------

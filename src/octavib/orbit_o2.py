@@ -34,8 +34,8 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from . import group_core as gc
 from .burnside import BurnsideRing, cached
@@ -610,8 +610,7 @@ def basic_degree(j, l=1):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitTypeO2:
+class OrbitTypeO2(NamedTuple):
     """Symbolic amalgamated family, scaling with the Fourier mode."""
 
     o2_kind: str          # "D" or "Z"

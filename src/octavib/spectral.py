@@ -12,7 +12,7 @@ characters), an oracle.
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ class NonPositiveFrequencyError(NumericalError):
     """A reported alpha^2 other than the zero line "6" is not positive."""
 
 
-@dataclass(frozen=True)
-class SpectrumLine:
+class SpectrumLine(NamedTuple):
     """One eigenvalue alpha^2 of the Hessian, its block label and multiplicity."""
 
     label: str  # irrep index "0".."9"; "7*" is the upper copy of irrep 7
@@ -36,12 +35,11 @@ class SpectrumLine:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """The labeled lines by alpha^2, with their orthonormal columns if computed."""
 
     lines: tuple
-    basis: np.ndarray | None = field(default=None, repr=False)
+    basis: np.ndarray | None = None
 
     @property
     def alpha_sq(self):
@@ -125,8 +123,7 @@ def isotypic_multiplicities(character):
     return tuple(out)
 
 
-# the 18-dim action and the character table; v^T G v is the share of a column v
-_CLASS_ACTIONS = group_core.ACTIONS_18[list(group_core.CLASS_REPS)]
+# the character table; v^T G v is a column v's share of a class's character
 _CHARACTERS = np.array(group_core.CHARACTER_TABLE, dtype=float)
 
 
@@ -214,7 +211,8 @@ def assign_eigenspaces(report):
     if report.basis is None:
         raise ShapeError("need an eigenbasis to assign labels")
     V = report.basis
-    shares = ((_CLASS_ACTIONS @ V) * V).sum(axis=1)  # (class, column)
+    G = group_core.actions_18()[list(group_core.CLASS_REPS)]
+    shares = ((G @ V) * V).sum(axis=1)  # (class, column)
     starts = np.cumsum([0] + [ln.multiplicity for ln in report.lines[:-1]])
     chars = np.add.reduceat(shares, starts, axis=1).T  # (line, class)
     matches = (np.abs(chars[:, None, :] - _CHARACTERS) < 1e-6).all(axis=2)
@@ -227,7 +225,7 @@ def assign_eigenspaces(report):
         label = group_core.IRREP_NAMES[int(np.argmax(match))]
         if label == "7":  # two equivalent components: the lower keeps "7"
             label, seen_7 = ("7*" if seen_7 else "7"), True
-        labeled.append(replace(ln, label=label))
+        labeled.append(ln._replace(label=label))
     return SpectrumReport(lines=tuple(labeled), basis=report.basis)
 
 

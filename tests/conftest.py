@@ -1,5 +1,9 @@
 import functools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 
 import hypothesis.configuration
@@ -20,6 +24,23 @@ hypothesis.configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 # the reported block-9 alpha^2 is negative here (about -1.3e-4), while the
 # Cartesian one is positive (about +0.243)
 UNSTABLE_REPORTED_9 = (0.04358, 0.07072, 1.4449)
+
+
+def package_env(**extra):
+    """The environment with the package on PYTHONPATH, for a child process."""
+    src = pathlib.Path(group_core.__file__).parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")
+    ])), **extra)
+
+
+def python(code):
+    """What a fresh interpreter running code prints, the package on its path."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(),
+        check=True,
+    )
+    return proc.stdout
 
 
 def sweep_box(n=48):
@@ -151,7 +172,7 @@ def pair_operator(element):
     matrix (oracle for the stacked ``modes._pair_operators``)."""
     refl, (num, den), g = orbit_o2.parts(element)
     tau = 2 * math.pi * num / den
-    G = group_core.ACTIONS_18[g]
+    G = group_core.actions_18()[g]
     c, s = math.cos(tau), math.sin(tau)
     T = np.zeros((36, 36))
     if refl == 0:
@@ -215,7 +236,7 @@ def loop_verify_symmetry(shop, traj, type_class=None):
                 f"phase {num}/{den} of a turn needs the sample count "
                 f"to be a multiple of {den}"
             )
-        G = group_core.ACTIONS_18[g]
+        G = group_core.actions_18()[g]
         idx = (np.arange(n) - s) % n if refl == 0 else (s - np.arange(n)) % n
         res = float(np.max(np.linalg.norm(disp - disp[idx] @ G.T, axis=1)))
         report[modes._describe(x)] = res

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from octavib import bifurcation, cli, force_field, modes, orbit_o2, spectral
 from octavib.errors import ConfigError, OctavibError
 
-from conftest import UNSTABLE_REPORTED_9
+from conftest import UNSTABLE_REPORTED_9, package_env, python
 
 
 def run(capsys, *argv):
@@ -238,6 +238,21 @@ class TestInvariant:
     def test_unknown_block(self, capsys):
         code, _, err = run(capsys, "invariant", "--j", "3")
         assert code == 2
+
+    def test_disagreement_exit_3(self, capsys, monkeypatch):
+        # no input reaches it: a fast path off by one forces it
+        fast = bifurcation.InvariantEngine.fast_coefficient
+        monkeypatch.setattr(
+            bifurcation.InvariantEngine, "fast_coefficient",
+            lambda self, j_o, h_ci: fast(self, j_o, h_ci) + 1,
+        )
+        code, out, err = run(capsys, "invariant", "--j", "8", "--full")
+        assert code == 3
+        assert "fast_path_agreement=false" in out
+        assert err == (
+            "consistency failure: the marks recurrence's whole invariant "
+            "disagrees with the fast path\n"
+        )
 
 
 class TestReportedSpectrumRefusal:
@@ -790,23 +805,6 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-def package_env(**extra):
-    """The environment with the package on PYTHONPATH."""
-    src = pathlib.Path(cli.__file__).parents[1]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(src), os.environ.get("PYTHONPATH")
-    ])), **extra)
-
-
-def python(code):
-    """What a fresh interpreter running code prints, the package on its path."""
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(),
-        check=True,
-    )
-    return proc.stdout
-
-
 class TestClosedStdout:
     """Standard output closed before the output is written: exit 141 with
     nothing on stderr, and the signal handlers left as they are."""
@@ -918,6 +916,11 @@ class TestColdImports:
             "print(before, rows().currsize)",
         ))
         assert python(code) == "0 1\n"
+
+    def test_no_module_loads_dataclasses(self):
+        # the records are NamedTuples: no class generates methods at import
+        code = "import sys, octavib.cli, octavib.modes; print('dataclasses' in sys.modules)"
+        assert python(code) == "False\n"
 
     def test_only_modes_loads_modes(self, tmp_path):
         one_shot = [

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -196,7 +195,7 @@ class TestBatchedKernels:
         with pytest.raises(CollisionError) as ref:
             ff.check_configurations(stack)
         shop = modes.ModeWorkshop(params)
-        traj = dataclasses.replace(shop.build_mode("0"), samples=stack.reshape(12, 18))
+        traj = shop.build_mode("0")._replace(samples=stack.reshape(12, 18))
         calls = [
             lambda: ff.gradients(params, stack),
             lambda: ff.gradients(params, stack.reshape(12, 18)),

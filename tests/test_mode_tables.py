@@ -10,8 +10,6 @@ in ``conftest``, on a new ring and on one that has served other σ.
 
 import contextlib
 import io
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +26,7 @@ from conftest import (
     loop_fixed_pairs,
     loop_verify_symmetry,
     pair_operator,
+    python,
     sweep_box,
 )
 
@@ -240,7 +239,7 @@ class TestOneVerifyPath:
             assert passed and len(report) == len(shop.ring.representative(traj.type_class))
 
     def test_verify_rows_gather_each_action(self, rng):
-        # the stacked (x, -x) gathered at a type's rows is ACTIONS_18[g] @ x,
+        # the stacked (x, -x) gathered at a type's rows is actions_18()[g] @ x,
         # both in the pairwise order, for every element of the 24 types
         # (which between them hold all 48 spatial elements)
         shop = modes.ModeWorkshop()
@@ -251,17 +250,18 @@ class TestOneVerifyPath:
         assert len({g for e in els for g in e.g.tolist()}) == group_core.N
         for x in (rng.normal(size=(18, 7)), np.arange(1.0, 19.0)[:, None]):
             stacked = np.concatenate([x[order], -x[order]])
-            want = (group_core.ACTIONS_18 @ x)[:, order]
+            want = (group_core.actions_18() @ x)[:, order]
             for e in els:
                 for g, rows in zip(e.g.tolist(), e.rows):
                     assert stacked[rows].tobytes() == want[g].tobytes()
 
 
 def test_verify_rows_built_on_first_use(tmp_path):
-    # a cold `invariant` process builds no verify rows: no table at import
-    # and no type's elements in the ring; a mode builds them
+    # a cold `invariant` process builds no action table and no verify rows:
+    # no table at import and no type's elements in the ring; a mode builds
+    # them
     code = "\n".join((
-        "import contextlib, io, sys",
+        "import contextlib, io",
         "import octavib.cli",
         "from octavib import group_core, modes, orbit_o2",
         "def main(*argv):",
@@ -269,14 +269,12 @@ def test_verify_rows_built_on_first_use(tmp_path):
         "        assert octavib.cli.main(list(argv)) == 0",
         "    ring = orbit_o2.ring()",
         "    print(hasattr(group_core, 'ACTION_ROWS'), hasattr(modes, '_PAIRWISE_ROWS'),",
+        "          group_core.actions_18.cache_info().currsize,",
         "          len(ring.memo.get('_type_elements', ())))",
         "main('invariant', '--j', '8')",
-        "main('modes', '--j', '8', '--out', sys.argv[1])",
+        f"main('modes', '--j', '8', '--out', {str(tmp_path)!r})",
     ))
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.splitlines() == ["False False 0", "False False 1"]
+    assert python(code).splitlines() == ["False False 0 0", "False False 1 1"]
 
 
 def counted(monkeypatch, module, name):
@@ -409,7 +407,7 @@ class TestFastCoefficientTable:
 
 class TestVerifyMemory:
     def test_actions_are_signed_permutations(self):
-        A = group_core.ACTIONS_18
+        A = group_core.actions_18()
         assert A.shape == (group_core.N, 18, 18)
         assert set(np.unique(A).tolist()) == {-1.0, 0.0, 1.0}
         nonzero = A != 0

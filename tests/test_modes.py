@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from octavib import force_field as ff
-from octavib import _serialize, accel, bifurcation, modes, orbit_o2, spectral
+from octavib import _serialize, accel, bifurcation, group_core, modes, orbit_o2, spectral
 from octavib._kernels import format_values
 from octavib._serialize import format_float, format_rows
 from octavib.errors import AmplitudeError, ConfigError, NumericalError, SamplingError
 
 from conftest import checked_wide_grid, gradient_loop, pair_operator, sweep_box, wide_grid
-from oracles import brake_velocity, describe_element, is_brake_type
+from oracles import brake_velocity, cycle_string, describe_element, is_brake_type
 
 # reference eigenvectors of the reported block Hessian, printed to 3-4
 # digits; used as an identification oracle only
@@ -167,6 +167,10 @@ class TestVerify:
                 assert list(report) == [describe_element(x) for x in els], (j, k)
                 count += 1
         assert count == 24
+
+    def test_one_cycle_string_per_spatial_element(self):
+        # the names read each of the 48 spatial elements' cycles from one table
+        assert modes._cycle_strings() == tuple(map(cycle_string, group_core.PERM))
 
     def test_pair_action_is_representation(self, shop, rng):
         A = shop.ring.representative(shop.types_for("9")[0])

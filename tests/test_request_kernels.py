@@ -15,7 +15,6 @@ import contextlib
 import io
 import math
 import re
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -419,7 +418,7 @@ def test_spectrum_json_equals_the_nested_lists(sigmas):
         "basis": [list(col) for col in report.basis.T],
     }
     assert report.to_json() == dumps(doc)
-    unlabeled = replace(report, basis=None)
+    unlabeled = report._replace(basis=None)
     assert unlabeled.to_json() == dumps({"eigenvalues": doc["eigenvalues"]})
 
 
@@ -428,7 +427,7 @@ def test_spectrum_json_equals_dumps_of_the_whole_document():
     # whose columns are not in it (negated) is formatted row by row
     count = 0
     for _, _, closed, numeric in request_spectra():
-        for report in (closed, numeric, replace(closed, basis=-closed.basis)):
+        for report in (closed, numeric, closed._replace(basis=-closed.basis)):
             doc = {
                 "eigenvalues": [
                     {"j": ln.label, "alpha_sq": ln.alpha_sq, "multiplicity": ln.multiplicity}

@@ -2,8 +2,6 @@ import ast
 import json
 import pathlib
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,6 +15,8 @@ from octavib._serialize import (
     format_float,
     format_rows,
 )
+
+from conftest import python
 
 
 class TestStrings:
@@ -287,10 +287,7 @@ class TestKernel:
             "import octavib._kernels as k",
             "print(k._pow10.cache_info().currsize, k._glyphs.cache_info().currsize)",
         ))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.splitlines() == ["False False False", "0 0"]
+        assert python(code).splitlines() == ["False False False", "0 0"]
 
 
 def parse_text(texts):
@@ -482,10 +479,7 @@ class TestParseKernel:
             "import octavib.cli, octavib._kernels as k; "
             "print(k._parse_tables.cache_info().currsize, k._scales.cache_info().currsize)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.split() == ["0", "0"]
+        assert python(code).split() == ["0", "0"]
 
 
 # -- one writer ---------------------------------------------------------------

@@ -108,7 +108,7 @@ class TestNumericSpectrum:
         # not alpha^2 times the identity: H does not commute with the action
         Q = spectral.Q
         H = Q @ np.diag(np.arange(1.0, 19.0)) @ Q.T
-        assert max(np.abs(G @ H - H @ G).max() for G in gc.ACTIONS_18) > 1
+        assert max(np.abs(G @ H - H @ G).max() for G in gc.actions_18()) > 1
         with pytest.raises(ShapeError, match="does not commute"):
             spectral.numeric_spectrum(H)
         # a 6x6 block of the two copies of 7 that is no 2x2 times I_3
@@ -249,7 +249,7 @@ class TestIsotypicBasis:
         rad, tan = spectral.BASES["7"], spectral._TANGENTIAL_7
         assert np.abs(rad.T @ tan).max() == 0
         # equal up to the rounding of 2 (1/sqrt(2))^2
-        for G in gc.ACTIONS_18:
+        for G in gc.actions_18():
             assert np.abs(rad.T @ G @ rad - tan.T @ G @ tan).max() <= 2 * np.spacing(1.0)
 
     def test_columns_are_the_basis_of_the_lines(self, labeled_spectrum):
