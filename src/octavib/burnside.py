@@ -25,8 +25,6 @@ from . import group_core
 from ._serialize import dumps
 from .errors import ConsistencyError
 
-UNIT_KEY = "__unit__"
-
 
 def cached(method):
     """Make a ring method a lookup in ``ring.memo[method name]``, by arguments.
@@ -102,16 +100,8 @@ class BurnsideElement:
         if not isinstance(other, BurnsideElement) or other.ring is not self.ring:
             raise ConsistencyError("elements belong to different ambient rings")
 
-    def support(self):
-        return set(self.coeffs)
-
     def coefficient(self, key):
-        if key == UNIT_KEY:
-            return self.unit
         return self.coeffs.get(key, 0)
-
-    def items(self):
-        return self.coeffs.items()
 
     def to_json(self):
         doc = {f"({self.ring.label_of(k)})": v for k, v in self.coeffs.items()}
@@ -232,22 +222,11 @@ class OctahedralBurnside(BurnsideRing):
         return self.catalog.by_label(label).order
 
     @cached
-    def coset_conjugates(self, H):
-        """The conjugates gHg^-1 of H's representative, one per coset gH, as masks."""
-        mask = self.catalog.by_label(H).mask
-        elems = group_core.mask_elements(mask)
-        out, covered = [], set()
-        for g in range(group_core.N):
-            if g not in covered:
-                out.append(group_core.conj_mask(mask, g))
-                covered.update(group_core.MUL[g][x] for x in elems)
-        return out
-
-    @cached
     def fixed_cosets(self, L, H):
-        """|(G/H)^L|: the cosets gH whose stabilizer gHg^-1 contains L."""
+        """|(G/H)^L|: each conjugate of H that contains L fixes |W(H)| cosets."""
         mask = self.catalog.by_label(L).mask
-        return sum(1 for c in self.coset_conjugates(H) if mask & ~c == 0)
+        H = self.catalog.by_label(H)
+        return H.weyl_order * sum(1 for c in H.conjugates if mask & ~c == 0)
 
     @cached
     def candidate_subtypes(self, H):
@@ -272,17 +251,17 @@ class OctahedralBurnside(BurnsideRing):
 
     # ---------------- brute-force census oracle ----------------------
     def census_multiply(self, H, K):
-        """(H)*(K) by enumerating points of G/H x G/K and their stabilizers."""
+        """(H)*(K) by enumerating points of G/H x G/K and their stabilizers:
+        a pair of conjugates (a, b) is |W(H)| |W(K)| points fixed by a & b."""
         cat = self.catalog
+        H, K = cat.by_label(H), cat.by_label(K)
         counts = Counter(
-            cat.class_of_mask[a & b]
-            for a in self.coset_conjugates(H)
-            for b in self.coset_conjugates(K)
+            cat.class_of_mask[a & b] for a in H.conjugates for b in K.conjugates
         )
         out = {}
         for ci, cnt in counts.items():
             cls = cat.classes[ci]
-            n, r = divmod(cnt, group_core.N // cls.order)
+            n, r = divmod(cnt * H.weyl_order * K.weyl_order, group_core.N // cls.order)
             if r:
                 raise ConsistencyError("census points do not fill whole orbits")
             out[cls.label] = n

@@ -277,6 +277,9 @@ def conjugate_masks(mask):
 
 
 def conj_mask(mask, g):
+    """The conjugate g H g^-1 of a subgroup mask, element by element.  No
+    module calls it: the tests do, as the reference for ``conjugate_masks``
+    among others, and so does ``tests/regenerate_o2_table.py``."""
     out = 0
     gi = INV[g]
     for x in mask_elements(mask):

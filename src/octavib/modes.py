@@ -185,7 +185,7 @@ class ModeWorkshop:
         return 0.45 * self.radius
 
     # -- verification -----------------------------------------------------
-    def verify_symmetry(self, traj, type_class=None):
+    def verify_symmetry(self, traj):
         """Max sample residual of every symmetry relation of the type.
 
         Returns (passed, report) where report maps an element's description
@@ -199,7 +199,7 @@ class ModeWorkshop:
         the coordinates in numpy's pairwise order, so every residual has the
         bits of the norm of disp - G disp with G the action matrix.
         """
-        ci = traj.type_class if type_class is None else type_class
+        ci = traj.type_class
         els = _type_elements(self.ring, ci)
         n = traj.n_samples
         groups = _shift_groups(self.ring, ci, n)

@@ -16,7 +16,7 @@ built.  Pulling orbit types back along z -> z^l is the l-folding
 homomorphism Theta_l, a ring map that keeps marks (Balanov, Krawcewicz and
 Steinlein, *Applied Equivariant Degree*, 2006), so each datum of K^l is
 read from K: its order, Weyl order, symbol key, fixed dimensions, fixed
-cosets, maximal types and basic degrees.
+cosets and maximal types.
 
 The mode-1 data are constants of the group.  The builder in
 ``tests/regenerate_o2_table.py`` enumerates the character graphs, computes
@@ -24,10 +24,11 @@ the data by the element arithmetic of this module and writes them as
 ``o2_mode1.json``, a table of marks in the sense of Pfeiffer ("The
 subgroups of M24, or how to compute the table of marks of a finite group",
 1997).  The ring (``ring()``) reads that file once, when it is built, and
-answers every datum from it; Burnside products run over its registry of
-classes through the shared recurrence in :mod:`octavib.burnside`, and what
-the ring computes beyond the table (classes per mode, maximal types and
-basic degrees above mode 1, candidate subtypes) is a ``cached`` method.
+answers every datum from it; products and basic degrees, at every mode,
+run over its registry of classes through the one recurrence in
+:mod:`octavib.burnside`, and what the ring computes beyond the table
+(classes per mode, maximal types above mode 1, candidate subtypes,
+products and basic degrees) is a ``cached`` method.
 """
 
 import json
@@ -467,18 +468,6 @@ class TemporalOctahedralRing(BurnsideRing):
         k = self._ordinals[self._pairs[ci][0]]
         return f"{symbol} #{k}" if k else symbol
 
-    def multiply_generators(self, H, K):
-        """(H)(K) for H = A^a and K = B^b: with d = gcd(a, b), Theta_d of
-        (A^(a/d))(B^(b/d)), since Theta_d is a ring map."""
-        (A, a), (B, b) = self._pairs[H], self._pairs[K]
-        d = math.gcd(a, b)
-        if d == 1:
-            return super().multiply_generators(H, K)
-        low = self.multiply_generators(
-            self.register_cover(A, a // d), self.register_cover(B, b // d)
-        )
-        return {self.register_cover(L, d): n for L, n in low.items()}
-
     @cached
     def candidate_subtypes(self, ci):
         """Classes subconjugate to ci, drawn from the complete catalog.
@@ -561,22 +550,14 @@ class TemporalOctahedralRing(BurnsideRing):
 
     @cached
     def basic_degree(self, j, l):
-        """Antipodal-map degree on the ball of irrep-j mode-l.
-
-        At mode 1 by the recurrence, whose pool is the downward closure of
-        the maximal orbit types; the unit coefficient is +1.  At mode l it
-        is Theta_l of that: every class K replaced by K^l.
-        """
-        if l > 1:
-            deg = self.basic_degree(j, 1)
-            return self.element(
-                deg.unit, {self.register_cover(K, l): n for K, n in deg.coeffs.items()}
-            )
+        """Antipodal-map degree on the ball of irrep-j mode-l, by the
+        recurrence, whose pool is the downward closure of the maximal orbit
+        types; the unit coefficient is +1."""
         pool = set()
-        for ci in self.maximal_orbit_types(j, 1):
+        for ci in self.maximal_orbit_types(j, l):
             pool.update(self.candidate_subtypes(ci))
         return self.element(
-            1, self.recurrence(pool, lambda K: (-1) ** self.fixed_dim(j, 1, K) - 1)
+            1, self.recurrence(pool, lambda K: (-1) ** self.fixed_dim(j, l, K) - 1)
         )
 
 

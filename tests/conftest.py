@@ -219,11 +219,10 @@ def loop_fixed_pairs(shop, type_class, j):
     return [(B @ row[:m], B @ row[m:]) for row in pinned_null_rows(Vt, sv)]
 
 
-def loop_verify_symmetry(shop, traj, type_class=None):
+def loop_verify_symmetry(shop, traj):
     """``ModeWorkshop.verify_symmetry`` one element at a time, each with its
     own shifted copy of the samples and its own 18x18 product (oracle)."""
-    ci = traj.type_class if type_class is None else type_class
-    A = shop.ring.representative(ci)
+    A = shop.ring.representative(traj.type_class)
     n = traj.n_samples
     disp = traj.samples - traj.center[None, :]
     report = {}

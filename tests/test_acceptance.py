@@ -218,7 +218,9 @@ def test_criterion_8_modes(invariant_engine):
             # must fail for at least one other of the sixteen types; a type
             # with a temporal shift defeats the fully symmetric mode
             other = rotating if ci != rotating else full_type
-            other_ok, other_report = shop.verify_symmetry(traj, type_class=other)
+            other_ok, other_report = shop.verify_symmetry(
+                traj._replace(type_class=other)
+            )
             ok &= (not other_ok) and max(other_report.values()) > 1e-6
             r2 = shop.nonlinear_residual(traj)
             r3 = shop.nonlinear_residual(shop.build_mode(j, k, epsilon=1e-3))

@@ -1,6 +1,7 @@
 import pytest
 
 from octavib import burnside
+from octavib import group_core as gc
 from octavib.errors import ConsistencyError
 
 from conftest import all_pairs_maximal
@@ -47,6 +48,20 @@ class TestProducts:
                 assert ring.generator(H) * ring.generator(K) == ring.census_multiply(
                     H, K
                 ), (H, K)
+
+    def test_fixed_cosets_count_the_conjugators(self, ring):
+        # |(G/H)^L| = #{g : L <= g H g^-1} / |H|, each g H g^-1 conjugated
+        # element by element through the multiplication table
+        for H in ring.catalog.classes:
+            conjugates = [
+                sum(1 << gc.MUL[gc.MUL[g][x]][gc.INV[g]] for x in H.elements)
+                for g in range(gc.N)
+            ]
+            for L in ring.catalog.classes:
+                hits = sum(1 for c in conjugates if L.mask & ~c == 0)
+                want, r = divmod(hits, H.order)
+                assert not r, (L.label, H.label)
+                assert ring.fixed_cosets(L.label, H.label) == want, (L.label, H.label)
 
     def test_commutative_associative_sample(self, ring, rng):
         labels = [c.label for c in ring.catalog.classes]

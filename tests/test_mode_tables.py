@@ -158,7 +158,7 @@ class TestModeTables:
         passed, _ = shop.verify_symmetry(traj)
         assert passed
         with pytest.raises(SamplingError, match="multiple of 3"):
-            shop.verify_symmetry(traj, type_class=ci)
+            shop.verify_symmetry(traj._replace(type_class=ci))
         assert (ci, 50) not in fresh_ring.memo["_shift_groups"]
 
     def test_shift_groups_partition_the_elements(self, fresh_ring):
@@ -257,24 +257,22 @@ class TestOneVerifyPath:
 
 
 def test_verify_rows_built_on_first_use(tmp_path):
-    # a cold `invariant` process builds no action table and no verify rows:
-    # no table at import and no type's elements in the ring; a mode builds
-    # them
+    # a cold `invariant` process builds no action table and puts no type's
+    # elements in the ring; a mode builds both
     code = "\n".join((
         "import contextlib, io",
         "import octavib.cli",
-        "from octavib import group_core, modes, orbit_o2",
+        "from octavib import group_core, orbit_o2",
         "def main(*argv):",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert octavib.cli.main(list(argv)) == 0",
         "    ring = orbit_o2.ring()",
-        "    print(hasattr(group_core, 'ACTION_ROWS'), hasattr(modes, '_PAIRWISE_ROWS'),",
-        "          group_core.actions_18.cache_info().currsize,",
+        "    print(group_core.actions_18.cache_info().currsize,",
         "          len(ring.memo.get('_type_elements', ())))",
         "main('invariant', '--j', '8')",
         f"main('modes', '--j', '8', '--out', {str(tmp_path)!r})",
     ))
-    assert python(code).splitlines() == ["False False 0 0", "False False 1 1"]
+    assert python(code).splitlines() == ["0 0", "1 1"]
 
 
 def counted(monkeypatch, module, name):

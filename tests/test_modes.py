@@ -139,7 +139,7 @@ class TestVerify:
     def test_block8_mode_fails_full_symmetry(self, shop):
         traj = shop.build_mode("8", 1, 0.02)
         full = shop.types_for("0")[0]
-        passed, report = shop.verify_symmetry(traj, type_class=full)
+        passed, report = shop.verify_symmetry(traj._replace(type_class=full))
         assert not passed
         assert max(report.values()) > 1e-3 * traj.epsilon
 
@@ -154,7 +154,7 @@ class TestVerify:
             shop.build_mode("8", k_third, 0.02, n_samples=50)
         traj = shop.build_mode("8", 1, 0.02, n_samples=50)
         with pytest.raises(SamplingError):
-            shop.verify_symmetry(traj, type_class=types[k_third - 1])
+            shop.verify_symmetry(traj._replace(type_class=types[k_third - 1]))
 
     def test_report_names_of_every_type(self, shop):
         # the names are the elements' cycles as the standalone cycle walk

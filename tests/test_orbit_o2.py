@@ -739,17 +739,33 @@ class TestModeOneReading:
 
     @pytest.mark.parametrize("l", [2, 8, 9, 11])
     def test_products_match_the_recurrence(self, l):
-        # a product of classes at one mode, read from mode 1, against the
-        # recurrence over the candidate subtypes of the covers
+        # Theta_d is a ring map: for H = A^a and K = B^b with d = gcd(a, b),
+        # the recurrence's (H)(K) is its (A^(a/d))(B^(b/d)) with every class
+        # L replaced by the cover L^d
         ring = R()
-        recurrence = BurnsideRing._product.__wrapped__
         for j in self.BLOCKS:
             support = sorted(o2.basic_degree(j, l).coeffs)
             for H in support:
                 for K in support[support.index(H):]:
-                    assert ring.multiply_generators(H, K) == recurrence(ring, H, K), (
-                        j, l, H, K
+                    (A, a), (B, b) = ring._pairs[H], ring._pairs[K]
+                    d = math.gcd(a, b)
+                    assert d > 1
+                    low = ring.multiply_generators(
+                        ring.register_cover(A, a // d), ring.register_cover(B, b // d)
                     )
+                    covers = {ring.register_cover(L, d): n for L, n in low.items()}
+                    assert ring.multiply_generators(H, K) == covers, (j, l, H, K)
+
+    def test_basic_degrees_are_covers_of_mode_one(self):
+        # Theta_l is a ring map: the degree at mode l is the mode-1 degree
+        # with every class K replaced by the cover K^l
+        ring = R()
+        for j in self.BLOCKS:
+            low = o2.basic_degree(j, 1)
+            for l in range(2, 13):
+                deg = o2.basic_degree(j, l)
+                covers = {ring.register_cover(K, l): n for K, n in low.coeffs.items()}
+                assert deg.unit == low.unit == 1 and deg.coeffs == covers, (j, l)
 
 
 def reference_conjugators(a, b):
