@@ -21,11 +21,13 @@ product of basic degrees (``invariant_full``) is the tests' oracle only.
 """
 
 import math
+from collections import defaultdict
 from functools import cached_property, partial
 from typing import NamedTuple
 
 from . import force_field, spectral
 from . import orbit_o2 as o2
+from .burnside import cached
 from .errors import ConfigError, ConsistencyError, ResonanceError
 
 # each isotypic block's irreducible: 7* is the upper copy of irreducible 7
@@ -193,7 +195,7 @@ class InvariantEngine:
             raise ConsistencyError(f"missing frequencies for {sorted(missing)}")
         _check_frequencies(self.alphas)
         self.ring = o2.ring()
-        self._odd = {}  # block -> its factors' odd groups
+        self.memo = defaultdict(dict)  # method name -> {arguments: value}
 
     # --- ring data -------------------------------------------------------
     def degree(self, j, l=1):
@@ -219,6 +221,7 @@ class InvariantEngine:
         )
 
     # --- the marks recurrence -------------------------------------------
+    @cached
     def _odd_groups(self, j_o):
         """The (degree index, (l - 1) mod period + 1) groups of j_o's factors
         that hold an odd number of them, once per engine and block.
@@ -227,16 +230,11 @@ class InvariantEngine:
         same for any number of factors, and this set is all of σ a fast
         coefficient reads.
         """
-        try:
-            return self._odd[j_o]
-        except KeyError:
-            pass
         period = self.ring.mode_period()
         odd = set()
         for j, l in factors_before(j_o, self.alphas):
             odd ^= {(IRREP[j], (l - 1) % period + 1)}
-        self._odd[j_o] = frozenset(odd)
-        return self._odd[j_o]
+        return frozenset(odd)
 
     def _mark(self, j_o):
         """omega's mark at a mode-1 class K, as a function of K."""

@@ -27,12 +27,13 @@ from .errors import ConsistencyError
 
 
 def cached(method):
-    """Make a ring method a lookup in ``ring.memo[method name]``, by arguments.
+    """Make a method a lookup in ``self.memo[method name]``, by arguments.
 
-    A module function whose first argument is the ring is kept the same way.
-    Each value is computed once per key per ring, and a new ring starts with
-    no tables.  Arguments are positional, so one key names one value; a call
-    that raises stores nothing.
+    ``self`` is any object with a ``memo`` (a ring, an invariant engine), and a
+    module function whose first argument is such an object is kept the same
+    way.  Each value is computed once per key per object, and a new object
+    starts with no tables.  Arguments are positional, so one key names one
+    value; a call that raises stores nothing.
     """
     name = method.__name__
 
@@ -282,11 +283,7 @@ class OctahedralBurnside(BurnsideRing):
         return self.basic_degree_from_dims(dims)
 
 
-_RING = None
-
-
+@functools.cache
 def ring():
-    global _RING
-    if _RING is None:
-        _RING = OctahedralBurnside()
-    return _RING
+    """The spatial ring, built on first use, once per process."""
+    return OctahedralBurnside()

@@ -16,6 +16,7 @@ Two Hessian conventions coexist (see ``hessian_blocks``):
 """
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -102,7 +103,7 @@ def load_params(path):
             values[key] = float(val)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad number {val.strip()!r}") from None
-        if not np.isfinite(values[key]):
+        if not math.isfinite(values[key]):
             raise ConfigError(
                 f"{path}:{lineno}: {key} must be finite, got {val.strip()!r}"
             )
@@ -182,12 +183,7 @@ def phi(params, r):
 
 
 def phi_prime(params, r):
-    s1, s2, s3 = params.sigma1, params.sigma2, params.sigma3
-    return 12 * r * (
-        4 * u1_prime(2 * r * r, s1, s2, s3)
-        + 2 * u1_prime(4 * r * r, s1, s2, s3)
-        + u2_prime(r * r)
-    )
+    return 12 * r * ct_residual(params, r)
 
 
 def phi_second(params, r):

@@ -14,6 +14,8 @@ cycle-composition conventions; subgroup-level data is unaffected).
 
 Generator words in the catalog follow the convention of the subgroup
 listing: cycles on {1,2,3,4} give sigma, a trailing "(56)" flags eps = -1.
+The catalog, ``catalog()``, is a ``functools.cache`` function: one per
+process.
 """
 
 import functools
@@ -363,12 +365,7 @@ class Catalog:
         ]
 
 
-_CATALOG = None
-
-
+@functools.cache
 def catalog():
-    """The shared immutable catalog (built on first use)."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = Catalog()
-    return _CATALOG
+    """The shared immutable catalog, built on first use, once per process."""
+    return Catalog()

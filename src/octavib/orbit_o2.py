@@ -23,8 +23,9 @@ The mode-1 data are constants of the group.  The builder in
 the data by the element arithmetic of this module and writes them as
 ``o2_mode1.json``, a table of marks in the sense of Pfeiffer ("The
 subgroups of M24, or how to compute the table of marks of a finite group",
-1997).  The ring (``ring()``) reads that file once, when it is built, and
-answers every datum from it; products and basic degrees, at every mode,
+1997).  The ring, ``ring()``, is a ``functools.cache`` function: one ring
+per process, which reads that file once, when it is built, and answers
+every datum from it; products and basic degrees, at every mode,
 run over its registry of classes through the one recurrence in
 :mod:`octavib.burnside`, and what the ring computes beyond the table
 (classes per mode, maximal types above mode 1, candidate subtypes,
@@ -35,7 +36,7 @@ import json
 import math
 import os
 from collections import Counter
-from functools import lru_cache, partial
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 from . import group_core as gc
@@ -65,7 +66,7 @@ def decode(code):
     return ek // GRID, ek % GRID, g
 
 
-@lru_cache(maxsize=None)
+@cache
 def parts(code):
     """(reflection bit, O(2) turn in [0, 1), spatial index), the turn as an
     exact fraction (numerator, denominator) in lowest terms, (0, 1) for none.
@@ -157,7 +158,7 @@ def closure(gens):
     return frozenset(elems)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _element_order(x):
     y, n = x, 1
     while y != IDENTITY:
@@ -189,12 +190,8 @@ def _refl_by_spatial(H):
 class ConcreteSubgroup:
     """Finite subgroup of the ambient group, with exact conjugacy tooling."""
 
-    __slots__ = ("elements", "_profile", "_generators")
-
     def __init__(self, elements):
         self.elements = frozenset(elements)
-        self._profile = None
-        self._generators = None
 
     @classmethod
     def generated(cls, gens):
@@ -209,23 +206,21 @@ class ConcreteSubgroup:
     def __hash__(self):
         return hash(self.elements)
 
+    @cached_property
     def profile(self):
-        if self._profile is None:
-            self._profile = profile(self.elements)
-        return self._profile
+        return profile(self.elements)
 
+    @cached_property
     def generators(self):
         """A small generating set, picked greedily, longest orders first."""
-        if self._generators is None:
-            gens, got = [], {IDENTITY}
-            for x in sorted(self.elements, key=lambda x: (-_element_order(x), x)):
-                if x not in got:
-                    gens.append(x)
-                    got = closure(gens)
-                    if len(got) == len(self.elements):
-                        break
-            self._generators = tuple(gens)
-        return self._generators
+        gens, got = [], {IDENTITY}
+        for x in sorted(self.elements, key=lambda x: (-_element_order(x), x)):
+            if x not in got:
+                gens.append(x)
+                got = closure(gens)
+                if len(got) == len(self.elements):
+                    break
+        return tuple(gens)
 
     def has_reflection(self):
         return any(x >= _REFL for x in self.elements)
@@ -235,14 +230,14 @@ class ConcreteSubgroup:
         A, B = self.elements, other.elements
         if len(A) != len(B):
             return
-        gens = [decode(x) for x in self.generators()]
+        gens = [decode(x) for x in self.generators]
         # conjugation is injective and |A| = |B|: containment is equality
         yield from _conjugators(gens, B, _refl_by_spatial(B))
 
     def is_conjugate(self, other):
         if self.elements == other.elements:
             return True
-        if self.profile() != other.profile():
+        if self.profile != other.profile:
             return False
         if not self.has_reflection():
             # temporal rotations commute with rotations: c acts only by its
@@ -268,9 +263,9 @@ class ConcreteSubgroup:
 
 def _class_among(reps, A):
     """Index of the subgroup of ``reps`` that A is conjugate to, or None."""
-    p = A.profile()
+    p = A.profile
     for ci, B in enumerate(reps):
-        if len(B) == len(A) and B.profile() == p and B.is_conjugate(A):
+        if len(B) == len(A) and B.profile == p and B.is_conjugate(A):
             return ci
     return None
 
@@ -561,14 +556,10 @@ class TemporalOctahedralRing(BurnsideRing):
         )
 
 
-_RING = None
-
-
+@cache
 def ring():
-    global _RING
-    if _RING is None:
-        _RING = TemporalOctahedralRing()
-    return _RING
+    """The orbit-type ring, built on first use, once per process."""
+    return TemporalOctahedralRing()
 
 
 def graph_classes(l=1):

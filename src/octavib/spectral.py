@@ -103,7 +103,7 @@ def _frequency(line):
         raise NonPositiveFrequencyError(
             f"block {line.label} has alpha^2 = {line.alpha_sq!r} <= 0"
         )
-    return float(np.sqrt(line.alpha_sq))
+    return math.sqrt(line.alpha_sq)
 
 
 def isotypic_multiplicities(character):

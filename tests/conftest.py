@@ -127,8 +127,9 @@ def engine(labeled_spectrum):
 @pytest.fixture
 def fresh_ring(monkeypatch):
     """An empty orbit-type ring for one test; the process's ring comes back after."""
-    monkeypatch.setattr(orbit_o2, "_RING", orbit_o2.TemporalOctahedralRing())
-    return orbit_o2.ring()
+    ring = orbit_o2.TemporalOctahedralRing()
+    monkeypatch.setattr(orbit_o2, "ring", lambda: ring)
+    return ring
 
 
 @pytest.fixture(scope="session")

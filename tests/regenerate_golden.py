@@ -22,7 +22,7 @@ from test_golden import COMMANDS, GOLDEN, MODE_COMMANDS
 
 
 def _run(argv):
-    orbit_o2._RING = orbit_o2.TemporalOctahedralRing()
+    orbit_o2.ring.cache_clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)

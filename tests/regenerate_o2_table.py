@@ -162,7 +162,7 @@ def _graph_representatives():
         # each coset g K of the normalizer, named by its least element
         coset = {g: min(gc.MUL[g][x] for x in els) for g in normalizer}
         # spatial element g has code g, so these are spatial generators
-        spatial_gens = o2.ConcreteSubgroup(els).generators()
+        spatial_gens = o2.ConcreteSubgroup(els).generators
         # the N(K)-images (chi as angles over els, coset t K) of the triples
         # built; chi -> -chi is looked up, not stored
         met = set()
@@ -215,7 +215,7 @@ def _search_aids(H):
             covered.update(gc.MUL[g][p] for p in projection)
     return (
         o2._refl_by_spatial(H.elements),
-        dict(H.profile()[1]),
+        dict(H.profile[1]),
         tuple(reps),
         len(H) // len(projection),
     )
@@ -229,7 +229,7 @@ def profile_fits(H, A):
     keeps the reflection bit, the order and the spatial class of an element.
     """
     have = _search_aids(H)[1]
-    return all(have.get(k, 0) >= n for k, n in A.profile()[1])
+    return all(have.get(k, 0) >= n for k, n in A.profile[1])
 
 
 def fixed_cosets(H, A):
@@ -245,7 +245,7 @@ def fixed_cosets(H, A):
     if len(H) % len(A) or not profile_fits(H, A):
         return 0
     refl_index, _, spatial, kernel = _search_aids(H)
-    gens = [o2.decode(x) for x in A.generators()]
+    gens = [o2.decode(x) for x in A.generators]
     n = sum(1 for _ in o2._conjugators(gens, H.elements, refl_index, spatial))
     val, r = divmod(n, kernel)
     if r:

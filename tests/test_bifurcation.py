@@ -337,8 +337,13 @@ class TestRingTables:
         # each type for the block's odd groups of factors
         names = ("maximal_orbit_types", "marks_coefficient")
         counts = count_computations(monkeypatch, names)
-        bf.InvariantEngine(labeled_spectrum.alphas()).census()
+        engine = bf.InvariantEngine(labeled_spectrum.alphas())
+        engine.census()
         seen = {name: dict(counts[name]) for name in names}
+        # the engine keeps the odd groups of the one block per irreducible
+        # the census reads (7* shares 7's), and nothing else
+        assert set(engine.memo) == {"_odd_groups"}
+        assert set(engine.memo["_odd_groups"]) == {(b,) for b in ("0", "4", "7", "8", "9")}
         # the same σ again computes nothing
         bf.InvariantEngine(labeled_spectrum.alphas()).census()
         assert {name: dict(counts[name]) for name in names} == seen

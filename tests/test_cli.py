@@ -781,7 +781,8 @@ class TestDeterminism:
         code, fresh, _ = run(capsys, "invariant", "--j", "4", "--full")
         assert code == 0
         # a second empty ring, filled by other commands first
-        monkeypatch.setattr(orbit_o2, "_RING", orbit_o2.TemporalOctahedralRing())
+        ring = orbit_o2.TemporalOctahedralRing()
+        monkeypatch.setattr(orbit_o2, "ring", lambda: ring)
         assert run(capsys, "modes", "--j", "9", "--out", str(tmp_path))[0] == 0
         assert run(capsys, "census")[0] == 0
         code, after, _ = run(capsys, "invariant", "--j", "4", "--full")

@@ -44,7 +44,7 @@ IDS = ["reference"] + [f"draw{i}" for i in range(48)]
 
 def new_ring(monkeypatch, ring=None):
     ring = ring or orbit_o2.TemporalOctahedralRing()
-    monkeypatch.setattr(orbit_o2, "_RING", ring)
+    monkeypatch.setattr(orbit_o2, "ring", lambda: ring)
     return ring
 
 

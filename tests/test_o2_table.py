@@ -103,8 +103,9 @@ def arithmetic_forbidden(monkeypatch):
     monkeypatch.setattr(
         o2.ConcreteSubgroup, "is_conjugate", forbidden("ConcreteSubgroup.is_conjugate")
     )
-    monkeypatch.setattr(o2, "_RING", o2.TemporalOctahedralRing())
-    return o2.ring()
+    ring = o2.TemporalOctahedralRing()
+    monkeypatch.setattr(o2, "ring", lambda: ring)
+    return ring
 
 
 # every golden command, and --full for the blocks `invariant` runs in full

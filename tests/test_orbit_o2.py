@@ -11,7 +11,7 @@ from octavib.burnside import BurnsideRing, cached
 
 import oracles
 import regenerate_o2_table as builder
-from conftest import all_pairs_maximal, engine_at, sweep_box
+from conftest import all_pairs_maximal, engine_at, python, sweep_box
 
 R = lambda: o2.ring()
 
@@ -147,7 +147,7 @@ def reference_graph_subgroups():
     for cls in cat.classes:
         K = cls.mask
         els = gc.mask_elements(K)
-        spatial_gens = o2.ConcreteSubgroup(els).generators()
+        spatial_gens = o2.ConcreteSubgroup(els).generators
         for chi in builder._characters_of(els, spatial_gens):
             for t in range(o2.N):
                 if gc.conj_mask(K, t) != K:
@@ -326,6 +326,23 @@ class TestMaximalTypes:
         assert fresh_ring.memo["maximal_orbit_types"]
         assert "label_of" not in fresh_ring.memo
         assert o2.TemporalOctahedralRing().memo == {}
+
+    def test_one_ring_and_catalog_per_process(self):
+        # each is built on first use and then returned as is; after
+        # cache_clear the next call builds a new one, a ring with no tables
+        code = "\n".join((
+            "from octavib import burnside, group_core, orbit_o2",
+            "for get, fill in ((orbit_o2.ring, lambda R: R.maximal_orbit_types(0, 1)),",
+            "                  (burnside.ring, lambda R: R.candidate_subtypes('D_4^p')),",
+            "                  (group_core.catalog, lambda C: None)):",
+            "    first = get()",
+            "    fill(first)",
+            "    same = get() is first",
+            "    get.cache_clear()",
+            "    new = get()",
+            "    print(same, new is not first, new is get(), getattr(new, 'memo', {}) == {})",
+        ))
+        assert python(code).splitlines() == ["True True True True"] * 3
 
     def test_reference_check_writes_nothing(self, fresh_ring):
         classes = {j: o2.maximal_orbit_types(j, 1) for j in (0, 4, 7, 8, 9)}
@@ -636,7 +653,8 @@ class TestFastPathOracles:
         ring = R()
         for ci in o2.graph_classes(1) + o2.graph_classes(2):
             rep = element_cover(ring, ci)
-            assert o2.closure(rep.generators()) == rep.elements, ci
+            assert o2.closure(rep.generators) == rep.elements, ci
+            assert rep.generators is rep.generators, ci
 
     @pytest.mark.parametrize("l", [2, 3])
     def test_covers_inherit_weyl_order(self, l):
@@ -798,7 +816,7 @@ class TestFusedConjugators:
             pairs.append((int(rng.choice(subs)), H))
             pairs.append((int(rng.choice(classes)), H))
         for ci in classes:
-            if len(o2.reflections_of(element_cover(ring, ci).generators())) > 1:
+            if len(o2.reflections_of(element_cover(ring, ci).generators)) > 1:
                 pairs.append((ci, ci))
         return pairs
 
@@ -810,7 +828,7 @@ class TestFusedConjugators:
         for L, H in self._pairs(ring, l, rng):
             a = element_cover(ring, L)
             b = element_cover(ring, H).elements
-            gens = [o2.decode(x) for x in a.generators()]
+            gens = [o2.decode(x) for x in a.generators]
             got = list(o2._conjugators(gens, b, o2._refl_by_spatial(b)))
             assert len(got) == len(set(got))
             assert set(got) == reference_conjugators(a.elements, b), (L, H)
