@@ -19,7 +19,7 @@ method name and arguments.
 """
 
 import functools
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 from . import group_core
 from ._serialize import dumps
@@ -100,9 +100,6 @@ class BurnsideElement:
     def _check(self, other):
         if not isinstance(other, BurnsideElement) or other.ring is not self.ring:
             raise ConsistencyError("elements belong to different ambient rings")
-
-    def coefficient(self, key):
-        return self.coeffs.get(key, 0)
 
     def to_json(self):
         doc = {f"({self.ring.label_of(k)})": v for k, v in self.coeffs.items()}
@@ -249,24 +246,6 @@ class OctahedralBurnside(BurnsideRing):
         if label == self.unit_label:
             return self.unit()
         return self.element(0, {label: 1})
-
-    # ---------------- brute-force census oracle ----------------------
-    def census_multiply(self, H, K):
-        """(H)*(K) by enumerating points of G/H x G/K and their stabilizers:
-        a pair of conjugates (a, b) is |W(H)| |W(K)| points fixed by a & b."""
-        cat = self.catalog
-        H, K = cat.by_label(H), cat.by_label(K)
-        counts = Counter(
-            cat.class_of_mask[a & b] for a in H.conjugates for b in K.conjugates
-        )
-        out = {}
-        for ci, cnt in counts.items():
-            cls = cat.classes[ci]
-            n, r = divmod(cnt * H.weyl_order * K.weyl_order, group_core.N // cls.order)
-            if r:
-                raise ConsistencyError("census points do not fill whole orbits")
-            out[cls.label] = n
-        return self.element(out.pop(self.unit_label, 0), out)
 
     # ---------------- basic degrees ----------------------------------
     def basic_degree_from_dims(self, fixed_dims):

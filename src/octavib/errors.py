@@ -41,10 +41,6 @@ class ShapeError(ConfigError):
     """Input matrix/configuration has the wrong shape or symmetry."""
 
 
-class InvalidCharacterError(ConfigError):
-    """A class function does not decompose integrally over the irreducibles."""
-
-
 class LabelingError(ConsistencyError):
     """An eigenspace character matches no irreducible row."""
 

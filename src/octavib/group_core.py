@@ -206,11 +206,6 @@ def actions_18():
     return table
 
 
-def action_character():
-    """Trace of the 18-dim action on the ten class representatives."""
-    return tuple(int(round(np.trace(actions_18()[g]))) for g in CLASS_REPS)
-
-
 # ---------------------------------------------------------------------------
 # subgroup catalog
 # ---------------------------------------------------------------------------
@@ -276,17 +271,6 @@ _BITS = 1 << np.arange(N, dtype=np.int64)
 def conjugate_masks(mask):
     """The conjugates g^-1 H g of a subgroup mask, g = 0..47, as 48 masks."""
     return np.bitwise_or.reduce(_BITS[CONJ[:, mask_elements(mask)]], axis=1).tolist()
-
-
-def conj_mask(mask, g):
-    """The conjugate g H g^-1 of a subgroup mask, element by element.  No
-    module calls it: the tests do, as the reference for ``conjugate_masks``
-    among others, and so does ``tests/regenerate_o2_table.py``."""
-    out = 0
-    gi = INV[g]
-    for x in mask_elements(mask):
-        out |= 1 << MUL[MUL[g][x]][gi]
-    return out
 
 
 class SubgroupClass(NamedTuple):

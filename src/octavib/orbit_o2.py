@@ -193,10 +193,6 @@ class ConcreteSubgroup:
     def __init__(self, elements):
         self.elements = frozenset(elements)
 
-    @classmethod
-    def generated(cls, gens):
-        return cls(closure(gens))
-
     def __len__(self):
         return len(self.elements)
 
@@ -697,11 +693,6 @@ def _reference_hits(families, keys, l):
             )
         out[hits[0]] = fam.label(l)
     return out
-
-
-def reference_red_labels(j, l=1):
-    """Maximal-type labels of the reference expansion for irrep j at mode l."""
-    return tuple(fam.label(l) for fam in _red_families(j))
 
 
 def pin_reference_labels(j, class_ids, l=1):

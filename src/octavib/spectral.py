@@ -18,9 +18,7 @@ import numpy as np
 
 from . import force_field, group_core
 from ._serialize import JSONText, dumps, json_rows
-from .errors import InvalidCharacterError, LabelingError, NumericalError, ShapeError
-
-MULTIPLICITIES = {"0": 1, "4": 2, "6": 3, "7": 3, "7*": 3, "8": 3, "9": 3}
+from .errors import LabelingError, NumericalError, ShapeError
 
 
 class NonPositiveFrequencyError(NumericalError):
@@ -104,23 +102,6 @@ def _frequency(line):
             f"block {line.label} has alpha^2 = {line.alpha_sq!r} <= 0"
         )
     return math.sqrt(line.alpha_sq)
-
-
-def isotypic_multiplicities(character):
-    """Decompose a class function over the ten irreducibles."""
-    chi = tuple(character)
-    if len(chi) != 10:
-        raise InvalidCharacterError("need values on the ten conjugacy classes")
-    sizes = group_core.CLASS_SIZES
-    order = sum(sizes)
-    out = []
-    for row in group_core.CHARACTER_TABLE:
-        s = sum(sz * cv * rv for sz, cv, rv in zip(sizes, chi, row))
-        m = s / order
-        if abs(m - round(m)) > 1e-9 or round(m) < 0:
-            raise InvalidCharacterError(f"inner product {m} is not a natural number")
-        out.append(int(round(m)))
-    return tuple(out)
 
 
 # the character table; v^T G v is a column v's share of a class's character

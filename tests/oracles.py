@@ -1,16 +1,19 @@
 """Brute-force oracles the tests check the package against.
 
 No request runs these.  They are the direct constructions the package's
-tables and kernels replace: the group tables by composing permutations, the
-subgroup enumeration, element constructors and conjugation in the
-temporal-spatial group, Weyl orders in a dihedral truncation, symbolic
-families matched against the catalog, the force field with its pair and bond
-terms written inline, the equilibrium search on float64 scalars, the
-closed-form spectrum from the stiffness constants, the brake checks of a
-mode and the names of its symmetry relations.
+tables and kernels replace: the group tables by composing permutations,
+conjugation of a subgroup mask element by element, the subgroup enumeration,
+the 18-dim character and its isotypic decomposition, the spatial ring's
+products by a census of coset pairs, element constructors and conjugation in
+the temporal-spatial group, Weyl orders in a dihedral truncation, symbolic
+families matched against the catalog and the reference spellings, the force
+field with its pair and bond terms written inline, the equilibrium search on
+float64 scalars, the closed-form spectrum from the stiffness constants, the
+brake checks of a mode and the names of its symmetry relations.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +23,13 @@ from octavib import group_core as gc
 from octavib import orbit_o2 as o2
 from octavib.errors import (
     CatalogError,
+    ConfigError,
     ConsistencyError,
     NumericalError,
     SamplingError,
     SearchFailureError,
 )
-from octavib.spectral import MULTIPLICITIES, SpectrumLine, SpectrumReport
+from octavib.spectral import SpectrumLine, SpectrumReport
 
 # ---------------------------------------------------------------------------
 # the spatial group
@@ -42,6 +46,17 @@ def composed_tables():
     )
     inv = tuple(next(j for j in range(gc.N) if mul[i][j] == gc.IDENTITY) for i in range(gc.N))
     return mul, inv
+
+
+def conj_mask(mask, g):
+    """The conjugate g H g^-1 of a subgroup mask, element by element (the
+    reference for ``group_core.conjugate_masks`` among others, and the
+    normalizer test of ``tests/regenerate_o2_table.py``)."""
+    out = 0
+    gi = gc.INV[g]
+    for x in gc.mask_elements(mask):
+        out |= 1 << gc.MUL[gc.MUL[g][x]][gi]
+    return out
 
 
 def enumerate_subgroups():
@@ -77,6 +92,49 @@ def element_from_vertex_word(word):
     if perm not in gc.PERM:
         raise ConsistencyError(f"vertex word {word!r} is not an octahedral symmetry")
     return gc.PERM.index(perm)
+
+
+def action_character():
+    """Trace of the 18-dim action on the ten class representatives."""
+    return tuple(int(round(np.trace(gc.actions_18()[g]))) for g in gc.CLASS_REPS)
+
+
+class InvalidCharacterError(ConfigError):
+    """A class function does not decompose integrally over the irreducibles."""
+
+
+def isotypic_multiplicities(character):
+    """Decompose a class function over the ten irreducibles."""
+    chi = tuple(character)
+    if len(chi) != 10:
+        raise InvalidCharacterError("need values on the ten conjugacy classes")
+    sizes = gc.CLASS_SIZES
+    order = sum(sizes)
+    out = []
+    for row in gc.CHARACTER_TABLE:
+        s = sum(sz * cv * rv for sz, cv, rv in zip(sizes, chi, row))
+        m = s / order
+        if abs(m - round(m)) > 1e-9 or round(m) < 0:
+            raise InvalidCharacterError(f"inner product {m} is not a natural number")
+        out.append(int(round(m)))
+    return tuple(out)
+
+
+def census_multiply(ring, H, K):
+    """(H)*(K) in the spatial ring by enumerating points of G/H x G/K and
+    their stabilizers: a pair of conjugates (a, b) is |W(H)| |W(K)| points
+    fixed by a & b (oracle for the recurrence's products)."""
+    cat = ring.catalog
+    H, K = cat.by_label(H), cat.by_label(K)
+    counts = Counter(cat.class_of_mask[a & b] for a in H.conjugates for b in K.conjugates)
+    out = {}
+    for ci, cnt in counts.items():
+        cls = cat.classes[ci]
+        n, r = divmod(cnt * H.weyl_order * K.weyl_order, gc.N // cls.order)
+        if r:
+            raise ConsistencyError("census points do not fill whole orbits")
+        out[cls.label] = n
+    return ring.element(out.pop(ring.unit_label, 0), out)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +173,11 @@ def temporal(turn_num, turn_den, g=gc.IDENTITY, refl=False):
             missing=(turn_num, turn_den),
         )
     return o2.encode(1 if refl else 0, o2.GRID * turn_num // turn_den, g)
+
+
+def generated(gens):
+    """The subgroup the elements ``gens`` generate, with its conjugacy tooling."""
+    return o2.ConcreteSubgroup(o2.closure(gens))
 
 
 def alignment_candidates(L, H, refl_h_by_spatial):
@@ -189,6 +252,11 @@ def instantiate(family, l=1):
             if R.order_of(ci) == target_order and R.symbol_key(ci) == family.key(l):
                 results.add(ci)
     return sorted(results)
+
+
+def reference_red_labels(j, l=1):
+    """Maximal-type labels of the reference expansion for irrep j at mode l."""
+    return tuple(fam.label(l) for _, red, fam in o2.REFERENCE_EXPANSIONS[j] if red)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +392,8 @@ def numpy_scalar_equilibrium(params):
 # ---------------------------------------------------------------------------
 # the closed-form spectrum
 # ---------------------------------------------------------------------------
+
+MULTIPLICITIES = {"0": 1, "4": 2, "6": 3, "7": 3, "7*": 3, "8": 3, "9": 3}
 
 
 @dataclass(frozen=True)

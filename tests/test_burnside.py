@@ -5,6 +5,7 @@ from octavib import group_core as gc
 from octavib.errors import ConsistencyError
 
 from conftest import all_pairs_maximal
+from oracles import census_multiply
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +46,8 @@ class TestProducts:
         labels = [c.label for c in ring.catalog.classes]
         for H in labels:
             for K in labels:
-                assert ring.generator(H) * ring.generator(K) == ring.census_multiply(
-                    H, K
-                ), (H, K)
+                product = ring.generator(H) * ring.generator(K)
+                assert product == census_multiply(ring, H, K), (H, K)
 
     def test_fixed_cosets_count_the_conjugators(self, ring):
         # |(G/H)^L| = #{g : L <= g H g^-1} / |H|, each g H g^-1 conjugated
@@ -74,7 +74,7 @@ class TestProducts:
         for label in ("D_3^p", "V_4^p", "D_4^z", "D_1^z"):
             cls = ring.catalog.by_label(label)
             sq = ring.generator(label) * ring.generator(label)
-            assert sq.coefficient(label) == cls.weyl_order
+            assert sq.coeffs.get(label, 0) == cls.weyl_order
 
 
 class TestBasicDegrees:
@@ -103,7 +103,7 @@ class TestBasicDegrees:
             maximal = ring.maximal(list(deg.coeffs))
             assert maximal
             for lb in maximal:
-                n, w = deg.coefficient(lb), ring.weyl(lb)
+                n, w = deg.coeffs.get(lb, 0), ring.weyl(lb)
                 assert (n, w) in ((-1, 2), (-2, 1)), (j, lb, n, w)
                 assert ring.fixed_dim(j, lb) % 2 == 1
 

@@ -19,6 +19,7 @@ from octavib import bifurcation, cli, force_field, modes, orbit_o2, spectral
 from octavib.errors import ConfigError, OctavibError
 
 from conftest import UNSTABLE_REPORTED_9, package_env, python
+from oracles import MULTIPLICITIES
 
 
 def run(capsys, *argv):
@@ -306,7 +307,7 @@ class TestMergedEigenspaceRefusal:
         code, out, err = run(capsys, "--config", self.config(tmp_path, sigma1), "spectrum")
         assert code == 0 and err == ""
         lines = json.loads(out)["eigenvalues"]
-        assert {row["j"]: row["multiplicity"] for row in lines} == spectral.MULTIPLICITIES
+        assert {row["j"]: row["multiplicity"] for row in lines} == MULTIPLICITIES
 
     @pytest.mark.parametrize("sigma1", ["0", "1e-300"])
     @pytest.mark.parametrize(

@@ -128,7 +128,7 @@ class TestAction:
             assert np.allclose(gc.action_matrix_18(i) @ v0, v0)
 
     def test_action_character_row(self):
-        assert gc.action_character() == (18, 0, 0, 2, -2, 4, 0, 0, 2, 0)
+        assert oracles.action_character() == (18, 0, 0, 2, -2, 4, 0, 0, 2, 0)
 
     def test_isotropy_is_exactly_the_paired_embedding(self):
         # among all (vertex permutation, octahedral matrix) pairs, exactly
@@ -209,7 +209,7 @@ class TestCatalog:
     def test_normalizer_orders_against_the_scan(self):
         # oracle: count the elements conjugating the representative to itself
         for c in gc.catalog().classes:
-            scan = sum(1 for g in range(gc.N) if gc.conj_mask(c.mask, g) == c.mask)
+            scan = sum(1 for g in range(gc.N) if oracles.conj_mask(c.mask, g) == c.mask)
             assert c.normalizer_order == scan, c.label
 
     def test_tables_equal_the_composition_oracle(self):
@@ -228,7 +228,7 @@ class TestCatalog:
     def test_conjugates_against_the_scan(self):
         # oracle: conjugate the representative by each element, one at a time
         for c in gc.catalog().classes:
-            scan = [gc.conj_mask(c.mask, gc.INV[g]) for g in range(gc.N)]
+            scan = [oracles.conj_mask(c.mask, gc.INV[g]) for g in range(gc.N)]
             assert gc.conjugate_masks(c.mask) == scan, c.label
             assert c.conjugates == tuple(sorted(set(scan))), c.label
 

@@ -150,7 +150,7 @@ def reference_graph_subgroups():
         spatial_gens = o2.ConcreteSubgroup(els).generators
         for chi in builder._characters_of(els, spatial_gens):
             for t in range(o2.N):
-                if gc.conj_mask(K, t) != K:
+                if oracles.conj_mask(K, t) != K:
                     continue
                 if not K >> gc.MUL[t][t] & 1:
                     continue
@@ -160,7 +160,7 @@ def reference_graph_subgroups():
                 ):
                     continue
                 gens = [o2.encode(0, chi[x], x) for x in spatial_gens]
-                yield o2.ConcreteSubgroup.generated(gens + [o2.encode(1, 0, t)])
+                yield oracles.generated(gens + [o2.encode(1, 0, t)])
 
 
 def reference_graph_classes():
@@ -234,7 +234,7 @@ class TestConcreteSubgroups:
             oracles.rotation(0, oct_word("(146)(253)")),
             oracles.rotation(0, oct_word("(13)(24)(56)")),
         ]
-        A = o2.ConcreteSubgroup.generated(gens)
+        A = oracles.generated(gens)
         assert len(A) == 96
         assert A.weyl_order() == 2
 
@@ -243,18 +243,18 @@ class TestConcreteSubgroups:
             oracles.temporal(1, 6, oct_word("(145326)")),
             oracles.reflection(0, oct_word("(14)(23)(56)")),
         ]
-        A = o2.ConcreteSubgroup.generated(gens)
+        A = oracles.generated(gens)
         assert len(A) == 12
         assert A.weyl_order() == 2
         assert o2.amalgam_symbol(builder.symbol_key(A)) == "D_6^{Z_1} x_{D_3^p} D_3^p"
 
     def test_self_conjugate(self):
-        A = o2.ConcreteSubgroup.generated([oracles.reflection(0, oct_word("(56)"))])
+        A = oracles.generated([oracles.reflection(0, oct_word("(56)"))])
         assert A.is_conjugate(A)
 
     def test_rotated_reflections_conjugate(self):
-        A = o2.ConcreteSubgroup.generated([oracles.reflection(0)])
-        B = o2.ConcreteSubgroup.generated([oracles.reflection(o2.GRID // 3)])
+        A = oracles.generated([oracles.reflection(0)])
+        B = oracles.generated([oracles.reflection(o2.GRID // 3)])
         assert A.is_conjugate(B)
 
     def test_distinct_kernels_not_conjugate(self, sixteen_types):
@@ -282,11 +282,11 @@ class TestConcreteSubgroups:
                 assert w24 == w48 == rep.weyl_order()
 
     def test_infinite_weyl_for_rotation_only(self):
-        A = o2.ConcreteSubgroup.generated([oracles.rotation(o2.GRID // 2)])
+        A = oracles.generated([oracles.rotation(o2.GRID // 2)])
         assert A.weyl_order() is None
 
     def test_mode_cover_order(self):
-        A = o2.ConcreteSubgroup.generated([oracles.reflection()])
+        A = oracles.generated([oracles.reflection()])
         for l in (2, 3, 5):
             assert len(o2.mode_cover(A, l)) == 2 * l
 
@@ -297,7 +297,7 @@ class TestMaximalTypes:
             classes = o2.maximal_orbit_types(j, 1)
             assert o2.maximal_orbit_types(j, 1) is classes  # computed once
             got = {fresh_ring.label_of(ci) for ci in classes}
-            assert got == set(o2.reference_red_labels(j)), j
+            assert got == set(oracles.reference_red_labels(j)), j
 
     def test_reference_spellings_hold_before_maximal_types(self, fresh_ring):
         # blocks 7 and 8 hold three classes whose reference spelling differs
@@ -309,7 +309,7 @@ class TestMaximalTypes:
                 ci for ci in o2.graph_classes(1) if fresh_ring.fixed_dim(j, 1, ci) >= 1
             ]
             before[j] = {ci: fresh_ring.label_of(ci) for ci in fresh_ring.maximal(fixing)}
-            assert set(before[j].values()) == set(o2.reference_red_labels(j)), j
+            assert set(before[j].values()) == set(oracles.reference_red_labels(j)), j
         assert "maximal_orbit_types" not in fresh_ring.memo
         respelled = {
             ci for labels in before.values() for ci, label in labels.items()
@@ -349,14 +349,14 @@ class TestMaximalTypes:
         snapshot = {name: dict(table) for name, table in fresh_ring.memo.items()}
         for j, cis in classes.items():
             labels = o2.pin_reference_labels(j, cis)
-            assert sorted(labels.values()) == sorted(o2.reference_red_labels(j)), j
+            assert sorted(labels.values()) == sorted(oracles.reference_red_labels(j)), j
         assert {name: dict(t) for name, t in fresh_ring.memo.items()} == snapshot
 
     def test_reference_red_sets(self, sixteen_types):
         ring = R()
         for j in (0, 4, 7, 8, 9):
             got = {ring.label_of(ci) for ci in sixteen_types[j]}
-            assert got == set(o2.reference_red_labels(j)), j
+            assert got == set(oracles.reference_red_labels(j)), j
 
     def test_weyl_orders_all_two(self, sixteen_types):
         ring = R()
@@ -427,21 +427,21 @@ class TestGraphClasses:
         assert built == labels
 
     def test_registry_opens_with_the_mode1_classes(self, fresh_ring):
-        rotations = o2.ConcreteSubgroup.generated([oracles.rotation(0, oct_word("(1234)"))])
+        rotations = oracles.generated([oracles.rotation(0, oct_word("(1234)"))])
         ci = fresh_ring.find_class(rotations)
         assert fresh_ring.graph_classes(1) == list(range(257))
         assert ci == 257
 
     def test_conjugate_reflection_free_subgroups_share_a_class(self, fresh_ring):
         first, second = (
-            o2.ConcreteSubgroup.generated([oracles.rotation(0, oct_word(w))])
+            oracles.generated([oracles.rotation(0, oct_word(w))])
             for w in ("(1234)", "(1536)")
         )
         assert first.elements != second.elements and first.is_conjugate(second)
         ci = fresh_ring.find_class(first)
         assert fresh_ring.find_class(second) == ci
         assert fresh_ring.order_of(ci) == 4 and not fresh_ring.finite_weyl(ci)
-        third = o2.ConcreteSubgroup.generated([oracles.rotation(0, oct_word("(13)(24)"))])
+        third = oracles.generated([oracles.rotation(0, oct_word("(13)(24)"))])
         assert fresh_ring.find_class(third) == ci + 1
 
 
@@ -558,7 +558,7 @@ class TestInstantiation:
             oracles.temporal(1, 6, oct_word("(145326)")),
             oracles.reflection(0, oct_word("(14)(23)(56)")),
         ]
-        target = ring.find_class(o2.ConcreteSubgroup.generated(gens))
+        target = ring.find_class(oracles.generated(gens))
         assert target in hits
 
     @pytest.mark.parametrize("l", [8, 11, 41])
@@ -576,7 +576,7 @@ class TestInstantiation:
     def test_pi0_drops_infinite_weyl(self):
         ring = R()
         spatial_only = ring.find_class(
-            o2.ConcreteSubgroup.generated([oracles.rotation(0, oct_word("(1234)"))])
+            oracles.generated([oracles.rotation(0, oct_word("(1234)"))])
         )
         finite = o2.basic_degree(0, 1)
         x = ring.element(2, {spatial_only: 5, **finite.coeffs})

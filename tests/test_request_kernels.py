@@ -26,7 +26,7 @@ from octavib._serialize import dumps
 from octavib.errors import OctavibError, SearchFailureError, ShapeError
 
 from conftest import pair_operator, pinned_null_rows, sweep_box, wide_grid
-from oracles import numpy_scalar_equilibrium
+from oracles import MULTIPLICITIES, numpy_scalar_equilibrium
 
 REFERENCE = ff.REFERENCE_PARAMS
 SIGMAS = [
@@ -241,7 +241,7 @@ def test_closed_form_lines_and_order_equal_the_projection():
                     assert got[upper] - got[lower] <= 1e-16 * scale
         swapped += order != list(rank)
         assert [B.shape for B in map(closed.basis_for, order)] == [
-            (18, spectral.MULTIPLICITIES[j]) for j in order
+            (18, MULTIPLICITIES[j]) for j in order
         ]
         for j in order:
             # the columns of 0, 4, 6, 8 and 9 are those of ``BASES``; the

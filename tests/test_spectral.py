@@ -4,10 +4,17 @@ import pytest
 from octavib import force_field as ff
 from octavib import group_core as gc
 from octavib import spectral
-from octavib.errors import InvalidCharacterError, LabelingError, NumericalError, ShapeError
+from octavib.errors import LabelingError, NumericalError, ShapeError
 
 from conftest import UNSTABLE_REPORTED_9
-from oracles import StiffnessCoefficients, closed_form_spectrum
+from oracles import (
+    MULTIPLICITIES,
+    InvalidCharacterError,
+    StiffnessCoefficients,
+    action_character,
+    closed_form_spectrum,
+    isotypic_multiplicities,
+)
 
 REFERENCE_ALPHA_SQ = {
     "0": 0.7867,
@@ -68,7 +75,7 @@ class TestNumericSpectrum:
     def test_identity_matrix(self):
         # every component is a line of its own, whatever the alpha^2
         report = spectral.numeric_spectrum(np.eye(18))
-        assert {ln.label: ln.multiplicity for ln in report.lines} == spectral.MULTIPLICITIES
+        assert {ln.label: ln.multiplicity for ln in report.lines} == MULTIPLICITIES
         assert all(ln.alpha_sq == pytest.approx(1.0) for ln in report.lines)
         assert np.allclose(report.basis.T @ report.basis, np.eye(18), atol=1e-12)
 
@@ -124,7 +131,7 @@ class TestNumericSpectrum:
         for p, q, r in rng.normal(size=(20, 3)):
             values = np.array([10.0, 11.0, 12.0, 13.0, 14.0, p, q, r])
             report = spectral.numeric_spectrum(equivariant_matrix(values))
-            assert {ln.label for ln in report.lines} == set(spectral.MULTIPLICITIES)
+            assert {ln.label for ln in report.lines} == set(MULTIPLICITIES)
             w = np.linalg.eigvalsh([[p, q], [q, r]])
             assert report.alpha_sq["7"] == pytest.approx(w[0], abs=1e-14)
             assert report.alpha_sq["7*"] == pytest.approx(w[1], abs=1e-14)
@@ -177,22 +184,22 @@ class TestNumericSpectrum:
 
 class TestIsotypic:
     def test_action_character_decomposition(self):
-        chi = gc.action_character()
+        chi = action_character()
         assert chi == (18, 0, 0, 2, -2, 4, 0, 0, 2, 0)
-        assert spectral.isotypic_multiplicities(chi) == (1, 0, 0, 0, 1, 0, 1, 2, 1, 1)
+        assert isotypic_multiplicities(chi) == (1, 0, 0, 0, 1, 0, 1, 2, 1, 1)
 
     def test_trivial_character(self):
-        assert spectral.isotypic_multiplicities((1,) * 10) == (
+        assert isotypic_multiplicities((1,) * 10) == (
             1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         )
 
     def test_regular_character(self):
-        mult = spectral.isotypic_multiplicities((48, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+        mult = isotypic_multiplicities((48, 0, 0, 0, 0, 0, 0, 0, 0, 0))
         assert mult == tuple(row[0] for row in gc.CHARACTER_TABLE)
 
     def test_invalid_character(self):
         with pytest.raises(InvalidCharacterError):
-            spectral.isotypic_multiplicities((17, 0, 0, 2, -2, 4, 0, 0, 2, 0))
+            isotypic_multiplicities((17, 0, 0, 2, -2, 4, 0, 0, 2, 0))
 
 
 def projector(j):
@@ -231,7 +238,7 @@ class TestIsotypicBasis:
         assert (np.abs(entries - nearest) <= np.spacing(nearest)).all()
 
     def test_components_span_the_projector_ranges(self):
-        counts = spectral.isotypic_multiplicities(gc.action_character())
+        counts = isotypic_multiplicities(action_character())
         copies = {gc.IRREP_NAMES[j]: m for j, m in enumerate(counts) if m}
         assert copies == {"0": 1, "4": 1, "6": 1, "7": 2, "8": 1, "9": 1}
         assert list(spectral.BASES) == list(copies)
