@@ -25,7 +25,6 @@ class CollisionError(NumericalError):
     """Two ligand positions coincide, or a ligand sits on the central atom."""
 
     def __init__(self, i, j=None):
-        self.pair = (i, j)
         if j is None:
             msg = f"ligand {i + 1} coincides with the central atom"
         else:
@@ -59,7 +58,3 @@ class SamplingError(ConfigError):
 
 class CatalogError(NumericalError):
     """Orbit-type outside the constructed catalog closure (e.g. an off-grid angle)."""
-
-    def __init__(self, msg, missing=None):
-        super().__init__(msg)
-        self.missing = missing

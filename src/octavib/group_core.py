@@ -106,9 +106,9 @@ IDENTITY = PERM.index(tuple(range(6)))
 
 
 def _tables():
-    """MUL[i][j], the index of PERM[i] after PERM[j], and INV, by index
-    arithmetic: a permutation's base-6 digits are its key, and PERM is
-    sorted, so its keys are too."""
+    """MUL[i][j], the index of PERM[i] after PERM[j], and each element's
+    inverse, by index arithmetic: a permutation's base-6 digits are its key,
+    and PERM is sorted, so its keys are too."""
     perm = np.array(PERM)
     keys = perm @ 6 ** np.arange(5, -1, -1)
     mul = np.searchsorted(keys, perm[:, perm] @ 6 ** np.arange(5, -1, -1))
@@ -118,7 +118,6 @@ def _tables():
 
 _MUL, _INV = _tables()
 MUL = tuple(map(tuple, _MUL.tolist()))
-INV = tuple(_INV.tolist())
 
 # conjugacy classes of elements, in character-table column order
 _CLASS_KEYS = (
@@ -130,7 +129,6 @@ ELEMENT_CLASS = tuple(
     _CLASS_KEYS.index((tuple(sorted(map(len, cycle_decomposition(s)), reverse=True)), eps))
     for s, eps in ABSTRACT
 )
-CLASS_SIZES = tuple(ELEMENT_CLASS.count(c) for c in range(10))
 CLASS_REPS = tuple(ELEMENT_CLASS.index(c) for c in range(10))
 
 # character table: rows are the ten irreducibles, columns the classes above
@@ -309,7 +307,6 @@ class Catalog:
 
         self.classes = []
         self.index_of_label = {}
-        self.class_of_mask = {}
         for ci, (orbit, label) in enumerate(orbits):
             rep = orbit[0]
             order = bin(rep).count("1")
@@ -326,7 +323,6 @@ class Catalog:
                 )
             )
             self.index_of_label[label] = ci
-            self.class_of_mask.update(dict.fromkeys(orbit, ci))
         self.n_classes = len(self.classes)
 
     def __len__(self):

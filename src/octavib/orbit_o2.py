@@ -279,7 +279,7 @@ def mode_cover(subgroup, l):
             if num % l == 0:
                 out.append(encode(e, num // l, g))
     if len(out) != l * len(subgroup):
-        raise CatalogError(f"mode {l} cover off the 1/{GRID} grid", missing=l)
+        raise CatalogError(f"mode {l} cover off the 1/{GRID} grid")
     return ConcreteSubgroup(out)
 
 

@@ -25,6 +25,13 @@ hypothesis.configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 # Cartesian one is positive (about +0.243)
 UNSTABLE_REPORTED_9 = (0.04358, 0.07072, 1.4449)
 
+# the 24 types `modes` exports, as (block, k)
+MODES = [
+    (j, k)
+    for j, n in (("0", 1), ("4", 3), ("7", 5), ("7*", 5), ("8", 5), ("9", 5))
+    for k in range(1, n + 1)
+]
+
 
 def package_env(**extra):
     """The environment with the package on PYTHONPATH, for a child process."""

@@ -1,17 +1,20 @@
 """Brute-force oracles the tests check the package against.
 
-No request runs these.  They are the direct constructions the package's
-tables and kernels replace: the group tables by composing permutations,
-conjugation of a subgroup mask element by element, the subgroup enumeration,
-the 18-dim character and its isotypic decomposition, the spatial ring's
-products by a census of coset pairs, element constructors and conjugation in
-the temporal-spatial group, Weyl orders in a dihedral truncation, symbolic
-families matched against the catalog and the reference spellings, the force
-field with its pair and bond terms written inline, the equilibrium search on
-float64 scalars, the closed-form spectrum from the stiffness constants, the
-brake checks of a mode and the names of its symmetry relations.
+No request runs these.  They are the direct constructions the package's tables
+and kernels replace, and the tables only tests read: the group tables by
+composing permutations, the element inverses, class sizes and the subgroup
+class of each mask, conjugation of a subgroup mask element by element, the
+subgroup enumeration, the 18-dim character and its isotypic decomposition,
+the spatial ring's products by a census of coset pairs, element constructors
+and conjugation in the temporal-spatial group, Weyl orders in a dihedral
+truncation, symbolic families matched against the catalog and the reference
+spellings, the force field with its pair and bond terms written inline, the
+equilibrium search on float64 scalars, the closed-form spectrum from the
+stiffness constants, the brake checks of a mode, the elements that fix it,
+solved from its first harmonic, and the names of its symmetry relations.
 """
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -36,6 +39,18 @@ from octavib.spectral import SpectrumLine, SpectrumReport
 # ---------------------------------------------------------------------------
 
 
+# each element's inverse, read off the product table, and the size of each
+# element class in character-table column order
+INV = tuple(row.index(gc.IDENTITY) for row in gc.MUL)
+CLASS_SIZES = tuple(gc.ELEMENT_CLASS.count(c) for c in range(10))
+
+
+@functools.cache
+def class_of_mask(cat):
+    """{subgroup mask: index of its class} over every conjugate in ``cat``."""
+    return {mask: ci for ci, c in enumerate(cat.classes) for mask in c.conjugates}
+
+
 def composed_tables():
     """(MUL, INV) by composing the vertex permutations one pair at a time
     (oracle for ``group_core``'s index arithmetic)."""
@@ -53,7 +68,7 @@ def conj_mask(mask, g):
     reference for ``group_core.conjugate_masks`` among others, and the
     normalizer test of ``tests/regenerate_o2_table.py``)."""
     out = 0
-    gi = gc.INV[g]
+    gi = INV[g]
     for x in gc.mask_elements(mask):
         out |= 1 << gc.MUL[gc.MUL[g][x]][gi]
     return out
@@ -108,7 +123,7 @@ def isotypic_multiplicities(character):
     chi = tuple(character)
     if len(chi) != 10:
         raise InvalidCharacterError("need values on the ten conjugacy classes")
-    sizes = gc.CLASS_SIZES
+    sizes = CLASS_SIZES
     order = sum(sizes)
     out = []
     for row in gc.CHARACTER_TABLE:
@@ -126,7 +141,8 @@ def census_multiply(ring, H, K):
     fixed by a & b (oracle for the recurrence's products)."""
     cat = ring.catalog
     H, K = cat.by_label(H), cat.by_label(K)
-    counts = Counter(cat.class_of_mask[a & b] for a in H.conjugates for b in K.conjugates)
+    class_of = class_of_mask(cat)
+    counts = Counter(class_of[a & b] for a in H.conjugates for b in K.conjugates)
     out = {}
     for ci, cnt in counts.items():
         cls = cat.classes[ci]
@@ -144,14 +160,14 @@ def census_multiply(ring, H, K):
 
 def inverse(x):
     e, k, g = o2.decode(x)
-    return o2.encode(e, -k if e == 0 else k, gc.INV[g])
+    return o2.encode(e, -k if e == 0 else k, INV[g])
 
 
 def conjugate(x, c):
     """c x c^-1."""
     ec, kc, gcpart = o2.decode(c)
     ex, kx, gx = o2.decode(x)
-    gg = gc.MUL[gc.MUL[gcpart][gx]][gc.INV[gcpart]]
+    gg = gc.MUL[gc.MUL[gcpart][gx]][INV[gcpart]]
     if ec == 0:
         return o2.encode(ex, kx if ex == 0 else kx + 2 * kc, gg)
     return o2.encode(ex, -kx if ex == 0 else 2 * kc - kx, gg)
@@ -168,10 +184,7 @@ def reflection(k=0, g=gc.IDENTITY):
 def temporal(turn_num, turn_den, g=gc.IDENTITY, refl=False):
     """Element with O(2) part a turn_num/turn_den turn (reflection if asked)."""
     if (o2.GRID * turn_num) % turn_den:
-        raise CatalogError(
-            f"angle {turn_num}/{turn_den} is off the 1/{o2.GRID} grid",
-            missing=(turn_num, turn_den),
-        )
+        raise CatalogError(f"angle {turn_num}/{turn_den} is off the 1/{o2.GRID} grid")
     return o2.encode(1 if refl else 0, o2.GRID * turn_num // turn_den, g)
 
 
@@ -464,6 +477,43 @@ def is_brake_type(ring, type_class):
     """True when the type contains the bare time reversal."""
     A = ring.representative(type_class)
     return o2.encode(1, 0, gc.IDENTITY) in A.elements
+
+
+# ---------------------------------------------------------------------------
+# the isotropy of a mode
+# ---------------------------------------------------------------------------
+
+
+def first_harmonic(traj):
+    """The coefficient c of x(t) = v0 + eps Re(c e^{it}), read from a mode's
+    samples by the discrete Fourier transform; a linear mode has c = a - i b."""
+    disp = traj.samples - traj.center
+    return 2 * np.fft.fft(disp, axis=0)[1] / (traj.n_samples * traj.epsilon)
+
+
+def isotropy(c, rel=1e-9):
+    """The elements that fix the linear mode of first harmonic c.
+
+    An element of turn theta and spatial action G maps x(t) to
+    G x(t - theta), or to G x(theta - t) with a reflection, so it fixes the
+    mode when G c = e^{i theta} c, with conj(c) in place of c for a
+    reflection.  Each of the 48 spatial elements and each reflection bit
+    admit at most one theta, read off the largest entry of c and checked on
+    all 18 within ``rel`` of |c|; any turn is solved, not only the sample
+    grid's.  An element whose turn is off the 1/GRID grid, which no code
+    can name, is returned as (reflection bit, turn, spatial index).
+    """
+    p = int(np.argmax(np.abs(c)))
+    out = set()
+    for refl, v in enumerate((c, c.conj())):
+        for g, moved in enumerate(gc.actions_18() @ v):
+            z = moved[p] / c[p]
+            if np.linalg.norm(moved - z * c) > rel * np.linalg.norm(c):
+                continue
+            turn = math.atan2(z.imag, z.real) / (2 * math.pi) % 1.0
+            k = round(turn * o2.GRID)
+            out.add(o2.encode(refl, k, g) if abs(turn * o2.GRID - k) < 1e-6 else (refl, turn, g))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from octavib import group_core as gc
 from octavib import orbit_o2 as o2
 from octavib._serialize import dumps
 from octavib.errors import ConsistencyError
-from oracles import conj_mask, generated
+from oracles import INV, class_of_mask, conj_mask, generated
 
 TABLE = pathlib.Path(o2.TABLE)
 GRID, N = o2.GRID, o2.N
@@ -177,13 +177,13 @@ def _graph_representatives():
                 if (angles, coset[t]) in met or (negated, coset[t]) in met:
                     continue
                 if any(
-                    chi[gc.MUL[gc.MUL[t][x]][gc.INV[t]]] != (-chi[x]) % GRID
+                    chi[gc.MUL[gc.MUL[t][x]][INV[t]]] != (-chi[x]) % GRID
                     for x in els
                 ):
                     continue
                 for n in normalizer:
                     turned = tuple(chi[o2._CONJ[n][y]] for y in els)
-                    met.add((turned, coset[gc.MUL[gc.MUL[n][t]][gc.INV[n]]]))
+                    met.add((turned, coset[gc.MUL[gc.MUL[n][t]][INV[n]]]))
                 if chi[gc.MUL[t][t]]:
                     gens = [o2.encode(0, chi[x], x) for x in spatial_gens]
                     A = generated(gens + [o2.encode(1, 0, t)])
@@ -340,7 +340,7 @@ def _spatial_label(ids):
     mask = 0
     for g in ids:
         mask |= 1 << g
-    return cat.classes[cat.class_of_mask[mask]].label
+    return cat.classes[class_of_mask(cat)[mask]].label
 
 
 def symbol_key(A):

@@ -1,14 +1,12 @@
 """Acceptance suite: one test (and one printed verdict line) per criterion."""
 
-import json
 import time
 
-import numpy as np
 import pytest
 
 from octavib import bifurcation as bf
 from octavib import burnside, cli, force_field as ff, group_core as gc
-from octavib import modes, orbit_o2 as o2, spectral
+from octavib import modes, spectral
 
 from oracles import (
     action_character,

@@ -5,7 +5,7 @@ from octavib import group_core as gc
 from octavib.errors import ConsistencyError
 
 from conftest import all_pairs_maximal
-from oracles import census_multiply
+from oracles import INV, census_multiply
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ class TestProducts:
         # element by element through the multiplication table
         for H in ring.catalog.classes:
             conjugates = [
-                sum(1 << gc.MUL[gc.MUL[g][x]][gc.INV[g]] for x in H.elements)
+                sum(1 << gc.MUL[gc.MUL[g][x]][INV[g]] for x in H.elements)
                 for g in range(gc.N)
             ]
             for L in ring.catalog.classes:

@@ -21,6 +21,7 @@ from octavib import accel, cli, group_core, modes, orbit_o2, spectral
 from octavib.errors import CatalogError, ConfigError, NumericalError, SamplingError
 
 from conftest import (
+    MODES,
     checked_wide_grid,
     engine_at,
     loop_fixed_pairs,
@@ -30,11 +31,6 @@ from conftest import (
     sweep_box,
 )
 
-MODES = [
-    (j, k)
-    for j, n in (("0", 1), ("4", 3), ("7", 5), ("7*", 5), ("8", 5), ("9", 5))
-    for k in range(1, n + 1)
-]
 SAMPLES = (modes.DEFAULT_SAMPLES, 1200)
 EPSILON = 0.05
 REFERENCE = ff.REFERENCE_PARAMS

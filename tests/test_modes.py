@@ -15,8 +15,22 @@ from octavib._kernels import format_values
 from octavib._serialize import format_float, format_rows
 from octavib.errors import AmplitudeError, ConfigError, NumericalError, SamplingError
 
-from conftest import checked_wide_grid, gradient_loop, pair_operator, sweep_box, wide_grid
-from oracles import brake_velocity, cycle_string, describe_element, is_brake_type
+from conftest import (
+    MODES,
+    checked_wide_grid,
+    gradient_loop,
+    pair_operator,
+    sweep_box,
+    wide_grid,
+)
+from oracles import (
+    brake_velocity,
+    cycle_string,
+    describe_element,
+    first_harmonic,
+    is_brake_type,
+    isotropy,
+)
 
 # reference eigenvectors of the reported block Hessian, printed to 3-4
 # digits; used as an identification oracle only
@@ -181,6 +195,39 @@ class TestVerify:
             Ty = pair_operator(int(y))
             Txy = pair_operator(orbit_o2.multiply(int(x), int(y)))
             assert np.allclose(Tx @ Ty, Txy, atol=1e-12)
+
+
+def assert_isotropy_is_type(ring, traj):
+    """The elements that fix the mode are its type's, no fewer and no more."""
+    fixing = isotropy(first_harmonic(traj))
+    assert fixing == ring.representative(traj.type_class).elements, (traj.j, traj.k)
+
+
+class TestIsotropy:
+    """Each exported orbit's isotropy is exactly its maximal type at the
+    reference σ.  ``verify_symmetry`` shows only that the type's elements fix
+    the mode; here no other element of the ambient group does."""
+
+    @pytest.mark.parametrize("j, k", MODES)
+    def test_isotropy_is_the_type(self, shop, j, k):
+        traj = shop.build_mode(j, k)
+        c = first_harmonic(traj)
+        assert np.allclose(c, traj.cos_dir - 1j * traj.sin_dir, rtol=0, atol=1e-12)
+        assert_isotropy_is_type(shop.ring, traj)
+
+    def test_a_mode_a_larger_group_fixes_fails(self, shop):
+        # block 8's fourth type (12 elements) lies inside block 4's third
+        # (48): labeled with the smaller type, the larger type's mode passes
+        # verify_symmetry, and its isotropy is the larger group
+        small, large = shop.build_mode("8", 4), shop.build_mode("4", 3)
+        K = shop.ring.representative(small.type_class).elements
+        assert K < shop.ring.representative(large.type_class).elements
+        planted = large._replace(
+            j="8", k=4, type_class=small.type_class, symmetry=small.symmetry
+        )
+        assert shop.verify_symmetry(planted)[0]
+        with pytest.raises(AssertionError):
+            assert_isotropy_is_type(shop.ring, planted)
 
 
 class TestResidual:

@@ -155,7 +155,7 @@ def reference_graph_subgroups():
                 if not K >> gc.MUL[t][t] & 1:
                     continue
                 if any(
-                    chi[gc.MUL[gc.MUL[t][x]][gc.INV[t]]] != (-chi[x]) % o2.GRID
+                    chi[gc.MUL[gc.MUL[t][x]][oracles.INV[t]]] != (-chi[x]) % o2.GRID
                     for x in els
                 ):
                     continue

@@ -1,15 +1,25 @@
-"""The package is the request path: each function, class and method of
-``src/octavib`` is read somewhere outside its own body.
+"""The package is the request path: each name ``src/octavib`` binds is read
+somewhere outside the code that binds it.
 
-An AST scan collects every module-level function and class of the package
-and every method of such a class, and every name each module reads (a bare
-name or an attribute).  A definition counts as used when its name is read in
-another package module, in perfbench's op code (``ops.py``, ``worker.py``,
-``run.py``), or in its own module outside its own lines; so a name that only
-its own body reads, by recursion, is unused.  Names match by spelling
-alone.  Dunder methods are exempt: Python calls them from syntax.
-``perfbench/tracing.py`` is not read, since pinning a name for the tracer is
-not using it.
+An AST scan collects three kinds of binding:
+- every module-level function and class of the package and every method of
+  such a class;
+- every name a module-level assignment binds (``Assign`` or ``AnnAssign``,
+  tuple targets included);
+- every instance attribute, ``self.<name> = ...`` in a method of a package
+  class.
+
+It then collects every name each module reads: a bare name, an attribute or
+a name a ``from ... import`` brings in.  A binding counts as used when its
+name is read in another package module, in perfbench's op code (``ops.py``,
+``worker.py``, ``run.py``), or in its own module outside its own lines: the
+definition, the assignment statement, or the method that sets the attribute.
+So a name that only its own body reads, by recursion, is unused, and so is
+an attribute that only the method building it reads back.  An attribute is
+read only as an attribute: a local variable of the same spelling is no
+reader.  Names match by spelling alone.  Dunder names are exempt: Python
+reads them itself.  ``perfbench/tracing.py`` is not read, since pinning a
+name for the tracer is not using it.
 
 A name the scan flags may stay only if ``KEPT`` names it with its reason; an
 entry whose name is gone or now has a reader is stale.  ``KEPT`` is what is
@@ -28,7 +38,9 @@ from test_benchmark_contract import TARGETS
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "octavib"
 CALLERS = tuple(ROOT / "perfbench" / name for name in ("ops.py", "worker.py", "run.py"))
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*METHODS, ast.ClassDef)
+ASSIGNMENTS = (ast.Assign, ast.AnnAssign)
 
 # dotted name -> why it stays although nothing reads it; a reason ending in
 # "TARGETS <metric>" names the tracer row that wraps it
@@ -79,62 +91,106 @@ KEPT = {
 }
 
 
-def definitions(tree):
-    """(dotted name, node) of each module-level function and class of a
-    module and each method of such a class."""
+def lines(node):
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def targets(node):
+    """The plain targets an assignment binds, tuple and starred ones unpacked."""
+    stack = list(node.targets) if isinstance(node, ast.Assign) else [node.target]
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            stack.append(target.value)
+        else:
+            yield target
+
+
+def attributes(method):
+    """The name of each ``self.<name>`` a method assigns."""
+    for node in ast.walk(method):
+        if isinstance(node, ASSIGNMENTS):
+            for target in targets(node):
+                if (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name) and target.value.id == "self"):
+                    yield target.attr
+
+
+def bindings(tree):
+    """(dotted name, own lines, is an attribute) of each binding the scan
+    covers in a module, once per place that binds it."""
     for node in tree.body:
         if isinstance(node, DEFINITIONS):
-            yield node.name, node
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, DEFINITIONS):
-                        yield f"{node.name}.{item.name}", item
+            yield node.name, lines(node), False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, DEFINITIONS):
+                    yield f"{node.name}.{item.name}", lines(item), False
+                if isinstance(item, METHODS):
+                    for attr in attributes(item):
+                        yield f"{node.name}.{attr}", lines(item), True
+        elif isinstance(node, ASSIGNMENTS):
+            for target in targets(node):
+                if isinstance(target, ast.Name):
+                    yield target.id, lines(node), False
 
 
 def reads(tree):
-    """(name, line) of each bare name and attribute a module reads."""
+    """(name, line, is an attribute) of each bare name and attribute a module
+    reads and each name it imports from a module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno, False
+
+
+def bound(package):
+    """{"module.dotted name": (own line ranges, is an attribute)} of every
+    binding of ``package``, a {module: source} map."""
+    out = {}
+    for module, source in package.items():
+        for dotted, own, attribute in bindings(ast.parse(source)):
+            out.setdefault(f"{module}.{dotted}", ([], attribute))[0].append(own)
+    return out
 
 
 def unreferenced(package, callers=()):
-    """The sorted "module.dotted name" of each definition of ``package``, a
-    {module: source} map, that nothing reads: no other package module, no
-    source of ``callers`` and no line of its own module outside its own."""
-    trees = {module: ast.parse(source) for module, source in package.items()}
-    readers = defaultdict(list)  # name -> [(module, line)], module None for a caller
-    for module, tree in trees.items():
-        for name, line in reads(tree):
-            readers[name].append((module, line))
-    for source in callers:
-        for name, _ in reads(ast.parse(source)):
-            readers[name].append((None, 0))
+    """The sorted "module.dotted name" of each binding of ``package`` that
+    nothing reads: no other package module, no source of ``callers`` and no
+    line of its own module outside its own."""
+    readers = defaultdict(list)  # name -> [(module, line, is an attribute)]
+    for module, source in package.items():
+        for name, line, attribute in reads(ast.parse(source)):
+            readers[name].append((module, line, attribute))
+    for source in callers:  # module None: every read of a caller is a use
+        for name, _, attribute in reads(ast.parse(source)):
+            readers[name].append((None, 0, attribute))
     out = []
-    for module, tree in trees.items():
-        for dotted, node in definitions(tree):
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            own = range(node.lineno, node.end_lineno + 1)
-            if all(m == module and line in own for m, line in readers[name]):
-                out.append(f"{module}.{dotted}")
+    for dotted, (own, attribute) in bound(package).items():
+        module, name = dotted.partition(".")[0], dotted.rpartition(".")[2]
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if all(
+            m == module and any(line in lines_ for lines_ in own)
+            for m, line, read_as_attribute in readers[name]
+            if read_as_attribute or not attribute
+        ):
+            out.append(dotted)
     return sorted(out)
 
 
 def findings(package, callers, kept):
     """(flagged names ``kept`` does not list, stale entries of ``kept``): an
-    entry is stale when its name is no longer defined or now has a reader."""
+    entry is stale when its name is no longer bound or now has a reader."""
     flagged = unreferenced(package, callers)
-    defined = {
-        f"{module}.{dotted}"
-        for module, source in package.items()
-        for dotted, _ in definitions(ast.parse(source))
-    }
     unlisted = [name for name in flagged if name not in kept]
-    stale = sorted(name for name in kept if name not in defined or name not in flagged)
+    stale = sorted(name for name in kept if name not in flagged)
     return unlisted, stale
 
 
@@ -229,3 +285,105 @@ class TestScan:
         kept = {"core.Ring.oracle": "r", "core.only_tests": "r", "core.recursive": "r",
                 "core.helper": "now read", "core.gone": "removed"}
         assert findings(SYNTHETIC, [CALLER], kept) == ([], ["core.gone", "core.helper"])
+
+
+BOUND = {
+    "tables": (
+        "__all__ = ['SIZE']\n"
+        "SIZE = 48\n"
+        "TABLE, _SCRATCH = tuple(range(SIZE)), 0\n"
+        "TESTS_ONLY = (1, 2)\n"
+        "ENV_FLAG: bool = False\n"
+        "\n"
+        "def lookup(i):\n"
+        "    return TABLE[i]\n"
+        "\n"
+        "def tally():\n"
+        "    count = 1\n"
+        "    return count\n"
+        "\n"
+        "class Cache:\n"
+        "    def __init__(self):\n"
+        "        self.rows = {}\n"
+        "        self.unread = 0\n"
+        "        self.built = {}\n"
+        "        self.built.update(a=1)\n"
+        "        self.size, self.count = SIZE, 0\n"
+        "\n"
+        "    def get(self, key):\n"
+        "        return self.rows[key]\n"
+    ),
+    "cli": (
+        "from .tables import SIZE, Cache, lookup, tally\n"
+        "\n"
+        "def main():\n"
+        "    return Cache().get(lookup(SIZE)), tally()\n"
+    ),
+}
+WORKER = (
+    "from octavib import cli, tables\n"
+    "\n"
+    "cli.main()\n"
+    "print(tables.ENV_FLAG, tables.Cache().size)\n"
+)
+
+
+class TestScanBindings:
+    """Module-level names and instance attributes, on a synthetic source and
+    planted into the package's own."""
+
+    def test_flags_unread_names_and_attributes(self):
+        assert unreferenced(BOUND, [WORKER]) == [
+            "tables.Cache.built", "tables.Cache.count", "tables.Cache.unread",
+            "tables.TESTS_ONLY", "tables._SCRATCH",
+        ]
+
+    def test_flags_a_constant_planted_for_tests(self):
+        package = package_sources()
+        package["group_core"] += "\nPLANTED_FOR_TESTS = (1, 1, 6)\n"
+        unlisted, stale = findings(package, caller_sources(), KEPT)
+        assert unlisted == ["group_core.PLANTED_FOR_TESTS"] and not stale
+
+    def test_flags_an_attribute_set_but_never_read(self):
+        package = package_sources()
+        anchor = "        self.classes = []\n"
+        assert anchor in package["group_core"]
+        package["group_core"] = package["group_core"].replace(
+            anchor, anchor + "        self.planted_never_read = {}\n"
+        )
+        unlisted, stale = findings(package, caller_sources(), KEPT)
+        assert unlisted == ["group_core.Catalog.planted_never_read"] and not stale
+
+    def test_a_read_in_the_method_that_builds_it_is_not_a_use(self):
+        # self.built.update(...) in __init__ reads it back; another method's
+        # read makes it used
+        assert "tables.Cache.built" in unreferenced(BOUND, [WORKER])
+        method = "\n    def all(self):\n        return self.built\n"
+        read = dict(BOUND, tables=BOUND["tables"] + method)
+        assert "tables.Cache.built" not in unreferenced(read, [WORKER])
+
+    def test_a_local_of_the_same_spelling_does_not_read_an_attribute(self):
+        # tally's local `count` is a bare name; cache.count would be a read
+        assert "tables.Cache.count" in unreferenced(BOUND, [WORKER])
+        read = dict(BOUND, cli=BOUND["cli"] + "\nCache().count\n")
+        assert "tables.Cache.count" not in unreferenced(read, [WORKER])
+
+    def test_a_constant_a_caller_reads_is_not_flagged(self):
+        assert "tables.ENV_FLAG" in unreferenced(BOUND)
+        assert "tables.ENV_FLAG" not in unreferenced(BOUND, [WORKER])
+        # perfbench/worker.py is the only reader of the kernel-path flags
+        package = package_sources()
+        worker = [(ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8")]
+        for name in ("accel.HAVE_NUMBA", "accel.USE_NUMBA"):
+            assert name in unreferenced(package)
+            assert name not in unreferenced(package, worker)
+
+    def test_flags_stale_entries_of_each_kind(self):
+        flagged = dict.fromkeys(unreferenced(BOUND, [WORKER]), "r")
+        kept = dict(flagged, **{
+            "tables.SIZE": "now read", "tables.GONE": "removed",
+            "tables.Cache.rows": "now read", "tables.Cache.gone": "removed",
+        })
+        assert findings(BOUND, [WORKER], kept) == ([], [
+            "tables.Cache.gone", "tables.Cache.rows", "tables.GONE", "tables.SIZE",
+        ])
