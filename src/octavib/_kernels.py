@@ -45,7 +45,9 @@ def _round_scaled(num, den, shift):
 @functools.cache
 def _pow10():
     """10^k for k in [_K_MIN, _K_MAX] as (hi + lo) * 2^b, hi in [1, 2] and
-    |lo| <= 2^-53, hi pre-split for the product: built on first use."""
+    |lo| <= 2^-53, built on first use: the rows hi, hi's two halves for the
+    product and lo, with a NaN column either end for a scale off the table,
+    and the binary exponents b, padded alike."""
     his, los, exps = [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
@@ -59,10 +61,11 @@ def _pow10():
         los.append(m - (hi << 54))
         exps.append(106 - shift)
     hi = np.array(his, dtype=float) * 2.0**-52
-    lo = np.array(los, dtype=float) * 2.0**-106
     c = hi * _SPLIT
     hi_hi = c - (c - hi)
-    return hi, hi_hi, hi - hi_hi, lo, np.array(exps, dtype=np.intc)
+    table = np.full((4, len(hi) + 2), np.nan)
+    table[:, 1:-1] = hi, hi_hi, hi - hi_hi, np.array(los, dtype=float) * 2.0**-106
+    return table, np.pad(np.array(exps, dtype=np.intc), 1)
 
 
 def _word(text):
@@ -104,22 +107,36 @@ def _glyphs():
     )
 
 
-def _scaled(f, e, E):
-    """|x| 10^(16-E) as hi + lo for |x| = f 2^e, f in [0.5, 1).  An E off
-    the table is clipped to its edge, so its product falls out of range."""
-    hi, hi_hi, hi_lo, lo, exps = _pow10()
-    k = 16 - _K_MIN - E
-    h, h_hi, h_lo = (t.take(k, mode="clip") for t in (hi, hi_hi, hi_lo))
+def _times_pow10(f, k, e=None):
+    """(s, r, b) with f 10^k = (s + r) 2^b, s + r a double-double, from
+    Dekker's split product: k a column of ``_pow10()`` and ``e``, when
+    given, the exact low part of the multiplicand f + e.  A column off the
+    table gives NaN."""
+    table, exps = _pow10()
+    h, h_hi, h_lo, lo = table.take(k, axis=1, mode="clip")
+    # f = f_hi + f_lo in halves of 26 and 27 bits
     c = f * _SPLIT
     f_hi = c - (c - f)
     f_lo = f - f_hi
     p = f * h
-    t = (((f_hi * h_hi - p) + f_hi * h_lo + f_lo * h_hi) + f_lo * h_lo)
-    t += f * lo.take(k, mode="clip")
+    t = f_hi * h_hi
+    t -= p
+    t += f_hi * h_lo
+    t += f_lo * h_hi
+    t += f_lo * h_lo
+    t += f * lo
+    if e is not None:
+        t += e * h
     s = p + t
     r = t - (s - p)
-    shift = e + exps.take(k, mode="clip")
-    return np.ldexp(s, shift), np.ldexp(r, shift)
+    return s, r, exps.take(k, mode="clip")
+
+
+def _scaled(f, e, E):
+    """|x| 10^(16-E) as hi + lo for |x| = f 2^e, f in [0.5, 1)."""
+    s, r, b = _times_pow10(f, 16 - E - (_K_MIN - 1))
+    b += e
+    return np.ldexp(s, b), np.ldexp(r, b)
 
 
 def _digits(a):
@@ -208,7 +225,7 @@ def format_values(values):
     """
     values = np.asarray(values, dtype=float)
     table = np.empty(len(values), dtype=object)
-    scalar = ~np.isfinite(values) | ((values == np.trunc(values)) & (np.abs(values) < 1e16))
+    scalar = ~np.isfinite(values) | _serialize._integral(values)
     # the kernel runs on every row, a stand-in 0.5 on the scalar ones
     magnitude = np.where(scalar, 0.5, np.abs(values))
     neg = np.signbit(values).astype(np.intp)
@@ -251,28 +268,15 @@ def _parse_tables():
     pos, as three words each; for one block of records, the multipliers that
     move a 0x01 byte at column c of a word to its top byte as c + 1; whether
     a point at pos has a digit either side when the digits start at column c
-    (row c, column pos); and the 10^k table's row for k = 0 less the places
-    after a point at pos."""
-    columns = np.arange(_WIDTH)
-    j = np.arange(_WIDTH + 1)[:, None]
-    after = np.where(j <= columns, 255, 0).astype(np.uint8).view(np.uint64)
-    before = np.where(j > columns, 255, 0).astype(np.uint8).view(np.uint64)
+    (row c, column pos); and the column of ``_pow10()`` for k = 0 less the
+    places after a point at pos."""
+    before = _glyphs()[4].view(np.uint64).reshape(_WIDTH + 1, 3)
     word = [sum((8 * w + b + 1) << (56 - 8 * b) for b in range(8)) for w in range(3)]
     columns_plus_one = np.resize(np.array(word, dtype=np.uint64), 3 * _BLOCK)
-    j = j.ravel()
+    j = np.arange(_WIDTH + 1)
     placed = (j == 0) | ((j > j[:, None] + 1) & (j < _WIDTH))
-    rows = _K_MIN - 1 + np.where(j > 0, _WIDTH - j, 0)
-    return after, before, columns_plus_one, placed.ravel(), rows
-
-
-@functools.cache
-def _scales():
-    """``_pow10()`` as rows of hi, hi's two halves and lo, with a NaN row
-    either end for a scale off the table, and the binary exponents."""
-    hi, hi_hi, hi_lo, lo, exps = _pow10()
-    scales = np.full((len(hi) + 2, 4), np.nan)
-    scales[1:-1] = np.column_stack((hi, hi_hi, hi_lo, lo))
-    return scales, np.pad(exps, 1)
+    k_zero = _K_MIN - 1 + np.where(j > 0, _WIDTH - j, 0)
+    return ~before, before, columns_plus_one, placed.ravel(), k_zero
 
 
 def _non_numeric():
@@ -384,34 +388,19 @@ def _mantissas(u, end, c0):
 
 
 def _scale(D, k, val, ok):
-    """Write D 10^k into ``val``, D from ``_mantissas`` and k a row of the
-    ``_scales()`` table, and whether each value is certified into ``ok``."""
-    scales, exps = _scales()
+    """Write D 10^k into ``val``, D from ``_mantissas`` and k a column of
+    ``_pow10()``, and whether each value is certified into ``ok``."""
     k[D < 0] = 0  # too many digits: off the table
-    h, h_hi, h_lo, lo = scales.take(k, axis=0, mode="clip").T
-    # D = f + e exactly, f = f_hi + f_lo in halves of 26 and 27 bits
+    # D = f + e exactly
     f = D.astype(float)
-    e = (D - f.astype(np.int64)).astype(float)
-    c = f * _SPLIT
-    f_hi = c - (c - f)
-    f_lo = f - f_hi
-    p = f * h
-    t = f_hi * h_hi
-    t -= p
-    t += f_hi * h_lo
-    t += f_lo * h_hi
-    t += f_lo * h_lo
-    t += f * lo
-    t += e * h
-    s = p + t
-    r = t - (s - p)
+    s, r, b = _times_pow10(f, k, (D - f.astype(np.int64)).astype(float))
     # certified when all of [s + r - m, s + r + m] rounds to s, m = s 2^-95
     # above the error bound
     np.abs(r, out=r)
     r += s * 2.0**-95
     np.equal(s + r, s, out=ok)
     ok &= s - r == s
-    np.ldexp(s, exps.take(k, mode="clip"), out=val)
+    np.ldexp(s, b, out=val)
     # a zero or a result above the least normal double: ldexp rounds a
     # subnormal one a second time, up to that double at most
     ok &= (val > 2.2250738585072014e-308) | (D == 0)

@@ -95,6 +95,12 @@ def format_float(x):
     return f"{x:.17g}"
 
 
+def _integral(values):
+    """Whether each value of a float array takes ``%.1f``: integral and
+    below 1e16, as ``format_float`` tests it."""
+    return (values == np.trunc(values)) & (np.abs(values) < 1e16)
+
+
 # below this many distinct values the kernel's fixed cost loses to formatting
 # value by value (the crossover lay at 350-500 values on a 2-core x86 VM)
 KERNEL_MIN_VALUES = 512
@@ -149,7 +155,7 @@ def _per_value(values):
     """The rule one value at a time, as an object array of ASCII bytes."""
     table = np.empty(len(values), dtype=object)
     table[:] = list(map(b"%.17g".__mod__, values.tolist()))
-    integral = np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e16))
+    integral = np.flatnonzero(_integral(values))
     table[integral] = [b"%.1f" % x for x in values[integral].tolist()]
     return table
 

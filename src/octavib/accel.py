@@ -67,20 +67,3 @@ def gradient(pos, s1, s2, s3, pair=None):
     rr = np.einsum("...jc,...jc->...j", pos, pos)
     g += 2.0 * u2_prime(rr)[..., None] * pos
     return g
-
-
-def hessian(pos, s1, s2, s3):
-    """Cartesian Hessian (18, 18) of one (6, 3) configuration."""
-    d, r = pairs(pos)
-    # the 3x3 block of each pair: off-diagonal at (j, k) and (k, j), and
-    # subtracted from both diagonal blocks, as the incidence Laplacian does
-    blk = -4.0 * u1_second(r, s1, s2, s3)[:, None, None] * np.einsum("pa,pb->pab", d, d)
-    blk -= 2.0 * u1_prime(r, s1, s2, s3)[:, None, None] * np.eye(3)
-    H = -np.einsum("jp,kp,pab->jakb", INCIDENCE, INCIDENCE, blk)
-    rr = np.einsum("jc,jc->j", pos, pos)
-    for j in range(6):
-        # the bond terms of ligand j on the float64 scalar rr[j]; 4 u2'' is
-        # 2 rr^-1.5 exactly, a power-of-two scaling
-        H[j, :, j, :] += 4.0 * u2_second(rr[j]) * np.outer(pos[j], pos[j])
-        H[j, :, j, :] += 2.0 * u2_prime(rr[j]) * np.eye(3)
-    return H.reshape(18, 18)

@@ -153,9 +153,9 @@ def factors_before(j_o, alphas):
     out = []
     for j, a in alphas.items():
         l = 1
-        while l / a < lam_o * (1 + 1e-9):
+        while l / a < lam_o * (1 + TIE_RTOL):
             v = l / a
-            if (j, l) != (j_o, 1) and abs(v - lam_o) <= 1e-9 * lam_o:
+            if (j, l) != (j_o, 1) and abs(v - lam_o) <= TIE_RTOL * lam_o:
                 raise ResonanceError(
                     f"critical numbers lambda_({j},{l}) and lambda_({j_o},1) coincide"
                 )

@@ -169,12 +169,6 @@ def gradient(params, config):
     return gradients(params, _one(config))[0]
 
 
-def hessian(params, config):
-    """Analytic Cartesian Hessian (18x18); matches finite differences."""
-    pos = as_configuration(config)
-    return accel.hessian(pos, params.sigma1, params.sigma2, params.sigma3)
-
-
 # radial restriction phi(r) = U(r * template) -------------------------------
 
 def phi(params, r):

@@ -9,17 +9,29 @@ An AST scan collects three kinds of binding:
 - every instance attribute, ``self.<name> = ...`` in a method of a package
   class.
 
-It then collects every name each module reads: a bare name, an attribute or
-a name a ``from ... import`` brings in.  A binding counts as used when its
-name is read in another package module, in perfbench's op code (``ops.py``,
-``worker.py``, ``run.py``), or in its own module outside its own lines: the
-definition, the assignment statement, or the method that sets the attribute.
-So a name that only its own body reads, by recursion, is unused, and so is
-an attribute that only the method building it reads back.  An attribute is
-read only as an attribute: a local variable of the same spelling is no
-reader.  Names match by spelling alone.  Dunder names are exempt: Python
-reads them itself.  ``perfbench/tracing.py`` is not read, since pinning a
-name for the tracer is not using it.
+It then collects every name each module reads, in package modules and in
+perfbench's op code (``ops.py``, ``worker.py``, ``run.py``), and what each
+read resolves to:
+- a bare name resolves to its own module's global unless a function, lambda
+  or comprehension around the read binds it: a parameter, an assignment, an
+  import, a nested definition (class bodies are not such scopes here);
+- ``mod.name``, with ``mod`` a package module bound by an import, and a name
+  that ``from .mod import name`` (or ``from octavib.mod import name``)
+  brings in, resolve to ``mod``.
+A module-level binding counts as used when a read of its name resolves to
+its module, in another module or in its own outside its own lines: the
+definition or the assignment statement.  So a name that only its own body
+reads, by recursion, is unused, and so is one that only a same-named
+parameter, local or another module's own global "reads".
+
+Methods and instance attributes are matched by spelling alone, since the
+scan does not infer types: any read of a method's name, and any attribute
+read of an attribute's name, outside the method that binds it counts.  So
+a method stays unflagged while anything anywhere reads an attribute of its
+spelling, and an attribute that only the method building it reads back is
+unused.  Dunder names are exempt: Python reads them itself.
+``perfbench/tracing.py`` is not read, since pinning a name for the tracer is
+not using it.
 
 A name the scan flags may stay only if ``KEPT`` names it with its reason; an
 entry whose name is gone or now has a reader is stale.  ``KEPT`` is what is
@@ -40,6 +52,8 @@ PACKAGE = ROOT / "src" / "octavib"
 CALLERS = tuple(ROOT / "perfbench" / name for name in ("ops.py", "worker.py", "run.py"))
 METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*METHODS, ast.ClassDef)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+SCOPES = (*METHODS, ast.Lambda, *COMPREHENSIONS)
 ASSIGNMENTS = (ast.Assign, ast.AnnAssign)
 
 # dotted name -> why it stays although nothing reads it; a reason ending in
@@ -57,6 +71,10 @@ KEPT = {
         "paper data: the generators (H) of A(S_4^p), whose products are the "
         "ring's stated product table"
     ),
+    "burnside.ring": (
+        "paper data: the spatial ring A(S_4^p) with its product table and "
+        "fixed-coset counts, built once per process"
+    ),
     "force_field.PotentialParams._make": (
         "the NamedTuple hook: _replace builds its copy through it, and the "
         "override refuses a copy that is not a valid construction"
@@ -67,6 +85,10 @@ KEPT = {
     "force_field.phi": (
         "the model's radial energy phi(r) = U(r * template), whose phi' and "
         "phi'' the equilibrium search runs"
+    ),
+    "force_field.gradient": (
+        "the model's gradient at one configuration, the single-configuration "
+        "form of gradients; TARGETS force_field.gradient"
     ),
     "force_field.hessian_blocks": (
         "the 18x18 block Hessian, the oracle for the closed-form Schur "
@@ -137,17 +159,81 @@ def bindings(tree):
                     yield target.id, lines(node), False
 
 
-def reads(tree):
-    """(name, line, is an attribute) of each bare name and attribute a module
-    reads and each name it imports from a module."""
+def imported_from(node):
+    """The package module a ``from ... import`` takes names from: "" for the
+    package itself, whose names are modules, None for any other package."""
+    if node.level:
+        return node.module or ""
+    if node.module == "octavib" or node.module.startswith("octavib."):
+        return node.module[len("octavib."):]
+    return None
+
+
+def module_aliases(tree):
+    """{name: package module} of each name an import binds to a package
+    module, wherever in the source it stands."""
+    out = {}
     for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and imported_from(node) == "":
+            out.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(
+                (alias.asname, alias.name[len("octavib."):]) for alias in node.names
+                if alias.asname and alias.name.startswith("octavib.")
+            )
+    return out
+
+
+def scope_locals(scope):
+    """The names a function, lambda or comprehension binds in its own scope:
+    its parameters or targets and what its body assigns, imports or defines,
+    less the names it declares ``global``."""
+    if isinstance(scope, COMPREHENSIONS):
+        return {n.id for g in scope.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+    args = scope.args
+    found = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a}
+    declared = set()
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            found.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+        if isinstance(node, DEFINITIONS):
+            found.add(node.name)
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return found - declared
+
+
+def reads(tree, module=None):
+    """(name, owner, line, is an attribute) of each bare name and attribute
+    a module reads and each name it imports from a package module.  The
+    owner is the module the read resolves to, ``module`` for a bare name
+    that no scope around it binds, or None."""
+    aliases = module_aliases(tree)
+    stack = [(tree, frozenset())]
+    while stack:
+        node, local = stack.pop()
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno, False
+            yield node.id, None if node.id in local else module, node.lineno, False
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node.lineno, True
-        elif isinstance(node, ast.ImportFrom):
+            value = node.value
+            through = isinstance(value, ast.Name) and value.id not in local
+            yield node.attr, aliases.get(value.id) if through else None, node.lineno, True
+        elif isinstance(node, ast.ImportFrom) and imported_from(node):
             for alias in node.names:
-                yield alias.name, node.lineno, False
+                yield alias.name, imported_from(node), node.lineno, False
+        if isinstance(node, SCOPES):
+            local = local | scope_locals(node)
+        stack.extend((child, local) for child in ast.iter_child_nodes(node))
 
 
 def bound(package):
@@ -164,22 +250,21 @@ def unreferenced(package, callers=()):
     """The sorted "module.dotted name" of each binding of ``package`` that
     nothing reads: no other package module, no source of ``callers`` and no
     line of its own module outside its own."""
-    readers = defaultdict(list)  # name -> [(module, line, is an attribute)]
-    for module, source in package.items():
-        for name, line, attribute in reads(ast.parse(source)):
-            readers[name].append((module, line, attribute))
-    for source in callers:  # module None: every read of a caller is a use
-        for name, _, attribute in reads(ast.parse(source)):
-            readers[name].append((None, 0, attribute))
+    readers = defaultdict(list)  # name -> [(reading module, line, owner, is an attribute)]
+    sources = [*package.items(), *((None, source) for source in callers)]
+    for reader, source in sources:  # reader None: every read of a caller is a use
+        for name, owner, line, attribute in reads(ast.parse(source), reader):
+            readers[name].append((reader, line, owner, attribute))
     out = []
     for dotted, (own, attribute) in bound(package).items():
-        module, name = dotted.partition(".")[0], dotted.rpartition(".")[2]
+        module, _, path = dotted.partition(".")
+        name = path.rpartition(".")[2]
         if name.startswith("__") and name.endswith("__"):
             continue
-        if all(
-            m == module and any(line in lines_ for lines_ in own)
-            for m, line, read_as_attribute in readers[name]
-            if read_as_attribute or not attribute
+        if not any(
+            (reader != module or not any(line in lines_ for lines_ in own))
+            and (owner == module if "." not in path else read_as_attribute or not attribute)
+            for reader, line, owner, read_as_attribute in readers[name]
         ):
             out.append(dotted)
     return sorted(out)
@@ -266,9 +351,9 @@ class TestScan:
         ]
 
     def test_a_read_in_its_own_body_is_not_a_use(self):
-        # recursive calls only itself; one read elsewhere makes it used
+        # recursive calls only itself; one import and read elsewhere makes it used
         assert "core.recursive" in unreferenced(SYNTHETIC, [CALLER])
-        used = dict(SYNTHETIC, cli=SYNTHETIC["cli"] + "\nrecursive(3)\n")
+        used = dict(SYNTHETIC, cli=SYNTHETIC["cli"] + "\nfrom .core import recursive\nrecursive(3)\n")
         assert "core.recursive" not in unreferenced(used, [CALLER])
 
     def test_a_caller_counts_as_a_reader(self):
@@ -387,3 +472,105 @@ class TestScanBindings:
         assert findings(BOUND, [WORKER], kept) == ([], [
             "tables.Cache.gone", "tables.Cache.rows", "tables.GONE", "tables.SIZE",
         ])
+
+
+SCOPED = {
+    "core": (
+        "def ring():\n"
+        "    return 1\n"
+        "\n"
+        "def hessian(x):\n"
+        "    return x\n"
+        "\n"
+        "def table():\n"
+        "    return 2\n"
+        "\n"
+        "def gradient(x):\n"
+        "    return x\n"
+        "\n"
+        "def build(ring, n):\n"
+        "    hessian = n\n"
+        "    rows = [table for table in range(n)]\n"
+        "    return ring, hessian, rows, lambda gradient: gradient\n"
+        "\n"
+        "def outer(table):\n"
+        "    def inner():\n"
+        "        return table\n"
+        "    return inner\n"
+        "\n"
+        "class Element:\n"
+        "    def __init__(self, ring):\n"
+        "        self.ring = ring\n"
+        "\n"
+        "    def product(self, other):\n"
+        "        return self.ring\n"
+    ),
+    "other": (
+        "from . import core\n"
+        "\n"
+        "def gradient(x):\n"
+        "    return x\n"
+        "\n"
+        "def main(element):\n"
+        "    return gradient(1), hessian(2), core.build(3, 4), core.outer(5), element.product\n"
+    ),
+}
+RUNNER = "from octavib import other\n\nother.main(None)\n"
+
+
+class TestScanScopes:
+    """A module-level name is read through its own module: a bare name in
+    that module where no scope binds it, ``mod.name`` or ``from .mod import
+    name``; methods and attributes match by spelling."""
+
+    def test_flags_names_read_only_by_a_same_spelled_name(self):
+        # ring: a parameter; hessian: a local, and another module's unbound
+        # name; table: a comprehension target and an enclosing function's
+        # parameter; gradient: a lambda's parameter and another module's own
+        # function
+        assert unreferenced(SCOPED, [RUNNER]) == [
+            "core.Element", "core.gradient", "core.hessian", "core.ring", "core.table",
+        ]
+
+    def test_a_bare_name_reads_its_own_modules_global(self):
+        read = dict(SCOPED, core=SCOPED["core"] + "\nring(), table()\n")
+        assert unreferenced(read, [RUNNER]) == ["core.Element", "core.gradient", "core.hessian"]
+        # a function that declares the name global reads the module's
+        declared = "\ndef current():\n    global hessian\n    return hessian\n"
+        read = dict(SCOPED, core=SCOPED["core"] + declared)
+        assert "core.hessian" not in unreferenced(read, [RUNNER])
+
+    @pytest.mark.parametrize("reader", [
+        "from .core import gradient\n",
+        "from octavib.core import gradient as g\n",
+        "def grad(x):\n    return core.gradient(x)\n",
+    ])
+    def test_another_module_reads_through_the_module(self, reader):
+        read = dict(SCOPED, other=SCOPED["other"] + reader)
+        assert "core.gradient" not in unreferenced(read, [RUNNER])
+
+    @pytest.mark.parametrize("reader", [
+        "from . import other as core\ncore.gradient(1)\n",
+        "from .other import gradient\n",
+        "def grad(core):\n    return core.gradient(1)\n",
+    ])
+    def test_a_read_through_another_module_or_a_local_is_not_a_use(self, reader):
+        read = dict(SCOPED, other=reader)
+        assert "core.gradient" in unreferenced(read, [RUNNER])
+
+    @pytest.mark.parametrize("caller", [
+        "from octavib.core import Element\n",
+        "import octavib.core as c\n\nc.Element\n",
+        "from octavib import core\n\ncore.Element()\n",
+    ])
+    def test_a_caller_reads_through_the_module(self, caller):
+        assert "core.Element" in unreferenced(SCOPED, [RUNNER])
+        assert "core.Element" not in unreferenced(SCOPED, [RUNNER, caller])
+
+    def test_methods_and_attributes_match_by_spelling(self):
+        # element.product reads Element.product whatever element is, and
+        # product's self.ring reads the attribute __init__ sets
+        flagged = unreferenced(SCOPED, [RUNNER])
+        assert "core.Element.product" not in flagged and "core.Element.ring" not in flagged
+        alone = dict(SCOPED, other="def main():\n    return 0\n")
+        assert "core.Element.product" in unreferenced(alone)

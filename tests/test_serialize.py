@@ -2,6 +2,7 @@ import ast
 import json
 import pathlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,6 +275,20 @@ class TestKernel:
         # 1e16, the tie 999999999999999.875 and at most a few exact powers
         assert seen[2] <= 20
 
+    def test_pow10_columns_are_powers_of_ten(self):
+        # every finite column's hi + lo is 10^k within 2^-106 of it, exactly,
+        # and hi's two halves sum to hi; a scale off the table reads NaN
+        table, exps = _kernels._pow10()
+        assert np.isnan(table[:, [0, -1]]).all()
+        finite = range(_kernels._K_MIN, _kernels._K_MAX + 1)
+        assert table.shape == (4, len(finite) + 2) and np.isfinite(table[:, 1:-1]).all()
+        for column, k in enumerate(finite, start=1):
+            hi, hi_hi, hi_lo, lo = map(Fraction, table[:, column].tolist())
+            assert hi_hi + hi_lo == hi
+            power = Fraction(10) ** k
+            error = (hi + lo) * Fraction(2) ** int(exps[column]) - power
+            assert abs(error) <= power / 2**106, k
+
     def test_tables_built_on_first_use(self):
         # a cold CLI process serving `invariant` loads neither the kernels
         # nor fractions and decimal; the kernels, once imported, build
@@ -477,7 +492,7 @@ class TestParseKernel:
     def test_parse_tables_built_on_first_use(self):
         code = (
             "import octavib.cli, octavib._kernels as k; "
-            "print(k._parse_tables.cache_info().currsize, k._scales.cache_info().currsize)"
+            "print(k._parse_tables.cache_info().currsize, k._pow10.cache_info().currsize)"
         )
         assert python(code).split() == ["0", "0"]
 
