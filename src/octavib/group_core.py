@@ -323,10 +323,9 @@ class Catalog:
                 )
             )
             self.index_of_label[label] = ci
-        self.n_classes = len(self.classes)
 
     def __len__(self):
-        return self.n_classes
+        return len(self.classes)
 
     def by_label(self, label):
         return self.classes[self.index_of_label[label]]

@@ -15,8 +15,8 @@ l: the preimage K^l of K under the temporal map z -> z^l, which is never
 built.  Pulling orbit types back along z -> z^l is the l-folding
 homomorphism Theta_l, a ring map that keeps marks (Balanov, Krawcewicz and
 Steinlein, *Applied Equivariant Degree*, 2006), so each datum of K^l is
-read from K: its order, Weyl order, symbol key, fixed dimensions, fixed
-cosets and maximal types.
+read from K: its order, Weyl order, symbol key, label, fixed dimensions,
+fixed cosets and maximal types.
 
 The mode-1 data are constants of the group.  The builder in
 ``tests/regenerate_o2_table.py`` enumerates the character graphs, computes
@@ -284,39 +284,6 @@ def mode_cover(subgroup, l):
 
 
 # ---------------------------------------------------------------------------
-# amalgam symbols
-# ---------------------------------------------------------------------------
-
-_ABSTRACT_NAME = {
-    (1, False): "Z_1", (1, True): "D_1", (2, False): "Z_2", (2, True): "D_2",
-    (3, False): "Z_3", (3, True): "D_3", (4, False): "Z_4", (4, True): "D_4",
-    (6, False): "Z_6", (6, True): "D_6", (8, True): "D_8", (12, True): "D_12",
-}
-
-
-def amalgam_symbol(key):
-    """Render the orbit-type symbol ``H^{Ho} x_{L}^{Ko} K`` of a symbol key."""
-    hk, hm, ok, om, K, Ko = key
-    H = f"{hk}_{hm}"
-    Ho = f"{ok}_{om}"
-    untwisted = hk == ok and hm == om
-    if untwisted:
-        if Ko == K:
-            return f"{H} x {K}"
-        return f"{H} x^{{{Ko}}} {K}"
-    # quotient size |H/Ho|
-    hsize = (2 if hk == "D" else 1) * hm
-    osize = (2 if ok == "D" else 1) * om
-    q = hsize // osize
-    if Ko == "Z_1":
-        return f"{H}^{{{Ho}}} x_{{{K}}} {K}"
-    if q == 2:
-        return f"{H}^{{{Ho}}} x^{{{Ko}}} {K}"
-    quot = _ABSTRACT_NAME.get((q // 2, True), f"?_{q}")
-    return f"{H}^{{{Ho}}} x_{{{quot}}}^{{{Ko}}} {K}"
-
-
-# ---------------------------------------------------------------------------
 # the Burnside ring over the registry of conjugacy classes
 # ---------------------------------------------------------------------------
 
@@ -339,7 +306,6 @@ class TemporalOctahedralRing(BurnsideRing):
             doc = json.load(fh)
         self._period = doc["mode_period"]
         self._labels = doc["label"]
-        self._ordinals = doc["ordinal"]
         # by base K: |K|, and |W(K)| (None when infinite)
         self._orders = dict(enumerate(doc["order"]))
         self._weyl = dict(enumerate(doc["weyl"]))
@@ -447,17 +413,16 @@ class TemporalOctahedralRing(BurnsideRing):
         return hk, hm * l, ok, om * l, spatial, spatial_kernel
 
     def label_of(self, ci):
-        """A mode-1 class's label, from the table; a cover K^l's amalgam
-        symbol, with K's ordinal `` #k`` where mode-1 classes share K's.
-
-        Covers share a symbol exactly when their mode-1 classes do and
-        their modes are equal.
+        """A mode-1 class's label, from the table; a cover K^l's is K's with
+        the head before `` x`` rewritten from ci's symbol key: Theta_l keeps
+        a symbol's spatial part and multiplies its temporal orders by l.
         """
         if ci < len(self._labels):
             return self._labels[ci]
-        symbol = amalgam_symbol(self.symbol_key(ci))
-        k = self._ordinals[self._pairs[ci][0]]
-        return f"{symbol} #{k}" if k else symbol
+        hk, hm, ok, om = self.symbol_key(ci)[:4]
+        head = f"{hk}_{hm}" if (hk, hm) == (ok, om) else f"{hk}_{hm}^{{{ok}_{om}}}"
+        base = self._labels[self._pairs[ci][0]]
+        return head + base[base.index(" x"):]
 
     @cached
     def candidate_subtypes(self, ci):
@@ -596,23 +561,6 @@ class OrbitTypeO2(NamedTuple):
         ko = self.spatial if self.spatial_kernel == "full" else self.spatial_kernel
         return (self.o2_kind, m, *kernel, self.spatial, ko)
 
-    def label(self, l=1):
-        m = self.o2_scale * l
-        H = f"{self.o2_kind}_{m}"
-        if self.o2_kernel == "full":
-            if self.spatial_kernel in ("full", self.spatial):
-                return f"{H} x {self.spatial}"
-            return f"{H} x^{{{self.spatial_kernel}}} {self.spatial}"
-        Ho = {"Z_l": f"Z_{l}", "D_l": f"D_{l}", "Z_1": "Z_1"}[self.o2_kernel]
-        if self.spatial_kernel == "Z_1":
-            return f"{H}^{{{Ho}}} x_{{{self.spatial}}} {self.spatial}"
-        if self.quotient and self.spatial_kernel == "Z_1^p":
-            # central spatial kernel is left implicit in the reference symbols
-            return f"{H}^{{{Ho}}} x_{{{self.quotient}}} {self.spatial}"
-        if self.quotient:
-            return f"{H}^{{{Ho}}} x_{{{self.quotient}}}^{{{self.spatial_kernel}}} {self.spatial}"
-        return f"{H}^{{{Ho}}} x^{{{self.spatial_kernel}}} {self.spatial}"
-
 
 def _fam(kind, scale, kernel, spatial, spatial_kernel, quotient=""):
     return OrbitTypeO2(kind, scale, kernel, spatial, spatial_kernel, quotient)
@@ -677,27 +625,28 @@ def _red_families(*blocks):
     return [fam for j in blocks for _, red, fam in REFERENCE_EXPANSIONS[j] if red]
 
 
-def _reference_hits(families, keys, l):
-    """{class id: family.label(l)} for the one class of ``keys``, a list of
-    (class id, symbol key), that holds each family's key at mode l.
+def _reference_hits(families, keys):
+    """{class id: family} for the one class of ``keys``, a list of
+    (class id, symbol key), that holds each family's key at mode 1.
 
     Raises when a family matches zero or several classes (ambiguity is
     surfaced, not guessed).
     """
     out = {}
     for fam in families:
-        hits = [ci for ci, key in keys if key == fam.key(l)]
+        hits = [ci for ci, key in keys if key == fam.key()]
         if len(hits) != 1:
             raise ConsistencyError(
-                f"reference family {fam.label(l)} matches {len(hits)} classes"
+                f"reference family {fam.key()} matches {len(hits)} classes"
             )
-        out[hits[0]] = fam.label(l)
+        out[hits[0]] = fam
     return out
 
 
-def pin_reference_labels(j, class_ids, l=1):
+def pin_reference_labels(j, class_ids):
     """Check that each red family of block j matches exactly one of the
-    classes, and return {class id: reference spelling}; writes nothing."""
+    mode-1 classes, and return {class id: its label}, the family's
+    spelling; writes nothing."""
     keys = [(ci, ring().symbol_key(ci)) for ci in class_ids]
-    return _reference_hits(_red_families(j), keys, l)
+    return {ci: ring().label_of(ci) for ci in _reference_hits(_red_families(j), keys)}
 

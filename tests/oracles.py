@@ -7,11 +7,12 @@ class of each mask, conjugation of a subgroup mask element by element, the
 subgroup enumeration, the 18-dim character and its isotypic decomposition,
 the spatial ring's products by a census of coset pairs, element constructors
 and conjugation in the temporal-spatial group, Weyl orders in a dihedral
-truncation, symbolic families matched against the catalog and the reference
-spellings, the force field with its pair and bond terms written inline, the
-equilibrium search on float64 scalars, the closed-form spectrum from the
-stiffness constants, the brake checks of a mode, the elements that fix it,
-solved from its first harmonic, and the names of its symmetry relations.
+truncation, symbolic families matched against the catalog, the amalgam
+symbol of a symbol key and the reference spelling of a family, the force
+field with its pair and bond terms written inline, the equilibrium search on
+float64 scalars, the closed-form spectrum from the stiffness constants, the
+brake checks of a mode, the elements that fix it, solved from its first
+harmonic, and the names of its symmetry relations.
 """
 
 import functools
@@ -238,7 +239,7 @@ def instantiate(family, l=1):
         if family.spatial_kernel not in ("full", family.spatial):
             raise CatalogError(
                 f"untwisted temporal part requires an untwisted spatial part: "
-                f"{family.label(l)}"
+                f"{family_label(family, l)}"
             )
         # D_m x K is the cover at mode m of the mode-1 class D_1 x K
         product = ("D", 1, "D", 1, family.spatial, family.spatial)
@@ -257,7 +258,7 @@ def instantiate(family, l=1):
             ko_order = cat.by_label(ko_label).order
             if K_cls.order != lsize * ko_order:
                 raise CatalogError(
-                    f"malformed amalgam {family.label(l)}: quotient sizes "
+                    f"malformed amalgam {family_label(family, l)}: quotient sizes "
                     f"{lsize} vs {K_cls.order}/{ko_order} do not match"
                 )
         target_order = hsize * K_cls.order // lsize
@@ -269,7 +270,59 @@ def instantiate(family, l=1):
 
 def reference_red_labels(j, l=1):
     """Maximal-type labels of the reference expansion for irrep j at mode l."""
-    return tuple(fam.label(l) for _, red, fam in o2.REFERENCE_EXPANSIONS[j] if red)
+    reds = (fam for _, red, fam in o2.REFERENCE_EXPANSIONS[j] if red)
+    return tuple(family_label(fam, l) for fam in reds)
+
+
+_ABSTRACT_NAME = {
+    (1, False): "Z_1", (1, True): "D_1", (2, False): "Z_2", (2, True): "D_2",
+    (3, False): "Z_3", (3, True): "D_3", (4, False): "Z_4", (4, True): "D_4",
+    (6, False): "Z_6", (6, True): "D_6", (8, True): "D_8", (12, True): "D_12",
+}
+
+
+def amalgam_symbol(key):
+    """Render the orbit-type symbol ``H^{Ho} x_{L}^{Ko} K`` of a symbol key
+    (the spelling the table's builder gives a class with no reference
+    spelling, before its ordinal)."""
+    hk, hm, ok, om, K, Ko = key
+    H = f"{hk}_{hm}"
+    Ho = f"{ok}_{om}"
+    untwisted = hk == ok and hm == om
+    if untwisted:
+        if Ko == K:
+            return f"{H} x {K}"
+        return f"{H} x^{{{Ko}}} {K}"
+    # quotient size |H/Ho|
+    hsize = (2 if hk == "D" else 1) * hm
+    osize = (2 if ok == "D" else 1) * om
+    q = hsize // osize
+    if Ko == "Z_1":
+        return f"{H}^{{{Ho}}} x_{{{K}}} {K}"
+    if q == 2:
+        return f"{H}^{{{Ho}}} x^{{{Ko}}} {K}"
+    quot = _ABSTRACT_NAME.get((q // 2, True), f"?_{q}")
+    return f"{H}^{{{Ho}}} x_{{{quot}}}^{{{Ko}}} {K}"
+
+
+def family_label(fam, l=1):
+    """The reference spelling of an ``OrbitTypeO2`` family at mode l."""
+    m = fam.o2_scale * l
+    H = f"{fam.o2_kind}_{m}"
+    if fam.o2_kernel == "full":
+        if fam.spatial_kernel in ("full", fam.spatial):
+            return f"{H} x {fam.spatial}"
+        return f"{H} x^{{{fam.spatial_kernel}}} {fam.spatial}"
+    Ho = {"Z_l": f"Z_{l}", "D_l": f"D_{l}", "Z_1": "Z_1"}[fam.o2_kernel]
+    if fam.spatial_kernel == "Z_1":
+        return f"{H}^{{{Ho}}} x_{{{fam.spatial}}} {fam.spatial}"
+    if fam.quotient and fam.spatial_kernel == "Z_1^p":
+        # central spatial kernel is left implicit in the reference symbols
+        return f"{H}^{{{Ho}}} x_{{{fam.quotient}}} {fam.spatial}"
+    if fam.quotient:
+        quot = f"x_{{{fam.quotient}}}^{{{fam.spatial_kernel}}}"
+        return f"{H}^{{{Ho}}} {quot} {fam.spatial}"
+    return f"{H}^{{{Ho}}} x^{{{fam.spatial_kernel}}} {fam.spatial}"
 
 
 # ---------------------------------------------------------------------------

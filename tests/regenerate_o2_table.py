@@ -25,7 +25,14 @@ from octavib import group_core as gc
 from octavib import orbit_o2 as o2
 from octavib._serialize import dumps
 from octavib.errors import ConsistencyError
-from oracles import INV, class_of_mask, conj_mask, generated
+from oracles import (
+    INV,
+    amalgam_symbol,
+    class_of_mask,
+    conj_mask,
+    family_label,
+    generated,
+)
 
 TABLE = pathlib.Path(o2.TABLE)
 GRID, N = o2.GRID, o2.N
@@ -37,7 +44,7 @@ def build_mode1_table():
     meets, in class order.
 
     Per class: its elements, order, Weyl order |W(K)| = |(G/K)^K|, symbol
-    key, label and ordinal, fixed dimensions at irreps 0-9 (one string of
+    key, label, fixed dimensions at irreps 0-9 (one string of
     digits per irrep, over the modes 1 to the mode period, which JSON reads
     far faster than a list of numbers), its row of nonzero marks
     fix_K(G/H), and the class of phi_b(K) for b modulo the mode period.  Also the classes M = K^2 (as
@@ -72,7 +79,7 @@ def build_mode1_table():
         maximal[j] = [
             L for L in sorted(fixing) if not any(t != L and t in fixing for t in marks[L])
         ]
-    labels, ordinals = mode1_labels(keys)
+    labels = mode1_labels(keys)
     doc = {
         "elements": [sorted(A.elements) for A in reps],
         "fixed_dim": [["".join(map(str, row)) for row in rows] for rows in dims],
@@ -82,7 +89,6 @@ def build_mode1_table():
         "marks": [sorted(row.items()) for row in marks],
         "maximal": maximal,
         "mode_period": period,
-        "ordinal": ordinals,
         "order": [len(A) for A in reps],
         "symbol_key": keys,
         "weyl": [marks[ci][ci] for ci in range(len(reps))],
@@ -355,32 +361,28 @@ def symbol_key(A):
 
 
 def mode1_labels(keys):
-    """The label and ordinal of each mode-1 class, from the symbol keys in
-    class order.
+    """The label of each mode-1 class, from the symbol keys in class order.
 
     A class's label is its reference spelling if it has one (each red
     reference family's key must be held by exactly one class), else its
-    amalgam symbol plus `` #k`` where k, its ordinal, counts the classes
-    sharing the symbol in class order; the ordinal is 0 for a symbol of one
-    class.
+    amalgam symbol, plus `` #k`` where the symbol is shared and k, its
+    ordinal, counts the classes sharing it in class order.
     """
-    symbols = [o2.amalgam_symbol(key) for key in keys]
+    symbols = [amalgam_symbol(key) for key in keys]
     same = defaultdict(list)
     for ci, symbol in enumerate(symbols):
         same[symbol].append(ci)
-    ordinals = [0] * len(keys)
+    labels = list(symbols)
     for group in same.values():
         if len(group) > 1:
             for k, ci in enumerate(group, 1):
-                ordinals[ci] = k
-    spellings = o2._reference_hits(
-        o2._red_families(*o2.REFERENCE_EXPANSIONS), list(enumerate(keys)), 1
+                labels[ci] = f"{symbols[ci]} #{k}"
+    families = o2._reference_hits(
+        o2._red_families(*o2.REFERENCE_EXPANSIONS), list(enumerate(keys))
     )
-    labels = [
-        spellings.get(ci, f"{symbol} #{k}" if k else symbol)
-        for ci, (symbol, k) in enumerate(zip(symbols, ordinals))
-    ]
-    return labels, ordinals
+    for ci, fam in families.items():
+        labels[ci] = family_label(fam)
+    return labels
 
 
 def main(argv=None):

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import types
 
 import pytest
 
@@ -22,6 +23,32 @@ def test_committed_table_is_current():
         f"{o2.TABLE} is stale: regenerate it with "
         f"`PYTHONPATH=src python tests/regenerate_o2_table.py`"
     )
+
+
+class ReadRecorder(dict):
+    """A table whose key reads are recorded."""
+
+    def __init__(self, doc):
+        super().__init__(doc)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_the_ring_reads_every_column(monkeypatch):
+    # a column nobody reads has no owner: the builder should not write it
+    tables = []
+
+    def load(fh):
+        tables.append(ReadRecorder(json.load(fh)))
+        return tables[-1]
+
+    monkeypatch.setattr(o2, "json", types.SimpleNamespace(load=load))
+    o2.TemporalOctahedralRing()
+    (doc,) = tables
+    assert doc.read == set(doc)
 
 
 def float_fixed_dim(A, j, m):

@@ -246,7 +246,7 @@ class TestConcreteSubgroups:
         A = oracles.generated(gens)
         assert len(A) == 12
         assert A.weyl_order() == 2
-        assert o2.amalgam_symbol(builder.symbol_key(A)) == "D_6^{Z_1} x_{D_3^p} D_3^p"
+        assert oracles.amalgam_symbol(builder.symbol_key(A)) == "D_6^{Z_1} x_{D_3^p} D_3^p"
 
     def test_self_conjugate(self):
         A = oracles.generated([oracles.reflection(0, oct_word("(56)"))])
@@ -313,7 +313,7 @@ class TestMaximalTypes:
         assert "maximal_orbit_types" not in fresh_ring.memo
         respelled = {
             ci for labels in before.values() for ci, label in labels.items()
-            if label != o2.amalgam_symbol(fresh_ring.symbol_key(ci))
+            if label != oracles.amalgam_symbol(fresh_ring.symbol_key(ci))
         }
         assert len(respelled) == 3
         for j, labels in before.items():
@@ -406,6 +406,48 @@ class TestLabels:
         assert label.endswith(" #2") and label != labels[base]
 
 
+class TestCoverLabels:
+    """A cover K^l is labeled as K with its temporal orders times l."""
+
+    MODES = range(1, 13)
+    RED = o2._red_families(0, 4, 7, 8, 9)
+
+    def test_red_families_keep_their_spelling_at_every_mode(self, fresh_ring):
+        for l in self.MODES:
+            keys = [(ci, fresh_ring.symbol_key(ci)) for ci in o2.graph_classes(l)]
+            for fam in self.RED:
+                (ci,) = [ci for ci, key in keys if key == fam.key(l)]
+                assert fresh_ring.label_of(ci) == oracles.family_label(fam, l), (l, fam)
+
+    def test_other_covers_are_the_amalgam_symbol_with_the_base_ordinal(self, fresh_ring):
+        checked = 0
+        for l in self.MODES[1:]:
+            red = {fam.key(l) for fam in self.RED}
+            for ci in o2.graph_classes(l):
+                key = fresh_ring.symbol_key(ci)
+                if key in red:
+                    continue
+                base = fresh_ring.label_of(fresh_ring._pairs[ci][0])
+                _, shared, k = base.rpartition(" #")
+                ordinal = f" #{k}" if shared else ""
+                assert fresh_ring.label_of(ci) == oracles.amalgam_symbol(key) + ordinal
+                checked += 1
+        assert checked == 2827 - 11 * 16  # all but the 16 maximal types
+
+    def test_labels_are_unique_at_every_mode(self, fresh_ring):
+        for l in self.MODES:
+            labels = [fresh_ring.label_of(ci) for ci in o2.graph_classes(l)]
+            assert len(set(labels)) == len(labels), l
+
+    def test_mode1_labels_start_with_their_head(self, fresh_ring):
+        # what a cover's label rewrites: everything before the first " x",
+        # the temporal part H or H^{H_o} of the class's amalgam symbol
+        for ci in o2.graph_classes(1):
+            symbol = oracles.amalgam_symbol(fresh_ring.symbol_key(ci))
+            head = symbol[: symbol.index(" x")]
+            assert fresh_ring.label_of(ci).startswith(head + " x"), ci
+
+
 class TestGraphClasses:
     """One build per orbit of character graphs against closing every graph."""
 
@@ -423,7 +465,7 @@ class TestGraphClasses:
 
     def test_same_labels(self, fresh_ring, reference):
         labels = [fresh_ring.label_of(ci) for ci in o2.graph_classes(1)]
-        built, _ = builder.mode1_labels([builder.symbol_key(A) for A in reference])
+        built = builder.mode1_labels([builder.symbol_key(A) for A in reference])
         assert built == labels
 
     def test_registry_opens_with_the_mode1_classes(self, fresh_ring):
@@ -522,7 +564,7 @@ class TestBasicDegrees:
         for j in (4, 7):
             deg = o2.basic_degree(j, 1)
             reds = {
-                fam.label(1): coeff
+                oracles.family_label(fam, 1): coeff
                 for coeff, red, fam in o2.REFERENCE_EXPANSIONS[j]
                 if red
             }
@@ -569,7 +611,7 @@ class TestInstantiation:
         for fam in o2._red_families(0, 4, 7, 8, 9):
             (ci,) = oracles.instantiate(fam, 1)
             cover = ring.register_cover(ci, l)
-            assert oracles.instantiate(fam, l) == [cover], fam.label(l)
+            assert oracles.instantiate(fam, l) == [cover], oracles.family_label(fam, l)
             assert ring.symbol_key(cover) == fam.key(l)
             assert ring.order_of(cover) == l * ring.order_of(ci)
 
