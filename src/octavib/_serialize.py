@@ -6,9 +6,9 @@ whole array, for the exported CSV trajectories and for float arrays in JSON,
 once per distinct value: through ``_kernels.format_values``, an exact array
 kernel, from ``KERNEL_MIN_VALUES`` distinct values on, and value by value
 (``_per_value``) below.  ``json_rows`` writes an array's rows as JSON lists
-with it, and ``JSONText`` carries rows written earlier into a document.
-The kernels, and their inverse ``_kernels.parse_values``, are imported on
-first use.  ``write_over`` writes every file the package writes.
+with it: ``dumps`` writes every 2-D float array so, a spectrum's eigenbasis
+included.  The kernels, and their inverse ``_kernels.parse_values``, are
+imported on first use.  ``write_over`` writes every file the package writes.
 """
 
 import os
@@ -33,8 +33,6 @@ def _fmt(value):
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        if isinstance(value, JSONText):
-            return value
         return f'"{value.translate(_ESCAPES)}"'
     if isinstance(value, dict):
         items = sorted(value.items())
@@ -52,11 +50,6 @@ def _fmt(value):
 
 def dumps(doc):
     return _fmt(doc)
-
-
-class JSONText(str):
-    """Text that is already a value as ``dumps`` writes it; ``dumps`` copies
-    it as it is."""
 
 
 def json_rows(data):

@@ -507,11 +507,13 @@ class TemporalOctahedralRing(BurnsideRing):
     @cached
     def basic_degree(self, j, l):
         """Antipodal-map degree on the ball of irrep-j mode-l, by the
-        recurrence, whose pool is the downward closure of the maximal orbit
-        types; the unit coefficient is +1."""
-        pool = set()
-        for ci in self.maximal_orbit_types(j, l):
-            pool.update(self.candidate_subtypes(ci))
+        recurrence; the unit coefficient is +1.  Its pool is the covers K^l
+        of the downward closure of the mode-1 maximal orbit types, where
+        Theta_l puts every nonzero coefficient."""
+        low = set()
+        for ci in self.maximal_orbit_types(j, 1):
+            low.update(self.candidate_subtypes(ci))
+        pool = {self.register_cover(K, l) for K in low}
         return self.element(
             1, self.recurrence(pool, lambda K: (-1) ** self.fixed_dim(j, l, K) - 1)
         )
@@ -562,61 +564,57 @@ class OrbitTypeO2(NamedTuple):
         return (self.o2_kind, m, *kernel, self.spatial, ko)
 
 
-def _fam(kind, scale, kernel, spatial, spatial_kernel, quotient=""):
-    return OrbitTypeO2(kind, scale, kernel, spatial, spatial_kernel, quotient)
-
-
 # the reference l-parametrized basic-degree expansions; (coefficient, red, family)
 REFERENCE_EXPANSIONS = {
-    0: ((-1, True, _fam("D", 1, "full", "S_4^p", "full")),),
+    0: ((-1, True, OrbitTypeO2("D", 1, "full", "S_4^p", "full")),),
     4: (
-        (4, False, _fam("D", 1, "Z_l", "D_4^p", "V_4^p")),
-        (1, False, _fam("D", 1, "full", "V_4^p", "full")),
-        (-1, True, _fam("D", 2, "D_l", "D_4^p", "V_4^p")),
-        (-1, True, _fam("D", 1, "full", "D_4^p", "full")),
-        (-2, True, _fam("D", 3, "Z_l", "S_4^p", "V_4^p", "D_3")),
+        (4, False, OrbitTypeO2("D", 1, "Z_l", "D_4^p", "V_4^p")),
+        (1, False, OrbitTypeO2("D", 1, "full", "V_4^p", "full")),
+        (-1, True, OrbitTypeO2("D", 2, "D_l", "D_4^p", "V_4^p")),
+        (-1, True, OrbitTypeO2("D", 1, "full", "D_4^p", "full")),
+        (-2, True, OrbitTypeO2("D", 3, "Z_l", "S_4^p", "V_4^p", "D_3")),
     ),
     7: (
-        (-2, False, _fam("D", 2, "Z_l", "Z_2^p", "Z_1")),
-        (-1, False, _fam("D", 2, "D_l", "Z_1^p", "Z_1")),
-        (2, False, _fam("D", 2, "Z_l", "D_2^p", "D_1^z", "D_2")),
-        (2, False, _fam("D", 2, "Z_l", "D_2^p", "Z_2^-", "D_2")),
-        (2, False, _fam("D", 2, "Z_l", "V_4^p", "Z_2^-", "D_2")),
-        (2, False, _fam("D", 2, "D_l", "D_1^p", "D_1^z")),
-        (1, False, _fam("D", 2, "D_l", "Z_2^p", "Z_2^-")),
-        (-2, True, _fam("D", 6, "Z_l", "D_3^p", "Z_1")),
-        (-2, True, _fam("D", 4, "Z_l", "D_4^p", "Z_2^-")),
-        (-1, True, _fam("D", 2, "D_l", "D_2^p", "D_2^d")),
-        (-1, True, _fam("D", 2, "D_l", "D_3^p", "D_3^z")),
-        (-1, True, _fam("D", 2, "D_l", "D_4^p", "D_4^z")),
+        (-2, False, OrbitTypeO2("D", 2, "Z_l", "Z_2^p", "Z_1")),
+        (-1, False, OrbitTypeO2("D", 2, "D_l", "Z_1^p", "Z_1")),
+        (2, False, OrbitTypeO2("D", 2, "Z_l", "D_2^p", "D_1^z", "D_2")),
+        (2, False, OrbitTypeO2("D", 2, "Z_l", "D_2^p", "Z_2^-", "D_2")),
+        (2, False, OrbitTypeO2("D", 2, "Z_l", "V_4^p", "Z_2^-", "D_2")),
+        (2, False, OrbitTypeO2("D", 2, "D_l", "D_1^p", "D_1^z")),
+        (1, False, OrbitTypeO2("D", 2, "D_l", "Z_2^p", "Z_2^-")),
+        (-2, True, OrbitTypeO2("D", 6, "Z_l", "D_3^p", "Z_1")),
+        (-2, True, OrbitTypeO2("D", 4, "Z_l", "D_4^p", "Z_2^-")),
+        (-1, True, OrbitTypeO2("D", 2, "D_l", "D_2^p", "D_2^d")),
+        (-1, True, OrbitTypeO2("D", 2, "D_l", "D_3^p", "D_3^z")),
+        (-1, True, OrbitTypeO2("D", 2, "D_l", "D_4^p", "D_4^z")),
     ),
     8: (
-        (-2, False, _fam("D", 1, "Z_l", "Z_2^p", "Z_1^p")),
-        (-1, False, _fam("D", 1, "full", "Z_1^p", "full")),
-        (2, False, _fam("D", 1, "Z_l", "D_2^p", "D_1^p")),
-        (2, False, _fam("D", 2, "Z_l", "D_2^p", "Z_1^p", "D_2")),
-        (2, False, _fam("D", 2, "Z_l", "V_4^p", "Z_1^p", "V_4")),
-        (2, False, _fam("D", 1, "full", "D_1^p", "full")),
-        (1, False, _fam("D", 2, "D_l", "Z_2^p", "Z_1^p")),
-        (-2, True, _fam("D", 3, "Z_l", "D_3^p", "Z_1^p", "D_3")),
-        (-2, True, _fam("D", 4, "Z_l", "D_4^p", "Z_1^p", "D_4")),
-        (-1, True, _fam("D", 2, "D_l", "D_2^p", "D_1^p")),
-        (-1, True, _fam("D", 1, "full", "D_3^p", "full")),
-        (-1, True, _fam("D", 2, "D_l", "D_4^p", "D_2^p")),
+        (-2, False, OrbitTypeO2("D", 1, "Z_l", "Z_2^p", "Z_1^p")),
+        (-1, False, OrbitTypeO2("D", 1, "full", "Z_1^p", "full")),
+        (2, False, OrbitTypeO2("D", 1, "Z_l", "D_2^p", "D_1^p")),
+        (2, False, OrbitTypeO2("D", 2, "Z_l", "D_2^p", "Z_1^p", "D_2")),
+        (2, False, OrbitTypeO2("D", 2, "Z_l", "V_4^p", "Z_1^p", "V_4")),
+        (2, False, OrbitTypeO2("D", 1, "full", "D_1^p", "full")),
+        (1, False, OrbitTypeO2("D", 2, "D_l", "Z_2^p", "Z_1^p")),
+        (-2, True, OrbitTypeO2("D", 3, "Z_l", "D_3^p", "Z_1^p", "D_3")),
+        (-2, True, OrbitTypeO2("D", 4, "Z_l", "D_4^p", "Z_1^p", "D_4")),
+        (-1, True, OrbitTypeO2("D", 2, "D_l", "D_2^p", "D_1^p")),
+        (-1, True, OrbitTypeO2("D", 1, "full", "D_3^p", "full")),
+        (-1, True, OrbitTypeO2("D", 2, "D_l", "D_4^p", "D_2^p")),
     ),
     9: (
-        (-2, False, _fam("D", 2, "Z_l", "Z_2^p", "Z_1")),
-        (-1, False, _fam("D", 2, "D_l", "Z_1^p", "Z_1")),
-        (2, False, _fam("D", 2, "Z_l", "D_2^p", "D_1", "Z_2^p")),
-        (2, False, _fam("D", 2, "Z_l", "D_2^p", "Z_2^-", "D_2")),
-        (2, False, _fam("D", 2, "Z_l", "V_4^p", "Z_2^-", "D_2")),
-        (2, False, _fam("D", 2, "D_l", "D_1^p", "D_1")),
-        (1, False, _fam("D", 2, "D_l", "Z_2^p", "Z_2^-")),
-        (-2, True, _fam("D", 6, "Z_l", "D_3^p", "Z_1")),
-        (-2, True, _fam("D", 4, "Z_l", "D_4^p", "Z_2^-")),
-        (-1, True, _fam("D", 2, "D_l", "D_2^p", "D_2^d")),
-        (-1, True, _fam("D", 2, "D_l", "D_3^p", "D_3")),
-        (-1, True, _fam("D", 2, "D_l", "D_4^p", "D_4^d")),
+        (-2, False, OrbitTypeO2("D", 2, "Z_l", "Z_2^p", "Z_1")),
+        (-1, False, OrbitTypeO2("D", 2, "D_l", "Z_1^p", "Z_1")),
+        (2, False, OrbitTypeO2("D", 2, "Z_l", "D_2^p", "D_1", "Z_2^p")),
+        (2, False, OrbitTypeO2("D", 2, "Z_l", "D_2^p", "Z_2^-", "D_2")),
+        (2, False, OrbitTypeO2("D", 2, "Z_l", "V_4^p", "Z_2^-", "D_2")),
+        (2, False, OrbitTypeO2("D", 2, "D_l", "D_1^p", "D_1")),
+        (1, False, OrbitTypeO2("D", 2, "D_l", "Z_2^p", "Z_2^-")),
+        (-2, True, OrbitTypeO2("D", 6, "Z_l", "D_3^p", "Z_1")),
+        (-2, True, OrbitTypeO2("D", 4, "Z_l", "D_4^p", "Z_2^-")),
+        (-1, True, OrbitTypeO2("D", 2, "D_l", "D_2^p", "D_2^d")),
+        (-1, True, OrbitTypeO2("D", 2, "D_l", "D_3^p", "D_3")),
+        (-1, True, OrbitTypeO2("D", 2, "D_l", "D_4^p", "D_4^d")),
     ),
 }
 

@@ -10,14 +10,13 @@ matrix, and is, with ``assign_eigenspaces`` (labels from restricted
 characters), an oracle.
 """
 
-import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import force_field, group_core
-from ._serialize import JSONText, dumps, json_rows
+from ._serialize import dumps
 from .errors import LabelingError, NumericalError, ShapeError
 
 
@@ -72,28 +71,8 @@ class SpectrumReport(NamedTuple):
             ]
         }
         if self.basis is not None:
-            doc["basis"] = _basis_json(self.basis)
+            doc["basis"] = self.basis.T
         return dumps(doc)
-
-
-def _basis_json(basis):
-    """The columns of a basis as the JSON list of their values: a column of
-    ``_constant_rows`` from its table, the others formatted here."""
-    rows = np.ascontiguousarray(basis.T)
-    known = _constant_rows()
-    out = [known.get(row.tobytes()) for row in rows]
-    rest = [i for i, row in enumerate(out) if row is None]
-    for i, row in zip(rest, json_rows(rows[rest])):
-        out[i] = row
-    return JSONText("[" + b",".join(out).decode() + "]")
-
-
-@functools.cache
-def _constant_rows():
-    """The JSON list of each column of the σ-independent lines 0, 4, 6, 8
-    and 9, keyed by the column's bytes; formatted on first use."""
-    columns = np.hstack([BASES[j] for j in "04689"]).T
-    return dict(zip((c.tobytes() for c in columns), json_rows(columns)))
 
 
 def _frequency(line):

@@ -905,19 +905,20 @@ class TestColdImports:
         )
         assert python(code) == "['octavib']\n"
 
-    def test_only_spectrum_formats_the_basis_rows(self):
-        # the JSON rows of the constant columns are formatted on first use
+    def test_spectrum_prints_the_same_bytes_cold_and_warm(self):
+        # no first-use state shapes the eigenbasis: a process's first
+        # spectrum prints what a later one prints
         code = "\n".join((
             "import contextlib, io",
-            "from octavib import cli, spectral",
-            "rows = spectral._constant_rows.cache_info",
-            "with contextlib.redirect_stdout(io.StringIO()):",
-            "    assert cli.main(['invariant', '--j', '8']) == 0",
-            "    before = rows().currsize",
-            "    assert cli.main(['spectrum']) == 0",
-            "print(before, rows().currsize)",
+            "from octavib import cli",
+            "outs = []",
+            "for argv in (['spectrum'], ['invariant', '--j', '8'], ['spectrum']):",
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:",
+            "        assert cli.main(argv) == 0",
+            "    outs.append(out.getvalue())",
+            "print(outs[0] == outs[2], outs[0].startswith('{\"basis\":[['))",
         ))
-        assert python(code) == "0 1\n"
+        assert python(code) == "True True\n"
 
     def test_no_module_loads_dataclasses(self):
         # the records are NamedTuples: no class generates methods at import

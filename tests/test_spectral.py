@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from octavib import bifurcation
 from octavib import force_field as ff
 from octavib import group_core as gc
 from octavib import spectral
+from octavib._serialize import format_float
 from octavib.errors import LabelingError, NumericalError, ShapeError
 
-from conftest import UNSTABLE_REPORTED_9
+from conftest import UNSTABLE_REPORTED_9, sweep_box
 from oracles import (
     MULTIPLICITIES,
     InvalidCharacterError,
@@ -347,3 +349,30 @@ class TestAssign:
         assert len(doc["basis"]) == 18
         labels = {row["j"] for row in doc["eigenvalues"]}
         assert labels == {"0", "4", "6", "7", "7*", "8", "9"}
+
+    def test_json_matches_value_by_value_oracle(self, labeled_spectrum):
+        # the eigenbasis is one more 2-D float array for ``dumps``: at the
+        # reference and at every accepted draw of the seed-1 sweep box, each
+        # basis column is the JSON list of its values, each by format_float
+        reports = [labeled_spectrum]
+        for sigmas in sweep_box():
+            eq = ff.find_equilibrium(ff.PotentialParams(*sigmas))
+            report = spectral.spectrum_at_equilibrium(eq)
+            try:
+                bifurcation.checked_frequencies(report)
+            except NumericalError:
+                continue
+            reports.append(report)
+        assert len(reports) == 1 + 43
+        for report in reports:
+            lines = ",".join(
+                f'{{"alpha_sq":{format_float(ln.alpha_sq)},"j":"{ln.label}",'
+                f'"multiplicity":{ln.multiplicity}}}'
+                for ln in report.lines
+            )
+            columns = ",".join(
+                "[" + ",".join(map(format_float, column)) + "]"
+                for column in report.basis.T.tolist()
+            )
+            want = f'{{"basis":[{columns}],"eigenvalues":[{lines}]}}'
+            assert report.to_json() == want
