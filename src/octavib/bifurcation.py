@@ -16,8 +16,9 @@ taken above-minus-below).
 
 omega is read from its marks, products of (-1)^dim V_{j,l}^K: one recurrence
 over the mode-1 classes (a class at a mode d >= 2 has mark 0) and, compared
-with it, one per maximal type over the classes above that type.  The pairwise
-product of basic degrees (``invariant_full``) is the tests' oracle only.
+with it, each maximal type's coefficient in closed form, its mark over its
+Weyl order.  The pairwise product of basic degrees (``invariant_full``) is
+the tests' oracle only.
 """
 
 import math
@@ -172,7 +173,7 @@ class BifurcationReport(NamedTuple):
     j: str
     invariant: object  # BurnsideElement over the mode-1 classes (full report)
     maximal_types: tuple  # ((label, coefficient, weyl_order), ...)
-    fast_coefficients: dict  # label -> coefficient from the marks path
+    fast_coefficients: dict  # label -> coefficient in closed form
 
     def agreement(self):
         full = {lb: c for lb, c, _ in self.maximal_types}
@@ -183,9 +184,9 @@ class InvariantEngine:
     """Invariants at the critical ordering set by the frequencies.
 
     Only the frequencies belong to the engine, and what it reads of them is
-    each block's odd groups of factors; orbit types, maximal types, basic
-    degrees, upper sets and the fast coefficient per odd groups are ring
-    data, read from the mode-1 table or computed once per process.
+    each block's odd groups of factors; orbit types, maximal types, marks,
+    Weyl orders and basic degrees are ring data, read from the mode-1 table
+    or computed once per process, none of them keyed by σ.
     """
 
     def __init__(self, alphas):
@@ -241,11 +242,22 @@ class InvariantEngine:
         return partial(self.ring.invariant_mark, IRREP[j_o], self._odd_groups(j_o))
 
     def fast_coefficient(self, j_o, h_ci):
-        """Exact coefficient of (H) in the invariant, from its marks above H:
-        the ring's entry for j_o's odd groups."""
-        return self.ring.marks_coefficient(
-            IRREP[j_o], self._odd_groups(j_o), h_ci
-        )
+        """Exact coefficient of a maximal type (H) in the invariant, in closed
+        form: omega's mark at H over |W(H)|, the division checked.
+
+        This is the recurrence formula's leading term for a maximal orbit
+        type (Balanov, Krawcewicz and Steinlein, *Applied Equivariant
+        Degree*, 2006).  dim V_{j_o,1}^K is even at every class K above H,
+        so omega's marks there are 0, and so are their coefficients.
+        """
+        R = self.ring
+        mark = R.invariant_mark(IRREP[j_o], self._odd_groups(j_o), h_ci)
+        q, r = divmod(mark, R.weyl(h_ci))
+        if r:
+            raise ConsistencyError(
+                f"mark {mark} at {R.label_of(h_ci)} is not a multiple of |W| = {R.weyl(h_ci)}"
+            )
+        return q
 
     # --- reports ----------------------------------------------------------
     def report(self, j_o, full=True):
@@ -281,10 +293,6 @@ class InvariantEngine:
             blocks = [b for b in ISOTYPIC if IRREP[b] == irrep]
             for ci in self.maximal_classes(blocks[0], 1):
                 coeff = self.fast_coefficient(blocks[0], ci)
-                if coeff == 0:
-                    raise ConsistencyError(
-                        f"census type {R.label_of(ci)} has zero coefficient"
-                    )
                 if ci not in seen:
                     seen[ci] = []
                     order.append(ci)

@@ -12,8 +12,9 @@ basic degrees and coefficients read back from marks all run this one
 recurrence (``BurnsideRing.recurrence``), each with its own pool and
 leading term.
 
-Two backends provide the catalog hooks: the finite octahedral group (this
-module) and the temporal-symmetry extension (``orbit_o2``).  Whatever a ring
+A subclass provides the catalog: ``weyl``, ``order_of``, ``fixed_cosets``,
+``candidate_subtypes``, ``label_of``, ``finite_weyl`` and ``unit_label``;
+the orbit-type ring of ``orbit_o2`` is the package's one.  Whatever a ring
 keeps goes through one mechanism, ``cached``: a per-instance table keyed by
 method name and arguments.
 """
@@ -21,7 +22,6 @@ method name and arguments.
 import functools
 from collections import defaultdict
 
-from . import group_core
 from ._serialize import dumps
 from .errors import ConsistencyError
 
@@ -117,34 +117,11 @@ class BurnsideElement:
 
 
 class BurnsideRing:
-    """Shared recurrence machinery; subclasses provide the catalog hooks."""
-
-    unit_label = "G"
+    """Shared recurrence machinery over the catalog a subclass provides."""
 
     def __init__(self):
         self.memo = defaultdict(dict)  # method name -> {arguments: value}
 
-    # hooks ------------------------------------------------------------
-    def weyl(self, key):
-        raise NotImplementedError
-
-    def order_of(self, key):
-        raise NotImplementedError
-
-    def fixed_cosets(self, L, H):
-        raise NotImplementedError
-
-    def candidate_subtypes(self, H):
-        """Orbit-type keys of all subgroup classes of H (including H)."""
-        raise NotImplementedError
-
-    def label_of(self, key):
-        return str(key)
-
-    def finite_weyl(self, key):
-        return True
-
-    # generic machinery -------------------------------------------------
     def element(self, unit=0, coeffs=None):
         return BurnsideElement(self, unit, coeffs)
 
@@ -202,67 +179,3 @@ class BurnsideRing:
         """Drop every orbit type with positive-dimensional Weyl group."""
         keep = {k: v for k, v in element.coeffs.items() if self.finite_weyl(k)}
         return BurnsideElement(self, element.unit, keep)
-
-
-class OctahedralBurnside(BurnsideRing):
-    """A(G) for the order-48 octahedral group; keys are catalog labels."""
-
-    unit_label = "S_4^p"
-
-    def __init__(self):
-        super().__init__()
-        self.catalog = group_core.catalog()
-
-    def weyl(self, label):
-        return self.catalog.by_label(label).weyl_order
-
-    def order_of(self, label):
-        return self.catalog.by_label(label).order
-
-    @cached
-    def fixed_cosets(self, L, H):
-        """|(G/H)^L|: each conjugate of H that contains L fixes |W(H)| cosets."""
-        mask = self.catalog.by_label(L).mask
-        H = self.catalog.by_label(H)
-        return H.weyl_order * sum(1 for c in H.conjugates if mask & ~c == 0)
-
-    @cached
-    def candidate_subtypes(self, H):
-        return [c.label for c in self.catalog.classes if self.fixed_cosets(c.label, H)]
-
-    @cached
-    def fixed_dim(self, j, label):
-        """dim of the irrep-j fixed space under the class `label`, via characters."""
-        cls = self.catalog.by_label(label)
-        chi = group_core.CHARACTER_TABLE[j]
-        total = sum(chi[group_core.ELEMENT_CLASS[x]] for x in cls.elements)
-        q, r = divmod(total, cls.order)
-        if r:
-            raise ConsistencyError(f"non-integer fixed dimension at {label}")
-        return q
-
-    def generator(self, label):
-        self.catalog.by_label(label)  # validate
-        if label == self.unit_label:
-            return self.unit()
-        return self.element(0, {label: 1})
-
-    # ---------------- basic degrees ----------------------------------
-    def basic_degree_from_dims(self, fixed_dims):
-        """Degree of the antipodal map from dim V^K data (one per label)."""
-        if self.unit_label not in fixed_dims:
-            raise ConsistencyError("fixed_dims must include the full group")
-        out = self.recurrence(fixed_dims, lambda K: (-1) ** fixed_dims[K])
-        unit = out.pop(self.unit_label, 0)
-        return self.element(unit, out)
-
-    def basic_degree(self, j):
-        """Degree of the antipodal map on the ball of irreducible j."""
-        dims = {c.label: self.fixed_dim(j, c.label) for c in self.catalog.classes}
-        return self.basic_degree_from_dims(dims)
-
-
-@functools.cache
-def ring():
-    """The spatial ring, built on first use, once per process."""
-    return OctahedralBurnside()

@@ -306,8 +306,7 @@ class Catalog:
         orbits.sort()
 
         self.classes = []
-        self.index_of_label = {}
-        for ci, (orbit, label) in enumerate(orbits):
+        for orbit, label in orbits:
             rep = orbit[0]
             order = bin(rep).count("1")
             nn = N // len(orbit)  # orbit-stabilizer: |N(H)| = |G| / |orbit|
@@ -322,13 +321,9 @@ class Catalog:
                     conjugates=tuple(orbit),
                 )
             )
-            self.index_of_label[label] = ci
 
     def __len__(self):
         return len(self.classes)
-
-    def by_label(self, label):
-        return self.classes[self.index_of_label[label]]
 
     def export(self):
         """JSON-ready catalog description."""

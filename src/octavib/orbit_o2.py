@@ -36,7 +36,7 @@ import json
 import math
 import os
 from collections import Counter
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from . import group_core as gc
@@ -439,11 +439,6 @@ class TemporalOctahedralRing(BurnsideRing):
                 pool.update(self.graph_classes(l))
         return sorted(L for L in pool if self.fixed_cosets(L, ci) > 0)
 
-    def upper_set(self, h):
-        """The mode-1 classes >= (h), the pool of the fast path's recurrence:
-        the classes of h's row of marks."""
-        return frozenset(self._marks[h])
-
     def fixed_cosets(self, L, H):
         """|(G/H)^L| for L = K^a and H = M^b, read from the mode-1 marks.
 
@@ -484,14 +479,6 @@ class TemporalOctahedralRing(BurnsideRing):
         """
         sign = (-1) ** sum(self.fixed_dim(i, l, K) for i, l in odd)
         return sign * ((-1) ** self.fixed_dim(j, 1, K) - 1)
-
-    @cached
-    def marks_coefficient(self, j, odd, h):
-        """Exact coefficient of (h) in that invariant, by the recurrence over
-        the marks above h.  A σ reaches it only through `odd`, so one entry
-        serves every σ whose factors leave the same groups."""
-        marks = partial(self.invariant_mark, j, odd)
-        return self.recurrence(self.upper_set(h), marks).get(h, 0)
 
     # maximal types and basic degrees --------------------------------------
     @cached

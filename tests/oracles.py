@@ -2,20 +2,23 @@
 
 No request runs these.  They are the direct constructions the package's tables
 and kernels replace, and the tables only tests read: the group tables by
-composing permutations, the element inverses, class sizes and the subgroup
-class of each mask, conjugation of a subgroup mask element by element, the
-subgroup enumeration, the 18-dim character and its isotypic decomposition,
-the spatial ring's products by a census of coset pairs, element constructors
-and conjugation in the temporal-spatial group, Weyl orders in a dihedral
-truncation, symbolic families matched against the catalog, the amalgam
-symbol of a symbol key and the reference spelling of a family, the force
-field with its pair and bond terms written inline, the equilibrium search on
-float64 scalars, the closed-form spectrum from the stiffness constants, the
-brake checks of a mode, the elements that fix it, solved from its first
-harmonic, and the names of its symmetry relations.
+composing permutations, the element inverses, class sizes, the subgroup class
+of each mask and the class of each label, conjugation of a subgroup mask
+element by element, the subgroup enumeration, the 18-dim character and its
+isotypic decomposition, the spatial ring A(S_4^p) with its product table and
+basic degrees, and its products by a census of coset pairs, element
+constructors and conjugation in the temporal-spatial group, the upper sets of
+the mode-1 table's rows of marks and the recurrence over them, Weyl orders in
+a dihedral truncation, symbolic families matched against the catalog, the
+amalgam symbol of a symbol key and the reference spelling of a family, the
+force field with its pair and bond terms written inline, the equilibrium
+search on float64 scalars, the closed-form spectrum from the stiffness
+constants, the brake checks of a mode, the elements that fix it, solved from
+its first harmonic, and the names of its symmetry relations.
 """
 
 import functools
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -25,6 +28,7 @@ import numpy as np
 from octavib import accel, force_field
 from octavib import group_core as gc
 from octavib import orbit_o2 as o2
+from octavib.burnside import BurnsideRing, cached
 from octavib.errors import (
     CatalogError,
     ConfigError,
@@ -50,6 +54,13 @@ CLASS_SIZES = tuple(gc.ELEMENT_CLASS.count(c) for c in range(10))
 def class_of_mask(cat):
     """{subgroup mask: index of its class} over every conjugate in ``cat``."""
     return {mask: ci for ci, c in enumerate(cat.classes) for mask in c.conjugates}
+
+
+@functools.cache
+def by_label(cat, label):
+    """The class of the catalog ``cat`` named ``label``."""
+    (cls,) = [c for c in cat.classes if c.label == label]
+    return cls
 
 
 def composed_tables():
@@ -141,7 +152,7 @@ def census_multiply(ring, H, K):
     their stabilizers: a pair of conjugates (a, b) is |W(H)| |W(K)| points
     fixed by a & b (oracle for the recurrence's products)."""
     cat = ring.catalog
-    H, K = cat.by_label(H), cat.by_label(K)
+    H, K = by_label(cat, H), by_label(cat, K)
     class_of = class_of_mask(cat)
     counts = Counter(class_of[a & b] for a in H.conjugates for b in K.conjugates)
     out = {}
@@ -152,6 +163,81 @@ def census_multiply(ring, H, K):
             raise ConsistencyError("census points do not fill whole orbits")
         out[cls.label] = n
     return ring.element(out.pop(ring.unit_label, 0), out)
+
+
+class OctahedralBurnside(BurnsideRing):
+    """The spatial ring A(S_4^p) the paper states, with its product table
+    and antipodal basic degrees; keys are catalog labels.
+
+    Its data come from ``group_core.Catalog``: |(G/H)^L| is |W(H)| times
+    the number of H's conjugates that contain L, and dim V^K a character
+    sum over K.
+    """
+
+    unit_label = "S_4^p"
+
+    def __init__(self):
+        super().__init__()
+        self.catalog = gc.catalog()
+
+    def weyl(self, label):
+        return by_label(self.catalog, label).weyl_order
+
+    def order_of(self, label):
+        return by_label(self.catalog, label).order
+
+    def label_of(self, label):
+        return label
+
+    def finite_weyl(self, label):
+        return True
+
+    @cached
+    def fixed_cosets(self, L, H):
+        """|(G/H)^L|: each conjugate of H that contains L fixes |W(H)| cosets."""
+        mask = by_label(self.catalog, L).mask
+        H = by_label(self.catalog, H)
+        return H.weyl_order * sum(1 for c in H.conjugates if mask & ~c == 0)
+
+    @cached
+    def candidate_subtypes(self, H):
+        return [c.label for c in self.catalog.classes if self.fixed_cosets(c.label, H)]
+
+    @cached
+    def fixed_dim(self, j, label):
+        """dim of the irrep-j fixed space under the class `label`, via characters."""
+        cls = by_label(self.catalog, label)
+        chi = gc.CHARACTER_TABLE[j]
+        total = sum(chi[gc.ELEMENT_CLASS[x]] for x in cls.elements)
+        q, r = divmod(total, cls.order)
+        if r:
+            raise ConsistencyError(f"non-integer fixed dimension at {label}")
+        return q
+
+    def generator(self, label):
+        by_label(self.catalog, label)  # validate
+        if label == self.unit_label:
+            return self.unit()
+        return self.element(0, {label: 1})
+
+    def basic_degree_from_dims(self, fixed_dims):
+        """Degree of the antipodal map from dim V^K data (one per label)."""
+        if self.unit_label not in fixed_dims:
+            raise ConsistencyError("fixed_dims must include the full group")
+        out = self.recurrence(fixed_dims, lambda K: (-1) ** fixed_dims[K])
+        unit = out.pop(self.unit_label, 0)
+        return self.element(unit, out)
+
+    def basic_degree(self, j):
+        """Degree of the antipodal map on the ball of irreducible j."""
+        dims = {c.label: self.fixed_dim(j, c.label) for c in self.catalog.classes}
+        return self.basic_degree_from_dims(dims)
+
+
+@functools.cache
+def spatial_ring():
+    """The spatial ring, built on first use, once per process."""
+    return OctahedralBurnside()
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +306,27 @@ def truncated_weyl_order(subgroup, m):
     return n // len(subgroup.elements)
 
 
+@functools.cache
+def marks_rows():
+    """Each mode-1 class's row of nonzero marks {H: fix_K(G/H)}, read from
+    the committed table."""
+    with open(o2.TABLE, encoding="utf-8") as fh:
+        return tuple(dict(row) for row in json.load(fh)["marks"])
+
+
+def upper_set(h):
+    """The mode-1 classes >= (h): the classes of h's row of marks."""
+    return frozenset(marks_rows()[h])
+
+
+def marks_coefficient(ring, j, odd, h):
+    """Coefficient of (h) in the invariant of irrep j whose factors leave the
+    groups `odd`, by the recurrence over the marks above h (oracle for the
+    closed form ``InvariantEngine.fast_coefficient``)."""
+    marks = functools.partial(ring.invariant_mark, j, odd)
+    return ring.recurrence(upper_set(h), marks).get(h, 0)
+
+
 def instantiate(family, l=1):
     """Concrete realizations of a symbolic family at mode l.
 
@@ -229,7 +336,7 @@ def instantiate(family, l=1):
     """
     R = o2.ring()
     cat = gc.catalog()
-    K_cls = cat.by_label(family.spatial)
+    K_cls = by_label(cat, family.spatial)
     m = family.o2_scale * l
     if family.o2_kind != "D":
         raise CatalogError("only dihedral temporal families instantiate")
@@ -255,7 +362,7 @@ def instantiate(family, l=1):
         lsize = hsize // osize  # |L| = |H| / |H_o| = |K| / |K_o|
         ko_label = family.spatial_kernel
         if ko_label not in ("full", family.spatial):
-            ko_order = cat.by_label(ko_label).order
+            ko_order = by_label(cat, ko_label).order
             if K_cls.order != lsize * ko_order:
                 raise CatalogError(
                     f"malformed amalgam {family_label(family, l)}: quotient sizes "

@@ -8,13 +8,15 @@ from collections import Counter
 import pytest
 
 from octavib import bifurcation as bf
+from octavib import force_field as ff
 from octavib import orbit_o2 as o2
 from octavib import spectral
 from octavib import cli
 from octavib.burnside import cached
-from octavib.errors import ConfigError, ResonanceError
+from octavib.errors import ConfigError, NumericalError, ResonanceError
 
-from conftest import engine_at, sweep_box
+import oracles
+from conftest import engine_at, sweep_box, wide_grid
 from oracles import reference_red_labels
 from test_acceptance import EXPECTED_CENSUS
 
@@ -334,9 +336,8 @@ class TestRingTables:
         self, fresh_ring, monkeypatch, labeled_spectrum
     ):
         # the census reads mode-1 data from the table; what it keeps in the
-        # ring's tables is each block's maximal types and the coefficient of
-        # each type for the block's odd groups of factors
-        names = ("maximal_orbit_types", "marks_coefficient")
+        # ring's tables is each block's maximal types, and nothing keyed by σ
+        names = ("maximal_orbit_types",)
         counts = count_computations(monkeypatch, names)
         engine = bf.InvariantEngine(labeled_spectrum.alphas())
         engine.census()
@@ -345,19 +346,121 @@ class TestRingTables:
         # the census reads (7* shares 7's), and nothing else
         assert set(engine.memo) == {"_odd_groups"}
         assert set(engine.memo["_odd_groups"]) == {(b,) for b in ("0", "4", "7", "8", "9")}
-        # the same σ again computes nothing
+        # the same σ again, and a draw whose block-9 factors reach Fourier
+        # mode 11 with other odd groups, compute nothing more
         bf.InvariantEngine(labeled_spectrum.alphas()).census()
+        other = engine_at(OFF_GRID_DRAW)
+        assert other._odd_groups("9") != engine._odd_groups("9")
+        other.census()
         assert {name: dict(counts[name]) for name in names} == seen
-        # block 9's factors reach Fourier mode 11 at this draw: the census
-        # adds only the coefficients of odd groups the first σ did not have
-        engine_at(OFF_GRID_DRAW).census()
-        assert dict(counts["maximal_orbit_types"]) == seen["maximal_orbit_types"]
-        assert len(counts["marks_coefficient"]) > len(seen["marks_coefficient"])
         assert set(fresh_ring.memo) == set(names)
         for name in names:
             calls = counts[name]
             assert calls and set(calls.values()) == {1}, name
             assert set(calls) == set(fresh_ring.memo[name]), name
+
+
+def served_engines():
+    """{(block, odd groups): an engine whose block leaves those groups}, over
+    the accepted seed-1 box draws and tier-1 wide-grid draws."""
+    out = {}
+    for sigmas in (*sweep_box(), *wide_grid(200)):
+        try:
+            engine = engine_at(sigmas)
+            for j in bf.ISOTYPIC:
+                out.setdefault((j, engine._odd_groups(j)), engine)
+        except NumericalError:
+            continue
+    return out
+
+
+class TestClosedForm:
+    """Each maximal coefficient is its mark over its Weyl order, for every σ:
+    the three facts of the mode-1 table that make it so, and the closed form
+    against the recurrence over the marks above the type at every odd groups
+    of factors a box or wide-grid draw leaves."""
+
+    def test_table_facts_for_every_maximal_pair(self):
+        R = o2.ring()
+        pairs = [(j, h) for j in bf.MAXIMAL_IRREPS for h in R.maximal_orbit_types(j, 1)]
+        assert len(pairs) == 19
+        sizes = Counter()
+        for j, h in pairs:
+            label = (j, R.label_of(h))
+            # the type's own fixed space is odd: its mark is -2 or +2 ...
+            assert R.fixed_dim(j, 1, h) % 2 == 1, label
+            # ... and every class above it has an even one, mark 0 for any σ
+            upper = oracles.upper_set(h)
+            assert h in upper, label
+            for K in upper - {h}:
+                assert R.fixed_dim(j, 1, K) % 2 == 0, (label, R.label_of(K))
+                assert R.invariant_mark(j, frozenset(), K) == 0, label
+            assert R.weyl(h) in (1, 2), label
+            sizes[len(upper)] += 1
+        assert sizes == {1: 11, 2: 8}
+
+    def test_closed_form_equals_the_marks_recurrence(self):
+        R = o2.ring()
+        served = served_engines()
+        assert len(served) > 100
+        for (j, odd), engine in served.items():
+            for h in engine.maximal_classes(j):
+                got = engine.fast_coefficient(j, h)
+                where = (j, odd, R.label_of(h))
+                assert got == oracles.marks_coefficient(R, bf.IRREP[j], odd, h), where
+                assert got * R.weyl(h) == R.invariant_mark(bf.IRREP[j], odd, h), where
+                assert abs(got) == 2 // R.weyl(h), where
+
+
+def ordering(alphas):
+    """(blocks by ascending frequency, each block's factor count, the fast
+    coefficient of each (block, maximal type) of the census's blocks)."""
+    engine = bf.InvariantEngine(alphas)
+    return (
+        sorted(bf.ISOTYPIC, key=alphas.get),
+        {j: len(bf.factors_before(j, alphas)) for j in bf.ISOTYPIC},
+        {(j, h): engine.fast_coefficient(j, h) for j in ("0", "4", "7", "8", "9")
+         for h in engine.maximal_classes(j)},
+    )
+
+
+def both_orderings(params):
+    """``ordering`` of the reported and of the Cartesian spectrum at σ."""
+    request = bf.Request(params)
+    cartesian = bf.checked_frequencies(request.cartesian_spectrum)
+    return ordering(request.frequencies), ordering(cartesian)
+
+
+class TestReportedAgainstCartesian:
+    """Where the printed invariants, which follow the reported spectrum,
+    part from the Cartesian spectrum the modes integrate: the two are
+    related by (a,b,c) -> 2 r0^2 (a,b,c), (d,e) -> 2 (d,e), not a uniform
+    scale unless r0 = 1, so they order the critical numbers differently."""
+
+    def test_reference_orderings(self):
+        reported, cartesian = both_orderings(ff.REFERENCE_PARAMS)
+        assert reported[0] == ["9", "8", "7", "4", "7*", "0"]
+        assert cartesian[0] == ["9", "7", "8", "4", "7*", "0"]
+        blocks = ("0", "4", "7", "7*", "8", "9")
+        assert [reported[1][j] for j in blocks] == [0, 2, 3, 1, 5, 28]
+        assert [cartesian[1][j] for j in blocks] == [0, 2, 5, 1, 4, 11]
+        flipped = Counter(j for (j, h), c in reported[2].items() if c != cartesian[2][j, h])
+        assert len(reported[2]) == 19 and flipped == {"7": 3, "9": 2}
+        # only the signs differ: the types and magnitudes are the table's
+        assert all(abs(c) == abs(cartesian[2][key]) for key, c in reported[2].items())
+
+    def test_every_box_draw_orders_differently(self):
+        accepted = 0
+        for sigmas in sweep_box():
+            try:
+                reported, cartesian = both_orderings(ff.PotentialParams(*sigmas))
+            except spectral.NonPositiveFrequencyError:
+                continue
+            accepted += 1
+            assert reported[0] != cartesian[0], sigmas
+            assert reported[2].keys() == cartesian[2].keys()
+            assert reported[2] != cartesian[2], sigmas
+        assert accepted == 43
 
 
 def divisor_upper_set(R, modes, h):
@@ -427,7 +530,7 @@ def marks_engine(request, engine):
 
 
 class TestMarksPath:
-    """The marks recurrence against the pairwise truncation it replaced."""
+    """The closed-form coefficient against the pairwise truncation it replaced."""
 
     def test_fast_coefficient_matches_pairwise_truncation(self, marks_engine):
         eng = marks_engine

@@ -1,11 +1,11 @@
 """The ring's σ-independent mode and fast-path tables against the loops they
 replaced.
 
-A type's sorted elements, their sample shifts, its fixed pairs in the first
-copy of each irreducible and the fast coefficient per odd groups of factors
-are ring tables (``burnside.cached``).  Every mode the request path
-builds and verifies is checked bit for bit against the per-element oracles
-in ``conftest``, on a new ring and on one that has served other σ.
+A type's sorted elements, their sample shifts and its fixed pairs in the
+first copy of each irreducible are ring tables (``burnside.cached``); the
+fast coefficient is in closed form and keeps nothing.  Every mode the request
+path builds and verifies is checked bit for bit against the per-element
+oracles in ``conftest``, on a new ring and on one that has served other σ.
 """
 
 import contextlib
@@ -30,6 +30,7 @@ from conftest import (
     python,
     sweep_box,
 )
+import oracles
 
 SAMPLES = (modes.DEFAULT_SAMPLES, 1200)
 EPSILON = 0.05
@@ -358,7 +359,11 @@ def coefficients_served(alphas):
 
 
 class TestFastCoefficientTable:
-    def test_memoized_equal_a_fresh_rings_either_order(self, monkeypatch):
+    def test_ring_tables_hold_nothing_keyed_by_sigma(self, monkeypatch):
+        # the closed form reads the table and the draw's odd groups, so
+        # serving every accepted box draw leaves the ring's tables, keys and
+        # values, as the first draw left them; and what a draw is served
+        # does not depend on what the ring served before
         draws = box_frequencies()
         assert len(draws) == 43
         fresh = []
@@ -367,11 +372,14 @@ class TestFastCoefficientTable:
             fresh.append(coefficients_served(alphas))
         for order in (range(len(draws)), reversed(range(len(draws)))):
             ring = new_ring(monkeypatch)
-            served = {i: coefficients_served(draws[i]) for i in order}
+            served = {}
+            for i in order:
+                served[i] = coefficients_served(draws[i])
+                if len(served) == 1:
+                    first = {name: dict(table) for name, table in ring.memo.items()}
+            assert {name: dict(table) for name, table in ring.memo.items()} == first
+            assert set(first) == {"maximal_orbit_types"}
             assert [served[i] for i in range(len(draws))] == fresh
-            # the draws share their odd groups: far fewer keys than requests
-            keys = {(j, odd) for j, odd, _ in ring.memo["marks_coefficient"]}
-            assert len(keys) < len(draws)
 
     def test_a_key_that_raises_stores_nothing(self, fresh_ring, monkeypatch):
         # block 9's factors at this draw hold (0, 11) once: a fixed-dimension
@@ -386,17 +394,15 @@ class TestFastCoefficientTable:
                 raise CatalogError("mode 11 off the table")
             return read(j, m, ci)
 
+        before = {name: dict(table) for name, table in fresh_ring.memo.items()}
         monkeypatch.setattr(fresh_ring, "fixed_dim", missing_mode_11)
         with pytest.raises(CatalogError):
             eng.fast_coefficient("9", h)
-        key = (9, eng._odd_groups("9"), h)
-        assert key not in fresh_ring.memo["marks_coefficient"]
+        assert {name: dict(table) for name, table in fresh_ring.memo.items()} == before
         monkeypatch.setattr(fresh_ring, "fixed_dim", read)
         value = eng.fast_coefficient("9", h)
-        assert fresh_ring.memo["marks_coefficient"][key] == value != 0
-        assert value == fresh_ring.recurrence(
-            fresh_ring.upper_set(h), eng._mark("9")
-        ).get(h, 0)
+        assert value != 0
+        assert value == oracles.marks_coefficient(fresh_ring, 9, eng._odd_groups("9"), h)
 
 
 class TestVerifyMemory:

@@ -331,9 +331,8 @@ class TestMaximalTypes:
         # each is built on first use and then returned as is; after
         # cache_clear the next call builds a new one, a ring with no tables
         code = "\n".join((
-            "from octavib import burnside, group_core, orbit_o2",
+            "from octavib import group_core, orbit_o2",
             "for get, fill in ((orbit_o2.ring, lambda R: R.maximal_orbit_types(0, 1)),",
-            "                  (burnside.ring, lambda R: R.candidate_subtypes('D_4^p')),",
             "                  (group_core.catalog, lambda C: None)):",
             "    first = get()",
             "    fill(first)",
@@ -342,7 +341,7 @@ class TestMaximalTypes:
             "    new = get()",
             "    print(same, new is not first, new is get(), getattr(new, 'memo', {}) == {})",
         ))
-        assert python(code).splitlines() == ["True True True True"] * 3
+        assert python(code).splitlines() == ["True True True True"] * 2
 
     def test_reference_check_writes_nothing(self, fresh_ring):
         classes = {j: o2.maximal_orbit_types(j, 1) for j in (0, 4, 7, 8, 9)}

@@ -67,14 +67,6 @@ KEPT = {
         "drops the infinite-Weyl types of a product of basic degrees, for that "
         "oracle; TARGETS burnside.pi0_truncate"
     ),
-    "burnside.OctahedralBurnside.generator": (
-        "paper data: the generators (H) of A(S_4^p), whose products are the "
-        "ring's stated product table"
-    ),
-    "burnside.ring": (
-        "paper data: the spatial ring A(S_4^p) with its product table and "
-        "fixed-coset counts, built once per process"
-    ),
     "force_field.PotentialParams._make": (
         "the NamedTuple hook: _replace builds its copy through it, and the "
         "override refuses a copy that is not a valid construction"
