@@ -59,10 +59,10 @@ def potential(pos, s1, s2, s3):
     return np.sum(u1(r, s1, s2, s3), axis=-1) + np.sum(u2(rr), axis=-1)
 
 
-def gradient(pos, s1, s2, s3, pair=None):
+def gradient(pos, s1, s2, s3, pair):
     """Gradient of the potential at each configuration, shaped like ``pos``;
-    ``pair`` is ``pairs(pos)`` when the caller has it already."""
-    d, r = pairs(pos) if pair is None else pair
+    ``pair`` is ``pairs(pos)``."""
+    d, r = pair
     g = INCIDENCE @ (2.0 * u1_prime(r, s1, s2, s3)[..., None] * d)
     rr = np.einsum("...jc,...jc->...j", pos, pos)
     g += 2.0 * u2_prime(rr)[..., None] * pos

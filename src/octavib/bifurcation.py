@@ -333,9 +333,10 @@ def engine_from_spectrum(report):
 class Request:
     """Everything that depends on σ, each piece computed on first use and once.
 
-    The equilibrium gives the reported spectrum, whose checked frequencies
-    order the critical numbers and build the invariant engine, and the
-    Cartesian spectrum the modes are built from.
+    The equilibrium's stiffness constants give the reported spectrum, whose
+    checked frequencies order the critical numbers and build the invariant
+    engine; the same constants substituted (``force_field.cartesian_constants``)
+    give the Cartesian spectrum the modes are built from.
     """
 
     def __init__(self, params):
@@ -359,7 +360,11 @@ class Request:
 
     @cached_property
     def cartesian_spectrum(self):
-        return spectral.spectrum_at_equilibrium(self.equilibrium, convention="cartesian")
+        eq = self.equilibrium
+        constants = force_field.equilibrium_stiffness(eq.params, eq.radius)
+        return spectral.stiffness_spectrum(
+            *force_field.cartesian_constants(*constants, eq.radius)
+        )
 
     @cached_property
     def frequencies(self):

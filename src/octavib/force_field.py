@@ -5,14 +5,12 @@ The pair interaction u1 and the bond term u2 (``accel``) are functions of
 plain distance and u2 a harmonic bond stretch against the central atom at
 the origin.  The ligands sit on ``group_core.VERTICES`` scaled by a radius.
 
-Two Hessian conventions coexist (see ``hessian_blocks``):
-
-* ``"cartesian"``  - the true second derivative of the potential; it matches
-  finite differences and drives the mode dynamics.
-* ``"reported"``   - the closed-form block matrix whose eigenvalues are the
-  reference alpha^2 table; its quadratic terms are built on the unit
-  octahedron template.  The two spectra coincide under the coefficient
-  substitution (a,b,c) -> 2 r0^2 (a,b,c), (d,e) -> 2 (d,e).
+The block matrix of the five stiffness constants (``blocks_from_stiffness``)
+is the reported one, whose eigenvalues are the reference alpha^2 table; its
+quadratic terms are built on the unit octahedron template.  The true second
+derivative of the potential, which matches finite differences and drives the
+mode dynamics, is the block matrix of the substituted constants
+(a,b,c) -> 2 r0^2 (a,b,c), (d,e) -> 2 (d,e) (``cartesian_constants``).
 """
 
 import functools
@@ -299,21 +297,20 @@ _M_OPP = _DIFF_OPP[:, :, None] * _DIFF_OPP[:, None, :]  # (6, 3, 3)
 _M_SELF = OCTAHEDRON[:, :, None] * OCTAHEDRON[:, None, :]  # p_j p_j^T
 
 
-def block_coefficients(a, b, c, d, e, convention="reported", r0=None):
+def block_coefficients(a, b, c, d, e):
     """The five coefficients (qa, qb, qc, ia, ib) of the block matrix of the
-    stiffness constants (a, b, c, d, e) in a convention (see
-    ``blocks_from_stiffness``)."""
-    if convention == "reported":
-        return 2 * a, 2 * b, 2 * c, e, d
-    if convention == "cartesian":
-        if r0 is None:
-            raise ConfigError("cartesian convention needs the equilibrium radius")
-        s = 2 * r0 * r0
-        return 2 * s * a, 2 * s * b, 2 * s * c, 2 * e, 2 * d
-    raise ConfigError(f"unknown convention {convention!r}")
+    stiffness constants (a, b, c, d, e) (see ``blocks_from_stiffness``)."""
+    return 2 * a, 2 * b, 2 * c, e, d
 
 
-def blocks_from_stiffness(a, b, c, d, e, convention="reported", r0=None):
+def cartesian_constants(a, b, c, d, e, r0):
+    """The constants whose block matrix is the true second derivative of the
+    potential at r0 * template: (a, b, c) times 2 r0^2 and (d, e) times 2."""
+    s = 2 * r0 * r0
+    return s * a, s * b, s * c, 2 * d, 2 * e
+
+
+def blocks_from_stiffness(a, b, c, d, e):
     """Assemble an 18x18 block matrix from the five stiffness constants.
 
     Adjacent blocks are -qa*m - ia*I, opposite blocks -qb*m - ib*I with m
@@ -321,7 +318,7 @@ def blocks_from_stiffness(a, b, c, d, e, convention="reported", r0=None):
     starts at qc*p_j p_j^T - ib*I and adds qa*m over ADJACENT[j] in order,
     then qb*m of the opposite vertex.
     """
-    qa, qb, qc, ia, ib = block_coefficients(a, b, c, d, e, convention, r0)
+    qa, qb, qc, ia, ib = block_coefficients(a, b, c, d, e)
     diag = qc * _M_SELF - ib * _EYE
     for n in range(4):
         diag += qa * _M_ADJ[:, n]
@@ -347,12 +344,7 @@ def equilibrium_stiffness(params, r0):
     return stiffness(params, r0)
 
 
-def hessian_blocks(params, r0, convention="reported"):
-    """Assemble the equilibrium Hessian from its 3x3 closed-form blocks.
-
-    ``convention="reported"`` reproduces the reference block matrix (the
-    alpha^2 spectrum); ``"cartesian"`` produces the true second derivative
-    at r0 * template.  r0 is checked by ``equilibrium_stiffness``.
-    """
-    a, b, c, d, e = equilibrium_stiffness(params, r0)
-    return blocks_from_stiffness(a, b, c, d, e, convention=convention, r0=r0)
+def hessian_blocks(params, r0):
+    """The reference block matrix (the alpha^2 spectrum) at the equilibrium
+    radius r0, which ``equilibrium_stiffness`` checks."""
+    return blocks_from_stiffness(*equilibrium_stiffness(params, r0))

@@ -4,10 +4,12 @@ The isotypic components of R^18 do not depend on σ.  ``Q`` is one exact
 basis of them, the symmetry coordinates of an octahedral AX6, in which
 Q^T H Q of an equivariant H is its Schur form: ``schur_spectrum`` reads the
 seven labeled lines from its eight numbers, with no eigensolver.
-``spectrum_at_equilibrium`` has them in closed form from the block
-Hessian's five coefficients; ``numeric_spectrum`` projects any equivariant
-matrix, and is, with ``assign_eigenspaces`` (labels from restricted
-characters), an oracle.
+``stiffness_spectrum`` has them in closed form from the five stiffness
+constants: the reported spectrum of the equilibrium's constants
+(``spectrum_at_equilibrium``), and the Cartesian one of the constants that
+``force_field.cartesian_constants`` substitutes.  ``numeric_spectrum``
+projects any equivariant matrix, and is, with ``assign_eigenspaces`` (labels
+from restricted characters), an oracle.
 """
 
 import math
@@ -33,10 +35,10 @@ class SpectrumLine(NamedTuple):
 
 
 class SpectrumReport(NamedTuple):
-    """The labeled lines by alpha^2, with their orthonormal columns if computed."""
+    """The labeled lines by alpha^2, with their orthonormal columns."""
 
     lines: tuple
-    basis: np.ndarray | None = None
+    basis: np.ndarray
 
     @property
     def alpha_sq(self):
@@ -54,8 +56,6 @@ class SpectrumReport(NamedTuple):
         raise KeyError(label)
 
     def basis_for(self, label):
-        if self.basis is None:
-            raise ShapeError("spectrum report carries no eigenbasis")
         k = 0
         for ln in self.lines:
             if ln.label == label:
@@ -64,15 +64,13 @@ class SpectrumReport(NamedTuple):
         raise KeyError(label)
 
     def to_json(self):
-        doc = {
+        return dumps({
             "eigenvalues": [
                 {"j": ln.label, "alpha_sq": ln.alpha_sq, "multiplicity": ln.multiplicity}
                 for ln in self.lines
-            ]
-        }
-        if self.basis is not None:
-            doc["basis"] = self.basis.T
-        return dumps(doc)
+            ],
+            "basis": self.basis.T,
+        })
 
 
 def _frequency(line):
@@ -168,8 +166,6 @@ def assign_eigenspaces(report):
     orthonormal columns' shares v^T G v; it must equal one row of the
     character table to within 1e-6.
     """
-    if report.basis is None:
-        raise ShapeError("need an eigenbasis to assign labels")
     V = report.basis
     G = group_core.actions_18()[list(group_core.CLASS_REPS)]
     shares = ((G @ V) * V).sum(axis=1)  # (class, column)
@@ -192,19 +188,23 @@ def assign_eigenspaces(report):
 _SQRT8 = math.sqrt(8)
 
 
-def spectrum_at_equilibrium(eq, convention="reported"):
-    """Labeled spectrum of the block Hessian at an equilibrium.
+def stiffness_spectrum(a, b, c, d, e):
+    """Labeled spectrum of the block matrix of the stiffness constants.
 
-    The block Hessian is linear in its coefficients (qa, qb, qc, ia, ib), so
+    The block matrix is linear in its coefficients (qa, qb, qc, ia, ib), so
     its eight Schur numbers are a constant map of them, read here with no
-    matrix; ``numeric_spectrum`` of ``hessian_blocks`` is the oracle.  A
-    radius off the criticality condition is the ``ShapeError`` of
-    ``hessian_blocks``.
+    matrix; ``numeric_spectrum`` of ``force_field.blocks_from_stiffness`` is
+    the oracle.
     """
-    qa, qb, qc, ia, ib = force_field.block_coefficients(
-        *force_field.equilibrium_stiffness(eq.params, eq.radius), convention, eq.radius
-    )
+    qa, qb, qc, ia, ib = force_field.block_coefficients(a, b, c, d, e)
     return schur_spectrum(
         8 * qa + 8 * qb + qc, 2 * qa + 8 * qb + qc, 0.0, 4 * qa, 2 * qa + 2 * ia - 2 * ib,
         4 * qa + qc - 2 * ib, -_SQRT8 * (qa + ia), 2 * qa - 2 * ia - 2 * ib,
     )
+
+
+def spectrum_at_equilibrium(eq):
+    """The reported spectrum at an equilibrium, ``numeric_spectrum`` of
+    ``hessian_blocks`` in closed form.  A radius off the criticality
+    condition is the ``ShapeError`` of ``hessian_blocks``."""
+    return stiffness_spectrum(*force_field.equilibrium_stiffness(eq.params, eq.radius))

@@ -13,7 +13,8 @@ a dihedral truncation, symbolic families matched against the catalog, the
 amalgam symbol of a symbol key and the reference spelling of a family, the
 force field with its pair and bond terms written inline, the equilibrium
 search on float64 scalars, the closed-form spectrum from the stiffness
-constants, the brake checks of a mode, the elements that fix it, solved from
+constants, the block coefficients of the two Hessian conventions and the
+Cartesian spectrum built from them, the brake checks of a mode, the elements that fix it, solved from
 its first harmonic, and the names of its symmetry relations.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from octavib import accel, force_field
+from octavib import accel, force_field, spectral
 from octavib import group_core as gc
 from octavib import orbit_o2 as o2
 from octavib.burnside import BurnsideRing, cached
@@ -612,7 +613,42 @@ def closed_form_spectrum(coeffs):
         SpectrumLine(j, float(values[j]), MULTIPLICITIES[j])
         for j in sorted(values, key=lambda k: values[k])
     )
-    return SpectrumReport(lines=lines)
+    return lines_report(lines)
+
+
+def lines_report(lines):
+    """A report of these lines for checks that read no eigenbasis: zero
+    columns stand in for it, as many as the lines' multiplicities."""
+    return SpectrumReport(lines, np.zeros((18, sum(ln.multiplicity for ln in lines))))
+
+
+def block_coefficients(a, b, c, d, e, convention="reported", r0=None):
+    """The block matrix coefficients (qa, qb, qc, ia, ib) of the stiffness
+    constants in either Hessian convention, as one switch: "reported" is the
+    reference alpha^2 block matrix, "cartesian" the true second derivative
+    at r0 * template.  The reference the substitution
+    ``force_field.cartesian_constants`` is checked against bit for bit."""
+    if convention == "reported":
+        return 2 * a, 2 * b, 2 * c, e, d
+    if convention == "cartesian":
+        if r0 is None:
+            raise ConfigError("cartesian convention needs the equilibrium radius")
+        s = 2 * r0 * r0
+        return 2 * s * a, 2 * s * b, 2 * s * c, 2 * e, 2 * d
+    raise ConfigError(f"unknown convention {convention!r}")
+
+
+def convention_spectrum(eq, convention):
+    """The labeled spectrum of one convention's block matrix at eq: its
+    eight Schur numbers from ``block_coefficients``, split by
+    ``spectral.schur_spectrum``."""
+    qa, qb, qc, ia, ib = block_coefficients(
+        *force_field.equilibrium_stiffness(eq.params, eq.radius), convention, eq.radius
+    )
+    return spectral.schur_spectrum(
+        8 * qa + 8 * qb + qc, 2 * qa + 8 * qb + qc, 0.0, 4 * qa, 2 * qa + 2 * ia - 2 * ib,
+        4 * qa + qc - 2 * ib, -math.sqrt(8) * (qa + ia), 2 * qa - 2 * ia - 2 * ib,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ class TestNonresonance:
                 lines.append(spectral.SpectrumLine("4", labeled_spectrum.alpha_sq["8"], 2))
             else:
                 lines.append(ln)
-        broken = spectral.SpectrumReport(lines=tuple(lines))
+        broken = oracles.lines_report(tuple(lines))
         ok, witness = bf.check_isotypic_nonresonance(broken)
         assert not ok
         assert set(witness) == {"4", "8"}
@@ -118,7 +118,7 @@ class TestNonresonance:
                 spectral.SpectrumLine(lb, float(v), 3)
                 for lb, v in zip(labels, vals)
             )
-            report = spectral.SpectrumReport(lines=lines)
+            report = oracles.lines_report(lines)
             ok, _ = bf.check_isotypic_nonresonance(report)
             direct = all(
                 abs(vals[i] - vals[k]) > bf.RESONANCE_RTOL * vals.max()
@@ -134,8 +134,8 @@ class TestNonresonance:
         residues = dict(zip(("6", "7", "8", "9"), (3e-33, 2e-17, 1e-16, 4e-33)))
         values = {"0": 0.9999999999999999, "4": 1.0000000000000002, "7*": 1.0}
         values.update({j: s * r for s, (j, r) in zip(signs, residues.items())})
-        report = spectral.SpectrumReport(
-            lines=tuple(spectral.SpectrumLine(j, v, 3) for j, v in values.items())
+        report = oracles.lines_report(
+            tuple(spectral.SpectrumLine(j, v, 3) for j, v in values.items())
         )
         assert bf.check_isotypic_nonresonance(report) == (False, ("6", "7", "8", "9"))
         assert bf.resonant_groups(report) == [("6", "7", "8", "9"), ("0", "4", "7*")]
@@ -149,8 +149,8 @@ class TestNonresonance:
         # 9 sits 3e-6 above 6: apart beside alpha^2 = 2, resonant beside 4
         def report(top):
             values = (("6", 0.0), ("9", 3e-6), ("8", 1.0), ("7", top))
-            return spectral.SpectrumReport(
-                lines=tuple(spectral.SpectrumLine(j, v, 3) for j, v in values)
+            return oracles.lines_report(
+                tuple(spectral.SpectrumLine(j, v, 3) for j, v in values)
             )
 
         assert bf.check_isotypic_nonresonance(report(2.0)) == (True, None)

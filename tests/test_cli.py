@@ -394,18 +394,25 @@ class TestOneRequestPerCommand:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """Counts by what builds each piece: the reported spectrum by
+        ``spectrum_at_equilibrium``, the Cartesian one by its substitution."""
         counts = collections.Counter()
         find = force_field.find_equilibrium
         spectrum = spectral.spectrum_at_equilibrium
+        substitute = force_field.cartesian_constants
         checked = bifurcation.checked_frequencies
 
         def counted_find(params):
             counts["equilibrium"] += 1
             return find(params)
 
-        def counted_spectrum(eq, convention="reported"):
-            counts[convention] += 1
-            return spectrum(eq, convention)
+        def counted_spectrum(eq):
+            counts["reported"] += 1
+            return spectrum(eq)
+
+        def counted_substitute(*constants):
+            counts["cartesian"] += 1
+            return substitute(*constants)
 
         def counted_checked(report):
             counts["frequencies"] += 1
@@ -413,6 +420,7 @@ class TestOneRequestPerCommand:
 
         monkeypatch.setattr(force_field, "find_equilibrium", counted_find)
         monkeypatch.setattr(spectral, "spectrum_at_equilibrium", counted_spectrum)
+        monkeypatch.setattr(force_field, "cartesian_constants", counted_substitute)
         monkeypatch.setattr(bifurcation, "checked_frequencies", counted_checked)
         return counts
 

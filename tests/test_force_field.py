@@ -158,7 +158,7 @@ class TestBatchedKernels:
     def test_gradient_matches_loop_oracle(self, params):
         stack = perturbed_stack(240, seed=11)
         sig = (params.sigma1, params.sigma2, params.sigma3)
-        batched = accel.gradient(stack, *sig)
+        batched = accel.gradient(stack, *sig, accel.pairs(stack))
         assert batched.shape == stack.shape
         for pos, g in zip(stack, batched):
             ref = gradient_loop(pos, *sig)
@@ -292,7 +292,10 @@ class TestHessian:
 
     def test_block_path_matches_cartesian_hessian(self, params, equilibrium):
         analytic = cartesian_hessian(params, equilibrium.configuration)
-        blocks = ff.hessian_blocks(params, equilibrium.radius, convention="cartesian")
+        r0 = equilibrium.radius
+        blocks = ff.blocks_from_stiffness(
+            *ff.cartesian_constants(*ff.equilibrium_stiffness(params, r0), r0)
+        )
         assert np.max(np.abs(analytic - blocks)) < 1e-10
 
     def test_reported_p13_block(self, params, equilibrium):
@@ -414,7 +417,8 @@ class TestTermsBitForBit:
                 bits(accel.potential(stack, *sig)), bits(oracles.inline_potential(stack, *sig))
             ), sig
             assert np.array_equal(
-                bits(accel.gradient(stack, *sig)), bits(oracles.inline_gradient(stack, *sig))
+                bits(accel.gradient(stack, *sig, accel.pairs(stack))),
+                bits(oracles.inline_gradient(stack, *sig)),
             ), sig
 
     def test_radial_functions(self, sigmas):

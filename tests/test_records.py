@@ -92,8 +92,8 @@ def test_replace_returns_the_changed_copy(record):
 
 
 def test_defaults():
-    report = spectral.SpectrumReport(())
-    assert report.basis is None
+    with pytest.raises(TypeError, match="basis"):
+        spectral.SpectrumReport(())
     family = orbit_o2.OrbitTypeO2("D", 1, "full", "S_4^p", "full")
     assert family.quotient == ""
 

@@ -2,7 +2,8 @@
 
 Each kernel a request runs once per σ (the equilibrium bracket, the block
 Hessian, the spectrum JSON and the fixed pairs) is checked bit for bit
-against its loop oracle below, and the spectrum's labels and alpha^2
+against its loop oracle below, the Cartesian block Hessian and spectrum of
+the substituted constants against the two-convention reference, and the spectrum's labels and alpha^2
 against the per-line characters and a dense eigensolver, over the seed-1
 sweep box, the reference σ and σ = (0, 0, 0); the closed-form split of 7
 and 7* also over the wide grid.  The radius of the Python-float search, the
@@ -26,7 +27,12 @@ from octavib._serialize import dumps
 from octavib.errors import OctavibError, SearchFailureError, ShapeError
 
 from conftest import pair_operator, pinned_null_rows, sweep_box, wide_grid
-from oracles import MULTIPLICITIES, numpy_scalar_equilibrium
+from oracles import (
+    MULTIPLICITIES,
+    block_coefficients,
+    convention_spectrum,
+    numpy_scalar_equilibrium,
+)
 
 REFERENCE = ff.REFERENCE_PARAMS
 SIGMAS = [
@@ -35,7 +41,7 @@ SIGMAS = [
     (0.0, 0.0, 0.0),
 ]
 IDS = [f"draw{i}" for i in range(48)] + ["reference", "zero"]
-CONVENTIONS = ("reported", "cartesian")
+CONVENTIONS = ("reported", "cartesian")  # the constants as they are, or substituted
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -77,12 +83,9 @@ def scalar_grid_equilibrium(params, lo=1e-3, hi=1e3):
 
 
 def loop_blocks(a, b, c, d, e, convention="reported", r0=None):
-    """``blocks_from_stiffness`` one 3x3 block at a time."""
-    if convention == "reported":
-        qa, qb, qc, ia, ib = 2 * a, 2 * b, 2 * c, e, d
-    else:
-        s = 2 * r0 * r0
-        qa, qb, qc, ia, ib = 2 * s * a, 2 * s * b, 2 * s * c, 2 * e, 2 * d
+    """``blocks_from_stiffness`` one 3x3 block at a time, of the constants
+    in a convention of the two-convention reference."""
+    qa, qb, qc, ia, ib = block_coefficients(a, b, c, d, e, convention, r0)
     p = ff.OCTAHEDRON
     H = np.zeros((18, 18))
     for j in range(6):
@@ -160,6 +163,12 @@ def stiffness_at(sigmas):
     return r0, ff.stiffness(params, r0)
 
 
+def substituted(coeffs, convention, r0):
+    """The constants whose block matrix is the convention's: the stiffness
+    constants themselves, or ``cartesian_constants`` of them."""
+    return coeffs if convention == "reported" else ff.cartesian_constants(*coeffs, r0)
+
+
 @pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
 def test_radius_equals_the_scalar_grid_bracket(sigmas):
     assert radius(sigmas) == scalar_grid_equilibrium(ff.PotentialParams(*sigmas))
@@ -196,6 +205,13 @@ def test_search_grid_is_read_only_geomspace():
     assert grid.tobytes() == want.tobytes()
 
 
+def closed_spectrum(eq, convention):
+    """The request's reported or Cartesian spectrum at eq."""
+    if convention == "reported":
+        return spectral.spectrum_at_equilibrium(eq)
+    return bifurcation.Request(eq.params).cartesian_spectrum
+
+
 def request_spectra():
     """(equilibrium, convention, closed-form report or its ShapeError, the
     projection's report or its ShapeError) over the box and the wide grid,
@@ -208,10 +224,10 @@ def request_spectra():
         for convention in CONVENTIONS:
             reports = []
             for build in (
-                lambda: spectral.spectrum_at_equilibrium(eq, convention),
-                lambda: spectral.numeric_spectrum(
-                    ff.hessian_blocks(eq.params, eq.radius, convention)
-                ),
+                lambda: closed_spectrum(eq, convention),
+                lambda: spectral.numeric_spectrum(ff.blocks_from_stiffness(*substituted(
+                    ff.equilibrium_stiffness(eq.params, eq.radius), convention, eq.radius
+                ))),
             ):
                 try:
                     reports.append(build())
@@ -311,11 +327,52 @@ def test_request_reads_its_spectra_without_a_matrix(monkeypatch):
         assert len(request.spectrum.lines) == len(request.cartesian_spectrum.lines) == 7
 
 
+def spectrum_bits(report):
+    """A report's labels, multiplicities, alpha^2 and basis, as exact bits."""
+    return (
+        [(ln.label, ln.alpha_sq.hex(), ln.multiplicity) for ln in report.lines],
+        report.basis.shape,
+        report.basis.tobytes(),
+    )
+
+
+def test_cartesian_constants_have_the_bits_of_the_cartesian_convention():
+    # the reference σ, the seed-1 box and the tier-1 wide grid: the
+    # coefficients, the block Hessian and the request's Cartesian spectrum
+    # of the substituted constants against the two-convention reference
+    count = 0
+    for sigmas in (*SIGMAS, *wide_grid()):
+        params = ff.PotentialParams(*sigmas)
+        try:
+            eq = ff.find_equilibrium(params)
+        except SearchFailureError:
+            continue
+        coeffs = ff.stiffness(params, eq.radius)
+        constants = ff.cartesian_constants(*coeffs, eq.radius)
+        got = ff.block_coefficients(*constants)
+        want = block_coefficients(*coeffs, "cartesian", eq.radius)
+        assert [x.hex() for x in got] == [x.hex() for x in want], sigmas
+        H = ff.blocks_from_stiffness(*constants)
+        assert H.tobytes() == loop_blocks(*coeffs, "cartesian", eq.radius).tobytes()
+        outcomes = []
+        for build in (
+            lambda: bifurcation.Request(params).cartesian_spectrum,
+            lambda: convention_spectrum(eq, "cartesian"),
+        ):
+            try:
+                outcomes.append(spectrum_bits(build()))
+            except ShapeError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], sigmas
+        count += isinstance(outcomes[0], tuple)
+    assert count > len(SIGMAS)
+
+
 @pytest.mark.parametrize("sigmas", SIGMAS, ids=IDS)
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_blocks_equal_the_loop_assembly(sigmas, convention):
     r0, coeffs = stiffness_at(sigmas)
-    H = ff.blocks_from_stiffness(*coeffs, convention=convention, r0=r0)
+    H = ff.blocks_from_stiffness(*substituted(coeffs, convention, r0))
     assert np.array_equal(H, loop_blocks(*coeffs, convention=convention, r0=r0))
 
 
@@ -323,14 +380,14 @@ def test_blocks_equal_the_loop_assembly_on_signed_constants():
     rng = np.random.default_rng(15)
     for coeffs in rng.normal(size=(20, 5)) * 10.0 ** rng.integers(-3, 4, size=(20, 5)):
         for convention in CONVENTIONS:
-            got = ff.blocks_from_stiffness(*coeffs, convention=convention, r0=1.3)
+            got = ff.blocks_from_stiffness(*substituted(coeffs, convention, 1.3))
             want = loop_blocks(*coeffs, convention=convention, r0=1.3)
             assert np.array_equal(got, want)
 
 
 def spectrum_of(sigmas, convention):
     r0, coeffs = stiffness_at(sigmas)
-    H = ff.blocks_from_stiffness(*coeffs, convention=convention, r0=r0)
+    H = ff.blocks_from_stiffness(*substituted(coeffs, convention, r0))
     return H, spectral.numeric_spectrum(H)
 
 
@@ -377,7 +434,7 @@ def accepted_spectra():
         except SearchFailureError:
             continue
         for convention in CONVENTIONS:
-            H = ff.blocks_from_stiffness(*coeffs, convention=convention, r0=r0)
+            H = ff.blocks_from_stiffness(*substituted(coeffs, convention, r0))
             yield H, spectral.numeric_spectrum(H)
 
 
@@ -418,8 +475,6 @@ def test_spectrum_json_equals_the_nested_lists(sigmas):
         "basis": [list(col) for col in report.basis.T],
     }
     assert report.to_json() == dumps(doc)
-    unlabeled = report._replace(basis=None)
-    assert unlabeled.to_json() == dumps({"eigenvalues": doc["eigenvalues"]})
 
 
 def test_spectrum_json_equals_dumps_of_the_whole_document():

@@ -309,7 +309,10 @@ class TestAssign:
             report.alphas()
         assert isinstance(exc.value, NumericalError)
         assert repr(report.alpha_sq["9"]) in str(exc.value)
-        cartesian = spectral.spectrum_at_equilibrium(eq, convention="cartesian")
+        constants = ff.cartesian_constants(
+            *ff.equilibrium_stiffness(eq.params, eq.radius), eq.radius
+        )
+        cartesian = spectral.stiffness_spectrum(*constants)
         assert cartesian.alpha_sq["9"] > 0
 
     def test_one_block_frequency(self, labeled_spectrum):
