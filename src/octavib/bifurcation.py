@@ -137,34 +137,25 @@ def resonant_groups(report):
     return [tuple(sorted(g)) for g in groups if len(g) > 1]
 
 
-def check_isotypic_nonresonance(report):
-    """(True, None) when no two alpha^2 resonate, else (False, the lowest group)."""
-    groups = resonant_groups(report)
-    return (False, groups[0]) if groups else (True, None)
-
-
 def _resonance_error(group):
     names = ", ".join(group[:-1]) + " and " + group[-1]
     return ResonanceError(f"resonance between isotypic blocks {names}")
 
 
 def factors_before(j_o, alphas):
-    """(j, l) pairs with critical number strictly below lambda_{j_o,1}."""
+    """(j, l) pairs with critical number strictly below lambda_{j_o,1},
+    ascending, as ``critical_set`` lists them; one that ties with it is
+    refused as a coincidence."""
     lam_o = 1.0 / alphas[j_o]
     out = []
-    for j, a in alphas.items():
-        l = 1
-        while l / a < lam_o * (1 + TIE_RTOL):
-            v = l / a
-            if (j, l) != (j_o, 1) and abs(v - lam_o) <= TIE_RTOL * lam_o:
-                raise ResonanceError(
-                    f"critical numbers lambda_({j},{l}) and lambda_({j_o},1) coincide"
-                )
-            if v < lam_o:
-                out.append((j, l, v))
-            l += 1
-    out.sort(key=lambda t: t[2])
-    return [(j, l) for j, l, _ in out]
+    for c in critical_set(alphas, lam_o * (1 + TIE_RTOL)):
+        if (c.j, c.l) != (j_o, 1) and abs(c.value - lam_o) <= TIE_RTOL * lam_o:
+            raise ResonanceError(
+                f"critical numbers lambda_({c.j},{c.l}) and lambda_({j_o},1) coincide"
+            )
+        if c.value < lam_o:
+            out.append((c.j, c.l))
+    return out
 
 
 class BifurcationReport(NamedTuple):
@@ -283,37 +274,34 @@ class InvariantEngine:
     def census(self):
         """The deduplicated maximal symmetry types over all isotypic blocks.
 
-        j=7 and j=7* share one block; every type is reported with the list
-        of blocks it belongs to and its (fast-path) coefficient per block.
+        Each type is reported once, in the order the blocks of ``ISOTYPIC``
+        first list it, with the blocks it belongs to and, one per block,
+        that block's coefficient in closed form (``fast_coefficient``): a
+        type shared by blocks 7, 7* and 9 may carry a different sign in
+        each.
         """
         R = self.ring
-        seen = {}
-        order = []
-        for irrep in MAXIMAL_IRREPS:
-            blocks = [b for b in ISOTYPIC if IRREP[b] == irrep]
-            for ci in self.maximal_classes(blocks[0], 1):
-                coeff = self.fast_coefficient(blocks[0], ci)
-                if ci not in seen:
-                    seen[ci] = []
-                    order.append(ci)
-                seen[ci].extend((b, coeff) for b in blocks)
+        rows = {}
+        for b in ISOTYPIC:
+            for ci in self.maximal_classes(b, 1):
+                rows.setdefault(ci, []).append((b, self.fast_coefficient(b, ci)))
         return [
             {
                 "label": R.label_of(ci),
                 "order": R.order_of(ci),
                 "weyl_order": R.weyl(ci),
-                "blocks": [b for b, _ in seen[ci]],
-                "coefficient": seen[ci][0][1],
+                "blocks": [b for b, _ in entries],
+                "coefficients": [c for _, c in entries],
             }
-            for ci in order
+            for ci, entries in rows.items()
         ]
 
 
 def checked_frequencies(report):
     """Frequencies of a spectrum, refused for a resonance, then for alpha^2 <= 0."""
-    ok, witness = check_isotypic_nonresonance(report)
-    if not ok:
-        raise _resonance_error(witness)
+    groups = resonant_groups(report)
+    if groups:
+        raise _resonance_error(groups[0])
     return report.alphas()
 
 

@@ -55,6 +55,14 @@ def _output_directory(path):
         raise ConfigError(f"cannot write {path}: not a directory")
 
 
+def _file_path(directory, name):
+    """directory/name, refused if it is a directory, before any work on σ."""
+    path = os.path.join(directory, name)
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: Is a directory")
+    return path
+
+
 def _output_file(args, name):
     """--out's file name, or None without --out.  ``spectrum`` and
     ``catalog`` create no directory, so they refuse an --out that is not an
@@ -64,13 +72,12 @@ def _output_file(args, name):
     create the file for a request that is then refused."""
     if not args.out:
         return None
-    path = os.path.join(args.out, name)
     if not os.path.isdir(args.out):
         _output_directory(args.out)  # a file, or under one
-        raise ConfigError(f"cannot write {path}: No such file or directory")
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write {path}: Is a directory")
-    return path
+        raise ConfigError(
+            f"cannot write {os.path.join(args.out, name)}: No such file or directory"
+        )
+    return _file_path(args.out, name)
 
 
 def _emit(path, text):
@@ -141,9 +148,10 @@ def cmd_census(args):
     print(f"count={len(rows)}")
     for row in rows:
         blocks = ",".join(row["blocks"])
+        coeffs = ",".join(f"{c:+d}" for c in row["coefficients"])
         print(
             f"  ({row['label']})  order={row['order']} |W|={row['weyl_order']} "
-            f"blocks={blocks} coeff={row['coefficient']:+d}"
+            f"blocks={blocks} coeff={coeffs}"
         )
     return 0
 
@@ -153,14 +161,13 @@ def cmd_modes(args):
 
     outdir = args.out or "."
     _output_directory(outdir)
+    stem = f"mode_j{args.j.replace('*', 's')}_k{args.k}"
+    csv_path, man_path = (_file_path(outdir, stem + ext) for ext in (".csv", ".json"))
     eps = modes.DEFAULT_EPSILON if args.eps is None else args.eps
     samples = modes.DEFAULT_SAMPLES if args.samples is None else args.samples
     shop = modes.ModeWorkshop(_request(args))
     traj = shop.build_mode(args.j, args.k, eps, samples)
     passed, report = shop.verify_symmetry(traj)
-    stem = f"mode_j{args.j.replace('*', 's')}_k{args.k}"
-    csv_path = os.path.join(outdir, stem + ".csv")
-    man_path = os.path.join(outdir, stem + ".json")
     with _writing():
         os.makedirs(outdir, exist_ok=True)
         modes.export_trajectory(traj, csv_path)

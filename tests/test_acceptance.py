@@ -197,7 +197,8 @@ def test_criterion_7_invariants_and_census(invariant_engine):
     for row in census:
         for b in row["blocks"]:
             by_block.setdefault(b, set()).add(row["label"])
-        ok &= row["coefficient"] != 0 and abs(row["coefficient"]) in (1, 2)
+        ok &= len(row["coefficients"]) == len(row["blocks"])
+        ok &= all(c != 0 and abs(c) in (1, 2) for c in row["coefficients"])
     ok &= by_block["7"] == by_block["7*"] == EXPECTED_CENSUS["7"]
     for j in ("0", "4", "8", "9"):
         ok &= by_block[j] == EXPECTED_CENSUS[j]

@@ -93,8 +93,7 @@ class TestEngineFrequencies:
 
 class TestNonresonance:
     def test_reference_is_nonresonant(self, labeled_spectrum):
-        ok, witness = bf.check_isotypic_nonresonance(labeled_spectrum)
-        assert ok and witness is None
+        assert bf.resonant_groups(labeled_spectrum) == []
 
     def test_forced_coincidence(self, labeled_spectrum):
         lines = []
@@ -104,9 +103,9 @@ class TestNonresonance:
             else:
                 lines.append(ln)
         broken = oracles.lines_report(tuple(lines))
-        ok, witness = bf.check_isotypic_nonresonance(broken)
-        assert not ok
-        assert set(witness) == {"4", "8"}
+        groups = bf.resonant_groups(broken)
+        assert groups
+        assert set(groups[0]) == {"4", "8"}
 
     def test_random_sweep_matches_direct_comparison(self, rng):
         for _ in range(50):
@@ -119,7 +118,7 @@ class TestNonresonance:
                 for lb, v in zip(labels, vals)
             )
             report = oracles.lines_report(lines)
-            ok, _ = bf.check_isotypic_nonresonance(report)
+            ok = not bf.resonant_groups(report)
             direct = all(
                 abs(vals[i] - vals[k]) > bf.RESONANCE_RTOL * vals.max()
                 for i in range(6)
@@ -137,7 +136,6 @@ class TestNonresonance:
         report = oracles.lines_report(
             tuple(spectral.SpectrumLine(j, v, 3) for j, v in values.items())
         )
-        assert bf.check_isotypic_nonresonance(report) == (False, ("6", "7", "8", "9"))
         assert bf.resonant_groups(report) == [("6", "7", "8", "9"), ("0", "4", "7*")]
         with pytest.raises(ResonanceError) as exc:
             bf.checked_frequencies(report)
@@ -153,8 +151,8 @@ class TestNonresonance:
                 tuple(spectral.SpectrumLine(j, v, 3) for j, v in values)
             )
 
-        assert bf.check_isotypic_nonresonance(report(2.0)) == (True, None)
-        assert bf.check_isotypic_nonresonance(report(4.0)) == (False, ("6", "9"))
+        assert bf.resonant_groups(report(2.0)) == []
+        assert bf.resonant_groups(report(4.0)) == [("6", "9")]
 
 
 class TestFactors:
@@ -253,6 +251,39 @@ class TestSweepBox:
         assert outcomes == {"ok": 43, "NonPositiveFrequencyError": 5}
 
 
+class TestCensusCoefficients:
+    def test_each_block_lists_its_own_coefficient(self, engine):
+        # at the reference σ and every accepted box draw, a census row gives
+        # each block it lists that block's own coefficient: the one
+        # `invariant --j <block>` prints for the type
+        engines = [engine]
+        for sigmas in sweep_box():
+            try:
+                engines.append(engine_at(sigmas))
+            except spectral.NonPositiveFrequencyError:
+                continue
+        assert len(engines) == 1 + 43
+        for eng in engines:
+            got = {}
+            for row in eng.census():
+                assert len(row["coefficients"]) == len(row["blocks"]), row
+                for b, c in zip(row["blocks"], row["coefficients"]):
+                    got[b, row["label"]] = c
+            want = {
+                (j, eng.ring.label_of(h)): eng.fast_coefficient(j, h)
+                for j in bf.ISOTYPIC
+                for h in eng.maximal_classes(j)
+            }
+            assert len(want) == 24
+            assert got == want, eng.alphas
+            printed = {
+                (j, label): c
+                for j in bf.ISOTYPIC
+                for label, c, _ in eng.report(j, full=False).maximal_types
+            }
+            assert got == printed, eng.alphas
+
+
 class TestFullReport:
     """The whole invariant from the marks recurrence over the mode-1 classes."""
 
@@ -342,10 +373,10 @@ class TestRingTables:
         engine = bf.InvariantEngine(labeled_spectrum.alphas())
         engine.census()
         seen = {name: dict(counts[name]) for name in names}
-        # the engine keeps the odd groups of the one block per irreducible
-        # the census reads (7* shares 7's), and nothing else
+        # the engine keeps the odd groups of each block the census reads,
+        # and nothing else
         assert set(engine.memo) == {"_odd_groups"}
-        assert set(engine.memo["_odd_groups"]) == {(b,) for b in ("0", "4", "7", "8", "9")}
+        assert set(engine.memo["_odd_groups"]) == {(b,) for b in bf.ISOTYPIC}
         # the same σ again, and a draw whose block-9 factors reach Fourier
         # mode 11 with other odd groups, compute nothing more
         bf.InvariantEngine(labeled_spectrum.alphas()).census()
@@ -614,7 +645,8 @@ class TestOffGridRefusal:
         assert (code, out.err) == (0, "")
         assert out.out.startswith("count=16\n")
         rows = re.findall(
-            r"^  \((.+)\)  order=\d+ \|W\|=(\d+) blocks=(\S+) coeff=([+-]\d+)$",
+            r"^  \((.+)\)  order=\d+ \|W\|=(\d+) blocks=(\S+) "
+            r"coeff=([+-]\d+(?:,[+-]\d+)*)$",
             out.out,
             re.M,
         )
@@ -622,4 +654,6 @@ class TestOffGridRefusal:
         assert {label for label, _, blocks, _ in rows if "9" in blocks.split(",")} == (
             EXPECTED_CENSUS["9"]
         )
-        assert all(abs(int(c)) == 2 // int(w) for _, w, _, c in rows), rows
+        for _, w, blocks, coeffs in rows:
+            assert len(coeffs.split(",")) == len(blocks.split(",")), rows
+            assert all(abs(int(c)) == 2 // int(w) for c in coeffs.split(",")), rows

@@ -187,6 +187,22 @@ class TestUnusablePaths:
             reason = "not a directory"
         assert err == f"configuration error: cannot write {target}: {reason}\n"
 
+    @pytest.mark.parametrize("sigmas", ["1e300 0 0", "0 0 0"], ids=["no-equilibrium", "zero"])
+    @pytest.mark.parametrize("name", ["mode_j0_k1.csv", "mode_j0_k1.json"])
+    def test_modes_file_name_that_is_a_directory_refused_before_any_work_on_sigma(
+        self, capsys, tmp_path, sigmas, name
+    ):
+        # σ1 = 1e300 has no equilibrium and σ = 0 resonates, yet the name is
+        # refused first, so the exit code does not depend on σ
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("".join(f"sigma{i}={s}\n" for i, s in enumerate(sigmas.split(), 1)))
+        (tmp_path / name).mkdir()
+        code, out, err = run(capsys, "--config", str(cfg), "modes", "--j", "0",
+                             "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"configuration error: cannot write {tmp_path / name}: Is a directory\n"
+        assert not (tmp_path / "mode_j0_k1.csv").is_file()
+
 
 class TestCritical:
     def test_prefix(self, capsys):
@@ -329,7 +345,7 @@ class TestMergedEigenspaceRefusal:
 class TestCriticalResonanceRefusal:
     def test_exit_1_naming_sigma_and_keeping_stdout(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            bifurcation, "check_isotypic_nonresonance", lambda report: (False, ("4", "7"))
+            bifurcation, "resonant_groups", lambda report: [("4", "7")]
         )
         code, out, err = run(capsys, "critical")
         assert code == 1
@@ -343,7 +359,7 @@ class TestCriticalResonanceRefusal:
     @pytest.mark.parametrize("command", ["census", "invariant"])
     def test_one_message_in_every_command(self, capsys, monkeypatch, command):
         monkeypatch.setattr(
-            bifurcation, "check_isotypic_nonresonance", lambda report: (False, ("4", "7"))
+            bifurcation, "resonant_groups", lambda report: [("4", "7")]
         )
         argv = [command] + (["--j", "0"] if command == "invariant" else [])
         code, out, err = run(capsys, *argv)

@@ -119,6 +119,7 @@ CFG = "--config {tmp}/p.cfg"
 ZERO = sigma(0.0, 0.0, 0.0)
 ROW = ",".join(["0"] * 19) + "\n"
 MERGED = "resonance between isotypic blocks 6, 7, 8 and 9"
+LONG_NAME = "x" * 256  # one byte over a file name's limit
 
 RAISES = {
     # -- the CSV reader's kernel and the JSON writer
@@ -188,19 +189,21 @@ RAISES = {
     ),
     # -- the command line's own refusals
     ("cli._writing", "ConfigError"): (
-        Cli("modes --j 0 --samples 8 --out {tmp}", 2, ConfigError,
-            "cannot write {tmp}/mode_j0_k1.json: Is a directory",
-            (("mode_j0_k1.json/", b""),)),
+        Cli(f"modes --j 0 --samples 8 --out {{tmp}}/{LONG_NAME}", 2, ConfigError,
+            f"cannot write {{tmp}}/{LONG_NAME}: File name too long"),
     ),
     ("cli._output_directory", "ConfigError"): (
         Cli("modes --j 0 --out {tmp}/file/sub", 2, ConfigError,
             "cannot write {tmp}/file/sub: not a directory", (("file", b""),)),
     ),
+    ("cli._file_path", "ConfigError"): (
+        Cli(f"{CFG} modes --j 0 --out {{tmp}}", 2, ConfigError,
+            "cannot write {tmp}/mode_j0_k1.csv: Is a directory",
+            ZERO + (("mode_j0_k1.csv/", b""),)),
+    ),
     ("cli._output_file", "ConfigError"): (
         Cli("spectrum --out {tmp}/missing", 2, ConfigError,
             "cannot write {tmp}/missing/spectrum.json: No such file or directory"),
-        Cli("spectrum --out {tmp}", 2, ConfigError,
-            "cannot write {tmp}/spectrum.json: Is a directory", (("spectrum.json/", b""),)),
     ),
     ("cli.cmd_critical", "raise"): (
         Cli(f"{CFG} critical", 1, ResonanceError, MERGED, ZERO),

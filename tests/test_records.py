@@ -8,9 +8,8 @@ from octavib.errors import ConfigError
 
 
 def instances():
-    """One instance of each record type, as the pipeline builds it; a
-    SpectrumReport with and without its basis.  A record with an array or a
-    dict among its fields is unhashable."""
+    """One instance of each record type, as the pipeline builds it.  A
+    record with an array or a dict among its fields is unhashable."""
     params = force_field.REFERENCE_PARAMS
     eq = force_field.find_equilibrium(params)
     report = spectral.spectrum_at_equilibrium(eq)
@@ -23,7 +22,6 @@ def instances():
         "Equilibrium": (eq, True),
         "SpectrumLine": (report.lines[0], True),
         "SpectrumReport": (report, False),
-        "SpectrumReport-unlabeled": (report._replace(basis=None), True),
         "OrbitTypeO2": (orbit_o2.REFERENCE_EXPANSIONS[4][0][2], True),
         "CriticalNumber": (bifurcation.critical_set(report.alphas(), 2.0)[0], True),
         "BifurcationReport": (engine.report("8", full=True), False),
@@ -34,7 +32,7 @@ def instances():
 
 NAMES = (
     "SubgroupClass", "PotentialParams", "Equilibrium", "SpectrumLine", "SpectrumReport",
-    "SpectrumReport-unlabeled", "OrbitTypeO2", "CriticalNumber", "BifurcationReport",
+    "OrbitTypeO2", "CriticalNumber", "BifurcationReport",
     "ModeTrajectory", "TypeElements",
 )
 
