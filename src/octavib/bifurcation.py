@@ -74,6 +74,12 @@ def critical_count(alphas, lambda_max):
     return count
 
 
+def check_block(j):
+    """Refuse a block label that is not one of ``ISOTYPIC``, whatever σ."""
+    if j not in ISOTYPIC:
+        raise ConfigError(f"--j must be one of {', '.join(ISOTYPIC)}")
+
+
 def check_lambda_max(lambda_max):
     """Refuse a bound on the critical numbers that is not finite, whatever σ."""
     if not math.isfinite(lambda_max):
@@ -274,11 +280,11 @@ class InvariantEngine:
     def census(self):
         """The deduplicated maximal symmetry types over all isotypic blocks.
 
-        Each type is reported once, in the order the blocks of ``ISOTYPIC``
-        first list it, with the blocks it belongs to and, one per block,
-        that block's coefficient in closed form (``fast_coefficient``): a
-        type shared by blocks 7, 7* and 9 may carry a different sign in
-        each.
+        Each type is reported once, largest group first, then by label
+        (``sorted_support``, the order each block lists its own), with the
+        blocks it belongs to and, one per block, that block's coefficient in
+        closed form (``fast_coefficient``): a type shared by blocks 7, 7*
+        and 9 may carry a different sign in each.
         """
         R = self.ring
         rows = {}
@@ -290,10 +296,10 @@ class InvariantEngine:
                 "label": R.label_of(ci),
                 "order": R.order_of(ci),
                 "weyl_order": R.weyl(ci),
-                "blocks": [b for b, _ in entries],
-                "coefficients": [c for _, c in entries],
+                "blocks": [b for b, _ in rows[ci]],
+                "coefficients": [c for _, c in rows[ci]],
             }
-            for ci, entries in rows.items()
+            for ci in R.sorted_support(rows)
         ]
 
 

@@ -8,7 +8,7 @@ standard output closed before all output was written (128 + SIGPIPE, as a
 shell reports a process that SIGPIPE ended; nothing is printed on stderr).
 All output is deterministic: sorted JSON keys and floats printed with 17
 significant digits.  Every file is written by ``_serialize.write_over``,
-over its old bytes.
+over its old bytes, into the --out directory, made if it is missing.
 """
 
 import argparse
@@ -25,9 +25,11 @@ EXIT_BROKEN_PIPE = 141
 
 
 @contextlib.contextmanager
-def _writing():
-    """Refuse an output path that cannot be written as a ConfigError naming it."""
+def _writing(directory):
+    """Make the output directory if it is missing, and refuse an output path
+    that cannot be written as a ConfigError naming it."""
     try:
+        os.makedirs(directory, exist_ok=True)
         yield
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from None
@@ -56,28 +58,16 @@ def _output_directory(path):
 
 
 def _file_path(directory, name):
-    """directory/name, refused if it is a directory, before any work on σ."""
+    """directory/name, the path of every file a command writes, refused
+    before any work on σ if the directory is, or lies under, something else,
+    or the name is a directory.  ``_writing`` makes a missing directory, and refuses
+    a file that may not be written (read-only): an earlier open would make
+    either for a request that is then refused."""
+    _output_directory(directory)
     path = os.path.join(directory, name)
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: Is a directory")
     return path
-
-
-def _output_file(args, name):
-    """--out's file name, or None without --out.  ``spectrum`` and
-    ``catalog`` create no directory, so they refuse an --out that is not an
-    existing directory, or a file name that is a directory there, here,
-    before any work on σ.  A file they may not write (read-only) is refused
-    only when they write it: finding out earlier takes an open, which would
-    create the file for a request that is then refused."""
-    if not args.out:
-        return None
-    if not os.path.isdir(args.out):
-        _output_directory(args.out)  # a file, or under one
-        raise ConfigError(
-            f"cannot write {os.path.join(args.out, name)}: No such file or directory"
-        )
-    return _file_path(args.out, name)
 
 
 def _emit(path, text):
@@ -85,7 +75,7 @@ def _emit(path, text):
     if path is None:
         print(text)
         return
-    with _writing():
+    with _writing(os.path.dirname(path)):
         write_over(path, (text + "\n").encode())
     print(f"wrote {path}")
 
@@ -100,7 +90,7 @@ def cmd_equilibrium(args):
 
 
 def cmd_spectrum(args):
-    path = _output_file(args, "spectrum.json")
+    path = _file_path(args.out, "spectrum.json") if args.out else None
     _emit(path, _request(args).spectrum.to_json())
     return 0
 
@@ -124,8 +114,7 @@ def cmd_critical(args):
 
 def cmd_invariant(args):
     j = args.j
-    if j not in bifurcation.ISOTYPIC:
-        raise ConfigError(f"--j must be one of {', '.join(bifurcation.ISOTYPIC)}")
+    bifurcation.check_block(j)
     full = args.full or j in ("0", "7*", "4", "7")
     rep = _request(args).engine.report(j, full=full)
     if rep.invariant is not None:
@@ -160,7 +149,6 @@ def cmd_modes(args):
     from . import modes  # the one command that builds arrays of samples
 
     outdir = args.out or "."
-    _output_directory(outdir)
     stem = f"mode_j{args.j.replace('*', 's')}_k{args.k}"
     csv_path, man_path = (_file_path(outdir, stem + ext) for ext in (".csv", ".json"))
     eps = modes.DEFAULT_EPSILON if args.eps is None else args.eps
@@ -168,8 +156,7 @@ def cmd_modes(args):
     shop = modes.ModeWorkshop(_request(args))
     traj = shop.build_mode(args.j, args.k, eps, samples)
     passed, report = shop.verify_symmetry(traj)
-    with _writing():
-        os.makedirs(outdir, exist_ok=True)
+    with _writing(outdir):
         modes.export_trajectory(traj, csv_path)
         write_over(man_path, (modes.mode_manifest(traj, passed, report) + "\n").encode())
     print(f"wrote {csv_path}")
@@ -179,7 +166,7 @@ def cmd_modes(args):
 
 
 def cmd_catalog(args):
-    path = _output_file(args, "catalog.json")
+    path = _file_path(args.out, "catalog.json") if args.out else None
     _request(args)  # the catalog reads no σ, but a malformed --config is refused
     cat = group_core.catalog()
     doc = {"subgroup_classes": cat.export()}
@@ -224,13 +211,13 @@ def build_parser():
     sub.add_parser("equilibrium", help="radial equilibrium and residuals")
 
     sp = sub.add_parser("spectrum", help="labeled Hessian spectrum (JSON)")
-    sp.add_argument("--out", help="directory for spectrum.json")
+    sp.add_argument("--out", help="directory for spectrum.json, made if missing")
 
     sc = sub.add_parser("critical", help="ordered critical numbers")
     sc.add_argument("--max", type=float, default=3.0, help="upper bound on lambda")
 
     si = sub.add_parser("invariant", help="bifurcation invariant for one block")
-    si.add_argument("--j", required=True, help="isotypic label (0,4,7,7*,8,9)")
+    si.add_argument("--j", required=True, help="isotypic block: 0, 4, 7, 7*, 8 or 9")
     si.add_argument(
         "--full", action="store_true",
         help="print the whole invariant and the fast path's agreement with it",
@@ -239,14 +226,14 @@ def build_parser():
     sub.add_parser("census", help="the 16 maximal symmetry types")
 
     sm = sub.add_parser("modes", help="build, verify and export one mode")
-    sm.add_argument("--j", required=True, help="isotypic label")
-    sm.add_argument("--k", type=int, default=1, help="type index within the block")
+    sm.add_argument("--j", required=True, help="isotypic block: 0, 4, 7, 7*, 8 or 9")
+    sm.add_argument("--k", type=int, default=1, help="K-th type `invariant --j J` lists")
     sm.add_argument("--eps", type=float, help="amplitude")  # None: modes.DEFAULT_EPSILON
     sm.add_argument("--samples", type=int)  # None: modes.DEFAULT_SAMPLES
-    sm.add_argument("--out", help="output directory")
+    sm.add_argument("--out", help="output directory, made if missing")
 
     scat = sub.add_parser("catalog", help="subgroup catalog dump")
-    scat.add_argument("--out", help="directory for catalog.json")
+    scat.add_argument("--out", help="directory for catalog.json, made if missing")
     scat.add_argument(
         "--catalog-dump",
         dest="with_o2",

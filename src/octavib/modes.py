@@ -91,11 +91,10 @@ class ModeWorkshop:
         return self.request.cartesian_spectrum
 
     def types_for(self, j):
-        """Maximal symmetry classes of isotypic block j, in label order."""
-        if j not in bifurcation.ISOTYPIC:
-            raise ConfigError(f"unknown isotypic label {j!r}")
-        classes = orbit_o2.maximal_orbit_types(bifurcation.IRREP[j], 1)
-        return sorted(classes, key=self.ring.label_of)
+        """Maximal symmetry classes of isotypic block j, largest group first,
+        then label: ``build_mode``'s k-th is the k-th ``invariant --j`` lists."""
+        bifurcation.check_block(j)
+        return orbit_o2.maximal_orbit_types(bifurcation.IRREP[j], 1)
 
     # -- fixed-space construction ---------------------------------------
     def fixed_pairs(self, type_class, j):

@@ -318,7 +318,7 @@ class TemporalOctahedralRing(BurnsideRing):
         self._images = doc["image"]
         # L -> {H: fix_L(G/H)}, nonzero marks only
         self._marks = [dict(row) for row in doc["marks"]]
-        self._maximal = {int(j): tuple(cis) for j, cis in doc["maximal"].items()}
+        self._maximal = {int(j): cis for j, cis in doc["maximal"].items()}
         # the element sets of the mode-1 classes and of the classes
         # ``find_class`` registers
         self._reps = {ci: ConcreteSubgroup(els) for ci, els in enumerate(doc["elements"])}
@@ -483,13 +483,14 @@ class TemporalOctahedralRing(BurnsideRing):
     # maximal types and basic degrees --------------------------------------
     @cached
     def maximal_orbit_types(self, j, l):
-        """Maximal finite-Weyl orbit types of irrep j at mode l: the covers
-        K^l of those at mode 1, which the table holds."""
+        """Maximal finite-Weyl orbit types of irrep j at mode l: the table's,
+        largest group first, then label (``sorted_support``), or at l > 1 their
+        covers K^l in that order."""
         if l > 1:
             return tuple(
                 self.register_cover(K, l) for K in self.maximal_orbit_types(j, 1)
             )
-        return self._maximal[j]
+        return tuple(self.sorted_support(self._maximal[j]))
 
     @cached
     def basic_degree(self, j, l):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from octavib import bifurcation, cli, force_field, modes, orbit_o2, spectral
 from octavib.errors import ConfigError, OctavibError
 
-from conftest import UNSTABLE_REPORTED_9, package_env, python
+from conftest import UNSTABLE_REPORTED_9, package_env, python, sweep_box
 from oracles import MULTIPLICITIES
 
 
@@ -92,12 +93,12 @@ class TestUnusablePaths:
         assert err.startswith(f"configuration error: cannot read {path}: ")
         assert out == ""
 
-    def test_spectrum_into_missing_directory_exit_2(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "spectrum.json"
+    def test_spectrum_into_missing_directory_creates_it(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "sub" / "spectrum.json"
         code, out, err = run(capsys, "spectrum", "--out", str(target.parent))
-        assert code == 2
-        assert err.startswith(f"configuration error: cannot write {target}: ")
-        assert out == ""
+        assert (code, out, err) == (0, f"wrote {target}\n", "")
+        _, printed, _ = run(capsys, "spectrum")
+        assert target.read_text() == printed
 
     def test_modes_into_a_file_exit_2(self, capsys, tmp_path):
         blocker = tmp_path / "file"
@@ -124,11 +125,27 @@ class TestUnusablePaths:
         assert out == ""
         assert err == f"configuration error: cannot write {target}: not a directory\n"
 
-    def test_catalog_into_missing_directory_exit_2(self, capsys, tmp_path):
+    def test_catalog_into_missing_directory_creates_it(self, capsys, tmp_path):
         target = tmp_path / "missing" / "catalog.json"
-        code, _, err = run(capsys, "catalog", "--out", str(target.parent))
-        assert code == 2
-        assert f"cannot write {target}" in err
+        code, out, err = run(capsys, "catalog", "--out", str(target.parent))
+        assert (code, out, err) == (0, f"wrote {target}\n", "")
+        _, printed, _ = run(capsys, "catalog")
+        assert target.read_text() == printed
+
+    @pytest.mark.parametrize(
+        "command, params, code",
+        [("spectrum", "sigma1=1e300\nsigma2=0\nsigma3=0\n", 1), ("catalog", "sigma1=x\n", 2)],
+        ids=["spectrum-no-equilibrium", "catalog-malformed-params"],
+    )
+    def test_refused_request_makes_no_directory(self, capsys, tmp_path, command, params, code):
+        # the path is accepted, the request is refused later (σ1 = 1e300 has
+        # no equilibrium; the catalog reads no σ but refuses a malformed
+        # params file), and the missing --out directory is never made
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(params)
+        target = tmp_path / "new"
+        assert run(capsys, "--config", str(cfg), command, "--out", str(target))[:2] == (code, "")
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -167,8 +184,8 @@ class TestUnusablePaths:
 
     @pytest.mark.parametrize("command", ["spectrum", "catalog"])
     @pytest.mark.parametrize(
-        "out", ["file", "file/sub", "missing", "taken"],
-        ids=["file", "under-a-file", "missing", "file-name-is-a-directory"],
+        "out", ["file", "file/sub", "taken"],
+        ids=["file", "under-a-file", "file-name-is-a-directory"],
     )
     def test_out_refused_before_any_work_on_sigma(self, capsys, tmp_path, command, out):
         # σ1 = 1e300 has no equilibrium, yet the path is refused first
@@ -179,9 +196,7 @@ class TestUnusablePaths:
         target = tmp_path / out
         code, stdout, err = run(capsys, "--config", str(cfg), command, "--out", str(target))
         assert (code, stdout) == (2, "")
-        if out == "missing":
-            target, reason = target / f"{command}.json", "No such file or directory"
-        elif out == "taken":
+        if out == "taken":
             target, reason = target / f"{command}.json", "Is a directory"
         else:
             reason = "not a directory"
@@ -269,6 +284,76 @@ class TestInvariant:
         assert err == (
             "consistency failure: the marks recurrence's whole invariant "
             "disagrees with the fast path\n"
+        )
+
+
+INVARIANT_TYPE = re.compile(r"  [+-]\d+ \((.*)\)   \|W\|=\d+")
+CENSUS_ROW = re.compile(r"  \((.*)\)  order=\d+ \|W\|=\d+ blocks=(\S+) coeff=\S+")
+
+
+def listed(pattern, out):
+    """The match groups of the lines of out that pattern matches whole."""
+    return [m.groups() for m in map(pattern.fullmatch, out.splitlines()) if m]
+
+
+@pytest.fixture(scope="module")
+def accepted_configs(tmp_path_factory):
+    """Params files of the reference σ and of the seed-1 box draws whose
+    census is not refused, as --config reads them."""
+    tmp = tmp_path_factory.mktemp("box")
+    reference = force_field.REFERENCE_PARAMS
+    configs = []
+    for n, sigmas in enumerate(
+        [(reference.sigma1, reference.sigma2, reference.sigma3), *sweep_box()]
+    ):
+        cfg = tmp / f"p{n}.cfg"
+        cfg.write_text("".join(f"sigma{i}={s!r}\n" for i, s in enumerate(sigmas, 1)))
+        if outcome(["--config", str(cfg), "census"])[0] == 0:
+            configs.append(str(cfg))
+    assert len(configs) == 1 + 43
+    return configs
+
+
+class TestOneOrderOfMaximalTypes:
+    """Every command lists a block's maximal types in the order of
+    ``types_for``: largest group first, then label.  ``modes --k K`` builds
+    the K-th type that ``invariant --j J`` lists."""
+
+    @pytest.mark.parametrize("j", bifurcation.ISOTYPIC)
+    def test_every_command_lists_the_types_of_types_for(self, accepted_configs, j):
+        ring = orbit_o2.ring()
+        types = modes.ModeWorkshop().types_for(j)
+        order = {ring.label_of(ci): ring.order_of(ci) for ci in types}
+        want = list(order)
+        assert want == sorted(want, key=lambda label: (-order[label], label))
+        code, out, _ = outcome(["catalog", "--catalog-dump"])
+        assert code == 0
+        block = str(bifurcation.IRREP[j])
+        dumped = json.loads(out)["maximal_orbit_types"]
+        assert [row["label"] for row in dumped if row["block"] == block] == want
+        for cfg in accepted_configs:
+            for full in ([], ["--full"]):
+                code, out, _ = outcome(["--config", cfg, "invariant", "--j", j, *full])
+                assert code == 0
+                assert [label for label, in listed(INVARIANT_TYPE, out)] == want, (cfg, full)
+            code, out, _ = outcome(["--config", cfg, "census"])
+            rows = listed(CENSUS_ROW, out)
+            assert len(rows) == 16
+            assert [label for label, blocks in rows if j in blocks.split(",")] == want, cfg
+
+    @pytest.mark.parametrize("j", bifurcation.ISOTYPIC)
+    def test_modes_k_is_the_kth_type_invariant_lists(self, capsys, tmp_path, j):
+        _, out, _ = run(capsys, "invariant", "--j", j)
+        for k, (label,) in enumerate(listed(INVARIANT_TYPE, out), start=1):
+            code, out, _ = run(capsys, "modes", "--j", j, "--k", str(k), "--out", str(tmp_path))
+            assert code == 0
+            assert out.endswith(f"symmetry=({label}) verified=true\n"), (j, k)
+
+    def test_one_refusal_of_an_unknown_block(self, capsys, tmp_path):
+        invariant = run(capsys, "invariant", "--j", "5")
+        mode = run(capsys, "modes", "--j", "5", "--out", str(tmp_path))
+        assert invariant == mode == (
+            2, "", "configuration error: --j must be one of 0, 4, 7, 7*, 8, 9\n"
         )
 
 
@@ -624,7 +709,7 @@ MALFORMED = {
     ("invariant", "--j", "5"): "--j must be one of 0, 4, 7, 7*, 8, 9",
     ("critical", "--max", "nan"): "lambda_max must be finite, got nan",
     ("critical", "--max", "inf"): "lambda_max must be finite, got inf",
-    ("modes", "--j", "5"): "unknown isotypic label '5'",
+    ("modes", "--j", "5"): "--j must be one of 0, 4, 7, 7*, 8, 9",
     ("modes", "--j", "0", "--k", "9"): "block 0 has 1 maximal types; k=9 is out of range",
     ("modes", "--j", "0", "--k", "0"): "block 0 has 1 maximal types; k=0 is out of range",
     ("modes", "--j", "0", "--samples", "0"): "need at least 8 samples per period",
@@ -698,7 +783,9 @@ ONE_SHOT = ("equilibrium", "spectrum", "critical", "invariant", "census", "catal
 OUT_FILE = {"spectrum": "spectrum.json", "catalog": "catalog.json"}
 # --out as a path under a scratch directory that holds the directory "dir",
 # the file "file" and the directory "taken", in which each command's file
-# name is a directory: only "dir" can be written to
+# name is a directory: "dir" can be written to, and "missing", made when
+# the file is written
+WRITABLE = ("dir", "missing")
 OUT_PATHS = ("dir", "missing", "file", "file/sub", "taken")
 
 
@@ -768,7 +855,10 @@ def test_one_shot_exit_0_1_or_2_and_the_same_bytes_again(command, data):
 
         def call():
             result = outcome(["--config", str(cfg), *argv])
-            return result, sorted((p.name, p.read_bytes()) for p in (tmp / "dir").iterdir())
+            return result, sorted(
+                (str(p.relative_to(tmp)), p.read_bytes() if p.is_file() else None)
+                for p in (*(tmp / "dir").iterdir(), *tmp.glob("missing"), *tmp.glob("missing/*"))
+            )
 
         first = call()
         assert call() == first
@@ -785,9 +875,12 @@ def test_one_shot_exit_0_1_or_2_and_the_same_bytes_again(command, data):
         assert err.endswith(f" ({named})\n") and err.count("sigma1=") == 1, err
     if malformed(argv) or refused_params:
         assert code == 2 and err.startswith("configuration error: "), (argv, err)
-    if out in ("missing", "file", "file/sub", "taken"):
+    if out in ("file", "file/sub", "taken"):
         assert code == 2 and err.startswith("configuration error: cannot write "), (argv, err)
-    written = [OUT_FILE[command]] if out == "dir" and code == 0 else []
+    written = []
+    if out in WRITABLE and code == 0:
+        written = ["missing"] if out == "missing" else []
+        written.append(f"{out}/{OUT_FILE[command]}")
     assert [name for name, _ in files] == written, (argv, err)
 
 

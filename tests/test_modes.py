@@ -70,6 +70,11 @@ def shop():
     return modes.ModeWorkshop()
 
 
+def type_k(shop, j, label):
+    """The k of block j's maximal type with this label."""
+    return 1 + [shop.ring.label_of(c) for c in shop.types_for(j)].index(label)
+
+
 @pytest.fixture(scope="module")
 def reported_spectrum(params, equilibrium):
     H = ff.hessian_blocks(params, equilibrium.radius)
@@ -160,15 +165,12 @@ class TestVerify:
     def test_incommensurate_sampling(self, shop):
         # the third-turn type needs the sample count divisible by 3: its mode
         # is refused, and so is verifying another 50-sample mode against it
-        types = shop.types_for("8")
-        k_third = 1 + [shop.ring.label_of(c) for c in types].index(
-            "D_3^{Z_1} x_{D_3} D_3^p"
-        )
+        k_third = type_k(shop, "8", "D_3^{Z_1} x_{D_3} D_3^p")
         with pytest.raises(SamplingError):
             shop.build_mode("8", k_third, 0.02, n_samples=50)
         traj = shop.build_mode("8", 1, 0.02, n_samples=50)
         with pytest.raises(SamplingError):
-            shop.verify_symmetry(traj._replace(type_class=types[k_third - 1]))
+            shop.verify_symmetry(traj._replace(type_class=shop.types_for("8")[k_third - 1]))
 
     def test_report_names_of_every_type(self, shop):
         # the names are the elements' cycles as the standalone cycle walk
@@ -216,14 +218,16 @@ class TestIsotropy:
         assert_isotropy_is_type(shop.ring, traj)
 
     def test_a_mode_a_larger_group_fixes_fails(self, shop):
-        # block 8's fourth type (12 elements) lies inside block 4's third
-        # (48): labeled with the smaller type, the larger type's mode passes
-        # verify_symmetry, and its isotropy is the larger group
-        small, large = shop.build_mode("8", 4), shop.build_mode("4", 3)
+        # block 8's type D_3^{Z_1} x_{D_3} D_3^p (12 elements) lies inside
+        # block 4's D_3^{Z_1} x_{D_3}^{V_4^p} S_4^p (48): labeled with the
+        # smaller type, the larger type's mode passes verify_symmetry, and
+        # its isotropy is the larger group
+        small = shop.build_mode("8", type_k(shop, "8", "D_3^{Z_1} x_{D_3} D_3^p"))
+        large = shop.build_mode("4", type_k(shop, "4", "D_3^{Z_1} x_{D_3}^{V_4^p} S_4^p"))
         K = shop.ring.representative(small.type_class).elements
         assert K < shop.ring.representative(large.type_class).elements
         planted = large._replace(
-            j="8", k=4, type_class=small.type_class, symmetry=small.symmetry
+            j="8", k=small.k, type_class=small.type_class, symmetry=small.symmetry
         )
         assert shop.verify_symmetry(planted)[0]
         with pytest.raises(AssertionError):

@@ -153,6 +153,9 @@ RAISES = {
         Call(lambda tmp: bifurcation.critical_set({"0": 0.0}, 1.0), ResonanceError,
              "alpha must be positive and finite, got 0.0 for block 0"),
     ),
+    ("bifurcation.check_block", "ConfigError"): (
+        Cli("invariant --j 5", 2, ConfigError, "--j must be one of 0, 4, 7, 7*, 8, 9"),
+    ),
     ("bifurcation.check_lambda_max", "ConfigError"): (
         Cli("critical --max inf", 2, ConfigError, "lambda_max must be finite, got inf"),
     ),
@@ -201,15 +204,8 @@ RAISES = {
             "cannot write {tmp}/mode_j0_k1.csv: Is a directory",
             ZERO + (("mode_j0_k1.csv/", b""),)),
     ),
-    ("cli._output_file", "ConfigError"): (
-        Cli("spectrum --out {tmp}/missing", 2, ConfigError,
-            "cannot write {tmp}/missing/spectrum.json: No such file or directory"),
-    ),
     ("cli.cmd_critical", "raise"): (
         Cli(f"{CFG} critical", 1, ResonanceError, MERGED, ZERO),
-    ),
-    ("cli.cmd_invariant", "ConfigError"): (
-        Cli("invariant --j 5", 2, ConfigError, "--j must be one of 0, 4, 7, 7*, 8, 9"),
     ),
     ("cli.cmd_invariant", "ConsistencyError"): (
         Guard("the fast path's maximal coefficients are those of the whole invariant"),
@@ -273,9 +269,6 @@ RAISES = {
         Guard("the reference words of two labels close to different classes"),
     ),
     # -- modes
-    ("modes.ModeWorkshop.types_for", "ConfigError"): (
-        Cli("modes --j 5 --out {tmp}", 2, ConfigError, "unknown isotypic label '5'"),
-    ),
     ("modes.ModeWorkshop.build_mode", "ConfigError"): (
         Cli("modes --j 0 --eps=-1 --out {tmp}", 2, ConfigError,
             "epsilon must be finite and nonnegative, got -1.0"),
