@@ -77,7 +77,7 @@ def critical_count(alphas, lambda_max):
 def check_block(j):
     """Refuse a block label that is not one of ``ISOTYPIC``, whatever σ."""
     if j not in ISOTYPIC:
-        raise ConfigError(f"--j must be one of {', '.join(ISOTYPIC)}")
+        raise ConfigError(f"block {j!r} is not one of {', '.join(map(repr, ISOTYPIC))}")
 
 
 def check_lambda_max(lambda_max):
@@ -195,11 +195,13 @@ class InvariantEngine:
         self.ring = o2.ring()
         self.memo = defaultdict(dict)  # method name -> {arguments: value}
 
-    # --- ring data -------------------------------------------------------
+    # --- ring data: a block that is not one of ISOTYPIC is refused -------
     def degree(self, j, l=1):
+        check_block(j)
         return o2.basic_degree(IRREP[j], l)
 
     def maximal_classes(self, j, l=1):
+        check_block(j)
         return o2.maximal_orbit_types(IRREP[j], l)
 
     # --- the pairwise product: the tests' oracle ------------------------
@@ -247,6 +249,7 @@ class InvariantEngine:
         Degree*, 2006).  dim V_{j_o,1}^K is even at every class K above H,
         so omega's marks there are 0, and so are their coefficients.
         """
+        check_block(j_o)
         R = self.ring
         mark = R.invariant_mark(IRREP[j_o], self._odd_groups(j_o), h_ci)
         q, r = divmod(mark, R.weyl(h_ci))
@@ -258,6 +261,7 @@ class InvariantEngine:
 
     # --- reports ----------------------------------------------------------
     def report(self, j_o, full=True):
+        check_block(j_o)
         R = self.ring
         maximal = self.maximal_classes(j_o, 1)
         fast = {R.label_of(ci): self.fast_coefficient(j_o, ci) for ci in maximal}
@@ -354,11 +358,7 @@ class Request:
 
     @cached_property
     def cartesian_spectrum(self):
-        eq = self.equilibrium
-        constants = force_field.equilibrium_stiffness(eq.params, eq.radius)
-        return spectral.stiffness_spectrum(
-            *force_field.cartesian_constants(*constants, eq.radius)
-        )
+        return spectral.cartesian_spectrum_at_equilibrium(self.equilibrium)
 
     @cached_property
     def frequencies(self):

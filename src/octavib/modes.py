@@ -11,10 +11,12 @@ relations to machine precision, while the nonlinear residual scales
 quadratically with the amplitude.
 
 What depends on the type alone is kept in the orbit-type ring's tables: its
-elements as arrays, their sample shifts per sample count, and its fixed pairs
-in the first copy of each irreducible, solved once in ``spectral.BASES``.
-Every block's columns carry the matrices of that copy, so a workshop maps the
-pairs through them and solves nothing per σ.
+elements as arrays and their sample shifts per sample count.  Its fixed pairs
+in the first copy of its irreducible (``spectral.BASES``) are a column of the
+ring's mode-1 table, solved when the table is built, and are turned into
+read-only arrays on first use.  Every block's columns carry the matrices of
+that copy, so a workshop maps the pairs through them: building a mode calls
+no LAPACK routine.
 """
 
 import math
@@ -23,10 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bifurcation, force_field, group_core, orbit_o2, spectral
+from . import bifurcation, force_field, group_core, orbit_o2
 from ._serialize import RowWidthError, dumps, format_rows, write_over
 from .burnside import cached
-from .errors import AmplitudeError, ConfigError, ConsistencyError, SamplingError
+from .errors import AmplitudeError, ConfigError, SamplingError
 
 DEFAULT_EPSILON = 0.05  # mode amplitude
 DEFAULT_SAMPLES = 120  # divisible by 2,3,4,5,6,8: every phase shift in use
@@ -38,6 +40,9 @@ MAX_SAMPLES = 2**16
 # In this coordinate order each of those steps adds the second half of a
 # block onto its first, in place
 _PAIRWISE_ORDER = np.array([0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15, 16, 17])
+# the floats of one batch of elements' residuals in ``verify_symmetry``: as
+# many elements as fit, at least one
+VERIFY_BATCH_FLOATS = 2**14
 
 
 class ModeTrajectory(NamedTuple):
@@ -97,15 +102,25 @@ class ModeWorkshop:
         return orbit_o2.maximal_orbit_types(bifurcation.IRREP[j], 1)
 
     # -- fixed-space construction ---------------------------------------
+    def check_type(self, type_class, j):
+        """Refuse a class that is not one of block j's maximal types, whatever
+        σ: the ring's table holds fixed pairs for those only.  The refusal
+        names a mode-1 class by its label, anything else by its repr."""
+        if type_class not in self.types_for(j):
+            mode1 = type_class in self.ring.graph_classes(1)
+            name = self.ring.label_of(type_class) if mode1 else repr(type_class)
+            raise ConfigError(f"type {name} is not a maximal type of block {j}")
+
     def fixed_pairs(self, type_class, j):
         """Orthonormal basis of the type's fixed space inside block j.
 
         Block j's columns carry the matrices of its irreducible's first copy
-        (``spectral.BASES``), so its pairs are the ring's reduced pairs
-        mapped through them: no solve depends on σ.
+        (``spectral.BASES``), so its pairs are the ring's table's mapped
+        through them: nothing is solved.
         """
+        self.check_type(type_class, j)
         B = self.spectrum.basis_for(j)
-        pairs = _reduced_pairs(self.ring, type_class, bifurcation.IRREP[j])
+        pairs = _first_copy_pairs(self.ring, type_class, bifurcation.IRREP[j])
         return tuple((B @ x, B @ y) for x, y in pairs)
 
     def build_mode(self, j, k=1, epsilon=DEFAULT_EPSILON, n_samples=DEFAULT_SAMPLES):
@@ -129,22 +144,20 @@ class ModeWorkshop:
                             n_samples=DEFAULT_SAMPLES):
         """Trajectory of amplitude epsilon in the type's first fixed pair.
 
-        A sample count the type's turns do not divide is refused first, before
-        any work on σ; then an amplitude above ``safe_amplitude()``.  At or
-        below it no sample can collide, so none is checked.
+        A class that is not one of block j's maximal types is refused first
+        (``check_type``), then a sample count the type's turns do not divide,
+        both before any work on σ; then an amplitude above
+        ``safe_amplitude()``.  At or below it no sample can collide, so none
+        is checked.
         """
+        self.check_type(type_class, j)
         _shift_groups(self.ring, type_class, n_samples)
         if epsilon > self.safe_amplitude():
             raise AmplitudeError(
                 f"amplitude {epsilon} exceeds the collision-safe bound "
                 f"{self.safe_amplitude():.3g}"
             )
-        pairs = self.fixed_pairs(type_class, j)
-        if not pairs:
-            raise ConsistencyError(
-                f"type {self.ring.label_of(type_class)} has no fixed mode in block {j}"
-            )
-        a, b = pairs[0]
+        a, b = self.fixed_pairs(type_class, j)[0]
         # normalize the peak displacement to epsilon: the larger eigenvalue
         # of the Gram matrix [[aa, ab], [ab, bb]], in closed form
         aa, ab, bb = float(a @ a), float(a @ b), float(b @ b)
@@ -194,37 +207,50 @@ class ModeWorkshop:
         coordinates in ``_PAIRWISE_ORDER``.  The elements that shift the
         samples alike share one gather of the shifted samples and their
         negation, from which each element's action is a row gather
-        (``TypeElements.rows``); its squared residuals are summed over
-        the coordinates in numpy's pairwise order, so every residual has the
+        (``TypeElements.rows``), a batch of elements at once into one
+        (18, batch, n) array of at most ``VERIFY_BATCH_FLOATS`` floats
+        (``_verify_batches``); their squared residuals are summed over the
+        leading axis in numpy's pairwise order, so every residual has the
         bits of the norm of disp - G disp with G the action matrix.
         """
         ci = traj.type_class
         els = _type_elements(self.ring, ci)
         n = traj.n_samples
-        groups = _shift_groups(self.ring, ci, n)
+        groups, order = _verify_batches(self.ring, ci, n)
         disp = np.empty((18, n))
         np.subtract(
             traj.samples.T[_PAIRWISE_ORDER], traj.center[_PAIRWISE_ORDER, None], out=disp
         )
-        res = np.empty(len(els.names))
+        disp3 = disp[:, None]
+        res = np.empty(len(order))  # in ``order``, then in sorted order
         moved = np.empty((36, n))  # one shift group's samples, then their negation
-        d = np.empty((18, n))  # one element's residuals
-        for refl, s, members in groups:
+        buf = np.empty(18 * _batch_size(n) * n)
+        views = {}  # batch size -> the views of buf the adds run on
+        done = 0
+        for refl, s, batches in groups:
             idx = np.arange(n) - s if refl == 0 else s - np.arange(n)
             np.take(disp, idx, axis=1, out=moved[:18], mode="wrap")  # indices mod n
             np.negative(moved[:18], out=moved[18:])
-            for p in members.tolist():
+            for rows in batches:
+                k = rows.shape[1]
+                if k not in views:
+                    d = buf[: 18 * k * n].reshape(18, k, n)
+                    views[k] = (d, d[:8], d[8:16], d[:4], d[4:8], d[:2], d[2:4],
+                                d[0], d[1], d[16], d[17])
+                d, d8, e8, d4, e4, d2, e2, d0, d1, d16, d17 = views[k]
                 # the rows are in range; mode="raise" would copy `out` first
-                np.take(moved, els.rows[p], axis=0, out=d, mode="clip")
-                np.subtract(disp, d, out=d)
+                np.take(moved, rows, axis=0, out=d, mode="clip")
+                np.subtract(disp3, d, out=d)
                 np.multiply(d, d, out=d)
-                np.add(d[:8], d[8:16], out=d[:8])
-                np.add(d[:4], d[4:8], out=d[:4])
-                np.add(d[:2], d[2:4], out=d[:2])
-                np.add(d[0], d[1], out=d[0])
-                d[0] += d[16]
-                d[0] += d[17]
-                res[p] = d[0].max()
+                np.add(d8, e8, out=d8)
+                np.add(d4, e4, out=d4)
+                np.add(d2, e2, out=d2)
+                np.add(d0, d1, out=d0)
+                d0 += d16
+                d0 += d17
+                d0.max(axis=1, out=res[done : done + k])
+                done += k
+        res[order] = res.copy()
         np.sqrt(res, out=res)
         worst = float(res.max())
         return worst <= 1e-9 * traj.epsilon, dict(zip(els.names, res.tolist()))
@@ -245,8 +271,6 @@ class TypeElements(NamedTuple):
     refl: np.ndarray        # reflection bit
     turn: tuple             # O(2) turn, an exact fraction (numerator, denominator)
     g: np.ndarray           # spatial index
-    cos: np.ndarray         # cos and sin of the turn's angle
-    sin: np.ndarray
     names: tuple            # ``_describe`` strings, a verify report's keys
     rows: np.ndarray        # (elements, 18) verify gathers, see ``_type_elements``
 
@@ -259,17 +283,38 @@ def _type_elements(ring, ci):
     row 18 + r for a -1."""
     els = sorted(ring.representative(ci).elements)
     refl, turn, g = zip(*map(orbit_o2.parts, els))
-    tau = [2 * math.pi * num / den for num, den in turn]
     G = group_core.actions_18()[np.ix_(g, _PAIRWISE_ORDER, _PAIRWISE_ORDER)]
     return TypeElements(
         refl=np.array(refl),
         turn=turn,
         g=np.array(g),
-        cos=np.array([math.cos(t) for t in tau]),
-        sin=np.array([math.sin(t) for t in tau]),
         names=tuple(map(_describe, els)),
         rows=np.argmax(G != 0, axis=2) + 18 * (G.sum(axis=2) < 0),
     )
+
+
+def _batch_size(n):
+    """The most elements ``verify_symmetry`` gathers at once at n samples."""
+    return max(1, VERIFY_BATCH_FLOATS // (18 * n))
+
+
+@cached
+def _verify_batches(ring, ci, n):
+    """``verify_symmetry``'s gathers of class ci at n samples: per shift group
+    (reflection bit, shift s, batches), each batch the (18, k) rows its k
+    elements gather (``TypeElements.rows``), k at most ``_batch_size(n)``;
+    and the positions of the elements in the order the batches list them."""
+    els = _type_elements(ring, ci)
+    groups = _shift_groups(ring, ci, n)
+    size = _batch_size(n)
+    batches = tuple(
+        (refl, s, tuple(
+            np.ascontiguousarray(els.rows[members[k : k + size]].T)
+            for k in range(0, len(members), size)
+        ))
+        for refl, s, members in groups
+    )
+    return batches, np.concatenate([members for _, _, members in groups])
 
 
 @cached
@@ -295,40 +340,14 @@ def _shift_groups(ring, ci, n):
 
 
 @cached
-def _reduced_pairs(ring, ci, irrep):
-    """The fixed space of class ci in the first copy B of irreducible irrep, as
-    read-only coefficient pairs (x, y) on B's columns: the null space of the
-    stacked P^T T P - I, with P = diag(B, B) and T each element's pair
-    operator.  Each null vector's first entry beyond 1e-9 is positive."""
-    B = spectral.BASES[group_core.IRREP_NAMES[irrep]]
-    m = B.shape[1]
-    P = np.zeros((36, 2 * m))
-    P[:18, :m] = B
-    P[18:, m:] = B
-    els = _type_elements(ring, ci)
-    M = (P.T @ _pair_operators(els) @ P - np.eye(2 * m)).reshape(-1, 2 * m)
-    _, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    null = Vt[sv.size - np.sum(sv < 1e-10) :]
-    lead = np.argmax(np.abs(null) > 1e-9, axis=1)  # each row's first entry beyond 1e-9
-    null *= np.sign(null[np.arange(len(null)), lead])[:, None]
+def _first_copy_pairs(ring, ci, irrep):
+    """The ring's fixed pairs of maximal type ci in the first copy of
+    irreducible irrep, as read-only coefficient arrays (x, y) on the copy's
+    columns."""
+    null = np.array(ring.fixed_pairs(irrep, ci))
     null.flags.writeable = False
+    m = null.shape[1] // 2
     return tuple((row[:m], row[m:]) for row in null)
-
-
-def _pair_operators(els):
-    """The (elements, 36, 36) actions on (a, b) coefficient pairs: a rotation
-    by tau maps (a, b) to G (c a - s b, s a + c b), a reflection to
-    G (c a + s b, s a - c b)."""
-    G = group_core.actions_18()[els.g]
-    c = els.cos[:, None, None]
-    s = els.sin[:, None, None]
-    flip = els.refl[:, None, None] == 1
-    T = np.zeros((len(G), 36, 36))
-    np.multiply(c, G, out=T[:, :18, :18])
-    np.multiply(np.where(flip, s, -s), G, out=T[:, :18, 18:])
-    np.multiply(s, G, out=T[:, 18:, :18])
-    np.multiply(np.where(flip, -c, c), G, out=T[:, 18:, 18:])
-    return T
 
 
 @cache

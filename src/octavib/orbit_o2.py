@@ -23,7 +23,10 @@ The mode-1 data are constants of the group.  The builder in
 the data by the element arithmetic of this module and writes them as
 ``o2_mode1.json``, a table of marks in the sense of Pfeiffer ("The
 subgroups of M24, or how to compute the table of marks of a finite group",
-1997).  The ring, ``ring()``, is a ``functools.cache`` function: one ring
+1997).  The table also holds, for each maximal type of each irreducible,
+its fixed pairs in the irreducible's first copy at mode 1 (``fixed_pairs``),
+which ``modes`` builds its modes from: the builder solves them, so no
+request does.  The ring, ``ring()``, is a ``functools.cache`` function: one ring
 per process, which reads that file once, when it is built, and answers
 every datum from it; products and basic degrees, at every mode,
 run over its registry of classes through the one recurrence in
@@ -319,6 +322,12 @@ class TemporalOctahedralRing(BurnsideRing):
         # L -> {H: fix_L(G/H)}, nonzero marks only
         self._marks = [dict(row) for row in doc["marks"]]
         self._maximal = {int(j): cis for j, cis in doc["maximal"].items()}
+        # (irrep, maximal type) -> its fixed pairs' rows, as float tuples
+        self._fixed_pairs = {
+            (int(j), ci): tuple(map(tuple, rows))
+            for j, cis in doc["maximal"].items()
+            for ci, rows in zip(cis, doc["fixed_pairs"][j])
+        }
         # the element sets of the mode-1 classes and of the classes
         # ``find_class`` registers
         self._reps = {ci: ConcreteSubgroup(els) for ci, els in enumerate(doc["elements"])}
@@ -466,6 +475,13 @@ class TemporalOctahedralRing(BurnsideRing):
         if m % l:
             return 0
         return self._dims[K][j][(m // l - 1) % self._period]
+
+    def fixed_pairs(self, j, ci):
+        """The fixed space of a maximal type ci of irrep j in the first copy B
+        of j at mode 1 (``spectral.BASES``): one row per dimension, the
+        coefficients (x, y) on B's columns of the pair (a, b) = (B x, B y),
+        2 dim B floats, each row's first entry beyond 1e-9 positive."""
+        return self._fixed_pairs[j, ci]
 
     # the invariant's marks -------------------------------------------------
     def invariant_mark(self, j, odd, K):

@@ -3,13 +3,15 @@
 The isotypic components of R^18 do not depend on σ.  ``Q`` is one exact
 basis of them, the symmetry coordinates of an octahedral AX6, in which
 Q^T H Q of an equivariant H is its Schur form: ``schur_spectrum`` reads the
-seven labeled lines from its eight numbers, with no eigensolver.
-``stiffness_spectrum`` has them in closed form from the five stiffness
-constants: the reported spectrum of the equilibrium's constants
-(``spectrum_at_equilibrium``), and the Cartesian one of the constants that
-``force_field.cartesian_constants`` substitutes.  ``numeric_spectrum``
-projects any equivariant matrix, and is, with ``assign_eigenspaces`` (labels
-from restricted characters), an oracle.
+seven labeled lines from its eight numbers, with no eigensolver.  At an
+equilibrium they are in closed form from the five stiffness constants: the
+reported spectrum of its constants (``spectrum_at_equilibrium``), and the
+Cartesian one of the constants that ``force_field.cartesian_constants``
+substitutes (``cartesian_spectrum_at_equilibrium``), each taking the lower
+line of 7 from the bond term where the difference of the pair's roots
+cancels.
+``numeric_spectrum`` projects any equivariant matrix, and is, with
+``assign_eigenspaces`` (labels from restricted characters), an oracle.
 """
 
 import math
@@ -19,7 +21,8 @@ import numpy as np
 
 from . import force_field, group_core
 from ._serialize import dumps
-from .errors import LabelingError, NumericalError, ShapeError
+from .accel import u2_prime
+from .errors import ConfigError, LabelingError, NumericalError, ShapeError
 
 
 class NonPositiveFrequencyError(NumericalError):
@@ -49,19 +52,27 @@ class SpectrumReport(NamedTuple):
         return {ln.label: _frequency(ln) for ln in self.lines if ln.label != "6"}
 
     def alpha(self, label):
-        """The positive frequency of one block, refused like ``alphas``."""
+        """The positive frequency of one block, refused like ``alphas``; a
+        label that is not one of the lines' is refused too."""
         for ln in self.lines:
             if ln.label == label:
                 return _frequency(ln)
-        raise KeyError(label)
+        raise ConfigError(self._missing(label))
 
     def basis_for(self, label):
+        """The orthonormal columns of one line; a label that is not one of
+        the lines' is refused."""
         k = 0
         for ln in self.lines:
             if ln.label == label:
                 return self.basis[:, k : k + ln.multiplicity]
             k += ln.multiplicity
-        raise KeyError(label)
+        raise ConfigError(self._missing(label))
+
+    def _missing(self, label):
+        """The refusal's text for a label that is none of the lines'."""
+        labels = ", ".join(sorted(ln.label for ln in self.lines))
+        return f"the spectrum has no line {label!r}; its lines are {labels}"
 
     def to_json(self):
         return dumps({
@@ -148,11 +159,23 @@ def schur_spectrum(a0, a4, a6, a8, a9, p, q, r):
     "7" and "7*" are (p + r)/2 -+ hypot((p - r)/2, q), their columns the
     radial and tangential copies turned by t = atan2(2q, p - r)/2.
     """
+    return _schur_spectrum(a0, a4, a6, a8, a9, p, q, r, None)
+
+
+def _schur_spectrum(a0, a4, a6, a8, a9, p, q, r, det):
+    """``schur_spectrum``, given det = pr - q^2 computed without
+    cancellation or None.  Where mid - half cancels, below mid/4, and
+    mid + half is positive, the lower line of 7 is det / (mid + half), the
+    standard choice of a quadratic's smaller root (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, §1.8)."""
     mid, half = (p + r) / 2, math.hypot((p - r) / 2, q)
+    lower, upper = mid - half, mid + half
+    if det is not None and lower < mid / 4 and upper > 0:
+        lower = det / upper
     t = math.atan2(2 * q, p - r) / 2
     c, s, rad, tan = math.cos(t), math.sin(t), BASES["7"], _TANGENTIAL_7
     out = [("0", a0, BASES["0"]), ("4", a4, BASES["4"]), ("6", a6, BASES["6"]),
-           ("7", mid - half, c * tan - s * rad), ("7*", mid + half, c * rad + s * tan),
+           ("7", lower, c * tan - s * rad), ("7*", upper, c * rad + s * tan),
            ("8", a8, BASES["8"]), ("9", a9, BASES["9"])]
     out.sort(key=lambda line: line[1])  # stable: a tie keeps the order 0 4 6 7 7* 8 9
     lines = tuple(SpectrumLine(j, a, B.shape[1]) for j, a, B in out)
@@ -188,23 +211,42 @@ def assign_eigenspaces(report):
 _SQRT8 = math.sqrt(8)
 
 
-def stiffness_spectrum(a, b, c, d, e):
-    """Labeled spectrum of the block matrix of the stiffness constants.
+def _stiffness_spectrum(constants, s):
+    """Labeled spectrum of the block matrix of the stiffness constants, given
+    s = 4 ia + 2 ib computed without cancellation.
 
     The block matrix is linear in its coefficients (qa, qb, qc, ia, ib), so
     its eight Schur numbers are a constant map of them, read here with no
     matrix; ``numeric_spectrum`` of ``force_field.blocks_from_stiffness`` is
-    the oracle.
+    the oracle.  pr - q^2 of the pair of 7 is expanded as
+    2 qc (qa + ia) - s (6 qa + 6 ia + qc) + s^2 for its lower line.
     """
-    qa, qb, qc, ia, ib = force_field.block_coefficients(a, b, c, d, e)
-    return schur_spectrum(
+    qa, qb, qc, ia, ib = force_field.block_coefficients(*constants)
+    det = 2 * qc * (qa + ia) - s * (6 * qa + 6 * ia + qc) + s * s
+    return _schur_spectrum(
         8 * qa + 8 * qb + qc, 2 * qa + 8 * qb + qc, 0.0, 4 * qa, 2 * qa + 2 * ia - 2 * ib,
-        4 * qa + qc - 2 * ib, -_SQRT8 * (qa + ia), 2 * qa - 2 * ia - 2 * ib,
+        4 * qa + qc - 2 * ib, -_SQRT8 * (qa + ia), 2 * qa - 2 * ia - 2 * ib, det,
     )
 
 
+# At an equilibrium 4 ia + 2 ib, the pair terms of the criticality condition,
+# is minus its bond term: a rigid translation of the ligands changes no pair
+# distance.  So s is -u2'(r0^2) in the reported map and -2 u2'(r0^2) in the
+# Cartesian one, with no cancellation.  A radius off the criticality
+# condition is the ``ShapeError`` of ``force_field.equilibrium_stiffness``.
+
 def spectrum_at_equilibrium(eq):
     """The reported spectrum at an equilibrium, ``numeric_spectrum`` of
-    ``hessian_blocks`` in closed form.  A radius off the criticality
-    condition is the ``ShapeError`` of ``hessian_blocks``."""
-    return stiffness_spectrum(*force_field.equilibrium_stiffness(eq.params, eq.radius))
+    ``hessian_blocks`` in closed form."""
+    constants = force_field.equilibrium_stiffness(eq.params, eq.radius)
+    return _stiffness_spectrum(constants, -u2_prime(eq.radius * eq.radius))
+
+
+def cartesian_spectrum_at_equilibrium(eq):
+    """The Cartesian spectrum at an equilibrium: the reported spectrum of the
+    constants ``force_field.cartesian_constants`` substitutes."""
+    constants = force_field.equilibrium_stiffness(eq.params, eq.radius)
+    return _stiffness_spectrum(
+        force_field.cartesian_constants(*constants, eq.radius),
+        -2 * u2_prime(eq.radius * eq.radius),
+    )

@@ -177,7 +177,7 @@ def gradient_loop(pos, s1, s2, s3):
 
 def pair_operator(element):
     """Action of one group element on (a, b) coefficient pairs, a 36x36
-    matrix (oracle for the stacked ``modes._pair_operators``)."""
+    matrix (oracle for the table builder's stacked ``pair_operators``)."""
     refl, (num, den), g = orbit_o2.parts(element)
     tau = 2 * math.pi * num / den
     G = group_core.actions_18()[g]
@@ -210,7 +210,8 @@ def pinned_null_rows(Vt, sv):
 def loop_fixed_pairs(shop, type_class, j):
     """``ModeWorkshop.fixed_pairs`` assembled one element at a time in the
     first copy of block j's irreducible and mapped through the request's
-    basis: the oracle of the stacked and the ring-kept paths."""
+    basis: the oracle of the table builder's stacked solve and of the pairs
+    the ring reads from the table."""
     B0 = spectral.BASES[j.rstrip("*")]
     m = B0.shape[1]
     P = np.zeros((36, 2 * m))

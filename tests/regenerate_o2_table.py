@@ -8,8 +8,11 @@ the mode-1 classes by the element arithmetic of ``octavib.orbit_o2`` and of
 ``oracles.py`` (subgroup generation, conjugation of a spatial mask): the
 character-graph enumeration that meets the classes, their fixed-coset
 counts, exact fixed dimensions, images under z -> z^b, symbol keys and
-labels.  The package only reads the table.  The same text comes out on
-every run, so ``--check`` compares bytes; the tier-1 test
+labels; and, by one SVD each, the fixed pairs of every maximal type in the
+first copy of its irreducible, from which ``modes`` builds each mode.  The
+package only reads the table, so no request runs a LAPACK routine.  The
+same text comes out on every run, so ``--check`` compares bytes (the fixed
+pairs' last bits are this machine's LAPACK's); the tier-1 test
 ``tests/test_o2_table.py::test_committed_table_is_current`` runs it, and
 the tests use the builder's functions as oracles for the ring.
 """
@@ -21,8 +24,11 @@ import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 
+import numpy as np
+
 from octavib import group_core as gc
 from octavib import orbit_o2 as o2
+from octavib import spectral
 from octavib._serialize import dumps
 from octavib.errors import ConsistencyError
 from oracles import (
@@ -48,9 +54,12 @@ def build_mode1_table():
     digits per irrep, over the modes 1 to the mode period, which JSON reads
     far faster than a list of numbers), its row of nonzero marks
     fix_K(G/H), and the class of phi_b(K) for b modulo the mode period.  Also the classes M = K^2 (as
-    [M, K]) and each reference block's maximal types.  Raises when a class
-    has more than two rotations over the spatial identity, or when an image
-    phi_b(K) is conjugate to none of the classes.
+    [M, K]), each reference block's maximal types and, in the same order,
+    their fixed pairs in the first copy of the block's irreducible
+    (``first_copy_pairs``).  Raises when a class has more than two rotations
+    over the spatial identity, when an image phi_b(K) is conjugate to none
+    of the classes, or when a maximal type's fixed pairs do not number its
+    fixed dimension at mode 1: every maximal type has a fixed pair.
     """
     reps = list(_graph_representatives())
     keys = [symbol_key(A) for A in reps]
@@ -79,10 +88,19 @@ def build_mode1_table():
         maximal[j] = [
             L for L in sorted(fixing) if not any(t != L and t in fixing for t in marks[L])
         ]
+    pairs = {j: [first_copy_pairs(reps[ci], j) for ci in cis] for j, cis in maximal.items()}
+    for j, cis in maximal.items():
+        for ci, rows in zip(cis, pairs[j]):
+            if len(rows) != dims[ci][j][0]:
+                raise ConsistencyError(
+                    f"maximal type {ci} of irrep {j} has {len(rows)} fixed pairs, "
+                    f"not its fixed dimension {dims[ci][j][0]}"
+                )
     labels = mode1_labels(keys)
     doc = {
         "elements": [sorted(A.elements) for A in reps],
         "fixed_dim": [["".join(map(str, row)) for row in rows] for rows in dims],
+        "fixed_pairs": pairs,
         "halves": [[M, images[M][2]] for M, key in enumerate(keys) if key[3] == 2],
         "image": images,
         "label": labels,
@@ -314,6 +332,48 @@ def exact_fixed_dim(A, j, m):
     if dim.denominator != 1:
         raise ConsistencyError(f"non-integral fixed dimension {dim}")
     return int(dim)
+
+
+# ---------------------------------------------------------------------------
+# fixed pairs in the first copy of an irreducible
+# ---------------------------------------------------------------------------
+
+
+def pair_operators(els):
+    """The (elements, 36, 36) actions of the sorted codes els on (a, b)
+    coefficient pairs: a rotation by tau maps (a, b) to
+    G (c a - s b, s a + c b), a reflection to G (c a + s b, s a - c b)."""
+    refl, turn, g = zip(*map(o2.parts, els))
+    tau = [2 * math.pi * num / den for num, den in turn]
+    G = gc.actions_18()[np.array(g)]
+    c = np.array([math.cos(t) for t in tau])[:, None, None]
+    s = np.array([math.sin(t) for t in tau])[:, None, None]
+    flip = np.array(refl)[:, None, None] == 1
+    T = np.zeros((len(G), 36, 36))
+    np.multiply(c, G, out=T[:, :18, :18])
+    np.multiply(np.where(flip, s, -s), G, out=T[:, :18, 18:])
+    np.multiply(s, G, out=T[:, 18:, :18])
+    np.multiply(np.where(flip, -c, c), G, out=T[:, 18:, 18:])
+    return T
+
+
+def first_copy_pairs(A, j):
+    """The fixed space of the subgroup A in the first copy B of irrep j at
+    mode 1, as the rows (x, y) of coefficients on B's columns, 2 dim B
+    floats each: the null space of the stacked P^T T P - I, with
+    P = diag(B, B) and T each element's pair operator.  Each null vector's
+    first entry beyond 1e-9 is positive."""
+    B = spectral.BASES[gc.IRREP_NAMES[j]]
+    m = B.shape[1]
+    P = np.zeros((36, 2 * m))
+    P[:18, :m] = B
+    P[18:, m:] = B
+    M = (P.T @ pair_operators(sorted(A.elements)) @ P - np.eye(2 * m)).reshape(-1, 2 * m)
+    _, sv, Vt = np.linalg.svd(M, full_matrices=False)
+    null = Vt[sv.size - np.sum(sv < 1e-10) :]
+    lead = np.argmax(np.abs(null) > 1e-9, axis=1)  # each row's first entry beyond 1e-9
+    null *= np.sign(null[np.arange(len(null)), lead])[:, None]
+    return null.tolist()
 
 
 # ---------------------------------------------------------------------------

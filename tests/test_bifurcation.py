@@ -91,6 +91,31 @@ class TestEngineFrequencies:
             bf.InvariantEngine(alphas)
 
 
+class TestLibraryRefusals:
+    @pytest.mark.parametrize("block", ["5", "6", 7, "7 ", None])
+    def test_an_unknown_block_is_a_config_error(self, block):
+        # the engine's and the spectrum's public methods refuse an unknown
+        # label as the CLI does, naming it
+        request = bf.Request(ff.REFERENCE_PARAMS)
+        engine = request.engine
+        h = engine.maximal_classes("9")[0]
+        calls = (
+            lambda: engine.report(block),
+            lambda: engine.report(block, full=False),
+            lambda: engine.fast_coefficient(block, h),
+            lambda: engine.degree(block),
+            lambda: engine.maximal_classes(block),
+        )
+        for call in calls:
+            with pytest.raises(ConfigError, match=f"^block {re.escape(repr(block))} is not one of"):
+                call()
+        if block != "6":  # a line of the spectrum, if not a block with types
+            for report in (request.spectrum, request.cartesian_spectrum):
+                for call in (report.alpha, report.basis_for):
+                    with pytest.raises(ConfigError, match=f"no line {re.escape(repr(block))}"):
+                        call(block)
+
+
 class TestNonresonance:
     def test_reference_is_nonresonant(self, labeled_spectrum):
         assert bf.resonant_groups(labeled_spectrum) == []

@@ -353,7 +353,7 @@ class TestOneOrderOfMaximalTypes:
         invariant = run(capsys, "invariant", "--j", "5")
         mode = run(capsys, "modes", "--j", "5", "--out", str(tmp_path))
         assert invariant == mode == (
-            2, "", "configuration error: --j must be one of 0, 4, 7, 7*, 8, 9\n"
+            2, "", "configuration error: block '5' is not one of '0', '4', '7', '7*', '8', '9'\n"
         )
 
 
@@ -706,10 +706,10 @@ class TestModesExitCodes:
 
 # options each command refuses before any work on σ, with their messages
 MALFORMED = {
-    ("invariant", "--j", "5"): "--j must be one of 0, 4, 7, 7*, 8, 9",
+    ("invariant", "--j", "5"): "block '5' is not one of '0', '4', '7', '7*', '8', '9'",
     ("critical", "--max", "nan"): "lambda_max must be finite, got nan",
     ("critical", "--max", "inf"): "lambda_max must be finite, got inf",
-    ("modes", "--j", "5"): "--j must be one of 0, 4, 7, 7*, 8, 9",
+    ("modes", "--j", "5"): "block '5' is not one of '0', '4', '7', '7*', '8', '9'",
     ("modes", "--j", "0", "--k", "9"): "block 0 has 1 maximal types; k=9 is out of range",
     ("modes", "--j", "0", "--k", "0"): "block 0 has 1 maximal types; k=0 is out of range",
     ("modes", "--j", "0", "--samples", "0"): "need at least 8 samples per period",

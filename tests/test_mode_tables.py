@@ -2,7 +2,8 @@
 replaced.
 
 A type's sorted elements, their sample shifts and its fixed pairs in the
-first copy of each irreducible are ring tables (``burnside.cached``); the
+first copy of its irreducible are ring tables (``burnside.cached``), the
+pairs read from the mode-1 table's column that the table builder solves; the
 fast coefficient is in closed form and keeps nothing.  Every mode the request
 path builds and verifies is checked bit for bit against the per-element
 oracles in ``conftest``, on a new ring and on one that has served other σ.
@@ -20,6 +21,7 @@ from octavib import force_field as ff
 from octavib import accel, cli, group_core, modes, orbit_o2, spectral
 from octavib.errors import CatalogError, ConfigError, NumericalError, SamplingError
 
+import regenerate_o2_table as builder
 from conftest import (
     MODES,
     checked_wide_grid,
@@ -86,7 +88,7 @@ def warm_ring():
         for sigmas in ((0.9 * REFERENCE.sigma1, REFERENCE.sigma2, REFERENCE.sigma3),
                        (REFERENCE.sigma1, 1.1 * REFERENCE.sigma2, REFERENCE.sigma3)):
             mode_outputs(ff.PotentialParams(*sigmas))
-    assert ring.memo["_reduced_pairs"]
+    assert ring.memo["_first_copy_pairs"]
     return ring
 
 
@@ -105,12 +107,14 @@ class TestModesBitForBit:
 
 class TestModeTables:
     def test_stacked_pair_operators_equal_each_elements(self, fresh_ring):
+        # the table builder's stacked operators, from which it solves the
+        # fixed pairs, against one element at a time
         shop = modes.ModeWorkshop()
         for j in ("0", "4", "7", "8", "9"):
             for ci in shop.types_for(j):
                 els = sorted(fresh_ring.representative(ci).elements)
                 want = np.stack([pair_operator(x) for x in els])
-                got = modes._pair_operators(modes._type_elements(fresh_ring, ci))
+                got = builder.pair_operators(els)
                 assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
     def test_one_copy_blocks_are_kept_and_read_only(self, fresh_ring):
@@ -120,14 +124,20 @@ class TestModeTables:
         for j in bf.ISOTYPIC:
             B = shop.spectrum.basis_for(j)
             for ci in shop.types_for(j):
-                reduced = modes._reduced_pairs(fresh_ring, ci, bf.IRREP[j])
+                reduced = modes._first_copy_pairs(fresh_ring, ci, bf.IRREP[j])
                 want = [(B @ x, B @ y) for x, y in reduced]
                 got = shop.fixed_pairs(ci, j)
                 assert [(a.tobytes(), b.tobytes()) for a, b in got] == [
                     (a.tobytes(), b.tobytes()) for a, b in want
                 ]
-        kept = fresh_ring.memo["_reduced_pairs"]
+                # each (x, y) row is the table's row, bit for bit
+                rows = fresh_ring.fixed_pairs(bf.IRREP[j], ci)
+                assert [np.concatenate(pair).tolist() for pair in reduced] == list(
+                    map(list, rows)
+                )
+        kept = fresh_ring.memo["_first_copy_pairs"]
         assert {irrep for _, irrep in kept} == {0, 4, 7, 8, 9}
+        assert len(kept) == sum(len(shop.types_for(str(i))) for i in (0, 4, 7, 8, 9)) == 19
         assert all(not x.flags.writeable and not y.flags.writeable
                    for pairs in kept.values() for x, y in pairs)
         # another σ reads them: no new entry, the same objects
@@ -137,8 +147,33 @@ class TestModeTables:
             for ci in other.types_for(j):
                 other.fixed_pairs(ci, j)
                 irrep = bf.IRREP[j]
-                assert modes._reduced_pairs(fresh_ring, ci, irrep) is before[ci, irrep]
+                assert modes._first_copy_pairs(fresh_ring, ci, irrep) is before[ci, irrep]
         assert kept == before
+
+    def test_a_class_off_the_block_is_refused_before_any_work_on_sigma(
+        self, fresh_ring, monkeypatch
+    ):
+        # the table holds fixed pairs for a block's maximal types only; any
+        # other mode-1 class is a ConfigError naming it and the block, raised
+        # before the equilibrium is solved
+        monkeypatch.setattr(ff, "find_equilibrium", forbidden("find_equilibrium"))
+        shop = modes.ModeWorkshop()
+        for j in bf.ISOTYPIC:
+            types = shop.types_for(j)
+            for ci in orbit_o2.graph_classes(1):
+                if ci in types:
+                    continue
+                text = f"type {fresh_ring.label_of(ci)} is not a maximal type of block {j}"
+                for call in (shop.build_mode_for_type, shop.fixed_pairs):
+                    with pytest.raises(ConfigError) as exc:
+                        call(ci, j)
+                    assert str(exc.value) == text
+            # what is no mode-1 class is named as it was given
+            for other in (-1, 10**6, "D_1 x Z_1", None):
+                with pytest.raises(ConfigError) as exc:
+                    shop.build_mode_for_type(other, j)
+                assert str(exc.value) == f"type {other!r} is not a maximal type of block {j}"
+        assert "_first_copy_pairs" not in fresh_ring.memo
 
     def test_incommensurate_sampling_stores_nothing(self, fresh_ring):
         shop = modes.ModeWorkshop()
@@ -186,14 +221,15 @@ def forbidden(name):
     return raise_
 
 
+# every numpy.linalg routine that calls LAPACK; np.linalg.norm does not
+SOLVERS = ("svd", "lstsq", "solve", "inv", "pinv", "qr", "eig", "eigh", "eigvals",
+           "eigvalsh", "cholesky", "det")
+
+
 class TestNoSolvePerSigma:
-    def test_pair_signs_do_not_rest_on_the_svd(self, tmp_path, monkeypatch):
-        # an SVD that returns every null vector negated leaves all 24
-        # exported modes byte for byte
-        new_ring(monkeypatch)
-        (tmp_path / "plain").mkdir()
-        want = export_all_modes(tmp_path / "plain")
-        assert len(want) == 2 * len(MODES) == 48
+    def test_pair_signs_do_not_rest_on_the_svd(self, fresh_ring, monkeypatch):
+        # an SVD that returns every null vector negated leaves the table
+        # builder's fixed pairs, which all 24 modes are built from, bit for bit
         svd = np.linalg.svd
 
         def negated(a, *args, **kwargs):
@@ -201,9 +237,28 @@ class TestNoSolvePerSigma:
             return U, S, -Vt
 
         monkeypatch.setattr(np.linalg, "svd", negated)
+        count = 0
+        for irrep in bf.MAXIMAL_IRREPS:
+            for ci in orbit_o2.maximal_orbit_types(irrep, 1):
+                got = builder.first_copy_pairs(fresh_ring.representative(ci), irrep)
+                assert list(map(tuple, got)) == list(fresh_ring.fixed_pairs(irrep, ci))
+                count += 1
+        assert count == 19
+
+    def test_a_fresh_ring_runs_no_lapack_solver(self, tmp_path, monkeypatch):
+        # with every numpy.linalg solver refused, a new ring builds, verifies,
+        # checks and exports all 24 modes at both sample counts
         new_ring(monkeypatch)
-        (tmp_path / "negated").mkdir()
-        assert export_all_modes(tmp_path / "negated") == want
+        for name in SOLVERS:
+            monkeypatch.setattr(np.linalg, name, forbidden(f"np.linalg.{name}"))
+        shop = modes.ModeWorkshop()
+        path = tmp_path / "mode.csv"
+        for j, k in MODES:
+            for n in SAMPLES:
+                traj = shop.build_mode(j, k, EPSILON, n)
+                assert shop.verify_symmetry(traj)[0]
+                assert shop.nonlinear_residual(traj) < 2 * EPSILON**2
+                modes.export_trajectory(traj, path)
 
     def test_a_warm_ring_solves_nothing_per_sigma(self, tmp_path, monkeypatch):
         new_ring(monkeypatch)

@@ -114,7 +114,7 @@ def nan_trajectory(tmp):
     modes.export_trajectory(traj._replace(samples=traj.samples * np.nan), tmp / "nan.csv")
 
 
-ZERO_REPORT = spectral.stiffness_spectrum(0.0, 0.0, 0.0, 0.0, 0.0)
+ZERO_REPORT = spectral.schur_spectrum(*[0.0] * 8)
 CFG = "--config {tmp}/p.cfg"
 ZERO = sigma(0.0, 0.0, 0.0)
 ROW = ",".join(["0"] * 19) + "\n"
@@ -154,7 +154,7 @@ RAISES = {
              "alpha must be positive and finite, got 0.0 for block 0"),
     ),
     ("bifurcation.check_block", "ConfigError"): (
-        Cli("invariant --j 5", 2, ConfigError, "--j must be one of 0, 4, 7, 7*, 8, 9"),
+        Cli("invariant --j 5", 2, ConfigError, "block '5' is not one of '0', '4', '7', '7*', '8', '9'"),
     ),
     ("bifurcation.check_lambda_max", "ConfigError"): (
         Cli("critical --max inf", 2, ConfigError, "lambda_max must be finite, got inf"),
@@ -283,8 +283,9 @@ RAISES = {
         Cli("modes --j 0 --eps 10 --out {tmp}", 1, AmplitudeError,
             "amplitude 10.0 exceeds the collision-safe bound"),
     ),
-    ("modes.ModeWorkshop.build_mode_for_type", "ConsistencyError"): (
-        Guard("every maximal type of a block has a fixed pair in that block"),
+    ("modes.ModeWorkshop.check_type", "ConfigError"): (
+        Call(lambda tmp: modes.ModeWorkshop().build_mode_for_type(class_of("D_1 x Z_1"), "4"),
+             ConfigError, "type D_1 x Z_1 is not a maximal type of block 4"),
     ),
     ("modes._shift_groups", "SamplingError"): (
         Cli(f"modes --j 8 --k {type_index('8', 'D_3^{Z_1} x_{D_3} D_3^p')} --samples 50 "
@@ -332,13 +333,13 @@ RAISES = {
         Guard("each red family of the reference table matches one mode-1 class"),
     ),
     # -- the spectrum
-    ("spectral.SpectrumReport.alpha", "KeyError"): (
-        Guard("a block label names a line of the report",
-              Call(lambda tmp: ZERO_REPORT.alpha("3"), KeyError, "'3'")),
+    ("spectral.SpectrumReport.alpha", "ConfigError"): (
+        Call(lambda tmp: ZERO_REPORT.alpha("3"), ConfigError,
+             "the spectrum has no line '3'; its lines are 0, 4, 6, 7, 7*, 8, 9"),
     ),
-    ("spectral.SpectrumReport.basis_for", "KeyError"): (
-        Guard("a block label names a line of the report",
-              Call(lambda tmp: ZERO_REPORT.basis_for("3"), KeyError, "'3'")),
+    ("spectral.SpectrumReport.basis_for", "ConfigError"): (
+        Call(lambda tmp: ZERO_REPORT.basis_for("3"), ConfigError,
+             "the spectrum has no line '3'; its lines are 0, 4, 6, 7, 7*, 8, 9"),
     ),
     ("spectral._frequency", "NonPositiveFrequencyError"): (
         Cli(f"{CFG} census", 1, spectral.NonPositiveFrequencyError,

@@ -6,7 +6,7 @@ from octavib import force_field as ff
 from octavib import group_core as gc
 from octavib import spectral
 from octavib._serialize import format_float
-from octavib.errors import LabelingError, NumericalError, ShapeError
+from octavib.errors import ConfigError, LabelingError, NumericalError, ShapeError
 
 from conftest import UNSTABLE_REPORTED_9, sweep_box
 from oracles import (
@@ -309,17 +309,16 @@ class TestAssign:
             report.alphas()
         assert isinstance(exc.value, NumericalError)
         assert repr(report.alpha_sq["9"]) in str(exc.value)
-        constants = ff.cartesian_constants(
-            *ff.equilibrium_stiffness(eq.params, eq.radius), eq.radius
-        )
-        cartesian = spectral.stiffness_spectrum(*constants)
+        cartesian = spectral.cartesian_spectrum_at_equilibrium(eq)
         assert cartesian.alpha_sq["9"] > 0
 
     def test_one_block_frequency(self, labeled_spectrum):
         alphas = labeled_spectrum.alphas()
         assert {j: labeled_spectrum.alpha(j) for j in alphas} == alphas
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="no line '3'"):
             labeled_spectrum.alpha("3")
+        with pytest.raises(ConfigError, match="no line '3'"):
+            labeled_spectrum.basis_for("3")
         # the other blocks of a spectrum with a negative line still answer
         eq = ff.find_equilibrium(ff.PotentialParams(*UNSTABLE_REPORTED_9))
         report = spectral.spectrum_at_equilibrium(eq)
