@@ -119,6 +119,10 @@ class ModeWorkshop:
         through them: nothing is solved.
         """
         self.check_type(type_class, j)
+        return self._mapped_pairs(type_class, j)
+
+    def _mapped_pairs(self, type_class, j):
+        """``fixed_pairs`` of a class ``check_type`` has passed."""
         B = self.spectrum.basis_for(j)
         pairs = _first_copy_pairs(self.ring, type_class, bifurcation.IRREP[j])
         return tuple((B @ x, B @ y) for x, y in pairs)
@@ -157,7 +161,7 @@ class ModeWorkshop:
                 f"amplitude {epsilon} exceeds the collision-safe bound "
                 f"{self.safe_amplitude():.3g}"
             )
-        a, b = self.fixed_pairs(type_class, j)[0]
+        a, b = self._mapped_pairs(type_class, j)[0]
         # normalize the peak displacement to epsilon: the larger eigenvalue
         # of the Gram matrix [[aa, ab], [ab, bb]], in closed form
         aa, ab, bb = float(a @ a), float(a @ b), float(b @ b)

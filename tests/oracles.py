@@ -640,14 +640,18 @@ def block_coefficients(a, b, c, d, e, convention="reported", r0=None):
 
 def convention_spectrum(eq, convention):
     """The labeled spectrum of one convention's block matrix at eq: its
-    eight Schur numbers from ``block_coefficients``, split by
-    ``spectral.schur_spectrum``."""
+    eight Schur numbers from ``block_coefficients``, split as the closed form
+    splits them, with pr - q^2 of the pair of 7 expanded in the bond term
+    s = 4 ia + 2 ib = -u2'(r0^2), doubled in the Cartesian convention."""
     qa, qb, qc, ia, ib = block_coefficients(
         *force_field.equilibrium_stiffness(eq.params, eq.radius), convention, eq.radius
     )
-    return spectral.schur_spectrum(
+    bond = -accel.u2_prime(eq.radius * eq.radius)
+    s = bond if convention == "reported" else 2 * bond
+    return spectral._schur_spectrum(
         8 * qa + 8 * qb + qc, 2 * qa + 8 * qb + qc, 0.0, 4 * qa, 2 * qa + 2 * ia - 2 * ib,
         4 * qa + qc - 2 * ib, -math.sqrt(8) * (qa + ia), 2 * qa - 2 * ia - 2 * ib,
+        2 * qc * (qa + ia) - s * (6 * qa + 6 * ia + qc) + s * s,
     )
 
 

@@ -609,7 +609,7 @@ class TestModes:
         def no_samples(*args):
             raise AssertionError("samples were built for a refused sample count")
 
-        monkeypatch.setattr(modes.ModeWorkshop, "fixed_pairs", no_samples)
+        monkeypatch.setattr(modes.ModeWorkshop, "_mapped_pairs", no_samples)
         code, out, err = run(
             capsys, "modes", "--j", "7", "--k", "5", "--samples", str(2**16),
             "--out", str(tmp_path),

@@ -56,7 +56,7 @@ def mode_outputs(params, oracle=False):
     except NumericalError as exc:
         return repr(exc)
     if oracle:
-        shop.fixed_pairs = lambda ci, j: loop_fixed_pairs(shop, ci, j)
+        shop._mapped_pairs = lambda ci, j: loop_fixed_pairs(shop, ci, j)
     out = {}
     for j, k in MODES:
         for n in SAMPLES:
